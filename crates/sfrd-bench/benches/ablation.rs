@@ -1,14 +1,19 @@
-//! Ablations of SF-Order's design choices (DESIGN.md §3):
+//! Ablations over the configuration axes that remain (DESIGN.md §3):
 //!
 //! * **reader policy** — the §3.5 bounded per-future leftmost/rightmost
 //!   readers vs the paper's shipped keep-all-readers history (§4 argues
 //!   the bound's bookkeeping outweighs its savings at their scale);
 //! * **gp/cp representation** — bitmaps (SF-Order) vs hash tables of op
 //!   nodes (F-Order), isolated via the `reach` configuration where the
-//!   access history is out of the picture.
+//!   access history is out of the picture;
+//! * **order-maintenance backend** — the shared list vs DePa labels.
+//!
+//! The retired ablations (shadow store, set representation, scheduler
+//! deque, chunk kernels, batching, per-strand filter) keep their numbers
+//! in EXPERIMENTS.md; DESIGN.md's "Retired arms" table says where.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sfrd_core::{drive, DetectorKind, DriveConfig, Mode, ReaderPolicy, SchedBackend};
+use sfrd_core::{drive, DetectorKind, DriveConfig, Mode, ReaderPolicy};
 use sfrd_workloads::{make_bench, Scale};
 use std::hint::black_box;
 
@@ -48,79 +53,6 @@ fn gp_representation(c: &mut Criterion) {
                 black_box(drive(&w, DriveConfig::with(kind, Mode::Reach, 1)));
             })
         });
-    }
-    g.finish();
-}
-
-/// The paper's future-work direction: per-strand access filtering to cut
-/// shadow-table lock volume (sfrd-core::fastpath).
-fn access_fast_path(c: &mut Criterion) {
-    use sfrd_core::{FastPath, SfDetector, Workload};
-    use sfrd_runtime::Runtime;
-    use std::sync::Arc;
-
-    let mut g = c.benchmark_group("ablation/access_fast_path");
-    g.sample_size(10);
-    g.bench_function("locked_every_access", |b| {
-        b.iter(|| {
-            let w = make_bench("sw", Scale::Small, 1);
-            black_box(drive(
-                &w,
-                DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1),
-            ));
-        })
-    });
-    g.bench_function("per_strand_filter", |b| {
-        b.iter(|| {
-            let det = Arc::new(FastPath(SfDetector::new(Mode::Full, ReaderPolicy::All)));
-            let rt: Runtime<FastPath<SfDetector>> = Runtime::new(1);
-            let w = make_bench("sw", Scale::Small, 1);
-            rt.run(Arc::clone(&det), |ctx| w.run(ctx));
-            drop(rt);
-            assert!(w.verify_ok());
-            black_box(det.0.report().total_races)
-        })
-    });
-    g.finish();
-}
-
-/// The unified pipeline's shadow-batching ablation: per-access shard
-/// locking (`batched: false`, the pre-refactor baseline) vs the batched
-/// pipeline (per-strand buffers drained with one lock per shard run,
-/// `batched: true`, the default). Reported once per workload before the
-/// timing loop: the lock-op counts, so the >=2x reduction claim is
-/// checkable from the bench log.
-fn shadow_batching(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation/shadow_batching");
-    g.sample_size(10);
-    for name in ["sw", "hw"] {
-        for (label, batched) in [("locked_per_access", false), ("sharded_batched", true)] {
-            let w = make_bench(name, Scale::Small, 1);
-            let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1)
-                .to_builder()
-                .batched(batched)
-                .build();
-            let rep = drive(&w, cfg).report.expect("Full mode returns a report");
-            eprintln!(
-                "shadow_batching/{name}/{label}: lock_ops={} batch_flushes={} \
-                 filtered={} seqlock_hits={} races={}",
-                rep.metrics.lock_ops,
-                rep.metrics.batch_flushes,
-                rep.metrics.filtered_accesses,
-                rep.metrics.seqlock_hits,
-                rep.total_races,
-            );
-            g.bench_function(format!("{name}/{label}"), |b| {
-                b.iter(|| {
-                    let w = make_bench(name, Scale::Small, 1);
-                    let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1)
-                        .to_builder()
-                        .batched(batched)
-                        .build();
-                    black_box(drive(&w, cfg));
-                })
-            });
-        }
     }
     g.finish();
 }
@@ -183,211 +115,5 @@ fn om_contention(c: &mut Criterion) {
     g.finish();
 }
 
-/// The paged-shadow ablation (DESIGN.md §6): SF-Order full detection on
-/// the mutex-sharded store vs the lock-free direct-mapped page table,
-/// across worker counts. The shadow counters are reported once per
-/// configuration before the timing loop: `lock_ops` collapses to the
-/// fallback-map traffic (~0 on these benchmarks' real heap addresses)
-/// under `paged`, which is the >=10x insert-path lock reduction claim,
-/// and `fast_hits`/`cas_retries`/`page_allocs` size the new machinery.
-fn shadow_paging(c: &mut Criterion) {
-    use sfrd_core::ShadowBackend;
-
-    let mut g = c.benchmark_group("ablation/shadow_paging");
-    g.sample_size(10);
-    for name in ["sw", "hw"] {
-        for workers in [1usize, 2, 4, 8] {
-            for (label, shadow) in [
-                ("sharded", ShadowBackend::Sharded),
-                ("paged", ShadowBackend::Paged),
-            ] {
-                let w = make_bench(name, Scale::Small, 1);
-                let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, workers)
-                    .to_builder()
-                    .shadow(shadow)
-                    .policy(ReaderPolicy::PerFutureLR)
-                    .build();
-                let rep = drive(&w, cfg).report.expect("Full mode returns a report");
-                let m = &rep.metrics;
-                eprintln!(
-                    "shadow_paging/{name}/{workers}w/{label}: lock_ops={} fast_hits={} \
-                     cas_retries={} page_allocs={} races={}",
-                    m.lock_ops,
-                    m.shadow_fast_hits,
-                    m.shadow_cas_retries,
-                    m.page_allocs,
-                    rep.total_races,
-                );
-                g.bench_function(format!("{name}/{workers}w/{label}"), |b| {
-                    b.iter(|| {
-                        let w = make_bench(name, Scale::Small, 1);
-                        let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, workers)
-                            .to_builder()
-                            .shadow(shadow)
-                            .policy(ReaderPolicy::PerFutureLR)
-                            .build();
-                        black_box(drive(&w, cfg));
-                    })
-                });
-            }
-        }
-    }
-    g.finish();
-}
-
-/// The adaptive-set ablation (DESIGN.md §9): SF-Order with the dense
-/// bitmap baseline (every `with`/`union` copies all `⌈k/64⌉` words) vs
-/// the adaptive inline/sparse/chunked copy-on-write family, on the
-/// future-heavy `hw` workload in both `reach` and `full` configurations.
-/// The set counters are reported once per configuration before the
-/// timing loop: `set_bytes` is cumulative fresh payload, the tier
-/// counters show where allocations landed, and `chunks_shared` /
-/// `lineage_hits` size the structural sharing and the O(1) merge
-/// fast exits.
-fn set_repr(c: &mut Criterion) {
-    use sfrd_core::SetRepr;
-
-    let mut g = c.benchmark_group("ablation/set_repr");
-    g.sample_size(10);
-    for mode in [Mode::Reach, Mode::Full] {
-        for (label, repr) in [("dense", SetRepr::Dense), ("adaptive", SetRepr::Adaptive)] {
-            let w = make_bench("hw", Scale::Small, 1);
-            let cfg = DriveConfig::with(DetectorKind::SfOrder, mode, 1)
-                .to_builder()
-                .set_repr(repr)
-                .build();
-            let rep = drive(&w, cfg).report.expect("detector returns a report");
-            let m = &rep.metrics;
-            let mode_l = format!("{mode:?}").to_lowercase();
-            eprintln!(
-                "set_repr/hw/{mode_l}/{label}: set_bytes={} allocs={} \
-                 tiers=i{}/s{}/c{}/d{} chunks_shared={} chunks_copied={} \
-                 lineage_hits={} races={}",
-                m.set_bytes,
-                m.set_allocs,
-                m.set_tier_inline,
-                m.set_tier_sparse,
-                m.set_tier_chunked,
-                m.set_tier_dense,
-                m.set_chunks_shared,
-                m.set_chunks_copied,
-                m.set_lineage_hits,
-                rep.total_races,
-            );
-            g.bench_function(format!("hw/{mode_l}/{label}"), |b| {
-                b.iter(|| {
-                    let w = make_bench("hw", Scale::Small, 1);
-                    let cfg = DriveConfig::with(DetectorKind::SfOrder, mode, 1)
-                        .to_builder()
-                        .set_repr(repr)
-                        .build();
-                    black_box(drive(&w, cfg));
-                })
-            });
-        }
-    }
-    g.finish();
-}
-
-/// The scheduler-deque ablation (DESIGN.md §10): the retired mutex-backed
-/// deque stand-in vs the in-crate lock-free Chase-Lev scheduler across
-/// worker counts, on the spawn-dense sw workload under full SF-Order
-/// detection. Scheduler counters (steals, retries, parks) are reported
-/// once per cell before the timing loop.
-fn sched_deque(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation/sched_deque");
-    g.sample_size(10);
-    for (label, sched) in [
-        ("mutex", SchedBackend::MutexDeque),
-        ("lev", SchedBackend::ChaseLev),
-    ] {
-        for workers in [1usize, 2, 4, 8] {
-            let w = make_bench("sw", Scale::Small, workers as u64);
-            let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, workers)
-                .to_builder()
-                .sched(sched)
-                .build();
-            let rep = drive(&w, cfg).report.expect("Full mode returns a report");
-            eprintln!(
-                "sched_deque/{label}/w{workers}: tasks_run={} steals={}                  steal_retries={} parks={} wakeups={}",
-                rep.metrics.sched_tasks_run,
-                rep.metrics.sched_steals,
-                rep.metrics.sched_steal_retries,
-                rep.metrics.sched_parks,
-                rep.metrics.sched_wakeups,
-            );
-            g.bench_function(format!("{label}/w{workers}"), |b| {
-                b.iter(|| {
-                    let w = make_bench("sw", Scale::Small, workers as u64);
-                    let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, workers)
-                        .to_builder()
-                        .sched(sched)
-                        .build();
-                    black_box(drive(&w, cfg));
-                })
-            });
-        }
-    }
-    g.finish();
-}
-
-/// The chunk-kernel ablation (DESIGN.md §11): SF-Order with the scalar
-/// lane loops pinned vs auto-dispatched SIMD kernels, on the future-heavy
-/// `hw` workload (chunked `gp` sets on the hot path) in both `reach` and
-/// `full` configurations. The kernel counters are reported once per
-/// configuration before the timing loop: scalar runs must show
-/// `kernel_simd_calls = 0`, auto runs on AVX2 hardware must show
-/// `kernel_scalar_calls = 0`, and the op totals must match across the
-/// two — the counting-parity invariant of `tests/kernel_differential.rs`.
-fn simd_kernels(c: &mut Criterion) {
-    use sfrd_core::KernelKind;
-
-    let mut g = c.benchmark_group("ablation/simd_kernels");
-    g.sample_size(10);
-    for mode in [Mode::Reach, Mode::Full] {
-        for (label, kernels) in [("scalar", KernelKind::Scalar), ("auto", KernelKind::Auto)] {
-            let w = make_bench("hw", Scale::Small, 1);
-            let cfg = DriveConfig::with(DetectorKind::SfOrder, mode, 1)
-                .to_builder()
-                .kernels(kernels)
-                .build();
-            let rep = drive(&w, cfg).report.expect("detector returns a report");
-            let m = &rep.metrics;
-            let mode_l = format!("{mode:?}").to_lowercase();
-            eprintln!(
-                "simd_kernels/hw/{mode_l}/{label}: kernel_simd_calls={} \
-                 kernel_scalar_calls={} arena_slabs={} prefetch_issued={} races={}",
-                m.kernel_simd_calls,
-                m.kernel_scalar_calls,
-                m.arena_slabs,
-                m.prefetch_issued,
-                rep.total_races,
-            );
-            g.bench_function(format!("hw/{mode_l}/{label}"), |b| {
-                b.iter(|| {
-                    let w = make_bench("hw", Scale::Small, 1);
-                    let cfg = DriveConfig::with(DetectorKind::SfOrder, mode, 1)
-                        .to_builder()
-                        .kernels(kernels)
-                        .build();
-                    black_box(drive(&w, cfg));
-                })
-            });
-        }
-    }
-    g.finish();
-}
-
-criterion_group!(
-    ablation,
-    reader_policy,
-    gp_representation,
-    access_fast_path,
-    shadow_batching,
-    om_contention,
-    shadow_paging,
-    set_repr,
-    sched_deque,
-    simd_kernels
-);
+criterion_group!(ablation, reader_policy, gp_representation, om_contention);
 criterion_main!(ablation);

@@ -7,18 +7,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sfrd_dag::FutureId;
 use sfrd_reach::bitmap::{merge, FutureSet, SetStats};
 use sfrd_reach::kernels::ChunkWords;
-use sfrd_reach::{Kernel, KernelKind, Merge512, SetRepr, SpOrder, SpPos};
+use sfrd_reach::{Kernel, Merge512, SpOrder, SpPos};
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// Both set families, for side-by-side micro-bench entries.
-const FAMILIES: [(&str, SetRepr); 2] = [("dense", SetRepr::Dense), ("adaptive", SetRepr::Adaptive)];
-
 /// The kernels available on this machine: scalar always, plus the
-/// auto-resolved vector kernel when it differs.
+/// detected vector kernel when it differs.
 fn available_kernels() -> Vec<Kernel> {
     let mut v = vec![Kernel::Scalar];
-    let auto = KernelKind::Auto.resolve();
+    let auto = Kernel::default();
     if auto != Kernel::Scalar {
         v.push(auto);
     }
@@ -58,62 +55,59 @@ fn bench_sp_precedes(c: &mut Criterion) {
 }
 
 fn bench_bitmap_contains(c: &mut Criterion) {
-    for (family, repr) in FAMILIES {
-        // A k = 4096 futures set, half populated.
-        let mut set = FutureSet::empty_in(repr);
-        for i in (0..4096).step_by(2) {
-            set = set.with(FutureId(i));
-        }
-        c.bench_function(&format!("reach/gp_contains_k4096/{family}"), |b| {
-            let mut i = 0u32;
-            b.iter(|| {
-                i = (i + 1237) % 4096;
-                black_box(set.contains(FutureId(i)))
-            })
-        });
+    // A k = 4096 futures set, half populated.
+    let mut set = FutureSet::empty();
+    for i in (0..4096).step_by(2) {
+        set = set.with(FutureId(i));
     }
+    c.bench_function("reach/gp_contains_k4096", |b| {
+        let mut i = 0u32;
+        b.iter(|| {
+            i = (i + 1237) % 4096;
+            black_box(set.contains(FutureId(i)))
+        })
+    });
+}
+
+/// Two divergent k = 2048 sets: evens in one, odds in the other.
+fn divergent_sets() -> (Arc<FutureSet>, Arc<FutureSet>) {
+    let mut a = FutureSet::empty();
+    let mut b = FutureSet::empty();
+    for i in 0..2048 {
+        if i % 2 == 0 {
+            a = a.with(FutureId(i));
+        } else {
+            b = b.with(FutureId(i));
+        }
+    }
+    (Arc::new(a), Arc::new(b))
 }
 
 fn bench_bitmap_merge(c: &mut Criterion) {
-    for (family, repr) in FAMILIES {
-        let stats = SetStats::default();
-        let mut a = FutureSet::empty_in(repr);
-        let mut bset = FutureSet::empty_in(repr);
-        for i in 0..2048 {
-            if i % 2 == 0 {
-                a = a.with(FutureId(i));
-            } else {
-                bset = bset.with(FutureId(i));
-            }
-        }
-        let a = Arc::new(a);
-        let bset = Arc::new(bset);
-        c.bench_function(&format!("reach/gp_merge_divergent_k2048/{family}"), |b| {
-            b.iter(|| black_box(merge(&a, &bset, &stats)))
-        });
-        let sub = Arc::new(FutureSet::singleton_in(FutureId(0), repr));
-        c.bench_function(&format!("reach/gp_merge_subset_shared/{family}"), |b| {
-            b.iter(|| black_box(merge(&a, &sub, &stats)))
-        });
-    }
+    let stats = SetStats::default();
+    let (a, bset) = divergent_sets();
+    c.bench_function("reach/gp_merge_divergent_k2048", |b| {
+        b.iter(|| black_box(merge(&a, &bset, &stats)))
+    });
+    let sub = Arc::new(FutureSet::singleton(FutureId(0)));
+    c.bench_function("reach/gp_merge_subset_shared", |b| {
+        b.iter(|| black_box(merge(&a, &sub, &stats)))
+    });
 }
 
-/// The derivation-chain micro-bench behind the tentpole: extending a
-/// growing `gp` one future at a time. Dense copies every word per step;
-/// adaptive amortizes through the chunk tail buffer (8 zero-allocation
+/// The derivation-chain micro-bench: extending a growing `gp` one future
+/// at a time amortizes through the chunk tail buffer (8 zero-allocation
 /// extensions per flush).
 fn bench_growth_chain(c: &mut Criterion) {
-    for (family, repr) in FAMILIES {
-        c.bench_function(&format!("reach/gp_growth_chain_k2048/{family}"), |b| {
-            b.iter(|| {
-                let mut set = FutureSet::empty_in(repr);
-                for i in 0..2048 {
-                    set = set.with(FutureId(i));
-                }
-                black_box(set.len())
-            })
-        });
-    }
+    c.bench_function("reach/gp_growth_chain_k2048", |b| {
+        b.iter(|| {
+            let mut set = FutureSet::empty();
+            for i in 0..2048 {
+                set = set.with(FutureId(i));
+            }
+            black_box(set.len())
+        })
+    });
 }
 
 /// Deterministic chunk payloads (SplitMix64) for the kernel rows.
@@ -137,8 +131,7 @@ fn sample_chunks(n: usize, seed: u64) -> Vec<ChunkWords> {
         .collect()
 }
 
-/// The raw 512-bit primitives, per kernel — the `simd_kernels` tentpole
-/// evidence rows. 256 chunk pairs (16 KiB working set) so the loop
+/// The raw 512-bit primitives, per kernel. 256 chunk pairs (16 KiB working set) so the loop
 /// measures the kernel, not one register-resident chunk.
 fn bench_chunk_kernels(c: &mut Criterion) {
     const PAIRS: usize = 256;
@@ -248,26 +241,12 @@ fn bench_chunk_kernels(c: &mut Criterion) {
 }
 
 /// End-to-end chunked merges under each kernel: the same divergent-set
-/// union `gp_merge_divergent_k2048/adaptive` runs, but with the engine
-/// stats pinned per kernel so the dispatch cost is included.
+/// union `gp_merge_divergent_k2048` runs, but with the engine stats pinned
+/// per kernel so the dispatch cost is included.
 fn bench_merge_per_kernel(c: &mut Criterion) {
     for k in available_kernels() {
-        let kind = match k {
-            Kernel::Scalar => KernelKind::Scalar,
-            _ => KernelKind::Auto,
-        };
-        let stats = SetStats::with_kernel(kind);
-        let mut a = FutureSet::empty_in(SetRepr::Adaptive);
-        let mut bset = FutureSet::empty_in(SetRepr::Adaptive);
-        for i in 0..2048 {
-            if i % 2 == 0 {
-                a = a.with(FutureId(i));
-            } else {
-                bset = bset.with(FutureId(i));
-            }
-        }
-        let a = Arc::new(a);
-        let bset = Arc::new(bset);
+        let stats = SetStats::with_kernel(k);
+        let (a, bset) = divergent_sets();
         c.bench_function(
             &format!("reach/gp_merge_divergent_k2048_kernel/{}", k.label()),
             |b| b.iter(|| black_box(merge(&a, &bset, &stats))),

@@ -15,11 +15,9 @@
 //! one entry appended per invocation — every timed cell with its wall
 //! time and, for detector configs, the metrics snapshot of the final
 //! repetition (shadow-lock, fast-path, batching, and OM-contention
-//! counters). `--json-label` names the snapshot; `--shadow` selects the
-//! shadow backend so sharded-vs-paged snapshots can sit side by side. A
-//! legacy schema-1 file (one bare snapshot object) is migrated in place
-//! on first append. The committed trajectory is the machine-tracked perf
-//! record across PRs.
+//! counters). `--json-label` names the snapshot. A legacy schema-1 file
+//! (one bare snapshot object) is migrated in place on first append. The
+//! committed trajectory is the machine-tracked perf record across PRs.
 
 use sfrd_bench::{
     append_snapshot, cell_json, fig4_grid, run_bench_cell, times, work_span, HarnessArgs, Json,
@@ -33,9 +31,8 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let shadow = format!("{:?}", args.shadow).to_lowercase();
     println!(
-        "# Figure 4: execution times (scale: {:?}, P = {p}, cores = {cores}, reps = {}, shadow = {shadow})",
+        "# Figure 4: execution times (scale: {:?}, P = {p}, cores = {cores}, reps = {})",
         args.scale, args.reps
     );
     if cores < p {
@@ -107,18 +104,16 @@ fn main() {
     }
     print!("{}", t.render());
     if let Some(path) = &args.json {
-        let kernels = format!("{:?}", args.kernels).to_lowercase();
-        let label = args.json_label.clone().unwrap_or_else(|| {
-            format!("{:?}-{shadow}-{}-w{p}", args.scale, args.sched.label()).to_lowercase()
-        });
+        let scale = format!("{:?}", args.scale).to_lowercase();
+        let label = args
+            .json_label
+            .clone()
+            .unwrap_or_else(|| format!("{scale}-w{p}"));
         let snap = Json::obj()
             .field("label", label)
-            .field("scale", format!("{:?}", args.scale).to_lowercase())
+            .field("scale", scale)
             .field("workers", p)
             .field("reps", args.reps)
-            .field("shadow", shadow.as_str())
-            .field("sched", args.sched.label())
-            .field("kernels", kernels.as_str())
             .field("benches", bench_objects);
         append_snapshot(path, snap);
         eprintln!("appended snapshot to {path}");

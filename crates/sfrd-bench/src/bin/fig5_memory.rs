@@ -5,13 +5,12 @@
 //! hash tables).
 //!
 //! A second table reports the **access-history** footprint (Full mode,
-//! SF-Order) on both shadow backends. The accounting is capacity-based
-//! on both sides (hash-table capacity × entry size for sharded; page
-//! directory + arena slabs + fallback for paged), so the paged table's
-//! direct-mapped overcommit is charged honestly against the hash maps.
+//! SF-Order). The accounting is capacity-based (page directory + arena
+//! slabs + fallback map), so the paged table's direct-mapped overcommit
+//! is charged in full.
 
 use sfrd_bench::{run_bench, HarnessArgs, Table};
-use sfrd_core::{DetectorKind, DriveConfig, Mode, ShadowBackend};
+use sfrd_core::{DetectorKind, DriveConfig, Mode};
 
 fn fmt_bytes(b: usize) -> String {
     if b >= 1 << 30 {
@@ -67,29 +66,17 @@ fn main() {
     }
 
     println!();
-    println!("# Access-history memory (SF-Order, full detection): sharded vs paged shadow");
-    let mut h = Table::new(&["bench", "sharded", "paged", "paged/sharded"]);
+    println!("# Access-history memory (SF-Order, full detection)");
+    let mut h = Table::new(&["bench", "history"]);
     for name in &args.benches {
-        let mut bytes = [0usize; 2];
-        for (i, backend) in [ShadowBackend::Sharded, ShadowBackend::Paged]
-            .into_iter()
-            .enumerate()
-        {
-            let (out, _) = run_bench(
-                name,
-                args.scale,
-                DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1)
-                    .to_builder()
-                    .shadow(backend)
-                    .build(),
-            );
-            bytes[i] = out.report.unwrap().history_bytes;
-        }
+        let (out, _) = run_bench(
+            name,
+            args.scale,
+            DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1),
+        );
         h.row(vec![
             name.clone(),
-            fmt_bytes(bytes[0]),
-            fmt_bytes(bytes[1]),
-            format!("{:.2}x", bytes[1] as f64 / bytes[0].max(1) as f64),
+            fmt_bytes(out.report.unwrap().history_bytes),
         ]);
     }
     print!("{}", h.render());

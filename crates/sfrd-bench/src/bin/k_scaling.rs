@@ -1,5 +1,4 @@
-//! Probe the `O(k²)` reachability-construction term (Lemma 3.12) and the
-//! adaptive-set ablation.
+//! Probe the `O(k²)` reachability-construction term (Lemma 3.12).
 //!
 //! Both SF-Order and F-Order pay O(k) per create to extend ancestor
 //! metadata — O(k²) total — but with very different constants: SF-Order
@@ -8,20 +7,12 @@
 //! each gotten by its creator — the worst case for `cp`/`gp` growth is a
 //! chain of *gets*, which accumulates every prior future into `gp`).
 //!
-//! SF-Order runs in **both** set representations: the dense baseline
-//! (every derivation copies the whole bitmap) and the adaptive
-//! inline/sparse/chunked family (structural sharing + lineage fast
-//! exits). The `SFa/SFd bytes` ratio is the tentpole acceptance metric:
-//! adaptive must allocate ≥4x fewer set bytes at k ≥ 4096.
-//!
-//! Output: reach-only wall time, cumulative set payload bytes for both
-//! SF-Order representations and for F-Order, and the dense/adaptive byte
-//! ratio as `k` grows.
+//! Output: reach-only wall time and cumulative set payload bytes for
+//! SF-Order and F-Order, and the F/SF byte ratio as `k` grows.
 //!
 //! ```sh
 //! cargo run -p sfrd-bench --release --bin k_scaling -- [kmax] \
-//!     [--om list|depa] [--kernels scalar|auto] \
-//!     [--json] [--json-out PATH] [--json-label NAME]
+//!     [--om list|depa] [--json] [--json-out PATH] [--json-label NAME]
 //! ```
 //!
 //! A second sweep runs the fan-out chain cells (`fanout_chain_k<k>`):
@@ -34,7 +25,7 @@
 //! configuration with the full metrics payload).
 
 use sfrd_bench::{append_snapshot, cell_json, Json, Table, TimedCell, Timing};
-use sfrd_core::{drive, DetectorKind, DriveConfig, Mode, OmBackend, SetRepr, Workload};
+use sfrd_core::{drive, DetectorKind, DriveConfig, Mode, OmBackend, Workload};
 use sfrd_runtime::Cx;
 
 /// A chain of `k` futures, each gotten right after creation — maximizes
@@ -85,27 +76,18 @@ impl Workload for FanoutChain {
     }
 }
 
-/// The sweep's detector arms: label, kind, set representation.
-const ARMS: [(&str, DetectorKind, SetRepr); 3] = [
-    (
-        "SF-Order/reach/adaptive",
-        DetectorKind::SfOrder,
-        SetRepr::Adaptive,
-    ),
-    (
-        "SF-Order/reach/dense",
-        DetectorKind::SfOrder,
-        SetRepr::Dense,
-    ),
-    ("F-Order/reach", DetectorKind::FOrder, SetRepr::Adaptive),
+/// The sweep's detector arms.
+const ARMS: [(&str, DetectorKind); 2] = [
+    ("SF-Order/reach", DetectorKind::SfOrder),
+    ("F-Order/reach", DetectorKind::FOrder),
 ];
 
 fn main() {
     let mut kmax: usize = 8192;
     let mut json: Option<String> = None;
     let mut json_label: Option<String> = None;
-    // Backend flags (--kernels, --om, ...) route through the one shared
-    // parser so this binary accepts the same spellings as the others.
+    // `--om` routes through the one shared parser so this binary accepts
+    // the same spellings as the others.
     let mut backend = DriveConfig::builder();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -131,21 +113,9 @@ fn main() {
             },
         }
     }
-    let base_cfg = backend.build();
-    let kernels = base_cfg.kernels;
-    let kernels_label = format!("{kernels:?}").to_lowercase();
+    let om_backend = backend.build().om_backend;
     println!("# k-scaling of reachability construction (reach config, 1 worker)");
-    println!("# SFa = SF-Order adaptive sets (default), SFd = SF-Order dense baseline");
-    let mut t = Table::new(&[
-        "k",
-        "SFa (ms)",
-        "SFd (ms)",
-        "F (ms)",
-        "SFa bytes",
-        "SFd bytes",
-        "F bytes",
-        "SFd/SFa",
-    ]);
+    let mut t = Table::new(&["k", "SF (ms)", "F (ms)", "SF bytes", "F bytes", "F/SF"]);
     let mut bench_objects: Vec<Json> = Vec::new();
     let mut k = 512;
     while k <= kmax {
@@ -153,15 +123,13 @@ fn main() {
         let mut times_ms = Vec::new();
         let mut bytes: Vec<u64> = Vec::new();
         let mut rows: Vec<Json> = Vec::new();
-        for (label, kind, set_repr) in ARMS {
+        for (label, kind) in ARMS {
             let w = FutureChain { k };
             let out = drive(
                 &w,
                 DriveConfig::with(kind, Mode::Reach, 1)
                     .to_builder()
-                    .set_repr(set_repr)
-                    .kernels(kernels)
-                    .om_backend(base_cfg.om_backend)
+                    .om_backend(om_backend)
                     .build(),
             );
             let rep = out.report.unwrap();
@@ -184,8 +152,8 @@ fn main() {
         for b in &bytes {
             row.push(b.to_string());
         }
-        let (adaptive, dense) = (bytes[0], bytes[1]);
-        row.push(format!("{:.1}x", dense as f64 / adaptive.max(1) as f64));
+        let (sf, fo) = (bytes[0], bytes[1]);
+        row.push(format!("{:.1}x", fo as f64 / sf.max(1) as f64));
         t.row(row);
         bench_objects.push(
             Json::obj()
@@ -218,7 +186,6 @@ fn main() {
                 &w,
                 DriveConfig::with(DetectorKind::SfOrder, Mode::Reach, 1)
                     .to_builder()
-                    .kernels(kernels)
                     .om_backend(om)
                     .build(),
             );
@@ -259,15 +226,12 @@ fn main() {
     }
     print!("{}", ft.render());
     if let Some(path) = &json {
-        let label =
-            json_label.unwrap_or_else(|| format!("kscaling-kmax{kmax}-kernels-{kernels_label}"));
+        let label = json_label.unwrap_or_else(|| format!("kscaling-kmax{kmax}"));
         let snap = Json::obj()
             .field("label", label)
             .field("scale", "kscaling")
             .field("workers", 1usize)
             .field("reps", 1usize)
-            .field("shadow", "paged")
-            .field("kernels", kernels_label.as_str())
             .field("benches", bench_objects);
         append_snapshot(path, snap);
         eprintln!("appended snapshot to {path}");

@@ -12,8 +12,8 @@
 //! trace_tool analyze /tmp/sw.trace
 //! trace_tool analyze /tmp/sw.journal
 //!
-//! # Replay a journal into a detector (same backend flags everywhere):
-//! trace_tool detect /tmp/sw.journal --detector sf --shadow paged
+//! # Replay a journal into a detector (same backend flag everywhere):
+//! trace_tool detect /tmp/sw.journal --detector sf --om list
 //! ```
 //!
 //! Text-trace analysis uses the brute-force oracle, so it is exact but

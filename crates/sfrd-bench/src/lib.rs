@@ -23,8 +23,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sfrd_core::{
-    drive, DetectorKind, DriveConfig, DriveConfigBuilder, KernelKind, Mode, OmBackend, Outcome,
-    RaceReport, RecordingHooks, SchedBackend, SetRepr, ShadowBackend, Workload,
+    drive, DetectorKind, DriveConfig, DriveConfigBuilder, Mode, OmBackend, Outcome, RaceReport,
+    RecordingHooks, Workload,
 };
 use sfrd_runtime::run_sequential;
 use sfrd_workloads::{make_bench, AnyBench, Scale, BENCH_NAMES};
@@ -47,28 +47,21 @@ pub struct HarnessArgs {
     pub json: Option<String>,
     /// Snapshot label recorded in the JSON trajectory (`--json-label`).
     pub json_label: Option<String>,
-    /// Shadow-memory backend (`--shadow sharded|paged`; default paged).
-    pub shadow: ShadowBackend,
-    /// `cp`/`gp` set representation (`--set-repr dense|adaptive`; default
-    /// adaptive).
-    pub set_repr: SetRepr,
-    /// Scheduler queue backend (`--sched lev|mutex`; default lev — the
-    /// lock-free Chase-Lev deques; mutex is the `sched_deque` ablation
-    /// baseline).
-    pub sched: SchedBackend,
-    /// 512-bit chunk-kernel dispatch (`--kernels scalar|auto`; default
-    /// auto — SIMD when the CPU supports it; scalar is the
-    /// `simd_kernels` ablation baseline).
-    pub kernels: KernelKind,
     /// Order-maintenance backend (`--om list|depa`, alias `--om-backend`;
     /// default the shared two-level list).
     pub om_backend: OmBackend,
 }
 
 impl HarnessArgs {
-    /// Parse `--scale`, `--workers`, `--bench` from `std::env::args`.
-    /// Unknown flags abort with a usage message.
+    /// Parse the process arguments. A bad flag or `--help` prints the
+    /// usage line and exits.
     pub fn parse() -> Self {
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|err| usage(&err))
+    }
+
+    /// Parse `args`; `Err` carries the message for the usage line (empty
+    /// for `--help`).
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut scale = Scale::Small;
         let mut workers = default_workers();
         let mut benches: Vec<String> = Vec::new();
@@ -78,7 +71,13 @@ impl HarnessArgs {
         // Backend flags route through the one shared parser so every
         // binary accepts the same spellings.
         let mut backend = DriveConfig::builder();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
+        // `--workers` / `--reps`: a count of at least one.
+        let count = |flag: &str, v: Option<String>| {
+            v.and_then(|v| v.parse().ok())
+                .filter(|&n: &usize| n >= 1)
+                .ok_or_else(|| format!("bad {flag}"))
+        };
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--scale" => {
@@ -86,80 +85,51 @@ impl HarnessArgs {
                         Some("small") => Scale::Small,
                         Some("medium") => Scale::Medium,
                         Some("paper") => Scale::Paper,
-                        other => usage(&format!("bad --scale {other:?}")),
+                        other => return Err(format!("bad --scale {other:?}")),
                     }
                 }
-                "--workers" => {
-                    workers = args
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage("bad --workers"));
-                }
+                "--workers" => workers = count("--workers", args.next())?,
                 "--bench" => {
-                    let name = args.next().unwrap_or_else(|| usage("missing bench name"));
+                    let name = args.next().ok_or("missing bench name")?;
                     if !BENCH_NAMES.contains(&name.as_str()) {
-                        usage(&format!("unknown bench {name:?}"));
+                        return Err(format!("unknown bench {name:?}"));
                     }
                     benches.push(name);
                 }
-                "--reps" => {
-                    reps = args
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .filter(|&r| r >= 1)
-                        .unwrap_or_else(|| usage("bad --reps"));
-                }
+                "--reps" => reps = count("--reps", args.next())?,
                 "--json" => {
                     json.get_or_insert_with(|| "BENCH_fig4.json".to_string());
                 }
-                "--json-out" => {
-                    json = Some(
-                        args.next()
-                            .unwrap_or_else(|| usage("missing --json-out path")),
-                    );
-                }
+                "--json-out" => json = Some(args.next().ok_or("missing --json-out path")?),
                 "--json-label" => {
-                    json_label = Some(
-                        args.next()
-                            .unwrap_or_else(|| usage("missing --json-label name")),
-                    );
+                    json_label = Some(args.next().ok_or("missing --json-label name")?)
                 }
-                "--help" | "-h" => usage(""),
-                other => match backend.parse_backend_flag(other, &mut args) {
-                    Ok(true) => {}
-                    Ok(false) => usage(&format!("unknown flag {other:?}")),
-                    Err(e) => usage(&e),
-                },
+                "--help" | "-h" => return Err(String::new()),
+                other => {
+                    if !backend.parse_backend_flag(other, &mut args)? {
+                        return Err(format!("unknown flag {other:?}"));
+                    }
+                }
             }
         }
         if benches.is_empty() {
             benches = BENCH_NAMES.iter().map(|s| s.to_string()).collect();
         }
-        let b = backend.build();
-        Self {
+        Ok(Self {
             scale,
             workers,
             benches,
             reps,
             json,
             json_label,
-            shadow: b.shadow,
-            set_repr: b.set_repr,
-            sched: b.sched,
-            kernels: b.kernels,
-            om_backend: b.om_backend,
-        }
+            om_backend: backend.build().om_backend,
+        })
     }
 
-    /// A detector configuration honoring the harness's backend and
-    /// set-representation selections.
+    /// A detector configuration honoring the harness's backend selection.
     pub fn cfg(&self, kind: DetectorKind, mode: Mode, workers: usize) -> DriveConfig {
         DriveConfig::with(kind, mode, workers)
             .to_builder()
-            .shadow(self.shadow)
-            .set_repr(self.set_repr)
-            .sched(self.sched)
-            .kernels(self.kernels)
             .om_backend(self.om_backend)
             .build()
     }
@@ -295,7 +265,6 @@ pub fn report_json(rep: &RaceReport) -> Json {
         .field("set_tier_inline", rep.metrics.set_tier_inline)
         .field("set_tier_sparse", rep.metrics.set_tier_sparse)
         .field("set_tier_chunked", rep.metrics.set_tier_chunked)
-        .field("set_tier_dense", rep.metrics.set_tier_dense)
         .field("set_chunks_shared", rep.metrics.set_chunks_shared)
         .field("set_chunks_copied", rep.metrics.set_chunks_copied)
         .field("set_lineage_hits", rep.metrics.set_lineage_hits)
@@ -495,6 +464,30 @@ mod tests {
             work > span,
             "sw must have parallelism: T1={work} Tinf={span}"
         );
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse_from(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn zero_counts_are_rejected_not_panicked_on() {
+        assert_eq!(parse(&["--workers", "0"]).unwrap_err(), "bad --workers");
+        assert_eq!(parse(&["--reps", "0"]).unwrap_err(), "bad --reps");
+        assert_eq!(parse(&["--workers", "3"]).unwrap().workers, 3);
+    }
+
+    #[test]
+    fn only_the_om_backend_flag_survives() {
+        let err = parse(&["--shadow", "paged"]).unwrap_err();
+        assert!(
+            err.contains("unknown flag") && err.contains("--shadow"),
+            "{err}"
+        );
+        let args = parse(&["--om", "depa", "--bench", "sw"]).unwrap();
+        assert_eq!(args.om_backend, OmBackend::DePa);
+        assert_eq!(args.benches, ["sw"]);
+        assert!(parse(&["--om", "bogus"]).is_err());
     }
 
     #[test]

@@ -1,33 +1,23 @@
 //! The construction surface: one engine-configuration struct and one
 //! fluent [`DriveConfig`] builder.
 //!
-//! Five PRs of backend growth each added one positional parameter to the
-//! detector constructors (`with_backend` → `with_config(repr)` →
-//! `with_config(repr, kernels)` → ...), and every binary re-plumbed the
-//! same `--shadow/--set-repr/--sched/--kernels` flags by hand. This module
-//! replaces both patterns:
+//! Configuration is the paper's axes and nothing else: the detector,
+//! `reach` vs `full`, the §3.5/§4 reader policy, how to run (workers /
+//! sequential), and the order-maintenance backend (the one engineering
+//! decision still open — see ROADMAP).
 //!
 //! * [`EngineConfig`] — everything a detector constructor needs, as one
-//!   `#[non_exhaustive]` struct with fluent setters. Adding a backend knob
-//!   is now a new field with a default, not a new constructor arity.
-//!   Detectors take it via `from_config(&EngineConfig)`; the old
-//!   positional constructors remain as `#[deprecated]` shims.
+//!   `#[non_exhaustive]` struct with fluent setters. Detectors take it via
+//!   `from_config(&EngineConfig)`; `X::new(..)` covers the defaults.
 //! * [`DriveConfigBuilder`] — the fluent builder behind
 //!   [`DriveConfig::builder`], plus [`parse_backend_flag`]
-//!   (`DriveConfigBuilder::parse_backend_flag`) so the backend flags are
-//!   parsed in exactly one place and every binary (`fig4_times`,
-//!   `fig5_memory`, `k_scaling`, `trace_tool`, `sfrd-serve`) accepts the
-//!   same spellings.
-//!
-//! Both carry the [`OmBackend`] selector for the order-maintenance layer:
-//! the shared two-level `OmList` (default) or the DePa fork-local
-//! packed-label backend, chosen end-to-end via `--om list|depa` (alias
-//! `--om-backend`) without any per-binary matching.
+//!   (`DriveConfigBuilder::parse_backend_flag`) so `--om list|depa` (alias
+//!   `--om-backend`) is parsed in exactly one place and every binary
+//!   (`fig4_times`, `fig5_memory`, `k_scaling`, `trace_tool`,
+//!   `sfrd-serve`) accepts the same spellings.
 
 use sfrd_om::OmBackend;
-use sfrd_reach::{KernelKind, SetRepr};
-use sfrd_runtime::SchedBackend;
-use sfrd_shadow::{ReaderPolicy, ShadowBackend};
+use sfrd_shadow::ReaderPolicy;
 
 use crate::detectors::Mode;
 use crate::driver::{DetectorKind, DriveConfig};
@@ -35,8 +25,7 @@ use crate::driver::{DetectorKind, DriveConfig};
 /// Everything a detector constructor needs, in one place.
 ///
 /// `#[non_exhaustive]`: construct via [`EngineConfig::new`] /
-/// [`Default`] / `From<&DriveConfig>` and adjust with the fluent setters;
-/// new backend knobs become new defaulted fields without breaking callers.
+/// [`Default`] / `From<&DriveConfig>` and adjust with the fluent setters.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -45,12 +34,6 @@ pub struct EngineConfig {
     /// Reader-retention policy of the access history (SF-Order and
     /// WSP-Order honor it; F-Order and MultiBags are always `All`).
     pub policy: ReaderPolicy,
-    /// Shadow-memory store backing the access history.
-    pub shadow: ShadowBackend,
-    /// `cp`/`gp` set-representation family (SF-Order and MultiBags).
-    pub set_repr: SetRepr,
-    /// 512-bit chunk-kernel dispatch policy.
-    pub kernels: KernelKind,
     /// Order-maintenance backend (`OmList` shared list or DePa labels).
     pub om_backend: OmBackend,
 }
@@ -60,9 +43,6 @@ impl Default for EngineConfig {
         Self {
             mode: Mode::Full,
             policy: ReaderPolicy::All,
-            shadow: ShadowBackend::default(),
-            set_repr: SetRepr::default(),
-            kernels: KernelKind::default(),
             om_backend: OmBackend::default(),
         }
     }
@@ -90,24 +70,6 @@ impl EngineConfig {
         self
     }
 
-    /// Set the shadow-memory backend.
-    pub fn shadow(mut self, shadow: ShadowBackend) -> Self {
-        self.shadow = shadow;
-        self
-    }
-
-    /// Set the `cp`/`gp` set-representation family.
-    pub fn set_repr(mut self, set_repr: SetRepr) -> Self {
-        self.set_repr = set_repr;
-        self
-    }
-
-    /// Set the chunk-kernel dispatch policy.
-    pub fn kernels(mut self, kernels: KernelKind) -> Self {
-        self.kernels = kernels;
-        self
-    }
-
     /// Set the order-maintenance backend.
     pub fn om_backend(mut self, om_backend: OmBackend) -> Self {
         self.om_backend = om_backend;
@@ -120,9 +82,6 @@ impl From<&DriveConfig> for EngineConfig {
         Self {
             mode: cfg.mode,
             policy: cfg.policy,
-            shadow: cfg.shadow,
-            set_repr: cfg.set_repr,
-            kernels: cfg.kernels,
             om_backend: cfg.om_backend,
         }
     }
@@ -194,36 +153,6 @@ impl DriveConfigBuilder {
         self
     }
 
-    /// Route accesses through the batched strand-event pipeline.
-    pub fn batched(mut self, batched: bool) -> Self {
-        self.cfg.batched = batched;
-        self
-    }
-
-    /// Shadow-memory backend.
-    pub fn shadow(mut self, shadow: ShadowBackend) -> Self {
-        self.cfg.shadow = shadow;
-        self
-    }
-
-    /// `cp`/`gp` set-representation family.
-    pub fn set_repr(mut self, set_repr: SetRepr) -> Self {
-        self.cfg.set_repr = set_repr;
-        self
-    }
-
-    /// Work-stealing queue backend.
-    pub fn sched(mut self, sched: SchedBackend) -> Self {
-        self.cfg.sched = sched;
-        self
-    }
-
-    /// Chunk-kernel dispatch policy.
-    pub fn kernels(mut self, kernels: KernelKind) -> Self {
-        self.cfg.kernels = kernels;
-        self
-    }
-
     /// Order-maintenance backend.
     pub fn om_backend(mut self, om_backend: OmBackend) -> Self {
         self.cfg.om_backend = om_backend;
@@ -236,10 +165,9 @@ impl DriveConfigBuilder {
     }
 
     /// The shared backend-flag parser: every binary routes unmatched flags
-    /// here so `--shadow/--set-repr/--sched/--kernels/--om` (alias
-    /// `--om-backend`) are spelled and validated in exactly one place —
-    /// [`OmBackend::parse`] is the single source of truth for the `--om`
-    /// value set.
+    /// here so `--om` (alias `--om-backend`) is spelled and validated in
+    /// exactly one place — [`OmBackend::parse`] is the single source of
+    /// truth for its value set.
     ///
     /// Returns `Ok(true)` when `flag` was recognized (its value consumed
     /// from `args`), `Ok(false)` when it is not a backend flag (nothing
@@ -249,52 +177,21 @@ impl DriveConfigBuilder {
         flag: &str,
         args: &mut impl Iterator<Item = String>,
     ) -> Result<bool, String> {
-        fn value(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<String, String> {
-            args.next()
-                .ok_or_else(|| format!("missing value for {flag}"))
+        if !matches!(flag, "--om" | "--om-backend") {
+            return Ok(false);
         }
-        match flag {
-            "--shadow" => {
-                self.cfg.shadow = match value(flag, args)?.as_str() {
-                    "sharded" => ShadowBackend::Sharded,
-                    "paged" => ShadowBackend::Paged,
-                    other => return Err(format!("bad --shadow {other:?} (sharded|paged)")),
-                };
-            }
-            "--set-repr" => {
-                self.cfg.set_repr = match value(flag, args)?.as_str() {
-                    "dense" => SetRepr::Dense,
-                    "adaptive" => SetRepr::Adaptive,
-                    other => return Err(format!("bad --set-repr {other:?} (dense|adaptive)")),
-                };
-            }
-            "--sched" => {
-                let v = value(flag, args)?;
-                self.cfg.sched = SchedBackend::parse(&v)
-                    .ok_or_else(|| format!("bad --sched {v:?} (lev|mutex)"))?;
-            }
-            "--kernels" => {
-                self.cfg.kernels = match value(flag, args)?.as_str() {
-                    "scalar" => KernelKind::Scalar,
-                    "auto" => KernelKind::Auto,
-                    other => return Err(format!("bad --kernels {other:?} (scalar|auto)")),
-                };
-            }
-            "--om" | "--om-backend" => {
-                let v = value(flag, args)?;
-                self.cfg.om_backend =
-                    OmBackend::parse(&v).ok_or_else(|| format!("bad {flag} {v:?} (list|depa)"))?;
-            }
-            _ => return Ok(false),
-        }
+        let v = args
+            .next()
+            .ok_or_else(|| format!("missing value for {flag}"))?;
+        self.cfg.om_backend =
+            OmBackend::parse(&v).ok_or_else(|| format!("bad {flag} {v:?} (list|depa)"))?;
         Ok(true)
     }
 
     /// Usage fragment documenting the flags [`parse_backend_flag`]
     /// (`Self::parse_backend_flag`) accepts, for the binaries' `--help`.
     pub fn backend_flag_usage() -> &'static str {
-        "[--shadow sharded|paged] [--set-repr dense|adaptive] \
-         [--sched lev|mutex] [--kernels scalar|auto] [--om list|depa]"
+        "[--om list|depa]"
     }
 }
 
@@ -308,17 +205,12 @@ mod tests {
             .detector(DetectorKind::SfOrder)
             .mode(Mode::Reach)
             .policy(ReaderPolicy::PerFutureLR)
-            .shadow(ShadowBackend::Sharded)
-            .set_repr(SetRepr::Dense)
-            .kernels(KernelKind::Scalar)
+            .om_backend(OmBackend::DePa)
             .build();
         let ec = EngineConfig::from(&cfg);
         assert_eq!(ec.mode, Mode::Reach);
         assert_eq!(ec.policy, ReaderPolicy::PerFutureLR);
-        assert_eq!(ec.shadow, ShadowBackend::Sharded);
-        assert_eq!(ec.set_repr, SetRepr::Dense);
-        assert_eq!(ec.kernels, KernelKind::Scalar);
-        assert_eq!(ec.om_backend, OmBackend::OmList);
+        assert_eq!(ec.om_backend, OmBackend::DePa);
         assert_eq!(ec.with_mode(Mode::Full).mode, Mode::Full);
     }
 
@@ -331,11 +223,6 @@ mod tests {
         assert_eq!(b.workers, base.workers);
         assert_eq!(b.sequential, base.sequential);
         assert_eq!(b.policy, base.policy);
-        assert_eq!(b.batched, base.batched);
-        assert_eq!(b.shadow, base.shadow);
-        assert_eq!(b.set_repr, base.set_repr);
-        assert_eq!(b.sched, base.sched);
-        assert_eq!(b.kernels, base.kernels);
         assert_eq!(b.om_backend, base.om_backend);
     }
 
@@ -363,30 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_flag_parser_consumes_backend_flags() {
-        let mut b = DriveConfig::builder();
-        let mut args = ["sharded", "dense", "mutex", "scalar", "om-list"]
-            .iter()
-            .map(|s| s.to_string());
-        for flag in [
-            "--shadow",
-            "--set-repr",
-            "--sched",
-            "--kernels",
-            "--om-backend",
-        ] {
-            assert_eq!(b.parse_backend_flag(flag, &mut args), Ok(true));
-        }
-        assert_eq!(args.next(), None, "all values consumed");
-        let cfg = b.build();
-        assert_eq!(cfg.shadow, ShadowBackend::Sharded);
-        assert_eq!(cfg.set_repr, SetRepr::Dense);
-        assert_eq!(cfg.sched, SchedBackend::MutexDeque);
-        assert_eq!(cfg.kernels, KernelKind::Scalar);
-        assert_eq!(cfg.om_backend, OmBackend::OmList);
-    }
-
-    #[test]
     fn om_flag_alias_selects_either_backend() {
         for (value, expect) in [
             ("list", OmBackend::OmList),
@@ -409,10 +272,8 @@ mod tests {
     #[test]
     fn shared_flag_parser_rejects_bad_values_without_panicking() {
         let mut b = DriveConfig::builder();
-        let mut args = ["bogus"].iter().map(|s| s.to_string());
-        assert!(b.parse_backend_flag("--shadow", &mut args).is_err());
         let mut empty = std::iter::empty::<String>();
-        assert!(b.parse_backend_flag("--kernels", &mut empty).is_err());
+        assert!(b.parse_backend_flag("--om", &mut empty).is_err());
         assert_eq!(b.parse_backend_flag("--workers", &mut empty), Ok(false));
     }
 }

@@ -24,10 +24,10 @@ use parking_lot::Mutex;
 
 use sfrd_om::OmBackend;
 use sfrd_reach::{
-    FoReach, FoStrand, KernelKind, MbPos, MbReach, MbStrand, SetRepr, SetStatsSnapshot, SfPos,
-    SfReach, SfStrand, StrandPos,
+    FoReach, FoStrand, MbPos, MbReach, MbStrand, SetStatsSnapshot, SfPos, SfReach, SfStrand,
+    StrandPos,
 };
-use sfrd_shadow::{ReaderPolicy, ShadowBackend};
+use sfrd_shadow::ReaderPolicy;
 
 use crate::config::EngineConfig;
 use crate::events::{EventSink, ReachEngine};
@@ -91,8 +91,8 @@ impl<H: sfrd_runtime::TaskHooks> sfrd_runtime::TaskHooks for ReachOnly<H> {
 pub struct SfEngine(pub(crate) SfReach);
 
 impl SfEngine {
-    fn new(repr: SetRepr, kernels: KernelKind, om_backend: OmBackend) -> (Self, SfStrand) {
-        let (reach, root) = SfReach::with_config_om(repr, kernels, om_backend);
+    fn new(om_backend: OmBackend) -> (Self, SfStrand) {
+        let (reach, root) = SfReach::with_backend(om_backend);
         (Self(reach), root)
     }
 }
@@ -159,49 +159,12 @@ impl SfDetector {
     /// every field: `policy` selects the §3.5 bounded reader set or the
     /// ship-it-all variant the paper's implementation uses.
     pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(
-            SfEngine::new(cfg.set_repr, cfg.kernels, cfg.om_backend),
-            cfg.mode,
-            cfg.policy,
-            cfg.shadow,
-        )
+        EventSink::build(SfEngine::new(cfg.om_backend), cfg.mode, cfg.policy)
     }
 
-    /// Build a one-shot detector with default backends.
+    /// Build a one-shot detector on the default order-maintenance backend.
     pub fn new(mode: Mode, policy: ReaderPolicy) -> Self {
         Self::from_config(&EngineConfig::new(mode).policy(policy))
-    }
-
-    /// [`new`](Self::new) with an explicit shadow-memory backend.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SfDetector::from_config(&EngineConfig)` — positional backend \
-                parameters no longer grow"
-    )]
-    pub fn with_backend(mode: Mode, policy: ReaderPolicy, backend: ShadowBackend) -> Self {
-        Self::from_config(&EngineConfig::new(mode).policy(policy).shadow(backend))
-    }
-
-    /// Fully explicit positional constructor.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SfDetector::from_config(&EngineConfig)` — positional backend \
-                parameters no longer grow"
-    )]
-    pub fn with_config(
-        mode: Mode,
-        policy: ReaderPolicy,
-        backend: ShadowBackend,
-        set_repr: SetRepr,
-        kernels: KernelKind,
-    ) -> Self {
-        Self::from_config(
-            &EngineConfig::new(mode)
-                .policy(policy)
-                .shadow(backend)
-                .set_repr(set_repr)
-                .kernels(kernels),
-        )
     }
 
     /// Reachability engine (diagnostics).
@@ -275,30 +238,14 @@ pub type FoDetector = EventSink<FoEngine>;
 
 impl FoDetector {
     /// Build a one-shot detector from an [`EngineConfig`]. F-Order cannot
-    /// bound readers (the policy is always [`ReaderPolicy::All`]) and has
-    /// no future sets on its hot path, so only `mode` and `shadow` apply.
+    /// bound readers: the policy is always [`ReaderPolicy::All`].
     pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(
-            FoEngine::new(cfg.om_backend),
-            cfg.mode,
-            ReaderPolicy::All,
-            cfg.shadow,
-        )
+        EventSink::build(FoEngine::new(cfg.om_backend), cfg.mode, ReaderPolicy::All)
     }
 
-    /// Build a one-shot detector with default backends.
+    /// Build a one-shot detector on the default order-maintenance backend.
     pub fn new(mode: Mode) -> Self {
         Self::from_config(&EngineConfig::new(mode))
-    }
-
-    /// [`new`](Self::new) with an explicit shadow-memory backend.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `FoDetector::from_config(&EngineConfig)` — positional backend \
-                parameters no longer grow"
-    )]
-    pub fn with_backend(mode: Mode, backend: ShadowBackend) -> Self {
-        Self::from_config(&EngineConfig::new(mode).shadow(backend))
     }
 
     /// Reachability engine (diagnostics).
@@ -316,8 +263,8 @@ impl FoDetector {
 pub struct MbEngine(pub(crate) Mutex<MbReach>);
 
 impl MbEngine {
-    fn new(repr: SetRepr, kernels: KernelKind) -> (Self, MbStrand) {
-        let (reach, root) = MbReach::with_config(repr, kernels);
+    fn new() -> (Self, MbStrand) {
+        let (reach, root) = MbReach::new();
         (Self(Mutex::new(reach)), root)
     }
 }
@@ -373,49 +320,14 @@ pub type MbDetector = EventSink<MbEngine>;
 
 impl MbDetector {
     /// Build a one-shot detector from an [`EngineConfig`]. MultiBags keeps
-    /// all readers (the policy field is ignored) but honors the shadow
-    /// backend, the set representation, and the kernel dispatch policy.
+    /// all readers and has no order-maintenance structure, so only `mode`
+    /// applies.
     pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(
-            MbEngine::new(cfg.set_repr, cfg.kernels),
-            cfg.mode,
-            ReaderPolicy::All,
-            cfg.shadow,
-        )
+        EventSink::build(MbEngine::new(), cfg.mode, ReaderPolicy::All)
     }
 
-    /// Build a one-shot detector with default backends.
+    /// Build a one-shot detector.
     pub fn new(mode: Mode) -> Self {
         Self::from_config(&EngineConfig::new(mode))
-    }
-
-    /// [`new`](Self::new) with an explicit shadow-memory backend.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `MbDetector::from_config(&EngineConfig)` — positional backend \
-                parameters no longer grow"
-    )]
-    pub fn with_backend(mode: Mode, backend: ShadowBackend) -> Self {
-        Self::from_config(&EngineConfig::new(mode).shadow(backend))
-    }
-
-    /// Fully explicit positional constructor.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `MbDetector::from_config(&EngineConfig)` — positional backend \
-                parameters no longer grow"
-    )]
-    pub fn with_config(
-        mode: Mode,
-        backend: ShadowBackend,
-        set_repr: SetRepr,
-        kernels: KernelKind,
-    ) -> Self {
-        Self::from_config(
-            &EngineConfig::new(mode)
-                .shadow(backend)
-                .set_repr(set_repr)
-                .kernels(kernels),
-        )
     }
 }

@@ -5,9 +5,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sfrd_om::OmBackend;
-use sfrd_reach::{KernelKind, SetRepr};
-use sfrd_runtime::{run_sequential, Cx, NullHooks, PoolStats, Runtime, SchedBackend};
-use sfrd_shadow::{ReaderPolicy, ShadowBackend};
+use sfrd_runtime::{run_sequential, Cx, NullHooks, PoolStats, Runtime};
+use sfrd_shadow::ReaderPolicy;
 
 use crate::config::{DriveConfigBuilder, EngineConfig};
 use crate::detectors::{FoDetector, MbDetector, Mode, SfDetector};
@@ -41,9 +40,8 @@ pub enum DetectorKind {
 /// A full execution configuration.
 ///
 /// `#[non_exhaustive]`: assemble via [`DriveConfig::base`],
-/// [`DriveConfig::with`], or the fluent [`DriveConfig::builder`] — new
-/// backend knobs become new defaulted fields without breaking callers
-/// (struct literals and update syntax are reserved to this crate).
+/// [`DriveConfig::with`], or the fluent [`DriveConfig::builder`] (struct
+/// literals and update syntax are reserved to this crate).
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy)]
 pub struct DriveConfig {
@@ -57,32 +55,6 @@ pub struct DriveConfig {
     pub sequential: bool,
     /// Reader policy for SF-Order's access history.
     pub policy: ReaderPolicy,
-    /// Route accesses through the batched strand-event pipeline
-    /// (`Batched` + per-batch shard locking) instead of one shadow lock
-    /// per access. On by default; the unbatched path is kept as the
-    /// ablation baseline. Ignored in `Reach` mode (no access work either
-    /// way).
-    pub batched: bool,
-    /// Which shadow-memory store backs the access history. The lock-free
-    /// paged table is the default; the legacy sharded store is kept for
-    /// differential testing and the `shadow_paging` ablation.
-    pub shadow: ShadowBackend,
-    /// Which `cp`/`gp` set-representation family the reachability engines
-    /// use. The adaptive inline/sparse/chunked family is the default; the
-    /// dense bitmap is kept for differential testing and the `set_repr`
-    /// ablation. Ignored by F-Order and WSP-Order (no future sets on
-    /// their hot path).
-    pub set_repr: SetRepr,
-    /// Which queue backend the work-stealing pool uses. The lock-free
-    /// Chase-Lev scheduler is the default; the mutex-deque baseline is
-    /// kept for the `sched_deque` ablation. Ignored when `sequential`.
-    pub sched: SchedBackend,
-    /// How the 512-bit chunk kernels behind the adaptive set family
-    /// dispatch: `Auto` picks the SIMD path when the CPU supports it,
-    /// `Scalar` pins the portable lane loops (the `simd_kernels`
-    /// ablation baseline). Only the SF-Order and MultiBags engines use
-    /// chunked future sets, so F-Order and WSP-Order ignore this.
-    pub kernels: KernelKind,
     /// Which order-maintenance backend the reachability engines keep their
     /// English/Hebrew total orders in: the shared two-level `OmList`
     /// (default) or the DePa fork-local packed-label backend, which is
@@ -93,19 +65,7 @@ pub struct DriveConfig {
 impl DriveConfig {
     /// Uninstrumented parallel baseline.
     pub fn base(workers: usize) -> Self {
-        Self {
-            detector: DetectorKind::None,
-            mode: Mode::Full,
-            workers,
-            sequential: false,
-            policy: ReaderPolicy::All,
-            batched: true,
-            shadow: ShadowBackend::default(),
-            set_repr: SetRepr::default(),
-            sched: SchedBackend::default(),
-            kernels: KernelKind::default(),
-            om_backend: OmBackend::default(),
-        }
+        Self::with(DetectorKind::None, Mode::Full, workers)
     }
 
     /// A detector in the given mode on `workers` workers. MultiBags is
@@ -117,11 +77,6 @@ impl DriveConfig {
             workers,
             sequential: matches!(detector, DetectorKind::MultiBags),
             policy: ReaderPolicy::All,
-            batched: true,
-            shadow: ShadowBackend::default(),
-            set_repr: SetRepr::default(),
-            sched: SchedBackend::default(),
-            kernels: KernelKind::default(),
             om_backend: OmBackend::default(),
         }
     }
@@ -163,7 +118,7 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
             run_sequential(&*det, |ctx| w.run(ctx));
             (t0.elapsed(), None)
         } else {
-            let rt: Runtime<H> = Runtime::with_sched(cfg.workers, cfg.sched);
+            let rt: Runtime<H> = Runtime::new(cfg.workers);
             let t0 = Instant::now();
             rt.run(det, |ctx| w.run(ctx));
             (t0.elapsed(), Some(rt.stats()))
@@ -185,9 +140,8 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
         ($make:expr) => {{
             match cfg.mode {
                 // The batched pipeline: accesses buffer per strand and
-                // flush through the detector's bulk hook (one shadow-shard
-                // lock per touched shard).
-                Mode::Full if cfg.batched => {
+                // flush through the detector's bulk hook.
+                Mode::Full => {
                     let det = Arc::new(sfrd_runtime::Batched::new($make(Mode::Full)));
                     let (wall, stats) = timed(w, Arc::clone(&det), &cfg);
                     let mut report = det.inner().report();
@@ -195,16 +149,6 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
                     report.metrics.batch_flushes = bs.flushes;
                     report.metrics.batched_accesses = bs.recorded;
                     report.metrics.filtered_accesses = bs.filtered;
-                    merge_sched(&mut report, stats);
-                    Outcome {
-                        wall,
-                        report: Some(report),
-                    }
-                }
-                Mode::Full => {
-                    let det = Arc::new($make(Mode::Full));
-                    let (wall, stats) = timed(w, Arc::clone(&det), &cfg);
-                    let mut report = det.report();
                     merge_sched(&mut report, stats);
                     Outcome {
                         wall,
@@ -307,12 +251,7 @@ mod tests {
             sf2.to_builder()
                 .policy(sfrd_shadow::ReaderPolicy::PerFutureLR)
                 .build(),
-            sf2.to_builder().shadow(ShadowBackend::Sharded).build(),
-            sf2.to_builder()
-                .shadow(ShadowBackend::Sharded)
-                .policy(sfrd_shadow::ReaderPolicy::PerFutureLR)
-                .batched(false)
-                .build(),
+            sf2.to_builder().om_backend(OmBackend::DePa).build(),
             DriveConfig::with(DetectorKind::FOrder, Mode::Full, 1),
             DriveConfig::with(DetectorKind::FOrder, Mode::Full, 2),
             DriveConfig::with(DetectorKind::MultiBags, Mode::Full, 1),

@@ -12,16 +12,15 @@
 //! The sink speaks both access protocols of `sfrd-runtime`:
 //!
 //! * **per-access** (`on_read`/`on_write`): one shadow access per call —
-//!   a shard lock on the sharded backend, a lock-free slot section (or the
-//!   zero-store read fast path) on the paged one;
+//!   a lock-free slot section, or the zero-store read fast path. This is
+//!   the plain `TaskHooks` contract bare detectors run through;
 //! * **per-batch** (`on_access_batch`, fed by
-//!   [`Batched`](sfrd_runtime::Batched)): the buffered accesses — all
-//!   issued at one dag position — replay through the backend's batch
-//!   entry point (sorted shard views on the sharded backend, a page
-//!   cursor on the paged one), and the strand's [`VerdictCache`] skips
-//!   reachability queries against writers whose epoch has not changed
-//!   (the seqlock-style fast path; see the `sfrd-shadow` crate docs for
-//!   the soundness argument).
+//!   [`Batched`](sfrd_runtime::Batched), which [`drive`](crate::drive)
+//!   always installs): the buffered accesses — all issued at one dag
+//!   position — replay through one page cursor, and the strand's
+//!   [`VerdictCache`] skips reachability queries against writers whose
+//!   epoch has not changed (the seqlock-style fast path; see the
+//!   `sfrd-shadow` crate docs for the soundness argument).
 //!
 //! Both paths funnel into the same [`check_read`](EventSink::on_read)/
 //! write logic, so batching cannot change which `(addr, kind)` races
@@ -32,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use sfrd_runtime::{AccessBatch, TaskHooks, VerdictCache};
-use sfrd_shadow::{AccessHistory, LocEntry, PageCursor, ReaderPolicy, ShadowBackend};
+use sfrd_shadow::{LocEntry, PageCursor, PagedHistory, ReaderPolicy};
 
 use crate::detectors::Mode;
 use crate::report::{Counters, MetricsSnapshot, RaceCollector, RaceKind, RaceReport};
@@ -112,7 +111,7 @@ pub trait ReachEngine: Send + Sync + 'static {
 pub struct EventSink<E: ReachEngine> {
     pub(crate) engine: E,
     root: Mutex<Option<E::Strand>>,
-    pub(crate) history: Option<AccessHistory<E::Pos>>,
+    pub(crate) history: Option<PagedHistory<E::Pos>>,
     /// Detected races.
     pub collector: RaceCollector,
     /// Execution counters (Fig. 3).
@@ -122,19 +121,13 @@ pub struct EventSink<E: ReachEngine> {
 }
 
 impl<E: ReachEngine> EventSink<E> {
-    /// Couple `engine` (with its root strand) to a fresh access history on
-    /// the selected shadow backend.
-    pub(crate) fn build(
-        engine: (E, E::Strand),
-        mode: Mode,
-        policy: ReaderPolicy,
-        backend: ShadowBackend,
-    ) -> Self {
+    /// Couple `engine` (with its root strand) to a fresh access history.
+    pub(crate) fn build(engine: (E, E::Strand), mode: Mode, policy: ReaderPolicy) -> Self {
         let (engine, root) = engine;
         Self {
             engine,
             root: Mutex::new(Some(root)),
-            history: matches!(mode, Mode::Full).then(|| AccessHistory::new(policy, backend)),
+            history: matches!(mode, Mode::Full).then(|| PagedHistory::with_policy(policy)),
             collector: RaceCollector::default(),
             counters: Counters::default(),
             seqlock_hits: AtomicU64::new(0),
@@ -147,7 +140,7 @@ impl<E: ReachEngine> EventSink<E> {
     }
 
     /// The access history (diagnostics; `None` in reach mode).
-    pub fn history(&self) -> Option<&AccessHistory<E::Pos>> {
+    pub fn history(&self) -> Option<&PagedHistory<E::Pos>> {
         self.history.as_ref()
     }
 
@@ -184,14 +177,13 @@ impl<E: ReachEngine> EventSink<E> {
                     set_tier_inline: set.tier_inline,
                     set_tier_sparse: set.tier_sparse,
                     set_tier_chunked: set.tier_chunked,
-                    set_tier_dense: set.tier_dense,
                     set_chunks_shared: set.chunks_shared,
                     set_chunks_copied: set.chunks_copied,
                     set_lineage_hits: set.lineage_hits,
                     kernel_simd_calls: set.kernel_simd_calls,
                     kernel_scalar_calls: set.kernel_scalar_calls,
                     arena_slabs: self.engine.arena_slabs(),
-                    prefetch_issued: self.history.as_ref().map_or(0, |h| h.prefetch_issued()),
+                    prefetch_issued: self.history.as_ref().map_or(0, |h| h.prefetches()),
                     ..MetricsSnapshot::default()
                 }
             },
@@ -288,9 +280,8 @@ impl<E: ReachEngine> EventSink<E> {
         }
     }
 
-    /// The zero-store read fast path (paged backend): attempt to prove the
-    /// read redundant from one validated snapshot — no lock, no store to
-    /// the shadow entry. The reader side is decided by the LR no-op test
+    /// The zero-store read fast path: attempt to prove the read redundant
+    /// from one validated snapshot — no lock, no store to the shadow entry. The reader side is decided by the LR no-op test
     /// inside [`PageCursor::fast_read`]; the writer side is decided here,
     /// with the same ladder as [`check_read`](Self::check_read) minus the
     /// mutation: same-position, then the epoch-keyed verdict cache, then a
@@ -387,15 +378,10 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
         let Some(history) = &self.history else { return };
         let pos = E::pos(s);
         let fut = E::future_id(s);
-        if let AccessHistory::Paged(paged) = history {
-            let mut cur = paged.cursor();
-            if self.fast_read(&mut cur, addr, fut, pos, s, None) {
-                return;
-            }
+        let mut cur = history.cursor();
+        if !self.fast_read(&mut cur, addr, fut, pos, s, None) {
             cur.locked(addr, |e| self.check_read(e, addr, fut, pos, s, None));
-            return;
         }
-        history.locked(addr, |e| self.check_read(e, addr, fut, pos, s, None));
     }
 
     #[inline]
@@ -405,18 +391,11 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
         history.locked(addr, |e| self.check_write(e, addr, pos, s, None));
     }
 
-    /// The batched hot path, per backend:
-    ///
-    /// * **sharded** — stable-sort the buffered accesses by shadow shard
-    ///   (same address ⇒ same shard, so per-address program order is
-    ///   preserved and ascending shard index is the canonical lock order),
-    ///   then take each touched shard's lock once and run the shared check
-    ///   logic on every access in that shard;
-    /// * **paged** — replay in buffer order (per-address program order for
-    ///   free, no sort) through one [`PageCursor`], so runs of same-page
-    ///   addresses skip the directory walk; each read first tries the
-    ///   zero-store fast path, and only state-changing accesses enter a
-    ///   slot's write section. No lock is taken on the mapped path.
+    /// The batched hot path: replay in buffer order (per-address program
+    /// order for free, no sort) through one [`PageCursor`], so runs of
+    /// same-page addresses skip the directory walk; each read first tries
+    /// the zero-store fast path, and only state-changing accesses enter a
+    /// slot's write section. No lock is taken on the mapped path.
     fn on_access_batch(&self, s: &mut E::Strand, batch: &mut AccessBatch) {
         let Some(history) = &self.history else {
             batch.discard();
@@ -431,57 +410,28 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
         Counters::add(&self.counters.reads, filtered_reads);
         Counters::add(&self.counters.writes, filtered_writes);
         let (entries, verdicts) = batch.parts();
-        match history {
-            AccessHistory::Paged(paged) => {
-                let mut cur = paged.cursor();
-                let mut prefetched: u64 = 0;
-                for (i, a) in entries.iter().enumerate() {
-                    // Overlap the slot-seqlock work on entry `i` with the
-                    // cache fill for entry `i + 1`; the tally is folded into
-                    // the shared counter once per batch to keep atomic
-                    // traffic off this loop.
-                    if let Some(next) = entries.get(i + 1) {
-                        if next.addr >> 3 != a.addr >> 3 && paged.prefetch_slot(next.addr) {
-                            prefetched += 1;
-                        }
-                    }
-                    if a.is_write {
-                        cur.locked(a.addr, |e| {
-                            self.check_write(e, a.addr, pos, s, Some(&mut *verdicts))
-                        });
-                    } else if !self.fast_read(&mut cur, a.addr, fut, pos, s, Some(&mut *verdicts)) {
-                        cur.locked(a.addr, |e| {
-                            self.check_read(e, a.addr, fut, pos, s, Some(&mut *verdicts))
-                        });
-                    }
-                }
-                if prefetched != 0 {
-                    paged.note_prefetches(prefetched);
+        let mut cur = history.cursor();
+        let mut prefetched: u64 = 0;
+        for (i, a) in entries.iter().enumerate() {
+            // Overlap the slot-seqlock work on entry `i` with the cache
+            // fill for entry `i + 1`; the tally is folded into the shared
+            // counter once per batch to keep atomic traffic off this loop.
+            if let Some(next) = entries.get(i + 1) {
+                if next.addr >> 3 != a.addr >> 3 && history.prefetch_slot(next.addr) {
+                    prefetched += 1;
                 }
             }
-            AccessHistory::Sharded(sharded) => {
-                entries.sort_by_key(|a| sharded.shard_index(a.addr));
-                let mut i = 0;
-                while i < entries.len() {
-                    let shard = sharded.shard_index(entries[i].addr);
-                    let mut j = i + 1;
-                    while j < entries.len() && sharded.shard_index(entries[j].addr) == shard {
-                        j += 1;
-                    }
-                    sharded.with_shard(shard, |view| {
-                        for a in &entries[i..j] {
-                            let e = view.entry(a.addr);
-                            if a.is_write {
-                                self.check_write(e, a.addr, pos, s, Some(&mut *verdicts));
-                            } else {
-                                self.check_read(e, a.addr, fut, pos, s, Some(&mut *verdicts));
-                            }
-                        }
-                    });
-                    i = j;
-                }
+            if a.is_write {
+                cur.locked(a.addr, |e| {
+                    self.check_write(e, a.addr, pos, s, Some(&mut *verdicts))
+                });
+            } else if !self.fast_read(&mut cur, a.addr, fut, pos, s, Some(&mut *verdicts)) {
+                cur.locked(a.addr, |e| {
+                    self.check_read(e, a.addr, fut, pos, s, Some(&mut *verdicts))
+                });
             }
         }
+        history.note_prefetches(prefetched);
         entries.clear();
     }
 }

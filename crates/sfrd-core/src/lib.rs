@@ -45,7 +45,6 @@ pub mod config;
 pub mod detectors;
 pub mod driver;
 pub mod events;
-pub mod fastpath;
 pub mod recording;
 pub mod report;
 pub mod shared;
@@ -57,18 +56,16 @@ pub use detectors::{
 };
 pub use driver::{drive, DetectorKind, DriveConfig, Outcome, Workload};
 pub use events::{EventSink, ReachEngine};
-pub use fastpath::{FastPath, FpStrand};
 pub use recording::{GenWorkload, RecordingHooks};
 pub use report::{CountsSnapshot, MetricsSnapshot, Race, RaceCollector, RaceKind, RaceReport};
-pub use sfrd_runtime::SchedBackend;
 pub use shared::{ShadowArray, ShadowCell, ShadowMatrix};
 pub use wsp::{WspDetector, WspEngine, WspStrand};
 
 // Re-exports so downstream users need only this crate.
 pub use sfrd_om::OmBackend;
-pub use sfrd_reach::{KernelKind, SetRepr, SetStatsSnapshot};
+pub use sfrd_reach::SetStatsSnapshot;
 pub use sfrd_runtime::{BatchStats, Batched, Cx, FutureHandle, NullHooks, Runtime, TaskHooks};
-pub use sfrd_shadow::{ReaderPolicy, ShadowBackend};
+pub use sfrd_shadow::ReaderPolicy;
 
 /// A detector strand — alias used in the facade prelude.
 pub type Strand = sfrd_reach::SfStrand;

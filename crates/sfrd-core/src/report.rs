@@ -144,8 +144,9 @@ impl CountsSnapshot {
 /// [`drive`](crate::drive).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Shadow shard-lock acquisitions (one per access unbatched; one per
-    /// flush × touched shard batched).
+    /// Shadow mutex acquisitions: the paged store's mapped path takes
+    /// none, so this counts fallback-map traffic only (addresses outside
+    /// the mapped range, sub-word collisions).
     pub lock_ops: u64,
     /// Batch flushes (boundary + size-cap).
     pub batch_flushes: u64,
@@ -173,16 +174,15 @@ pub struct MetricsSnapshot {
     pub depa_spills: u64,
     /// DePa backend: maximum label depth in bits observed at fork time.
     pub depa_max_depth: u64,
-    /// Shadow reads completed on the zero-store fast path (paged backend;
-    /// 0 on the sharded backend).
+    /// Shadow reads completed on the zero-store fast path.
     pub shadow_fast_hits: u64,
     /// Shadow per-slot seqlock CAS retries plus fast-path snapshot
-    /// validation failures (paged backend contention signal).
+    /// validation failures (the contention signal).
     pub shadow_cas_retries: u64,
-    /// Shadow pages published into the page directory (paged backend).
+    /// Shadow pages published into the page directory.
     pub page_allocs: u64,
-    /// Cumulative fresh `cp`/`gp` set payload bytes (Fig. 5 / `set_repr`
-    /// ablation; excludes OM lists, unlike `reach_bytes`).
+    /// Cumulative fresh `cp`/`gp` set payload bytes (Fig. 5; excludes OM
+    /// lists, unlike `reach_bytes`).
     pub set_bytes: u64,
     /// `cp`/`gp` set allocations.
     pub set_allocs: u64,
@@ -192,8 +192,6 @@ pub struct MetricsSnapshot {
     pub set_tier_sparse: u64,
     /// Set allocations that landed in the chunked tier.
     pub set_tier_chunked: u64,
-    /// Set allocations in the dense baseline representation.
-    pub set_tier_dense: u64,
     /// Chunks pointer-shared instead of copied by chunked-set derivations.
     pub set_chunks_shared: u64,
     /// Chunks copy-on-written by chunked-set derivations.

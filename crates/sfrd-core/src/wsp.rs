@@ -90,37 +90,17 @@ impl ReachEngine for WspEngine {
 pub type WspDetector = EventSink<WspEngine>;
 
 impl WspDetector {
-    /// Build a one-shot detector from an [`EngineConfig`]. WSP-Order has
-    /// no future sets, so only `mode`, `policy` and `shadow` apply.
+    /// Build a one-shot detector from an [`EngineConfig`].
     pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(
-            WspEngine::new(cfg.om_backend),
-            cfg.mode,
-            cfg.policy,
-            cfg.shadow,
-        )
+        EventSink::build(WspEngine::new(cfg.om_backend), cfg.mode, cfg.policy)
     }
 
-    /// Build a one-shot detector with default backends. The classic
-    /// WSP-Order access history is the leftmost/rightmost pair —
-    /// [`ReaderPolicy::PerFutureLR`] with a single "future" (the whole
+    /// Build a one-shot detector on the default order-maintenance backend.
+    /// The classic WSP-Order access history is the leftmost/rightmost pair
+    /// — [`ReaderPolicy::PerFutureLR`] with a single "future" (the whole
     /// SP-dag) degenerates to exactly that.
     pub fn new(mode: Mode, policy: ReaderPolicy) -> Self {
         Self::from_config(&EngineConfig::new(mode).policy(policy))
-    }
-
-    /// [`new`](Self::new) with an explicit shadow-memory backend.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `WspDetector::from_config(&EngineConfig)` — positional backend \
-                parameters no longer grow"
-    )]
-    pub fn with_backend(
-        mode: Mode,
-        policy: ReaderPolicy,
-        backend: sfrd_shadow::ShadowBackend,
-    ) -> Self {
-        Self::from_config(&EngineConfig::new(mode).policy(policy).shadow(backend))
     }
 }
 

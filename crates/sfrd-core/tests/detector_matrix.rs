@@ -3,17 +3,13 @@
 //! * WSP-Order vs the oracle on fork-join-only programs (its legal
 //!   domain), across schedules;
 //! * WSP-Order vs SF-Order agreement on the same programs (SF-Order
-//!   degenerates to WSP-Order when k = 0);
-//! * FastPath-wrapped variants of every parallel detector vs their plain
-//!   counterparts.
+//!   degenerates to WSP-Order when k = 0).
 
 use std::sync::Arc;
 
 use rand::prelude::*;
 
-use sfrd_core::{
-    FastPath, FoDetector, GenWorkload, Mode, RecordingHooks, SfDetector, Workload, WspDetector,
-};
+use sfrd_core::{GenWorkload, Mode, RecordingHooks, SfDetector, Workload, WspDetector};
 use sfrd_dag::generator::{GenParams, GenProgram};
 use sfrd_runtime::hooks::PairHooks;
 use sfrd_runtime::Runtime;
@@ -80,39 +76,5 @@ fn wsp_and_sf_agree_on_forkjoin_programs() {
         // Identical access counts too.
         assert_eq!(wsp.report().counts.reads, sf.report().counts.reads);
         assert_eq!(wsp.report().counts.writes, sf.report().counts.writes);
-    }
-}
-
-#[test]
-fn fastpath_wrapped_detectors_agree_with_plain() {
-    let mut rng = StdRng::seed_from_u64(0xFA57);
-    for _ in 0..10 {
-        let prog = GenProgram::random(
-            &mut rng,
-            &GenParams {
-                addr_space: 3,
-                ..Default::default()
-            },
-        );
-
-        let plain = Arc::new(FoDetector::new(Mode::Full));
-        let rt: Runtime<FoDetector> = Runtime::new(2);
-        let w = GenWorkload(prog.clone());
-        rt.run(Arc::clone(&plain), |ctx| w.run(ctx));
-        drop(rt);
-
-        let fast = Arc::new(FastPath(FoDetector::new(Mode::Full)));
-        let rt: Runtime<FastPath<FoDetector>> = Runtime::new(2);
-        let w2 = GenWorkload(prog.clone());
-        rt.run(Arc::clone(&fast), |ctx| w2.run(ctx));
-        drop(rt);
-
-        assert_eq!(
-            plain.report().racy_addrs,
-            fast.0.report().racy_addrs,
-            "{prog:?}"
-        );
-        // The filter never admits MORE accesses than happened.
-        assert!(fast.0.report().counts.reads <= plain.report().counts.reads);
     }
 }

@@ -5,22 +5,16 @@
 //! paper reports over F-Order's per-node hash tables: membership is one
 //! load, union is a word-wise OR, and sharing is an `Arc` clone.
 //!
-//! Sets are immutable once built; "mutation" builds a new set. Two
-//! representation *families* live behind one API, selectable per engine
-//! via [`SetRepr`]:
+//! Sets are immutable once built; "mutation" builds a new set. The
+//! representation has three tiers that grow with the set:
+//! [`Repr::Inline`] (a few ids packed in the struct, zero heap),
+//! [`Repr::Sparse`] (a small sorted id array), and [`Repr::Chunked`]
+//! (persistent `Arc`-shared 512-bit chunks with path-copy-on-write, see
+//! [`crate::chunked`]). Deriving from a shared ancestor allocates only
+//! what actually changed instead of the whole table.
 //!
-//! * **Dense** — the original `Box<[u64]>` bitmap, fully copied on every
-//!   derivation. Kept as the ablation baseline: its cost model is exactly
-//!   the pre-adaptive implementation.
-//! * **Adaptive** (default) — three tiers that grow with the set:
-//!   [`Repr::Inline`] (a few ids packed in the struct, zero heap),
-//!   [`Repr::Sparse`] (a small sorted id array), and [`Repr::Chunked`]
-//!   (persistent `Arc`-shared 512-bit chunks with path-copy-on-write,
-//!   see [`crate::chunked`]). Deriving from a shared ancestor allocates
-//!   only what actually changed instead of the whole table.
-//!
-//! Adaptive sets additionally carry a **monotone lineage stamp**
-//! ([`Lineage`]): `cp`/`gp` sets only ever grow along program order, so
+//! Every set carries a **monotone lineage stamp** ([`Lineage`]):
+//! `cp`/`gp` sets only ever grow along program order, so
 //! when one set provably descends from another, the descendant is a
 //! superset and [`merge`]'s subset pre-checks can exit in O(1) without
 //! scanning a word. Soundness relies on CAS-linearized chains — see the
@@ -31,18 +25,14 @@
 //! parents allocates a union only when *each side contains something the
 //! other lacks* — which Xu et al. show happens O(k) times in total.
 //! Whether a merge shares or allocates depends only on set *contents*,
-//! never on the representation, so dense and adaptive engines report
-//! identical allocation and merge counts (the differential-test
-//! invariant).
+//! never on the tier.
 //!
 //! Chunked-tier structural work dispatches through the 512-bit
 //! [`kernels`](crate::kernels): [`SetStats`] carries the engine's
 //! resolved [`Kernel`] (see [`SetStats::with_kernel`]) and the `_k`
 //! operation variants thread it down to [`crate::chunked`], tallying
 //! every 512-bit primitive call into `kernel_simd_calls` or
-//! `kernel_scalar_calls`. Dense sets never touch the kernels — the dense
-//! family *is* the scalar baseline, and its cost model must not change
-//! under `--kernels`.
+//! `kernel_scalar_calls`.
 
 use sfrd_runtime::sync::AtomicU32;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,22 +41,12 @@ use std::sync::Arc;
 use sfrd_dag::FutureId;
 
 use crate::chunked::{AllocDelta, Chunked};
-use crate::kernels::{Kernel, KernelKind};
+use crate::kernels::Kernel;
 
 /// Ids held directly in the struct before spilling to a heap array.
 const INLINE_CAP: usize = 8;
 /// Largest sorted-array set; one past this promotes to chunked.
 const SPARSE_MAX: usize = 32;
-
-/// Which set-representation family an engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SetRepr {
-    /// Original dense `Box<[u64]>` bitmap, full copy per derivation.
-    Dense,
-    /// Tiered inline → sparse → chunked persistent representation.
-    #[default]
-    Adaptive,
-}
 
 /// Monotone-lineage stamp: a CAS-linearized derivation chain.
 ///
@@ -125,8 +105,6 @@ impl Lineage {
 /// The concrete representation tiers.
 #[derive(Debug, Clone)]
 enum Repr {
-    /// Dense bitmap (baseline family).
-    Dense(Box<[u64]>),
     /// Up to [`INLINE_CAP`] sorted ids in the struct; zero heap.
     Inline { ids: [u32; INLINE_CAP], len: u8 },
     /// Sorted id array, at most [`SPARSE_MAX`] long.
@@ -139,7 +117,7 @@ enum Repr {
 #[derive(Debug, Clone)]
 pub struct FutureSet {
     repr: Repr,
-    lineage: Option<Lineage>,
+    lineage: Lineage,
 }
 
 impl Default for FutureSet {
@@ -148,8 +126,7 @@ impl Default for FutureSet {
     }
 }
 
-/// Equality is content equality, independent of representation family,
-/// tier, or lineage.
+/// Equality is content equality, independent of tier or lineage.
 impl PartialEq for FutureSet {
     fn eq(&self, other: &Self) -> bool {
         let n = self.words_len().max(other.words_len());
@@ -159,61 +136,24 @@ impl PartialEq for FutureSet {
 impl Eq for FutureSet {}
 
 impl FutureSet {
-    /// The empty set in the default (adaptive) family.
+    /// The empty set.
     pub fn empty() -> Self {
-        Self::empty_in(SetRepr::default())
-    }
-
-    /// The empty set in a chosen representation family.
-    pub fn empty_in(repr: SetRepr) -> Self {
-        match repr {
-            SetRepr::Dense => Self {
-                repr: Repr::Dense(Box::new([])),
-                lineage: None,
+        Self {
+            repr: Repr::Inline {
+                ids: [0; INLINE_CAP],
+                len: 0,
             },
-            SetRepr::Adaptive => Self {
-                repr: Repr::Inline {
-                    ids: [0; INLINE_CAP],
-                    len: 0,
-                },
-                lineage: Some(Lineage::fresh()),
-            },
+            lineage: Lineage::fresh(),
         }
     }
 
-    /// Singleton set in the default family.
+    /// Singleton set.
     pub fn singleton(f: FutureId) -> Self {
-        Self::singleton_in(f, SetRepr::default())
-    }
-
-    /// Singleton set in a chosen family.
-    pub fn singleton_in(f: FutureId, repr: SetRepr) -> Self {
-        match repr {
-            SetRepr::Dense => {
-                let w = f.index() / 64;
-                let mut words = vec![0u64; w + 1];
-                words[w] |= 1 << (f.index() % 64);
-                Self {
-                    repr: Repr::Dense(words.into_boxed_slice()),
-                    lineage: None,
-                }
-            }
-            SetRepr::Adaptive => {
-                let mut ids = [0; INLINE_CAP];
-                ids[0] = f.index() as u32;
-                Self {
-                    repr: Repr::Inline { ids, len: 1 },
-                    lineage: Some(Lineage::fresh()),
-                }
-            }
-        }
-    }
-
-    /// Which family this set belongs to.
-    pub fn family(&self) -> SetRepr {
-        match self.repr {
-            Repr::Dense(_) => SetRepr::Dense,
-            _ => SetRepr::Adaptive,
+        let mut ids = [0; INLINE_CAP];
+        ids[0] = f.index() as u32;
+        Self {
+            repr: Repr::Inline { ids, len: 1 },
+            lineage: Lineage::fresh(),
         }
     }
 
@@ -221,7 +161,7 @@ impl FutureSet {
         match &self.repr {
             Repr::Inline { ids, len } => Some(&ids[..*len as usize]),
             Repr::Sparse(ids) => Some(ids),
-            _ => None,
+            Repr::Chunked(_) => None,
         }
     }
 
@@ -231,9 +171,6 @@ impl FutureSet {
     pub fn contains(&self, f: FutureId) -> bool {
         let id = f.index() as u32;
         match &self.repr {
-            Repr::Dense(words) => words
-                .get(f.index() / 64)
-                .is_some_and(|&w| w >> (f.index() % 64) & 1 == 1),
             Repr::Inline { ids, len } => ids[..*len as usize].binary_search(&id).is_ok(),
             Repr::Sparse(ids) => ids.binary_search(&id).is_ok(),
             Repr::Chunked(c) => c.contains(id),
@@ -243,7 +180,6 @@ impl FutureSet {
     /// Logical 64-bit words spanned by this set's members.
     fn words_len(&self) -> usize {
         match &self.repr {
-            Repr::Dense(words) => words.len(),
             Repr::Inline { .. } | Repr::Sparse(_) => self
                 .small_ids()
                 .unwrap()
@@ -254,11 +190,10 @@ impl FutureSet {
     }
 
     /// The logical word at index `wi` (zero past the end) — the
-    /// representation-independent view used by equality, mixed-family
-    /// operations, and the word-walking iterator.
+    /// tier-independent view used by equality and the word-walking
+    /// iterator.
     fn word_at(&self, wi: usize) -> u64 {
         match &self.repr {
-            Repr::Dense(words) => words.get(wi).copied().unwrap_or(0),
             Repr::Inline { .. } | Repr::Sparse(_) => {
                 let mut w = 0;
                 for &id in self.small_ids().unwrap() {
@@ -284,34 +219,14 @@ impl FutureSet {
 
     /// `self ∪ {f}` plus the true allocation cost of building it.
     ///
-    /// Dense sets copy every word (the baseline cost model). Adaptive
-    /// sets pay for their tier: inline derivations are heap-free, sparse
+    /// Sets pay for their tier: inline derivations are heap-free, sparse
     /// ones copy a small id array, and chunked ones usually just buffer
     /// the id in the inline tail (zero chunk bytes — see
     /// [`crate::chunked`]).
     pub fn with_counted_k(&self, f: FutureId, k: Kernel) -> (Self, AllocDelta) {
         let id = f.index() as u32;
-        let lineage = self.lineage.as_ref().map(Lineage::child);
+        let lineage = self.lineage.child();
         match &self.repr {
-            Repr::Dense(words) => {
-                let w = f.index() / 64;
-                let mut v = words.to_vec();
-                if v.len() <= w {
-                    v.resize(w + 1, 0);
-                }
-                v[w] |= 1 << (f.index() % 64);
-                let fresh = v.len() * 8;
-                (
-                    Self {
-                        repr: Repr::Dense(v.into_boxed_slice()),
-                        lineage: None,
-                    },
-                    AllocDelta {
-                        fresh_bytes: fresh,
-                        ..Default::default()
-                    },
-                )
-            }
             Repr::Inline { .. } | Repr::Sparse(_) => {
                 let cur = self.small_ids().unwrap();
                 if cur.binary_search(&id).is_ok() {
@@ -341,7 +256,7 @@ impl FutureSet {
         }
     }
 
-    /// Pick the right adaptive tier for a sorted, deduplicated id list.
+    /// Pick the right tier for a sorted, deduplicated id list.
     fn small_from_sorted(ids: Vec<u32>, k: Kernel) -> (Repr, AllocDelta) {
         if ids.len() <= INLINE_CAP {
             let mut arr = [0; INLINE_CAP];
@@ -379,53 +294,9 @@ impl FutureSet {
     }
 
     /// `self ∪ other` plus the true allocation cost of building it.
-    ///
-    /// Family-preserving on the hot path (both sides dense, or both
-    /// adaptive); a mixed pair falls back to a dense result so the
-    /// baseline family's cost model is never silently upgraded.
     pub fn union_counted_k(&self, other: &Self, k: Kernel) -> (Self, AllocDelta) {
-        let lineage = self
-            .lineage
-            .as_ref()
-            .or(other.lineage.as_ref())
-            .map(Lineage::child);
+        let lineage = self.lineage.child();
         match (&self.repr, &other.repr) {
-            (Repr::Dense(a), Repr::Dense(b)) => {
-                let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-                let mut words = long.to_vec();
-                for (w, &s) in words.iter_mut().zip(short.iter()) {
-                    *w |= s;
-                }
-                let fresh = words.len() * 8;
-                (
-                    Self {
-                        repr: Repr::Dense(words.into_boxed_slice()),
-                        lineage: None,
-                    },
-                    AllocDelta {
-                        fresh_bytes: fresh,
-                        ..Default::default()
-                    },
-                )
-            }
-            (Repr::Dense(_), _) | (_, Repr::Dense(_)) => {
-                // Mixed families (tests only): dense result, dense cost.
-                let n = self.words_len().max(other.words_len());
-                let words: Vec<u64> = (0..n)
-                    .map(|wi| self.word_at(wi) | other.word_at(wi))
-                    .collect();
-                let fresh = words.len() * 8;
-                (
-                    Self {
-                        repr: Repr::Dense(words.into_boxed_slice()),
-                        lineage: None,
-                    },
-                    AllocDelta {
-                        fresh_bytes: fresh,
-                        ..Default::default()
-                    },
-                )
-            }
             (Repr::Chunked(a), Repr::Chunked(b)) => {
                 let (u, delta) = a.union(b, k);
                 (
@@ -478,29 +349,6 @@ impl FutureSet {
     /// made (non-zero only for chunked × chunked pairs).
     pub fn is_subset_k(&self, other: &Self, k: Kernel) -> (bool, u64) {
         match (&self.repr, &other.repr) {
-            (Repr::Dense(a), Repr::Dense(b)) => {
-                if a.len() > b.len() && a[b.len()..].iter().any(|&w| w != 0) {
-                    return (false, 0);
-                }
-                let n = a.len().min(b.len());
-                // Word loop unrolled four wide (the compiler vectorizes
-                // the exact chunks; the remainder is at most three words).
-                let (ac, ar) = a[..n].split_at(n - n % 4);
-                let (bc, _) = b[..n].split_at(n - n % 4);
-                for (aw, bw) in ac.chunks_exact(4).zip(bc.chunks_exact(4)) {
-                    if (aw[0] & !bw[0]) | (aw[1] & !bw[1]) | (aw[2] & !bw[2]) | (aw[3] & !bw[3])
-                        != 0
-                    {
-                        return (false, 0);
-                    }
-                }
-                (
-                    ar.iter()
-                        .zip(&b[n - n % 4..n])
-                        .all(|(&aw, &bw)| aw & !bw == 0),
-                    0,
-                )
-            }
             (Repr::Inline { .. } | Repr::Sparse(_), _) => (
                 self.small_ids()
                     .unwrap()
@@ -509,7 +357,7 @@ impl FutureSet {
                 0,
             ),
             (Repr::Chunked(a), Repr::Chunked(b)) => a.subset_of(b, k),
-            _ => {
+            (Repr::Chunked(_), _) => {
                 let n = self.words_len();
                 (
                     (0..n).all(|wi| self.word_at(wi) & !other.word_at(wi) == 0),
@@ -519,48 +367,19 @@ impl FutureSet {
         }
     }
 
-    /// Number of futures in the set.
+    /// Number of futures in the set (O(1): every tier caches it).
+    #[inline]
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Dense(words) => {
-                // Unrolled popcount: four accumulators over exact chunks.
-                let c = words.chunks_exact(4);
-                let rem: u32 = c.remainder().iter().map(|w| w.count_ones()).sum();
-                let main: u32 = c
-                    .map(|w| {
-                        w[0].count_ones()
-                            + w[1].count_ones()
-                            + w[2].count_ones()
-                            + w[3].count_ones()
-                    })
-                    .sum();
-                (main + rem) as usize
-            }
             Repr::Inline { len, .. } => *len as usize,
             Repr::Sparse(ids) => ids.len(),
             Repr::Chunked(c) => c.len() as usize,
         }
     }
 
-    /// O(1) cardinality when the representation caches it; `None` for
-    /// dense sets, whose `len` is a scan — [`merge`]'s count pre-check
-    /// must not change the dense baseline's cost model.
-    #[inline]
-    pub fn quick_len(&self) -> Option<u32> {
-        match &self.repr {
-            Repr::Dense(_) => None,
-            Repr::Inline { len, .. } => Some(*len as u32),
-            Repr::Sparse(ids) => Some(ids.len() as u32),
-            Repr::Chunked(c) => Some(c.len()),
-        }
-    }
-
     /// True when no future is present.
     pub fn is_empty(&self) -> bool {
-        match &self.repr {
-            Repr::Dense(words) => words.iter().all(|&w| w == 0),
-            _ => self.quick_len() == Some(0),
-        }
+        self.len() == 0
     }
 
     /// Resident heap bytes of this set's payload (shared chunks counted
@@ -568,21 +387,18 @@ impl FutureSet {
     /// [`SetStats::bytes_allocated`]).
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Dense(words) => words.len() * 8,
             Repr::Inline { .. } => 0,
             Repr::Sparse(ids) => ids.len() * 4,
             Repr::Chunked(c) => c.heap_bytes(),
         }
     }
 
-    /// Iterate members (ascending). Bitmap tiers walk set bits with
+    /// Iterate members (ascending). The chunked tier walks set bits with
     /// `trailing_zeros` — O(population), not O(words × 64).
     pub fn iter(&self) -> Iter<'_> {
-        match &self.repr {
-            Repr::Inline { .. } | Repr::Sparse(_) => {
-                Iter(IterInner::Ids(self.small_ids().unwrap().iter()))
-            }
-            _ => Iter(IterInner::Words {
+        match self.small_ids() {
+            Some(ids) => Iter(IterInner::Ids(ids.iter())),
+            None => Iter(IterInner::Words {
                 set: self,
                 wi: 0,
                 cur: self.word_at(0),
@@ -632,14 +448,12 @@ impl Iterator for Iter<'_> {
     }
 }
 
-/// Allocation/merge counters, reported in the Fig. 5 memory table and
-/// the `set_repr` ablation.
+/// Allocation/merge counters, reported in the Fig. 5 memory table.
 #[derive(Debug, Default)]
 pub struct SetStats {
     /// Cumulative *fresh* payload bytes allocated for sets. Shared chunks
     /// and struct handles cost nothing here; the per-allocation constant
-    /// overhead is identical across families and tracked by
-    /// `allocations`.
+    /// overhead is tracked by `allocations`.
     pub bytes_allocated: AtomicU64,
     /// Number of sets allocated.
     pub allocations: AtomicU64,
@@ -651,8 +465,6 @@ pub struct SetStats {
     pub tier_sparse: AtomicU64,
     /// Allocations that landed in the chunked tier.
     pub tier_chunked: AtomicU64,
-    /// Allocations that landed in the dense (baseline) representation.
-    pub tier_dense: AtomicU64,
     /// Chunks pointer-shared instead of copied during chunked rebuilds.
     pub chunks_shared: AtomicU64,
     /// Chunks copy-on-written during chunked rebuilds.
@@ -683,8 +495,6 @@ pub struct SetStatsSnapshot {
     pub tier_sparse: u64,
     /// Chunked-tier allocations.
     pub tier_chunked: u64,
-    /// Dense-representation allocations.
-    pub tier_dense: u64,
     /// Chunks shared by pointer.
     pub chunks_shared: u64,
     /// Chunks copy-on-written.
@@ -698,11 +508,12 @@ pub struct SetStatsSnapshot {
 }
 
 impl SetStats {
-    /// Stats pinned to an explicit kernel selection (the engine-level
-    /// `DriveConfig.kernels` switch lands here).
-    pub fn with_kernel(kind: KernelKind) -> Self {
+    /// Stats whose chunked operations dispatch on `kernel` instead of
+    /// the detected one (how the differential suites pin
+    /// [`Kernel::Scalar`]).
+    pub fn with_kernel(kernel: Kernel) -> Self {
         Self {
-            kernel: kind.resolve(),
+            kernel,
             ..Default::default()
         }
     }
@@ -734,7 +545,6 @@ impl SetStats {
         self.bytes_allocated
             .fetch_add(delta.fresh_bytes as u64, Ordering::Relaxed);
         let tier = match &set.repr {
-            Repr::Dense(_) => &self.tier_dense,
             Repr::Inline { .. } => &self.tier_inline,
             Repr::Sparse(_) => &self.tier_sparse,
             Repr::Chunked(_) => &self.tier_chunked,
@@ -775,7 +585,6 @@ impl SetStats {
             tier_inline: self.tier_inline.load(Ordering::Relaxed),
             tier_sparse: self.tier_sparse.load(Ordering::Relaxed),
             tier_chunked: self.tier_chunked.load(Ordering::Relaxed),
-            tier_dense: self.tier_dense.load(Ordering::Relaxed),
             chunks_shared: self.chunks_shared.load(Ordering::Relaxed),
             chunks_copied: self.chunks_copied.load(Ordering::Relaxed),
             lineage_hits: self.lineage_hits.load(Ordering::Relaxed),
@@ -793,36 +602,31 @@ impl SetStats {
 /// only how fast a *share* is recognized:
 ///
 /// 1. pointer equality;
-/// 2. lineage descends-from (O(1), adaptive family only);
-/// 3. cached-cardinality comparison to skip a doomed subset scan
-///    (`quick_len` is `None` for dense, preserving the baseline model);
+/// 2. lineage descends-from (O(1));
+/// 3. cached-cardinality comparison to skip a doomed subset scan;
 /// 4. the subset scans themselves.
 pub fn merge(a: &Arc<FutureSet>, b: &Arc<FutureSet>, stats: &SetStats) -> Arc<FutureSet> {
     if Arc::ptr_eq(a, b) {
         return Arc::clone(a);
     }
-    if let (Some(la), Some(lb)) = (&a.lineage, &b.lineage) {
-        if lb.descends_from(la) {
-            stats.lineage_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(b);
-        }
-        if la.descends_from(lb) {
-            stats.lineage_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(a);
-        }
+    if b.lineage.descends_from(&a.lineage) {
+        stats.lineage_hits.fetch_add(1, Ordering::Relaxed);
+        return Arc::clone(b);
+    }
+    if a.lineage.descends_from(&b.lineage) {
+        stats.lineage_hits.fetch_add(1, Ordering::Relaxed);
+        return Arc::clone(a);
     }
     let k = stats.kernel();
-    let (qa, qb) = (a.quick_len(), b.quick_len());
-    let b_may_cover = !matches!((qa, qb), (Some(x), Some(y)) if y > x);
-    if b_may_cover {
+    let (la, lb) = (a.len(), b.len());
+    if lb <= la {
         let (sub, kops) = b.is_subset_k(a, k);
         stats.note_kernel_ops(kops);
         if sub {
             return Arc::clone(a);
         }
     }
-    let a_may_cover = !matches!((qa, qb), (Some(x), Some(y)) if x > y);
-    if a_may_cover {
+    if la <= lb {
         let (sub, kops) = a.is_subset_k(b, k);
         stats.note_kernel_ops(kops);
         if sub {
@@ -853,83 +657,68 @@ mod tests {
         FutureId(i)
     }
 
-    /// Every test below runs against both families.
-    const FAMILIES: [SetRepr; 2] = [SetRepr::Dense, SetRepr::Adaptive];
-
     #[test]
     fn singleton_and_contains() {
-        for repr in FAMILIES {
-            let s = FutureSet::singleton_in(f(70), repr);
-            assert!(s.contains(f(70)));
-            assert!(!s.contains(f(69)));
-            assert!(!s.contains(f(700))); // beyond allocated words
-            assert_eq!(s.len(), 1);
-        }
+        let s = FutureSet::singleton(f(70));
+        assert!(s.contains(f(70)));
+        assert!(!s.contains(f(69)));
+        assert!(!s.contains(f(700))); // beyond allocated words
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn with_extends_words() {
-        for repr in FAMILIES {
-            let s = FutureSet::empty_in(repr).with(f(3)).with(f(200));
-            assert!(s.contains(f(3)) && s.contains(f(200)));
-            assert_eq!(s.len(), 2);
-            assert_eq!(s.iter().collect::<Vec<_>>(), vec![f(3), f(200)]);
-        }
+        let s = FutureSet::empty().with(f(3)).with(f(200));
+        assert!(s.contains(f(3)) && s.contains(f(200)));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![f(3), f(200)]);
     }
 
     #[test]
     fn union_and_subset() {
-        for repr in FAMILIES {
-            let a = FutureSet::singleton_in(f(1), repr).with(f(64));
-            let b = FutureSet::singleton_in(f(2), repr);
-            let u = a.union(&b);
-            assert!(a.is_subset(&u) && b.is_subset(&u));
-            assert!(!u.is_subset(&a));
-            assert_eq!(u.len(), 3);
-            // Subset across different word lengths.
-            let small = FutureSet::singleton_in(f(0), repr);
-            assert!(small.is_subset(&small.with(f(500))));
-            assert!(!FutureSet::singleton_in(f(500), repr).is_subset(&small));
-        }
+        let a = FutureSet::singleton(f(1)).with(f(64));
+        let b = FutureSet::singleton(f(2));
+        let u = a.union(&b);
+        assert!(a.is_subset(&u) && b.is_subset(&u));
+        assert!(!u.is_subset(&a));
+        assert_eq!(u.len(), 3);
+        // Subset across different word lengths.
+        let small = FutureSet::singleton(f(0));
+        assert!(small.is_subset(&small.with(f(500))));
+        assert!(!FutureSet::singleton(f(500)).is_subset(&small));
     }
 
     #[test]
     fn empty_is_subset_of_everything() {
-        for repr in FAMILIES {
-            let e = FutureSet::empty_in(repr);
-            assert!(e.is_empty());
-            assert!(e.is_subset(&FutureSet::singleton_in(f(9), repr)));
-            assert!(e.is_subset(&e));
-        }
+        let e = FutureSet::empty();
+        assert!(e.is_empty());
+        assert!(e.is_subset(&FutureSet::singleton(f(9))));
+        assert!(e.is_subset(&e));
     }
 
     #[test]
     fn merge_shares_pointers_when_possible() {
-        for repr in FAMILIES {
-            let stats = SetStats::default();
-            let a = Arc::new(FutureSet::singleton_in(f(1), repr).with(f(2)));
-            let b = Arc::new(FutureSet::singleton_in(f(1), repr));
-            let m = merge(&a, &b, &stats);
-            assert!(Arc::ptr_eq(&m, &a));
-            assert_eq!(stats.snapshot().2, 0, "no true merge expected");
-            let c = Arc::new(FutureSet::singleton_in(f(9), repr));
-            let m2 = merge(&a, &c, &stats);
-            assert!(m2.contains(f(1)) && m2.contains(f(9)));
-            assert_eq!(stats.snapshot().2, 1);
-        }
+        let stats = SetStats::default();
+        let a = Arc::new(FutureSet::singleton(f(1)).with(f(2)));
+        let b = Arc::new(FutureSet::singleton(f(1)));
+        let m = merge(&a, &b, &stats);
+        assert!(Arc::ptr_eq(&m, &a));
+        assert_eq!(stats.snapshot().2, 0, "no true merge expected");
+        let c = Arc::new(FutureSet::singleton(f(9)));
+        let m2 = merge(&a, &c, &stats);
+        assert!(m2.contains(f(1)) && m2.contains(f(9)));
+        assert_eq!(stats.snapshot().2, 1);
     }
 
     #[test]
     fn with_future_shares_when_present() {
-        for repr in FAMILIES {
-            let stats = SetStats::default();
-            let a = Arc::new(FutureSet::singleton_in(f(4), repr));
-            let same = with_future(&a, f(4), &stats);
-            assert!(Arc::ptr_eq(&a, &same));
-            let grown = with_future(&a, f(5), &stats);
-            assert!(grown.contains(f(5)));
-            assert_eq!(stats.snapshot().0, 1);
-        }
+        let stats = SetStats::default();
+        let a = Arc::new(FutureSet::singleton(f(4)));
+        let same = with_future(&a, f(4), &stats);
+        assert!(Arc::ptr_eq(&a, &same));
+        let grown = with_future(&a, f(5), &stats);
+        assert!(grown.contains(f(5)));
+        assert_eq!(stats.snapshot().0, 1);
     }
 
     #[test]
@@ -946,7 +735,6 @@ mod tests {
         assert!(snap.tier_inline >= 1, "first adds stay inline");
         assert!(snap.tier_sparse >= 1, "middle adds go sparse");
         assert!(snap.tier_chunked >= 1, "large sets go chunked");
-        assert_eq!(snap.tier_dense, 0);
         assert!(
             snap.chunks_shared > 0,
             "chunked growth must share untouched chunks"
@@ -955,24 +743,6 @@ mod tests {
             s.iter().map(|id| id.index() as u32).collect::<Vec<_>>(),
             (0..200).map(|i| i * 3).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn families_agree_on_contents() {
-        let mut d = FutureSet::empty_in(SetRepr::Dense);
-        let mut a = FutureSet::empty_in(SetRepr::Adaptive);
-        for i in [0u32, 5, 63, 64, 100, 511, 512, 600, 4000] {
-            d = d.with(f(i));
-            a = a.with(f(i));
-        }
-        assert_eq!(d, a, "content equality across families");
-        assert_eq!(
-            d.iter().collect::<Vec<_>>(),
-            a.iter().collect::<Vec<_>>(),
-            "iteration order and members"
-        );
-        assert!(d.is_subset(&a) && a.is_subset(&d));
-        assert_eq!(d.len(), a.len());
     }
 
     #[test]
@@ -995,34 +765,17 @@ mod tests {
     }
 
     #[test]
-    fn dense_sets_have_no_lineage() {
+    fn growth_chain_payload_bytes_stay_bounded() {
+        // Grow one set 4096 ids long. A flat bitmap copied per derivation
+        // would allocate 8 * Σ⌈i/64⌉ ≈ 1.06 MB; structural sharing measures
+        // 58 536 bytes (deterministic), so 64 KiB is the regression ceiling.
         let stats = SetStats::default();
-        let base = Arc::new(FutureSet::empty_in(SetRepr::Dense));
-        let grown = with_future(&base, f(1), &stats);
-        let m = merge(&base, &grown, &stats);
-        assert!(Arc::ptr_eq(&m, &grown), "subset scan still shares");
-        assert_eq!(stats.full_snapshot().lineage_hits, 0);
-        assert_eq!(stats.full_snapshot().tier_dense, 1);
-    }
-
-    #[test]
-    fn adaptive_allocates_fewer_bytes_on_growth_chains() {
-        // The tentpole in miniature: grow one set 4096 ids long in both
-        // families and compare cumulative payload bytes.
-        let mut bytes = [0u64; 2];
-        for (i, repr) in FAMILIES.into_iter().enumerate() {
-            let stats = SetStats::default();
-            let mut s = Arc::new(FutureSet::empty_in(repr));
-            for id in 0..4096u32 {
-                s = with_future(&s, f(id), &stats);
-            }
-            assert_eq!(s.len(), 4096);
-            bytes[i] = stats.snapshot().1;
+        let mut s = Arc::new(FutureSet::empty());
+        for id in 0..4096u32 {
+            s = with_future(&s, f(id), &stats);
         }
-        let (dense, adaptive) = (bytes[0], bytes[1]);
-        assert!(
-            adaptive * 4 <= dense,
-            "expected >=4x payload-byte reduction: adaptive {adaptive} vs dense {dense}"
-        );
+        assert_eq!(s.len(), 4096);
+        let bytes = stats.snapshot().1;
+        assert!(bytes <= 64 << 10, "growth-chain payload bytes: {bytes}");
     }
 }

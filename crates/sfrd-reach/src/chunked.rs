@@ -12,10 +12,10 @@
 //!   ([`AllocDelta::chunks_shared`]) and only the chunks an id actually
 //!   lands in are copy-on-written ([`AllocDelta::chunks_copied`]).
 //!
-//! This is the copy-on-write discipline the dense representation lacks:
-//! a dense `Box<[u64]>` set copies all `k/64` words on every derivation,
-//! while a chunked set derived from a shared ancestor pays `O(1)`
-//! amortized chunk bytes plus an `O(k/512)` pointer directory once per
+//! This is the copy-on-write discipline a flat bitmap lacks: a
+//! `Box<[u64]>` set copies all `k/64` words on every derivation, while a
+//! chunked set derived from a shared ancestor pays `O(1)` amortized chunk
+//! bytes plus an `O(k/512)` pointer directory once per
 //! `TAIL_CAP` derivations. Every operation reports its true allocation
 //! cost through [`AllocDelta`], which is what the Fig. 5 / `k_scaling`
 //! bytes-allocated accounting records.
@@ -580,7 +580,7 @@ mod tests {
     #[test]
     fn kernel_op_tallies_match_across_kernels() {
         let mut variants = vec![Kernel::Scalar];
-        let auto = crate::kernels::KernelKind::Auto.resolve();
+        let auto = Kernel::default();
         if auto != Kernel::Scalar {
             variants.push(auto);
         }

@@ -16,15 +16,14 @@
 //!   ops per chunk), compiled with `#[target_feature(enable = "avx2")]`
 //!   so it is vector code even on the default target.
 //!
-//! Dispatch is resolved **once**: [`KernelKind`] is the user-facing
-//! switch (`DriveConfig.kernels` / `--kernels scalar|auto`), and
-//! [`KernelKind::resolve`] turns it into a concrete [`Kernel`] using
-//! one-time runtime feature detection (`is_x86_feature_detected!`,
-//! cached in an atomic). The resolved `Kernel` is a `Copy` byte stored in
-//! the engine's [`SetStats`](crate::bitmap::SetStats), so the hot loops
-//! branch on a register value, never re-detect, and every engine can be
-//! pinned to a different kernel in the same process (the differential
-//! suites rely on that).
+//! Dispatch is resolved **once**, by the code rather than by the user:
+//! [`Kernel::default`] picks the AVX2 path when one-time runtime feature
+//! detection (`is_x86_feature_detected!`, cached in an atomic) finds it,
+//! and the scalar loops otherwise — they are the only path on a CPU
+//! without AVX2. The resolved `Kernel` is a `Copy` byte stored in the
+//! engine's [`SetStats`](crate::bitmap::SetStats), so the hot loops branch
+//! on a register value and never re-detect; the differential suites pin
+//! [`Kernel::Scalar`] on one engine to check it against the detected one.
 //!
 //! One primitive intentionally shares a single implementation across
 //! kernels: `iter_set_bits` — bit extraction is a serial
@@ -78,18 +77,8 @@ pub enum Merge512 {
     Fresh(ChunkWords, u32),
 }
 
-/// User-facing kernel selection (`DriveConfig.kernels`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
-    /// Force the scalar `[u64; 8]` lane loops (ablation baseline).
-    Scalar,
-    /// Use the best kernel the CPU supports (AVX2 when detected).
-    #[default]
-    Auto,
-}
-
-/// A resolved, concrete kernel. Obtained via [`KernelKind::resolve`];
-/// `Default` resolves `Auto` on the running CPU.
+/// A concrete kernel. `Default` is the best one the running CPU supports
+/// (AVX2 when detected, else scalar).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Autovectorizable scalar lane loops.
@@ -98,19 +87,9 @@ pub enum Kernel {
     Avx2,
 }
 
-impl KernelKind {
-    /// Resolve to a concrete kernel, detecting CPU features once.
-    pub fn resolve(self) -> Kernel {
-        match self {
-            KernelKind::Scalar => Kernel::Scalar,
-            KernelKind::Auto => detected(),
-        }
-    }
-}
-
 impl Default for Kernel {
     fn default() -> Self {
-        KernelKind::Auto.resolve()
+        detected()
     }
 }
 
@@ -557,8 +536,8 @@ mod tests {
 
     fn kernels() -> Vec<Kernel> {
         let mut v = vec![Kernel::Scalar];
-        if KernelKind::Auto.resolve() != Kernel::Scalar {
-            v.push(KernelKind::Auto.resolve());
+        if Kernel::default() != Kernel::Scalar {
+            v.push(Kernel::default());
         }
         v
     }
@@ -682,12 +661,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_consistently() {
-        let first = KernelKind::Auto.resolve();
+    fn detection_resolves_consistently() {
+        let first = Kernel::default();
         for _ in 0..4 {
-            assert_eq!(KernelKind::Auto.resolve(), first);
+            assert_eq!(Kernel::default(), first);
         }
-        assert_eq!(KernelKind::Scalar.resolve(), Kernel::Scalar);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             assert_eq!(first, Kernel::Avx2);

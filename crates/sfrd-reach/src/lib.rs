@@ -45,9 +45,9 @@ pub mod sf_order;
 pub mod sp_order;
 
 pub use arena::NodeArena;
-pub use bitmap::{FutureSet, SetRepr, SetStats, SetStatsSnapshot};
+pub use bitmap::{FutureSet, SetStats, SetStatsSnapshot};
 pub use f_order::{FoReach, FoStrand};
-pub use kernels::{Kernel, KernelKind, Merge512};
+pub use kernels::{Kernel, Merge512};
 pub use multibags::{MbPos, MbReach, MbStrand};
 pub use sf_order::{SfPos, SfReach, SfStrand};
 pub use sp_order::{SpOrder, SpPos, SpTask, StrandPos};

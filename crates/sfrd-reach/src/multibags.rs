@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use sfrd_dag::FutureId;
 
-use crate::bitmap::{merge, with_future, FutureSet, SetRepr, SetStats};
+use crate::bitmap::{merge, with_future, FutureSet, SetStats};
 
 /// A union-find element: one per task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,26 +153,15 @@ pub struct MbReach {
 }
 
 impl MbReach {
-    /// New engine with the default (adaptive) set representation; returns
-    /// the root task's frame.
+    /// New engine; returns the root task's frame.
     pub fn new() -> (Self, MbStrand) {
-        Self::with_repr(SetRepr::default())
-    }
-
-    /// New engine with an explicit `cp`/`gp` set-representation family.
-    pub fn with_repr(repr: SetRepr) -> (Self, MbStrand) {
-        Self::with_config(repr, crate::kernels::KernelKind::default())
-    }
-
-    /// New engine with an explicit set family and chunk-kernel selection.
-    pub fn with_config(repr: SetRepr, kernels: crate::kernels::KernelKind) -> (Self, MbStrand) {
         let mut uf = UnionFind::default();
         let e0 = uf.singleton(Kind::S);
-        let empty = Arc::new(FutureSet::empty_in(repr));
+        let empty = Arc::new(FutureSet::empty());
         let engine = Self {
             uf,
             next_future: 1,
-            stats: SetStats::with_kernel(kernels),
+            stats: SetStats::default(),
         };
         let root = MbStrand {
             elem: e0,

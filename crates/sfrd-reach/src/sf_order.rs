@@ -38,8 +38,8 @@ use sfrd_dag::FutureId;
 use sfrd_om::OmBackend;
 
 use crate::arena::NodeArena;
-use crate::bitmap::{merge, with_future, FutureSet, SetRepr, SetStats};
-use crate::kernels::KernelKind;
+use crate::bitmap::{merge, with_future, FutureSet, SetStats};
+use crate::kernels::Kernel;
 use crate::sp_order::{SpOrder, SpTask, StrandPos};
 
 /// SF-Order's access-history key (shared across engines).
@@ -97,38 +97,31 @@ pub struct SfReach {
 }
 
 impl SfReach {
-    /// New engine with the default (adaptive) set representation; returns
-    /// the root task's strand (future 0).
+    /// New engine on the default order-maintenance backend; returns the
+    /// root task's strand (future 0).
     pub fn new() -> (Self, SfStrand) {
-        Self::with_repr(SetRepr::default())
+        Self::with_backend(OmBackend::default())
     }
 
-    /// New engine with an explicit `cp`/`gp` set-representation family
-    /// (the dense baseline is kept for the `set_repr` ablation and
-    /// differential testing).
-    pub fn with_repr(repr: SetRepr) -> (Self, SfStrand) {
-        Self::with_config(repr, KernelKind::default())
+    /// New engine on an explicit order-maintenance backend.
+    pub fn with_backend(om_backend: OmBackend) -> (Self, SfStrand) {
+        Self::build(om_backend, Kernel::default())
     }
 
-    /// New engine with an explicit set family and chunk-kernel selection
-    /// (on the default order-maintenance backend).
-    pub fn with_config(repr: SetRepr, kernels: KernelKind) -> (Self, SfStrand) {
-        Self::with_config_om(repr, kernels, OmBackend::default())
+    /// New engine whose chunk kernels are pinned instead of detected — the
+    /// differential suites' handle for checking [`Kernel::Scalar`] against
+    /// the detected kernel. Not reachable from any configuration.
+    pub fn with_kernel(kernel: Kernel) -> (Self, SfStrand) {
+        Self::build(OmBackend::default(), kernel)
     }
 
-    /// New engine with explicit set family, chunk kernels, and
-    /// order-maintenance backend.
-    pub fn with_config_om(
-        repr: SetRepr,
-        kernels: KernelKind,
-        om_backend: OmBackend,
-    ) -> (Self, SfStrand) {
+    fn build(om_backend: OmBackend, kernel: Kernel) -> (Self, SfStrand) {
         let (sp, task) = SpOrder::with_backend(om_backend);
-        let empty = Arc::new(FutureSet::empty_in(repr));
+        let empty = Arc::new(FutureSet::empty());
         let engine = Self {
             sp,
             next_future: AtomicU32::new(1),
-            stats: SetStats::with_kernel(kernels),
+            stats: SetStats::with_kernel(kernel),
             nodes: NodeArena::new(),
         };
         engine.nodes.set(
@@ -427,7 +420,7 @@ mod tests {
         eng.task_end(&mut f);
         eng.get(&mut root, &f);
         assert!(eng.heap_bytes() > 0);
-        // Tiny adaptive sets live in the inline tier: allocations are
+        // Tiny sets live in the inline tier: allocations are
         // counted but their payload is heap-free.
         let snap = eng.set_stats().full_snapshot();
         assert!(snap.allocations >= 1 && snap.tier_inline >= 1);

@@ -1,5 +1,5 @@
 //! Differential property tests: the scalar 512-bit chunk kernels against
-//! the auto-dispatched SIMD kernels.
+//! the detected (SIMD when available) kernels.
 //!
 //! Three layers, each asserting **bit-identical results** and — where an
 //! engine is involved — **identical `SetStats` counters**:
@@ -13,11 +13,11 @@
 //!   *total* kernel-op tally — only which counter absorbs it differs
 //!   (`kernel_scalar_calls` vs `kernel_simd_calls`, the counting-parity
 //!   invariant documented in `kernels.rs`);
-//! * lockstep `SfReach` engines (`with_config(Adaptive, Scalar)` vs
-//!   `(Adaptive, Auto)`): identical reachability verdicts, retained `gp`
-//!   sets, and stats.
+//! * lockstep `SfReach` engines (`with_kernel(Kernel::Scalar)` vs
+//!   `with_kernel(Kernel::default())`): identical reachability verdicts,
+//!   retained `gp` sets, and stats.
 //!
-//! On hardware without AVX2 the Auto side resolves to Scalar and every
+//! On hardware without AVX2 the detected side resolves to Scalar and every
 //! property holds trivially; the suites stay meaningful either way.
 
 use std::sync::Arc;
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use sfrd_dag::FutureId;
 use sfrd_reach::bitmap::{merge, FutureSet, SetStats, SetStatsSnapshot};
 use sfrd_reach::kernels::{set_bits512, ChunkWords};
-use sfrd_reach::{Kernel, KernelKind, SetRepr, SfReach, SfStrand};
+use sfrd_reach::{Kernel, SfReach, SfStrand};
 
 fn ids(set: &FutureSet) -> Vec<u32> {
     set.iter().map(|f| f.index() as u32).collect()
@@ -56,7 +56,6 @@ fn assert_stats_parity(s: &SetStatsSnapshot, a: &SetStatsSnapshot) {
     assert_eq!(s.tier_inline, a.tier_inline);
     assert_eq!(s.tier_sparse, a.tier_sparse);
     assert_eq!(s.tier_chunked, a.tier_chunked);
-    assert_eq!(s.tier_dense, a.tier_dense);
     assert_eq!(s.chunks_shared, a.chunks_shared);
     assert_eq!(s.chunks_copied, a.chunks_copied);
     assert_eq!(s.lineage_hits, a.lineage_hits);
@@ -65,12 +64,11 @@ fn assert_stats_parity(s: &SetStatsSnapshot, a: &SetStatsSnapshot) {
         a.kernel_simd_calls + a.kernel_scalar_calls,
         "total kernel-op tallies diverge"
     );
-    // A Scalar-pinned engine must never touch the SIMD counter; an Auto
-    // engine that resolved to a vector kernel must never touch the
-    // scalar one.
+    // A Scalar-pinned engine must never touch the SIMD counter; an
+    // engine on a detected vector kernel must never touch the scalar one.
     assert_eq!(s.kernel_simd_calls, 0, "scalar engine counted SIMD calls");
-    if KernelKind::Auto.resolve() != Kernel::Scalar {
-        assert_eq!(a.kernel_scalar_calls, 0, "auto engine counted scalar calls");
+    if Kernel::default() != Kernel::Scalar {
+        assert_eq!(a.kernel_scalar_calls, 0, "simd engine counted scalar calls");
     }
 }
 
@@ -81,7 +79,7 @@ proptest! {
     #[test]
     fn chunk_primitives_agree(seeds in proptest::collection::vec(any::<u64>(), 1..32)) {
         let scalar = Kernel::Scalar;
-        let auto = KernelKind::Auto.resolve();
+        let auto = Kernel::default();
         for &seed in &seeds {
             let a = chunk_from(seed);
             let b = chunk_from(seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1));
@@ -154,12 +152,12 @@ proptest! {
     fn set_ops_agree_across_kernels(
         codes in proptest::collection::vec(any::<u64>(), 1..200)
     ) {
-        let stats_s = SetStats::with_kernel(KernelKind::Scalar);
-        let stats_a = SetStats::with_kernel(KernelKind::Auto);
+        let stats_s = SetStats::with_kernel(Kernel::Scalar);
+        let stats_a = SetStats::with_kernel(Kernel::default());
         let ks = stats_s.kernel();
         let ka = stats_a.kernel();
-        let mut sets_s = vec![Arc::new(FutureSet::empty_in(SetRepr::Adaptive))];
-        let mut sets_a = vec![Arc::new(FutureSet::empty_in(SetRepr::Adaptive))];
+        let mut sets_s = vec![Arc::new(FutureSet::empty())];
+        let mut sets_a = vec![Arc::new(FutureSet::empty())];
         for &c in &codes {
             let id = FutureId(((c >> 2) & 0x7FF) as u32); // ids in [0, 2048)
             let i = ((c >> 12) as usize) % sets_s.len();
@@ -211,7 +209,7 @@ struct Pair {
 }
 
 /// Minimal lockstep interpreter over two kernel-pinned `SfReach` engines
-/// (the heavier dag-shape exploration lives in `set_differential.rs` and
+/// (the heavier dag-shape exploration lives in `oracle_props.rs` and
 /// `tests/stress_equivalence.rs`; this one aims kernels at long get
 /// chains, the chunked-set hot case).
 struct Machine {
@@ -223,8 +221,8 @@ struct Machine {
 
 impl Machine {
     fn new() -> Self {
-        let (eng_s, root_s) = SfReach::with_config(SetRepr::Adaptive, KernelKind::Scalar);
-        let (eng_a, root_a) = SfReach::with_config(SetRepr::Adaptive, KernelKind::Auto);
+        let (eng_s, root_s) = SfReach::with_kernel(Kernel::Scalar);
+        let (eng_a, root_a) = SfReach::with_kernel(Kernel::default());
         Self {
             eng_s,
             eng_a,

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use sfrd_dag::FutureId;
-use sfrd_reach::bitmap::{merge, with_future, FutureSet, SetRepr};
+use sfrd_reach::bitmap::{merge, with_future, FutureSet};
 use sfrd_reach::SetStats;
 use sfrd_runtime::model::{self, Config};
 
@@ -31,7 +31,7 @@ fn concurrent_derivations_never_fake_an_ordering() {
     };
     let report = model::explore(cfg, || {
         let stats = Arc::new(SetStats::default());
-        let parent = Arc::new(FutureSet::singleton_in(FutureId(1), SetRepr::Adaptive));
+        let parent = Arc::new(FutureSet::singleton(FutureId(1)));
 
         let spawn_child = |add: u32| {
             let parent = Arc::clone(&parent);

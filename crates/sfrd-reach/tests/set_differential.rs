@@ -1,185 +1,20 @@
-//! Differential property test: SF-Order on the adaptive
-//! inline/sparse/chunked `cp`/`gp` sets against the dense bitmap
-//! baseline, under arbitrary structured-future interleavings.
+//! Differential property test: raw `FutureSet` operations against a
+//! `BTreeSet<u32>` reference model.
 //!
-//! Each case decodes a `Vec<u64>` into a sequence of `create` / `spawn` /
-//! `sync` / `get` operations and drives the *same* sequence through two
-//! `SfReach` engines, one per set family. The properties:
-//!
-//! * every reachability verdict (`precedes` for every recorded position
-//!   against every surviving strand) is identical,
-//! * the retained `gp` sets are identical (iteration order, membership,
-//!   and length),
-//! * `is_subset` agrees in both directions across every pair of retained
-//!   sets,
-//! * the merge discipline takes the same decisions: the cumulative
-//!   `allocations` and `merges` counters match exactly (sharing verdicts
-//!   depend only on set contents, never on the representation).
-//!
-//! A second property drives raw `FutureSet` operations (with / union /
-//! contains / subset / iter) through both families directly.
+//! Each case decodes a `Vec<u64>` into a sequence of `with` / `merge` /
+//! `union` derivations over a pool of sets (crossing the inline, sparse
+//! and chunked tiers) and applies the same sequence to the model. After
+//! every step the derived set must agree with the model on `len`,
+//! `contains`, `iter` (ascending members) and `is_subset` in both
+//! directions. (`SfReach` itself is checked against `sfrd-dag`'s exact
+//! oracle in `oracle_props.rs`.)
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use sfrd_dag::FutureId;
 use sfrd_reach::bitmap::{merge, FutureSet, SetStats};
-use sfrd_reach::{SetRepr, SfReach, SfStrand};
-
-/// One strand in both engines; the two engines evolve in lockstep so
-/// index-wise pairing is an isomorphism between their dags.
-struct Pair {
-    d: SfStrand,
-    a: SfStrand,
-}
-
-/// A task frame: the task's main strand plus its un-synced spawned
-/// children (same future — `sync` requires it).
-struct Frame {
-    strand: Pair,
-    spawned: Vec<Pair>,
-}
-
-/// Both engines plus the interpreter state shared between them.
-struct Machine {
-    eng_d: SfReach,
-    eng_a: SfReach,
-    /// Task stack: `stack[0]` is the root task, the top is the innermost
-    /// in-flight future.
-    stack: Vec<Frame>,
-    /// Final strands of completed (ended) futures, gettable at will.
-    done: Vec<Pair>,
-    /// Recorded `(dense_pos, adaptive_pos)` probes for verdict replay.
-    probes: Vec<(sfrd_reach::SfPos, sfrd_reach::SfPos)>,
-}
-
-const MAX_DEPTH: usize = 12;
-const MAX_FUTURES: u32 = 64;
-const MAX_PROBES: usize = 128;
-
-impl Machine {
-    fn new() -> Self {
-        let (eng_d, root_d) = SfReach::with_repr(SetRepr::Dense);
-        let (eng_a, root_a) = SfReach::with_repr(SetRepr::Adaptive);
-        Self {
-            eng_d,
-            eng_a,
-            stack: vec![Frame {
-                strand: Pair {
-                    d: root_d,
-                    a: root_a,
-                },
-                spawned: Vec::new(),
-            }],
-            done: Vec::new(),
-            probes: Vec::new(),
-        }
-    }
-
-    fn probe_top(&mut self) {
-        if self.probes.len() < MAX_PROBES {
-            let top = self.stack.last().unwrap();
-            self.probes.push((top.strand.d.pos(), top.strand.a.pos()));
-        }
-    }
-
-    /// `create`: push a fresh future task as the new innermost frame.
-    fn create(&mut self) {
-        if self.stack.len() >= MAX_DEPTH || self.eng_d.future_count() >= MAX_FUTURES {
-            return self.spawn();
-        }
-        let top = self.stack.last_mut().unwrap();
-        let child = Pair {
-            d: self.eng_d.create(&mut top.strand.d),
-            a: self.eng_a.create(&mut top.strand.a),
-        };
-        self.stack.push(Frame {
-            strand: child,
-            spawned: Vec::new(),
-        });
-        self.probe_top();
-    }
-
-    /// `spawn`: add an un-synced child strand to the innermost frame.
-    fn spawn(&mut self) {
-        let top = self.stack.last_mut().unwrap();
-        if top.spawned.len() >= 8 {
-            return;
-        }
-        let child = Pair {
-            d: self.eng_d.spawn(&mut top.strand.d),
-            a: self.eng_a.spawn(&mut top.strand.a),
-        };
-        if self.probes.len() < MAX_PROBES {
-            self.probes.push((child.d.pos(), child.a.pos()));
-        }
-        top.spawned.push(child);
-    }
-
-    /// `sync`: join one spawned child of the innermost frame (merges the
-    /// child's `gp`).
-    fn sync_one(&mut self) {
-        let top = self.stack.last_mut().unwrap();
-        let Some(child) = top.spawned.pop() else {
-            return;
-        };
-        self.eng_d.sync(&mut top.strand.d, [&child.d]);
-        self.eng_a.sync(&mut top.strand.a, [&child.a]);
-        self.probe_top();
-    }
-
-    /// End the innermost future (joining its leftover spawns first) and
-    /// `get` it from its creator.
-    fn end_and_get(&mut self) {
-        if self.stack.len() < 2 {
-            return self.get_done(0);
-        }
-        while self.stack.last().is_some_and(|f| !f.spawned.is_empty()) {
-            self.sync_one();
-        }
-        let mut frame = self.stack.pop().unwrap();
-        self.eng_d.task_end(&mut frame.strand.d);
-        self.eng_a.task_end(&mut frame.strand.a);
-        let parent = self.stack.last_mut().unwrap();
-        self.eng_d.get(&mut parent.strand.d, &frame.strand.d);
-        self.eng_a.get(&mut parent.strand.a, &frame.strand.a);
-        self.done.push(frame.strand);
-        self.probe_top();
-    }
-
-    /// Re-`get` an already-completed future from the innermost strand —
-    /// exercises merges between arbitrarily diverged `gp` sets.
-    fn get_done(&mut self, pick: usize) {
-        if self.done.is_empty() {
-            return;
-        }
-        let f = &self.done[pick % self.done.len()];
-        let top = self.stack.last_mut().unwrap();
-        self.eng_d.get(&mut top.strand.d, &f.d);
-        self.eng_a.get(&mut top.strand.a, &f.a);
-        self.probe_top();
-    }
-
-    fn step(&mut self, code: u64) {
-        match code % 8 {
-            0 | 1 => self.create(),
-            2 | 3 => self.spawn(),
-            4 => self.sync_one(),
-            5 | 6 => self.end_and_get(),
-            _ => self.get_done((code >> 3) as usize),
-        }
-    }
-
-    /// Drain the stack so every future completes and is gotten.
-    fn finish(&mut self) {
-        while self.stack.len() > 1 {
-            self.end_and_get();
-        }
-        while !self.stack[0].spawned.is_empty() {
-            self.sync_one();
-        }
-    }
-}
 
 fn ids(set: &FutureSet) -> Vec<u32> {
     set.iter().map(|f| f.index() as u32).collect()
@@ -188,104 +23,49 @@ fn ids(set: &FutureSet) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..Default::default() })]
 
-    /// Lockstep SF-Order engines: verdicts, retained sets, and merge
-    /// decisions must be representation-independent.
     #[test]
-    fn families_give_identical_verdicts_and_sets(
-        codes in proptest::collection::vec(any::<u64>(), 1..300)
-    ) {
-        let mut m = Machine::new();
-        for &c in &codes {
-            m.step(c);
-        }
-        m.finish();
-        prop_assert_eq!(m.eng_d.future_count(), m.eng_a.future_count());
-
-        // Retained gp sets: identical membership and iteration order.
-        let k = m.eng_d.future_count();
-        let mut gps: Vec<(&SfStrand, &SfStrand)> = vec![(&m.stack[0].strand.d, &m.stack[0].strand.a)];
-        for p in &m.done {
-            gps.push((&p.d, &p.a));
-        }
-        for (d, a) in &gps {
-            prop_assert_eq!(ids(d.gp()), ids(a.gp()));
-            prop_assert_eq!(d.gp().len(), a.gp().len());
-            for f in 0..k {
-                prop_assert_eq!(d.gp().contains(FutureId(f)), a.gp().contains(FutureId(f)));
-            }
-        }
-
-        // Subset verdicts agree across every pair of retained sets.
-        for (d1, a1) in &gps {
-            for (d2, a2) in &gps {
-                prop_assert_eq!(
-                    d1.gp().is_subset(d2.gp()),
-                    a1.gp().is_subset(a2.gp()),
-                );
-            }
-        }
-
-        // Reachability verdicts: every recorded probe against every
-        // surviving strand.
-        for &(pd, pa) in &m.probes {
-            for (d, a) in &gps {
-                prop_assert_eq!(
-                    m.eng_d.precedes(pd, d),
-                    m.eng_a.precedes(pa, a),
-                    "verdict diverges for probe {:?}/{:?}", pd, pa
-                );
-            }
-        }
-
-        // The merge discipline is content-driven: both families must have
-        // taken the same share-vs-union decisions.
-        let sd = m.eng_d.set_stats().full_snapshot();
-        let sa = m.eng_a.set_stats().full_snapshot();
-        prop_assert_eq!(sd.allocations, sa.allocations, "allocation counts diverge");
-        prop_assert_eq!(sd.merges, sa.merges, "merge counts diverge");
-    }
-
-    /// Raw set-operation differential: the same op sequence applied to
-    /// both families yields identical sets at every step.
-    #[test]
-    fn raw_set_ops_agree(
+    fn raw_set_ops_match_btreeset(
         codes in proptest::collection::vec(any::<u64>(), 1..200)
     ) {
         let stats = SetStats::default();
-        let mut dense = vec![Arc::new(FutureSet::empty_in(SetRepr::Dense))];
-        let mut adapt = vec![Arc::new(FutureSet::empty_in(SetRepr::Adaptive))];
+        let mut sets = vec![Arc::new(FutureSet::empty())];
+        let mut model: Vec<BTreeSet<u32>> = vec![BTreeSet::new()];
         for &c in &codes {
             let id = FutureId(((c >> 2) & 0x3FF) as u32); // ids in [0, 1024)
-            let i = ((c >> 12) as usize) % dense.len();
-            let j = ((c >> 32) as usize) % dense.len();
-            let (nd, na) = match c & 0b11 {
+            let i = ((c >> 12) as usize) % sets.len();
+            let j = ((c >> 32) as usize) % sets.len();
+            let (ns, nm) = match c & 0b11 {
                 // Derive: add one id.
-                0 | 1 => (
-                    Arc::new(dense[i].with(id)),
-                    Arc::new(adapt[i].with(id)),
-                ),
+                0 | 1 => {
+                    let mut m = model[i].clone();
+                    m.insert(id.0);
+                    (Arc::new(sets[i].with(id)), m)
+                }
                 // Merge two existing sets through the §3.4 discipline.
                 2 => (
-                    merge(&dense[i], &dense[j], &stats),
-                    merge(&adapt[i], &adapt[j], &stats),
+                    merge(&sets[i], &sets[j], &stats),
+                    &model[i] | &model[j],
                 ),
                 // Union via the counting entry point.
                 _ => (
-                    Arc::new(dense[i].union(&dense[j])),
-                    Arc::new(adapt[i].union(&adapt[j])),
+                    Arc::new(sets[i].union(&sets[j])),
+                    &model[i] | &model[j],
                 ),
             };
-            prop_assert_eq!(nd.len(), na.len());
-            prop_assert_eq!(nd.contains(id), na.contains(id));
-            prop_assert_eq!(ids(&nd), ids(&na));
-            prop_assert_eq!(nd.is_subset(&dense[i]), na.is_subset(&adapt[i]));
-            prop_assert_eq!(dense[i].is_subset(&nd), adapt[i].is_subset(&na));
-            if dense.len() < 24 {
-                dense.push(nd);
-                adapt.push(na);
+            prop_assert_eq!(ns.len(), nm.len());
+            prop_assert_eq!(ns.is_empty(), nm.is_empty());
+            prop_assert_eq!(ns.contains(id), nm.contains(&id.0));
+            prop_assert_eq!(ids(&ns), nm.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(ns.is_subset(&sets[i]), nm.is_subset(&model[i]));
+            prop_assert_eq!(sets[i].is_subset(&ns), model[i].is_subset(&nm));
+            prop_assert_eq!(ns.is_subset(&sets[j]), nm.is_subset(&model[j]));
+            prop_assert_eq!(sets[j].is_subset(&ns), model[j].is_subset(&nm));
+            if sets.len() < 24 {
+                sets.push(ns);
+                model.push(nm);
             } else {
-                dense[i] = nd;
-                adapt[i] = na;
+                sets[i] = ns;
+                model[i] = nm;
             }
         }
     }

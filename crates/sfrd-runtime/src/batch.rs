@@ -14,19 +14,17 @@
 //! * at a **size cap**, so an access-heavy strand cannot defer unbounded
 //!   work.
 //!
-//! Soundness is the same argument as the older per-access
-//! `sfrd-core::fastpath` filter, generalized: all accesses in a batch were
-//! issued at one dag position (the filter and the flush points guarantee
-//! it), so flushing them together is just executing the same accesses
-//! under an adjacent legal schedule of the same dag — and determinacy
-//! races are a property of the dag, not of the schedule.
+//! Soundness: all accesses in a batch were issued at one dag position
+//! (the filter and the flush points guarantee it), so flushing them
+//! together is just executing the same accesses under an adjacent legal
+//! schedule of the same dag — and determinacy races are a property of the
+//! dag, not of the schedule.
 //!
 //! Within a batch the buffer **write-combines**: a repeat access to an
 //! address already buffered (or already flushed at this position) with the
 //! same or weaker kind is dropped — it could neither change the access
-//! history nor produce a new race, exactly the fast-path invariant. A read
-//! followed by a first write to the same address keeps both entries in
-//! program order.
+//! history nor produce a new race. A read followed by a first write to the
+//! same address keeps both entries in program order.
 //!
 //! The batch also carries the strand's [`VerdictCache`] — the
 //! seqlock-style writer-epoch cache the detector's flush path uses to skip
@@ -46,8 +44,7 @@ pub struct BatchedAccess {
     pub is_write: bool,
 }
 
-/// Dedup-filter ways (direct-mapped, power of two). Same geometry as the
-/// original fastpath filter.
+/// Dedup-filter ways (direct-mapped, power of two).
 const FILTER_WAYS: usize = 256;
 
 /// Verdict-cache ways (direct-mapped, power of two).
@@ -277,8 +274,8 @@ impl BatchStats {
 /// [`TaskHooks::on_access_batch`] at strand boundaries and at the size
 /// cap. Detectors that don't override the batch hook get the default
 /// replay and behave exactly as if unwrapped (minus filtered repeats);
-/// detectors that do (sfrd-core's unified event sink) process the whole
-/// batch under one shadow-shard lock per touched shard.
+/// detectors that do (sfrd-core's unified event sink) replay the whole
+/// batch through one shadow page cursor.
 pub struct Batched<H> {
     inner: H,
     cap: usize,

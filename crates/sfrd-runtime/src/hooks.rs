@@ -58,7 +58,7 @@ pub trait TaskHooks: Sync + Send + 'static {
     /// [`on_read`](Self::on_read)/[`on_write`](Self::on_write), so
     /// detectors that never heard of batching behave identically under
     /// the pipeline; batch-aware detectors override this with a bulk path
-    /// (e.g. one shadow-shard lock per touched shard).
+    /// (e.g. one shadow page cursor for the whole batch).
     fn on_access_batch(&self, s: &mut Self::Strand, batch: &mut crate::batch::AccessBatch) {
         batch.replay(|addr, is_write| {
             if is_write {

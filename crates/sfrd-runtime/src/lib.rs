@@ -46,7 +46,7 @@ pub mod sync;
 
 pub use batch::{AccessBatch, BatchStats, BatchStrand, Batched, BatchedAccess, VerdictCache};
 pub use hooks::{Cx, NullHooks, TaskHooks};
-pub use parallel::{FutureHandle, ParCtx, PoolStats, Runtime, SchedBackend};
+pub use parallel::{FutureHandle, ParCtx, PoolStats, Runtime};
 pub use sequential::{run_sequential, SeqCtx, SeqHandle};
 
 /// How to execute a program under test.

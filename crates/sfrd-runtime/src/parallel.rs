@@ -13,9 +13,7 @@
 //! acquisitions**: local deques are Chase-Lev, root jobs ride the lock-free
 //! segment-queue [`crate::injector`], and sleeping is an eventcount
 //! (announce → epoch snapshot → rescan → sleep-if-unchanged) whose mutex is
-//! touched only when a worker actually runs out of work. The retired
-//! `Mutex<VecDeque>` queues survive as [`SchedBackend::MutexDeque`], the
-//! baseline arm of the `sched_deque` ablation.
+//! touched only when a worker actually runs out of work.
 //!
 //! Scoped soundness: [`Runtime::run`] does not return until the global
 //! pending-job count reaches zero — including *escaping futures* that
@@ -23,7 +21,6 @@
 //! the caller's stack (`'env`). Internally job boxes erase that lifetime;
 //! the quiescence barrier is what makes the erasure sound.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -31,10 +28,9 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::chase_lev::{Steal, Stealer as LevStealer, Worker as LevWorker};
+use crate::chase_lev::{Steal, Stealer, Worker};
 use crate::hooks::{Cx, TaskHooks};
-use crate::injector::Injector as LevInjector;
-use crate::sync::Mutex as CensusMutex;
+use crate::injector::Injector;
 
 /// A ready task. Lifetime-erased; see module docs.
 type Job<H> = Box<dyn FnOnce(&WorkerCore<H>) + Send>;
@@ -42,133 +38,10 @@ type Job<H> = Box<dyn FnOnce(&WorkerCore<H>) + Send>;
 /// A ready task still carrying its scope lifetime (pre-erasure).
 type ScopedJob<'scope, H> = Box<dyn FnOnce(&WorkerCore<H>) + Send + 'scope>;
 
-/// Which queue implementation backs the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedBackend {
-    /// Lock-free Chase-Lev deques + segment-queue injector (default).
-    #[default]
-    ChaseLev,
-    /// `Mutex<VecDeque>` queues — the semantics of the retired vendored
-    /// crossbeam-deque stand-in, kept as the `sched_deque` ablation
-    /// baseline. Uses the census-counted [`crate::sync::Mutex`], so the
-    /// model checker can demonstrate the lock-op contrast.
-    MutexDeque,
-}
-
-impl SchedBackend {
-    /// Short label used in benchmark output ("lev" / "mutex").
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedBackend::ChaseLev => "lev",
-            SchedBackend::MutexDeque => "mutex",
-        }
-    }
-
-    /// Parse a benchmark flag value ("lev" / "mutex").
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "lev" | "chase-lev" | "chase_lev" => Some(SchedBackend::ChaseLev),
-            "mutex" | "mutex-deque" | "mutex_deque" => Some(SchedBackend::MutexDeque),
-            _ => None,
-        }
-    }
-}
-
-/// The ablation baseline: a locked VecDeque usable as local deque (LIFO
-/// owner end), stealer (FIFO cold end), or injector (FIFO).
-struct MutexQueue<T> {
-    q: CensusMutex<VecDeque<T>>,
-}
-
-impl<T> MutexQueue<T> {
-    fn new() -> Self {
-        Self {
-            q: CensusMutex::new(VecDeque::new()),
-        }
-    }
-
-    fn push_back(&self, v: T) {
-        self.q.lock().push_back(v);
-    }
-
-    fn pop_back(&self) -> Option<T> {
-        self.q.lock().pop_back()
-    }
-
-    fn pop_front(&self) -> Option<T> {
-        self.q.lock().pop_front()
-    }
-}
-
-/// A worker's own queue end: LIFO push/pop.
-enum LocalQueue<T> {
-    Lev(LevWorker<T>),
-    Mutex(Arc<MutexQueue<T>>),
-}
-
-impl<T> LocalQueue<T> {
-    fn push(&self, v: T) {
-        match self {
-            LocalQueue::Lev(w) => w.push(v),
-            LocalQueue::Mutex(q) => q.push_back(v),
-        }
-    }
-
-    fn pop(&self) -> Option<T> {
-        match self {
-            LocalQueue::Lev(w) => w.pop(),
-            LocalQueue::Mutex(q) => q.pop_back(),
-        }
-    }
-}
-
-/// A thief's handle to some worker's queue: FIFO steals.
-enum AnyStealer<T> {
-    Lev(LevStealer<T>),
-    Mutex(Arc<MutexQueue<T>>),
-}
-
-impl<T> AnyStealer<T> {
-    fn steal(&self) -> Steal<T> {
-        match self {
-            AnyStealer::Lev(s) => s.steal(),
-            AnyStealer::Mutex(q) => match q.pop_front() {
-                Some(v) => Steal::Success(v),
-                None => Steal::Empty,
-            },
-        }
-    }
-}
-
-/// The shared root-job queue.
-enum AnyInjector<T> {
-    Lev(LevInjector<T>),
-    Mutex(MutexQueue<T>),
-}
-
-impl<T> AnyInjector<T> {
-    fn push(&self, v: T) {
-        match self {
-            AnyInjector::Lev(q) => q.push(v),
-            AnyInjector::Mutex(q) => q.push_back(v),
-        }
-    }
-
-    fn steal(&self) -> Steal<T> {
-        match self {
-            AnyInjector::Lev(q) => q.steal(),
-            AnyInjector::Mutex(q) => match q.pop_front() {
-                Some(v) => Steal::Success(v),
-                None => Steal::Empty,
-            },
-        }
-    }
-}
-
 /// State shared by all workers and the scope owner.
 struct Shared<H: TaskHooks> {
-    injector: AnyInjector<Job<H>>,
-    stealers: Box<[AnyStealer<Job<H>>]>,
+    injector: Injector<Job<H>>,
+    stealers: Box<[Stealer<Job<H>>]>,
     /// Jobs pushed but not yet finished (queued + running).
     pending: AtomicUsize,
     /// Threads currently inside [`Shared::park_wait`].
@@ -273,13 +146,12 @@ impl<H: TaskHooks> Shared<H> {
 /// A worker's execution engine: its deque plus the shared state.
 pub struct WorkerCore<H: TaskHooks> {
     shared: Arc<Shared<H>>,
-    local: LocalQueue<Job<H>>,
+    local: Worker<Job<H>>,
     index: usize,
 }
 
 impl<H: TaskHooks> WorkerCore<H> {
-    /// Local pop, then injector, then round-robin steal. Entirely lock-free
-    /// on the [`SchedBackend::ChaseLev`] backend.
+    /// Local pop, then injector, then round-robin steal. Entirely lock-free.
     fn find_job(&self) -> Option<Job<H>> {
         if let Some(j) = self.local.pop() {
             return Some(j);
@@ -555,48 +427,15 @@ pub struct Runtime<H: TaskHooks> {
     threads: Vec<std::thread::JoinHandle<()>>,
     run_guard: Mutex<()>,
     workers: usize,
-    sched: SchedBackend,
 }
 
 impl<H: TaskHooks> Runtime<H> {
-    /// Spin up `workers` worker threads (`P` in the paper's bounds) on the
-    /// default lock-free scheduler.
+    /// Spin up `workers` worker threads (`P` in the paper's bounds).
     pub fn new(workers: usize) -> Self {
-        Self::with_sched(workers, SchedBackend::default())
-    }
-
-    /// Spin up `workers` worker threads on an explicit queue backend (the
-    /// `sched_deque` ablation switch).
-    pub fn with_sched(workers: usize, sched: SchedBackend) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        let (locals, stealers, injector) = match sched {
-            SchedBackend::ChaseLev => {
-                let ws: Vec<LocalQueue<Job<H>>> = (0..workers)
-                    .map(|_| LocalQueue::Lev(LevWorker::new()))
-                    .collect();
-                let st: Box<[_]> = ws
-                    .iter()
-                    .map(|w| match w {
-                        LocalQueue::Lev(w) => AnyStealer::Lev(w.stealer()),
-                        LocalQueue::Mutex(_) => unreachable!(),
-                    })
-                    .collect();
-                (ws, st, AnyInjector::Lev(LevInjector::new()))
-            }
-            SchedBackend::MutexDeque => {
-                let qs: Vec<Arc<MutexQueue<Job<H>>>> =
-                    (0..workers).map(|_| Arc::new(MutexQueue::new())).collect();
-                let ws = qs
-                    .iter()
-                    .map(|q| LocalQueue::Mutex(Arc::clone(q)))
-                    .collect();
-                let st: Box<[_]> = qs
-                    .iter()
-                    .map(|q| AnyStealer::Mutex(Arc::clone(q)))
-                    .collect();
-                (ws, st, AnyInjector::Mutex(MutexQueue::new()))
-            }
-        };
+        let locals: Vec<Worker<Job<H>>> = (0..workers).map(|_| Worker::new()).collect();
+        let stealers = locals.iter().map(Worker::stealer).collect();
+        let injector = Injector::new();
         let shared = Arc::new(Shared {
             injector,
             stealers,
@@ -633,18 +472,12 @@ impl<H: TaskHooks> Runtime<H> {
             threads,
             run_guard: Mutex::new(()),
             workers,
-            sched,
         }
     }
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The queue backend this pool runs on.
-    pub fn sched(&self) -> SchedBackend {
-        self.sched
     }
 
     /// Scheduler statistics over the pool's lifetime.
@@ -748,22 +581,6 @@ mod tests {
             rt.run(Arc::new(NullHooks), |ctx| fib(ctx, 15, &out));
             assert_eq!(out.load(Ordering::Relaxed), 610, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn fib_on_mutex_backend() {
-        fn fib<'s, C: Cx<'s>>(ctx: &mut C, n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let h = ctx.create(move |c| fib(c, n - 1));
-            let b = fib(ctx, n - 2);
-            ctx.get(h) + b
-        }
-        let rt: Runtime<NullHooks> = Runtime::with_sched(3, SchedBackend::MutexDeque);
-        assert_eq!(rt.sched(), SchedBackend::MutexDeque);
-        let out = rt.run(Arc::new(NullHooks), |ctx| fib(ctx, 14));
-        assert_eq!(out, 377);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Lock-free paged shadow memory with a zero-store redundant-read fast
-//! path — the [`ShadowBackend::Paged`](crate::ShadowBackend) store.
+//! path.
 //!
 //! ## Page-table layout (TSan-style direct mapping, no hashing)
 //!
@@ -23,17 +23,15 @@
 //!   is counted by `heap_bytes`);
 //! * each slot is **claimed by the first exact address** that touches its
 //!   8-byte span (the claim happens inside the slot's write section). The
-//!   history is keyed by *exact address*, just like the sharded backend's
-//!   hash maps: a second, different address falling into a claimed span —
-//!   only possible with sub-word addressing, which no instrumented
-//!   `ShadowArray`/`ShadowCell` produces — is diverted to the fallback
-//!   map, never merged into the owner's entry. Verdicts are therefore
-//!   backend-independent by construction;
+//!   history is keyed by *exact address*: a second, different address
+//!   falling into a claimed span — only possible with sub-word
+//!   addressing, which no instrumented `ShadowArray`/`ShadowCell`
+//!   produces — is diverted to the fallback map, never merged into the
+//!   owner's entry;
 //! * the fallback is one mutex-guarded hash map serving diverted
 //!   collisions and addresses at or above 2^47 — the only place this
-//!   backend ever takes a lock, which is exactly what
-//!   [`PagedHistory::lock_ops`] counts, so the metric stays comparable
-//!   with the sharded backend's shard-lock count.
+//!   store ever takes a lock, which is exactly what
+//!   [`PagedHistory::lock_ops`] counts.
 //!
 //! ## Per-slot packed word + seqlock write sections
 //!
@@ -208,11 +206,7 @@ impl<P: Copy> Slot<P> {
             packed: AtomicU64::new(0),
             owner: UnsafeCell::new(UNCLAIMED),
             mirror: UnsafeCell::new(Mirror::empty()),
-            entry: UnsafeCell::new(LocEntry {
-                writer: None,
-                readers: Readers::new(policy),
-                writer_seq: 0,
-            }),
+            entry: UnsafeCell::new(LocEntry::new(policy)),
         }
     }
 }
@@ -456,11 +450,7 @@ impl<P: Copy + Send> PagedHistory<P> {
         self.lock_ops.fetch_add(1, Ordering::Relaxed);
         let mut map = self.fallback.lock();
         let policy = self.policy;
-        let e = map.entry(addr).or_insert_with(|| LocEntry {
-            writer: None,
-            readers: Readers::new(policy),
-            writer_seq: 0,
-        });
+        let e = map.entry(addr).or_insert_with(|| LocEntry::new(policy));
         f(e)
     }
 

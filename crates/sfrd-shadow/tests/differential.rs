@@ -1,21 +1,25 @@
-//! Differential property test: the paged backend against the legacy
-//! sharded backend under arbitrary access sequences.
+//! Differential property test: the paged store against a reference model
+//! under arbitrary access sequences.
 //!
+//! The store's contract is "one [`LocEntry`] per exact address", so the
+//! reference is exactly that: an in-test `BTreeMap<u64, LocEntry<Pos>>`.
 //! Each case decodes a `Vec<u64>` into a sequence of reads and writes —
 //! mixed futures, positions, sub-word-colliding addresses (4-byte stride
 //! inside 8-byte slot spans) and occasional out-of-range addresses — and
-//! drives the *same* sequence through both stores using the detectors'
-//! check protocol (writer-check on reads, writer+reader-check on writes).
-//! The paged side additionally attempts the zero-store fast path before
-//! every read, exactly as `sfrd-core`'s event sink does. The properties:
+//! drives the *same* sequence through both using the detectors' check
+//! protocol (writer-check on reads, writer+reader-check on writes). The
+//! paged side additionally attempts the zero-store fast path before every
+//! read, exactly as `sfrd-core`'s event sink does. The properties:
 //!
 //! * the per-access race verdicts are identical,
 //! * the retained state (writer, writer epoch, reader set per address) is
 //!   identical,
 //! * `max_retained_readers` and `locations` agree.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use sfrd_shadow::{AccessHistory, PagedHistory, ReaderPolicy, ShadowBackend};
+use sfrd_shadow::{LocEntry, PagedHistory, ReaderPolicy};
 
 type Pos = (u32, u32); // (eng, heb) toy positions
 
@@ -58,78 +62,101 @@ fn decode(code: u64) -> Op {
     }
 }
 
-/// The detectors' check protocol against one store; returns the verdict
-/// (raced?) per op. `paged_fast` mimics `sfrd-core`'s read path: try the
-/// zero-store fast path first, fall back to the write section on a miss.
-fn run(h: &AccessHistory<Pos>, ops: &[Op]) -> Vec<bool> {
-    let mut cursor = h.paged().map(PagedHistory::cursor);
+/// The write half of the detectors' check protocol on one entry.
+fn check_write(e: &mut LocEntry<Pos>, op: &Op) -> bool {
+    let mut race = e.writer.is_some_and(|w| !precedes(&w, &op.pos));
+    e.readers.for_each(|r| race |= !precedes(&r, &op.pos));
+    e.begin_write_epoch(op.pos);
+    race
+}
+
+/// The read half: check the writer, retain the reader.
+fn check_read(e: &mut LocEntry<Pos>, op: &Op) -> bool {
+    let race = e.writer.is_some_and(|w| !precedes(&w, &op.pos));
+    e.readers
+        .record(op.fut, op.pos, eng_less, heb_less, precedes);
+    race
+}
+
+/// The protocol against the paged store; returns the verdict (raced?) per
+/// op. Mimics `sfrd-core`'s read path: try the zero-store fast path
+/// first, fall back to the write section on a miss.
+fn run_paged(h: &PagedHistory<Pos>, ops: &[Op]) -> Vec<bool> {
+    let mut cur = h.cursor();
     ops.iter()
         .map(|op| {
             if op.write {
-                h.locked(op.addr, |e| {
-                    let mut race = e.writer.is_some_and(|w| !precedes(&w, &op.pos));
-                    e.readers.for_each(|r| race |= !precedes(&r, &op.pos));
-                    e.begin_write_epoch(op.pos);
-                    race
-                })
-            } else {
-                let fast = cursor.as_mut().is_some_and(|cur| {
-                    cur.fast_read(
-                        op.addr,
-                        op.fut,
-                        op.pos,
-                        eng_less,
-                        heb_less,
-                        precedes,
-                        |w, _| w.is_none_or(|w| precedes(&w, &op.pos)),
-                    )
-                });
-                if fast {
-                    return false; // provably redundant: no race, no store
-                }
-                h.locked(op.addr, |e| {
-                    let race = e.writer.is_some_and(|w| !precedes(&w, &op.pos));
-                    e.readers
-                        .record(op.fut, op.pos, eng_less, heb_less, precedes);
-                    race
-                })
+                return cur.locked(op.addr, |e| check_write(e, op));
             }
+            let fast = cur.fast_read(
+                op.addr,
+                op.fut,
+                op.pos,
+                eng_less,
+                heb_less,
+                precedes,
+                |w, _| w.is_none_or(|w| precedes(&w, &op.pos)),
+            );
+            // A fast hit is provably redundant: no race, no store.
+            !fast && cur.locked(op.addr, |e| check_read(e, op))
         })
         .collect()
 }
 
-/// Full retained state, sorted for comparison.
-fn state(h: &AccessHistory<Pos>) -> Vec<(u64, Option<Pos>, u64, Vec<Pos>)> {
-    let mut v = Vec::new();
-    h.for_each_entry(|addr, e| {
-        let mut readers = Vec::new();
-        e.readers.for_each(|p| readers.push(p));
-        readers.sort_unstable();
-        v.push((addr, e.writer, e.writer_seq, readers));
-    });
-    v.sort_unstable();
-    v
+/// The reference: one entry per exact address, every access applied.
+type Model = BTreeMap<u64, LocEntry<Pos>>;
+
+fn run_model(policy: ReaderPolicy, ops: &[Op]) -> (Model, Vec<bool>) {
+    let mut model = Model::new();
+    let verdicts = ops
+        .iter()
+        .map(|op| {
+            let e = model
+                .entry(op.addr)
+                .or_insert_with(|| LocEntry::new(policy));
+            if op.write {
+                check_write(e, op)
+            } else {
+                check_read(e, op)
+            }
+        })
+        .collect();
+    (model, verdicts)
+}
+
+/// One address's retained state, readers sorted for comparison.
+fn entry_state(addr: u64, e: &LocEntry<Pos>) -> (u64, Option<Pos>, u64, Vec<Pos>) {
+    let mut readers = Vec::new();
+    e.readers.for_each(|p| readers.push(p));
+    readers.sort_unstable();
+    (addr, e.writer, e.writer_seq, readers)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..Default::default() })]
 
     #[test]
-    fn backends_give_identical_verdicts_and_state(
+    fn paged_store_matches_exact_address_model(
         codes in proptest::collection::vec(any::<u64>(), 1..400)
     ) {
         // First word selects the reader policy; the rest are ops (the
         // vendored proptest macro takes exactly one strategy binding).
         let policy = if codes[0] & 1 == 0 { ReaderPolicy::All } else { ReaderPolicy::PerFutureLR };
         let ops: Vec<Op> = codes[1..].iter().map(|&c| decode(c)).collect();
-        let sharded = AccessHistory::new(policy, ShadowBackend::Sharded);
-        let paged = AccessHistory::new(policy, ShadowBackend::Paged);
-        let vs = run(&sharded, &ops);
-        let vp = run(&paged, &ops);
-        prop_assert_eq!(&vs, &vp, "race verdicts diverge\nops: {:?}", ops);
-        prop_assert_eq!(state(&sharded), state(&paged));
-        prop_assert_eq!(sharded.locations(), paged.locations());
-        prop_assert_eq!(sharded.max_retained_readers(), paged.max_retained_readers());
+        let paged = PagedHistory::with_policy(policy);
+        let (model, vm) = run_model(policy, &ops);
+        let vp = run_paged(&paged, &ops);
+        prop_assert_eq!(&vm, &vp, "race verdicts diverge\nops: {:?}", ops);
+        let want: Vec<_> = model.iter().map(|(&a, e)| entry_state(a, e)).collect();
+        let mut got = Vec::new();
+        paged.for_each_entry(|a, e| got.push(entry_state(a, e)));
+        got.sort_unstable();
+        prop_assert_eq!(want, got);
+        prop_assert_eq!(model.len(), paged.locations());
+        prop_assert_eq!(
+            model.values().map(|e| e.readers.len()).max().unwrap_or(0),
+            paged.max_retained_readers()
+        );
     }
 }
 
@@ -137,7 +164,7 @@ proptest! {
 /// otherwise the differential test above exercises nothing.
 #[test]
 fn fast_path_engages_on_redundant_sequences() {
-    let paged = AccessHistory::<Pos>::new(ReaderPolicy::PerFutureLR, ShadowBackend::Paged);
+    let paged = PagedHistory::<Pos>::with_policy(ReaderPolicy::PerFutureLR);
     let ops: Vec<Op> = (0..64)
         .flat_map(|i| {
             let op = Op {
@@ -149,7 +176,7 @@ fn fast_path_engages_on_redundant_sequences() {
             [op, op, op] // every repeat after the first is redundant
         })
         .collect();
-    let verdicts = run(&paged, &ops);
+    let verdicts = run_paged(&paged, &ops);
     assert!(verdicts.iter().all(|&r| !r));
     assert!(
         paged.fast_hits() >= 2 * 64,

@@ -35,12 +35,12 @@ pub use sfrd_workloads as workloads;
 /// [`EngineConfig`] for constructing a detector directly.
 pub mod prelude {
     pub use sfrd_core::{
-        drive, Detector, DetectorKind, DriveConfig, DriveConfigBuilder, EngineConfig, FastPath,
-        FutureHandle, Mode, MultiBags, OmBackend, RaceReport, ReachOnly, SetRepr, SfOrder,
-        ShadowArray, ShadowCell, ShadowMatrix, Strand, Workload, WspDetector,
+        drive, Detector, DetectorKind, DriveConfig, DriveConfigBuilder, EngineConfig, FutureHandle,
+        Mode, MultiBags, OmBackend, RaceReport, ReachOnly, SfOrder, ShadowArray, ShadowCell,
+        ShadowMatrix, Strand, Workload, WspDetector,
     };
     pub use sfrd_runtime::{Cx, RuntimeConfig};
-    pub use sfrd_shadow::{ReaderPolicy, ShadowBackend};
+    pub use sfrd_shadow::ReaderPolicy;
     pub use sfrd_trace::{
         replay_journal, JournalError, JournalHooks, JournalReader, JournalWriter,
     };

@@ -50,44 +50,21 @@ run() {
 
 run fig3_characteristics results_fig3_"$SCALE".txt --scale "$SCALE"
 run fig5_memory          results_fig5_"$SCALE".txt --scale "$SCALE"
-# --json: the dense-vs-adaptive sweep also lands in the BENCH trajectory.
-# The scalar-pinned run first, so the auto-kernel run is the trajectory's
-# newest snapshot and local bench_gate invocations compare auto-vs-auto.
-run k_scaling            results_kscaling_scalar.txt --kernels scalar --json
+# --json: the k sweep also lands in the BENCH trajectory.
 run k_scaling            results_kscaling.txt --json
 # fig4 last: it is timing-sensitive, keep the machine quiet.
 run fig4_times           results_fig4_"$SCALE".txt --scale "$SCALE" --workers "$WORKERS" --reps "$REPS" --json
 
 # Drift gate: the fig4 snapshot just appended vs the most recent earlier
-# one with identical metadata (same scale/workers/reps/shadow/sched/
-# kernels). Advisory here — committed snapshots span sessions and
-# machines, so drift is expected; the *enforced* gate is CI's
-# same-machine smoke pair (.github/workflows/ci.yml bench-smoke job).
+# one with identical metadata (same scale/workers/reps). Advisory here —
+# committed snapshots span sessions and machines, so drift is expected;
+# the *enforced* gate is CI's same-machine smoke pair
+# (.github/workflows/ci.yml bench-smoke job).
 # First run on a new configuration prints "nothing to gate".
 target/release/bench_gate --path BENCH_fig4.json \
   || echo ">> bench_gate: drift vs an earlier session (advisory only here)"
 
-# Shadow-paging ablation (EXPERIMENTS.md): sharded vs paged store, sw +
-# hw across worker counts; the counter lines land on stderr -> the log.
-echo ">> ablation shadow_paging -> results_ablation_shadow.txt"
-cargo bench -p sfrd-bench --bench ablation -- shadow_paging 2>&1 | tee results_ablation_shadow.txt
-
-# Set-representation ablation (EXPERIMENTS.md): dense vs adaptive cp/gp
-# sets on the future-heavy hw workload, reach + full configurations.
-echo ">> ablation set_repr -> results_ablation_sets.txt"
-cargo bench -p sfrd-bench --bench ablation -- set_repr 2>&1 | tee results_ablation_sets.txt
-
-# Scheduler-queue ablation (EXPERIMENTS.md / DESIGN.md §10): lock-free
-# Chase-Lev vs the mutex-deque baseline at 1/2/4/8 workers; the
-# tasks/steals/parks counter lines land on stderr -> the log.
-echo ">> ablation sched_deque -> results_ablation_sched.txt"
-cargo bench -p sfrd-bench --bench ablation -- sched_deque 2>&1 | tee results_ablation_sched.txt
-
-# SIMD-kernel ablation (EXPERIMENTS.md): scalar lane loops vs the
-# auto-dispatched vector kernel end to end on the future-heavy hw
-# workload, plus the raw 512-bit primitive rows per kernel.
-echo ">> ablation simd_kernels -> results_ablation_kernels.txt"
-cargo bench -p sfrd-bench --bench ablation -- simd_kernels 2>&1 | tee results_ablation_kernels.txt
+# Raw 512-bit chunk-kernel rows, scalar vs the detected vector kernel.
 echo ">> kernel micro rows -> results_kernels_micro.txt"
 cargo bench -p sfrd-bench --bench reach_query -- 'reach/kernel' 2>&1 | tee results_kernels_micro.txt
 

@@ -7,7 +7,9 @@
 //! A second table reports the **access-history** footprint (Full mode,
 //! SF-Order). The accounting is capacity-based (page directory + arena
 //! slabs + fallback map), so the paged table's direct-mapped overcommit
-//! is charged in full.
+//! is charged in full. Next to it: the run's reads and how many accesses
+//! the shadow answered from a validated snapshot (`shadow_fast_hits`),
+//! since those are the accesses that retain nothing.
 
 use sfrd_bench::{run_bench, HarnessArgs, Table};
 use sfrd_core::{DetectorKind, DriveConfig, Mode};
@@ -67,16 +69,27 @@ fn main() {
 
     println!();
     println!("# Access-history memory (SF-Order, full detection)");
-    let mut h = Table::new(&["bench", "history"]);
+    let mut h = Table::new(&[
+        "bench",
+        "history",
+        "reads",
+        "shadow_fast_hits",
+        "hits/reads",
+    ]);
     for name in &args.benches {
         let (out, _) = run_bench(
             name,
             args.scale,
             DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1),
         );
+        let rep = out.report.unwrap();
+        let (reads, hits) = (rep.counts.reads, rep.metrics.shadow_fast_hits);
         h.row(vec![
             name.clone(),
-            fmt_bytes(out.report.unwrap().history_bytes),
+            fmt_bytes(rep.history_bytes),
+            reads.to_string(),
+            hits.to_string(),
+            format!("{:.1}%", hits as f64 * 100.0 / reads.max(1) as f64),
         ]);
     }
     print!("{}", h.render());

@@ -200,8 +200,26 @@ fn analyze_journal(bytes: &[u8]) -> Result<(), sfrd_trace::JournalError> {
         }
     }
     println!("{events} events: {strands} strands, {batches} access batches, {accesses} accesses");
+    // Where those accesses would go: replay once through SF-Order with
+    // every default and show the access-path census.
+    let cfg = EngineConfig::from(&DriveConfig::builder().build());
+    let report = replay_report(bytes, SfDetector::from_config(&cfg), |d| d.report())?;
+    println!("SF-Order replay: {}", access_path_census(&report));
     println!("replayable with: trace_tool detect <file> [--detector sf|f|mb]");
     Ok(())
+}
+
+/// `reads`, `writes` and how many of them the shadow answered from a
+/// validated snapshot without entering a slot's write section.
+fn access_path_census(report: &RaceReport) -> String {
+    let (reads, writes) = (report.counts.reads, report.counts.writes);
+    let hits = report.metrics.shadow_fast_hits;
+    format!(
+        "{reads} reads, {writes} writes, {hits} shadow_fast_hits ({:.1}% of accesses), \
+         {} reachability queries",
+        hits as f64 * 100.0 / (reads + writes).max(1) as f64,
+        report.counts.queries,
+    )
 }
 
 fn analyze_text(recorded: &RecordedProgram) {
@@ -287,13 +305,12 @@ fn detect(args: &[String]) -> ExitCode {
         Err(e) => return fail(&format!("{path}: {e}")),
     };
     println!(
-        "races: {} on {} locations ({} reads, {} writes, {} futures replayed)",
+        "races: {} on {} locations ({} futures replayed)",
         report.total_races,
         report.racy_addrs.len(),
-        report.counts.reads,
-        report.counts.writes,
         report.counts.futures,
     );
+    println!("access path: {}", access_path_census(&report));
     for addr in report.racy_addrs.iter().take(10) {
         println!("  racy addr {addr:#x}");
     }

@@ -11,20 +11,26 @@
 //!
 //! The sink speaks both access protocols of `sfrd-runtime`:
 //!
-//! * **per-access** (`on_read`/`on_write`): one shadow access per call —
-//!   a lock-free slot section, or the zero-store read fast path. This is
-//!   the plain `TaskHooks` contract bare detectors run through;
+//! * **per-access** (`on_read`/`on_write`): one shadow access per call.
+//!   This is the plain `TaskHooks` contract bare detectors run through;
 //! * **per-batch** (`on_access_batch`, fed by
 //!   [`Batched`](sfrd_runtime::Batched), which [`drive`](crate::drive)
 //!   always installs): the buffered accesses — all issued at one dag
 //!   position — replay through one page cursor, and the strand's
 //!   [`VerdictCache`] skips reachability queries against writers whose
-//!   epoch has not changed (the seqlock-style fast path; see the
-//!   `sfrd-shadow` crate docs for the soundness argument).
+//!   epoch has not changed (see the `sfrd-shadow` crate docs for the
+//!   soundness argument).
 //!
-//! Both paths funnel into the same [`check_read`](EventSink::on_read)/
-//! write logic, so batching cannot change which `(addr, kind)` races
-//! exist at a location — only how many times a repeated race is observed.
+//! Every access, on either path, first asks the shadow's validated
+//! snapshot whether it is a *same-epoch* repeat — a read by the
+//! location's last recorded reader, a write by its writer with no reader
+//! retained — and if so is done without a store (DESIGN.md §6); anything
+//! else enters the slot's write section and runs the same
+//! [`check_read`](EventSink::on_read)/write logic. So neither batching
+//! nor the short-circuit can change which `(addr, kind)` races exist at a
+//! location — only how many times a repeated race is observed. Counters
+//! and race reports are tallied locally and folded into the shared state
+//! once per batch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,7 +40,36 @@ use sfrd_runtime::{AccessBatch, TaskHooks, VerdictCache};
 use sfrd_shadow::{LocEntry, PageCursor, PagedHistory, ReaderPolicy};
 
 use crate::detectors::Mode;
-use crate::report::{Counters, MetricsSnapshot, RaceCollector, RaceKind, RaceReport};
+use crate::report::{Counters, MetricsSnapshot, Race, RaceCollector, RaceKind, RaceReport};
+
+/// What one batch (or one unbatched access) adds to the sink's shared
+/// state, kept in locals while the accesses replay and folded in with
+/// [`EventSink::fold`] afterwards: one atomic add per touched counter and
+/// at most one collector lock per batch instead of one of each per
+/// access.
+#[derive(Default)]
+struct Tally {
+    reads: u64,
+    writes: u64,
+    queries: u64,
+    seqlock_hits: u64,
+    /// Race observations, repeats included.
+    observed: u64,
+    /// The observed `(addr, kind)` pairs, adjacent repeats dropped (a
+    /// writer's sweep reports one pair per racing reader; the collector's
+    /// set removes the rest).
+    races: Vec<Race>,
+}
+
+impl Tally {
+    fn race(&mut self, addr: u64, kind: RaceKind) {
+        self.observed += 1;
+        let race = Race { addr, kind };
+        if self.races.last() != Some(&race) {
+            self.races.push(race);
+        }
+    }
+}
 
 /// A reachability engine pluggable into [`EventSink`]: answers "does
 /// position `a` precede strand `s`" and maintains per-strand positions
@@ -190,10 +225,27 @@ impl<E: ReachEngine> EventSink<E> {
         }
     }
 
+    /// Fold a finished batch's tally into the shared counters and the
+    /// race collector.
+    fn fold(&self, t: Tally) {
+        for (counter, n) in [
+            (&self.counters.reads, t.reads),
+            (&self.counters.writes, t.writes),
+            (&self.counters.queries, t.queries),
+            (&self.seqlock_hits, t.seqlock_hits),
+        ] {
+            if n != 0 {
+                Counters::add(counter, n);
+            }
+        }
+        self.collector.report_batch(&t.races, t.observed);
+    }
+
     /// The read half of the protocol, shared by both access paths: check
     /// the last writer, then retain the reader. With a [`VerdictCache`]
     /// (batch path), a writer whose epoch matches a cached serial verdict
     /// skips the reachability query.
+    #[allow(clippy::too_many_arguments)]
     fn check_read(
         &self,
         e: &mut LocEntry<E::Pos>,
@@ -202,8 +254,8 @@ impl<E: ReachEngine> EventSink<E> {
         pos: E::Pos,
         s: &E::Strand,
         mut verdicts: Option<&mut VerdictCache>,
+        t: &mut Tally,
     ) {
-        Counters::bump(&self.counters.reads);
         if let Some(w) = e.writer {
             // Same-position fast path: an accessor at the current position
             // is trivially serial; no reachability query needed.
@@ -212,15 +264,15 @@ impl<E: ReachEngine> EventSink<E> {
                     .as_deref_mut()
                     .is_some_and(|v| v.check(addr, e.writer_seq))
                 {
-                    self.seqlock_hits.fetch_add(1, Ordering::Relaxed);
+                    t.seqlock_hits += 1;
                 } else {
-                    Counters::bump(&self.counters.queries);
+                    t.queries += 1;
                     if self.engine.precedes(w, s) {
                         if let Some(v) = verdicts {
                             v.store(addr, e.writer_seq);
                         }
                     } else {
-                        self.collector.report(addr, RaceKind::WriteRead);
+                        t.race(addr, RaceKind::WriteRead);
                     }
                 }
             }
@@ -246,50 +298,52 @@ impl<E: ReachEngine> EventSink<E> {
         pos: E::Pos,
         s: &E::Strand,
         mut verdicts: Option<&mut VerdictCache>,
+        t: &mut Tally,
     ) {
-        Counters::bump(&self.counters.writes);
         if let Some(w) = e.writer {
             if w != pos {
                 if verdicts
                     .as_deref_mut()
                     .is_some_and(|v| v.check(addr, e.writer_seq))
                 {
-                    self.seqlock_hits.fetch_add(1, Ordering::Relaxed);
+                    t.seqlock_hits += 1;
                 } else {
-                    Counters::bump(&self.counters.queries);
+                    t.queries += 1;
                     if !self.engine.precedes(w, s) {
-                        self.collector.report(addr, RaceKind::WriteWrite);
+                        t.race(addr, RaceKind::WriteWrite);
                     }
                 }
             }
         }
-        let mut reader_queries = 0;
         e.readers.for_each(|r| {
             if r == pos {
                 return;
             }
-            reader_queries += 1;
+            t.queries += 1;
             if !self.engine.precedes(r, s) {
-                self.collector.report(addr, RaceKind::ReadWrite);
+                t.race(addr, RaceKind::ReadWrite);
             }
         });
-        Counters::add(&self.counters.queries, reader_queries);
         e.begin_write_epoch(pos);
         if let Some(v) = verdicts {
             v.store(addr, e.writer_seq);
         }
     }
 
-    /// The zero-store read fast path: attempt to prove the read redundant
-    /// from one validated snapshot — no lock, no store to the shadow entry. The reader side is decided by the LR no-op test
-    /// inside [`PageCursor::fast_read`]; the writer side is decided here,
-    /// with the same ladder as [`check_read`](Self::check_read) minus the
-    /// mutation: same-position, then the epoch-keyed verdict cache, then a
-    /// direct reachability query (whose positive verdict is cached
-    /// strand-locally — still nothing written to the entry). A negative
-    /// verdict (a race) returns `false` so the caller's locked path
-    /// re-derives and reports exactly once.
-    fn fast_read(
+    /// One read, start to finish: the zero-store snapshot test first, the
+    /// write section on a miss. Either way the access is tallied — Fig. 3
+    /// counts are path-invariant.
+    ///
+    /// The snapshot test is [`PageCursor::fast_read`]: read-same-epoch
+    /// under `All`; under `PerFutureLR` the LR no-op test, whose writer
+    /// side is decided here with the same ladder as
+    /// [`check_read`](Self::check_read) minus the mutation —
+    /// same-position, then the epoch-keyed verdict cache, then a direct
+    /// reachability query (whose positive verdict is cached strand-locally
+    /// — still nothing written to the entry). A negative verdict (a race)
+    /// misses, so the locked path re-derives and reports exactly once.
+    #[allow(clippy::too_many_arguments)]
+    fn read(
         &self,
         cur: &mut PageCursor<'_, E::Pos>,
         addr: u64,
@@ -297,7 +351,9 @@ impl<E: ReachEngine> EventSink<E> {
         pos: E::Pos,
         s: &E::Strand,
         mut verdicts: Option<&mut VerdictCache>,
-    ) -> bool {
+        t: &mut Tally,
+    ) {
+        t.reads += 1;
         let eng = &self.engine;
         let hit = cur.fast_read(
             addr,
@@ -311,27 +367,38 @@ impl<E: ReachEngine> EventSink<E> {
                 Some(w) if w == pos => true,
                 Some(w) => {
                     if verdicts.as_deref_mut().is_some_and(|v| v.check(addr, wseq)) {
-                        self.seqlock_hits.fetch_add(1, Ordering::Relaxed);
+                        t.seqlock_hits += 1;
                         true
                     } else {
-                        Counters::bump(&self.counters.queries);
-                        if self.engine.precedes(w, s) {
-                            if let Some(v) = verdicts {
-                                v.store(addr, wseq);
-                            }
-                            true
-                        } else {
-                            false
+                        t.queries += 1;
+                        let ordered = eng.precedes(w, s);
+                        if let (true, Some(v)) = (ordered, verdicts.as_deref_mut()) {
+                            v.store(addr, wseq);
                         }
+                        ordered
                     }
                 }
             },
         );
-        if hit {
-            // The access happened: Fig. 3 counts stay path-invariant.
-            Counters::bump(&self.counters.reads);
+        if !hit {
+            cur.locked(addr, |e| self.check_read(e, addr, fut, pos, s, verdicts, t));
         }
-        hit
+    }
+
+    /// One write: write-same-epoch from the snapshot, else the section.
+    fn write(
+        &self,
+        cur: &mut PageCursor<'_, E::Pos>,
+        addr: u64,
+        pos: E::Pos,
+        s: &E::Strand,
+        verdicts: Option<&mut VerdictCache>,
+        t: &mut Tally,
+    ) {
+        t.writes += 1;
+        if !cur.fast_write(addr, pos) {
+            cur.locked(addr, |e| self.check_write(e, addr, pos, s, verdicts, t));
+        }
     }
 }
 
@@ -376,26 +443,27 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
     #[inline]
     fn on_read(&self, s: &mut E::Strand, addr: u64) {
         let Some(history) = &self.history else { return };
-        let pos = E::pos(s);
-        let fut = E::future_id(s);
-        let mut cur = history.cursor();
-        if !self.fast_read(&mut cur, addr, fut, pos, s, None) {
-            cur.locked(addr, |e| self.check_read(e, addr, fut, pos, s, None));
-        }
+        let mut t = Tally::default();
+        let (pos, fut) = (E::pos(s), E::future_id(s));
+        self.read(&mut history.cursor(), addr, fut, pos, s, None, &mut t);
+        self.fold(t);
     }
 
     #[inline]
     fn on_write(&self, s: &mut E::Strand, addr: u64) {
         let Some(history) = &self.history else { return };
-        let pos = E::pos(s);
-        history.locked(addr, |e| self.check_write(e, addr, pos, s, None));
+        let mut t = Tally::default();
+        self.write(&mut history.cursor(), addr, E::pos(s), s, None, &mut t);
+        self.fold(t);
     }
 
     /// The batched hot path: replay in buffer order (per-address program
     /// order for free, no sort) through one [`PageCursor`], so runs of
-    /// same-page addresses skip the directory walk; each read first tries
-    /// the zero-store fast path, and only state-changing accesses enter a
-    /// slot's write section. No lock is taken on the mapped path.
+    /// same-page addresses skip the directory walk; each access first
+    /// tries the zero-store snapshot test, and only state-changing ones
+    /// enter a slot's write section. No lock is taken on the mapped path,
+    /// and the shared counters and the race collector are touched once,
+    /// after the loop.
     fn on_access_batch(&self, s: &mut E::Strand, batch: &mut AccessBatch) {
         let Some(history) = &self.history else {
             batch.discard();
@@ -407,8 +475,11 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
         // are real instrumented accesses: fold them into the Fig. 3
         // counters so counts stay schedule- and filter-invariant.
         let (filtered_reads, filtered_writes) = batch.take_filtered();
-        Counters::add(&self.counters.reads, filtered_reads);
-        Counters::add(&self.counters.writes, filtered_writes);
+        let mut t = Tally {
+            reads: filtered_reads,
+            writes: filtered_writes,
+            ..Tally::default()
+        };
         let (entries, verdicts) = batch.parts();
         let mut cur = history.cursor();
         let mut prefetched: u64 = 0;
@@ -422,16 +493,315 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
                 }
             }
             if a.is_write {
-                cur.locked(a.addr, |e| {
-                    self.check_write(e, a.addr, pos, s, Some(&mut *verdicts))
-                });
-            } else if !self.fast_read(&mut cur, a.addr, fut, pos, s, Some(&mut *verdicts)) {
-                cur.locked(a.addr, |e| {
-                    self.check_read(e, a.addr, fut, pos, s, Some(&mut *verdicts))
-                });
+                self.write(&mut cur, a.addr, pos, s, Some(&mut *verdicts), &mut t);
+            } else {
+                self.read(&mut cur, a.addr, fut, pos, s, Some(&mut *verdicts), &mut t);
             }
         }
         history.note_prefetches(prefetched);
         entries.clear();
+        self.fold(t);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The same-epoch rules and the per-batch folding, driven hook by hook
+    //! on one thread so every count is exact. The strands are still
+    //! logically parallel wherever the dag says so — determinacy races are
+    //! a property of the dag, not of the schedule.
+
+    use super::*;
+    use crate::detectors::{FoDetector, MbDetector, SfDetector, SfEngine};
+    use crate::wsp::WspDetector;
+    use sfrd_runtime::{Batched, BatchedAccess, Cx, Runtime};
+    use std::sync::Arc;
+
+    const X: u64 = 0x1000;
+    const Y: u64 = 0x2000;
+
+    /// `(queries, shadow_fast_hits, reads, writes, total_races)`.
+    fn census<E: ReachEngine>(det: &EventSink<E>) -> (u64, u64, u64, u64, u64) {
+        let r = det.report();
+        (
+            r.counts.queries,
+            r.metrics.shadow_fast_hits,
+            r.counts.reads,
+            r.counts.writes,
+            r.total_races,
+        )
+    }
+
+    /// `(writer_seq, retained readers)` of `addr`.
+    fn entry<E: ReachEngine>(det: &EventSink<E>, addr: u64) -> (u64, usize) {
+        let history = det.history().expect("full mode");
+        history.locked(addr, |e| (e.writer_seq, e.readers.len()))
+    }
+
+    /// Finish a spawned child and join it into `parent`, the way the
+    /// sequential runtime does (MultiBags needs the `task_return`).
+    fn join<H: TaskHooks>(det: &H, parent: &mut H::Strand, mut child: H::Strand) {
+        det.on_task_end(&mut child);
+        det.on_task_return(parent, &mut child);
+        det.on_sync(parent, vec![child]);
+    }
+
+    /// The rules rest on one premise — equal positions belong to one
+    /// task's serial chain — so they are checked on every position type
+    /// the sink is instantiated with, not assumed.
+    fn same_epoch_rules<E: ReachEngine>(det: EventSink<E>) {
+        let mut r = det.root();
+        // A serial predecessor writes X, so reads of X have a writer to check.
+        let mut w = det.on_spawn(&mut r);
+        det.on_write(&mut w, X);
+        join(&det, &mut r, w);
+
+        // Read-same-epoch: five reads at one position = one query, one
+        // retained reader, four snapshot hits, five counted reads.
+        let before = census(&det);
+        for _ in 0..5 {
+            det.on_read(&mut r, X);
+        }
+        let after = census(&det);
+        assert_eq!(after.0 - before.0, 1, "one precedes for five reads");
+        assert_eq!(after.1 - before.1, 4, "four snapshot hits");
+        assert_eq!(after.2 - before.2, 5, "reads stay path-invariant");
+        assert_eq!(entry(&det, X), (1, 1));
+
+        // A reader from another strand becomes the last one: the next
+        // read by `r` must take the section, and both are retained.
+        let mut c = det.on_spawn(&mut r);
+        det.on_read(&mut c, X);
+        let before = census(&det);
+        det.on_read(&mut c, X);
+        assert_eq!(
+            census(&det).1 - before.1,
+            1,
+            "the interloper repeats for free"
+        );
+        let before = census(&det);
+        det.on_read(&mut r, X);
+        assert_eq!(
+            census(&det).1,
+            before.1,
+            "a different last reader defeats it"
+        );
+        assert_eq!(entry(&det, X).1, 3);
+        det.on_read(&mut r, X);
+        assert_eq!(census(&det).1 - before.1, 1);
+        join(&det, &mut r, c);
+
+        // A write sweeps and clears the readers; the next read re-checks
+        // in the section (the writer is `r` itself: no query).
+        det.on_write(&mut r, X);
+        assert_eq!(entry(&det, X), (2, 0));
+        let before = census(&det);
+        det.on_read(&mut r, X);
+        let after = census(&det);
+        assert_eq!((after.0, after.1), (before.0, before.1));
+        assert_eq!(entry(&det, X), (2, 1));
+
+        // Write-same-epoch: with a reader retained the write takes the
+        // section (epoch 3); the repeat after it does not, and the epoch
+        // stays put.
+        det.on_write(&mut r, X);
+        assert_eq!(entry(&det, X), (3, 0));
+        let before = census(&det);
+        det.on_write(&mut r, X);
+        det.on_write(&mut r, X);
+        let after = census(&det);
+        assert_eq!(after.1 - before.1, 2);
+        assert_eq!(after.3 - before.3, 2, "writes stay path-invariant");
+        assert_eq!(entry(&det, X), (3, 0));
+        assert_eq!(after.4, 0, "a serial program has no race");
+    }
+
+    #[test]
+    fn same_epoch_rules_hold_for_every_position_type() {
+        same_epoch_rules(SfDetector::new(Mode::Full, ReaderPolicy::All)); // SfPos
+        same_epoch_rules(FoDetector::new(Mode::Full)); // StrandPos
+        same_epoch_rules(MbDetector::new(Mode::Full)); // MbPos
+        same_epoch_rules(WspDetector::new(Mode::Full, ReaderPolicy::All)); // SpPos
+    }
+
+    /// `PerFutureLR` answers from the same snapshot by its own test: the
+    /// (leftmost, rightmost) pair would not move. Its writer ladder still
+    /// runs per read — unbatched, that is one query each.
+    #[test]
+    fn lr_policy_repeats_hit_through_the_same_snapshot() {
+        let det = SfDetector::new(Mode::Full, ReaderPolicy::PerFutureLR);
+        let mut r = det.root();
+        let mut w = det.on_spawn(&mut r);
+        det.on_write(&mut w, X);
+        join(&det, &mut r, w);
+        for _ in 0..5 {
+            det.on_read(&mut r, X);
+        }
+        let (queries, fast, reads, _, races) = census(&det);
+        assert_eq!((queries, fast, reads, races), (5, 4, 5, 0));
+        assert_eq!(entry(&det, X), (1, 2));
+        det.on_write(&mut r, X);
+        det.on_write(&mut r, X);
+        assert_eq!(census(&det).1, 5, "write-same-epoch is policy-blind");
+        assert_eq!(entry(&det, X), (2, 0));
+    }
+
+    /// The batched path takes the same short-circuits and folds its tally
+    /// once: a journal-replayed batch of repeats (the live filter would
+    /// have absorbed them) costs one query and one retained reader.
+    #[test]
+    fn batched_repeats_short_circuit_and_fold_once() {
+        let det = SfDetector::new(Mode::Full, ReaderPolicy::All);
+        let mut r = det.root();
+        let mut w = det.on_spawn(&mut r);
+        det.on_write(&mut w, X);
+        join(&det, &mut r, w);
+
+        let mut batch = AccessBatch::new(16);
+        let read = BatchedAccess {
+            addr: X,
+            is_write: false,
+        };
+        batch.reinject(&[read; 6], (3, 1));
+        det.on_access_batch(&mut r, &mut batch);
+        assert!(batch.is_empty());
+        let (queries, fast, reads, writes, races) = census(&det);
+        assert_eq!((queries, fast), (1, 5));
+        assert_eq!(
+            (reads, writes),
+            (6 + 3, 1 + 1),
+            "filtered repeats are counted"
+        );
+        assert_eq!(races, 0);
+        assert_eq!(entry(&det, X), (1, 1));
+    }
+
+    /// A `get` keeps the strand's `SpPos` and only grows `gp`: a verdict
+    /// can only turn from "race" to "ordered", and a race seen before the
+    /// `get` is already in the set. So the read after the `get` may skip.
+    #[test]
+    fn read_get_read_at_an_unchanged_position() {
+        let det = SfDetector::new(Mode::Full, ReaderPolicy::All);
+        let mut r = det.root();
+        det.on_write(&mut r, Y);
+        let mut f = det.on_create(&mut r);
+        det.on_write(&mut f, X);
+        det.on_task_end(&mut f);
+        // The continuation is parallel to the future until the get.
+        det.on_read(&mut r, X);
+        det.on_read(&mut r, Y);
+        let pos = SfEngine::pos(&r);
+        let before = census(&det);
+        assert_eq!(before.4, 1, "X raced with the future's write");
+        det.on_get(&mut r, &f);
+        assert!(SfEngine::pos(&r) == pos, "get moved the position");
+        det.on_read(&mut r, X);
+        det.on_read(&mut r, Y);
+        let after = census(&det);
+        assert_eq!(after.1 - before.1, 2, "both re-reads are same-epoch");
+        assert_eq!(after.0, before.0, "no query re-asked");
+        let report = det.report();
+        assert_eq!(
+            report.races,
+            vec![Race {
+                addr: X,
+                kind: RaceKind::WriteRead
+            }],
+            "the racy set is what the locked path alone would report"
+        );
+    }
+
+    /// A racy repeat: the set is unchanged, only the repeat count falls.
+    #[test]
+    fn racy_repeat_is_reported_once_per_epoch() {
+        let det = SfDetector::new(Mode::Full, ReaderPolicy::All);
+        let mut r = det.root();
+        let mut c = det.on_spawn(&mut r);
+        det.on_write(&mut c, X);
+        for _ in 0..3 {
+            det.on_read(&mut r, X);
+        }
+        let report = det.report();
+        assert_eq!(report.total_races, 1);
+        assert_eq!(report.racy_addrs.into_iter().collect::<Vec<_>>(), vec![X]);
+        assert_eq!(report.counts.reads, 3);
+        // The child writes again (same position, but a reader is now
+        // retained): the section runs and reports the other direction.
+        det.on_write(&mut c, X);
+        let kinds: Vec<_> = det.report().races.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, vec![RaceKind::WriteRead, RaceKind::ReadWrite]);
+    }
+
+    /// One writer sweeping 64 parallel readers observes 64 races in one
+    /// access: one collector lock, one distinct pair, repeats counted.
+    #[test]
+    fn a_batch_folds_its_races_under_one_lock() {
+        let det = SfDetector::new(Mode::Full, ReaderPolicy::All);
+        let mut r = det.root();
+        let mut readers = Vec::new();
+        for _ in 0..64 {
+            let mut c = det.on_spawn(&mut r);
+            det.on_read(&mut c, X);
+            readers.push(c);
+        }
+        let mut w = det.on_spawn(&mut r);
+        det.on_write(&mut w, X);
+        assert_eq!(det.collector.total(), 64);
+        assert_eq!(det.collector.distinct().len(), 1);
+        assert_eq!(det.collector.lock_ops(), 1);
+    }
+
+    /// Four workers hammering one racy address: the racy set is that
+    /// address, and the collector's lock is taken per reporting batch —
+    /// never more often than batches were flushed, however many accesses
+    /// observed a race.
+    #[test]
+    fn hammered_racy_address_locks_per_batch_not_per_access() {
+        const TASKS: u64 = 32;
+        const ROUNDS: u64 = 2_000;
+        // Per-task private addresses that evict X from the write-combining
+        // filter, so every round's accesses to X reach the sink.
+        let evictors: Vec<u64> = (1..)
+            .map(|k| X + 8 * k)
+            .filter(|&y| {
+                let mut probe = AccessBatch::new(4);
+                probe.record(X, true);
+                probe.record(y, true);
+                probe.record(X, true)
+            })
+            .take(TASKS as usize)
+            .collect();
+        let det = Arc::new(Batched::new(SfDetector::new(Mode::Full, ReaderPolicy::All)));
+        let rt: Runtime<Batched<SfDetector>> = Runtime::new(4);
+        rt.run(Arc::clone(&det), |ctx| {
+            for &y in &evictors {
+                ctx.spawn(move |c| {
+                    for _ in 0..ROUNDS {
+                        c.record_read(X);
+                        c.record_write(X);
+                        c.record_write(y);
+                    }
+                });
+            }
+            ctx.sync();
+        });
+        drop(rt);
+        let sink = det.inner();
+        let report = sink.report();
+        assert_eq!(report.racy_addrs.into_iter().collect::<Vec<_>>(), vec![X]);
+        assert_eq!(report.counts.reads, TASKS * ROUNDS);
+        assert_eq!(report.counts.writes, 2 * TASKS * ROUNDS);
+        assert!(report.total_races >= TASKS - 1, "every later task races");
+        let flushes = det.stats().flushes;
+        let locks = sink.collector.lock_ops();
+        assert!(
+            locks >= 1 && locks <= flushes,
+            "{locks} locks, {flushes} flushes"
+        );
+        assert!(
+            locks * 100 < 3 * TASKS * ROUNDS,
+            "{locks} collector locks for {} accesses",
+            3 * TASKS * ROUNDS
+        );
     }
 }

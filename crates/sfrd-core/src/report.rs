@@ -31,16 +31,39 @@ pub struct Race {
 pub struct RaceCollector {
     total: AtomicU64,
     distinct: Mutex<BTreeSet<Race>>,
+    /// Acquisitions of `distinct` by the report path.
+    lock_ops: AtomicU64,
 }
 
 impl RaceCollector {
     /// Record one detected race.
     pub fn report(&self, addr: u64, kind: RaceKind) {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        let mut d = self.distinct.lock();
-        if d.len() < 65_536 {
-            d.insert(Race { addr, kind });
+        self.report_batch(&[Race { addr, kind }], 1);
+    }
+
+    /// Record a batch's races under one lock: `observed` observations
+    /// (repeats included) of the `(addr, kind)` pairs in `races`. A batch
+    /// that observed nothing touches nothing — one racy location read by
+    /// every worker must not serialise them per access.
+    pub fn report_batch(&self, races: &[Race], observed: u64) {
+        if observed == 0 {
+            return;
         }
+        self.total.fetch_add(observed, Ordering::Relaxed);
+        self.lock_ops.fetch_add(1, Ordering::Relaxed);
+        let mut d = self.distinct.lock();
+        for &race in races {
+            if d.len() >= 65_536 {
+                break;
+            }
+            d.insert(race);
+        }
+    }
+
+    /// Times the report path took the collector's lock (one per reporting
+    /// batch).
+    pub fn lock_ops(&self) -> u64 {
+        self.lock_ops.load(Ordering::Relaxed)
     }
 
     /// Total race observations (with repetition).
@@ -271,9 +294,27 @@ mod tests {
         }
         c.report(8, RaceKind::ReadWrite);
         c.report(16, RaceKind::WriteRead);
-        assert_eq!(c.total(), 102);
-        assert_eq!(c.distinct().len(), 3);
-        assert_eq!(c.racy_addrs().into_iter().collect::<Vec<_>>(), vec![8, 16]);
+        c.report_batch(&[], 0);
+        c.report_batch(
+            &[
+                Race {
+                    addr: 16,
+                    kind: RaceKind::WriteRead,
+                },
+                Race {
+                    addr: 24,
+                    kind: RaceKind::ReadWrite,
+                },
+            ],
+            5,
+        );
+        assert_eq!(c.total(), 107, "repeats are counted");
+        assert_eq!(c.lock_ops(), 103, "one lock per reporting batch");
+        assert_eq!(
+            c.racy_addrs().into_iter().collect::<Vec<_>>(),
+            vec![8, 16, 24]
+        );
+        assert_eq!(c.distinct().len(), 4);
         assert!(!c.is_empty());
     }
 

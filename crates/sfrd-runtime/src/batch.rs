@@ -47,6 +47,9 @@ pub struct BatchedAccess {
 /// Dedup-filter ways (direct-mapped, power of two).
 const FILTER_WAYS: usize = 256;
 
+/// Generation a fresh [`AccessBatch`] filter starts in (see its `filter`).
+const FIRST_GENERATION: u32 = 2;
+
 /// Verdict-cache ways (direct-mapped, power of two).
 const VERDICT_WAYS: usize = 256;
 
@@ -110,11 +113,16 @@ impl VerdictCache {
 #[derive(Debug)]
 pub struct AccessBatch {
     entries: Vec<BatchedAccess>,
-    /// `(addr + 1, wrote)` per slot; key 0 = empty. Valid for the current
-    /// dag position only — cleared at strand boundaries, *not* at size-cap
-    /// flushes (the position is unchanged, so already-flushed accesses
-    /// still cover repeats).
-    filter: Box<[(u64, bool); FILTER_WAYS]>,
+    /// `(addr + 1, generation | wrote)` per slot. An entry is live only
+    /// while its stamp carries the current [`generation`](Self::generation),
+    /// i.e. for the current dag position: a strand boundary bumps the
+    /// generation instead of clearing 4 KB, a size-cap flush does not
+    /// (the position is unchanged, so already-flushed accesses still
+    /// cover repeats).
+    filter: Box<[(u64, u32); FILTER_WAYS]>,
+    /// Current filter generation: even, never 0 (the stamp of an unused
+    /// slot), bit 0 free for the entry's `wrote` flag.
+    generation: u32,
     verdicts: VerdictCache,
     recorded: u64,
     filtered: u64,
@@ -129,7 +137,8 @@ impl AccessBatch {
     pub fn new(cap: usize) -> Self {
         Self {
             entries: Vec::with_capacity(cap),
-            filter: Box::new([(0, false); FILTER_WAYS]),
+            filter: Box::new([(0, 0); FILTER_WAYS]),
+            generation: FIRST_GENERATION,
             verdicts: VerdictCache::new(),
             recorded: 0,
             filtered: 0,
@@ -144,7 +153,14 @@ impl AccessBatch {
     pub fn record(&mut self, addr: u64, is_write: bool) -> bool {
         let key = addr.wrapping_add(1);
         let slot = &mut self.filter[way(addr, FILTER_WAYS)];
-        if slot.0 == key && (slot.1 || !is_write) {
+        // A stamp from an earlier generation reads as the empty slot a
+        // memset would have left.
+        let live = slot.1 & !1 == self.generation;
+        // `wrote` is taken from whatever live entry holds the way, even
+        // another address's — the decision the cleared filter made, kept
+        // bit for bit (ROADMAP item 8: it can drop a first write).
+        let wrote = live && slot.1 & 1 != 0;
+        if live && slot.0 == key && (wrote || !is_write) {
             self.filtered += 1;
             if is_write {
                 self.pending_filtered.1 += 1;
@@ -153,7 +169,7 @@ impl AccessBatch {
             }
             return false;
         }
-        *slot = (key, slot.1 || is_write);
+        *slot = (key, self.generation | u32::from(wrote || is_write));
         self.recorded += 1;
         self.entries.push(BatchedAccess { addr, is_write });
         true
@@ -222,9 +238,15 @@ impl AccessBatch {
     }
 
     /// Invalidate the position-scoped dedup filter (the verdict cache
-    /// stays — it is epoch-validated, not position-scoped).
+    /// stays — it is epoch-validated, not position-scoped). O(1): the
+    /// generation moves on and every stamp goes stale; only when the
+    /// 31-bit generation wraps are the slots really cleared.
     pub fn clear_filter(&mut self) {
-        self.filter.fill((0, false));
+        self.generation = self.generation.wrapping_add(2);
+        if self.generation == 0 {
+            self.filter.fill((0, 0));
+            self.generation = FIRST_GENERATION;
+        }
     }
 
     /// `(recorded, filtered, verdict-cache hits)` counters of this strand.
@@ -474,6 +496,52 @@ mod tests {
         assert!(!b.record(8, true), "filter survives a cap flush");
         b.clear_filter();
         assert!(b.record(8, true), "boundary invalidates the filter");
+        b.discard();
+        assert!(!b.record(8, false), "a cap flush keeps the generation");
+    }
+
+    /// The generation stamp must decide exactly as the memset it replaced:
+    /// same admissions over a long random stream with boundaries, and
+    /// again across the 31-bit wrap.
+    #[test]
+    fn generation_stamps_decide_like_a_cleared_filter() {
+        /// The filter as it was: cleared by `fill` at every boundary.
+        struct Cleared(Box<[(u64, bool); FILTER_WAYS]>);
+        impl Cleared {
+            fn record(&mut self, addr: u64, is_write: bool) -> bool {
+                let key = addr.wrapping_add(1);
+                let slot = &mut self.0[way(addr, FILTER_WAYS)];
+                if slot.0 == key && (slot.1 || !is_write) {
+                    return false;
+                }
+                *slot = (key, slot.1 || is_write);
+                true
+            }
+        }
+        for start in [FIRST_GENERATION, u32::MAX - 41] {
+            let mut b = AccessBatch::new(16);
+            b.generation = start;
+            let mut reference = Cleared(Box::new([(0, false); FILTER_WAYS]));
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for step in 0..200_000u32 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x.is_multiple_of(97) {
+                    b.clear_filter();
+                    reference.0.fill((0, false));
+                }
+                // 1 Ki addresses over 256 ways: evictions are the norm.
+                let (addr, is_write) = ((x >> 8) % 1024 * 8, x & 1 == 0);
+                assert_eq!(
+                    b.record(addr, is_write),
+                    reference.record(addr, is_write),
+                    "step {step}"
+                );
+                b.discard();
+            }
+            assert_ne!(b.generation, 0);
+        }
     }
 
     #[test]

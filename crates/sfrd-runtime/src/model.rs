@@ -13,7 +13,7 @@
 //! Scope and honesty: this explores *interleavings* under SC, like a
 //! bounded-depth TLA model check of the same transition system; it does not
 //! simulate weak-memory reordering (loom's domain) and it cannot tear the
-//! non-atomic mirror copies themselves (a thread is never preempted between
+//! non-atomic snapshot copies themselves (a thread is never preempted between
 //! facade calls). What it does catch — lost tasks, double execution, lost
 //! updates, mutual-exclusion and validation-protocol bugs, ABA in the
 //! reclamation handshake — is exactly the invariant set of

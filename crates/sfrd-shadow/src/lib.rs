@@ -7,11 +7,16 @@
 //! The store is [`PagedHistory`] (module [`paged`]) — a two-level
 //! direct-mapped page table: addresses resolve in O(1) through an
 //! atomically-published page directory with **no hashing and no locks**
-//! on the addressing path, and each location carries a packed atomic
-//! word (writer epoch + reader-summary tag) giving redundant reads a
-//! **zero-store fast path**. Only state-changing accesses take the
-//! per-location seqlock-style write section. The store's contract is one
-//! [`LocEntry`] per exact address.
+//! on the addressing path, and each location's slot is one packed atomic
+//! word (writer epoch + section tag), the claiming address and the
+//! [`LocEntry`] itself — 80 bytes for a 12-byte position, with the first
+//! and the most recent reader inline and a heap spill only past that. A
+//! *same-epoch* access — a read by the location's last recorded reader, a
+//! write by its writer with no reader retained — is answered from a
+//! packed-word-validated snapshot of those inline fields with **zero
+//! stores**; only state-changing accesses take the per-location
+//! seqlock-style write section. The store's contract is one [`LocEntry`]
+//! per exact address.
 //!
 //! ## Writer epochs (the seqlock-style verdict cache)
 //!
@@ -26,8 +31,8 @@
 //! writer that preceded an earlier position precedes every later one.
 //! The per-strand cache lives in `sfrd-runtime`'s `AccessBatch`; this
 //! crate only maintains the epoch. The paged store additionally bakes
-//! the epoch into each slot's packed word, which is what lets its read
-//! fast path validate an entire snapshot with one atomic load.
+//! the epoch into each slot's packed word, which is what lets its
+//! snapshot paths validate a copy of the entry with one atomic re-load.
 //!
 //! ## Reader policies
 //!
@@ -35,7 +40,8 @@
 //!
 //! * [`ReaderPolicy::All`] — keep every reader since the last write (what
 //!   F-Order needs, and what the paper's SF-Order implementation ships,
-//!   §4 "Implementation Overview");
+//!   §4 "Implementation Overview"), except that a reader equal to the
+//!   most recently recorded one is not recorded again;
 //! * [`ReaderPolicy::PerFutureLR`] — the §3.5 bound: per (location,
 //!   future) only the *leftmost* and *rightmost* readers, ≤ 2k per
 //!   location in total (Lemmas 3.10/3.11).
@@ -70,6 +76,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::MaybeUninit;
 
 pub mod paged;
 
@@ -101,61 +108,211 @@ pub(crate) type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 /// Which readers to retain per location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReaderPolicy {
-    /// All readers since the last write.
+    /// All readers since the last write (a reader equal to the most
+    /// recently recorded one is not recorded twice).
     All,
     /// Leftmost + rightmost reader per future (the 2k bound of §3.5).
     PerFutureLR,
 }
 
-/// Retained readers of one location.
-#[derive(Debug, Clone)]
-pub enum Readers<P> {
-    /// Every reader since the last write.
+/// Low bit of [`Head::meta`]: set under [`ReaderPolicy::PerFutureLR`].
+const LR_BIT: u32 = 1;
+/// Inline index of the most recent reader (`All`) / rightmost
+/// (`PerFutureLR`). It comes first so that read-same-epoch's fields — the
+/// slot's packed word and owner, then `meta` and this — are contiguous.
+const LAST: usize = 0;
+/// Inline index of the first reader (`All`) / leftmost (`PerFutureLR`).
+const FIRST: usize = 1;
+
+/// The inline, plain-old-data part of [`Readers`]: everything the paged
+/// store's lock-free snapshot interprets. It holds no pointer, so a copy
+/// taken outside the slot's write section is harmless whatever it
+/// contains, and is meaningful once the packed word validates it.
+///
+/// * `All`: `count` readers in record order; `inline[LAST]` is the most
+///   recent one, `inline[FIRST]` the first once `count >= 2`, and the
+///   `count - 2` in between live in the heap spill.
+/// * `PerFutureLR`: `count` `(future, leftmost, rightmost)` triples; the
+///   first future's is `(fut, inline[FIRST], inline[LAST])`, later
+///   futures' live in the spill.
+#[repr(C)]
+pub(crate) struct Head<P> {
+    /// `count << 1 | LR_BIT`.
+    meta: u32,
+    /// Future of the inline triple (`PerFutureLR` only).
+    fut: u32,
+    inline: [MaybeUninit<P>; 2],
+}
+
+impl<P: Copy> Head<P> {
+    fn new(policy: ReaderPolicy) -> Self {
+        Head {
+            meta: u32::from(policy == ReaderPolicy::PerFutureLR) * LR_BIT,
+            fut: 0,
+            inline: [MaybeUninit::uninit(); 2],
+        }
+    }
+
+    #[inline]
+    fn is_lr(&self) -> bool {
+        self.meta & LR_BIT != 0
+    }
+
+    /// Readers (`All`) or triples (`PerFutureLR`) retained.
+    #[inline]
+    pub(crate) fn count(&self) -> usize {
+        (self.meta >> 1) as usize
+    }
+
+    fn set_count(&mut self, n: usize) {
+        assert!(n <= (u32::MAX >> 1) as usize, "reader count fits 31 bits");
+        self.meta = (n as u32) << 1 | (self.meta & LR_BIT);
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> P {
+        // SAFETY: callers index only slots their `count` says were
+        // written (`LAST` when count >= 1, `FIRST` when count >= 2 or
+        // under `PerFutureLR` with count >= 1).
+        unsafe { self.inline[i].assume_init() }
+    }
+
+    /// The most recently recorded reader under [`ReaderPolicy::All`];
+    /// `None` when empty or under `PerFutureLR`.
+    #[inline]
+    pub(crate) fn last(&self) -> Option<P> {
+        (!self.is_lr() && self.count() > 0).then(|| self.get(LAST))
+    }
+
+    /// `future`'s `(leftmost, rightmost)` pair if it is the inline
+    /// triple; `None` when it is absent *or* spilled (the caller cannot
+    /// tell which without the write section).
+    #[inline]
+    pub(crate) fn inline_lr(&self, future: u32) -> Option<(P, P)> {
+        (self.is_lr() && self.count() > 0 && self.fut == future)
+            .then(|| (self.get(FIRST), self.get(LAST)))
+    }
+}
+
+/// Readers past the inline capacity of a [`Head`].
+enum Spill<P> {
     All(Vec<P>),
-    /// `(future, leftmost, rightmost)` triples.
     PerFuture(Vec<(u32, P, P)>),
+}
+
+/// Retained readers of one location: two positions inline, a heap spill
+/// only past that (see [`ReaderPolicy`] for what is retained).
+#[repr(C)]
+pub struct Readers<P> {
+    pub(crate) head: Head<P>,
+    /// Only ever touched inside the owning slot's write section.
+    spill: Option<Box<Spill<P>>>,
+}
+
+/// The Mellor-Crummey update of one `(leftmost, rightmost)` pair.
+fn lr_update<P: Copy>(
+    l: &mut P,
+    r: &mut P,
+    p: P,
+    eng_less: impl Fn(&P, &P) -> bool,
+    heb_less: impl Fn(&P, &P) -> bool,
+    precedes: impl Fn(&P, &P) -> bool,
+) {
+    if precedes(l, &p) || eng_less(&p, l) {
+        *l = p;
+    }
+    if precedes(r, &p) || heb_less(&p, r) {
+        *r = p;
+    }
 }
 
 impl<P: Copy> Readers<P> {
     pub(crate) fn new(policy: ReaderPolicy) -> Self {
-        match policy {
-            ReaderPolicy::All => Readers::All(Vec::new()),
-            ReaderPolicy::PerFutureLR => Readers::PerFuture(Vec::new()),
+        Readers {
+            head: Head::new(policy),
+            spill: None,
         }
     }
 
-    /// Iterate the retained readers (lr pairs may repeat a reader).
+    fn spilled_all(&self) -> &[P] {
+        match self.spill.as_deref() {
+            Some(Spill::All(v)) => v,
+            _ => &[],
+        }
+    }
+
+    fn spilled_lr(&self) -> &[(u32, P, P)] {
+        match self.spill.as_deref() {
+            Some(Spill::PerFuture(v)) => v,
+            _ => &[],
+        }
+    }
+
+    /// The `All` spill, allocated on first use.
+    fn spill_all(&mut self) -> &mut Vec<P> {
+        let spill = self
+            .spill
+            .get_or_insert_with(|| Box::new(Spill::All(Vec::new())));
+        match &mut **spill {
+            Spill::All(v) => v,
+            Spill::PerFuture(_) => unreachable!("policy is fixed at construction"),
+        }
+    }
+
+    /// The `PerFutureLR` spill, allocated on first use.
+    fn spill_lr(&mut self) -> &mut Vec<(u32, P, P)> {
+        let spill = self
+            .spill
+            .get_or_insert_with(|| Box::new(Spill::PerFuture(Vec::new())));
+        match &mut **spill {
+            Spill::PerFuture(v) => v,
+            Spill::All(_) => unreachable!("policy is fixed at construction"),
+        }
+    }
+
+    /// Iterate the retained readers in record order (lr pairs may repeat
+    /// a reader).
     pub fn for_each(&self, mut f: impl FnMut(P)) {
-        match self {
-            Readers::All(v) => v.iter().copied().for_each(&mut f),
-            Readers::PerFuture(v) => {
-                for &(_, l, r) in v {
-                    f(l);
-                    f(r);
-                }
+        let n = self.head.count();
+        if n == 0 {
+            return;
+        }
+        if self.head.is_lr() {
+            f(self.head.get(FIRST));
+            f(self.head.get(LAST));
+            for &(_, l, r) in self.spilled_lr() {
+                f(l);
+                f(r);
             }
+        } else {
+            if n >= 2 {
+                f(self.head.get(FIRST));
+                self.spilled_all().iter().copied().for_each(&mut f);
+            }
+            f(self.head.get(LAST));
         }
     }
 
     /// Number of retained reader slots.
     pub fn len(&self) -> usize {
-        match self {
-            Readers::All(v) => v.len(),
-            Readers::PerFuture(v) => v.len() * 2,
-        }
+        self.head.count() << usize::from(self.head.is_lr())
     }
 
     /// No readers retained?
     pub fn is_empty(&self) -> bool {
-        match self {
-            Readers::All(v) => v.is_empty(),
-            Readers::PerFuture(v) => v.is_empty(),
-        }
+        self.head.count() == 0
     }
 
-    /// Record a reader. `future` is the reader's future id. For the
-    /// per-future policy, the Mellor-Crummey update rule is applied to the
-    /// (leftmost, rightmost) pair:
+    /// Record a reader. `future` is the reader's future id.
+    ///
+    /// Under [`ReaderPolicy::All`] a reader equal to the most recently
+    /// recorded one is dropped: it was checked against the same writer
+    /// (a write would have cleared the list) and a later writer's sweep
+    /// already sees it, so a strand re-reading a location retains one
+    /// position however often it repeats.
+    ///
+    /// For the per-future policy, the Mellor-Crummey update rule is
+    /// applied to the (leftmost, rightmost) pair:
     ///
     /// * a slot whose stored reader *precedes* the new one advances to it
     ///   (a serial successor subsumes its ancestor for all later checks);
@@ -173,52 +330,107 @@ impl<P: Copy> Readers<P> {
         eng_less: impl Fn(&P, &P) -> bool,
         heb_less: impl Fn(&P, &P) -> bool,
         precedes: impl Fn(&P, &P) -> bool,
-    ) {
-        match self {
-            Readers::All(v) => v.push(p),
-            Readers::PerFuture(v) => {
-                for entry in v.iter_mut() {
-                    if entry.0 == future {
-                        if precedes(&entry.1, &p) || eng_less(&p, &entry.1) {
-                            entry.1 = p;
-                        }
-                        if precedes(&entry.2, &p) || heb_less(&p, &entry.2) {
-                            entry.2 = p;
-                        }
-                        return;
-                    }
+    ) where
+        P: PartialEq,
+    {
+        let n = self.head.count();
+        if !self.head.is_lr() {
+            if n > 0 {
+                let last = self.head.get(LAST);
+                if last == p {
+                    return;
                 }
-                v.push((future, p, p));
+                if n == 1 {
+                    self.head.inline[FIRST] = MaybeUninit::new(last);
+                } else {
+                    self.spill_all().push(last);
+                }
+            }
+            self.head.inline[LAST] = MaybeUninit::new(p);
+            self.head.set_count(n + 1);
+            return;
+        }
+        if n == 0 {
+            self.head.fut = future;
+            self.head.inline = [MaybeUninit::new(p); 2];
+            self.head.set_count(1);
+            return;
+        }
+        if self.head.fut == future {
+            let (mut l, mut r) = (self.head.get(FIRST), self.head.get(LAST));
+            lr_update(&mut l, &mut r, p, eng_less, heb_less, precedes);
+            self.head.inline[FIRST] = MaybeUninit::new(l);
+            self.head.inline[LAST] = MaybeUninit::new(r);
+            return;
+        }
+        let spilled = self.spill_lr();
+        match spilled.iter_mut().find(|t| t.0 == future) {
+            Some((_, l, r)) => lr_update(l, r, p, eng_less, heb_less, precedes),
+            None => {
+                spilled.push((future, p, p));
+                self.head.set_count(n + 1);
             }
         }
     }
 
+    /// Drop every reader; a spill keeps its allocation for the next epoch.
     pub(crate) fn clear(&mut self) {
-        match self {
-            Readers::All(v) => v.clear(),
-            Readers::PerFuture(v) => v.clear(),
+        self.head.set_count(0);
+        match self.spill.as_deref_mut() {
+            Some(Spill::All(v)) => v.clear(),
+            Some(Spill::PerFuture(v)) => v.clear(),
+            None => {}
         }
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
-        match self {
-            Readers::All(v) => v.capacity() * std::mem::size_of::<P>(),
-            Readers::PerFuture(v) => v.capacity() * std::mem::size_of::<(u32, P, P)>(),
+        match self.spill.as_deref() {
+            None => 0,
+            Some(s) => {
+                std::mem::size_of::<Spill<P>>()
+                    + match s {
+                        Spill::All(v) => v.capacity() * std::mem::size_of::<P>(),
+                        Spill::PerFuture(v) => v.capacity() * std::mem::size_of::<(u32, P, P)>(),
+                    }
+            }
         }
     }
 }
 
-/// Shadow state of one memory location.
-#[derive(Debug)]
+impl<P: Copy + std::fmt::Debug> std::fmt::Debug for Readers<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut list = f.debug_list();
+        self.for_each(|p| {
+            list.entry(&p);
+        });
+        list.finish()
+    }
+}
+
+/// Shadow state of one memory location. This is the representation the
+/// paged store keeps in each slot — there is no second copy. Field order
+/// is layout (`repr(C)`): the readers' head leads because the hottest
+/// path, read-same-epoch, reads nothing else of the entry.
+#[repr(C)]
 pub struct LocEntry<P> {
-    /// Last writer, if any.
-    pub writer: Option<P>,
     /// Retained readers since the last write.
     pub readers: Readers<P>,
+    /// Last writer, if any.
+    pub writer: Option<P>,
     /// Writer epoch: bumped every time a new writer is installed. The
     /// seqlock-style validation word for cached serial-writer verdicts
     /// (see module docs).
     pub writer_seq: u64,
+}
+
+impl<P: Copy + std::fmt::Debug> std::fmt::Debug for LocEntry<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LocEntry")
+            .field("writer", &self.writer)
+            .field("writer_seq", &self.writer_seq)
+            .field("readers", &self.readers)
+            .finish()
+    }
 }
 
 impl<P: Copy> LocEntry<P> {
@@ -226,8 +438,8 @@ impl<P: Copy> LocEntry<P> {
     pub fn new(policy: ReaderPolicy) -> Self {
         LocEntry {
             writer: None,
-            readers: Readers::new(policy),
             writer_seq: 0,
+            readers: Readers::new(policy),
         }
     }
 
@@ -274,8 +486,44 @@ mod tests {
             assert_eq!(e.readers.len(), 5);
             let mut seen = vec![];
             e.readers.for_each(|p| seen.push(p));
-            assert_eq!(seen.len(), 5);
+            assert_eq!(
+                seen,
+                (0..5).map(|i| (i, 10 - i)).collect::<Vec<_>>(),
+                "record order: first inline, middle spilled, last inline"
+            );
+            assert_eq!(e.readers.head.last(), Some((4, 6)));
         });
+    }
+
+    #[test]
+    fn all_policy_drops_a_repeat_of_the_last_reader() {
+        let h = history(ReaderPolicy::All);
+        let rec = |p: Pos| {
+            h.locked(0x100, |e| {
+                e.readers.record(0, p, eng_less, heb_less, precedes)
+            })
+        };
+        for _ in 0..3 {
+            rec((1, 1));
+        }
+        h.locked(0x100, |e| assert_eq!(e.readers.len(), 1));
+        // Only the *last* entry is compared: an interleaved reader defeats
+        // the dedup and both stay, in order.
+        rec((2, 2));
+        rec((1, 1));
+        rec((1, 1));
+        h.locked(0x100, |e| {
+            let mut seen = vec![];
+            e.readers.for_each(|p| seen.push(p));
+            assert_eq!(seen, vec![(1, 1), (2, 2), (1, 1)]);
+        });
+        // A write clears them; the allocation-free inline pair is reused.
+        h.locked(0x100, |e| {
+            e.begin_write_epoch((3, 3));
+            assert!(e.readers.is_empty() && e.readers.head.last().is_none());
+        });
+        rec((1, 1));
+        h.locked(0x100, |e| assert_eq!(e.readers.len(), 1));
     }
 
     #[test]
@@ -399,23 +647,76 @@ mod tests {
         assert!(!cur.fast_read(addr, 9, (5, 5), eng_less, heb_less, precedes, |_, _| true));
         // A writer veto routes to the slow path.
         assert!(!cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_, _| false));
+        drop(cur);
         assert_eq!(h.fast_hits(), 1);
     }
 
+    /// Read-same-epoch under the default policy: the comparators and the
+    /// writer check are never consulted — one compare on the snapshot.
     #[test]
-    fn fast_path_disabled_for_keep_all_policy() {
+    fn same_epoch_read_hits_under_all() {
         let h = history(ReaderPolicy::All);
         let mut cur = h.cursor();
+        let never = |_: &Pos, _: &Pos| -> bool { panic!("comparator consulted under All") };
+        let no_writer_check = |_: Option<Pos>, _: u64| -> bool { panic!("writer re-checked") };
+        let fast = |cur: &mut PageCursor<'_, Pos>, fut, p| {
+            cur.fast_read(0x40, fut, p, never, never, never, no_writer_check)
+        };
+        // Nothing there yet: the page does not even exist.
+        assert!(!fast(&mut cur, 0, (1, 1)));
+        assert_eq!(h.page_allocs(), 0, "a snapshot must not allocate");
         cur.locked(0x40, |e| {
+            e.begin_write_epoch((0, 0));
             e.readers.record(0, (1, 1), eng_less, heb_less, precedes)
         });
-        // Keep-all must always record, so the fast path never hits.
-        assert!(!cur.fast_read(0x40, 0, (1, 1), eng_less, heb_less, precedes, |_, _| true));
-        assert_eq!(h.fast_hits(), 0);
+        // The last recorded reader re-reads: a no-op, whatever its future.
+        assert!(fast(&mut cur, 0, (1, 1)));
+        assert!(fast(&mut cur, 7, (1, 1)));
+        // Any other position must record.
+        assert!(!fast(&mut cur, 0, (2, 2)));
+        // An interleaved reader becomes the last one and defeats (1, 1).
+        cur.locked(0x40, |e| {
+            e.readers.record(1, (2, 2), eng_less, heb_less, precedes)
+        });
+        assert!(!fast(&mut cur, 0, (1, 1)));
+        assert!(fast(&mut cur, 1, (2, 2)));
+        // A write clears the readers: the next read must re-check.
+        cur.locked(0x40, |e| e.begin_write_epoch((3, 3)));
+        assert!(!fast(&mut cur, 1, (2, 2)));
+        // The same address's sub-word neighbour lives in the fallback map
+        // and never hits on the owner's snapshot.
+        cur.locked(0x44, |e| {
+            e.readers.record(0, (3, 3), eng_less, heb_less, precedes)
+        });
+        assert!(!cur.fast_read(0x44, 0, (3, 3), never, never, never, no_writer_check));
+        drop(cur);
+        assert_eq!(h.fast_hits(), 3, "hits fold in when the cursor drops");
     }
 
     #[test]
-    fn mirror_spills_past_two_futures() {
+    fn same_epoch_write_hits_and_leaves_the_epoch() {
+        for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
+            let h = history(policy);
+            let mut cur = h.cursor();
+            assert!(!cur.fast_write(0x40, (1, 1)), "untouched location");
+            cur.locked(0x40, |e| e.begin_write_epoch((1, 1)));
+            assert!(cur.fast_write(0x40, (1, 1)));
+            assert!(!cur.fast_write(0x40, (2, 2)), "another writer");
+            let snap = cur.snapshot(0x40).expect("idle, owned slot");
+            assert_eq!((snap.writer(), snap.writer_seq()), (Some((1, 1)), 1));
+            // A retained reader must be swept by the write section.
+            cur.locked(0x40, |e| {
+                e.readers.record(0, (1, 1), eng_less, heb_less, precedes)
+            });
+            assert!(!cur.fast_write(0x40, (1, 1)));
+            cur.locked(0x40, |e| assert_eq!(e.writer_seq, 1));
+            drop(cur);
+            assert_eq!(h.fast_hits(), 1);
+        }
+    }
+
+    #[test]
+    fn lr_triples_past_the_inline_one_bail_to_the_locked_path() {
         let h = history(ReaderPolicy::PerFutureLR);
         let mut cur = h.cursor();
         for fut in 0..3u32 {
@@ -424,10 +725,38 @@ mod tests {
                     .record(fut, (fut, fut), eng_less, heb_less, precedes)
             });
         }
-        // Three futures exceed the inline mirror — fast path must bail even
-        // for a redundant read, and the locked path still has all triples.
-        assert!(!cur.fast_read(0x80, 0, (0, 0), eng_less, heb_less, precedes, |_, _| true));
-        cur.locked(0x80, |e| assert_eq!(e.readers.len(), 6));
+        // The first future's triple is inline and still hits; later ones
+        // spilled — the fast path bails even for a redundant read, and the
+        // locked path still has all triples.
+        assert!(cur.fast_read(0x80, 0, (0, 0), eng_less, heb_less, precedes, |_, _| true));
+        assert!(!cur.fast_read(0x80, 2, (2, 2), eng_less, heb_less, precedes, |_, _| true));
+        cur.locked(0x80, |e| {
+            assert_eq!(e.readers.len(), 6);
+            // A spilled future's pair still follows the update rule.
+            e.readers.record(2, (1, 9), eng_less, heb_less, precedes);
+            let mut seen = vec![];
+            e.readers.for_each(|p| seen.push(p));
+            assert_eq!(seen, vec![(0, 0), (0, 0), (1, 1), (1, 1), (1, 9), (2, 2)]);
+        });
+    }
+
+    /// A quiescent sweep (`report()` runs three) must not look like a
+    /// mutation: no packed word changes, so no snapshot is invalidated.
+    #[test]
+    fn sweeps_leave_every_packed_word_unchanged() {
+        let h = history(ReaderPolicy::All);
+        for a in 0..300u64 {
+            h.locked(a * 8, |e| {
+                if a % 3 == 0 {
+                    e.begin_write_epoch((1, 1));
+                }
+                e.readers.record(0, (2, 2), eng_less, heb_less, precedes)
+            });
+        }
+        let before = h.packed_words();
+        assert_eq!(before.len(), PAGE_SLOTS);
+        let _ = (h.heap_bytes(), h.locations(), h.max_retained_readers());
+        assert_eq!(h.packed_words(), before);
     }
 
     #[test]
@@ -459,8 +788,11 @@ mod tests {
             let h = Arc::clone(&h);
             threads.push(std::thread::spawn(move || {
                 for i in 0..10_000u64 {
+                    // Distinct positions: a repeat of the last reader would
+                    // be dropped, and this test counts retained readers.
                     h.locked((i % 64) * 16, |e| {
-                        e.readers.record(t, (t, t), eng_less, heb_less, precedes)
+                        e.readers
+                            .record(t, (t, i as u32), eng_less, heb_less, precedes)
                     });
                 }
             }));

@@ -2,21 +2,27 @@
 //! under arbitrary access sequences.
 //!
 //! The store's contract is "one [`LocEntry`] per exact address", so the
-//! reference is exactly that: an in-test `BTreeMap<u64, LocEntry<Pos>>`.
-//! Each case decodes a `Vec<u64>` into a sequence of reads and writes —
-//! mixed futures, positions, sub-word-colliding addresses (4-byte stride
-//! inside 8-byte slot spans) and occasional out-of-range addresses — and
-//! drives the *same* sequence through both using the detectors' check
-//! protocol (writer-check on reads, writer+reader-check on writes). The
-//! paged side additionally attempts the zero-store fast path before every
-//! read, exactly as `sfrd-core`'s event sink does. The properties:
+//! reference is exactly that: an in-test `BTreeMap<u64, LocEntry<Pos>>`
+//! on which **every** access runs the full check — the write section's
+//! logic, never a short-circuit. Each case decodes a `Vec<u64>` into a
+//! sequence of reads and writes — mixed futures, positions,
+//! sub-word-colliding addresses (4-byte stride inside 8-byte slot spans)
+//! and occasional out-of-range addresses — and drives the *same* sequence
+//! through both using the detectors' check protocol (writer-check on
+//! reads, writer+reader-check on writes, equal positions serial). The
+//! paged side first asks the zero-store snapshot paths (`fast_read`,
+//! `fast_write`), exactly as `sfrd-core`'s event sink does. The
+//! properties:
 //!
-//! * the per-access race verdicts are identical,
-//! * the retained state (writer, writer epoch, reader set per address) is
-//!   identical,
+//! * the paged side reports no race the reference does not, and the racy
+//!   `(addr, kind)` **sets** are identical (a same-epoch repeat of a racy
+//!   read is observed once, not once per repeat);
+//! * the retained state (writer, reader list per address) is identical,
+//!   and the writer epoch never runs ahead of the reference's (a
+//!   write-same-epoch hit leaves it alone);
 //! * `max_retained_readers` and `locations` agree.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use sfrd_shadow::{LocEntry, PagedHistory, ReaderPolicy};
@@ -62,31 +68,39 @@ fn decode(code: u64) -> Op {
     }
 }
 
+/// Does a stored accessor `a` race with the access at `p`? Equal
+/// positions are one strand's serial chain (the premise the sink's
+/// `w != pos` shortcut and the same-epoch rules share).
+fn races(a: &Pos, p: &Pos) -> bool {
+    a != p && !precedes(a, p)
+}
+
 /// The write half of the detectors' check protocol on one entry.
 fn check_write(e: &mut LocEntry<Pos>, op: &Op) -> bool {
-    let mut race = e.writer.is_some_and(|w| !precedes(&w, &op.pos));
-    e.readers.for_each(|r| race |= !precedes(&r, &op.pos));
+    let mut race = e.writer.is_some_and(|w| races(&w, &op.pos));
+    e.readers.for_each(|r| race |= races(&r, &op.pos));
     e.begin_write_epoch(op.pos);
     race
 }
 
 /// The read half: check the writer, retain the reader.
 fn check_read(e: &mut LocEntry<Pos>, op: &Op) -> bool {
-    let race = e.writer.is_some_and(|w| !precedes(&w, &op.pos));
+    let race = e.writer.is_some_and(|w| races(&w, &op.pos));
     e.readers
         .record(op.fut, op.pos, eng_less, heb_less, precedes);
     race
 }
 
 /// The protocol against the paged store; returns the verdict (raced?) per
-/// op. Mimics `sfrd-core`'s read path: try the zero-store fast path
-/// first, fall back to the write section on a miss.
+/// op. Mimics `sfrd-core`'s access path: ask the zero-store snapshot
+/// first, enter the write section on a miss.
 fn run_paged(h: &PagedHistory<Pos>, ops: &[Op]) -> Vec<bool> {
     let mut cur = h.cursor();
     ops.iter()
         .map(|op| {
             if op.write {
-                return cur.locked(op.addr, |e| check_write(e, op));
+                return !cur.fast_write(op.addr, op.pos)
+                    && cur.locked(op.addr, |e| check_write(e, op));
             }
             let fast = cur.fast_read(
                 op.addr,
@@ -95,15 +109,16 @@ fn run_paged(h: &PagedHistory<Pos>, ops: &[Op]) -> Vec<bool> {
                 eng_less,
                 heb_less,
                 precedes,
-                |w, _| w.is_none_or(|w| precedes(&w, &op.pos)),
+                |w, _| !w.is_some_and(|w| races(&w, &op.pos)),
             );
-            // A fast hit is provably redundant: no race, no store.
+            // A hit is provably redundant: nothing to report, no store.
             !fast && cur.locked(op.addr, |e| check_read(e, op))
         })
         .collect()
 }
 
-/// The reference: one entry per exact address, every access applied.
+/// The reference: one entry per exact address, the full check on every
+/// access.
 type Model = BTreeMap<u64, LocEntry<Pos>>;
 
 fn run_model(policy: ReaderPolicy, ops: &[Op]) -> (Model, Vec<bool>) {
@@ -124,12 +139,20 @@ fn run_model(policy: ReaderPolicy, ops: &[Op]) -> (Model, Vec<bool>) {
     (model, verdicts)
 }
 
-/// One address's retained state, readers sorted for comparison.
-fn entry_state(addr: u64, e: &LocEntry<Pos>) -> (u64, Option<Pos>, u64, Vec<Pos>) {
+/// The racy `(addr, is_write)` set of a run.
+fn racy_set(ops: &[Op], verdicts: &[bool]) -> BTreeSet<(u64, bool)> {
+    ops.iter()
+        .zip(verdicts)
+        .filter(|(_, &raced)| raced)
+        .map(|(op, _)| (op.addr, op.write))
+        .collect()
+}
+
+/// One address's retained state, readers in record order.
+fn entry_state(addr: u64, e: &LocEntry<Pos>) -> (u64, Option<Pos>, Vec<Pos>) {
     let mut readers = Vec::new();
     e.readers.for_each(|p| readers.push(p));
-    readers.sort_unstable();
-    (addr, e.writer, e.writer_seq, readers)
+    (addr, e.writer, readers)
 }
 
 proptest! {
@@ -139,19 +162,35 @@ proptest! {
     fn paged_store_matches_exact_address_model(
         codes in proptest::collection::vec(any::<u64>(), 1..400)
     ) {
-        // First word selects the reader policy; the rest are ops (the
-        // vendored proptest macro takes exactly one strategy binding).
+        // First word selects the reader policy and how repeat-heavy the
+        // sequence is; the rest are ops (the vendored proptest macro takes
+        // exactly one strategy binding).
         let policy = if codes[0] & 1 == 0 { ReaderPolicy::All } else { ReaderPolicy::PerFutureLR };
-        let ops: Vec<Op> = codes[1..].iter().map(|&c| decode(c)).collect();
+        let mut ops: Vec<Op> = codes[1..].iter().map(|&c| decode(c)).collect();
+        if codes[0] & 2 == 0 {
+            // Same-epoch repeats are what the snapshot paths exist for;
+            // random 16-bit positions almost never repeat by themselves.
+            ops = ops.iter().flat_map(|&op| [op, op, Op { write: !op.write, ..op }, op]).collect();
+        }
         let paged = PagedHistory::with_policy(policy);
         let (model, vm) = run_model(policy, &ops);
         let vp = run_paged(&paged, &ops);
-        prop_assert_eq!(&vm, &vp, "race verdicts diverge\nops: {:?}", ops);
+        for (i, (&p, &m)) in vp.iter().zip(&vm).enumerate() {
+            prop_assert!(!p || m, "op {} raced on the paged side only\nops: {:?}", i, ops);
+        }
+        prop_assert_eq!(racy_set(&ops, &vp), racy_set(&ops, &vm), "racy sets diverge\nops: {:?}", ops);
         let want: Vec<_> = model.iter().map(|(&a, e)| entry_state(a, e)).collect();
         let mut got = Vec::new();
-        paged.for_each_entry(|a, e| got.push(entry_state(a, e)));
+        let mut epochs = Vec::new();
+        paged.for_each_entry(|a, e| {
+            got.push(entry_state(a, e));
+            epochs.push((a, e.writer_seq));
+        });
         got.sort_unstable();
         prop_assert_eq!(want, got);
+        for (a, seq) in epochs {
+            prop_assert!(seq <= model[&a].writer_seq, "epoch of {:#x} ran ahead", a);
+        }
         prop_assert_eq!(model.len(), paged.locations());
         prop_assert_eq!(
             model.values().map(|e| e.readers.len()).max().unwrap_or(0),
@@ -160,28 +199,37 @@ proptest! {
     }
 }
 
-/// The fast path must actually engage on redundant-read-heavy sequences —
-/// otherwise the differential test above exercises nothing.
+/// The snapshot paths must actually engage on repeat-heavy sequences,
+/// under either policy — otherwise the differential test above exercises
+/// nothing.
 #[test]
 fn fast_path_engages_on_redundant_sequences() {
-    let paged = PagedHistory::<Pos>::with_policy(ReaderPolicy::PerFutureLR);
-    let ops: Vec<Op> = (0..64)
-        .flat_map(|i| {
-            let op = Op {
-                write: false,
-                addr: 0x2000 + i * 8,
-                fut: 1,
-                pos: (7, 7),
-            };
-            [op, op, op] // every repeat after the first is redundant
-        })
-        .collect();
-    let verdicts = run_paged(&paged, &ops);
-    assert!(verdicts.iter().all(|&r| !r));
-    assert!(
-        paged.fast_hits() >= 2 * 64,
-        "expected >=128 fast hits, got {}",
-        paged.fast_hits()
-    );
-    assert_eq!(paged.lock_ops(), 0);
+    for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
+        let paged = PagedHistory::<Pos>::with_policy(policy);
+        let ops: Vec<Op> = (0..64)
+            .flat_map(|i| {
+                let read = Op {
+                    write: false,
+                    addr: 0x2000 + i * 8,
+                    fut: 1,
+                    pos: (7, 7),
+                };
+                let write = Op {
+                    write: true,
+                    addr: 0x4000 + i * 8,
+                    ..read
+                };
+                // Every repeat after the first is redundant.
+                [read, read, read, write, write, write]
+            })
+            .collect();
+        let verdicts = run_paged(&paged, &ops);
+        assert!(verdicts.iter().all(|&r| !r));
+        assert_eq!(
+            paged.fast_hits(),
+            4 * 64,
+            "{policy:?}: two repeat reads and two repeat writes per address"
+        );
+        assert_eq!(paged.lock_ops(), 0);
+    }
 }

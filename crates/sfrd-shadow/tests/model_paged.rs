@@ -1,23 +1,26 @@
-//! Model-checked packed-word / mirror-seqlock protocol (`--cfg sfrd_model`).
+//! Model-checked packed-word / snapshot seqlock protocol (`--cfg sfrd_model`).
 //!
-//! The paged shadow's zero-store fast path reads a non-atomic `Mirror` copy
-//! and validates it against the packed word (BUSY check, then an
-//! acquire-fenced re-load equality check). This test drives a writer
-//! mutating a mapped entry through `locked()` against a concurrent
-//! fast-path reader through ~1000 seeded SC interleavings and asserts:
+//! The paged shadow's zero-store paths copy a slot's entry fields
+//! non-atomically and validate the copy against the packed word (BUSY
+//! check, then an acquire-fenced re-load equality check). These tests
+//! drive a writer mutating a mapped entry through `locked()` against a
+//! concurrent snapshot reader through ~1000 seeded SC interleavings each
+//! and assert:
 //!
 //! * every snapshot the seqlock *validates* is internally consistent —
-//!   the writer maintains `writer == Some(7 * writer_seq)`, so a mixed
-//!   old/new view would be caught by the closure assertion;
+//!   the writer maintains `writer == Some(7 * writer_seq)` (and, in the
+//!   `All`-policy test, `last reader == 11 * writer_seq`, re-established
+//!   only at the *end* of a section that yields in the middle), so a view
+//!   mixing two sections, or showing half of one, is caught;
 //! * `writer_seq` observed through the locked path is monotone;
 //! * the mapped path takes zero locks: both the history's own fallback-map
 //!   census (`lock_ops()`) and the model's facade census stay 0.
 //!
-//! Honesty: the model cannot tear the mirror copy itself (threads are only
-//! preempted at facade operations), so this checks the *protocol* — BUSY
-//! claim ordering, the validate-before-interpret discipline, slot-ownership
-//! checks — not hardware-level byte tearing, which the release-mode stress
-//! tests cover on real parallel hardware.
+//! Honesty: the model cannot tear the field copies themselves (threads are
+//! only preempted at facade operations), so this checks the *protocol* —
+//! BUSY claim ordering, the validate-before-interpret discipline,
+//! slot-ownership checks — not hardware-level byte tearing, which the
+//! release-mode stress tests cover on real parallel hardware.
 #![cfg(sfrd_model)]
 
 use std::sync::Arc;
@@ -50,7 +53,7 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
     };
     let report = model::explore(cfg, || {
         let hist = Arc::new(PagedHistory::<u64>::with_policy(ReaderPolicy::PerFutureLR));
-        // Seed a reader slot so the mirror's `find(FUT)` hits and the
+        // Seed the inline triple so the snapshot finds FUT's pair and the
         // fast path reaches the writer check.
         record_reader(&hist);
 
@@ -101,6 +104,111 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
         let (w, seq) = hist.locked(ADDR, |e| (e.writer, e.writer_seq));
         assert_eq!(seq, WRITES, "lost write epoch");
         assert_eq!(w, Some(7 * WRITES));
+        assert_eq!(
+            hist.lock_ops(),
+            0,
+            "mapped path fell back to the locked map"
+        );
+    });
+    assert_eq!(report.schedules, cfg.schedules);
+    assert!(
+        report.schedules >= 1000,
+        "acceptance floor: >=1000 schedules"
+    );
+    assert_eq!(
+        report.lock_ops, 0,
+        "mapped shadow path must take zero mutex acquisitions"
+    );
+}
+
+/// The default policy through the same snapshot: a reader racing a writer
+/// whose every section passes through a state no snapshot may ever show.
+///
+/// Each writer section installs epoch `s` (which clears the readers),
+/// *yields to the scheduler with the busy bit held*, and only then
+/// records the reader `11 * s`. At every section boundary the entry
+/// therefore satisfies `writer == 7 * seq && last reader == 11 * seq`; a
+/// snapshot validated across or inside a section breaks that equation.
+#[test]
+fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
+    let cfg = Config {
+        schedules: 1000,
+        ..Config::default()
+    };
+    let report = model::explore(cfg, || {
+        let hist = Arc::new(PagedHistory::<u64>::with_policy(ReaderPolicy::All));
+        let section = |hist: &PagedHistory<u64>| {
+            hist.locked(ADDR, |e| {
+                let seq = e.writer_seq + 1;
+                e.begin_write_epoch(7 * seq);
+                sfrd_runtime::sync::yield_point();
+                e.readers.record(FUT, 11 * seq, less, less, less);
+            })
+        };
+        section(&hist);
+
+        let writer = {
+            let hist = Arc::clone(&hist);
+            model::spawn(move || {
+                for _ in 1..WRITES {
+                    section(&hist);
+                }
+            })
+        };
+        let reader = {
+            let hist = Arc::clone(&hist);
+            model::spawn(move || {
+                let mut cur = hist.cursor();
+                let mut last_seq = 0u64;
+                for _ in 0..6 {
+                    if let Some(snap) = cur.snapshot(ADDR) {
+                        let seq = snap.writer_seq();
+                        assert!(seq >= last_seq, "validated epoch went backwards");
+                        last_seq = seq;
+                        assert_eq!(
+                            (snap.writer(), snap.last_reader()),
+                            (Some(7 * seq), Some(11 * seq)),
+                            "validated snapshot shows the middle of a section (epoch {seq})"
+                        );
+                    }
+                    // The two same-epoch answers come from the same
+                    // protocol: a read hit names the reader of a complete
+                    // section, and a write can never hit while that
+                    // section's reader is retained.
+                    let no_cmp = |_: &u64, _: &u64| -> bool { unreachable!() };
+                    let no_writer_check = |_: Option<u64>, _: u64| -> bool { unreachable!() };
+                    for seq in 1..=WRITES {
+                        if cur.fast_read(
+                            ADDR,
+                            FUT,
+                            11 * seq,
+                            no_cmp,
+                            no_cmp,
+                            no_cmp,
+                            no_writer_check,
+                        ) {
+                            assert!(
+                                seq >= last_seq,
+                                "hit on a reader older than a validated epoch"
+                            );
+                            last_seq = seq;
+                        }
+                        assert!(
+                            !cur.fast_write(ADDR, 7 * seq),
+                            "write-same-epoch hit past a reader"
+                        );
+                    }
+                }
+            })
+        };
+        writer.join();
+        reader.join();
+
+        let mut cur = hist.cursor();
+        let snap = cur.snapshot(ADDR).expect("quiescent, owned slot");
+        assert_eq!(snap.writer_seq(), WRITES, "lost write epoch");
+        assert_eq!(snap.writer(), Some(7 * WRITES));
+        assert_eq!(snap.last_reader(), Some(11 * WRITES));
         assert_eq!(
             hist.lock_ops(),
             0,

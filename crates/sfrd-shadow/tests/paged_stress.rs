@@ -6,8 +6,16 @@
 //!
 //! Torn-read detection: every position ever stored is diagonal `(v, v)`,
 //! so any comparison closure or writer snapshot that observes `(a, b)`
-//! with `a != b` has seen a torn `LocEntry`/mirror copy — the seqlock
+//! with `a != b` has seen a torn copy of the `LocEntry` — the seqlock
 //! protocol must make that impossible.
+//!
+//! The second test is `model_paged.rs`'s `All`-policy invariant on real
+//! threads: sections that install `writer = 7·seq` and `last reader =
+//! 11·seq` on 12-byte positions, against readers that take validated
+//! snapshots of the same slots the whole time.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use sfrd_shadow::{PagedHistory, ReaderPolicy, PAGE_SLOTS, SLOT_SHIFT};
 
@@ -130,4 +138,110 @@ fn concurrent_matches_single_threaded_oracle() {
         shared.fast_hits() > 0,
         "redundant re-reads never took the zero-store path"
     );
+}
+
+/// A 12-byte position, the size the detectors store: three equal words.
+type Wide = (u32, u32, u32);
+
+fn wide(v: u32) -> Wide {
+    (v, v, v)
+}
+
+fn never(_: &Wide, _: &Wide) -> bool {
+    unreachable!("the All policy consults no comparator")
+}
+
+/// The default policy's snapshot under real contention: one thread runs
+/// write sections over a few slots (new epoch `s`, writer `7·s`, then
+/// reader `11·s` — two field groups, one section), three threads snapshot
+/// the same slots continuously. A snapshot that validates must show one
+/// section's writer *and* reader, whole: never torn words, never the
+/// cleared reader list of a section's first half, never two epochs mixed.
+#[test]
+fn all_policy_snapshots_never_mix_sections_on_real_threads() {
+    const SLOTS: u64 = 8;
+    const READERS: usize = 3;
+    let sections: u32 = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        400_000
+    };
+    let h = PagedHistory::<Wide>::with_policy(ReaderPolicy::All);
+    let start = Barrier::new(READERS + 1);
+    let done = AtomicBool::new(false);
+    let validated = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut cur = h.cursor();
+            start.wait();
+            for _ in 0..sections {
+                for slot in 0..SLOTS {
+                    cur.locked(slot << SLOT_SHIFT, |e| {
+                        let seq = e.writer_seq as u32 + 1;
+                        e.begin_write_epoch(wide(7 * seq));
+                        e.readers.record(0, wide(11 * seq), never, never, never);
+                    });
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut cur = h.cursor();
+                    let mut last_seq = [0u64; SLOTS as usize];
+                    let (mut validated, mut hits) = (0u64, 0u64);
+                    start.wait();
+                    let mut finishing = false;
+                    // One more full pass after the writer is done, so every
+                    // reader validates at least the final state.
+                    while !finishing {
+                        finishing = done.load(Ordering::Acquire);
+                        for slot in 0..SLOTS {
+                            let addr = slot << SLOT_SHIFT;
+                            let Some(snap) = cur.snapshot(addr) else {
+                                continue;
+                            };
+                            validated += 1;
+                            let seq = snap.writer_seq();
+                            assert!(seq >= last_seq[slot as usize], "epoch went backwards");
+                            last_seq[slot as usize] = seq;
+                            assert_eq!(
+                                (snap.writer(), snap.last_reader()),
+                                (Some(wide(7 * seq as u32)), Some(wide(11 * seq as u32))),
+                                "validated snapshot is not one whole section (epoch {seq})"
+                            );
+                            // The same-epoch answers ride the same protocol.
+                            let last = wide(11 * seq as u32);
+                            hits += u64::from(cur.fast_read(
+                                addr,
+                                0,
+                                last,
+                                never,
+                                never,
+                                never,
+                                |_, _| unreachable!("the All policy re-checks no writer"),
+                            ));
+                            assert!(
+                                !cur.fast_write(addr, wide(7 * seq as u32)),
+                                "write-same-epoch hit past a retained reader"
+                            );
+                        }
+                    }
+                    assert!(hits > 0, "read-same-epoch never hit");
+                    validated
+                })
+            })
+            .collect();
+        readers
+            .into_iter()
+            .map(|r| r.join().expect("reader panicked"))
+            .sum::<u64>()
+    });
+    assert!(validated >= (READERS as u64) * SLOTS);
+    assert_eq!(h.lock_ops(), 0, "mapped slots must never lock");
+    for slot in 0..SLOTS {
+        h.locked(slot << SLOT_SHIFT, |e| {
+            assert_eq!(e.writer_seq, u64::from(sections), "lost write epoch");
+        });
+    }
 }

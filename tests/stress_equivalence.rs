@@ -154,9 +154,9 @@ fn race_free_clean_and_counts_invariant() {
 /// numbers in EXPERIMENTS.md `shadow_paging`): on the paper's benchmarks
 /// (real `ShadowArray` element addresses, all inside the mapped 2^47
 /// range) every access resolves through the lock-free page directory, so
-/// no shadow lock is ever taken — and under the retained-reader policy
-/// the redundant-read fast path must actually fire on these read-heavy
-/// kernels.
+/// no shadow lock is ever taken — and the zero-store snapshot paths must
+/// actually fire on these read-heavy kernels: same-epoch repeats under
+/// the default policy, the LR no-op test under the retained-reader one.
 #[test]
 fn paged_backend_cuts_lock_ops() {
     for bench in ["sw", "hw"] {
@@ -165,6 +165,10 @@ fn paged_backend_cuts_lock_ops() {
         let rep = drive(&w, cfg).report.unwrap();
         assert!(rep.counts.reads > 0 && rep.metrics.batch_flushes > 0);
         assert_eq!(rep.metrics.lock_ops, 0, "{bench}: shadow path locked");
+        assert!(
+            rep.metrics.shadow_fast_hits > 0,
+            "{bench}: same-epoch short-circuit never hit under the default policy"
+        );
         let fast = drive(
             &w,
             cfg.to_builder().policy(ReaderPolicy::PerFutureLR).build(),

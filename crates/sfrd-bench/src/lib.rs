@@ -248,7 +248,6 @@ pub fn report_json(rep: &RaceReport) -> Json {
         .field("batch_flushes", rep.metrics.batch_flushes)
         .field("batched_accesses", rep.metrics.batched_accesses)
         .field("filtered_accesses", rep.metrics.filtered_accesses)
-        .field("seqlock_hits", rep.metrics.seqlock_hits)
         .field("bitmap_merges", rep.metrics.bitmap_merges)
         .field("om_fast_inserts", rep.metrics.om_fast_inserts)
         .field("om_group_locks", rep.metrics.om_group_locks)
@@ -273,17 +272,6 @@ pub fn report_json(rep: &RaceReport) -> Json {
         .field("sched_steal_retries", rep.metrics.sched_steal_retries)
         .field("sched_parks", rep.metrics.sched_parks)
         .field("sched_wakeups", rep.metrics.sched_wakeups)
-        .field("kernel_simd_calls", rep.metrics.kernel_simd_calls)
-        .field("kernel_scalar_calls", rep.metrics.kernel_scalar_calls)
-        .field("arena_slabs", rep.metrics.arena_slabs)
-        .field("prefetch_issued", rep.metrics.prefetch_issued)
-        .field("srv_sessions_open", rep.metrics.srv_sessions_open)
-        .field("srv_frames_in", rep.metrics.srv_frames_in)
-        .field("srv_bytes_in", rep.metrics.srv_bytes_in)
-        .field(
-            "srv_backpressure_stalls",
-            rep.metrics.srv_backpressure_stalls,
-        )
 }
 
 /// One timed cell as a trajectory-row JSON object (shape shared by

@@ -137,17 +137,11 @@ impl ReachEngine for SfEngine {
     fn heap_bytes(&self) -> usize {
         self.0.heap_bytes()
     }
-    fn merges(&self) -> u64 {
-        self.0.set_stats().snapshot().2
-    }
     fn set_stats_snapshot(&self) -> SetStatsSnapshot {
         self.0.set_stats().full_snapshot()
     }
     fn om_stats(&self) -> sfrd_om::OmStats {
         self.0.sp_order().om_stats()
-    }
-    fn arena_slabs(&self) -> u64 {
-        self.0.arena_slabs()
     }
 }
 
@@ -218,17 +212,11 @@ impl ReachEngine for FoEngine {
     fn heap_bytes(&self) -> usize {
         self.0.heap_bytes()
     }
-    fn merges(&self) -> u64 {
-        self.0.set_stats().snapshot().2
-    }
     fn set_stats_snapshot(&self) -> SetStatsSnapshot {
         self.0.set_stats().full_snapshot()
     }
     fn om_stats(&self) -> sfrd_om::OmStats {
         self.0.sp_order().om_stats()
-    }
-    fn arena_slabs(&self) -> u64 {
-        self.0.arena_slabs()
     }
 }
 
@@ -306,9 +294,6 @@ impl ReachEngine for MbEngine {
     }
     fn heap_bytes(&self) -> usize {
         self.0.lock().heap_bytes()
-    }
-    fn merges(&self) -> u64 {
-        self.0.lock().set_stats().snapshot().2
     }
     fn set_stats_snapshot(&self) -> SetStatsSnapshot {
         self.0.lock().set_stats().full_snapshot()

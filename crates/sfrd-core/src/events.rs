@@ -16,27 +16,23 @@
 //! * **per-batch** (`on_access_batch`, fed by
 //!   [`Batched`](sfrd_runtime::Batched), which [`drive`](crate::drive)
 //!   always installs): the buffered accesses — all issued at one dag
-//!   position — replay through one page cursor, and the strand's
-//!   [`VerdictCache`] skips reachability queries against writers whose
-//!   epoch has not changed (see the `sfrd-shadow` crate docs for the
-//!   soundness argument).
+//!   position — replay through one page cursor.
 //!
 //! Every access, on either path, first asks the shadow's validated
 //! snapshot whether it is a *same-epoch* repeat — a read by the
 //! location's last recorded reader, a write by its writer with no reader
 //! retained — and if so is done without a store (DESIGN.md §6); anything
 //! else enters the slot's write section and runs the same
-//! [`check_read`](EventSink::on_read)/write logic. So neither batching
+//! [`check_read`](EventSink::on_read)/write logic, which asks `precedes`
+//! of every retained accessor at another position. So neither batching
 //! nor the short-circuit can change which `(addr, kind)` races exist at a
 //! location — only how many times a repeated race is observed. Counters
 //! and race reports are tallied locally and folded into the shared state
 //! once per batch.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
 
-use sfrd_runtime::{AccessBatch, TaskHooks, VerdictCache};
+use sfrd_runtime::{AccessBatch, TaskHooks};
 use sfrd_shadow::{LocEntry, PageCursor, PagedHistory, ReaderPolicy};
 
 use crate::detectors::Mode;
@@ -52,7 +48,6 @@ struct Tally {
     reads: u64,
     writes: u64,
     queries: u64,
-    seqlock_hits: u64,
     /// Race observations, repeats included.
     observed: u64,
     /// The observed `(addr, kind)` pairs, adjacent repeats dropped (a
@@ -118,12 +113,8 @@ pub trait ReachEngine: Send + Sync + 'static {
 
     /// Reachability-structure heap bytes (Fig. 5).
     fn heap_bytes(&self) -> usize;
-    /// Bitmap/set merges performed so far (0 for engines without sets).
-    fn merges(&self) -> u64 {
-        0
-    }
-    /// Full `cp`/`gp` set-layer counters (allocation tiers, chunk sharing,
-    /// lineage fast exits); zeros for engines without sets.
+    /// Full `cp`/`gp` set-layer counters (merges, allocation tiers, chunk
+    /// sharing, lineage fast exits); zeros for engines without sets.
     fn set_stats_snapshot(&self) -> sfrd_reach::SetStatsSnapshot {
         sfrd_reach::SetStatsSnapshot::default()
     }
@@ -131,11 +122,6 @@ pub trait ReachEngine: Send + Sync + 'static {
     /// OM lists, e.g. MultiBags).
     fn om_stats(&self) -> sfrd_om::OmStats {
         sfrd_om::OmStats::default()
-    }
-    /// Slabs bump-allocated in the engine's per-future node arena (0 for
-    /// engines without one).
-    fn arena_slabs(&self) -> u64 {
-        0
     }
 }
 
@@ -151,8 +137,6 @@ pub struct EventSink<E: ReachEngine> {
     pub collector: RaceCollector,
     /// Execution counters (Fig. 3).
     pub counters: Counters,
-    /// Reachability queries skipped by the writer-epoch verdict cache.
-    seqlock_hits: AtomicU64,
 }
 
 impl<E: ReachEngine> EventSink<E> {
@@ -165,7 +149,6 @@ impl<E: ReachEngine> EventSink<E> {
             history: matches!(mode, Mode::Full).then(|| PagedHistory::with_policy(policy)),
             collector: RaceCollector::default(),
             counters: Counters::default(),
-            seqlock_hits: AtomicU64::new(0),
         }
     }
 
@@ -195,8 +178,7 @@ impl<E: ReachEngine> EventSink<E> {
                 let set = self.engine.set_stats_snapshot();
                 MetricsSnapshot {
                     lock_ops: self.history.as_ref().map_or(0, |h| h.lock_ops()),
-                    seqlock_hits: self.seqlock_hits.load(Ordering::Relaxed),
-                    bitmap_merges: self.engine.merges(),
+                    bitmap_merges: set.merges,
                     om_fast_inserts: om.fast_inserts,
                     om_group_locks: om.group_locks,
                     om_global_escalations: om.global_escalations,
@@ -215,10 +197,6 @@ impl<E: ReachEngine> EventSink<E> {
                     set_chunks_shared: set.chunks_shared,
                     set_chunks_copied: set.chunks_copied,
                     set_lineage_hits: set.lineage_hits,
-                    kernel_simd_calls: set.kernel_simd_calls,
-                    kernel_scalar_calls: set.kernel_scalar_calls,
-                    arena_slabs: self.engine.arena_slabs(),
-                    prefetch_issued: self.history.as_ref().map_or(0, |h| h.prefetches()),
                     ..MetricsSnapshot::default()
                 }
             },
@@ -232,7 +210,6 @@ impl<E: ReachEngine> EventSink<E> {
             (&self.counters.reads, t.reads),
             (&self.counters.writes, t.writes),
             (&self.counters.queries, t.queries),
-            (&self.seqlock_hits, t.seqlock_hits),
         ] {
             if n != 0 {
                 Counters::add(counter, n);
@@ -241,11 +218,19 @@ impl<E: ReachEngine> EventSink<E> {
         self.collector.report_batch(&t.races, t.observed);
     }
 
+    /// Steps two and three of the access ladder, for one retained
+    /// accessor `a`: at the strand's own position it is serial by
+    /// construction (no query); anywhere else, ask `precedes`.
+    #[inline]
+    fn ordered(&self, a: E::Pos, pos: E::Pos, s: &E::Strand, t: &mut Tally) -> bool {
+        a == pos || {
+            t.queries += 1;
+            self.engine.precedes(a, s)
+        }
+    }
+
     /// The read half of the protocol, shared by both access paths: check
-    /// the last writer, then retain the reader. With a [`VerdictCache`]
-    /// (batch path), a writer whose epoch matches a cached serial verdict
-    /// skips the reachability query.
-    #[allow(clippy::too_many_arguments)]
+    /// the last writer, then retain the reader.
     fn check_read(
         &self,
         e: &mut LocEntry<E::Pos>,
@@ -253,29 +238,10 @@ impl<E: ReachEngine> EventSink<E> {
         fut: u32,
         pos: E::Pos,
         s: &E::Strand,
-        mut verdicts: Option<&mut VerdictCache>,
         t: &mut Tally,
     ) {
-        if let Some(w) = e.writer {
-            // Same-position fast path: an accessor at the current position
-            // is trivially serial; no reachability query needed.
-            if w != pos {
-                if verdicts
-                    .as_deref_mut()
-                    .is_some_and(|v| v.check(addr, e.writer_seq))
-                {
-                    t.seqlock_hits += 1;
-                } else {
-                    t.queries += 1;
-                    if self.engine.precedes(w, s) {
-                        if let Some(v) = verdicts {
-                            v.store(addr, e.writer_seq);
-                        }
-                    } else {
-                        t.race(addr, RaceKind::WriteRead);
-                    }
-                }
-            }
+        if e.writer.is_some_and(|w| !self.ordered(w, pos, s, t)) {
+            t.race(addr, RaceKind::WriteRead);
         }
         let eng = &self.engine;
         e.readers.record(
@@ -288,46 +254,24 @@ impl<E: ReachEngine> EventSink<E> {
     }
 
     /// The write half: check the last writer and every retained reader,
-    /// then open a new write epoch. The new writer is this strand's own
-    /// position, which serially precedes everything the strand does later
-    /// — so the fresh epoch's verdict is cached immediately.
+    /// then open a new write epoch.
     fn check_write(
         &self,
         e: &mut LocEntry<E::Pos>,
         addr: u64,
         pos: E::Pos,
         s: &E::Strand,
-        mut verdicts: Option<&mut VerdictCache>,
         t: &mut Tally,
     ) {
-        if let Some(w) = e.writer {
-            if w != pos {
-                if verdicts
-                    .as_deref_mut()
-                    .is_some_and(|v| v.check(addr, e.writer_seq))
-                {
-                    t.seqlock_hits += 1;
-                } else {
-                    t.queries += 1;
-                    if !self.engine.precedes(w, s) {
-                        t.race(addr, RaceKind::WriteWrite);
-                    }
-                }
-            }
+        if e.writer.is_some_and(|w| !self.ordered(w, pos, s, t)) {
+            t.race(addr, RaceKind::WriteWrite);
         }
         e.readers.for_each(|r| {
-            if r == pos {
-                return;
-            }
-            t.queries += 1;
-            if !self.engine.precedes(r, s) {
+            if !self.ordered(r, pos, s, t) {
                 t.race(addr, RaceKind::ReadWrite);
             }
         });
         e.begin_write_epoch(pos);
-        if let Some(v) = verdicts {
-            v.store(addr, e.writer_seq);
-        }
     }
 
     /// One read, start to finish: the zero-store snapshot test first, the
@@ -336,13 +280,10 @@ impl<E: ReachEngine> EventSink<E> {
     ///
     /// The snapshot test is [`PageCursor::fast_read`]: read-same-epoch
     /// under `All`; under `PerFutureLR` the LR no-op test, whose writer
-    /// side is decided here with the same ladder as
-    /// [`check_read`](Self::check_read) minus the mutation —
-    /// same-position, then the epoch-keyed verdict cache, then a direct
-    /// reachability query (whose positive verdict is cached strand-locally
-    /// — still nothing written to the entry). A negative verdict (a race)
-    /// misses, so the locked path re-derives and reports exactly once.
-    #[allow(clippy::too_many_arguments)]
+    /// side is decided here by the same [`ordered`](Self::ordered) test as
+    /// [`check_read`](Self::check_read)'s, minus the mutation (nothing is
+    /// written to the entry). A negative verdict (a race) misses, so the
+    /// locked path re-derives and reports exactly once.
     fn read(
         &self,
         cur: &mut PageCursor<'_, E::Pos>,
@@ -350,7 +291,6 @@ impl<E: ReachEngine> EventSink<E> {
         fut: u32,
         pos: E::Pos,
         s: &E::Strand,
-        mut verdicts: Option<&mut VerdictCache>,
         t: &mut Tally,
     ) {
         t.reads += 1;
@@ -362,26 +302,10 @@ impl<E: ReachEngine> EventSink<E> {
             |a, b| eng.eng_less(a, b),
             |a, b| eng.heb_less(a, b),
             |a, b| eng.pos_precedes(a, b),
-            |w, wseq| match w {
-                None => true,
-                Some(w) if w == pos => true,
-                Some(w) => {
-                    if verdicts.as_deref_mut().is_some_and(|v| v.check(addr, wseq)) {
-                        t.seqlock_hits += 1;
-                        true
-                    } else {
-                        t.queries += 1;
-                        let ordered = eng.precedes(w, s);
-                        if let (true, Some(v)) = (ordered, verdicts.as_deref_mut()) {
-                            v.store(addr, wseq);
-                        }
-                        ordered
-                    }
-                }
-            },
+            |w| w.is_none_or(|w| self.ordered(w, pos, s, t)),
         );
         if !hit {
-            cur.locked(addr, |e| self.check_read(e, addr, fut, pos, s, verdicts, t));
+            cur.locked(addr, |e| self.check_read(e, addr, fut, pos, s, t));
         }
     }
 
@@ -392,12 +316,11 @@ impl<E: ReachEngine> EventSink<E> {
         addr: u64,
         pos: E::Pos,
         s: &E::Strand,
-        verdicts: Option<&mut VerdictCache>,
         t: &mut Tally,
     ) {
         t.writes += 1;
         if !cur.fast_write(addr, pos) {
-            cur.locked(addr, |e| self.check_write(e, addr, pos, s, verdicts, t));
+            cur.locked(addr, |e| self.check_write(e, addr, pos, s, t));
         }
     }
 }
@@ -445,7 +368,7 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
         let Some(history) = &self.history else { return };
         let mut t = Tally::default();
         let (pos, fut) = (E::pos(s), E::future_id(s));
-        self.read(&mut history.cursor(), addr, fut, pos, s, None, &mut t);
+        self.read(&mut history.cursor(), addr, fut, pos, s, &mut t);
         self.fold(t);
     }
 
@@ -453,7 +376,7 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
     fn on_write(&self, s: &mut E::Strand, addr: u64) {
         let Some(history) = &self.history else { return };
         let mut t = Tally::default();
-        self.write(&mut history.cursor(), addr, E::pos(s), s, None, &mut t);
+        self.write(&mut history.cursor(), addr, E::pos(s), s, &mut t);
         self.fold(t);
     }
 
@@ -480,26 +403,15 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
             writes: filtered_writes,
             ..Tally::default()
         };
-        let (entries, verdicts) = batch.parts();
         let mut cur = history.cursor();
-        let mut prefetched: u64 = 0;
-        for (i, a) in entries.iter().enumerate() {
-            // Overlap the slot-seqlock work on entry `i` with the cache
-            // fill for entry `i + 1`; the tally is folded into the shared
-            // counter once per batch to keep atomic traffic off this loop.
-            if let Some(next) = entries.get(i + 1) {
-                if next.addr >> 3 != a.addr >> 3 && history.prefetch_slot(next.addr) {
-                    prefetched += 1;
-                }
-            }
+        for a in batch.entries() {
             if a.is_write {
-                self.write(&mut cur, a.addr, pos, s, Some(&mut *verdicts), &mut t);
+                self.write(&mut cur, a.addr, pos, s, &mut t);
             } else {
-                self.read(&mut cur, a.addr, fut, pos, s, Some(&mut *verdicts), &mut t);
+                self.read(&mut cur, a.addr, fut, pos, s, &mut t);
             }
         }
-        history.note_prefetches(prefetched);
-        entries.clear();
+        batch.discard();
         self.fold(t);
     }
 }

@@ -160,8 +160,8 @@ impl CountsSnapshot {
 
 /// Pipeline/synchronization metrics of one detector run — the
 /// observability half of the unified strand-event pipeline. Shadow-side
-/// counters (`lock_ops`, `seqlock_hits`, `bitmap_merges`) are filled by
-/// the detector; batch-side counters (`batch_flushes`,
+/// counters (`lock_ops`, `shadow_fast_hits`, `bitmap_merges`) are filled
+/// by the detector; batch-side counters (`batch_flushes`,
 /// `batched_accesses`, `filtered_accesses`) live in the
 /// `Batched` runtime wrapper and are merged in by
 /// [`drive`](crate::drive).
@@ -177,7 +177,10 @@ pub struct MetricsSnapshot {
     pub batched_accesses: u64,
     /// Accesses write-combined away by the per-position filter.
     pub filtered_accesses: u64,
-    /// Reachability queries skipped by the writer-epoch verdict cache.
+    /// Always 0: the per-strand writer-epoch verdict cache it counted
+    /// hits of was retired in PR 18 (DESIGN.md §14). The field stays only
+    /// because `benchmark/` reads it for `core.verdict_cache_hit_ratio`;
+    /// both leave in the next benchmark-only PR (ROADMAP item 3).
     pub seqlock_hits: u64,
     /// Reachability-side bitmap/set merges.
     pub bitmap_merges: u64,
@@ -231,24 +234,6 @@ pub struct MetricsSnapshot {
     pub sched_parks: u64,
     /// Scheduler: times a sleeping pool thread was woken.
     pub sched_wakeups: u64,
-    /// 512-bit chunk-kernel calls dispatched to the SIMD path.
-    pub kernel_simd_calls: u64,
-    /// 512-bit chunk-kernel calls taking the scalar lane loops.
-    pub kernel_scalar_calls: u64,
-    /// Slabs bump-allocated in the engine's per-future node arena.
-    pub arena_slabs: u64,
-    /// Software prefetches issued by paged-shadow batch replays.
-    pub prefetch_issued: u64,
-    /// Detection server: sessions open when this report was cut (filled
-    /// by `sfrd-serve`; 0 for local runs).
-    pub srv_sessions_open: u64,
-    /// Detection server: journal frames ingested for this session.
-    pub srv_frames_in: u64,
-    /// Detection server: journal bytes ingested for this session.
-    pub srv_bytes_in: u64,
-    /// Detection server: times this session's connection reader blocked
-    /// on its full ingestion queue (the backpressure signal).
-    pub srv_backpressure_stalls: u64,
 }
 
 impl MetricsSnapshot {

@@ -95,8 +95,8 @@ impl<T> NodeArena<T> {
         }
     }
 
-    /// Number of slabs bump-allocated so far (the `arena_slabs` metric).
-    pub fn slabs_allocated(&self) -> u64 {
+    /// Number of slabs bump-allocated so far.
+    fn slabs_allocated(&self) -> u64 {
         self.slabs_allocated.load(Ordering::Relaxed)
     }
 

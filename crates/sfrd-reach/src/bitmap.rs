@@ -26,13 +26,6 @@
 //! other lacks* — which Xu et al. show happens O(k) times in total.
 //! Whether a merge shares or allocates depends only on set *contents*,
 //! never on the tier.
-//!
-//! Chunked-tier structural work dispatches through the 512-bit
-//! [`kernels`](crate::kernels): [`SetStats`] carries the engine's
-//! resolved [`Kernel`] (see [`SetStats::with_kernel`]) and the `_k`
-//! operation variants thread it down to [`crate::chunked`], tallying
-//! every 512-bit primitive call into `kernel_simd_calls` or
-//! `kernel_scalar_calls`.
 
 use sfrd_runtime::sync::AtomicU32;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +34,6 @@ use std::sync::Arc;
 use sfrd_dag::FutureId;
 
 use crate::chunked::{AllocDelta, Chunked};
-use crate::kernels::Kernel;
 
 /// Ids held directly in the struct before spilling to a heap array.
 const INLINE_CAP: usize = 8;
@@ -212,18 +204,13 @@ impl FutureSet {
         self.with_counted(f).0
     }
 
-    /// [`Self::with_counted_k`] on the auto-resolved default kernel.
-    pub fn with_counted(&self, f: FutureId) -> (Self, AllocDelta) {
-        self.with_counted_k(f, Kernel::default())
-    }
-
     /// `self ∪ {f}` plus the true allocation cost of building it.
     ///
     /// Sets pay for their tier: inline derivations are heap-free, sparse
     /// ones copy a small id array, and chunked ones usually just buffer
     /// the id in the inline tail (zero chunk bytes — see
     /// [`crate::chunked`]).
-    pub fn with_counted_k(&self, f: FutureId, k: Kernel) -> (Self, AllocDelta) {
+    pub fn with_counted(&self, f: FutureId) -> (Self, AllocDelta) {
         let id = f.index() as u32;
         let lineage = self.lineage.child();
         match &self.repr {
@@ -237,14 +224,14 @@ impl FutureSet {
                 ids.extend_from_slice(&cur[..at]);
                 ids.push(id);
                 ids.extend_from_slice(&cur[at..]);
-                let (repr, delta) = Self::small_from_sorted(ids, k);
+                let (repr, delta) = Self::small_from_sorted(ids);
                 (Self { repr, lineage }, delta)
             }
             Repr::Chunked(c) => {
                 if c.contains(id) {
                     return (self.clone(), AllocDelta::default());
                 }
-                let (next, delta) = c.with(id, k);
+                let (next, delta) = c.with(id);
                 (
                     Self {
                         repr: Repr::Chunked(next),
@@ -257,7 +244,7 @@ impl FutureSet {
     }
 
     /// Pick the right tier for a sorted, deduplicated id list.
-    fn small_from_sorted(ids: Vec<u32>, k: Kernel) -> (Repr, AllocDelta) {
+    fn small_from_sorted(ids: Vec<u32>) -> (Repr, AllocDelta) {
         if ids.len() <= INLINE_CAP {
             let mut arr = [0; INLINE_CAP];
             arr[..ids.len()].copy_from_slice(&ids);
@@ -278,7 +265,7 @@ impl FutureSet {
                 },
             )
         } else {
-            let (c, delta) = Chunked::from_ids(&ids, k);
+            let (c, delta) = Chunked::from_ids(&ids);
             (Repr::Chunked(c), delta)
         }
     }
@@ -288,17 +275,12 @@ impl FutureSet {
         self.union_counted(other).0
     }
 
-    /// [`Self::union_counted_k`] on the auto-resolved default kernel.
-    pub fn union_counted(&self, other: &Self) -> (Self, AllocDelta) {
-        self.union_counted_k(other, Kernel::default())
-    }
-
     /// `self ∪ other` plus the true allocation cost of building it.
-    pub fn union_counted_k(&self, other: &Self, k: Kernel) -> (Self, AllocDelta) {
+    pub fn union_counted(&self, other: &Self) -> (Self, AllocDelta) {
         let lineage = self.lineage.child();
         match (&self.repr, &other.repr) {
             (Repr::Chunked(a), Repr::Chunked(b)) => {
-                let (u, delta) = a.union(b, k);
+                let (u, delta) = a.union(b);
                 (
                     Self {
                         repr: Repr::Chunked(u),
@@ -308,7 +290,7 @@ impl FutureSet {
                 )
             }
             (Repr::Chunked(c), _) => {
-                let (u, delta) = c.with_ids(other.small_ids().unwrap(), k);
+                let (u, delta) = c.with_ids(other.small_ids().unwrap());
                 (
                     Self {
                         repr: Repr::Chunked(u),
@@ -318,7 +300,7 @@ impl FutureSet {
                 )
             }
             (_, Repr::Chunked(c)) => {
-                let (u, delta) = c.with_ids(self.small_ids().unwrap(), k);
+                let (u, delta) = c.with_ids(self.small_ids().unwrap());
                 (
                     Self {
                         repr: Repr::Chunked(u),
@@ -334,35 +316,24 @@ impl FutureSet {
                 ids.extend_from_slice(b);
                 ids.sort_unstable();
                 ids.dedup();
-                let (repr, delta) = Self::small_from_sorted(ids, k);
+                let (repr, delta) = Self::small_from_sorted(ids);
                 (Self { repr, lineage }, delta)
             }
         }
     }
 
-    /// `self ⊆ other` (kernel-op tally discarded).
+    /// `self ⊆ other`.
     pub fn is_subset(&self, other: &Self) -> bool {
-        self.is_subset_k(other, Kernel::default()).0
-    }
-
-    /// `self ⊆ other` plus the number of 512-bit kernel calls the scan
-    /// made (non-zero only for chunked × chunked pairs).
-    pub fn is_subset_k(&self, other: &Self, k: Kernel) -> (bool, u64) {
         match (&self.repr, &other.repr) {
-            (Repr::Inline { .. } | Repr::Sparse(_), _) => (
-                self.small_ids()
-                    .unwrap()
-                    .iter()
-                    .all(|&id| other.contains(FutureId(id))),
-                0,
-            ),
-            (Repr::Chunked(a), Repr::Chunked(b)) => a.subset_of(b, k),
+            (Repr::Inline { .. } | Repr::Sparse(_), _) => self
+                .small_ids()
+                .unwrap()
+                .iter()
+                .all(|&id| other.contains(FutureId(id))),
+            (Repr::Chunked(a), Repr::Chunked(b)) => a.subset_of(b),
             (Repr::Chunked(_), _) => {
                 let n = self.words_len();
-                (
-                    (0..n).all(|wi| self.word_at(wi) & !other.word_at(wi) == 0),
-                    0,
-                )
+                (0..n).all(|wi| self.word_at(wi) & !other.word_at(wi) == 0)
             }
         }
     }
@@ -471,13 +442,6 @@ pub struct SetStats {
     pub chunks_copied: AtomicU64,
     /// Merges resolved in O(1) by the lineage descends-from fast exit.
     pub lineage_hits: AtomicU64,
-    /// 512-bit kernel primitive calls dispatched to the SIMD path.
-    pub kernel_simd_calls: AtomicU64,
-    /// 512-bit kernel primitive calls taking the scalar lane loops.
-    pub kernel_scalar_calls: AtomicU64,
-    /// The resolved kernel every chunked operation through this stats
-    /// handle dispatches on (`Default` auto-detects the CPU).
-    kernel: Kernel,
 }
 
 /// A point-in-time copy of every [`SetStats`] counter.
@@ -501,46 +465,11 @@ pub struct SetStatsSnapshot {
     pub chunks_copied: u64,
     /// Lineage O(1) merge exits.
     pub lineage_hits: u64,
-    /// Kernel calls on the SIMD path.
-    pub kernel_simd_calls: u64,
-    /// Kernel calls on the scalar path.
-    pub kernel_scalar_calls: u64,
 }
 
 impl SetStats {
-    /// Stats whose chunked operations dispatch on `kernel` instead of
-    /// the detected one (how the differential suites pin
-    /// [`Kernel::Scalar`]).
-    pub fn with_kernel(kernel: Kernel) -> Self {
-        Self {
-            kernel,
-            ..Default::default()
-        }
-    }
-
-    /// The resolved kernel chunked operations should dispatch on.
-    #[inline]
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Attribute `n` 512-bit kernel calls to the SIMD or scalar counter.
-    #[inline]
-    pub fn note_kernel_ops(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let ctr = if self.kernel.is_simd() {
-            &self.kernel_simd_calls
-        } else {
-            &self.kernel_scalar_calls
-        };
-        ctr.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Record one fresh set allocation with its measured cost.
     pub fn note_alloc(&self, set: &FutureSet, delta: AllocDelta) {
-        self.note_kernel_ops(delta.kernel_ops);
         self.allocations.fetch_add(1, Ordering::Relaxed);
         self.bytes_allocated
             .fetch_add(delta.fresh_bytes as u64, Ordering::Relaxed);
@@ -588,8 +517,6 @@ impl SetStats {
             chunks_shared: self.chunks_shared.load(Ordering::Relaxed),
             chunks_copied: self.chunks_copied.load(Ordering::Relaxed),
             lineage_hits: self.lineage_hits.load(Ordering::Relaxed),
-            kernel_simd_calls: self.kernel_simd_calls.load(Ordering::Relaxed),
-            kernel_scalar_calls: self.kernel_scalar_calls.load(Ordering::Relaxed),
         }
     }
 }
@@ -617,24 +544,15 @@ pub fn merge(a: &Arc<FutureSet>, b: &Arc<FutureSet>, stats: &SetStats) -> Arc<Fu
         stats.lineage_hits.fetch_add(1, Ordering::Relaxed);
         return Arc::clone(a);
     }
-    let k = stats.kernel();
     let (la, lb) = (a.len(), b.len());
-    if lb <= la {
-        let (sub, kops) = b.is_subset_k(a, k);
-        stats.note_kernel_ops(kops);
-        if sub {
-            return Arc::clone(a);
-        }
+    if lb <= la && b.is_subset(a) {
+        return Arc::clone(a);
     }
-    if la <= lb {
-        let (sub, kops) = a.is_subset_k(b, k);
-        stats.note_kernel_ops(kops);
-        if sub {
-            return Arc::clone(b);
-        }
+    if la <= lb && a.is_subset(b) {
+        return Arc::clone(b);
     }
     stats.merges.fetch_add(1, Ordering::Relaxed);
-    let (u, delta) = a.union_counted_k(b, k);
+    let (u, delta) = a.union_counted(b);
     stats.note_alloc(&u, delta);
     Arc::new(u)
 }
@@ -644,7 +562,7 @@ pub fn with_future(set: &Arc<FutureSet>, f: FutureId, stats: &SetStats) -> Arc<F
     if set.contains(f) {
         return Arc::clone(set);
     }
-    let (s, delta) = set.with_counted_k(f, stats.kernel());
+    let (s, delta) = set.with_counted(f);
     stats.note_alloc(&s, delta);
     Arc::new(s)
 }

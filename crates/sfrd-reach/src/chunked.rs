@@ -20,33 +20,22 @@
 //! cost through [`AllocDelta`], which is what the Fig. 5 / `k_scaling`
 //! bytes-allocated accounting records.
 //!
-//! Chunk-wide work (union, subset, popcount) dispatches through the
-//! [`kernels`](crate::kernels) layer: every structural method takes a
-//! resolved [`Kernel`] and reports how many 512-bit primitive calls it
-//! made in [`AllocDelta::kernel_ops`] (or, for [`Chunked::subset_of`],
-//! alongside the verdict), so `SetStats` can attribute them to the SIMD
-//! or scalar counter. Pure-directory chunk pairs take the vector path;
-//! tail-touched chunks fall back to the logical `word_at` view, which is
-//! rare by construction (at most `TAIL_CAP` ids live outside the
-//! directory). Sequential chunk scans issue a software prefetch for the
-//! next chunk's `Arc` target — directory entries are pointers to
-//! scattered 72-byte blocks, exactly the dependent-miss pattern prefetch
-//! hides. Those hints are deliberately *not* counted: a per-chunk atomic
-//! tally would cost more than the prefetch saves (the shadow-side
-//! `prefetch_issued` counter covers the batched replay loop instead).
+//! Chunk-wide work (union, subset, popcount) runs on the 512-bit lane
+//! loops of [`kernels`](crate::kernels). Pure-directory chunk pairs take
+//! them directly; tail-touched chunks fall back to the logical `word_at`
+//! view, which is rare by construction (at most `TAIL_CAP` ids live
+//! outside the directory).
 //!
 //! Invariants:
 //!
 //! * tail ids are sorted, distinct, and **not present** in the directory;
 //! * `count` equals directory popcount plus tail length;
 //! * chunks cache their popcount (`ones`) so sharing a chunk never costs
-//!   a scan;
-//! * results and `kernel_ops` tallies are identical across kernels —
-//!   only which `SetStats` counter absorbs the tally differs.
+//!   a scan.
 
 use std::sync::Arc;
 
-use crate::kernels::{self, ChunkWords, Kernel, Merge512};
+use crate::kernels::{self, Merge512};
 
 /// Words per chunk (512 bits).
 pub const CHUNK_WORDS: usize = 8;
@@ -54,11 +43,6 @@ pub const CHUNK_WORDS: usize = 8;
 pub const CHUNK_BITS: usize = CHUNK_WORDS * 64;
 /// Tail-buffer capacity: derivations between directory rebuilds.
 pub const TAIL_CAP: usize = 8;
-/// Chunk pairs gathered per [`Kernel::subset512_many`] dispatch during
-/// [`Chunked::subset_of`]: 32 pairs = 4 KiB of payload per call, enough
-/// to amortize the non-inlinable vector-kernel call while staying a
-/// small stack array.
-pub const SUBSET_BATCH: usize = 32;
 
 /// One 512-bit block with a cached popcount.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,8 +52,8 @@ pub struct Chunk {
 }
 
 impl Chunk {
-    fn from_words(words: [u64; CHUNK_WORDS], k: Kernel) -> Self {
-        let ones = k.popcnt512(&words);
+    fn from_words(words: [u64; CHUNK_WORDS]) -> Self {
+        let ones = kernels::popcnt512(&words);
         Self { words, ones }
     }
 
@@ -104,8 +88,6 @@ pub struct AllocDelta {
     pub chunks_copied: u64,
     /// Chunks shared by pointer during directory rebuilds.
     pub chunks_shared: u64,
-    /// 512-bit kernel primitive invocations made by the operation.
-    pub kernel_ops: u64,
 }
 
 impl AllocDelta {
@@ -113,7 +95,6 @@ impl AllocDelta {
         self.fresh_bytes += other.fresh_bytes;
         self.chunks_copied += other.chunks_copied;
         self.chunks_shared += other.chunks_shared;
-        self.kernel_ops += other.kernel_ops;
     }
 }
 
@@ -128,7 +109,7 @@ pub struct Chunked {
 
 impl Chunked {
     /// Build from a sorted, deduplicated id slice.
-    pub fn from_ids(ids: &[u32], k: Kernel) -> (Self, AllocDelta) {
+    pub fn from_ids(ids: &[u32]) -> (Self, AllocDelta) {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids sorted+dedup");
         let empty = Chunked {
             dir: Arc::new(ChunkDir::default()),
@@ -136,7 +117,7 @@ impl Chunked {
             tail_len: 0,
             count: 0,
         };
-        let (built, mut delta) = empty.rebuilt_with(ids, k);
+        let (built, mut delta) = empty.rebuilt_with(ids);
         // The throwaway empty directory Arc is not a real allocation of
         // the resulting set; the rebuild already charged the final one.
         delta.chunks_shared = 0;
@@ -207,22 +188,9 @@ impl Chunked {
         self.dir.chunks.get(ci).and_then(Option::as_ref)
     }
 
-    /// Hint the next chunk of a sequential scan into cache on both sides.
-    #[inline]
-    fn prefetch_next(&self, other: &Chunked, ci: usize, nchunks: usize) {
-        if ci + 1 < nchunks {
-            if let Some(n) = self.dir_chunk(ci + 1) {
-                kernels::prefetch_read(Arc::as_ptr(n));
-            }
-            if let Some(n) = other.dir_chunk(ci + 1) {
-                kernels::prefetch_read(Arc::as_ptr(n));
-            }
-        }
-    }
-
     /// `self` with `id` added (`id` must not be present). Shares the whole
     /// directory while the tail has room; flushes otherwise.
-    pub fn with(&self, id: u32, k: Kernel) -> (Self, AllocDelta) {
+    pub fn with(&self, id: u32) -> (Self, AllocDelta) {
         debug_assert!(!self.contains(id));
         if (self.tail_len as usize) < TAIL_CAP {
             let mut out = self.clone();
@@ -234,20 +202,20 @@ impl Chunked {
             // Zero fresh bytes: the directory is shared wholesale.
             return (out, AllocDelta::default());
         }
-        self.rebuilt_with(&[id], k)
+        self.rebuilt_with(&[id])
     }
 
     /// `self ∪ ids` as a rebuilt directory (tail folded in, result tail
     /// empty). `ids` must be sorted; duplicates of present bits are fine.
-    pub fn with_ids(&self, ids: &[u32], k: Kernel) -> (Self, AllocDelta) {
-        self.rebuilt_with(ids, k)
+    pub fn with_ids(&self, ids: &[u32]) -> (Self, AllocDelta) {
+        self.rebuilt_with(ids)
     }
 
     /// Rebuild the directory folding in the tail plus `add` (sorted).
     /// Chunks untouched by new bits are pointer-shared; touched chunks
     /// merge the sorted ids word-at-a-time ([`kernels::set_bits512`])
     /// instead of per-id read-modify-writes.
-    fn rebuilt_with(&self, add: &[u32], k: Kernel) -> (Self, AllocDelta) {
+    fn rebuilt_with(&self, add: &[u32]) -> (Self, AllocDelta) {
         debug_assert!(add.windows(2).all(|w| w[0] <= w[1]), "add sorted");
         let mut fresh: Vec<u32> = Vec::with_capacity(add.len() + self.tail_len as usize);
         fresh.extend_from_slice(self.tail());
@@ -281,8 +249,7 @@ impl Chunked {
             }
             let mut words = base.map_or([0u64; CHUNK_WORDS], |c| c.words);
             kernels::set_bits512(&mut words, ids, (ci * CHUNK_BITS) as u32);
-            delta.kernel_ops += 1;
-            let c = Chunk::from_words(words, k);
+            let c = Chunk::from_words(words);
             count += c.ones;
             delta.chunks_copied += 1;
             delta.fresh_bytes += std::mem::size_of::<Chunk>();
@@ -306,10 +273,10 @@ impl Chunked {
     /// Chunk-wise union with structural sharing: chunks equal to one
     /// side's are pointer-shared, only genuinely mixed chunks allocate.
     /// Pure-directory chunk pairs run on the fused 512-bit merge kernel
-    /// ([`Kernel::merge512`] — union, collapse probes and popcount in
-    /// one dispatch); chunks with tail bits fall back to the logical
+    /// ([`kernels::merge512`] — union, collapse probes and popcount in
+    /// one pass); chunks with tail bits fall back to the logical
     /// `word_at` view.
-    pub fn union(&self, other: &Chunked, k: Kernel) -> (Self, AllocDelta) {
+    pub fn union(&self, other: &Chunked) -> (Self, AllocDelta) {
         let nchunks = self
             .words_len()
             .max(other.words_len())
@@ -318,7 +285,6 @@ impl Chunked {
         let mut delta = AllocDelta::default();
         let mut count = 0u32;
         for ci in 0..nchunks {
-            self.prefetch_next(other, ci, nchunks);
             let (a, b) = (self.dir_chunk(ci), other.dir_chunk(ci));
             let tails = self.tail_touches_chunk(ci) || other.tail_touches_chunk(ci);
             if !tails {
@@ -347,13 +313,9 @@ impl Chunked {
                         continue;
                     }
                     (Some(x), Some(y)) => {
-                        // Fused kernel: the union, both collapse probes
-                        // (one side may already hold the merged
-                        // content) and the fresh-path popcount are one
-                        // dispatch — and one kernel op — instead of the
-                        // old or512 → eq512 ×2 → popcnt512 ladder.
-                        delta.kernel_ops += 1;
-                        match k.merge512(&x.words, &y.words) {
+                        // One side may already hold the merged content:
+                        // the collapse probes ride along with the union.
+                        match kernels::merge512(&x.words, &y.words) {
                             Merge512::Left => {
                                 delta.chunks_shared += 1;
                                 count += x.ones;
@@ -365,7 +327,7 @@ impl Chunked {
                                 chunks.push(Some(Arc::clone(y)));
                             }
                             Merge512::Fresh(words, ones) => {
-                                debug_assert_eq!(ones, k.popcnt512(&words));
+                                debug_assert_eq!(ones, kernels::popcnt512(&words));
                                 count += ones;
                                 delta.chunks_copied += 1;
                                 delta.fresh_bytes += std::mem::size_of::<Chunk>();
@@ -404,8 +366,7 @@ impl Chunked {
                     continue;
                 }
             }
-            delta.kernel_ops += 1;
-            let c = Chunk::from_words(words, k);
+            let c = Chunk::from_words(words);
             count += c.ones;
             delta.chunks_copied += 1;
             delta.fresh_bytes += std::mem::size_of::<Chunk>();
@@ -426,54 +387,30 @@ impl Chunked {
         )
     }
 
-    /// `self ⊆ other`, skipping pointer-equal chunks without a scan.
-    /// Pure-directory chunk pairs are **gathered** into a stack batch
-    /// and tested with one [`Kernel::subset512_many`] dispatch per
-    /// [`SUBSET_BATCH`] pairs — the batch call loops inside the vector
-    /// kernel's feature boundary, so the per-call dispatch overhead that
-    /// would swamp a single 64-byte `subset512` is amortized over the
-    /// whole run. Returns the verdict plus the kernel-op tally, one op
-    /// per pair actually tested (the caller attributes it to `SetStats`
-    /// — there is no `AllocDelta` here since subset tests never
-    /// allocate). A batch stops at its first failing pair, so the tally
-    /// stays kernel-independent.
-    pub fn subset_of(&self, other: &Chunked, k: Kernel) -> (bool, u64) {
-        const ZERO: ChunkWords = [0u64; CHUNK_WORDS];
-        let mut kops = 0u64;
+    /// `self ⊆ other`, skipping pointer-equal chunks without a scan and
+    /// returning at the first chunk with a bit `other` lacks.
+    pub fn subset_of(&self, other: &Chunked) -> bool {
         if self.count > other.count {
-            return (false, kops);
+            return false;
         }
         let nwords = self.words_len();
-        let nchunks = nwords.div_ceil(CHUNK_WORDS);
-        let mut batch = [(&ZERO, &ZERO); SUBSET_BATCH];
-        let mut blen = 0usize;
-        for ci in 0..nchunks {
-            self.prefetch_next(other, ci, nchunks);
+        for ci in 0..nwords.div_ceil(CHUNK_WORDS) {
             if !self.tail_touches_chunk(ci) && !other.tail_touches_chunk(ci) {
                 match (self.dir_chunk(ci), other.dir_chunk(ci)) {
-                    (None, _) => continue,
-                    (Some(x), Some(y)) if Arc::ptr_eq(x, y) => continue,
+                    (None, _) => {}
                     (Some(x), Some(y)) => {
-                        batch[blen] = (&x.words, &y.words);
-                        blen += 1;
-                        if blen == SUBSET_BATCH {
-                            let (ok, tested) = k.subset512_many(&batch[..blen]);
-                            kops += tested;
-                            if !ok {
-                                return (false, kops);
-                            }
-                            blen = 0;
+                        if !Arc::ptr_eq(x, y) && !kernels::subset512(&x.words, &y.words) {
+                            return false;
                         }
-                        continue;
                     }
+                    // `other` has no bits in this chunk at all.
                     (Some(x), None) => {
-                        // `other` has no bits in this chunk at all.
                         if x.ones != 0 {
-                            return (false, kops);
+                            return false;
                         }
-                        continue;
                     }
                 }
+                continue;
             }
             for wo in 0..CHUNK_WORDS {
                 let wi = ci * CHUNK_WORDS + wo;
@@ -481,13 +418,11 @@ impl Chunked {
                     break;
                 }
                 if self.word_at(wi) & !other.word_at(wi) != 0 {
-                    return (false, kops);
+                    return false;
                 }
             }
         }
-        let (ok, tested) = k.subset512_many(&batch[..blen]);
-        kops += tested;
-        (ok, kops)
+        true
     }
 
     /// Unified allocation delta of `a.absorb(b)` style merges (test aid).
@@ -524,20 +459,16 @@ mod tests {
         v
     }
 
-    fn k() -> Kernel {
-        Kernel::default()
-    }
-
     #[test]
     fn tail_buffer_defers_allocation() {
-        let (mut c, _) = Chunked::from_ids(&[1, 600], k());
+        let (mut c, _) = Chunked::from_ids(&[1, 600]);
         for i in 0..TAIL_CAP as u32 {
-            let (next, d) = c.with(10_000 + i, k());
+            let (next, d) = c.with(10_000 + i);
             assert_eq!(d.fresh_bytes, 0, "tail insert {i} must be alloc-free");
             c = next;
         }
         // Tail full: the next insert flushes into a rebuilt directory.
-        let (flushed, d) = c.with(42, k());
+        let (flushed, d) = c.with(42);
         assert!(d.fresh_bytes > 0);
         assert!(d.chunks_shared >= 1, "untouched chunks must be shared");
         assert_eq!(flushed.len(), 2 + TAIL_CAP as u32 + 1);
@@ -546,69 +477,34 @@ mod tests {
 
     #[test]
     fn union_shares_equal_chunks() {
-        let (a, _) = Chunked::from_ids(&(0..512).collect::<Vec<_>>(), k());
-        let (b, _) = a.with(9000, k());
-        let (b, _) = b.with_ids(&[], k()); // flush the tail
-        let (u, d) = a.union(&b, k());
+        let (a, _) = Chunked::from_ids(&(0..512).collect::<Vec<_>>());
+        let (b, _) = a.with(9000);
+        let (b, _) = b.with_ids(&[]); // flush the tail
+        let (u, d) = a.union(&b);
         assert_eq!(u.len(), 513);
         assert!(d.chunks_shared >= 1, "chunk 0 is identical on both sides");
-        assert!(a.subset_of(&u, k()).0 && b.subset_of(&u, k()).0);
-        assert!(!u.subset_of(&a, k()).0);
+        assert!(a.subset_of(&u) && b.subset_of(&u));
+        assert!(!u.subset_of(&a));
     }
 
     #[test]
     fn subset_respects_tail_bits() {
-        let (a, _) = Chunked::from_ids(&[5], k());
-        let (b, _) = a.with(700, k()); // 700 lives in b's tail
-        assert!(a.subset_of(&b, k()).0);
-        assert!(!b.subset_of(&a, k()).0);
+        let (a, _) = Chunked::from_ids(&[5]);
+        let (b, _) = a.with(700); // 700 lives in b's tail
+        assert!(a.subset_of(&b));
+        assert!(!b.subset_of(&a));
         assert_eq!(ids(&b), vec![5, 700]);
     }
 
     #[test]
     fn from_ids_roundtrip() {
         let input: Vec<u32> = vec![0, 63, 64, 511, 512, 513, 4096];
-        let (c, _) = Chunked::from_ids(&input, k());
+        let (c, _) = Chunked::from_ids(&input);
         assert_eq!(ids(&c), input);
         assert_eq!(c.len(), input.len() as u32);
         for &i in &input {
             assert!(c.contains(i));
         }
         assert!(!c.contains(1) && !c.contains(4097));
-    }
-
-    #[test]
-    fn kernel_op_tallies_match_across_kernels() {
-        let mut variants = vec![Kernel::Scalar];
-        let auto = Kernel::default();
-        if auto != Kernel::Scalar {
-            variants.push(auto);
-        }
-        let ids_a: Vec<u32> = (0..2048).step_by(3).collect();
-        let ids_b: Vec<u32> = (1..2048).step_by(5).collect();
-        let baseline: Vec<u64> = {
-            let kk = Kernel::Scalar;
-            let (a, da) = Chunked::from_ids(&ids_a, kk);
-            let (b, db) = Chunked::from_ids(&ids_b, kk);
-            let (_, du) = a.union(&b, kk);
-            let (_, s1) = a.subset_of(&b, kk);
-            let (_, s2) = b.subset_of(&a, kk);
-            vec![da.kernel_ops, db.kernel_ops, du.kernel_ops, s1, s2]
-        };
-        for kk in variants {
-            let (a, da) = Chunked::from_ids(&ids_a, kk);
-            let (b, db) = Chunked::from_ids(&ids_b, kk);
-            let (u, du) = a.union(&b, kk);
-            let (sub1, s1) = a.subset_of(&b, kk);
-            let (sub2, s2) = b.subset_of(&a, kk);
-            assert!(!sub1 && !sub2);
-            assert!(a.subset_of(&u, kk).0 && b.subset_of(&u, kk).0);
-            assert_eq!(
-                vec![da.kernel_ops, db.kernel_ops, du.kernel_ops, s1, s2],
-                baseline,
-                "kernel_ops must be kernel-independent ({kk:?})"
-            );
-            assert!(du.kernel_ops > 0, "union of mixed chunks uses kernels");
-        }
     }
 }

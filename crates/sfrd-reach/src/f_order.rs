@@ -247,11 +247,6 @@ impl FoReach {
         &self.stats
     }
 
-    /// Slabs bump-allocated in the per-future node arena.
-    pub fn arena_slabs(&self) -> u64 {
-        self.nodes.slabs_allocated()
-    }
-
     /// Heap bytes: OM lists + cumulative table payloads + arena slabs.
     pub fn heap_bytes(&self) -> usize {
         self.sp.heap_bytes() + self.stats.snapshot().1 as usize + self.nodes.heap_bytes()

@@ -14,7 +14,7 @@
 //!
 //! Shared substrates: [`sp_order::SpOrder`] (English/Hebrew order
 //! maintenance over `PSP(D)`), [`bitmap::FutureSet`] (future-id bitmaps)
-//! with 512-bit SIMD/scalar chunk [`kernels`], a slab [`arena`] for
+//! with 512-bit chunk [`kernels`], a slab [`arena`] for
 //! per-future reach nodes, and a local Fx-style hasher ([`hash`]).
 //!
 //! ```
@@ -33,6 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod arena;
 pub mod bitmap;
@@ -47,7 +48,7 @@ pub mod sp_order;
 pub use arena::NodeArena;
 pub use bitmap::{FutureSet, SetStats, SetStatsSnapshot};
 pub use f_order::{FoReach, FoStrand};
-pub use kernels::{Kernel, Merge512};
+pub use kernels::Merge512;
 pub use multibags::{MbPos, MbReach, MbStrand};
 pub use sf_order::{SfPos, SfReach, SfStrand};
 pub use sp_order::{SpOrder, SpPos, SpTask, StrandPos};

@@ -39,7 +39,6 @@ use sfrd_om::OmBackend;
 
 use crate::arena::NodeArena;
 use crate::bitmap::{merge, with_future, FutureSet, SetStats};
-use crate::kernels::Kernel;
 use crate::sp_order::{SpOrder, SpTask, StrandPos};
 
 /// SF-Order's access-history key (shared across engines).
@@ -105,23 +104,12 @@ impl SfReach {
 
     /// New engine on an explicit order-maintenance backend.
     pub fn with_backend(om_backend: OmBackend) -> (Self, SfStrand) {
-        Self::build(om_backend, Kernel::default())
-    }
-
-    /// New engine whose chunk kernels are pinned instead of detected — the
-    /// differential suites' handle for checking [`Kernel::Scalar`] against
-    /// the detected kernel. Not reachable from any configuration.
-    pub fn with_kernel(kernel: Kernel) -> (Self, SfStrand) {
-        Self::build(OmBackend::default(), kernel)
-    }
-
-    fn build(om_backend: OmBackend, kernel: Kernel) -> (Self, SfStrand) {
         let (sp, task) = SpOrder::with_backend(om_backend);
         let empty = Arc::new(FutureSet::empty());
         let engine = Self {
             sp,
             next_future: AtomicU32::new(1),
-            stats: SetStats::with_kernel(kernel),
+            stats: SetStats::default(),
             nodes: NodeArena::new(),
         };
         engine.nodes.set(
@@ -257,11 +245,6 @@ impl SfReach {
         &self.node(f).cp
     }
 
-    /// Slabs bump-allocated in the per-future node arena.
-    pub fn arena_slabs(&self) -> u64 {
-        self.nodes.slabs_allocated()
-    }
-
     /// Heap bytes of the reachability structures: OM lists + cumulative
     /// bitmap payloads + the node-arena slabs.
     pub fn heap_bytes(&self) -> usize {
@@ -323,7 +306,6 @@ mod tests {
         assert!(g_cp.contains(FutureId::ROOT));
         assert!(g_cp.contains(f.future()));
         assert!(!g_cp.contains(g.future()));
-        assert!(eng.arena_slabs() >= 1, "nodes live in the slab arena");
     }
 
     /// Case 3: sibling futures are unrelated until a get links them.

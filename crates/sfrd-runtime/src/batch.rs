@@ -25,11 +25,6 @@
 //! same or weaker kind is dropped — it could neither change the access
 //! history nor produce a new race. A read followed by a first write to the
 //! same address keeps both entries in program order.
-//!
-//! The batch also carries the strand's [`VerdictCache`] — the
-//! seqlock-style writer-epoch cache the detector's flush path uses to skip
-//! redundant reachability queries (see `sfrd-shadow` docs). It lives here
-//! because it is per-strand state with the same lifetime as the buffer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -50,66 +45,16 @@ const FILTER_WAYS: usize = 256;
 /// Generation a fresh [`AccessBatch`] filter starts in (see its `filter`).
 const FIRST_GENERATION: u32 = 2;
 
-/// Verdict-cache ways (direct-mapped, power of two).
-const VERDICT_WAYS: usize = 256;
-
 /// Default flush threshold for [`Batched`].
 pub const DEFAULT_BATCH_CAP: usize = 512;
 
 #[inline]
-fn way(addr: u64, ways: usize) -> usize {
+fn way(addr: u64) -> usize {
     // Mix, then mask: shadow addresses share high bits.
-    (addr.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as usize & (ways - 1)
+    (addr.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as usize & (FILTER_WAYS - 1)
 }
 
-/// Per-strand cache of *serial* writer verdicts, validated by writer
-/// epoch.
-///
-/// A slot `(addr, seq)` records: "at some earlier position of this strand,
-/// the writer of `addr` whose epoch was `seq` was found to serially
-/// precede the strand". A strand's successive positions are totally
-/// ordered in the dag (program order), so by transitivity the same writer
-/// still precedes every later position of this strand — as long as the
-/// entry's writer (identified by its epoch counter) has not changed, the
-/// reachability query can be skipped. The cache is deliberately never
-/// cleared: invalidation is purely by epoch mismatch, like a seqlock
-/// read-side validating against the writer sequence.
-#[derive(Debug)]
-pub struct VerdictCache {
-    /// `(addr + 1, writer_seq)` per slot; key 0 = empty.
-    slots: Box<[(u64, u64); VERDICT_WAYS]>,
-    hits: u64,
-}
-
-impl VerdictCache {
-    fn new() -> Self {
-        Self {
-            slots: Box::new([(0, 0); VERDICT_WAYS]),
-            hits: 0,
-        }
-    }
-
-    /// Is a serial verdict for `addr` under writer epoch `seq` cached?
-    #[inline]
-    pub fn check(&mut self, addr: u64, seq: u64) -> bool {
-        let hit = self.slots[way(addr, VERDICT_WAYS)] == (addr.wrapping_add(1), seq);
-        self.hits += hit as u64;
-        hit
-    }
-
-    /// Record a serial verdict for `addr` under writer epoch `seq`.
-    #[inline]
-    pub fn store(&mut self, addr: u64, seq: u64) {
-        self.slots[way(addr, VERDICT_WAYS)] = (addr.wrapping_add(1), seq);
-    }
-
-    /// Cache hits so far (reachability queries skipped).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-}
-
-/// A strand's access buffer plus its flush-path caches.
+/// A strand's access buffer and its position-scoped dedup filter.
 #[derive(Debug)]
 pub struct AccessBatch {
     entries: Vec<BatchedAccess>,
@@ -123,7 +68,6 @@ pub struct AccessBatch {
     /// Current filter generation: even, never 0 (the stamp of an unused
     /// slot), bit 0 free for the entry's `wrote` flag.
     generation: u32,
-    verdicts: VerdictCache,
     recorded: u64,
     filtered: u64,
     /// Filtered accesses per kind since the last flush, so a batch-aware
@@ -139,7 +83,6 @@ impl AccessBatch {
             entries: Vec::with_capacity(cap),
             filter: Box::new([(0, 0); FILTER_WAYS]),
             generation: FIRST_GENERATION,
-            verdicts: VerdictCache::new(),
             recorded: 0,
             filtered: 0,
             pending_filtered: (0, 0),
@@ -152,13 +95,13 @@ impl AccessBatch {
     #[inline]
     pub fn record(&mut self, addr: u64, is_write: bool) -> bool {
         let key = addr.wrapping_add(1);
-        let slot = &mut self.filter[way(addr, FILTER_WAYS)];
+        let slot = &mut self.filter[way(addr)];
         // A stamp from an earlier generation reads as the empty slot a
         // memset would have left.
         let live = slot.1 & !1 == self.generation;
         // `wrote` is taken from whatever live entry holds the way, even
         // another address's — the decision the cleared filter made, kept
-        // bit for bit (ROADMAP item 8: it can drop a first write).
+        // bit for bit (ROADMAP item 1: it can drop a first write).
         let wrote = live && slot.1 & 1 != 0;
         if live && slot.0 == key && (wrote || !is_write) {
             self.filtered += 1;
@@ -197,10 +140,10 @@ impl AccessBatch {
         self.entries.is_empty()
     }
 
-    /// Split borrow for the flush path: the pending entries and the
-    /// strand's verdict cache. The callee must drain/clear the entries.
-    pub fn parts(&mut self) -> (&mut Vec<BatchedAccess>, &mut VerdictCache) {
-        (&mut self.entries, &mut self.verdicts)
+    /// The pending entries in program order, for a flush path that walks
+    /// them in place; it must [`discard`](Self::discard) them afterwards.
+    pub fn entries(&self) -> &[BatchedAccess] {
+        &self.entries
     }
 
     /// Drain the buffer through `f` in program order — the default
@@ -220,9 +163,7 @@ impl AccessBatch {
     /// dag position (plus the counts it combined away), so re-filtering
     /// them here would double-drop; they are appended untouched and the
     /// filtered counts restored for the sink's [`take_filtered`]
-    /// (`Self::take_filtered`) accounting. The strand's [`VerdictCache`]
-    /// is untouched and keeps working across re-injections, exactly as it
-    /// persists across cap flushes live.
+    /// (`Self::take_filtered`) accounting.
     pub fn reinject(&mut self, entries: &[BatchedAccess], (reads, writes): (u64, u64)) {
         self.recorded += entries.len() as u64;
         self.filtered += reads + writes;
@@ -231,16 +172,16 @@ impl AccessBatch {
         self.entries.extend_from_slice(entries);
     }
 
-    /// Drop pending entries without processing (reach-only detectors).
+    /// Drop pending entries: processed in place through
+    /// [`entries`](Self::entries), or never wanted (reach-only detectors).
     pub fn discard(&mut self) {
         self.pending_filtered = (0, 0);
         self.entries.clear();
     }
 
-    /// Invalidate the position-scoped dedup filter (the verdict cache
-    /// stays — it is epoch-validated, not position-scoped). O(1): the
-    /// generation moves on and every stamp goes stale; only when the
-    /// 31-bit generation wraps are the slots really cleared.
+    /// Invalidate the position-scoped dedup filter. O(1): the generation
+    /// moves on and every stamp goes stale; only when the 31-bit
+    /// generation wraps are the slots really cleared.
     pub fn clear_filter(&mut self) {
         self.generation = self.generation.wrapping_add(2);
         if self.generation == 0 {
@@ -249,9 +190,9 @@ impl AccessBatch {
         }
     }
 
-    /// `(recorded, filtered, verdict-cache hits)` counters of this strand.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.recorded, self.filtered, self.verdicts.hits())
+    /// `(recorded, filtered)` counters of this strand.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.recorded, self.filtered)
     }
 }
 
@@ -261,7 +202,6 @@ struct BatchCounters {
     flushes: AtomicU64,
     recorded: AtomicU64,
     filtered: AtomicU64,
-    verdict_hits: AtomicU64,
 }
 
 /// Snapshot of a [`Batched`] wrapper's pipeline counters.
@@ -273,8 +213,6 @@ pub struct BatchStats {
     pub recorded: u64,
     /// Accesses write-combined away by the per-position filter.
     pub filtered: u64,
-    /// Reachability queries skipped by the writer-epoch verdict cache.
-    pub verdict_hits: u64,
 }
 
 impl BatchStats {
@@ -336,7 +274,6 @@ impl<H> Batched<H> {
             flushes: self.counters.flushes.load(Ordering::Relaxed),
             recorded: self.counters.recorded.load(Ordering::Relaxed),
             filtered: self.counters.filtered.load(Ordering::Relaxed),
-            verdict_hits: self.counters.verdict_hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -388,16 +325,13 @@ impl<H: TaskHooks> Batched<H> {
 
     /// Fold a finished strand's counters into the aggregate.
     fn absorb_stats(&self, s: &BatchStrand<H::Strand>) {
-        let (recorded, filtered, hits) = s.batch.stats();
+        let (recorded, filtered) = s.batch.stats();
         self.counters
             .recorded
             .fetch_add(recorded, Ordering::Relaxed);
         self.counters
             .filtered
             .fetch_add(filtered, Ordering::Relaxed);
-        self.counters
-            .verdict_hits
-            .fetch_add(hits, Ordering::Relaxed);
     }
 }
 
@@ -484,8 +418,7 @@ mod tests {
         b.replay(|a, w| seen.push((a, w)));
         assert_eq!(seen, vec![(8, false), (8, true)], "program order kept");
         assert!(b.is_empty());
-        let (recorded, filtered, _) = b.stats();
-        assert_eq!((recorded, filtered), (2, 3));
+        assert_eq!(b.stats(), (2, 3));
     }
 
     #[test]
@@ -510,7 +443,7 @@ mod tests {
         impl Cleared {
             fn record(&mut self, addr: u64, is_write: bool) -> bool {
                 let key = addr.wrapping_add(1);
-                let slot = &mut self.0[way(addr, FILTER_WAYS)];
+                let slot = &mut self.0[way(addr)];
                 if slot.0 == key && (slot.1 || !is_write) {
                     return false;
                 }
@@ -542,16 +475,6 @@ mod tests {
             }
             assert_ne!(b.generation, 0);
         }
-    }
-
-    #[test]
-    fn verdict_cache_epoch_validated() {
-        let mut v = VerdictCache::new();
-        assert!(!v.check(64, 1));
-        v.store(64, 1);
-        assert!(v.check(64, 1));
-        assert!(!v.check(64, 2), "stale epoch misses");
-        assert_eq!(v.hits(), 1);
     }
 
     /// Hooks that log every delivered event.

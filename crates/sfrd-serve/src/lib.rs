@@ -21,9 +21,8 @@
 //!   stalls only its own connection, never a pool worker.
 //!
 //! Counters (`sessions_open`, `frames_in`, `bytes_in`,
-//! `backpressure_stalls`) feed the existing metrics path: each response
-//! embeds them, and each session's [`RaceReport`](sfrd_core::RaceReport)
-//! carries them in the `srv_*` metrics fields.
+//! `backpressure_stalls`): each response embeds the session's own, and
+//! [`ServerMetrics`] keeps the server-wide totals.
 
 #![warn(missing_docs)]
 

@@ -2,9 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters shared by every connection and worker. Per-session
-/// copies of the ingestion counters also land in each session's
-/// [`RaceReport`](sfrd_core::RaceReport) under the `srv_*` metrics fields.
+/// Live counters shared by every connection and worker. Each session's
+/// `OK` response line carries its own ingestion counters.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     pub(crate) sessions_open: AtomicU64,

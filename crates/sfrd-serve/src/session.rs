@@ -278,14 +278,7 @@ impl Session {
     /// Publish the response and release a blocked producer.
     fn finalize(&self, outcome: Result<(RaceReport, ReplayStats), String>) {
         let text = match outcome {
-            Ok((mut report, stats)) => {
-                report.metrics.srv_sessions_open =
-                    self.metrics.sessions_open.load(Ordering::Relaxed);
-                report.metrics.srv_frames_in = self.frames_in.load(Ordering::Relaxed);
-                report.metrics.srv_bytes_in = self.bytes_in.load(Ordering::Relaxed);
-                report.metrics.srv_backpressure_stalls = self.stalls.load(Ordering::Relaxed);
-                format_report(&report, &stats)
-            }
+            Ok((report, stats)) => self.format_report(&report, &stats),
             Err(e) => format!("ERR {e}\n"),
         };
         {
@@ -298,29 +291,30 @@ impl Session {
         *r = Some(text);
         self.response_cv.notify_one();
     }
-}
 
-/// The one-line wire rendering of a session's [`RaceReport`].
-fn format_report(report: &RaceReport, stats: &ReplayStats) -> String {
-    let addrs = report
-        .racy_addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "OK total={} distinct={} addrs={} reads={} writes={} futures={} events={} \
-         frames={} bytes={} stalls={} open={}\n",
-        report.total_races,
-        report.racy_addrs.len(),
-        addrs,
-        report.counts.reads,
-        report.counts.writes,
-        report.counts.futures,
-        stats.events,
-        report.metrics.srv_frames_in,
-        report.metrics.srv_bytes_in,
-        report.metrics.srv_backpressure_stalls,
-        report.metrics.srv_sessions_open,
-    )
+    /// The one-line wire rendering of this session's [`RaceReport`] and
+    /// ingestion counters.
+    fn format_report(&self, report: &RaceReport, stats: &ReplayStats) -> String {
+        let addrs = report
+            .racy_addrs
+            .iter()
+            .map(|a| a.to_string())
+            .collect::<Vec<_>>()
+            .join(",");
+        format!(
+            "OK total={} distinct={} addrs={} reads={} writes={} futures={} events={} \
+             frames={} bytes={} stalls={} open={}\n",
+            report.total_races,
+            report.racy_addrs.len(),
+            addrs,
+            report.counts.reads,
+            report.counts.writes,
+            report.counts.futures,
+            stats.events,
+            self.frames_in.load(Ordering::Relaxed),
+            self.bytes_in.load(Ordering::Relaxed),
+            self.stalls.load(Ordering::Relaxed),
+            self.metrics.sessions_open.load(Ordering::Relaxed),
+        )
+    }
 }

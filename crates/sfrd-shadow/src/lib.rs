@@ -18,21 +18,17 @@
 //! seqlock-style write section. The store's contract is one [`LocEntry`]
 //! per exact address.
 //!
-//! ## Writer epochs (the seqlock-style verdict cache)
+//! ## Writer epochs
 //!
 //! Every [`LocEntry`] carries a [`writer_seq`](LocEntry::writer_seq)
 //! counter bumped whenever a new writer is installed
-//! ([`LocEntry::begin_write_epoch`]). Like a seqlock's sequence word, it
-//! lets a reader *validate* rather than *recompute*: a detector that has
-//! already proven "this entry's writer serially precedes my strand" may
-//! cache that verdict keyed by the epoch, and on a later access skip the
-//! (expensive) reachability query whenever the epoch is unchanged —
-//! sound because a strand's own positions only advance serially, so a
-//! writer that preceded an earlier position precedes every later one.
-//! The per-strand cache lives in `sfrd-runtime`'s `AccessBatch`; this
-//! crate only maintains the epoch. The paged store additionally bakes
-//! the epoch into each slot's packed word, which is what lets its
-//! snapshot paths validate a copy of the entry with one atomic re-load.
+//! ([`LocEntry::begin_write_epoch`]). The paged store bakes it into each
+//! slot's packed word — a seqlock's sequence word: a write section
+//! publishes a new packed word, so a reader that copied the entry's
+//! inline fields *validates* the copy with one atomic re-load instead of
+//! taking the section. That is all the epoch is for; nothing outside this
+//! crate keys state on it (the per-strand cache of serial-writer verdicts
+//! that did was retired in PR 18, DESIGN.md §14).
 //!
 //! ## Reader policies
 //!
@@ -418,8 +414,7 @@ pub struct LocEntry<P> {
     /// Last writer, if any.
     pub writer: Option<P>,
     /// Writer epoch: bumped every time a new writer is installed. The
-    /// seqlock-style validation word for cached serial-writer verdicts
-    /// (see module docs).
+    /// paged store's packed word carries it (see module docs).
     pub writer_seq: u64,
 }
 
@@ -580,23 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_slot_is_passive_and_counted() {
-        let h = history(ReaderPolicy::All);
-        // No page exists yet: the hint must not allocate one.
-        assert!(!h.prefetch_slot(0x40));
-        assert_eq!(h.page_allocs(), 0);
-        // Out-of-range addresses are skipped entirely.
-        assert!(!h.prefetch_slot(1u64 << 60));
-        // After a real access publishes the page, the hint resolves.
-        h.locked(0x40, |e| e.begin_write_epoch((1, 1)));
-        assert!(h.prefetch_slot(0x40));
-        assert!(h.prefetch_slot(0x48), "same page, different slot");
-        assert_eq!(h.prefetches(), 0, "hints are tallied by the caller");
-        h.note_prefetches(2);
-        assert_eq!(h.prefetches(), 2);
-    }
-
-    #[test]
     fn sub_word_collisions_stay_exact() {
         // Two different addresses in one 8-byte slot span: the first claims
         // the slot, the second is diverted to the fallback map — entries
@@ -629,24 +607,24 @@ mod tests {
         let addr = 0x40u64;
         // First read must go through the write section (records the triple).
         let mut cur = h.cursor();
-        assert!(!cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_, _| true));
+        assert!(!cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_| true));
         cur.locked(addr, |e| {
             e.readers.record(3, (5, 5), eng_less, heb_less, precedes)
         });
         // Same (future, pos) again: provably a no-op — fast hit, no store.
-        assert!(cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_, _| true));
+        assert!(cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_| true));
         // A position that moves leftmost must miss.
-        assert!(!cur.fast_read(addr, 3, (2, 8), eng_less, heb_less, precedes, |_, _| true));
+        assert!(!cur.fast_read(addr, 3, (2, 8), eng_less, heb_less, precedes, |_| true));
         // A serial successor (advance rule fires) must miss too.
-        assert!(!cur.fast_read(addr, 3, (6, 6), eng_less, heb_less, precedes, |_, _| true));
+        assert!(!cur.fast_read(addr, 3, (6, 6), eng_less, heb_less, precedes, |_| true));
         // Parallel position inside the LR envelope for the same future:
         // stays a no-op only if neither slot moves — (5,5) vs (5,5) is the
         // stored pair, and (4,6)... eng_less((4,6),(5,5)) → leftmost moves.
-        assert!(!cur.fast_read(addr, 3, (4, 6), eng_less, heb_less, precedes, |_, _| true));
+        assert!(!cur.fast_read(addr, 3, (4, 6), eng_less, heb_less, precedes, |_| true));
         // An unknown future must miss (its triple is absent).
-        assert!(!cur.fast_read(addr, 9, (5, 5), eng_less, heb_less, precedes, |_, _| true));
+        assert!(!cur.fast_read(addr, 9, (5, 5), eng_less, heb_less, precedes, |_| true));
         // A writer veto routes to the slow path.
-        assert!(!cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_, _| false));
+        assert!(!cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_| false));
         drop(cur);
         assert_eq!(h.fast_hits(), 1);
     }
@@ -658,7 +636,7 @@ mod tests {
         let h = history(ReaderPolicy::All);
         let mut cur = h.cursor();
         let never = |_: &Pos, _: &Pos| -> bool { panic!("comparator consulted under All") };
-        let no_writer_check = |_: Option<Pos>, _: u64| -> bool { panic!("writer re-checked") };
+        let no_writer_check = |_: Option<Pos>| -> bool { panic!("writer re-checked") };
         let fast = |cur: &mut PageCursor<'_, Pos>, fut, p| {
             cur.fast_read(0x40, fut, p, never, never, never, no_writer_check)
         };
@@ -728,8 +706,8 @@ mod tests {
         // The first future's triple is inline and still hits; later ones
         // spilled — the fast path bails even for a redundant read, and the
         // locked path still has all triples.
-        assert!(cur.fast_read(0x80, 0, (0, 0), eng_less, heb_less, precedes, |_, _| true));
-        assert!(!cur.fast_read(0x80, 2, (2, 2), eng_less, heb_less, precedes, |_, _| true));
+        assert!(cur.fast_read(0x80, 0, (0, 0), eng_less, heb_less, precedes, |_| true));
+        assert!(!cur.fast_read(0x80, 2, (2, 2), eng_less, heb_less, precedes, |_| true));
         cur.locked(0x80, |e| {
             assert_eq!(e.readers.len(), 6);
             // A spilled future's pair still follows the update rule.
@@ -767,16 +745,15 @@ mod tests {
             e.readers.record(1, (3, 3), eng_less, heb_less, precedes)
         });
         assert!(
-            cur.fast_read(0x40, 1, (3, 3), eng_less, heb_less, precedes, |w, seq| {
+            cur.fast_read(0x40, 1, (3, 3), eng_less, heb_less, precedes, |w| {
                 assert_eq!(w, None);
-                assert_eq!(seq, 0);
                 true
             })
         );
         cur.locked(0x40, |e| e.begin_write_epoch((4, 4)));
         // Readers were cleared by the write epoch: the triple is gone, so
         // the fast path misses (the read must re-record under the lock).
-        assert!(!cur.fast_read(0x40, 1, (3, 3), eng_less, heb_less, precedes, |_, _| true));
+        assert!(!cur.fast_read(0x40, 1, (3, 3), eng_less, heb_less, precedes, |_| true));
     }
 
     #[test]

@@ -112,21 +112,6 @@ pub const MAPPED_BITS: u32 = SLOT_SHIFT + PAGE_SHIFT + MID_SHIFT + ROOT_BITS;
 /// Slot-owner sentinel: no address has claimed the slot yet.
 const UNCLAIMED: u64 = u64::MAX;
 
-/// Best-effort software prefetch of the cache line at `p` (T0 hint on
-/// x86_64, no-op elsewhere). Local copy of the sfrd-reach kernel helper —
-/// this crate must not depend on the reachability layer.
-#[inline(always)]
-fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: PREFETCHT0 is architecturally defined to be safe on any
-    // address, mapped or not.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p as *const i8)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 // Packed-word layout.
 const BUSY: u64 = 1;
 const TAG_SHIFT: u32 = 1;
@@ -216,8 +201,6 @@ pub struct PagedHistory<P: Copy + Send> {
     cas_retries: AtomicU64,
     /// Pages published into the directory.
     page_allocs: AtomicU64,
-    /// Software prefetches issued by batch replays ([`Self::prefetch_slot`]).
-    prefetches: AtomicU64,
 }
 
 impl<P: Copy + Send> PagedHistory<P> {
@@ -235,7 +218,6 @@ impl<P: Copy + Send> PagedHistory<P> {
             fast_hits: AtomicU64::new(0),
             cas_retries: AtomicU64::new(0),
             page_allocs: AtomicU64::new(0),
-            prefetches: AtomicU64::new(0),
         }
     }
 
@@ -267,41 +249,6 @@ impl<P: Copy + Send> PagedHistory<P> {
     /// Pages published into the directory.
     pub fn page_allocs(&self) -> u64 {
         self.page_allocs.load(Ordering::Relaxed)
-    }
-
-    /// Software prefetches issued so far.
-    pub fn prefetches(&self) -> u64 {
-        self.prefetches.load(Ordering::Relaxed)
-    }
-
-    /// Credit `n` prefetches issued by a batch replay. Counted once per
-    /// batch by the caller — a per-access atomic add would cost more than
-    /// the prefetch hides.
-    pub fn note_prefetches(&self, n: u64) {
-        if n != 0 {
-            self.prefetches.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Best-effort prefetch of the slot cache line `addr` maps to, without
-    /// allocating pages or disturbing any [`PageCursor`] memo. Walks the
-    /// root→mid directory (two dependent loads — the page itself is the
-    /// cheap part; the *slot* line inside it is the likely miss a batch
-    /// replay wants hidden) and issues a T0 hint on the slot. Returns
-    /// whether a hint was issued so the caller can tally them.
-    #[inline]
-    pub fn prefetch_slot(&self, addr: u64) -> bool {
-        if addr >> MAPPED_BITS != 0 {
-            return false;
-        }
-        let word = addr >> SLOT_SHIFT;
-        match self.page_for(word, false) {
-            Some(page) => {
-                prefetch_read(&page.slots[(word & (PAGE_SLOTS as u64 - 1)) as usize]);
-                true
-            }
-            None => false,
-        }
     }
 
     /// A page cursor: batch flushers iterate accesses through one cursor so
@@ -709,11 +656,9 @@ impl<P: Copy + Send> PageCursor<'_, P> {
     ///   the repeat. The comparators and `writer_ok` are not consulted.
     /// * [`ReaderPolicy::PerFutureLR`] — `future`'s inline (leftmost,
     ///   rightmost) pair is unchanged under the LR update rule, and
-    ///   `writer_ok(writer, writer_seq)` accepts the snapshot's writer
-    ///   (typically: position equality, then the strand's epoch-keyed
-    ///   verdict cache, then a reachability query whose positive verdict
-    ///   may be cached strand-locally — all zero-store on the entry).
-    ///   Returning `false` there (a race, or an unprovable verdict) routes
+    ///   `writer_ok(writer)` accepts the snapshot's writer (typically:
+    ///   position equality, then a reachability query — zero-store on the
+    ///   entry). Returning `false` there (a race, or an unprovable verdict) routes
     ///   the access to the locked path, which re-derives and reports. A
     ///   triple past the inline one bails.
     ///
@@ -727,7 +672,7 @@ impl<P: Copy + Send> PageCursor<'_, P> {
         eng_less: impl Fn(&P, &P) -> bool,
         heb_less: impl Fn(&P, &P) -> bool,
         pos_precedes: impl Fn(&P, &P) -> bool,
-        writer_ok: impl FnOnce(Option<P>, u64) -> bool,
+        writer_ok: impl FnOnce(Option<P>) -> bool,
     ) -> bool
     where
         P: PartialEq,
@@ -751,7 +696,7 @@ impl<P: Copy + Send> PageCursor<'_, P> {
                 // move.
                 let left_stable = l == pos || !(pos_precedes(&l, &pos) || eng_less(&pos, &l));
                 let right_stable = r == pos || !(pos_precedes(&r, &pos) || heb_less(&pos, &r));
-                left_stable && right_stable && writer_ok(snap.writer, snap.writer_seq)
+                left_stable && right_stable && writer_ok(snap.writer)
             }
         };
         self.fast_hits += u64::from(hit);
@@ -762,9 +707,7 @@ impl<P: Copy + Send> PageCursor<'_, P> {
     /// snapshot shows `pos` is already the writer and no reader is
     /// retained, so the write section would check nothing, report nothing
     /// and re-install the same writer. Skipping it leaves `writer_seq`
-    /// where it was (verdicts cached against the epoch stay valid — they
-    /// are about the same writer). On `false` take
-    /// [`locked`](Self::locked).
+    /// where it was. On `false` take [`locked`](Self::locked).
     pub fn fast_write(&mut self, addr: u64, pos: P) -> bool
     where
         P: PartialEq,

@@ -102,15 +102,9 @@ fn run_paged(h: &PagedHistory<Pos>, ops: &[Op]) -> Vec<bool> {
                 return !cur.fast_write(op.addr, op.pos)
                     && cur.locked(op.addr, |e| check_write(e, op));
             }
-            let fast = cur.fast_read(
-                op.addr,
-                op.fut,
-                op.pos,
-                eng_less,
-                heb_less,
-                precedes,
-                |w, _| !w.is_some_and(|w| races(&w, &op.pos)),
-            );
+            let fast = cur.fast_read(op.addr, op.fut, op.pos, eng_less, heb_less, precedes, |w| {
+                !w.is_some_and(|w| races(&w, &op.pos))
+            });
             // A hit is provably redundant: nothing to report, no store.
             !fast && cur.locked(op.addr, |e| check_read(e, op))
         })

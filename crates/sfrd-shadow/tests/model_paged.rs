@@ -79,10 +79,11 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
                 let mut cur = hist.cursor();
                 let mut last_seq = 0u64;
                 for _ in 0..6 {
-                    cur.fast_read(ADDR, FUT, POS, less, less, less, |w, seq| {
+                    if let Some(snap) = cur.snapshot(ADDR) {
+                        let seq = snap.writer_seq();
                         // A torn / mis-validated snapshot shows a writer
                         // from one epoch with the seq of another.
-                        match w {
+                        match snap.writer() {
                             None => assert_eq!(seq, 0, "writer None after epoch {seq}"),
                             Some(x) => assert_eq!(
                                 x,
@@ -90,6 +91,11 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
                                 "inconsistent validated snapshot: writer {x}, seq {seq}"
                             ),
                         }
+                    }
+                    // The LR read rides the same validated copy down to
+                    // its writer check.
+                    cur.fast_read(ADDR, FUT, POS, less, less, less, |w| {
+                        assert!(w.is_none_or(|x| x % 7 == 0 && x <= 7 * WRITES));
                         true
                     });
                     let seq = cur.locked(ADDR, |e| e.writer_seq);
@@ -176,7 +182,7 @@ fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
                     // section, and a write can never hit while that
                     // section's reader is retained.
                     let no_cmp = |_: &u64, _: &u64| -> bool { unreachable!() };
-                    let no_writer_check = |_: Option<u64>, _: u64| -> bool { unreachable!() };
+                    let no_writer_check = |_: Option<u64>| -> bool { unreachable!() };
                     for seq in 1..=WRITES {
                         if cur.fast_read(
                             ADDR,

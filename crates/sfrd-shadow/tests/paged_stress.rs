@@ -71,7 +71,7 @@ fn run_thread(h: &PagedHistory<Pos>, thread: u32, probe: bool) {
                 });
                 // Immediately re-read at the same position: provably
                 // redundant, must be eligible for the zero-store path.
-                cur.fast_read(a, thread, (v, v), eng_less, heb_less, precedes, |w, _| {
+                cur.fast_read(a, thread, (v, v), eng_less, heb_less, precedes, |w| {
                     w.as_ref().is_none_or(diag)
                 });
             }
@@ -80,15 +80,9 @@ fn run_thread(h: &PagedHistory<Pos>, thread: u32, probe: bool) {
                 // triple is absent, so this always misses — but it must
                 // validate (or cleanly discard) a concurrent snapshot.
                 let other = addr((thread + 1) % THREADS, k);
-                cur.fast_read(
-                    other,
-                    thread,
-                    (v, v),
-                    eng_less,
-                    heb_less,
-                    precedes,
-                    |w, _| w.as_ref().is_none_or(diag),
-                );
+                cur.fast_read(other, thread, (v, v), eng_less, heb_less, precedes, |w| {
+                    w.as_ref().is_none_or(diag)
+                });
             }
         }
     }
@@ -219,7 +213,7 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
                                 never,
                                 never,
                                 never,
-                                |_, _| unreachable!("the All policy re-checks no writer"),
+                                |_| unreachable!("the All policy re-checks no writer"),
                             ));
                             assert!(
                                 !cur.fast_write(addr, wide(7 * seq as u32)),

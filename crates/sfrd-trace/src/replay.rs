@@ -22,16 +22,6 @@ pub struct ReplayStats {
     pub filtered: u64,
 }
 
-/// One live strand of the replay: the sink's strand state plus the
-/// per-strand [`AccessBatch`] whose verdict cache must persist across
-/// `Accesses` events — dropping it per event would re-query reachability
-/// the recording run's cache skipped, breaking counter parity with live
-/// batched detection.
-struct PerStrand<S> {
-    strand: S,
-    batch: AccessBatch,
-}
-
 /// Incremental replay state: the strand table of a journal being fed into
 /// one sink, event by event. The detection server holds one per session
 /// and feeds events as frames arrive off the wire; [`replay_journal`] is
@@ -45,8 +35,14 @@ struct PerStrand<S> {
 /// kept per id until consumed by `Sync`/`Get`. Replay is single-threaded
 /// by construction; the journal's linearization makes that a legal
 /// schedule of the recorded dag.
+///
+/// Per journal strand the replayer holds the sink's own strand and
+/// nothing else: every `Accesses` event goes through the one scratch
+/// [`AccessBatch`], so a frame of `Spawn` events costs what the sink's
+/// strands cost, not a batch buffer each.
 pub struct Replayer<H: TaskHooks> {
-    strands: Vec<Option<PerStrand<H::Strand>>>,
+    strands: Vec<Option<H::Strand>>,
+    scratch: AccessBatch,
     stats: ReplayStats,
 }
 
@@ -54,10 +50,8 @@ impl<H: TaskHooks> Replayer<H> {
     /// A replayer holding only the sink's root strand (journal id 0).
     pub fn new(sink: &H) -> Self {
         Self {
-            strands: vec![Some(PerStrand {
-                strand: sink.root(),
-                batch: AccessBatch::new(DEFAULT_BATCH_CAP),
-            })],
+            strands: vec![Some(sink.root())],
+            scratch: AccessBatch::new(DEFAULT_BATCH_CAP),
             stats: ReplayStats::default(),
         }
     }
@@ -71,20 +65,14 @@ impl<H: TaskHooks> Replayer<H> {
     /// order; a reference to an id never introduced (or already consumed)
     /// is [`JournalError::UnknownStrand`].
     pub fn feed(&mut self, sink: &H, ev: &JEvent) -> Result<(), JournalError> {
-        fn live<S>(
-            table: &mut [Option<PerStrand<S>>],
-            id: u32,
-        ) -> Result<&mut PerStrand<S>, JournalError> {
+        fn live<S>(table: &mut [Option<S>], id: u32) -> Result<&mut S, JournalError> {
             table
                 .get_mut(id as usize)
                 .and_then(Option::as_mut)
                 .ok_or(JournalError::UnknownStrand(id))
         }
 
-        fn take<S>(
-            table: &mut [Option<PerStrand<S>>],
-            id: u32,
-        ) -> Result<PerStrand<S>, JournalError> {
+        fn take<S>(table: &mut [Option<S>], id: u32) -> Result<S, JournalError> {
             table
                 .get_mut(id as usize)
                 .and_then(Option::take)
@@ -97,39 +85,35 @@ impl<H: TaskHooks> Replayer<H> {
                 let is_create = matches!(ev, JEvent::Create { .. });
                 let p = live(&mut self.strands, parent)?;
                 let strand = if is_create {
-                    sink.on_create(&mut p.strand)
+                    sink.on_create(p)
                 } else {
-                    sink.on_spawn(&mut p.strand)
-                };
-                let slot = PerStrand {
-                    strand,
-                    batch: AccessBatch::new(DEFAULT_BATCH_CAP),
+                    sink.on_spawn(p)
                 };
                 if self.strands.len() != child as usize {
                     return Err(JournalError::UnknownStrand(child));
                 }
-                self.strands.push(Some(slot));
+                self.strands.push(Some(strand));
             }
             JEvent::Sync { strand, children } => {
                 let joined = children
                     .iter()
-                    .map(|&c| take(&mut self.strands, c).map(|p| p.strand))
+                    .map(|&c| take(&mut self.strands, c))
                     .collect::<Result<Vec<_>, _>>()?;
-                sink.on_sync(&mut live(&mut self.strands, *strand)?.strand, joined);
+                sink.on_sync(live(&mut self.strands, *strand)?, joined);
             }
             &JEvent::Get { strand, done } => {
                 let done = take(&mut self.strands, done)?;
-                sink.on_get(&mut live(&mut self.strands, strand)?.strand, &done.strand);
+                sink.on_get(live(&mut self.strands, strand)?, &done);
             }
             &JEvent::TaskEnd { strand } => {
-                sink.on_task_end(&mut live(&mut self.strands, strand)?.strand);
+                sink.on_task_end(live(&mut self.strands, strand)?);
             }
             &JEvent::TaskReturn { parent, child } => {
                 // Both strands stay live (the child is consumed later by
                 // its sync); borrow them disjointly by taking the child
                 // out around the call.
                 let mut c = take(&mut self.strands, child)?;
-                sink.on_task_return(&mut live(&mut self.strands, parent)?.strand, &mut c.strand);
+                sink.on_task_return(live(&mut self.strands, parent)?, &mut c);
                 self.strands[child as usize] = Some(c);
             }
             JEvent::Accesses {
@@ -141,10 +125,10 @@ impl<H: TaskHooks> Replayer<H> {
                 self.stats.flushes += u64::from(!entries.is_empty());
                 self.stats.accesses += entries.len() as u64;
                 self.stats.filtered += filtered_reads + filtered_writes;
-                let p = live(&mut self.strands, *strand)?;
-                p.batch
+                let s = live(&mut self.strands, *strand)?;
+                self.scratch
                     .reinject(entries, (*filtered_reads, *filtered_writes));
-                sink.on_access_batch(&mut p.strand, &mut p.batch);
+                sink.on_access_batch(s, &mut self.scratch);
             }
         }
         Ok(())

@@ -291,8 +291,7 @@ impl<W: Write + Send + 'static> TaskHooks for JournalHooks<W> {
 
     fn on_access_batch(&self, s: &mut u32, batch: &mut AccessBatch) {
         let filtered = batch.take_filtered();
-        let (entries, _) = batch.parts();
-        self.writer.lock().accesses(*s, filtered, entries);
-        entries.clear();
+        self.writer.lock().accesses(*s, filtered, batch.entries());
+        batch.discard();
     }
 }

@@ -94,8 +94,7 @@ proptest! {
     /// Decode-then-re-encode reproduces the original bytes exactly, and a
     /// replayed SF-Order detector matches the live run on *everything*:
     /// races, Fig. 3 counts, memory footprints, and the full metrics
-    /// block (verdict-cache hits included) — the journal is a lossless
-    /// stand-in for the execution.
+    /// block — the journal is a lossless stand-in for the execution.
     #[test]
     fn sequential_roundtrip_is_exact(seed in any::<u64>()) {
         let prog = gen_prog(seed);
@@ -128,9 +127,7 @@ proptest! {
         prop_assert_eq!(a.metrics, b.metrics, "detector-side metrics must match exactly");
 
         // Pipeline-side parity: what the live `Batched` wrapper counted,
-        // the journal carried. (`verdict_hits` is detection-side state the
-        // recording run never exercises; its replay parity is covered by
-        // `seqlock_hits` in the metrics block above.)
+        // the journal carried.
         prop_assert_eq!(rec_stats.flushes, live_stats.flushes);
         prop_assert_eq!(rec_stats.recorded, live_stats.recorded);
         prop_assert_eq!(rec_stats.filtered, live_stats.filtered);
@@ -237,6 +234,79 @@ fn parallel_recording_replays_to_live_verdicts() {
         replay_into(&bytes, &fo);
         assert_eq!(live_rep.racy_addrs, fo.report().racy_addrs, "seed {seed}");
     }
+}
+
+/// Two parallel siblings whose accesses alternate call by call, driven
+/// hook by hook on one thread so the live counts are exact. Under a batch
+/// cap of 2 each sibling's accesses at its one position leave as a run of
+/// two-entry `Accesses` events interleaved with the other's.
+fn interleaved_siblings<H: TaskHooks>(h: &Batched<H>) {
+    const SHARED: u64 = 0x1_0000;
+    const OWN: u64 = 0x2_0000;
+    let mut root = h.root();
+    for i in 0..32 {
+        h.on_write(&mut root, SHARED + 8 * i);
+    }
+    let mut a = h.on_spawn(&mut root);
+    let mut b = h.on_spawn(&mut root);
+    for i in 0..32 {
+        // Both read what the root wrote (ordered: one query each) ...
+        h.on_read(&mut a, SHARED + 8 * i);
+        h.on_read(&mut b, SHARED + 8 * i);
+        // ... `a` writes its own cells, and `b` writes every other one
+        // of them too — the races.
+        h.on_write(&mut a, OWN + 8 * i);
+        h.on_write(&mut b, OWN + 16 * i);
+    }
+    h.on_task_end(&mut a);
+    h.on_task_end(&mut b);
+    h.on_sync(&mut root, vec![a, b]);
+    for i in 0..32 {
+        h.on_read(&mut root, OWN + 8 * i);
+    }
+    h.on_task_end(&mut root);
+}
+
+/// A strand's accesses split over many `Accesses` events, interleaved
+/// with another strand's, replay to the live run's exact counts —
+/// `queries` included — and racy set: the replayer keeps nothing per
+/// strand between events but the sink's own strand.
+#[test]
+fn interleaved_split_batches_replay_to_live_counts() {
+    let writer = JournalWriter::new(Vec::new(), "interleaved").expect("Vec sink cannot fail");
+    let rec = Batched::with_capacity(JournalHooks::new(writer), 2);
+    interleaved_siblings(&rec);
+    let bytes = rec.into_inner().finish_owned().expect("finish journal");
+
+    // The recording has the shape this test is about.
+    let events = JournalReader::new(&bytes[..])
+        .and_then(|mut r| r.read_all())
+        .expect("decode");
+    let owners: Vec<u32> = events
+        .iter()
+        .filter_map(|ev| match ev {
+            JEvent::Accesses { strand, .. } => Some(*strand),
+            _ => None,
+        })
+        .collect();
+    let switches = owners.windows(2).filter(|w| w[0] != w[1]).count();
+    assert!(
+        switches >= 32,
+        "only {switches} strand switches over {} access events",
+        owners.len()
+    );
+
+    let live = Batched::with_capacity(SfDetector::from_config(&EngineConfig::default()), 2);
+    interleaved_siblings(&live);
+    let live = live.into_inner().report();
+    let replayed = SfDetector::from_config(&EngineConfig::default());
+    replay_into(&bytes, &replayed);
+    let replayed = replayed.report();
+    assert!(live.total_races > 0 && live.counts.queries > 64);
+    assert_eq!(live.counts, replayed.counts);
+    assert_eq!(live.races, replayed.races);
+    assert_eq!(live.total_races, replayed.total_races);
+    assert_eq!(live.metrics, replayed.metrics);
 }
 
 /// Unbatched recording (bare `JournalHooks`, one-entry access events)

@@ -4,7 +4,7 @@
 //! (paper §1: "the future handle can be stored in memory and retrieved at
 //! a later program point"), and the trickiest case for `gp` maintenance.
 //!
-//! The program below builds a "prefetcher": a worker task creates futures
+//! The program below builds a "read-ahead loader": a worker task creates futures
 //! that load chunks of data, returns their handles upward, and *ends*
 //! while the loads are still running. The root gets the handles much
 //! later. The detector must (a) keep the loads parallel to everything

@@ -64,8 +64,4 @@ run fig4_times           results_fig4_"$SCALE".txt --scale "$SCALE" --workers "$
 target/release/bench_gate --path BENCH_fig4.json \
   || echo ">> bench_gate: drift vs an earlier session (advisory only here)"
 
-# Raw 512-bit chunk-kernel rows, scalar vs the detected vector kernel.
-echo ">> kernel micro rows -> results_kernels_micro.txt"
-cargo bench -p sfrd-bench --bench reach_query -- 'reach/kernel' 2>&1 | tee results_kernels_micro.txt
-
 echo ">> done (scale=$SCALE workers=$WORKERS reps=$REPS); see results_*.txt"

@@ -100,6 +100,10 @@ pub struct Outcome {
     pub wall: Duration,
     /// Detector report (None for the base configuration).
     pub report: Option<RaceReport>,
+    /// Pool statistics of the run (None on the sequential runtime). The
+    /// report's `sched_*` metrics are a copy; a `base` run has no detector
+    /// and so no report, and shows what its scheduler did only here.
+    pub sched: Option<PoolStats>,
 }
 
 /// Run `w` once under `cfg`.
@@ -153,6 +157,7 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
                     Outcome {
                         wall,
                         report: Some(report),
+                        sched: stats,
                     }
                 }
                 // The reach configuration is a separate "build": the
@@ -167,6 +172,7 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
                     Outcome {
                         wall,
                         report: Some(report),
+                        sched: stats,
                     }
                 }
             }
@@ -176,8 +182,12 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
     let ec = EngineConfig::from(&cfg);
     match cfg.detector {
         DetectorKind::None => {
-            let (wall, _) = timed(w, Arc::new(NullHooks), &cfg);
-            Outcome { wall, report: None }
+            let (wall, sched) = timed(w, Arc::new(NullHooks), &cfg);
+            Outcome {
+                wall,
+                report: None,
+                sched,
+            }
         }
         DetectorKind::SfOrder => {
             detector_arm!(|m| SfDetector::from_config(&ec.with_mode(m)))
@@ -304,6 +314,44 @@ mod tests {
         };
         let out = drive(&w, DriveConfig::base(2));
         assert!(out.report.is_none());
+        assert_eq!(out.sched.map(|s| s.tasks_run), Some(2), "root + future");
+    }
+
+    /// 400 futures of 8 one-access children each, gotten one at a time.
+    struct SpawnHeavy {
+        data: ShadowArray<u64>,
+    }
+
+    impl Workload for SpawnHeavy {
+        fn run<'s, C: Cx<'s>>(&'s self, ctx: &mut C) {
+            for i in 0..self.data.len() / 8 {
+                let h = ctx.create(move |c| {
+                    for j in 0..8 {
+                        c.spawn(move |c| self.data.write(c, i * 8 + j, i as u64));
+                    }
+                    c.sync();
+                });
+                ctx.get(h);
+            }
+        }
+    }
+
+    /// A one-worker run parks its worker before the root job arrives and
+    /// after the scope, never per task — with a detector attached or not.
+    #[test]
+    fn one_worker_drive_does_not_park_per_task() {
+        let w = SpawnHeavy {
+            data: ShadowArray::new(3200),
+        };
+        let full = drive(&w, DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1));
+        let rep = full.report.unwrap();
+        assert_eq!(rep.total_races, 0);
+        assert_eq!(rep.metrics.sched_tasks_run, 1 + 400 * 9);
+        assert!(rep.metrics.sched_parks <= 2, "{:?}", full.sched);
+
+        let base = drive(&w, DriveConfig::base(1)).sched.unwrap();
+        assert_eq!(base.tasks_run, 1 + 400 * 9);
+        assert!(base.parks <= 2 && base.wakeups <= 1, "{base:?}");
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! history nor produce a new race. A read followed by a first write to the
 //! same address keeps both entries in program order.
 
+use std::cell::RefCell;
+use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hooks::TaskHooks;
@@ -48,6 +50,30 @@ const FIRST_GENERATION: u32 = 2;
 /// Default flush threshold for [`Batched`].
 pub const DEFAULT_BATCH_CAP: usize = 512;
 
+type Filter = [(u64, u32); FILTER_WAYS];
+
+/// Dropped batches' storage a thread keeps for its next ones: 16 × (8 KB
+/// of entries + 4 KB of filter) ≈ 200 KB, a spawn fan-out's worth.
+const SPARES_PER_THREAD: usize = 16;
+
+/// The storage of a dropped [`AccessBatch`], kept for the next
+/// [`AccessBatch::new`] on this thread: a construct-heavy program starts
+/// and ends a strand per few accesses, and 12 KB of `malloc` plus a 4 KB
+/// memset per strand is then most of what recording costs.
+struct Spare {
+    /// Empty; capacity at most [`DEFAULT_BATCH_CAP`], so a buffer grown by
+    /// [`AccessBatch::reinject`] is freed, not retained sixteen times over.
+    entries: Vec<BatchedAccess>,
+    filter: Box<Filter>,
+    /// The generation `filter`'s newest stamps carry.
+    generation: u32,
+}
+
+thread_local! {
+    /// Touched at strand birth and death only, never by `record`.
+    static SPARES: RefCell<Vec<Spare>> = const { RefCell::new(Vec::new()) };
+}
+
 #[inline]
 fn way(addr: u64) -> usize {
     // Mix, then mask: shadow addresses share high bits.
@@ -64,7 +90,8 @@ pub struct AccessBatch {
     /// generation instead of clearing 4 KB, a size-cap flush does not
     /// (the position is unchanged, so already-flushed accesses still
     /// cover repeats).
-    filter: Box<[(u64, u32); FILTER_WAYS]>,
+    /// `ManuallyDrop` so [`Drop`] can move the box into the thread's spares.
+    filter: ManuallyDrop<Box<Filter>>,
     /// Current filter generation: even, never 0 (the stamp of an unused
     /// slot), bit 0 free for the entry's `wrote` flag.
     generation: u32,
@@ -77,16 +104,33 @@ pub struct AccessBatch {
 }
 
 impl AccessBatch {
-    /// Empty batch with capacity for `cap` entries.
+    /// Empty batch with capacity for `cap` entries, on recycled storage
+    /// when this thread has any. A recycled batch decides exactly as a
+    /// fresh one: its counters start at zero and the generation moves past
+    /// every stamp the filter's previous life left.
     pub fn new(cap: usize) -> Self {
-        Self {
-            entries: Vec::with_capacity(cap),
+        let spare = SPARES.try_with(|s| s.borrow_mut().pop()).ok().flatten();
+        let Spare {
+            mut entries,
+            filter,
+            generation,
+        } = spare.unwrap_or_else(|| Spare {
+            entries: Vec::new(),
             filter: Box::new([(0, 0); FILTER_WAYS]),
-            generation: FIRST_GENERATION,
+            // The stamp of an unused slot: one bump from `FIRST_GENERATION`.
+            generation: 0,
+        });
+        entries.reserve_exact(cap);
+        let mut batch = Self {
+            entries,
+            filter: ManuallyDrop::new(filter),
+            generation,
             recorded: 0,
             filtered: 0,
             pending_filtered: (0, 0),
-        }
+        };
+        batch.clear_filter();
+        batch
     }
 
     /// Buffer one access. Returns `false` when the access was
@@ -193,6 +237,29 @@ impl AccessBatch {
     /// `(recorded, filtered)` counters of this strand.
     pub fn stats(&self) -> (u64, u64) {
         (self.recorded, self.filtered)
+    }
+}
+
+impl Drop for AccessBatch {
+    fn drop(&mut self) {
+        // SAFETY: the only `take` of `filter`, in a `drop` that runs once
+        // and after which nothing reads the batch.
+        let filter = unsafe { ManuallyDrop::take(&mut self.filter) };
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.clear();
+        let spare = Spare {
+            entries,
+            filter,
+            generation: self.generation,
+        };
+        // `try_with`: a strand dropped while its thread exits finds the
+        // spares already gone, and `spare` is freed with the closure.
+        let _ = SPARES.try_with(move |s| {
+            let mut s = s.borrow_mut();
+            if s.len() < SPARES_PER_THREAD && spare.entries.capacity() <= DEFAULT_BATCH_CAP {
+                s.push(spare);
+            }
+        });
     }
 }
 
@@ -521,6 +588,199 @@ mod tests {
         assert_eq!(log, vec!["r1", "w2", "spawn", "w3", "end", "sync", "end"]);
         assert_eq!(b.stats().filtered, 1);
         assert!(b.stats().flushes >= 2);
+    }
+
+    /// Empty this thread's spares, keeping them alive for the caller.
+    fn take_spares() -> Vec<Spare> {
+        SPARES.with(|s| std::mem::take(&mut *s.borrow_mut()))
+    }
+
+    fn spares() -> usize {
+        SPARES.with(|s| s.borrow().len())
+    }
+
+    #[test]
+    fn recycled_batch_decides_like_a_fresh_one() {
+        drop(take_spares());
+        let mut b = AccessBatch::new(16);
+        assert!(b.record(8, true));
+        assert!(!b.record(8, false), "covered by the write");
+        assert_eq!(b.stats(), (1, 1));
+        let first_life = b.generation;
+        drop(b); // entries and filtered counts still pending
+        assert_eq!(spares(), 1);
+
+        let mut b = AccessBatch::new(16);
+        assert_eq!(spares(), 0, "new() took the spare");
+        assert_ne!(b.generation, first_life);
+        assert!(b.is_empty() && !b.has_pending_filtered());
+        assert_eq!(b.stats(), (0, 0));
+        assert!(b.record(8, false), "a stale stamp never filters a read");
+        assert!(b.record(8, true), "nor lends its `wrote` to a write");
+        assert_eq!(b.stats(), (2, 0));
+    }
+
+    #[test]
+    fn recycling_across_the_generation_wrap_still_clears() {
+        drop(take_spares());
+        let mut b = AccessBatch::new(16);
+        b.generation = u32::MAX - 41;
+        // 64 lives of one filter box: the wrap falls in the 21st.
+        for life in 0..64 {
+            assert!(b.record(8, true), "life {life}");
+            assert!(!b.record(8, true), "life {life}");
+            assert_ne!(b.generation, 0);
+            drop(b);
+            assert_eq!(spares(), 1);
+            b = AccessBatch::new(16);
+        }
+        assert!(b.generation < 128, "wrapped: {}", b.generation);
+    }
+
+    #[test]
+    fn recycled_capacity_does_not_move_the_flush_threshold() {
+        drop(take_spares());
+        drop(AccessBatch::new(DEFAULT_BATCH_CAP));
+        let b = Batched::with_capacity(Log(Mutex::new(Vec::new())), 2);
+        let mut s = b.root();
+        assert_eq!(spares(), 0, "root strand runs on the 512-entry spare");
+        assert!(s.batch.entries.capacity() >= DEFAULT_BATCH_CAP);
+        for a in 0..5 {
+            b.on_write(&mut s, a);
+        }
+        assert_eq!(b.inner().0.lock().len(), 4, "flushed at 2 and at 4");
+        assert_eq!(b.stats().flushes, 2);
+    }
+
+    #[test]
+    fn spares_stay_bounded_and_oversized_buffers_are_freed() {
+        drop(take_spares());
+        let b = Batched::new(crate::hooks::NullHooks);
+        let mut root = b.root();
+        // 10 000 strands, 1 000 live at a time.
+        for _ in 0..10 {
+            let children = (0..1000u64)
+                .map(|a| {
+                    let mut c = b.on_spawn(&mut root);
+                    b.on_write(&mut c, a * 8);
+                    b.on_task_end(&mut c);
+                    c
+                })
+                .collect();
+            b.on_sync(&mut root, children);
+            assert_eq!(spares(), SPARES_PER_THREAD);
+        }
+        assert_eq!(b.stats().recorded, 10_000);
+
+        drop(take_spares());
+        let mut big = AccessBatch::new(16);
+        let entries = vec![
+            BatchedAccess {
+                addr: 8,
+                is_write: false
+            };
+            4 * DEFAULT_BATCH_CAP
+        ];
+        big.reinject(&entries, (0, 0));
+        drop(big);
+        assert_eq!(spares(), 0, "a grown buffer is not retained");
+    }
+
+    /// Serial depth-first run of a seeded random program, driven straight
+    /// through the hooks; `between` runs after every step.
+    struct RandomProgram<'a> {
+        b: &'a Batched<Log>,
+        x: u64,
+        steps_left: u32,
+        between: &'a mut dyn FnMut(),
+    }
+
+    impl RandomProgram<'_> {
+        fn next(&mut self) -> u64 {
+            self.x ^= self.x << 13;
+            self.x ^= self.x >> 7;
+            self.x ^= self.x << 17;
+            self.x
+        }
+
+        fn task(&mut self, s: &mut BatchStrand<()>, depth: u32) {
+            let (mut children, mut futures) = (Vec::new(), Vec::new());
+            while self.steps_left > 0 {
+                self.steps_left -= 1;
+                match self.next() % 16 {
+                    0 if depth < 8 => {
+                        let mut c = self.b.on_spawn(s);
+                        self.task(&mut c, depth + 1);
+                        children.push(c);
+                    }
+                    1 if depth < 8 => {
+                        let mut c = self.b.on_create(s);
+                        self.task(&mut c, depth + 1);
+                        futures.push(c);
+                    }
+                    2 => self.b.on_sync(s, std::mem::take(&mut children)),
+                    3 => {
+                        if let Some(done) = futures.pop() {
+                            self.b.on_get(s, &done);
+                        }
+                    }
+                    4 if depth > 0 => break,
+                    op => {
+                        // 24 addresses: repeats at one position are common.
+                        let addr = self.next() % 24 * 8;
+                        if op & 1 == 0 {
+                            self.b.on_write(s, addr);
+                        } else {
+                            self.b.on_read(s, addr);
+                        }
+                    }
+                }
+                (self.between)();
+            }
+            if !children.is_empty() {
+                self.b.on_sync(s, children);
+            }
+            self.b.on_task_end(s);
+            // Futures never gotten escape: their strands die here.
+        }
+    }
+
+    /// Same program twice: strands dying (and their buffers coming back)
+    /// as the program goes, against every dead buffer held to the end so
+    /// each strand is born on fresh storage.
+    #[test]
+    fn recycling_is_invisible_to_the_detector() {
+        fn run(seed: u64, between: &mut dyn FnMut()) -> (Vec<String>, BatchStats) {
+            let b = Batched::with_capacity(Log(Mutex::new(Vec::new())), 4);
+            let mut root = b.root();
+            RandomProgram {
+                b: &b,
+                x: seed,
+                steps_left: 6000,
+                between,
+            }
+            .task(&mut root, 0);
+            drop(root);
+            let stats = b.stats();
+            (b.into_inner().0.into_inner(), stats)
+        }
+        for seed in 1..=6u64 {
+            let seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            drop(take_spares());
+            let mut reused = 0;
+            let recycled = run(seed, &mut || reused = reused.max(spares()));
+            assert!(reused > 0, "seed {seed}: no buffer came back");
+
+            drop(take_spares());
+            let mut held = Vec::new();
+            let fresh = run(seed, &mut || held.append(&mut take_spares()));
+            assert!(held.len() > SPARES_PER_THREAD, "seed {seed}");
+
+            assert!(fresh.0.len() > 3000, "seed {seed}: {}", fresh.0.len());
+            assert!(fresh.1.filtered > 0 && fresh.1.flushes > 0);
+            assert_eq!(recycled.0, fresh.0, "seed {seed}: delivered events");
+            assert_eq!(recycled.1, fresh.1, "seed {seed}: Batched::stats()");
+        }
     }
 
     #[test]

@@ -13,13 +13,20 @@
 //! acquisitions**: local deques are Chase-Lev, root jobs ride the lock-free
 //! segment-queue [`crate::injector`], and sleeping is an eventcount
 //! (announce → epoch snapshot → rescan → sleep-if-unchanged) whose mutex is
-//! touched only when a worker actually runs out of work.
+//! touched only when a worker actually runs out of work. Only pool threads
+//! — threads that can claim a job — ever count as `parked`, so a push's
+//! `notify_one` is a fence and a load unless a worker really is asleep, and
+//! a one-worker run makes no futex call per task.
 //!
 //! Scoped soundness: [`Runtime::run`] does not return until the global
 //! pending-job count reaches zero — including *escaping futures* that
 //! outlive their creating task — so task closures may safely borrow from
 //! the caller's stack (`'env`). Internally job boxes erase that lifetime;
-//! the quiescence barrier is what makes the erasure sound.
+//! the quiescence barrier is what makes the erasure sound. The scope owner
+//! waits for quiescence on a mutex/condvar pair of its own
+//! (`Shared::quiesce`), signalled by the one completion that takes
+//! `pending` from 1 to 0: it runs no jobs, so it must not be where a
+//! push-path wakeup can land.
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,11 +51,18 @@ struct Shared<H: TaskHooks> {
     stealers: Box<[Stealer<Job<H>>]>,
     /// Jobs pushed but not yet finished (queued + running).
     pending: AtomicUsize,
-    /// Threads currently inside [`Shared::park_wait`].
+    /// Pool threads currently inside [`Shared::park_wait`] (never the
+    /// scope owner: every counted thread can claim a job).
     parked: AtomicUsize,
     /// Eventcount epoch: bumped under the lock by every notification.
     epoch: Mutex<u64>,
     cv: Condvar,
+    /// The scope owner's wait channel. [`WorkerCore::run_job`] signals it
+    /// when `pending` goes 1 → 0 (decrement, lock, notify) and
+    /// [`Runtime::run`] re-checks `pending` under the lock before every
+    /// wait, so the final wakeup cannot fall between check and sleep.
+    quiesce: Mutex<()>,
+    quiesce_cv: Condvar,
     shutdown: AtomicBool,
     panicked: AtomicBool,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -58,7 +72,7 @@ struct Shared<H: TaskHooks> {
     steals: AtomicU64,
     /// Steal attempts that lost a CAS race and had to retry.
     steal_retries: AtomicU64,
-    /// Times a thread went to sleep in [`Shared::park_wait`].
+    /// Times a pool thread went to sleep in [`Shared::park_wait`].
     parks: AtomicU64,
     /// Times a sleeping thread was woken.
     wakeups: AtomicU64,
@@ -84,8 +98,9 @@ impl<H: TaskHooks> Shared<H> {
     }
 
     /// Wake at most one sleeper. Used on the task-push path: one new job
-    /// needs one worker, and any woken worker can claim it via
-    /// [`WorkerCore::find_job`]. Same fence pairing as [`Shared::notify`].
+    /// needs one worker, and every sleeper on `cv` is a pool thread that
+    /// can claim it via [`WorkerCore::find_job`]. Same fence pairing as
+    /// [`Shared::notify`].
     #[inline]
     fn notify_one(&self) {
         fence(Ordering::SeqCst);
@@ -202,7 +217,11 @@ impl<H: TaskHooks> WorkerCore<H> {
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| job(self))) {
             self.shared.record_panic(p);
         }
-        self.shared.pending.fetch_sub(1, Ordering::SeqCst);
+        if self.shared.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // The scope has quiesced; at most one owner waits (`run_guard`).
+            let _quiesce = self.shared.quiesce.lock();
+            self.shared.quiesce_cv.notify_one();
+        }
         self.shared.notify();
     }
 
@@ -443,6 +462,8 @@ impl<H: TaskHooks> Runtime<H> {
             parked: AtomicUsize::new(0),
             epoch: Mutex::new(0),
             cv: Condvar::new(),
+            quiesce: Mutex::new(()),
+            quiesce_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
@@ -520,14 +541,14 @@ impl<H: TaskHooks> Runtime<H> {
             self.shared.injector.push(unsafe { erase_job(job) });
             self.shared.notify_one();
         }
-        // Quiescence barrier: sleep on the eventcount until pending hits
-        // zero. Completions broadcast, so the final decrement always wakes
-        // us; no timed polling.
-        while self.shared.pending.load(Ordering::SeqCst) != 0 {
-            let _ = self.shared.park_wait(
-                || None::<Job<H>>,
-                || self.shared.pending.load(Ordering::SeqCst) == 0,
-            );
+        // Quiescence barrier, on the owner's own channel: the job that
+        // takes `pending` to zero locks `quiesce` before it signals, so it
+        // either finds us asleep or we see the zero here. No timed polling.
+        {
+            let mut quiesce = self.shared.quiesce.lock();
+            while self.shared.pending.load(Ordering::SeqCst) != 0 {
+                self.shared.quiesce_cv.wait(&mut quiesce);
+            }
         }
         if let Some(p) = self.shared.panic.lock().take() {
             std::panic::resume_unwind(p);
@@ -657,6 +678,33 @@ mod tests {
         assert_eq!(s.tasks_run, 11);
         // The root job always arrives via the injector.
         assert!(s.steals >= 1);
+    }
+
+    /// One worker never sleeps while it has work, and the scope owner is
+    /// not on the workers' eventcount: 11 001 micro-tasks cost the worker
+    /// its start-up park, the wakeup by the root job, and the park after
+    /// the scope — not a futex round trip per push and per completion.
+    #[test]
+    fn one_worker_micro_tasks_never_wake_the_owner() {
+        let rt = rt(1);
+        let total = rt.run(Arc::new(NullHooks), |ctx| {
+            let mut total = 0u64;
+            for i in 0..1000u64 {
+                let h = ctx.create(move |c| {
+                    for _ in 0..10 {
+                        c.spawn(|_| {});
+                    }
+                    c.sync();
+                    i
+                });
+                total += ctx.get(h);
+            }
+            total
+        });
+        assert_eq!(total, (0..1000).sum());
+        let s = rt.stats();
+        assert_eq!(s.tasks_run, 11_001);
+        assert!(s.parks <= 2 && s.wakeups <= 1, "{s:?}");
     }
 
     #[test]

@@ -174,3 +174,80 @@ fn repeated_scopes_do_not_leak_state() {
         assert_eq!(got, i);
     }
 }
+
+/// Quiescence soak: thousands of back-to-back scopes per pool, each ending
+/// in the one wakeup the scope owner sleeps for (the `pending` 1 → 0
+/// signal). The bodies are the shapes that reach zero differently — an
+/// empty root, a future that escapes its creator, and a child that
+/// panics. The soak runs on a helper thread and the test thread waits on a
+/// channel with a timeout, so a lost wakeup is a failure naming the pool
+/// and the scope, not a wedged run.
+#[test]
+fn quiescence_soak_never_loses_the_final_wakeup() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const SCOPES: u64 = 5000;
+    const REPORT_EVERY: u64 = 250;
+
+    let (progress, watchdog) = mpsc::channel::<(usize, u64)>();
+    let soak = std::thread::spawn(move || {
+        for workers in [1, 2, 4, 8] {
+            let pool = rt(workers);
+            let escaped = AtomicU64::new(0);
+            let mut expected = 0;
+            for scope in 0..SCOPES {
+                match scope % 16 {
+                    // A child panics under a syncing root; the panic
+                    // reaches the owner and the pool takes the next scope.
+                    15 => {
+                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            pool.run(Arc::new(NullHooks), |ctx| {
+                                ctx.spawn(|_| panic!("soak boom"));
+                                ctx.sync();
+                            })
+                        }));
+                        assert!(r.is_err(), "workers={workers} scope={scope}");
+                    }
+                    // The root returns at once: the worker that ran it
+                    // signals quiescence, possibly before the owner waits.
+                    k if k % 2 == 0 => pool.run(Arc::new(NullHooks), |_| {}),
+                    // The root drops its handle and returns; the future
+                    // is the scope's last job, typically on another worker.
+                    _ => {
+                        expected += 1;
+                        pool.run(Arc::new(NullHooks), |ctx| {
+                            drop(ctx.create(|_| {
+                                std::hint::black_box((0..64u64).sum::<u64>());
+                                escaped.fetch_add(1, Ordering::SeqCst);
+                            }));
+                        });
+                        assert_eq!(
+                            escaped.load(Ordering::SeqCst),
+                            expected,
+                            "workers={workers} scope={scope}: scope returned before its future ran"
+                        );
+                    }
+                }
+                if (scope + 1) % REPORT_EVERY == 0 {
+                    progress.send((workers, scope + 1)).unwrap();
+                }
+            }
+            assert!(pool.stats().tasks_run >= SCOPES + expected);
+        }
+    });
+
+    // The soak thread owns the only sender: the loop ends when it does.
+    let mut last = (0, 0);
+    loop {
+        match watchdog.recv_timeout(Duration::from_secs(30)) {
+            Ok(at) => last = at,
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!(
+                "no progress for 30 s after (workers, scopes) = {last:?}: a scope never quiesced"
+            ),
+        }
+    }
+    soak.join().expect("soak thread failed");
+    assert_eq!(last, (8, SCOPES));
+}

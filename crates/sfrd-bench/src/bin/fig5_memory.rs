@@ -7,9 +7,10 @@
 //! A second table reports the **access-history** footprint (Full mode,
 //! SF-Order). The accounting is capacity-based (page directory + arena
 //! slabs + fallback map), so the paged table's direct-mapped overcommit
-//! is charged in full. Next to it: the run's reads and how many accesses
-//! the shadow answered from a validated snapshot (`shadow_fast_hits`),
-//! since those are the accesses that retain nothing.
+//! is charged in full. Next to it: the accesses the batch filter admitted
+//! to the shadow (`reads + writes − filtered`) and how many of them it
+//! answered from a validated snapshot (`shadow_fast_hits` — reads and
+//! writes both), since those are the accesses that retain nothing.
 
 use sfrd_bench::{run_bench, HarnessArgs, Table};
 use sfrd_core::{DetectorKind, DriveConfig, Mode};
@@ -72,9 +73,9 @@ fn main() {
     let mut h = Table::new(&[
         "bench",
         "history",
-        "reads",
+        "admitted",
         "shadow_fast_hits",
-        "hits/reads",
+        "hits/admitted",
     ]);
     for name in &args.benches {
         let (out, _) = run_bench(
@@ -83,13 +84,13 @@ fn main() {
             DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1),
         );
         let rep = out.report.unwrap();
-        let (reads, hits) = (rep.counts.reads, rep.metrics.shadow_fast_hits);
+        let (admitted, hits) = (rep.metrics.batched_accesses, rep.metrics.shadow_fast_hits);
         h.row(vec![
             name.clone(),
             fmt_bytes(rep.history_bytes),
-            reads.to_string(),
+            admitted.to_string(),
             hits.to_string(),
-            format!("{:.1}%", hits as f64 * 100.0 / reads.max(1) as f64),
+            format!("{:.1}%", hits as f64 * 100.0 / admitted.max(1) as f64),
         ]);
     }
     print!("{}", h.render());

@@ -209,15 +209,17 @@ fn analyze_journal(bytes: &[u8]) -> Result<(), sfrd_trace::JournalError> {
     Ok(())
 }
 
-/// `reads`, `writes` and how many of them the shadow answered from a
-/// validated snapshot without entering a slot's write section.
+/// `reads`, `writes`, how many of them the batch filter admitted to the
+/// shadow, and how many of those it answered from a validated snapshot
+/// without entering a slot's write section.
 fn access_path_census(report: &RaceReport) -> String {
     let (reads, writes) = (report.counts.reads, report.counts.writes);
+    let admitted = report.metrics.batched_accesses;
     let hits = report.metrics.shadow_fast_hits;
     format!(
-        "{reads} reads, {writes} writes, {hits} shadow_fast_hits ({:.1}% of accesses), \
-         {} reachability queries",
-        hits as f64 * 100.0 / (reads + writes).max(1) as f64,
+        "{reads} reads, {writes} writes, {admitted} admitted, {hits} shadow_fast_hits \
+         ({:.1}% of admitted), {} reachability queries",
+        hits as f64 * 100.0 / admitted.max(1) as f64,
         report.counts.queries,
     )
 }
@@ -330,6 +332,12 @@ where
     F: FnOnce(&H) -> RaceReport,
 {
     let mut reader = JournalReader::new(bytes)?;
-    replay_journal(&mut reader, &det)?;
-    Ok(report(&det))
+    let stats = replay_journal(&mut reader, &det)?;
+    let mut report = report(&det);
+    // The batch layer's counts travel in the journal, as `drive` merges
+    // them from the live `Batched` wrapper.
+    report.metrics.batch_flushes = stats.flushes;
+    report.metrics.batched_accesses = stats.accesses;
+    report.metrics.filtered_accesses = stats.filtered;
+    Ok(report)
 }

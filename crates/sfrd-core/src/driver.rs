@@ -294,6 +294,49 @@ mod tests {
         }
     }
 
+    /// The future does `write A; read B; write B` with A and B in one way
+    /// of the batch filter; the continuation reads B. B is the only race.
+    struct EvictedWrite {
+        data: ShadowArray<u64>,
+        b: usize,
+    }
+
+    impl Workload for EvictedWrite {
+        fn run<'s, C: Cx<'s>>(&'s self, ctx: &mut C) {
+            let h = ctx.create(move |c| {
+                self.data.write(c, 0, 1);
+                self.data.read(c, self.b);
+                self.data.write(c, self.b, 2);
+            });
+            self.data.read(ctx, self.b);
+            ctx.get(h);
+        }
+    }
+
+    /// The filter once let B's read take over the `wrote` flag of the A it
+    /// evicted and combined B's write away: the detector saw two reads.
+    #[test]
+    fn a_write_behind_an_evicting_read_still_races() {
+        for cfg in all_full_configs() {
+            let data: ShadowArray<u64> = ShadowArray::new(2048);
+            let b = (1..data.len())
+                .find(|&i| {
+                    let mut probe = sfrd_runtime::AccessBatch::new(4);
+                    probe.record(data.addr(0), true);
+                    probe.record(data.addr(i), true);
+                    probe.record(data.addr(0), true)
+                })
+                .expect("some element shares element 0's way");
+            let w = EvictedWrite { data, b };
+            let rep = drive(&w, cfg).report.unwrap();
+            assert_eq!(
+                rep.racy_addrs.into_iter().collect::<Vec<_>>(),
+                vec![w.data.addr(b)],
+                "config {cfg:?}"
+            );
+        }
+    }
+
     #[test]
     fn reach_mode_skips_access_work() {
         let w = Racy {

@@ -20,13 +20,17 @@
 //!
 //! Every access, on either path, first asks the shadow's validated
 //! snapshot whether it is a *same-epoch* repeat — a read by the
-//! location's last recorded reader, a write by its writer with no reader
-//! retained — and if so is done without a store (DESIGN.md §6); anything
-//! else enters the slot's write section and runs the same
-//! [`check_read`](EventSink::on_read)/write logic, which asks `precedes`
-//! of every retained accessor at another position. So neither batching
-//! nor the short-circuit can change which `(addr, kind)` races exist at a
-//! location — only how many times a repeated race is observed. Counters
+//! location's last recorded reader or by its writer, a write by its
+//! writer with no reader retained — and if so is done without a store
+//! (DESIGN.md §6); anything else enters the slot's write section and runs
+//! the same [`check_read`](EventSink::on_read)/write logic, which asks
+//! `precedes` of every retained accessor at another position. So neither
+//! batching nor the short-circuit can change which addresses race — only
+//! how many times a repeated race is observed. The one thing that shapes
+//! the `(addr, kind)` set is the retention rule both paths share: a read
+//! at the writer's own position is not retained, so a later parallel
+//! writer reports `WriteWrite` against that writer and no `ReadWrite`
+//! beside it. Counters
 //! and race reports are tallied locally and folded into the shared state
 //! once per batch.
 
@@ -230,7 +234,8 @@ impl<E: ReachEngine> EventSink<E> {
     }
 
     /// The read half of the protocol, shared by both access paths: check
-    /// the last writer, then retain the reader.
+    /// the last writer, then retain the reader — unless it reads at the
+    /// writer's own position ([`LocEntry::retain_reader`]).
     fn check_read(
         &self,
         e: &mut LocEntry<E::Pos>,
@@ -244,7 +249,7 @@ impl<E: ReachEngine> EventSink<E> {
             t.race(addr, RaceKind::WriteRead);
         }
         let eng = &self.engine;
-        e.readers.record(
+        e.retain_reader(
             fut,
             pos,
             |a, b| eng.eng_less(a, b),
@@ -278,8 +283,9 @@ impl<E: ReachEngine> EventSink<E> {
     /// write section on a miss. Either way the access is tallied — Fig. 3
     /// counts are path-invariant.
     ///
-    /// The snapshot test is [`PageCursor::fast_read`]: read-same-epoch
-    /// under `All`; under `PerFutureLR` the LR no-op test, whose writer
+    /// The snapshot test is [`PageCursor::fast_read`]: read-by-current-
+    /// writer under either policy, read-same-epoch under `All`; under
+    /// `PerFutureLR` the LR no-op test, whose writer
     /// side is decided here by the same [`ordered`](Self::ordered) test as
     /// [`check_read`](Self::check_read)'s, minus the mutation (nothing is
     /// written to the entry). A negative verdict (a race) misses, so the
@@ -503,28 +509,27 @@ mod tests {
         assert_eq!(census(&det).1 - before.1, 1);
         join(&det, &mut r, c);
 
-        // A write sweeps and clears the readers; the next read re-checks
-        // in the section (the writer is `r` itself: no query).
+        // A write sweeps and clears the readers. Read-by-current-writer:
+        // the next read, at the writer's own position, is answered from
+        // the snapshot — no query, nothing retained.
         det.on_write(&mut r, X);
         assert_eq!(entry(&det, X), (2, 0));
         let before = census(&det);
         det.on_read(&mut r, X);
         let after = census(&det);
-        assert_eq!((after.0, after.1), (before.0, before.1));
-        assert_eq!(entry(&det, X), (2, 1));
+        assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
+        assert_eq!(entry(&det, X), (2, 0));
 
-        // Write-same-epoch: with a reader retained the write takes the
-        // section (epoch 3); the repeat after it does not, and the epoch
-        // stays put.
-        det.on_write(&mut r, X);
-        assert_eq!(entry(&det, X), (3, 0));
+        // Write-same-epoch: so the write after it, and every repeat, finds
+        // its own epoch with no reader and leaves it alone.
         let before = census(&det);
-        det.on_write(&mut r, X);
-        det.on_write(&mut r, X);
+        for _ in 0..3 {
+            det.on_write(&mut r, X);
+        }
         let after = census(&det);
-        assert_eq!(after.1 - before.1, 2);
-        assert_eq!(after.3 - before.3, 2, "writes stay path-invariant");
-        assert_eq!(entry(&det, X), (3, 0));
+        assert_eq!(after.1 - before.1, 3);
+        assert_eq!(after.3 - before.3, 3, "writes stay path-invariant");
+        assert_eq!(entry(&det, X), (2, 0));
         assert_eq!(after.4, 0, "a serial program has no race");
     }
 
@@ -534,6 +539,94 @@ mod tests {
         same_epoch_rules(FoDetector::new(Mode::Full)); // StrandPos
         same_epoch_rules(MbDetector::new(Mode::Full)); // MbPos
         same_epoch_rules(WspDetector::new(Mode::Full, ReaderPolicy::All)); // SpPos
+    }
+
+    fn kinds<E: ReachEngine>(det: &EventSink<E>) -> Vec<RaceKind> {
+        det.report().races.iter().map(|r| r.kind).collect()
+    }
+
+    /// Read-by-current-writer with another strand in the picture, driven
+    /// in a parallel schedule: a spawned child `c` is the writer, its
+    /// parent's continuation `r` the interloper.
+    fn current_writer_rule<E: ReachEngine>(det: EventSink<E>) {
+        let mut r = det.root();
+        let mut c = det.on_spawn(&mut r);
+        det.on_write(&mut c, X);
+        let before = census(&det);
+        det.on_read(&mut c, X);
+        let after = census(&det);
+        assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
+        assert_eq!(entry(&det, X), (1, 0), "no reader retained");
+
+        // A reader at another position is recorded like any other, and
+        // the writer's own reads go on hitting past it.
+        det.on_read(&mut r, X);
+        assert_eq!(kinds(&det), vec![RaceKind::WriteRead]);
+        let retained = entry(&det, X).1;
+        assert_ne!(retained, 0, "the interloper is retained");
+        let before = census(&det);
+        det.on_read(&mut c, X);
+        assert_eq!(census(&det).1 - before.1, 1);
+        assert_eq!(entry(&det, X), (1, retained));
+        // The writer's next write finds a reader: the section sweeps it.
+        det.on_write(&mut c, X);
+        assert_eq!(entry(&det, X), (2, 0));
+        assert_eq!(kinds(&det), vec![RaceKind::WriteRead, RaceKind::ReadWrite]);
+
+        // write → read → parallel write: the unretained read is covered
+        // by the writer at the same position.
+        det.on_write(&mut c, Y);
+        det.on_read(&mut c, Y);
+        det.on_write(&mut r, Y);
+        let report = det.report();
+        assert!(report.races.contains(&Race {
+            addr: Y,
+            kind: RaceKind::WriteWrite
+        }));
+        assert_eq!(report.racy_addrs.into_iter().collect::<Vec<_>>(), [X, Y]);
+    }
+
+    /// The same three facts in serial depth-first order, which MultiBags
+    /// requires — possible there because all of a task's strands share one
+    /// `MbPos`, so the parent is still at the writer's position after a
+    /// child ran.
+    fn current_writer_rule_depth_first<E: ReachEngine>(det: EventSink<E>) {
+        let mut r = det.root();
+        det.on_write(&mut r, X);
+        let before = census(&det);
+        det.on_read(&mut r, X);
+        let after = census(&det);
+        assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
+        assert_eq!(entry(&det, X), (1, 0), "no reader retained");
+
+        let mut c = det.on_spawn(&mut r);
+        det.on_read(&mut c, X);
+        det.on_write(&mut c, Y);
+        det.on_read(&mut c, Y);
+        det.on_task_end(&mut c);
+        det.on_task_return(&mut r, &mut c);
+        assert_eq!(entry(&det, X), (1, 1), "the interloper is retained");
+        assert_eq!(det.report().total_races, 0);
+        // Returned but not synced: `c` is parallel to what `r` does now.
+        let before = census(&det);
+        det.on_read(&mut r, X);
+        assert_eq!(census(&det).1 - before.1, 1);
+        assert_eq!(entry(&det, X), (1, 1));
+        det.on_write(&mut r, X);
+        assert_eq!(entry(&det, X), (2, 0));
+        assert_eq!(kinds(&det), vec![RaceKind::ReadWrite]);
+        det.on_write(&mut r, Y);
+        assert_eq!(kinds(&det), vec![RaceKind::ReadWrite, RaceKind::WriteWrite]);
+    }
+
+    #[test]
+    fn read_by_current_writer_holds_for_every_position_type_and_policy() {
+        for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
+            current_writer_rule(SfDetector::new(Mode::Full, policy)); // SfPos
+            current_writer_rule(WspDetector::new(Mode::Full, policy)); // SpPos
+        }
+        current_writer_rule(FoDetector::new(Mode::Full)); // StrandPos
+        current_writer_rule_depth_first(MbDetector::new(Mode::Full)); // MbPos
     }
 
     /// `PerFutureLR` answers from the same snapshot by its own test: the

@@ -58,7 +58,7 @@ pub use driver::{drive, DetectorKind, DriveConfig, Outcome, Workload};
 pub use events::{EventSink, ReachEngine};
 pub use recording::{GenWorkload, RecordingHooks};
 pub use report::{CountsSnapshot, MetricsSnapshot, Race, RaceCollector, RaceKind, RaceReport};
-pub use shared::{ShadowArray, ShadowCell, ShadowMatrix};
+pub use shared::{ShadowArray, ShadowCell, ShadowMatrix, Word};
 pub use wsp::{WspDetector, WspEngine, WspStrand};
 
 // Re-exports so downstream users need only this crate.

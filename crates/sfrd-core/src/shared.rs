@@ -6,32 +6,100 @@
 //! [`Cx::record_read`]/[`Cx::record_write`] — exactly what the paper's
 //! compiler instrumentation emits around each shared access.
 //!
-//! Storage uses [`AtomicCell`], so programs that *do* contain determinacy
-//! races (the thing a race-detector test suite must execute!) are still
-//! data-race-free at the Rust/LLVM level: the nondeterminism stays at the
-//! value level, the UB stays away.
+//! Every element is one `AtomicU64` accessed `Relaxed` — a plain load or
+//! store, no locked instruction — whatever its integer type ([`Word`]).
+//! So programs that *do* contain determinacy races (the thing a
+//! race-detector test suite must execute!) are still data-race-free at the
+//! Rust/LLVM level: the nondeterminism stays at the value level, the UB
+//! stays away. `Relaxed` is enough because a cell publishes nothing but
+//! its own value: two accesses the dag orders are ordered by the
+//! runtime's spawn/sync/create/get edges, which carry the release/acquire
+//! pair, and two it does not order are the race under test, where either
+//! value is a legal outcome.
+//!
+//! One cell is one aligned 8-byte granule, which is one slot of the shadow
+//! store (`sfrd_shadow::SLOT_SHIFT`): consecutive elements fill
+//! consecutive slots, and no two share one.
 
-use crossbeam_utils::atomic::AtomicCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use sfrd_runtime::Cx;
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// An integer a shadow cell can hold: it round-trips through the cell's
+/// 64-bit word (signed types sign-extend). Sealed — the integer types are
+/// the implementors.
+pub trait Word: Copy + sealed::Sealed {
+    /// The value widened to the cell's word.
+    fn to_bits(self) -> u64;
+    /// The value whose [`to_bits`](Word::to_bits) is `bits`.
+    fn from_bits(bits: u64) -> Self;
+}
+
+macro_rules! impl_word {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl Word for $t {
+            #[inline]
+            fn to_bits(self) -> u64 {
+                self as u64
+            }
+            #[inline]
+            fn from_bits(bits: u64) -> Self {
+                bits as $t
+            }
+        }
+    )*};
+}
+impl_word!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+/// One element's storage: 8 bytes, 8-aligned, whatever `T` is.
+#[repr(transparent)]
+struct Cell<T>(AtomicU64, PhantomData<T>);
+
+impl<T: Word> Cell<T> {
+    fn new(v: T) -> Self {
+        Cell(AtomicU64::new(v.to_bits()), PhantomData)
+    }
+
+    #[inline]
+    fn load(&self) -> T {
+        T::from_bits(self.0.load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn store(&self, v: T) {
+        self.0.store(v.to_bits(), Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn addr(&self) -> u64 {
+        self as *const Self as u64
+    }
+}
 
 /// A shared, instrumented 1-D array.
 pub struct ShadowArray<T> {
-    cells: Box<[AtomicCell<T>]>,
+    cells: Box<[Cell<T>]>,
 }
 
-impl<T: Copy + Default> ShadowArray<T> {
+impl<T: Word + Default> ShadowArray<T> {
     /// Array of `len` default values.
     pub fn new(len: usize) -> Self {
         Self::from_fn(len, |_| T::default())
     }
 }
 
-impl<T: Copy> ShadowArray<T> {
+impl<T: Word> ShadowArray<T> {
     /// Array initialized by index.
     pub fn from_fn(len: usize, f: impl FnMut(usize) -> T) -> Self {
         let mut f = f;
         Self {
-            cells: (0..len).map(|i| AtomicCell::new(f(i))).collect(),
+            cells: (0..len).map(|i| Cell::new(f(i))).collect(),
         }
     }
 
@@ -48,7 +116,7 @@ impl<T: Copy> ShadowArray<T> {
     /// Shadow address of element `i` (its actual memory address).
     #[inline]
     pub fn addr(&self, i: usize) -> u64 {
-        &self.cells[i] as *const _ as u64
+        self.cells[i].addr()
     }
 
     /// Instrumented read.
@@ -89,21 +157,21 @@ impl<T: Copy> ShadowArray<T> {
 /// The cell is boxed so its shadow address stays stable even if the
 /// containing struct is moved after construction.
 pub struct ShadowCell<T> {
-    cell: Box<AtomicCell<T>>,
+    cell: Box<Cell<T>>,
 }
 
-impl<T: Copy> ShadowCell<T> {
+impl<T: Word> ShadowCell<T> {
     /// New cell.
     pub fn new(v: T) -> Self {
         Self {
-            cell: Box::new(AtomicCell::new(v)),
+            cell: Box::new(Cell::new(v)),
         }
     }
 
     /// Shadow address.
     #[inline]
     pub fn addr(&self) -> u64 {
-        &*self.cell as *const _ as u64
+        self.cell.addr()
     }
 
     /// Instrumented read.
@@ -133,7 +201,7 @@ pub struct ShadowMatrix<T> {
     cols: usize,
 }
 
-impl<T: Copy + Default> ShadowMatrix<T> {
+impl<T: Word + Default> ShadowMatrix<T> {
     /// `rows × cols` matrix of defaults.
     pub fn new(rows: usize, cols: usize) -> Self {
         Self {
@@ -143,7 +211,7 @@ impl<T: Copy + Default> ShadowMatrix<T> {
     }
 }
 
-impl<T: Copy> ShadowMatrix<T> {
+impl<T: Word> ShadowMatrix<T> {
     /// Matrix initialized by `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
         Self {
@@ -203,6 +271,69 @@ mod tests {
             assert_eq!(a.read(ctx, 3), 99);
         });
         assert_eq!(a.to_vec()[3], 99);
+    }
+
+    /// One element = one aligned 8-byte granule = one shadow slot, for
+    /// every element type.
+    #[test]
+    fn a_cell_is_one_shadow_slot() {
+        use std::mem::{align_of, size_of};
+        fn check<T: Word + Default>() {
+            assert_eq!((size_of::<Cell<T>>(), align_of::<Cell<T>>()), (8, 8));
+            let a: ShadowArray<T> = ShadowArray::new(5);
+            for i in 0..4 {
+                assert_eq!(a.addr(i + 1) - a.addr(i), 8);
+            }
+            assert_eq!(a.addr(0) % 8, 0);
+        }
+        check::<u32>();
+        check::<i32>();
+        check::<u64>();
+        check::<i64>();
+        assert_eq!(1u64 << sfrd_shadow::SLOT_SHIFT, 8);
+        assert_eq!(ShadowCell::new(0u32).addr() % 8, 0);
+    }
+
+    #[test]
+    fn signed_values_round_trip() {
+        let a: ShadowArray<i32> = ShadowArray::from_fn(3, |i| i as i32 - 2);
+        assert_eq!(a.to_vec(), vec![-2, -1, 0]);
+        a.store(2, i32::MIN);
+        assert_eq!(a.load(2), i32::MIN);
+        let c = ShadowCell::new(-1i64);
+        assert_eq!(c.load(), -1);
+        let m: ShadowMatrix<i64> = ShadowMatrix::from_fn(2, 2, |r, c| -((r * 2 + c) as i64));
+        m.store(0, 0, i64::MIN);
+        assert_eq!((m.load(0, 0), m.load(1, 1)), (i64::MIN, -3));
+    }
+
+    /// Four threads storing to and loading from the same cells with no
+    /// ordering between them: every load is some thread's whole store.
+    #[test]
+    fn racy_stores_and_loads_stay_whole() {
+        const THREADS: i64 = 4;
+        let a: ShadowArray<i64> = ShadowArray::new(4);
+        let go = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 1..=THREADS {
+                let (a, go) = (&a, &go);
+                s.spawn(move || {
+                    go.wait();
+                    for round in 0..20_000i64 {
+                        let i = (round % 4) as usize;
+                        // Negative, so a store touches all 64 bits.
+                        a.store(i, -(t << 32 | t));
+                        let v = -a.load(i);
+                        assert!(
+                            v == 0
+                                || (v >> 32 == v & 0xffff_ffff
+                                    && (1..=THREADS).contains(&(v >> 32))),
+                            "torn: {v:#x}"
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]

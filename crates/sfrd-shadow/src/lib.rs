@@ -11,10 +11,10 @@
 //! word (writer epoch + section tag), the claiming address and the
 //! [`LocEntry`] itself — 80 bytes for a 12-byte position, with the first
 //! and the most recent reader inline and a heap spill only past that. A
-//! *same-epoch* access — a read by the location's last recorded reader, a
-//! write by its writer with no reader retained — is answered from a
-//! packed-word-validated snapshot of those inline fields with **zero
-//! stores**; only state-changing accesses take the per-location
+//! *same-epoch* access — a read by the location's last recorded reader or
+//! by its writer, a write by its writer with no reader retained — is
+//! answered from a packed-word-validated snapshot of those inline fields
+//! with **zero stores**; only state-changing accesses take the per-location
 //! seqlock-style write section. The store's contract is one [`LocEntry`]
 //! per exact address.
 //!
@@ -41,6 +41,10 @@
 //! * [`ReaderPolicy::PerFutureLR`] — the §3.5 bound: per (location,
 //!   future) only the *leftmost* and *rightmost* readers, ≤ 2k per
 //!   location in total (Lemmas 3.10/3.11).
+//!
+//! Under either policy a read at the current writer's own position is not
+//! retained ([`LocEntry::retain_reader`]): the writer, at the same
+//! position, stands for it in every later check.
 //!
 //! The entry type is generic in the position type `P` (each reachability
 //! engine has its own); order comparisons are injected as closures so this
@@ -446,6 +450,29 @@ impl<P: Copy> LocEntry<P> {
         self.writer_seq += 1;
         self.readers.clear();
     }
+
+    /// The read half's state change: retain a reader at `p` by the
+    /// policy's rule ([`Readers::record`], whose arguments these are) —
+    /// unless `p` is the writer's own position. **A read at the current
+    /// writer's position is not retained**: a later writer that would
+    /// race with it races with the stored writer, the same position,
+    /// which its check asks about first. This is the one place that rule
+    /// lives; the detectors' read check and every reference model go
+    /// through it, and [`PageCursor::fast_read`] is its zero-store mirror.
+    pub fn retain_reader(
+        &mut self,
+        future: u32,
+        p: P,
+        eng_less: impl Fn(&P, &P) -> bool,
+        heb_less: impl Fn(&P, &P) -> bool,
+        precedes: impl Fn(&P, &P) -> bool,
+    ) where
+        P: PartialEq,
+    {
+        if self.writer != Some(p) {
+            self.readers.record(future, p, eng_less, heb_less, precedes);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -690,6 +717,35 @@ mod tests {
             cur.locked(0x40, |e| assert_eq!(e.writer_seq, 1));
             drop(cur);
             assert_eq!(h.fast_hits(), 1);
+        }
+    }
+
+    /// Read-by-current-writer at the store level: the entry's rule and
+    /// the snapshot's mirror of it agree, under either policy, with and
+    /// without another position's reader in the list.
+    #[test]
+    fn a_read_by_the_current_writer_hits_and_is_not_retained() {
+        let never = |_: &Pos, _: &Pos| -> bool { panic!("comparator consulted") };
+        let no_writer_check = |_: Option<Pos>| -> bool { panic!("writer re-checked") };
+        for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
+            let h = history(policy);
+            let mut cur = h.cursor();
+            cur.locked(0x40, |e| e.begin_write_epoch((1, 1)));
+            assert!(cur.fast_read(0x40, 0, (1, 1), never, never, never, no_writer_check));
+            assert!(!cur.fast_read(0x40, 0, (2, 2), eng_less, heb_less, precedes, |_| true));
+            cur.locked(0x40, |e| {
+                e.retain_reader(0, (1, 1), never, never, never);
+                assert!(e.readers.is_empty());
+                e.retain_reader(0, (2, 2), eng_less, heb_less, precedes);
+                assert!(!e.readers.is_empty(), "another position is retained");
+                e.retain_reader(0, (1, 1), never, never, never);
+            });
+            // Past the interloper the writer's reads still hit, and its
+            // next write must take the section to sweep it.
+            assert!(cur.fast_read(0x40, 0, (1, 1), never, never, never, no_writer_check));
+            assert!(!cur.fast_write(0x40, (1, 1)));
+            drop(cur);
+            assert_eq!(h.fast_hits(), 2, "{policy:?}");
         }
     }
 

@@ -56,7 +56,9 @@
 //! plain-old-data fields (owner, writer, epoch, and the readers' inline
 //! head — never the spill pointer) between two loads of the packed word
 //! and discards the copy unless both loads agree and show the slot idle
-//! ([`PageCursor::snapshot`] is its public face). On a validated
+//! ([`PageCursor::snapshot`] is its public face). A rule that needs a
+//! second field only when the first did not decide copies it later in
+//! the same window and re-loads the word again. On a validated
 //! snapshot the cursor answers *"would the write section leave this entry
 //! unchanged and report nothing?"* with **zero stores, zero CAS, no
 //! lock**:
@@ -67,8 +69,14 @@
 //! * `fast_read` under [`ReaderPolicy::PerFutureLR`] — the reading
 //!   future's inline (leftmost, rightmost) pair would not move and the
 //!   caller's writer check passes;
+//! * `fast_read` under either policy — *read-by-current-writer*: the
+//!   writer equals the reading position, which
+//!   [`LocEntry::retain_reader`] does not retain;
 //! * [`fast_write`](PageCursor::fast_write) — *write-same-epoch*: the
 //!   writer equals the writing position and no reader is retained.
+//!
+//! Together: after a position's first write to an address, every later
+//! read and write it makes there is answered without a store.
 //!
 //! Anything else — busy bit, changed word, another exact address owning
 //! the span, a different last reader, a spilled triple — returns `false`
@@ -77,9 +85,8 @@
 //! argument.
 //!
 //! The fields are read with `read_volatile` and validated against the
-//! packed word before use, the standard seqlock idiom (crossbeam's
-//! `AtomicCell` does the same): a torn copy is possible but is discarded
-//! before any field is interpreted.
+//! packed word before use, the standard seqlock idiom: a torn copy is
+//! possible but is discarded before any field is interpreted.
 
 use sfrd_runtime::sync::{fence, AtomicPtr, AtomicU64, Mutex, Ordering};
 use std::cell::UnsafeCell;
@@ -90,9 +97,9 @@ use sfrd_om::AppendArena;
 
 use crate::{AddrMap, Head, LocEntry, ReaderPolicy};
 
-/// log2 of a slot's address span: one slot per 8-byte word, the stride of
-/// the instrumented `ShadowArray<u64>`/`ShadowCell` cells, so contiguous
-/// arrays fill pages densely and never collide within a span.
+/// log2 of a slot's address span: one slot per 8-byte word, which is one
+/// instrumented `ShadowArray`/`ShadowCell` cell whatever its element type,
+/// so contiguous arrays fill pages densely and never collide within a span.
 pub const SLOT_SHIFT: u32 = 3;
 /// log2 slots per page: one page maps `1 << (PAGE_SHIFT + SLOT_SHIFT)`
 /// bytes of address space (16 KiB).
@@ -483,6 +490,27 @@ impl<P: Copy> SlotSnapshot<P> {
     }
 }
 
+/// Volatile copy of an entry's writer, for a read window. `Option<P>` is
+/// not valid for every bit pattern, so it stays `MaybeUninit` until the
+/// window has been rechecked.
+///
+/// # Safety
+/// `e` points to the entry of a live slot.
+#[inline(always)]
+unsafe fn copy_writer<P: Copy>(e: *const LocEntry<P>) -> MaybeUninit<Option<P>> {
+    addr_of!((*e).writer)
+        .cast::<MaybeUninit<Option<P>>>()
+        .read_volatile()
+}
+
+/// The open half of the lock-free read protocol: a slot whose packed word
+/// read idle, and that word. Field copies taken afterwards are kept only
+/// if the word still reads `idle` ([`PageCursor::recheck`]).
+struct Window<'a, P: Copy> {
+    slot: &'a Slot<P>,
+    idle: u64,
+}
+
 /// A resolved-page memo over a [`PagedHistory`]: consecutive accesses to
 /// the same page (the common case for array scans) reuse the page pointer
 /// instead of re-walking the two directory levels. It also tallies its
@@ -529,9 +557,24 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
         self.page
             .map(|p| &p.slots[(word & (PAGE_SLOTS as u64 - 1)) as usize])
     }
-}
 
-impl<P: Copy + Send> PageCursor<'_, P> {
+    /// Open a read window on `addr`'s slot. `None` when there is nothing
+    /// there or nothing to trust: address outside the mapped range, page
+    /// not allocated, or a write section open.
+    #[inline(always)]
+    fn window(&mut self, addr: u64) -> Option<Window<'a, P>> {
+        if addr >> MAPPED_BITS != 0 {
+            return None;
+        }
+        let slot = self.slot(addr, false)?;
+        let idle = slot.packed.load(Ordering::Acquire);
+        if idle & BUSY != 0 {
+            self.discarded += 1;
+            return None;
+        }
+        Some(Window { slot, idle })
+    }
+
     /// Run `f` on the location's entry inside its seqlock write section
     /// (creating the page and claiming the slot on first touch). No mutex
     /// is taken unless the address lies outside the mapped range or its
@@ -563,74 +606,66 @@ impl<P: Copy + Send> PageCursor<'_, P> {
         r
     }
 
-    /// The one lock-free read protocol of a slot: run `copy` on `addr`'s
-    /// entry between two loads of the packed word and keep what it
-    /// returns only if both loads agree and show the slot idle. `None`
-    /// when there is nothing to trust or nothing there — address outside
-    /// the mapped range, page not allocated, slot busy, packed word
-    /// changed under the copy, or the span claimed by a different exact
-    /// address (whose entry lives in the fallback map) or by none.
+    /// The closing half of the read protocol: run `copy` on the window's
+    /// slot and keep what it returns only if the packed word still reads
+    /// what it read when the window opened.
     ///
-    /// A write section may be storing to the entry while `copy` runs, so
+    /// A write section may be storing to the slot while `copy` runs, so
     /// `copy` must only `read_volatile` pointer-free fields into types
     /// that are valid for every bit pattern, and must not follow the
     /// readers' spill pointer. What it returns is meaningful exactly when
     /// this returns `Some`: every section changes the packed word on
     /// release, so an unchanged idle word means no section overlapped the
-    /// copy.
-    // `inline(always)`, here and on `head_snapshot`: with plain `inline`
-    // the batch loop kept this as a call and sw's `full` at one worker
-    // measured 0.18 s instead of 0.13 s.
+    /// window up to here. One window may be rechecked more than once — a
+    /// rule that reads a second field only when the first did not decide
+    /// copies it inside the same window and rechecks again.
     #[inline(always)]
-    fn validated<T>(&mut self, addr: u64, copy: impl FnOnce(*const LocEntry<P>) -> T) -> Option<T> {
-        if addr >> MAPPED_BITS != 0 {
-            return None;
-        }
-        let slot = self.slot(addr, false)?;
-        let before = slot.packed.load(Ordering::Acquire);
-        if before & BUSY != 0 {
-            self.discarded += 1;
-            return None;
-        }
-        // SAFETY: seqlock read protocol — a `u64` is valid whatever a
-        // racing section leaves in it, and it is not interpreted until
-        // the packed word has been re-checked below.
-        let owner = unsafe { slot.owner.get().read_volatile() };
-        let copied = copy(slot.entry.get());
+    fn recheck<T>(&mut self, w: &Window<'_, P>, copy: impl FnOnce(&Slot<P>) -> T) -> Option<T> {
+        let copied = copy(w.slot);
         fence(Ordering::Acquire);
-        if slot.packed.load(Ordering::Relaxed) != before {
+        if w.slot.packed.load(Ordering::Relaxed) != w.idle {
             self.discarded += 1;
             return None;
         }
-        // Unclaimed slots and sub-word collisions (entry lives in the
-        // fallback map) are not this address's entry.
-        (owner == addr).then_some(copied)
+        Some(copied)
     }
 
-    /// Validated copy of the readers' inline head alone: all that
-    /// read-same-epoch interprets, and — with the packed word and the
-    /// owner — the first 36 bytes of the slot, one cache line three times
-    /// out of four.
+    /// The one lock-free read protocol of a slot: run `copy` on `addr`'s
+    /// entry inside a [`window`](Self::window) and keep what it returns
+    /// only if the [`recheck`](Self::recheck) passes and the slot is
+    /// `addr`'s own — a span claimed by a different exact address (whose
+    /// entry lives in the fallback map) or by none is not this address's
+    /// entry. The window comes back with the copy, for a rule that may
+    /// need a second field.
+    // `inline(always)`, on the whole protocol: with plain `inline` the
+    // batch loop kept this as a call and sw's `full` at one worker
+    // measured 0.18 s instead of 0.13 s.
     #[inline(always)]
-    fn head_snapshot(&mut self, addr: u64) -> Option<Head<P>> {
-        // SAFETY: `Head` is integers and `MaybeUninit`, valid for every bit
-        // pattern; see `validated` for the protocol.
-        self.validated(addr, |e| unsafe {
-            addr_of!((*e).readers.head).read_volatile()
-        })
+    fn validated<T>(
+        &mut self,
+        addr: u64,
+        copy: impl FnOnce(*const LocEntry<P>) -> T,
+    ) -> Option<(T, Window<'a, P>)> {
+        let w = self.window(addr)?;
+        let (owner, copied) = self.recheck(&w, |slot| {
+            // SAFETY: seqlock read protocol — a `u64` is valid whatever a
+            // racing section leaves in it, and it is not interpreted until
+            // `recheck` has re-loaded the packed word.
+            let owner = unsafe { slot.owner.get().read_volatile() };
+            (owner, copy(slot.entry.get()))
+        })?;
+        (owner == addr).then_some((copied, w))
     }
 
     /// Validated copy of every pointer-free field of `addr`'s entry:
     /// writer, epoch and the readers' inline head.
     pub fn snapshot(&mut self, addr: u64) -> Option<SlotSnapshot<P>> {
-        // SAFETY: as in `head_snapshot`; `Option<P>` is not valid for
-        // every bit pattern, so it is copied as `MaybeUninit`.
-        let (head, writer, writer_seq) = self.validated(addr, |e| unsafe {
+        // SAFETY: `Head` is integers and `MaybeUninit`, valid for every bit
+        // pattern; see `recheck` for the protocol.
+        let ((head, writer, writer_seq), _) = self.validated(addr, |e| unsafe {
             (
                 addr_of!((*e).readers.head).read_volatile(),
-                addr_of!((*e).writer)
-                    .cast::<MaybeUninit<Option<P>>>()
-                    .read_volatile(),
+                copy_writer(e),
                 addr_of!((*e).writer_seq).read_volatile(),
             )
         })?;
@@ -654,13 +689,20 @@ impl<P: Copy + Send> PageCursor<'_, P> {
     ///   cleared the readers), so the writer is the one `pos` was checked
     ///   against when it was recorded, and [`Readers::record`] would drop
     ///   the repeat. The comparators and `writer_ok` are not consulted.
+    /// * either policy — **read-by-current-writer**: the writer is `pos`.
+    ///   The section would find the writer serial (equal positions, no
+    ///   query) and [`LocEntry::retain_reader`] would retain nothing.
+    ///   Under `All` the writer is copied only when read-same-epoch did
+    ///   not decide, inside the same window, so that rule still touches
+    ///   the slot's first 36 bytes — packed word, owner, `meta`, last
+    ///   reader; one cache line three times out of four — and no more.
     /// * [`ReaderPolicy::PerFutureLR`] — `future`'s inline (leftmost,
     ///   rightmost) pair is unchanged under the LR update rule, and
-    ///   `writer_ok(writer)` accepts the snapshot's writer (typically:
-    ///   position equality, then a reachability query — zero-store on the
-    ///   entry). Returning `false` there (a race, or an unprovable verdict) routes
-    ///   the access to the locked path, which re-derives and reports. A
-    ///   triple past the inline one bails.
+    ///   `writer_ok(writer)` accepts the snapshot's writer (typically: a
+    ///   reachability query — zero-store on the entry). Returning `false`
+    ///   there (a race, or an unprovable verdict) routes the access to the
+    ///   locked path, which re-derives and reports. A triple past the
+    ///   inline one bails.
     ///
     /// [`Readers::record`]: crate::Readers::record
     #[allow(clippy::too_many_arguments)]
@@ -679,25 +721,38 @@ impl<P: Copy + Send> PageCursor<'_, P> {
     {
         // An absent page/empty entry means the read must record — slow path.
         let hit = match self.hist.policy {
-            ReaderPolicy::All => self
-                .head_snapshot(addr)
-                .is_some_and(|head| head.last() == Some(pos)),
-            ReaderPolicy::PerFutureLR => {
-                let Some(snap) = self.snapshot(addr) else {
-                    return false;
-                };
-                let Some((l, r)) = snap.head.inline_lr(future) else {
-                    return false;
-                };
-                // Value-level no-op test of Readers::record: the slot moves
-                // iff the stored reader precedes the new one
-                // (serial-successor advance) or the new one is further
-                // left/right — and an assignment of an equal value is no
-                // move.
-                let left_stable = l == pos || !(pos_precedes(&l, &pos) || eng_less(&pos, &l));
-                let right_stable = r == pos || !(pos_precedes(&r, &pos) || heb_less(&pos, &r));
-                left_stable && right_stable && writer_ok(snap.writer)
+            ReaderPolicy::All => {
+                // SAFETY: `Head` is integers and `MaybeUninit`, valid for
+                // every bit pattern; see `recheck` for the protocol.
+                let head = self.validated(addr, |e| unsafe {
+                    addr_of!((*e).readers.head).read_volatile()
+                });
+                head.is_some_and(|(head, w)| {
+                    head.last() == Some(pos)
+                        || self
+                            // SAFETY: the slot's entry is live; the copy is
+                            // `MaybeUninit` until the recheck has passed.
+                            .recheck(&w, |slot| unsafe { copy_writer(slot.entry.get()) })
+                            // SAFETY: rechecked, so these are the bytes of
+                            // the `Option<P>` a finished section left.
+                            .is_some_and(|writer| unsafe { writer.assume_init() } == Some(pos))
+                })
             }
+            ReaderPolicy::PerFutureLR => self.snapshot(addr).is_some_and(|snap| {
+                snap.writer == Some(pos)
+                    || snap.head.inline_lr(future).is_some_and(|(l, r)| {
+                        // Value-level no-op test of Readers::record: the
+                        // slot moves iff the stored reader precedes the new
+                        // one (serial-successor advance) or the new one is
+                        // further left/right — and an assignment of an
+                        // equal value is no move.
+                        let left_stable =
+                            l == pos || !(pos_precedes(&l, &pos) || eng_less(&pos, &l));
+                        let right_stable =
+                            r == pos || !(pos_precedes(&r, &pos) || heb_less(&pos, &r));
+                        left_stable && right_stable && writer_ok(snap.writer)
+                    })
+            }),
         };
         self.fast_hits += u64::from(hit);
         hit

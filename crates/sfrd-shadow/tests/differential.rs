@@ -83,11 +83,12 @@ fn check_write(e: &mut LocEntry<Pos>, op: &Op) -> bool {
     race
 }
 
-/// The read half: check the writer, retain the reader.
+/// The read half: check the writer, retain the reader — through the
+/// store's own retention rule, so the reference keeps exactly what the
+/// detectors keep (a read at the writer's position is not retained).
 fn check_read(e: &mut LocEntry<Pos>, op: &Op) -> bool {
     let race = e.writer.is_some_and(|w| races(&w, &op.pos));
-    e.readers
-        .record(op.fut, op.pos, eng_less, heb_less, precedes);
+    e.retain_reader(op.fut, op.pos, eng_less, heb_less, precedes);
     race
 }
 

@@ -12,6 +12,10 @@
 //!   `All`-policy test, `last reader == 11 * writer_seq`, re-established
 //!   only at the *end* of a section that yields in the middle), so a view
 //!   mixing two sections, or showing half of one, is caught;
+//! * the `All`-policy section also parks a poison value in `writer`
+//!   across a yield, so read-by-current-writer — which copies the writer
+//!   later than the head — is caught if it ever reads it outside the
+//!   window the head was validated in (say, after a busy bail);
 //! * `writer_seq` observed through the locked path is monotone;
 //! * the mapped path takes zero locks: both the history's own fallback-map
 //!   census (`lock_ops()`) and the model's facade census stay 0.
@@ -26,7 +30,7 @@
 use std::sync::Arc;
 
 use sfrd_runtime::model::{self, Config};
-use sfrd_shadow::{PagedHistory, ReaderPolicy};
+use sfrd_shadow::{PageCursor, PagedHistory, ReaderPolicy};
 
 /// A mapped granule (well below `1 << MAPPED_BITS`).
 const ADDR: u64 = 0x40;
@@ -36,6 +40,9 @@ const FUT: u32 = 3;
 const POS: u64 = 5;
 /// Writes per schedule.
 const WRITES: u64 = 4;
+/// What `writer` holds in the first part of an `All`-policy section: not a
+/// multiple of 7, so no finished section ever installs it.
+const POISON: u64 = 3;
 
 fn less(a: &u64, b: &u64) -> bool {
     a < b
@@ -130,11 +137,13 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
 /// The default policy through the same snapshot: a reader racing a writer
 /// whose every section passes through a state no snapshot may ever show.
 ///
-/// Each writer section installs epoch `s` (which clears the readers),
-/// *yields to the scheduler with the busy bit held*, and only then
-/// records the reader `11 * s`. At every section boundary the entry
-/// therefore satisfies `writer == 7 * seq && last reader == 11 * seq`; a
-/// snapshot validated across or inside a section breaks that equation.
+/// Each writer section parks [`POISON`] in `writer`, installs epoch `s`
+/// (which clears the readers) and only then records the reader `11 * s`,
+/// *yielding to the scheduler with the busy bit held* between the steps.
+/// At every section boundary the entry therefore satisfies `writer == 7 *
+/// seq && last reader == 11 * seq`; a snapshot validated across or inside
+/// a section breaks that equation, and a read-by-current-writer hit at
+/// `POISON` has read the writer where no validated window could.
 #[test]
 fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
     let cfg = Config {
@@ -146,6 +155,8 @@ fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
         let section = |hist: &PagedHistory<u64>| {
             hist.locked(ADDR, |e| {
                 let seq = e.writer_seq + 1;
+                e.writer = Some(POISON);
+                sfrd_runtime::sync::yield_point();
                 e.begin_write_epoch(7 * seq);
                 sfrd_runtime::sync::yield_point();
                 e.readers.record(FUT, 11 * seq, less, less, less);
@@ -177,27 +188,28 @@ fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
                             "validated snapshot shows the middle of a section (epoch {seq})"
                         );
                     }
-                    // The two same-epoch answers come from the same
-                    // protocol: a read hit names the reader of a complete
-                    // section, and a write can never hit while that
-                    // section's reader is retained.
+                    // The same-epoch answers come from the same protocol:
+                    // a read hit names the reader, or the writer, of a
+                    // complete section, and a write can never hit while
+                    // that section's reader is retained.
                     let no_cmp = |_: &u64, _: &u64| -> bool { unreachable!() };
                     let no_writer_check = |_: Option<u64>| -> bool { unreachable!() };
+                    let fast_read = |cur: &mut PageCursor<'_, u64>, pos| {
+                        cur.fast_read(ADDR, FUT, pos, no_cmp, no_cmp, no_cmp, no_writer_check)
+                    };
+                    assert!(
+                        !fast_read(&mut cur, POISON),
+                        "the writer was read outside a validated window"
+                    );
                     for seq in 1..=WRITES {
-                        if cur.fast_read(
-                            ADDR,
-                            FUT,
-                            11 * seq,
-                            no_cmp,
-                            no_cmp,
-                            no_cmp,
-                            no_writer_check,
-                        ) {
-                            assert!(
-                                seq >= last_seq,
-                                "hit on a reader older than a validated epoch"
-                            );
-                            last_seq = seq;
+                        for pos in [11 * seq, 7 * seq] {
+                            if fast_read(&mut cur, pos) {
+                                assert!(
+                                    seq >= last_seq,
+                                    "hit on an accessor older than a validated epoch"
+                                );
+                                last_seq = seq;
+                            }
                         }
                         assert!(
                             !cur.fast_write(ADDR, 7 * seq),

@@ -11,13 +11,14 @@
 //!
 //! The second test is `model_paged.rs`'s `All`-policy invariant on real
 //! threads: sections that install `writer = 7·seq` and `last reader =
-//! 11·seq` on 12-byte positions, against readers that take validated
-//! snapshots of the same slots the whole time.
+//! 11·seq` on 12-byte positions (after parking a poison writer no
+//! finished section holds), against readers that take validated snapshots
+//! of the same slots the whole time.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-use sfrd_shadow::{PagedHistory, ReaderPolicy, PAGE_SLOTS, SLOT_SHIFT};
+use sfrd_shadow::{PageCursor, PagedHistory, ReaderPolicy, PAGE_SLOTS, SLOT_SHIFT};
 
 type Pos = (u32, u32);
 
@@ -145,12 +146,18 @@ fn never(_: &Wide, _: &Wide) -> bool {
     unreachable!("the All policy consults no comparator")
 }
 
+/// What a section parks in `writer` before installing `7·s`: no multiple
+/// of 7, so only the middle of a section ever shows it.
+const POISON: u32 = 3;
+
 /// The default policy's snapshot under real contention: one thread runs
-/// write sections over a few slots (new epoch `s`, writer `7·s`, then
-/// reader `11·s` — two field groups, one section), three threads snapshot
-/// the same slots continuously. A snapshot that validates must show one
-/// section's writer *and* reader, whole: never torn words, never the
-/// cleared reader list of a section's first half, never two epochs mixed.
+/// write sections over a few slots (poison writer, then new epoch `s`,
+/// writer `7·s`, then reader `11·s` — two field groups, one section),
+/// three threads snapshot the same slots continuously. A snapshot that
+/// validates must show one section's writer *and* reader, whole: never
+/// torn words, never the cleared reader list of a section's first half,
+/// never two epochs mixed — and read-by-current-writer, which copies the
+/// writer after the head, must never answer from the poison.
 #[test]
 fn all_policy_snapshots_never_mix_sections_on_real_threads() {
     const SLOTS: u64 = 8;
@@ -171,6 +178,9 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
                 for slot in 0..SLOTS {
                     cur.locked(slot << SLOT_SHIFT, |e| {
                         let seq = e.writer_seq as u32 + 1;
+                        e.writer = Some(wide(POISON));
+                        // Keep the store: the next line overwrites it.
+                        std::hint::black_box(&mut e.writer);
                         e.begin_write_epoch(wide(7 * seq));
                         e.readers.record(0, wide(11 * seq), never, never, never);
                     });
@@ -183,7 +193,12 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
                 s.spawn(|| {
                     let mut cur = h.cursor();
                     let mut last_seq = [0u64; SLOTS as usize];
-                    let (mut validated, mut hits) = (0u64, 0u64);
+                    let (mut validated, mut hits, mut writer_hits) = (0u64, 0u64, 0u64);
+                    let fast_read = |cur: &mut PageCursor<'_, Wide>, addr, pos| {
+                        cur.fast_read(addr, 0, pos, never, never, never, |_| {
+                            unreachable!("the All policy re-checks no writer")
+                        })
+                    };
                     start.wait();
                     let mut finishing = false;
                     // One more full pass after the writer is done, so every
@@ -205,16 +220,13 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
                                 "validated snapshot is not one whole section (epoch {seq})"
                             );
                             // The same-epoch answers ride the same protocol.
-                            let last = wide(11 * seq as u32);
-                            hits += u64::from(cur.fast_read(
-                                addr,
-                                0,
-                                last,
-                                never,
-                                never,
-                                never,
-                                |_| unreachable!("the All policy re-checks no writer"),
-                            ));
+                            hits += u64::from(fast_read(&mut cur, addr, wide(11 * seq as u32)));
+                            writer_hits +=
+                                u64::from(fast_read(&mut cur, addr, wide(7 * seq as u32)));
+                            assert!(
+                                !fast_read(&mut cur, addr, wide(POISON)),
+                                "the writer was read outside a validated window"
+                            );
                             assert!(
                                 !cur.fast_write(addr, wide(7 * seq as u32)),
                                 "write-same-epoch hit past a retained reader"
@@ -222,6 +234,7 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
                         }
                     }
                     assert!(hits > 0, "read-same-epoch never hit");
+                    assert!(writer_hits > 0, "read-by-current-writer never hit");
                     validated
                 })
             })

@@ -151,7 +151,11 @@ mod tests {
             };
             let out = drive(&w, DriveConfig::with(kind, Mode::Full, workers));
             assert!(w.verify(), "{kind:?}");
-            assert_eq!(out.report.unwrap().total_races, 0, "{kind:?}");
+            let report = out.report.unwrap();
+            assert_eq!(report.total_races, 0, "{kind:?}");
+            // A `u32` element is a whole shadow slot like any other: no
+            // sub-word neighbour, so nothing reaches the fallback map.
+            assert_eq!(report.metrics.lock_ops, 0, "{kind:?}");
         }
     }
 

@@ -19,13 +19,24 @@
 //! SF-Order reach under **both** `--om` backends, stressing deep-label
 //! `precedes` compares (the DePa-vs-OmList delta of ISSUE 10).
 //!
+//! A third sweep drives the fan-out chain's construct stream through
+//! `SpOrder::{fork, sync}` alone and prints the keys the two `OmList`s
+//! rewrote per item inserted (`om relabeled_slots / inserts`): the
+//! amortized-O(1) insert bound as a number (it creeps up by ≈ 0.03 per
+//! doubling of `k` — the range relabel's `log #groups / 32` group labels
+//! per insert — where a whole-list relabel doubles it). The binary fails
+//! if the last `k`'s figure is 1.25x the first's or more.
+//!
 //! `--json` appends one snapshot per invocation to the `BENCH_fig4.json`
 //! perf trajectory (same schema-2 row shape as `fig4_times`: one
 //! `future_chain_k<k>` bench entry per sweep point, one row per detector
 //! configuration with the full metrics payload).
 
-use sfrd_bench::{append_snapshot, cell_json, Json, Table, TimedCell, Timing};
+use sfrd_bench::{
+    append_snapshot, cell_json, om_rewrites_per_insert, Json, Table, TimedCell, Timing,
+};
 use sfrd_core::{drive, DetectorKind, DriveConfig, Mode, OmBackend, Workload};
+use sfrd_reach::SpOrder;
 use sfrd_runtime::Cx;
 
 /// A chain of `k` futures, each gotten right after creation — maximizes
@@ -225,6 +236,42 @@ fn main() {
         k *= 2;
     }
     print!("{}", ft.render());
+
+    // The same construct stream through `SpOrder` alone (OmList backend):
+    // what each inserted position cost the two lists in rewritten keys.
+    println!("\n# om relabeled_slots / inserts (fan-out chain through SpOrder::fork/sync)");
+    let mut ot = Table::new(&["k", "inserts", "relabeled_slots", "per insert"]);
+    let mut ratios = Vec::new();
+    let mut k = 512;
+    while k <= kmax {
+        let (sp, mut root) = SpOrder::new();
+        for _ in 0..k {
+            let mut fut = sp.fork(&mut root);
+            for _ in 0..FAN {
+                let mut child = sp.fork(&mut fut);
+                sp.sync(&mut child);
+            }
+            sp.sync(&mut fut);
+        }
+        let (rewritten, inserted, ratio) = om_rewrites_per_insert(&sp);
+        ot.row(vec![
+            k.to_string(),
+            inserted.to_string(),
+            rewritten.to_string(),
+            format!("{ratio:.3}"),
+        ]);
+        ratios.push(ratio);
+        k *= 2;
+    }
+    print!("{}", ot.render());
+    if let (Some(first), Some(last)) = (ratios.first(), ratios.last()) {
+        assert!(
+            *last < 1.25 * first,
+            "order-maintenance inserts are not amortized O(1): {first:.3} keys rewritten \
+             per insert at k = 512, {last:.3} at k = {}",
+            k / 2
+        );
+    }
     if let Some(path) = &json {
         let label = json_label.unwrap_or_else(|| format!("kscaling-kmax{kmax}"));
         let snap = Json::obj()

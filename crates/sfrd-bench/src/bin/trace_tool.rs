@@ -203,8 +203,19 @@ fn analyze_journal(bytes: &[u8]) -> Result<(), sfrd_trace::JournalError> {
     // Where those accesses would go: replay once through SF-Order with
     // every default and show the access-path census.
     let cfg = EngineConfig::from(&DriveConfig::builder().build());
-    let report = replay_report(bytes, SfDetector::from_config(&cfg), |d| d.report())?;
+    let mut om_rewrites = (0, 0, 0.0);
+    let report = replay_report(bytes, SfDetector::from_config(&cfg), |d| {
+        om_rewrites = sfrd_bench::om_rewrites_per_insert(d.reach().sp_order());
+        d.report()
+    })?;
     println!("SF-Order replay: {}", access_path_census(&report));
+    let (rewritten, inserted, per_insert) = om_rewrites;
+    let m = &report.metrics;
+    println!(
+        "order maintenance: om_fast_inserts {}, om_group_locks {}, om_global_escalations {}, \
+         om_query_retries {}, relabeled_slots / inserts {rewritten} / {inserted} = {per_insert:.3}",
+        m.om_fast_inserts, m.om_group_locks, m.om_global_escalations, m.om_query_retries,
+    );
     println!("replayable with: trace_tool detect <file> [--detector sf|f|mb]");
     Ok(())
 }

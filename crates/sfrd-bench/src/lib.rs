@@ -340,6 +340,21 @@ pub fn work_span(name: &str, scale: Scale) -> (u64, u64) {
     recorded.dag.work_span()
 }
 
+/// What order maintenance cost an `SpOrder` per item inserted into its two
+/// lists: `(keys rewritten, items inserted, their ratio)`. The ratio is the
+/// amortized-O(1) insert bound as a number — it must not grow with the
+/// list (`k_scaling` asserts that, `trace_tool analyze` prints it).
+pub fn om_rewrites_per_insert(sp: &sfrd_reach::SpOrder) -> (u64, u64, f64) {
+    let rewritten = sp.om_stats().relabeled_slots;
+    // Each list starts with one item; every other position was inserted.
+    let inserted = 2 * (sp.positions() as u64 - 1);
+    (
+        rewritten,
+        inserted,
+        rewritten as f64 / inserted.max(1) as f64,
+    )
+}
+
 /// Format a count the way the paper does (`1.72 × 10^10` → `1.72e10`).
 pub fn sci(x: u64) -> String {
     if x < 100_000 {

@@ -11,9 +11,17 @@
 //! `push` must also be callable from *multiple* threads at once: two
 //! inserts into different groups race on the item arena. Appends therefore
 //! use a two-counter protocol: `reserved` hands out slots with a single
-//! `fetch_add`, each writer initializes its slot off-lock, and `len` (the
+//! `fetch_add`, each writer initializes its slots off-lock, and `len` (the
 //! readers' bound) advances strictly in reservation order so a published
 //! index always denotes a fully initialized slot.
+//!
+//! An append of `N` consecutive slots (`push_run`, what one
+//! `OmList::insert_n_after::<N>` needs) runs the protocol ONCE: one
+//! `fetch_add(N)` reserves the run and one compare-exchange publishes it,
+//! so a run costs two locked instructions whatever its length. Both are
+//! needed: the reservation is what lets two groups' inserts append
+//! concurrently without a shared lock, and the publication is what lets
+//! the safe `get` bound-check against initialized slots only.
 
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
@@ -97,50 +105,49 @@ impl<T> AppendArena<T> {
 
     /// Append an element, returning its index. Safe to call from many
     /// threads concurrently.
-    ///
-    /// Protocol: reserve an index (`fetch_add`), write the slot, then spin
-    /// until every lower reservation has published and bump `len`. The
-    /// publication window is the slot write of the predecessor — nanoseconds
-    /// — so the spin is bounded in practice; `yield_now` keeps it live on
-    /// oversubscribed single-core machines.
     pub fn push(&self, value: T) -> usize {
-        let index = self.reserved.fetch_add(1, Ordering::Relaxed);
-        let (bucket, offset) = locate(index);
-        let ptr = if offset == 0 {
-            // Exactly one reservation per bucket has offset 0: that writer
-            // is the bucket's sole allocator; later writers (and readers,
-            // via the `len` bound) acquire the pointer it releases.
-            let cap = bucket_capacity(bucket);
-            let mut chunk: Vec<T> = Vec::with_capacity(cap);
-            let p = chunk.as_mut_ptr();
-            std::mem::forget(chunk);
-            self.spine[bucket].store(p, Ordering::Release);
-            p
-        } else {
-            let mut spins = 0u32;
-            loop {
-                let p = self.spine[bucket].load(Ordering::Acquire);
-                if !p.is_null() {
-                    break p;
-                }
-                spins += 1;
-                if spins > 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
+        self.push_run(|_| [value])
+    }
+
+    /// Append `N` consecutive elements built by `make(first)`, where
+    /// `first` is the index the run's first element will have (element
+    /// `k` lands at `first + k`, so elements may name each other);
+    /// returns `first`. Safe to call from many threads concurrently.
+    ///
+    /// Protocol: reserve the run (`fetch_add(N)`), write its slots, then
+    /// spin until every lower reservation has published and advance `len`
+    /// past the whole run. The publication window is the slot writes of
+    /// the predecessor — nanoseconds — so the spin is bounded in practice;
+    /// `yield_now` keeps it live on oversubscribed single-core machines.
+    ///
+    /// `make` runs between reservation and publication: if it panicked,
+    /// `len` would never pass the run and every later append would spin
+    /// forever. Crate-internal for that reason; callers pass closures
+    /// that only build values.
+    pub(crate) fn push_run<const N: usize>(&self, make: impl FnOnce(usize) -> [T; N]) -> usize {
+        let first = self.reserved.fetch_add(N, Ordering::Relaxed);
+        let (mut bucket, mut offset) = locate(first);
+        let mut ptr = self.bucket_ptr(bucket, offset == 0);
+        for value in make(first) {
+            if offset == bucket_capacity(bucket) {
+                // The run crosses into the next bucket, at its offset 0.
+                bucket += 1;
+                offset = 0;
+                ptr = self.bucket_ptr(bucket, true);
             }
-        };
-        // SAFETY: the reservation gives this thread exclusive ownership of
-        // slot `offset`; it has never been initialized.
-        unsafe { ptr.add(offset).write(value) };
+            // SAFETY: the reservation gives this thread exclusive ownership
+            // of the run's slots; none has ever been initialized, and
+            // `offset` is within the bucket `ptr` points to.
+            unsafe { ptr.add(offset).write(value) };
+            offset += 1;
+        }
         // Publish in reservation order. AcqRel on success chains the
         // predecessor's release into ours, so a reader that observes
         // `len > i` sees slot `i` initialized for every `i` below.
         let mut spins = 0u32;
         while self
             .len
-            .compare_exchange_weak(index, index + 1, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange_weak(first, first + N, Ordering::AcqRel, Ordering::Acquire)
             .is_err()
         {
             spins += 1;
@@ -150,7 +157,34 @@ impl<T> AppendArena<T> {
                 std::hint::spin_loop();
             }
         }
-        index
+        first
+    }
+
+    /// Pointer to `bucket`'s storage. Exactly one reserved slot per bucket
+    /// has offset 0: the writer holding it (`allocates`) is the bucket's
+    /// sole allocator; every other writer (and every reader, via the `len`
+    /// bound) acquires the pointer it releases.
+    fn bucket_ptr(&self, bucket: usize, allocates: bool) -> *mut T {
+        if allocates {
+            let mut chunk: Vec<T> = Vec::with_capacity(bucket_capacity(bucket));
+            let p = chunk.as_mut_ptr();
+            std::mem::forget(chunk);
+            self.spine[bucket].store(p, Ordering::Release);
+            return p;
+        }
+        let mut spins = 0u32;
+        loop {
+            let p = self.spine[bucket].load(Ordering::Acquire);
+            if !p.is_null() {
+                return p;
+            }
+            spins += 1;
+            if spins > 64 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
     }
 
     /// Approximate heap bytes held by the arena (for memory reporting).
@@ -228,6 +262,31 @@ mod tests {
         assert_eq!(arena.len(), 10_000);
         for i in 0..10_000usize {
             assert_eq!(*arena.get(i), i * 3);
+        }
+    }
+
+    /// Runs keep their slots consecutive across bucket boundaries (the
+    /// first is at index 64), see their own first index, and interleave
+    /// with single pushes.
+    #[test]
+    fn push_run_is_consecutive_across_buckets() {
+        let arena = AppendArena::new();
+        let mut expect = 0usize;
+        while expect < 3_000 {
+            let first = arena.push_run(|first| [first, first + 1, first + 2]);
+            assert_eq!(first, expect);
+            expect += 3;
+            assert_eq!(arena.push(expect), expect);
+            expect += 1;
+            assert_eq!(
+                arena.push_run(|first| std::array::from_fn::<_, 7, _>(|k| first + k)),
+                expect
+            );
+            expect += 7;
+        }
+        assert_eq!(arena.len(), expect);
+        for i in 0..expect {
+            assert_eq!(*arena.get(i), i);
         }
     }
 
@@ -349,5 +408,47 @@ mod tests {
             assert_eq!(want, *got, "reservation skipped or duplicated an index");
         }
         assert_eq!(arena.len(), WRITERS * PER);
+    }
+
+    /// Writers racing runs of different lengths: every run's slots are
+    /// consecutive and initialized by the time `len` covers them, and no
+    /// index is handed out twice. Each writer doubles as a reader of the
+    /// newest published slot (a dedicated spinning reader on top of four
+    /// writers only adds to the publication convoy on a 2-core box).
+    #[test]
+    fn concurrent_run_writers_publish_whole_runs() {
+        use std::sync::Arc;
+        const WRITERS: usize = 4;
+        const PER: usize = 5_000;
+        let arena = Arc::new(AppendArena::<(usize, usize)>::new());
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let a = Arc::clone(&arena);
+                std::thread::spawn(move || {
+                    let mut slots = 0usize;
+                    for i in 0..PER {
+                        if (i + w) % 2 == 0 {
+                            a.push_run(|f| [(f, f), (f, f + 1)]);
+                            slots += 2;
+                        } else {
+                            a.push_run(|f| [(f, f), (f, f + 1), (f, f + 2)]);
+                            slots += 3;
+                        }
+                        // Each slot holds (its run's first index, its own
+                        // index); a published slot is never torn or blank.
+                        let len = a.len();
+                        let (first, own) = *a.get(len - 1);
+                        assert_eq!(own, len - 1);
+                        assert!(first <= own && own - first < 3);
+                    }
+                    slots
+                })
+            })
+            .collect();
+        let total: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert_eq!(arena.len(), total);
+        for i in 0..total {
+            assert_eq!(arena.get(i).1, i, "slot {i} written by another run");
+        }
     }
 }

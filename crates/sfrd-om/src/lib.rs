@@ -21,8 +21,10 @@
 //! work-stealing-runtime support for parallel rebalancing; this crate gets
 //! most of the way there with a two-level scheme: per-group spinlocks keep
 //! the insert fast path decentralized, a global mutex serializes only the
-//! geometrically-rare relabels/splits/respreads, and queries stay lock-free
-//! throughout (DESIGN.md §5). [`OmList::stats`] exposes contention counters
+//! geometrically-rare relabels and splits (a split that finds no group
+//! label free respaces the smallest sparse *range* of group labels around
+//! it, never the whole list, which is what keeps inserts amortized O(1) in
+//! rewritten keys), and queries stay lock-free throughout (DESIGN.md §5). [`OmList::stats`] exposes contention counters
 //! ([`OmStats`]) so the decentralization is measurable end-to-end.
 //!
 //! ```

@@ -5,22 +5,47 @@
 //! group carries its own spinlock, and an insert that finds a label gap
 //! inside one group touches only that group. The global mutex is acquired
 //! only on the geometrically-rare slow paths — a group whose label gap is
-//! exhausted (relabel), a group that outgrew [`GROUP_MAX`] (split), or a
-//! full respread of group labels.
+//! exhausted (relabel) or a group that outgrew [`GROUP_MAX`] (split, which
+//! relabels a *range* of group labels when the new group finds no gap).
 //!
 //! Layout: items live in *groups*. Each group has a 64-bit label; items carry
 //! a 64-bit label that is meaningful only within their group. An item's key
 //! is the pair `(group_label, item_label)`. When a gap between adjacent item
 //! labels closes, the group is relabeled with even spacing; when a group
-//! grows past [`GROUP_MAX`] it splits in two; when group labels run out of
-//! gaps, all group labels are respread evenly.
+//! grows past [`GROUP_MAX`] it splits in two, the half that moves to the new
+//! group is respaced and the half that stays keeps its labels unless one of
+//! its gaps is nearly used up.
+//!
+//! ## Group labels: range relabel
+//!
+//! A split gives the new group the midpoint between its two neighbours'
+//! labels. When there is no midpoint, the group labels around the split are
+//! respaced by the range rule of Bender, Cole, Demaine, Farach-Colton and
+//! Zito (*Two Simplified Algorithms for Maintaining Order in a List*, 2002):
+//! walk outward from the splitting group's label `x` over the aligned label
+//! ranges of size 2^i that contain it (`i` = 1, 2, …), counting the groups
+//! inside, until the range's density `n / 2^i` is at most `T^-i`
+//! ([`DENSITY_BASE`] `T` = 1.5), then spread exactly those `n` groups evenly
+//! over that range. A range relabelled at level `i` leaves each half of
+//! itself a factor `T` under that half's own threshold, so the half absorbs
+//! a constant fraction of its capacity in new groups before it overflows
+//! again: a split rewrites O(log #groups) group labels amortized, never all
+//! of them. With one split per `GROUP_MAX / 2` = 32 inserts that is well
+//! under one group label per insert at any list size a `u32` handle can
+//! address, next to the ≈ one item label per insert the split itself
+//! rewrites — the insert bound is met with a small constant
+//! ([`OmStats::relabeled_slots`] measures it; `tests/bounds.rs` pins it).
+//! `(2 / T)^64` ≈ 10^8 groups fit before even the whole label space counts
+//! as dense; past that the whole space is respread as long as labels stay
+//! distinct.
 //!
 //! ## Locking protocol
 //!
 //! Two lock levels, with a strict acquisition order **global → group**:
 //!
 //! * **Group spinlock** (`GroupSlot::lock`): protects the group's item
-//!   chain (`first`/`last`/`count`, items' `next`/`prev`) and gives inserts
+//!   chain (`first`/`last`/`count`, items' `next`/`prev`), the group's
+//!   share of the statistics (`fast_inserts`, `locks`) and gives inserts
 //!   exclusive use of the group's label gaps. The fast path takes exactly
 //!   one of these and nothing else.
 //! * **Global mutex** (`OmList::lock`): protects the group chain
@@ -36,13 +61,23 @@
 //! state) until migration completes, so an inserter that observes the new
 //! group index spins until the labels it would split are final.
 //!
+//! ## Locked instructions on the fast path
+//!
+//! A fast-path run insert of any length executes three locked
+//! read-modify-writes and no more: the group lock's compare-exchange, and
+//! the item arena's reservation `fetch_add` and publication
+//! compare-exchange (`AppendArena::push_run`: once per run, not per item).
+//! Everything else it writes — chain links, `count`, the two statistics —
+//! is owned by the group lock it holds and is updated with a plain load
+//! and store ([`bump`]); the unlock is a release store.
+//!
 //! ## Why queries stay correct
 //!
 //! Fast-path inserts never mutate an existing item's `(group, label)` key —
 //! they only write fresh slots and re-link `next`/`prev` chains that
 //! queries do not read. So a query racing a fast-path insert needs no
 //! synchronization at all. The operations that *do* rewrite keys (relabel,
-//! split migration, respread) all run under the global lock inside a
+//! split migration, range relabel) all run under the global lock inside a
 //! seqlock write section: the sequence number is bumped odd, keys are
 //! rewritten, and it is bumped even again; a query that observed a torn
 //! state sees the sequence change and retries. See DESIGN.md §5 for the
@@ -59,6 +94,16 @@ use crate::arena::AppendArena;
 const GROUP_MAX: usize = 64;
 /// Sentinel index for "no item / no group".
 const NIL: u32 = u32::MAX;
+/// `T` of the range-relabel rule: a label range of size 2^i is sparse
+/// enough to respace when it holds at most `(2 / T)^i` groups. Between 1
+/// (always take the whole space: the old respread) and 2 (never more than
+/// one group per range: no capacity); 1.5 holds ≈ 10^8 groups in 64 bits.
+const DENSITY_BASE: f64 = 1.5;
+/// A split leaves the staying half's item labels alone unless its
+/// smallest gap is below this: fewer than `GROUP_MAX / 2` halvings left,
+/// i.e. the inserts that fit before the group's next split could use the
+/// gap up and escalate. Respacing then rides in the split's write section.
+const KEPT_GAP_FLOOR: u64 = 1 << (GROUP_MAX / 2);
 
 /// Handle to an element of an [`OmList`]. Plain index — cheap to copy and
 /// store in dag nodes. Valid only for the list that produced it.
@@ -101,6 +146,18 @@ struct GroupSlot {
     next: AtomicU32,
     /// Previous group in list order. Protected by the global lock.
     prev: AtomicU32,
+    /// Insert operations completed under this group's lock alone.
+    /// Protected by the group lock; [`OmList::stats`] sums over groups.
+    fast_inserts: AtomicU64,
+    /// Acquisitions of this group's lock. Protected by the group lock.
+    locks: AtomicU64,
+}
+
+/// `counter += n` for a counter owned by a lock the caller holds: a plain
+/// load and store, where a `fetch_add` would be a locked instruction.
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// RAII guard for a group spinlock.
@@ -121,14 +178,20 @@ struct Inner {
     tail_group: u32,
 }
 
-/// Contention / maintenance counters, updated with relaxed atomics off the
-/// measured path (one `fetch_add` per operation, none per query hit).
+/// A run of `len` chain-adjacent groups, starting at group `start`, to be
+/// relabelled `lo, lo + stride, lo + 2 * stride, …` in chain order.
+struct LabelRange {
+    start: u32,
+    len: u64,
+    lo: u64,
+    stride: u64,
+}
+
+/// Maintenance counters. All but `query_retries` change only under the
+/// global lock, off the fast path; `query_retries` is added to once per
+/// query that retried. The fast path's own statistics live in the groups.
 #[derive(Default)]
 struct OmCounters {
-    /// Insert operations completed entirely under one group lock.
-    fast_inserts: AtomicU64,
-    /// Group spinlock acquisitions (fast path + slow path + traversals).
-    group_locks: AtomicU64,
     /// Insert operations that escalated to the global lock (relabel or
     /// split needed).
     global_escalations: AtomicU64,
@@ -138,8 +201,10 @@ struct OmCounters {
     relabels: AtomicU64,
     /// Group splits.
     splits: AtomicU64,
-    /// Full group-label respreads.
+    /// Group-label range relabels.
     respreads: AtomicU64,
+    /// Keys rewritten inside seqlock write sections.
+    relabeled_slots: AtomicU64,
 }
 
 /// Snapshot of an [`OmList`]'s contention and maintenance counters.
@@ -162,8 +227,16 @@ pub struct OmStats {
     pub relabels: u64,
     /// Group splits.
     pub splits: u64,
-    /// Full group-label respreads.
+    /// Group-label respread passes: a split found no label between two
+    /// groups and respaced the groups of the smallest sparse label range
+    /// around it.
     pub respreads: u64,
+    /// Existing keys rewritten inside seqlock write sections: item labels
+    /// (group relabels, splits — a migrated item counts once) plus group
+    /// labels (respreads). Divided by the items inserted this is the
+    /// maintenance work per insert, the quantity the amortized-O(1) bound
+    /// is about; `relabels + splits + respreads` only counts passes.
+    pub relabeled_slots: u64,
     /// DePa backend: total 64-bit label words allocated (inline + spilled).
     pub depa_label_words: u64,
     /// DePa backend: spill-chunk operations (extension-word appends and
@@ -184,6 +257,7 @@ impl OmStats {
             relabels: self.relabels + other.relabels,
             splits: self.splits + other.splits,
             respreads: self.respreads + other.respreads,
+            relabeled_slots: self.relabeled_slots + other.relabeled_slots,
             depa_label_words: self.depa_label_words + other.depa_label_words,
             depa_spills: self.depa_spills + other.depa_spills,
             depa_max_depth: self.depa_max_depth.max(other.depa_max_depth),
@@ -209,11 +283,29 @@ pub struct OmList {
     seq: AtomicU64,
     lock: Mutex<Inner>,
     counters: OmCounters,
+    /// Width of the group-label space in bits; 64 outside the fixture.
+    #[cfg(any(test, sfrd_model))]
+    group_label_bits: u32,
 }
 
 impl OmList {
     /// Create a list containing a single base element, returned as a handle.
     pub fn new() -> (Self, OmHandle) {
+        Self::with_label_space(64)
+    }
+
+    /// Test fixture: a list whose group labels live in `bits` bits, so a
+    /// handful of splits at one spot — not 64 — run out of midpoints and
+    /// reach the range relabel. Nothing else differs.
+    #[cfg(any(test, sfrd_model))]
+    #[doc(hidden)]
+    pub fn with_group_label_bits(bits: u32) -> (Self, OmHandle) {
+        assert!((2..=64).contains(&bits));
+        Self::with_label_space(bits)
+    }
+
+    /// A list whose group labels are `bits` bits wide.
+    fn with_label_space(bits: u32) -> (Self, OmHandle) {
         let list = Self {
             items: AppendArena::new(),
             groups: AppendArena::new(),
@@ -223,15 +315,19 @@ impl OmList {
                 tail_group: 0,
             }),
             counters: OmCounters::default(),
+            #[cfg(any(test, sfrd_model))]
+            group_label_bits: bits,
         };
         list.groups.push(GroupSlot {
             lock: AtomicU32::new(0),
-            label: AtomicU64::new(u64::MAX / 2),
+            label: AtomicU64::new((u64::MAX >> (64 - bits)) / 2),
             first: AtomicU32::new(0),
             last: AtomicU32::new(0),
             count: AtomicU32::new(1),
             next: AtomicU32::new(NIL),
             prev: AtomicU32::new(NIL),
+            fast_inserts: AtomicU64::new(0),
+            locks: AtomicU64::new(0),
         });
         list.items.push(ItemSlot {
             label: AtomicU64::new(u64::MAX / 2),
@@ -240,6 +336,15 @@ impl OmList {
             prev: AtomicU32::new(NIL),
         });
         (list, OmHandle(0))
+    }
+
+    /// Width of the group-label space in bits.
+    #[inline]
+    fn group_label_bits(&self) -> u32 {
+        #[cfg(any(test, sfrd_model))]
+        return self.group_label_bits;
+        #[cfg(not(any(test, sfrd_model)))]
+        64
     }
 
     /// Number of elements in the list.
@@ -253,24 +358,33 @@ impl OmList {
     }
 
     /// Total relabel passes performed — item relabels, splits, and
-    /// respreads (test/diagnostic aid; the amortization bound in
-    /// `tests/bounds.rs` is stated over this sum).
+    /// group-label respreads (test/diagnostic aid; a pass of any size
+    /// counts once — [`OmStats::relabeled_slots`] is the work measure).
     pub fn relabel_count(&self) -> u64 {
         self.counters.relabels.load(Ordering::Relaxed)
             + self.counters.splits.load(Ordering::Relaxed)
             + self.counters.respreads.load(Ordering::Relaxed)
     }
 
-    /// Snapshot the contention counters.
+    /// Snapshot the contention counters. The two fast-path counters are
+    /// kept per group (each owned by its group's lock) and summed here;
+    /// the sum is exact once inserters are quiescent.
     pub fn stats(&self) -> OmStats {
+        let (mut fast_inserts, mut group_locks) = (0, 0);
+        for g in 0..self.groups.len() {
+            let group = self.groups.get(g);
+            fast_inserts += group.fast_inserts.load(Ordering::Relaxed);
+            group_locks += group.locks.load(Ordering::Relaxed);
+        }
         OmStats {
-            fast_inserts: self.counters.fast_inserts.load(Ordering::Relaxed),
-            group_locks: self.counters.group_locks.load(Ordering::Relaxed),
+            fast_inserts,
+            group_locks,
             global_escalations: self.counters.global_escalations.load(Ordering::Relaxed),
             query_retries: self.counters.query_retries.load(Ordering::Relaxed),
             relabels: self.counters.relabels.load(Ordering::Relaxed),
             splits: self.counters.splits.load(Ordering::Relaxed),
             respreads: self.counters.respreads.load(Ordering::Relaxed),
+            relabeled_slots: self.counters.relabeled_slots.load(Ordering::Relaxed),
             ..OmStats::default()
         }
     }
@@ -295,28 +409,29 @@ impl OmList {
 
     /// Insert a run of `N` elements right after `after` in one combined
     /// group operation: one group-lock acquisition allocates all `N`
-    /// labels by even gap-splitting. Returns the handles in list order,
-    /// i.e. `after < r[0] < r[1] < … < r[N-1]`.
+    /// labels by even gap-splitting and one arena append holds all `N`
+    /// slots. Returns the handles in list order, i.e.
+    /// `after < r[0] < r[1] < … < r[N-1]`.
     ///
     /// `SpOrder::fork` uses this to pay one lock acquisition for the 2–3
     /// positions it adds per list instead of one per position.
     pub fn insert_n_after<const N: usize>(&self, after: OmHandle) -> [OmHandle; N] {
         assert!(N >= 1 && N <= 8, "insert run length must be in 1..=8");
         let pred = after.0;
+        let pred_slot = self.items.get(pred as usize);
         loop {
             // Fast path: lock only the predecessor's group.
-            let gidx = self.items.get(pred as usize).group.load(Ordering::Acquire);
-            let guard = self.lock_group(gidx);
-            if self.items.get(pred as usize).group.load(Ordering::Relaxed) != gidx {
+            let gidx = pred_slot.group.load(Ordering::Acquire);
+            let group = self.groups.get(gidx as usize);
+            let guard = self.lock_group(group);
+            if pred_slot.group.load(Ordering::Relaxed) != gidx {
                 // Predecessor migrated during a concurrent split; retry.
                 drop(guard);
                 continue;
             }
-            if let Some(handles) = self.try_insert_run::<N>(gidx, pred) {
-                self.counters.fast_inserts.fetch_add(1, Ordering::Relaxed);
-                let oversized = self.groups.get(gidx as usize).count.load(Ordering::Relaxed)
-                    as usize
-                    > GROUP_MAX;
+            if let Some(handles) = self.try_insert_run::<N>(gidx, group, pred, pred_slot) {
+                bump(&group.fast_inserts, 1);
+                let oversized = group.count.load(Ordering::Relaxed) as usize > GROUP_MAX;
                 drop(guard);
                 if oversized {
                     // Deferred maintenance: the insert itself is done; the
@@ -336,10 +451,9 @@ impl OmList {
         }
     }
 
-    /// Acquire group `gidx`'s spinlock.
-    fn lock_group(&self, gidx: u32) -> GroupGuard<'_> {
-        self.counters.group_locks.fetch_add(1, Ordering::Relaxed);
-        let lock = &self.groups.get(gidx as usize).lock;
+    /// Acquire `group`'s spinlock.
+    fn lock_group<'a>(&self, group: &'a GroupSlot) -> GroupGuard<'a> {
+        let lock = &group.lock;
         let mut spins = 0u32;
         while lock
             .compare_exchange_weak(0, 1, Ordering::Acquire, Ordering::Relaxed)
@@ -354,6 +468,7 @@ impl OmList {
                 spin_loop();
             }
         }
+        bump(&group.locks, 1);
         GroupGuard { lock }
     }
 
@@ -364,48 +479,57 @@ impl OmList {
     /// `gidx`. Writes only fresh item slots and chain pointers — no
     /// existing `(group, label)` key is mutated, so no seqlock section is
     /// needed and concurrent queries proceed untouched.
-    fn try_insert_run<const N: usize>(&self, gidx: u32, pred: u32) -> Option<[OmHandle; N]> {
-        let group = self.groups.get(gidx as usize);
-        let pred_slot = self.items.get(pred as usize);
+    fn try_insert_run<const N: usize>(
+        &self,
+        gidx: u32,
+        group: &GroupSlot,
+        pred: u32,
+        pred_slot: &ItemSlot,
+    ) -> Option<[OmHandle; N]> {
         let pred_label = pred_slot.label.load(Ordering::Relaxed);
         let succ = pred_slot.next.load(Ordering::Relaxed);
-        let succ_label = if succ == NIL {
-            u64::MAX
-        } else {
-            self.items.get(succ as usize).label.load(Ordering::Relaxed)
-        };
+        let succ_slot = (succ != NIL).then(|| self.items.get(succ as usize));
+        let succ_label = succ_slot.map_or(u64::MAX, |s| s.label.load(Ordering::Relaxed));
         let gap = succ_label - pred_label;
         if gap < N as u64 + 1 {
             return None;
         }
         let step = gap / (N as u64 + 1);
-        let mut handles = [OmHandle(NIL); N];
-        let mut prev = pred;
-        for (k, slot) in handles.iter_mut().enumerate() {
-            let label = pred_label + step * (k as u64 + 1);
-            let new = self.items.push(ItemSlot {
-                label: AtomicU64::new(label),
+        // The run's slots are consecutive, so each can name its chain
+        // neighbours before any of them exists.
+        let first = self.items.push_run::<N>(|first| {
+            let first = first as u32;
+            std::array::from_fn(|k| ItemSlot {
+                label: AtomicU64::new(pred_label + step * (k as u64 + 1)),
                 group: AtomicU32::new(gidx),
-                next: AtomicU32::new(succ),
-                prev: AtomicU32::new(prev),
-            }) as u32;
-            self.items
-                .get(prev as usize)
-                .next
-                .store(new, Ordering::Relaxed);
-            *slot = OmHandle(new);
-            prev = new;
+                next: AtomicU32::new(if k + 1 == N {
+                    succ
+                } else {
+                    first.wrapping_add(k as u32 + 1)
+                }),
+                prev: AtomicU32::new(if k == 0 {
+                    pred
+                } else {
+                    first.wrapping_add(k as u32 - 1)
+                }),
+            })
+        });
+        // Checked after the append (a panic inside it would wedge the
+        // arena) and before the run is linked into the chain.
+        assert!(
+            first + N < NIL as usize,
+            "order-maintenance list is out of u32 handles"
+        );
+        let first = first as u32;
+        let last = first + N as u32 - 1;
+        pred_slot.next.store(first, Ordering::Relaxed);
+        match succ_slot {
+            Some(s) => s.prev.store(last, Ordering::Relaxed),
+            None => group.last.store(last, Ordering::Relaxed),
         }
-        if succ == NIL {
-            group.last.store(prev, Ordering::Relaxed);
-        } else {
-            self.items
-                .get(succ as usize)
-                .prev
-                .store(prev, Ordering::Relaxed);
-        }
-        group.count.fetch_add(N as u32, Ordering::Relaxed);
-        Some(handles)
+        let count = group.count.load(Ordering::Relaxed);
+        group.count.store(count + N as u32, Ordering::Relaxed);
+        Some(std::array::from_fn(|k| OmHandle(first + k as u32)))
     }
 
     /// Slow-path insert under the global lock: relabel the group if its
@@ -414,19 +538,21 @@ impl OmList {
         let mut inner = self.lock.lock();
         // Under the global lock no split can run, so the predecessor's
         // group index is stable once read.
-        let gidx = self.items.get(pred as usize).group.load(Ordering::Acquire);
-        let guard = self.lock_group(gidx);
-        let handles = match self.try_insert_run::<N>(gidx, pred) {
+        let pred_slot = self.items.get(pred as usize);
+        let gidx = pred_slot.group.load(Ordering::Acquire);
+        let group = self.groups.get(gidx as usize);
+        let guard = self.lock_group(group);
+        let handles = match self.try_insert_run::<N>(gidx, group, pred, pred_slot) {
             // Another thread relabeled between our fast-path failure and
             // the escalation — the gap is back.
             Some(h) => h,
             None => {
-                self.relabel_group(gidx);
-                self.try_insert_run::<N>(gidx, pred)
+                self.relabel_group(group);
+                self.try_insert_run::<N>(gidx, group, pred, pred_slot)
                     .expect("freshly relabeled group must have label gaps")
             }
         };
-        if self.groups.get(gidx as usize).count.load(Ordering::Relaxed) as usize > GROUP_MAX {
+        if group.count.load(Ordering::Relaxed) as usize > GROUP_MAX {
             self.split_group(&mut inner, gidx);
         }
         drop(guard);
@@ -440,36 +566,51 @@ impl OmList {
             .global_escalations
             .fetch_add(1, Ordering::Relaxed);
         let mut inner = self.lock.lock();
-        let guard = self.lock_group(gidx);
+        let group = self.groups.get(gidx as usize);
+        let guard = self.lock_group(group);
         // Re-check under locks: a concurrent escalation may have split it.
-        if self.groups.get(gidx as usize).count.load(Ordering::Relaxed) as usize > GROUP_MAX {
+        if group.count.load(Ordering::Relaxed) as usize > GROUP_MAX {
             self.split_group(&mut inner, gidx);
         }
         drop(guard);
     }
 
-    /// Evenly respace the item labels of group `gidx`. Seqlock write
-    /// section; caller holds the global lock AND `gidx`'s group lock.
-    fn relabel_group(&self, gidx: u32) {
-        let group = self.groups.get(gidx as usize);
+    /// Label the chain of `n` items starting at `first` with `n` evenly
+    /// spaced labels, moving each to group `to` if given. Only inside a
+    /// seqlock write section, with the chain's group lock held.
+    fn respace_items(&self, first: u32, n: u64, to: Option<u32>) {
+        let stride = u64::MAX / (n + 1);
+        let mut cur = first;
+        let mut label = stride;
+        while cur != NIL {
+            let slot = self.items.get(cur as usize);
+            if let Some(gidx) = to {
+                slot.group.store(gidx, Ordering::Relaxed);
+            }
+            slot.label.store(label, Ordering::Relaxed);
+            label += stride;
+            cur = slot.next.load(Ordering::Relaxed);
+        }
+    }
+
+    /// Evenly respace the item labels of `group`. Seqlock write section;
+    /// caller holds the global lock AND `group`'s lock.
+    fn relabel_group(&self, group: &GroupSlot) {
         let count = group.count.load(Ordering::Relaxed) as u64;
         debug_assert!(count > 0);
-        let stride = u64::MAX / (count + 1);
-        self.seq_write(|| {
-            let mut cur = group.first.load(Ordering::Relaxed);
-            let mut label = stride;
-            while cur != NIL {
-                let slot = self.items.get(cur as usize);
-                slot.label.store(label, Ordering::Relaxed);
-                label += stride;
-                cur = slot.next.load(Ordering::Relaxed);
-            }
-        });
+        self.seq_write(|| self.respace_items(group.first.load(Ordering::Relaxed), count, None));
         self.counters.relabels.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .relabeled_slots
+            .fetch_add(count, Ordering::Relaxed);
     }
 
     /// Split group `gidx` in half, moving the tail half to a fresh group
-    /// inserted right after it, then respace both halves.
+    /// inserted right after it. One seqlock write section holds every key
+    /// the split rewrites: the moved half (new group, fresh labels), the
+    /// staying half if a gap of its own is nearly used up, and — when the
+    /// new group finds no label between its neighbours — the group labels
+    /// of the smallest sparse range around it.
     ///
     /// Caller holds the global lock AND `gidx`'s group lock. The new group
     /// is created already *locked* so that a fast-path inserter observing
@@ -479,28 +620,36 @@ impl OmList {
         let group = self.groups.get(gidx as usize);
         let count = group.count.load(Ordering::Relaxed) as usize;
         let keep = count / 2;
-        // Find the first item of the tail half.
+        // Find the first item of the tail half, and on the way the
+        // smallest gap the staying half is left with.
         let mut cut = group.first.load(Ordering::Relaxed);
+        let mut kept_gap = u64::MAX;
+        let mut below = None;
         for _ in 0..keep {
-            cut = self.items.get(cut as usize).next.load(Ordering::Relaxed);
-        }
-        let next_gidx = group.next.load(Ordering::Relaxed);
-        let new_label = match self.group_label_gap(gidx, next_gidx) {
-            Some(label) => label,
-            None => {
-                self.respread_group_labels(inner);
-                self.group_label_gap(gidx, next_gidx)
-                    .expect("group label space exhausted after respread")
+            let slot = self.items.get(cut as usize);
+            let label = slot.label.load(Ordering::Relaxed);
+            if let Some(below) = below {
+                kept_gap = kept_gap.min(label - below);
             }
-        };
+            below = Some(label);
+            cut = slot.next.load(Ordering::Relaxed);
+        }
+        let respace_kept = kept_gap < KEPT_GAP_FLOOR;
+        let next_gidx = group.next.load(Ordering::Relaxed);
+        // With no midpoint the new group's label comes from the range
+        // relabel below; until then nothing points at the group.
+        let midpoint = self.group_label_gap(group, next_gidx);
+        let range = midpoint.is_none().then(|| self.sparse_range(gidx));
         let new_gidx = self.groups.push(GroupSlot {
             lock: AtomicU32::new(1), // born held; released after migration
-            label: AtomicU64::new(new_label),
+            label: AtomicU64::new(midpoint.unwrap_or(0)),
             first: AtomicU32::new(cut),
             last: AtomicU32::new(group.last.load(Ordering::Relaxed)),
             count: AtomicU32::new((count - keep) as u32),
             next: AtomicU32::new(next_gidx),
             prev: AtomicU32::new(gidx),
+            fast_inserts: AtomicU64::new(0),
+            locks: AtomicU64::new(0),
         }) as u32;
         let new_group = self.groups.get(new_gidx as usize);
         // Relink the group list.
@@ -514,50 +663,59 @@ impl OmList {
         }
         group.next.store(new_gidx, Ordering::Relaxed);
         // Detach the tail half from the old group.
-        let cut_prev = self.items.get(cut as usize).prev.load(Ordering::Relaxed);
-        self.items
-            .get(cut as usize)
-            .prev
-            .store(NIL, Ordering::Relaxed);
+        let cut_slot = self.items.get(cut as usize);
+        let cut_prev = cut_slot.prev.load(Ordering::Relaxed);
+        cut_slot.prev.store(NIL, Ordering::Relaxed);
         self.items
             .get(cut_prev as usize)
             .next
             .store(NIL, Ordering::Relaxed);
         group.last.store(cut_prev, Ordering::Relaxed);
         group.count.store(keep as u32, Ordering::Relaxed);
-        // Move tail items to the new group and respace labels of both
-        // halves. Key rewrites → seqlock write section (global lock held).
-        let stride_old = u64::MAX / (keep as u64 + 1);
-        let stride_new = u64::MAX / ((count - keep) as u64 + 1);
+        // Key rewrites → seqlock write section (global lock held).
         self.seq_write(|| {
-            let mut cur = group.first.load(Ordering::Relaxed);
-            let mut label = stride_old;
-            while cur != NIL {
-                let slot = self.items.get(cur as usize);
-                slot.label.store(label, Ordering::Relaxed);
-                label += stride_old;
-                cur = slot.next.load(Ordering::Relaxed);
+            if let Some(range) = &range {
+                // The new group is in the chain now, right after `gidx`,
+                // and takes the label at its place in the run.
+                let mut g = range.start;
+                for k in 0..range.len {
+                    let slot = self.groups.get(g as usize);
+                    slot.label
+                        .store(range.lo + k * range.stride, Ordering::Relaxed);
+                    g = slot.next.load(Ordering::Relaxed);
+                }
             }
-            let mut cur = new_group.first.load(Ordering::Relaxed);
-            let mut label = stride_new;
-            while cur != NIL {
-                let slot = self.items.get(cur as usize);
-                slot.group.store(new_gidx, Ordering::Relaxed);
-                slot.label.store(label, Ordering::Relaxed);
-                label += stride_new;
-                cur = slot.next.load(Ordering::Relaxed);
+            if respace_kept {
+                self.respace_items(group.first.load(Ordering::Relaxed), keep as u64, None);
             }
+            self.respace_items(cut, (count - keep) as u64, Some(new_gidx));
         });
         // Migration complete: open the new group for business.
         new_group.lock.store(0, Ordering::Release);
         self.counters.splits.fetch_add(1, Ordering::Relaxed);
+        if range.is_some() {
+            self.counters.respreads.fetch_add(1, Ordering::Relaxed);
+        }
+        // The new group's own label is fresh, not rewritten.
+        let rewritten = (count - keep) as u64
+            + if respace_kept { keep as u64 } else { 0 }
+            + range.map_or(0, |r| r.len - 1);
+        self.counters
+            .relabeled_slots
+            .fetch_add(rewritten, Ordering::Relaxed);
     }
 
-    /// A label strictly between group `gidx` and its successor, if a gap exists.
-    fn group_label_gap(&self, gidx: u32, next_gidx: u32) -> Option<u64> {
-        let lo = self.groups.get(gidx as usize).label.load(Ordering::Relaxed);
+    /// Largest group label.
+    #[inline]
+    fn group_label_max(&self) -> u64 {
+        u64::MAX >> (64 - self.group_label_bits())
+    }
+
+    /// A label strictly between `group` and its successor, if a gap exists.
+    fn group_label_gap(&self, group: &GroupSlot, next_gidx: u32) -> Option<u64> {
+        let lo = group.label.load(Ordering::Relaxed);
         let hi = if next_gidx == NIL {
-            u64::MAX
+            self.group_label_max()
         } else {
             self.groups
                 .get(next_gidx as usize)
@@ -571,28 +729,53 @@ impl OmList {
         }
     }
 
-    /// Respace ALL group labels evenly. O(#groups); rare. Caller holds the
-    /// global lock (group labels are global-lock-protected, so no group
-    /// locks are needed).
-    fn respread_group_labels(&self, inner: &mut Inner) {
-        let mut ngroups = 0u64;
-        let mut cur = inner.head_group;
-        while cur != NIL {
-            ngroups += 1;
-            cur = self.groups.get(cur as usize).next.load(Ordering::Relaxed);
-        }
-        let stride = u64::MAX / (ngroups + 1);
-        self.seq_write(|| {
-            let mut cur = inner.head_group;
-            let mut label = stride;
-            while cur != NIL {
-                let slot = self.groups.get(cur as usize);
-                slot.label.store(label, Ordering::Relaxed);
-                label += stride;
-                cur = slot.next.load(Ordering::Relaxed);
+    /// The range-relabel rule (module docs): the smallest aligned label
+    /// range of size 2^i around group `gidx`'s label that is sparse enough
+    /// — at most `(2 / T)^i` groups, counting the one about to be inserted
+    /// after `gidx` — together with the even spacing for its groups. The
+    /// walk only ever extends outward, so it costs O(groups in the range
+    /// returned). Caller holds the global lock.
+    fn sparse_range(&self, gidx: u32) -> LabelRange {
+        let label_of = |g: u32| self.groups.get(g as usize).label.load(Ordering::Relaxed);
+        let x = label_of(gidx);
+        let bits = self.group_label_bits();
+        // `left` is the leftmost chain group inside the current range,
+        // `right` the rightmost; `n` counts them plus the new group.
+        let (mut left, mut right, mut n) = (gidx, gidx, 2u64);
+        for i in 1..=bits {
+            // [lo, hi] is the aligned range of 2^i labels containing x.
+            let low_bits = u64::MAX >> (64 - i);
+            let (lo, hi) = (x & !low_bits, x | low_bits);
+            loop {
+                let prev = self.groups.get(left as usize).prev.load(Ordering::Relaxed);
+                if prev == NIL || label_of(prev) < lo {
+                    break;
+                }
+                left = prev;
+                n += 1;
             }
-        });
-        self.counters.respreads.fetch_add(1, Ordering::Relaxed);
+            loop {
+                let next = self.groups.get(right as usize).next.load(Ordering::Relaxed);
+                if next == NIL || label_of(next) > hi {
+                    break;
+                }
+                right = next;
+                n += 1;
+            }
+            // Past the last level there is no wider range to move to: the
+            // whole space is respread as long as labels stay distinct.
+            if n as f64 <= (2.0 / DENSITY_BASE).powi(i as i32) || i == bits {
+                let stride = ((1u128 << i) / n as u128) as u64;
+                assert!(stride >= 1, "group label space exhausted");
+                return LabelRange {
+                    start: left,
+                    len: n,
+                    lo,
+                    stride,
+                };
+            }
+        }
+        unreachable!("the last level always returns");
     }
 
     /// Run `f` inside a seqlock write section. Callers MUST hold the
@@ -623,22 +806,43 @@ impl OmList {
         if a == b {
             return CmpOrdering::Equal;
         }
-        loop {
+        // Retries are tallied here and added once on the way out: a
+        // `fetch_add` per spin would hammer the counters' cache line while
+        // the writer being waited for is working next to it.
+        let mut retries = 0u64;
+        let order = loop {
             let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 1 {
-                self.counters.query_retries.fetch_add(1, Ordering::Relaxed);
-                spin_loop();
+                retries += 1;
+                if retries > 64 {
+                    // The writer may be descheduled (more queriers than
+                    // cores): give it the timeslice instead of burning it.
+                    std::thread::yield_now();
+                } else {
+                    spin_loop();
+                }
                 continue;
             }
             let ka = self.key(a);
             let kb = self.key(b);
-            fence(Ordering::SeqCst);
-            if self.seq.load(Ordering::Acquire) == s1 {
+            // Seqlock reader: the key loads above are `Acquire`, so no
+            // store they observed can be newer than what the re-load of
+            // `seq` below observes; the acquire fence keeps that re-load
+            // after them. Pairs with the writer's odd store + fence before
+            // its key stores and its fence + `Release` even store after.
+            fence(Ordering::Acquire);
+            if self.seq.load(Ordering::Relaxed) == s1 {
                 debug_assert_ne!(ka, kb, "distinct items must have distinct keys");
-                return ka.cmp(&kb);
+                break ka.cmp(&kb);
             }
-            self.counters.query_retries.fetch_add(1, Ordering::Relaxed);
+            retries += 1;
+        };
+        if retries != 0 {
+            self.counters
+                .query_retries
+                .fetch_add(retries, Ordering::Relaxed);
         }
+        order
     }
 
     /// True iff `a` is strictly before `b` in the list order.
@@ -656,7 +860,7 @@ impl OmList {
         let mut g = inner.head_group;
         while g != NIL {
             let group = self.groups.get(g as usize);
-            let guard = self.lock_group(g);
+            let guard = self.lock_group(group);
             let mut cur = group.first.load(Ordering::Relaxed);
             while cur != NIL {
                 out.push(OmHandle(cur));
@@ -667,6 +871,72 @@ impl OmList {
         }
         out
     }
+
+    /// Panic unless the structure is well formed (test/diagnostic aid;
+    /// O(n), same locking as [`OmList::iter_order`]): group labels strictly
+    /// increase along the group chain and fit the label space, item labels
+    /// strictly increase within each group, every group's `count` is its
+    /// chain's length and no group is empty, every item's `group` is the
+    /// group whose chain holds it, back links
+    /// mirror forward links, and the chains hold every item exactly once.
+    pub fn check_invariants(&self) {
+        let inner = self.lock.lock();
+        let mut items_seen = 0usize;
+        let mut g = inner.head_group;
+        let mut prev_group: Option<(u32, u64)> = None;
+        while g != NIL {
+            let group = self.groups.get(g as usize);
+            let guard = self.lock_group(group);
+            let glabel = group.label.load(Ordering::Relaxed);
+            assert!(
+                glabel <= self.group_label_max(),
+                "group {g} label out of space"
+            );
+            let back = group.prev.load(Ordering::Relaxed);
+            match prev_group {
+                Some((pg, plabel)) => {
+                    assert!(plabel < glabel, "group labels not increasing at group {g}");
+                    assert_eq!(back, pg, "group {g} back link");
+                }
+                None => assert_eq!(back, NIL, "head group {g} back link"),
+            }
+            let mut len = 0u32;
+            let mut cur = group.first.load(Ordering::Relaxed);
+            let mut prev_item: Option<(u32, u64)> = None;
+            while cur != NIL {
+                let slot = self.items.get(cur as usize);
+                let label = slot.label.load(Ordering::Relaxed);
+                assert_eq!(slot.group.load(Ordering::Relaxed), g, "item {cur} group");
+                let back = slot.prev.load(Ordering::Relaxed);
+                match prev_item {
+                    Some((pi, plabel)) => {
+                        assert!(plabel < label, "item labels not increasing at item {cur}");
+                        assert_eq!(back, pi, "item {cur} back link");
+                    }
+                    None => assert_eq!(back, NIL, "first item {cur} back link"),
+                }
+                prev_item = Some((cur, label));
+                len += 1;
+                cur = slot.next.load(Ordering::Relaxed);
+            }
+            assert_eq!(group.count.load(Ordering::Relaxed), len, "group {g} count");
+            assert_eq!(
+                group.last.load(Ordering::Relaxed),
+                prev_item.expect("group is not empty").0,
+                "group {g} last"
+            );
+            items_seen += len as usize;
+            drop(guard);
+            prev_group = Some((g, glabel));
+            g = group.next.load(Ordering::Relaxed);
+        }
+        assert_eq!(
+            inner.tail_group,
+            prev_group.expect("list is not empty").0,
+            "tail group"
+        );
+        assert_eq!(items_seen, self.items.len(), "items on chains");
+    }
 }
 
 #[cfg(test)]
@@ -676,6 +946,7 @@ mod tests {
 
     /// Reference model: Vec of handles in true order.
     fn check_against_model(model: &[OmHandle], list: &OmList) {
+        list.check_invariants();
         assert_eq!(list.iter_order(), model);
         // Spot-check pairwise order on a sample.
         let n = model.len();
@@ -805,6 +1076,186 @@ mod tests {
         assert!(stats.splits > 0, "10k appends must split groups");
     }
 
+    /// Group labels of `list` in chain order.
+    fn group_labels(list: &OmList) -> Vec<u64> {
+        let inner = list.lock.lock();
+        let mut out = Vec::new();
+        let mut g = inner.head_group;
+        while g != NIL {
+            let group = list.groups.get(g as usize);
+            out.push(group.label.load(Ordering::Relaxed));
+            g = group.next.load(Ordering::Relaxed);
+        }
+        out
+    }
+
+    /// In a 16-bit group-label space fifteen splits at one spot use up the
+    /// midpoints; the relabel that follows must respace an *interior*
+    /// range — the groups outside it keep their labels — and the order,
+    /// the model and every structural invariant survive it.
+    #[test]
+    fn range_relabel_respaces_only_the_dense_range() {
+        let (list, base) = OmList::with_group_label_bits(16);
+        let mut model = vec![base];
+        // A far-away tail the hammer never touches: appended first, so its
+        // groups sit at the top of the label space.
+        let mut last = base;
+        for _ in 0..400 {
+            last = list.insert_after(last);
+            model.push(last);
+        }
+        let before = group_labels(&list);
+        assert_eq!(list.stats().respreads, 0, "appends alone found midpoints");
+        let mut hammered = 0;
+        while list.stats().respreads == 0 {
+            let h = list.insert_after(base);
+            model.insert(1, h);
+            hammered += 1;
+            assert!(hammered < 16 * 40, "16 halvings must exhaust 16 bits");
+        }
+        check_against_model(&model, &list);
+        let after = group_labels(&list);
+        let stats = list.stats();
+        assert_eq!(stats.respreads, 1);
+        // The relabelled range is a strict part of the chain: the last
+        // groups (the untouched tail) kept their labels.
+        let kept = before
+            .iter()
+            .rev()
+            .zip(after.iter().rev())
+            .take_while(|(b, a)| b == a)
+            .count();
+        assert!(
+            kept >= 2,
+            "tail groups were relabelled: {before:?} -> {after:?}"
+        );
+        assert!(after.len() - kept >= 3, "a range of several groups moved");
+        // And the structure keeps working past many more range relabels.
+        for _ in 0..3000 {
+            let h = list.insert_after(base);
+            model.insert(1, h);
+        }
+        check_against_model(&model, &list);
+        assert!(list.stats().respreads > 1);
+    }
+
+    /// Random run inserts in a narrow label space: interior ranges and the
+    /// whole-space fallback both occur, against the `Vec` model.
+    #[test]
+    fn narrow_label_space_random_runs_match_model() {
+        let mut rng = StdRng::seed_from_u64(0x0B5E55ED);
+        for bits in [8, 10, 12] {
+            let (list, base) = OmList::with_group_label_bits(bits);
+            let mut model = vec![base];
+            // 2^bits labels hold the ~ 40 .. 90 groups this builds.
+            for _ in 0..600 {
+                // Clustered positions: most inserts land near the front.
+                let pos = rng.random_range(0..model.len().min(8 + model.len() / 16));
+                let run = list.insert_n_after::<3>(model[pos]);
+                model.splice(pos + 1..pos + 1, run);
+            }
+            check_against_model(&model, &list);
+            let stats = list.stats();
+            assert!(stats.respreads > 0, "bits={bits}: {stats:?}");
+            assert!(group_labels(&list).iter().all(|&l| l < 1 << bits));
+        }
+    }
+
+    /// Two bits of group label hold four groups; the fifth has nowhere to
+    /// go and the list says so instead of handing out duplicate labels.
+    #[test]
+    #[should_panic(expected = "group label space exhausted")]
+    fn exhausted_label_space_panics() {
+        let (list, base) = OmList::with_group_label_bits(2);
+        for _ in 0..5 * (GROUP_MAX + 1) {
+            list.insert_after(base);
+        }
+    }
+
+    /// `(group, label)` of each handle, read raw.
+    fn keys(list: &OmList, handles: &[OmHandle]) -> Vec<(u32, u64)> {
+        handles
+            .iter()
+            .map(|h| {
+                let slot = list.items.get(h.index());
+                (
+                    slot.group.load(Ordering::Relaxed),
+                    slot.label.load(Ordering::Relaxed),
+                )
+            })
+            .collect()
+    }
+
+    /// A split rewrites the half that moves; the half that stays keeps its
+    /// labels while its gaps are wide (a moving front never narrows them),
+    /// and is respaced in the same section once one is nearly used up (a
+    /// fixed hot spot halves its gap on every insert).
+    #[test]
+    fn split_leaves_the_staying_half_alone_while_its_gaps_are_wide() {
+        // Moving front: each insert goes after the previous one. (The very
+        // first group is no example: its appends halve toward the top of
+        // the label space from the base item's midpoint label.)
+        let (list, base) = OmList::new();
+        let mut last = base;
+        while list.stats().splits == 0 {
+            last = list.insert_after(last);
+        }
+        let keep = GROUP_MAX / 2;
+        let mut second = list.iter_order().split_off(keep);
+        assert!(keys(&list, &second).iter().all(|&(g, _)| g == 1));
+        let mut before = Vec::new();
+        while list.stats().splits == 1 {
+            before = keys(&list, &second);
+            last = list.insert_after(last);
+            second.push(last);
+        }
+        let after = keys(&list, &second);
+        assert_eq!(second.len(), GROUP_MAX + 1);
+        assert_eq!(before[..keep], after[..keep], "staying half was rewritten");
+        assert!(after[keep..].iter().all(|&(g, _)| g == 2), "{after:?}");
+        list.check_invariants();
+
+        // Hot spot: the gap after `base` halves on every insert, 33 times
+        // between two splits — left alone it would run out (and escalate
+        // for a relabel of its own) every other split. The splits respace
+        // the staying half instead, so nothing after the first group's
+        // start-up relabel ever escalates for labels.
+        let (list, base) = OmList::new();
+        for _ in 0..10_000 {
+            list.insert_after(base);
+        }
+        let s = list.stats();
+        assert!(s.relabels <= 1, "{s:?}");
+        assert_eq!(s.fast_inserts + s.relabels, 10_000, "{s:?}");
+        assert!(
+            s.relabeled_slots > s.splits * (keep as u64 + 1) + s.relabels * (GROUP_MAX as u64 + 1),
+            "some splits respaced the staying half too: {s:?}"
+        );
+        list.check_invariants();
+    }
+
+    /// The per-group statistics add up: every insert operation is either a
+    /// fast-path completion or an escalation, every lock acquisition is
+    /// counted once.
+    #[test]
+    fn per_group_statistics_sum_exactly() {
+        let mut rng = StdRng::seed_from_u64(0x57A7);
+        let (list, base) = OmList::new();
+        let mut handles = vec![base];
+        let ops = 20_000u64;
+        for _ in 0..ops {
+            let pos = rng.random_range(0..handles.len().min(50));
+            handles.push(list.insert_n_after::<2>(handles[pos])[0]);
+        }
+        let s = list.stats();
+        // Single-threaded, an insert that leaves the fast path always
+        // finds its gap still exhausted and relabels.
+        assert_eq!(s.fast_inserts + s.relabels, ops, "{s:?}");
+        assert!(s.splits > 0, "{s:?}");
+        // One acquisition per fast-path attempt plus one per escalation.
+        assert_eq!(s.group_locks, ops + s.global_escalations, "{s:?}");
+    }
+
     #[test]
     fn concurrent_queries_during_inserts_are_consistent() {
         use std::sync::atomic::{AtomicBool, Ordering as AOrd};
@@ -832,7 +1283,8 @@ mod tests {
                 }
             }));
         }
-        // Hammer inserts right at the head to force splits and respreads.
+        // Hammer inserts right at the head to force splits and range
+        // relabels of the group labels around it.
         for _ in 0..30_000 {
             list.insert_after(base);
         }

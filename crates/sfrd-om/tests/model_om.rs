@@ -11,6 +11,11 @@
 //!   chain's order never inverts (label monotonicity across relabels) and
 //!   never observes a torn `(group, label)` key (a torn read would order
 //!   some adjacent pair backwards or as equal).
+//! * **OmList range relabel**: the same query thread against a split whose
+//!   new group finds no label between its neighbours, so the split's write
+//!   section also rewrites *group* labels — of groups the chain's items
+//!   live in. A three-bit group-label space (test fixture) brings that on
+//!   at the third split at one spot instead of the sixty-fourth.
 //! * **DePa lock-freedom**: concurrent same-anchor runs (racing the
 //!   ticket counter) and a concurrent querier, with the model's mutex
 //!   census asserting ZERO lock acquisitions — the `global_escalations
@@ -24,7 +29,7 @@
 
 use std::sync::Arc;
 
-use sfrd_om::{OmBackend, OmOrder};
+use sfrd_om::{OmBackend, OmList, OmOrder};
 use sfrd_runtime::model::{self, Config};
 
 /// Serial prefix: enough head inserts that the concurrent phase's next
@@ -102,6 +107,95 @@ fn omlist_relabels_never_tear_queries() {
     assert!(
         report.lock_ops > 0,
         "escalations take the global mutex; the census must see it"
+    );
+}
+
+#[test]
+fn omlist_range_relabels_never_tear_queries() {
+    let cfg = Config {
+        schedules: 1000,
+        ..Config::default()
+    };
+    // Seqlock retries summed over all schedules: evidence that queries
+    // really did overlap the write section in some of them.
+    let retries = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let report = model::explore(cfg, {
+        let retries = Arc::clone(&retries);
+        move || {
+            // Group labels 0..=7, the first group at 3. Hammering `base`:
+            // split one puts the new group at 5, split two at 4, and split
+            // three finds nothing between 3 and 4 — no range below the
+            // whole space is sparse enough for four groups, so all of them
+            // are respaced (0, 2, 4, 6) inside the split's write section.
+            let (om, base) = OmList::with_group_label_bits(3);
+            let om = Arc::new(om);
+            // Runs of eight keep the serial prefix short. Later inserts
+            // land before earlier ones, so the chain is picked newest
+            // first: one handle from each era, each in its own group.
+            let mut eras = Vec::new();
+            for _ in 0..8 {
+                eras.push(om.insert_n_after::<8>(base)[7]);
+            }
+            assert_eq!(om.stats().splits, 1);
+            let early = eras[0];
+            for _ in 0..4 {
+                om.insert_n_after::<8>(base);
+            }
+            let mid = om.insert_after(base);
+            assert_eq!(om.stats().splits, 2);
+            let mut late = base;
+            for _ in 0..4 {
+                late = om.insert_n_after::<8>(base)[7];
+            }
+            assert_eq!(om.stats().respreads, 0);
+            let chain = [base, late, mid, early];
+            // The head group is full: the next insert splits it.
+
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    let om = Arc::clone(&om);
+                    model::spawn(move || {
+                        for _ in 0..CONC {
+                            om.insert_after(base);
+                        }
+                    })
+                })
+                .collect();
+            let reader = {
+                let om = Arc::clone(&om);
+                model::spawn(move || {
+                    for _ in 0..3 {
+                        for w in chain.windows(2) {
+                            assert!(om.precedes(w[0], w[1]), "chain order inverted");
+                            assert!(!om.precedes(w[1], w[0]), "torn key: both directions");
+                        }
+                    }
+                })
+            };
+            for w in writers {
+                w.join();
+            }
+            reader.join();
+
+            let stats = om.stats();
+            assert_eq!(stats.splits, 3, "{stats:?}");
+            assert_eq!(
+                stats.respreads, 1,
+                "the third split must relabel: {stats:?}"
+            );
+            om.check_invariants();
+            retries.fetch_add(stats.query_retries, std::sync::atomic::Ordering::Relaxed);
+        }
+    });
+    assert_eq!(report.schedules, cfg.schedules);
+    assert!(
+        report.schedules >= 1000,
+        "acceptance floor: >=1000 schedules"
+    );
+    assert_eq!(report.truncated, 0, "schedules must run to completion");
+    assert!(
+        retries.load(std::sync::atomic::Ordering::Relaxed) > 0,
+        "no schedule overlapped a query with the relabel's write section"
     );
 }
 

@@ -2,7 +2,9 @@
 //! inserters + concurrent lock-free queriers, validated against a
 //! total-order oracle rebuilt from the final list.
 //!
-//! The `OmList` cells force group splits and group-label respreads; the
+//! The `OmList` cells force group splits and group-label range relabels
+//! (hammered at one spot, and at a moving front shaped like SP-Order's
+//! fork stream); the
 //! DePa cells exercise the fork-local label scheme (run tickets under
 //! contention, spill chains on deep labels) and additionally assert the
 //! structural guarantees `global_escalations == 0` and
@@ -189,7 +191,8 @@ fn depa_concurrent_inserters_match_rank_oracle() {
 
 /// All writers hammer the SAME position (right after the base element).
 /// OmList: maximal group-lock contention, geometric label-gap exhaustion,
-/// forced splits of the head group, and forced full respreads. DePa: the
+/// forced splits of the head group, and forced group-label respreads (the
+/// head group's neighbour gap halves at every split). DePa: the
 /// run-ticket counter is the only shared word — every concurrent run after
 /// the same parent must land in a distinct, totally ordered slot. Query
 /// threads must never observe the verification chain out of order.
@@ -268,7 +271,8 @@ fn head_hammer(backend: OmBackend, per: usize) {
         }
     }
 
-    // The verification chain survived every relabel/split/respread.
+    // The verification chain survived every relabel, split and range
+    // relabel.
     let oracle = rank_oracle(&om);
     let chain_ranks: Vec<usize> = chain.iter().map(|h| oracle[&h.index()]).collect();
     for pair in chain_ranks.windows(2) {
@@ -370,5 +374,149 @@ fn random_position_inserts_with_concurrent_queries() {
             assert_eq!(stats.global_escalations, 0, "{stats:?}");
             assert_eq!(stats.query_retries, 0, "{stats:?}");
         }
+    }
+}
+
+/// One task's position in an English/Hebrew pair of lists, as
+/// `sfrd_reach::SpOrder` keeps it (this crate sits below `sfrd-reach`, so
+/// the test states the fork rule itself: English `u, c, k, s`, Hebrew
+/// `u, k, c, s` on a block's first fork; `c, k` / `k, c` after `u` on
+/// later ones; `sync` moves to `s`).
+#[derive(Clone, Copy)]
+struct Task {
+    cur: (OmHandle, OmHandle),
+    block: Option<(OmHandle, OmHandle)>,
+}
+
+fn fork(eng: &OmOrder, heb: &OmOrder, t: &mut Task) -> Task {
+    let (child, cont) = if t.block.is_none() {
+        let [c_eng, k_eng, s_eng] = eng.insert_n_after::<3>(t.cur.0);
+        let [k_heb, c_heb, s_heb] = heb.insert_n_after::<3>(t.cur.1);
+        t.block = Some((s_eng, s_heb));
+        ((c_eng, c_heb), (k_eng, k_heb))
+    } else {
+        let [c_eng, k_eng] = eng.insert_n_after::<2>(t.cur.0);
+        let [k_heb, c_heb] = heb.insert_n_after::<2>(t.cur.1);
+        ((c_eng, c_heb), (k_eng, k_heb))
+    };
+    t.cur = cont;
+    Task {
+        cur: child,
+        block: None,
+    }
+}
+
+fn sync(t: &mut Task) {
+    if let Some(s) = t.block.take() {
+        t.cur = s;
+    }
+}
+
+/// Moving-front stress: two threads each drive a chain of futures (create,
+/// eight spawned children, sync) from their own task on ONE English/Hebrew
+/// pair of `OmList`s — the insert point advances with every future, the
+/// pattern whose group splits pile up at one spot of the group-label space
+/// and force range relabels — while two threads check that a chain built
+/// beforehand never inverts in either list. Afterwards both lists must
+/// agree with the rank oracle, hold every structural invariant, and have
+/// relabelled ranges (`respreads`) without ever having needed more than a
+/// few key rewrites per inserted item.
+#[test]
+fn moving_front_fork_chains_relabel_ranges_under_queries() {
+    const FUTURES: usize = 3_000;
+    const FAN: usize = 8;
+
+    let (eng, e0) = OmOrder::new(OmBackend::OmList);
+    let (heb, h0) = OmOrder::new(OmBackend::OmList);
+    let (eng, heb) = (Arc::new(eng), Arc::new(heb));
+    let mut root = Task {
+        cur: (e0, h0),
+        block: None,
+    };
+    // The verification chain: root strand, then the successive
+    // continuations of a few serial forks — ordered in BOTH lists.
+    let mut chain = vec![root.cur];
+    let mut drivers = Vec::new();
+    for _ in 0..6 {
+        drivers.push(fork(&eng, &heb, &mut root));
+        chain.push(root.cur);
+    }
+    drivers.truncate(2);
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let (eng, heb) = (Arc::clone(&eng), Arc::clone(&heb));
+            let stop = Arc::clone(&stop);
+            let chain = chain.clone();
+            std::thread::spawn(move || {
+                let mut passes = 0u64;
+                while !stop.load(Ordering::Relaxed) || passes == 0 {
+                    for w in chain.windows(2) {
+                        assert!(eng.precedes(w[0].0, w[1].0), "English chain inverted");
+                        assert!(!eng.precedes(w[1].0, w[0].0));
+                        assert!(heb.precedes(w[0].1, w[1].1), "Hebrew chain inverted");
+                        assert!(!heb.precedes(w[1].1, w[0].1));
+                    }
+                    passes += 1;
+                }
+            })
+        })
+        .collect();
+
+    let writers: Vec<_> = drivers
+        .into_iter()
+        .map(|mut task| {
+            let (eng, heb) = (Arc::clone(&eng), Arc::clone(&heb));
+            std::thread::spawn(move || {
+                let mut positions = vec![task.cur];
+                for _ in 0..FUTURES {
+                    let mut fut = fork(&eng, &heb, &mut task);
+                    for _ in 0..FAN {
+                        let mut child = fork(&eng, &heb, &mut fut);
+                        sync(&mut child);
+                    }
+                    sync(&mut fut);
+                    positions.push(fut.cur);
+                }
+                positions
+            })
+        })
+        .collect();
+    let per_writer: Vec<Vec<(OmHandle, OmHandle)>> =
+        writers.into_iter().map(|t| t.join().unwrap()).collect();
+    stop.store(true, Ordering::Relaxed);
+    for r in readers {
+        r.join().unwrap();
+    }
+
+    for (name, om, pick) in [
+        (
+            "English",
+            &*eng,
+            (|p| p.0) as fn(&(OmHandle, OmHandle)) -> OmHandle,
+        ),
+        ("Hebrew", &*heb, |p| p.1),
+    ] {
+        let OmOrder::List(list) = om else {
+            unreachable!()
+        };
+        list.check_invariants();
+        let oracle = rank_oracle(om);
+        let ranks: Vec<usize> = chain.iter().map(|p| oracle[&pick(p).index()]).collect();
+        assert!(ranks.windows(2).all(|w| w[0] < w[1]), "{name} chain order");
+        for positions in &per_writer {
+            let handles: Vec<OmHandle> = positions.iter().map(pick).collect();
+            assert_order_matches_oracle(om, &handles, &oracle);
+        }
+        let stats = om.stats();
+        let inserted = om.len() as u64 - 1;
+        assert!(stats.splits > 0 && stats.respreads > 0, "{name}: {stats:?}");
+        assert!(stats.relabeled_slots > 0, "{name}: {stats:?}");
+        assert!(
+            stats.relabeled_slots < 4 * inserted,
+            "{name}: {} key rewrites for {inserted} inserts: {stats:?}",
+            stats.relabeled_slots
+        );
     }
 }

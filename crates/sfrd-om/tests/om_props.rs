@@ -22,6 +22,14 @@ fn build(backend: OmBackend, pattern: &[u16]) -> (OmOrder, Vec<OmHandle>) {
     (om, model)
 }
 
+/// `OmList`'s structural invariants (the DePa backend has no structure to
+/// check: its labels are immutable).
+fn check_invariants(om: &OmOrder) {
+    if let OmOrder::List(list) = om {
+        list.check_invariants();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..Default::default() })]
 
@@ -42,6 +50,7 @@ proptest! {
                     prop_assert_eq!(om.precedes(model[i], model[j]), i < j);
                 }
             }
+            check_invariants(&om);
         }
     }
 
@@ -63,6 +72,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(om.iter_order(), model);
+            check_invariants(&om);
         }
     }
 
@@ -88,10 +98,11 @@ proptest! {
         let stats = depa.stats();
         prop_assert_eq!(stats.global_escalations, 0);
         prop_assert_eq!(stats.query_retries, 0);
+        check_invariants(&list);
     }
 }
 
-/// Adversarial: clustered insertions force group splits and label respreads
+/// Adversarial: clustered insertions force group splits and relabels
 /// (OmList) or deep spill chains (DePa) while background queries stay
 /// consistent.
 #[test]
@@ -136,6 +147,7 @@ fn dense_cluster_with_concurrent_queries() {
         let checks = reader.join().unwrap();
         assert!(checks > 0);
         assert_eq!(om.len(), 32 + 2000);
+        check_invariants(&om);
         if backend == OmBackend::DePa {
             let stats = om.stats();
             assert_eq!(stats.global_escalations, 0, "{stats:?}");

@@ -4,14 +4,12 @@
 //! comparisons), and the scalability of the group-local insert fast path
 //! under real thread contention (1/2/4/8 threads).
 //!
-//! The `om/fork_heavy` and `om/deep_precedes` groups run BOTH `--om`
-//! backends side by side: fork-pattern run inserts (SpOrder's exact
-//! insertion shape) and order queries over a deep spawn chain, where DePa
-//! labels reach hundreds of words and the lexicographic compare depth is
-//! maximal.
+//! `om/fork_heavy` and `om/deep_precedes` are SpOrder's shapes: fork-pattern
+//! run inserts (its exact insertion shape) and order queries over a deep
+//! spawn chain.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sfrd_om::{OmBackend, OmList, OmOrder};
+use sfrd_om::OmList;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -160,69 +158,54 @@ fn bench_query_contended(c: &mut Criterion) {
 }
 
 /// SpOrder's exact fork insertion shape (one 3-run per first-fork, one
-/// 2-run per later fork, anchors advancing down the continuation chain),
-/// on both backends. OmList pays a group lock per run; DePa computes the
-/// child labels from the parent's label with no shared structure.
+/// 2-run per later fork, anchors advancing down the continuation chain):
+/// one group lock per run.
 fn bench_fork_heavy(c: &mut Criterion) {
-    let mut g = c.benchmark_group("om/fork_heavy");
-    for backend in [OmBackend::OmList, OmBackend::DePa] {
-        g.bench_function(backend.label(), |b| {
-            b.iter_batched(
-                || OmOrder::new(backend),
-                |(om, base)| {
-                    let mut anchor = base;
-                    for i in 0..1000 {
-                        if i % 2 == 0 {
-                            let [_c, k, _s] = om.insert_n_after::<3>(anchor);
-                            anchor = k;
-                        } else {
-                            let [_c, k] = om.insert_n_after::<2>(anchor);
-                            anchor = k;
-                        }
+    c.bench_function("om/fork_heavy", |b| {
+        b.iter_batched(
+            OmList::new,
+            |(om, base)| {
+                let mut anchor = base;
+                for i in 0..1000 {
+                    if i % 2 == 0 {
+                        let [_c, k, _s] = om.insert_n_after::<3>(anchor);
+                        anchor = k;
+                    } else {
+                        let [_c, k] = om.insert_n_after::<2>(anchor);
+                        anchor = k;
                     }
-                    black_box(anchor);
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
+                }
+                black_box(anchor);
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 /// Build a deep spawn chain (every fork continues from the freshly
-/// inserted continuation — under DePa each step extends the path label,
-/// so handles near the end carry multi-hundred-word labels), then measure
-/// `precedes` between random deep positions. This is the deep-get-chain
-/// query pattern of `k_scaling`'s fan-out cells, isolated.
+/// inserted continuation), then measure `precedes` between random deep
+/// positions. This is the deep-get-chain query pattern of `k_scaling`'s
+/// fan-out cells, isolated.
 fn bench_deep_precedes(c: &mut Criterion) {
     const DEPTH: usize = 4096;
-    let mut g = c.benchmark_group("om/deep_precedes");
-    for backend in [OmBackend::OmList, OmBackend::DePa] {
-        let (om, base) = OmOrder::new(backend);
-        let mut handles = Vec::with_capacity(DEPTH * 2 + 1);
-        handles.push(base);
-        let mut anchor = base;
-        for _ in 0..DEPTH {
-            let [c_h, k] = om.insert_n_after::<2>(anchor);
-            handles.push(c_h);
-            handles.push(k);
-            anchor = k;
-        }
-        if backend == OmBackend::DePa {
-            let stats = om.stats();
-            assert_eq!(stats.global_escalations, 0);
-            assert!(stats.depa_max_depth as usize >= DEPTH);
-        }
-        g.bench_function(backend.label(), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 7919) % handles.len();
-                let j = (i * 31 + 1) % handles.len();
-                black_box(om.precedes(handles[i], handles[j]))
-            })
-        });
+    let (om, base) = OmList::new();
+    let mut handles = Vec::with_capacity(DEPTH * 2 + 1);
+    handles.push(base);
+    let mut anchor = base;
+    for _ in 0..DEPTH {
+        let [c_h, k] = om.insert_n_after::<2>(anchor);
+        handles.push(c_h);
+        handles.push(k);
+        anchor = k;
     }
-    g.finish();
+    c.bench_function("om/deep_precedes", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 7919) % handles.len();
+            let j = (i * 31 + 1) % handles.len();
+            black_box(om.precedes(handles[i], handles[j]))
+        })
+    });
 }
 
 criterion_group!(

@@ -23,7 +23,7 @@ use sfrd_bench::{
     append_snapshot, cell_json, fig4_grid, run_bench_cell, times, work_span, HarnessArgs, Json,
     Table,
 };
-use sfrd_core::DetectorKind;
+use sfrd_core::{DetectorKind, DriveConfig};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -49,8 +49,8 @@ fn main() {
         let parallelism = work as f64 / span.max(1) as f64;
         let mut rows: Vec<Json> = Vec::new();
 
-        let base1 = run_bench_cell(name, args.scale, sfrd_core::DriveConfig::base(1), args.reps);
-        let basep = run_bench_cell(name, args.scale, sfrd_core::DriveConfig::base(p), args.reps);
+        let base1 = run_bench_cell(name, args.scale, DriveConfig::base(1), args.reps);
+        let basep = run_bench_cell(name, args.scale, DriveConfig::base(p), args.reps);
         rows.push(cell_json("base", 1, &base1));
         rows.push(cell_json("base", p, &basep));
         t.row(vec![
@@ -66,13 +66,23 @@ fn main() {
         ]);
 
         for (label, kind, mode) in fig4_grid() {
-            let t1 = run_bench_cell(name, args.scale, args.cfg(kind, mode, 1), args.reps);
+            let t1 = run_bench_cell(
+                name,
+                args.scale,
+                DriveConfig::with(kind, mode, 1),
+                args.reps,
+            );
             rows.push(cell_json(label, 1, &t1));
             let (tp_cell, ovhp, scal) = if kind == DetectorKind::MultiBags {
                 // Sequential-only: no parallel column.
                 ("-".to_string(), "-".to_string(), "-".to_string())
             } else {
-                let tp = run_bench_cell(name, args.scale, args.cfg(kind, mode, p), args.reps);
+                let tp = run_bench_cell(
+                    name,
+                    args.scale,
+                    DriveConfig::with(kind, mode, p),
+                    args.reps,
+                );
                 let row = (
                     fmt_s(tp.timing.mean),
                     times(tp.timing.mean / basep.timing.mean),

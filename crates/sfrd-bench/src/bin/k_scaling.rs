@@ -12,12 +12,11 @@
 //!
 //! ```sh
 //! cargo run -p sfrd-bench --release --bin k_scaling -- [kmax] \
-//!     [--om list|depa] [--json] [--json-out PATH] [--json-label NAME]
+//!     [--json] [--json-out PATH] [--json-label NAME]
 //! ```
 //!
 //! A second sweep runs the fan-out chain cells (`fanout_chain_k<k>`):
-//! SF-Order reach under **both** `--om` backends, stressing deep-label
-//! `precedes` compares (the DePa-vs-OmList delta of ISSUE 10).
+//! SF-Order reach on a deep chain whose every link fans out readers.
 //!
 //! A third sweep drives the fan-out chain's construct stream through
 //! `SpOrder::{fork, sync}` alone and prints the keys the two `OmList`s
@@ -35,7 +34,7 @@
 use sfrd_bench::{
     append_snapshot, cell_json, om_rewrites_per_insert, Json, Table, TimedCell, Timing,
 };
-use sfrd_core::{drive, DetectorKind, DriveConfig, Mode, OmBackend, Workload};
+use sfrd_core::{drive, DetectorKind, DriveConfig, Mode, Workload};
 use sfrd_reach::SpOrder;
 use sfrd_runtime::Cx;
 
@@ -58,11 +57,8 @@ impl Workload for FutureChain {
 
 /// A chain of `k` futures where each future fans out [`FAN`] spawned
 /// readers of a shared window before the chain continues. The chain keeps
-/// deepening the SP positions (under the DePa backend every fork extends
-/// the path label, so depth grows linearly in `k`), and every reader's
-/// access-history check runs `precedes` between two *deep* positions —
-/// the worst case for label-compare length and the cell where the
-/// `--om` backends separate.
+/// deepening the SP positions, and every reader's access-history check
+/// runs `precedes` between two *deep* positions.
 struct FanoutChain {
     k: usize,
 }
@@ -97,9 +93,6 @@ fn main() {
     let mut kmax: usize = 8192;
     let mut json: Option<String> = None;
     let mut json_label: Option<String> = None;
-    // `--om` routes through the one shared parser so this binary accepts
-    // the same spellings as the others.
-    let mut backend = DriveConfig::builder();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -108,23 +101,17 @@ fn main() {
             }
             "--json-out" => json = Some(args.next().expect("missing --json-out path")),
             "--json-label" => json_label = Some(args.next().expect("missing --json-label name")),
-            other => match backend.parse_backend_flag(other, &mut args) {
-                Ok(true) => {}
-                _ => match other.parse() {
-                    Ok(k) => kmax = k,
-                    Err(_) => {
-                        eprintln!(
-                            "usage: k_scaling [kmax] {} [--json] \
-                             [--json-out PATH] [--json-label NAME]",
-                            sfrd_core::DriveConfigBuilder::backend_flag_usage()
-                        );
-                        std::process::exit(2);
-                    }
-                },
+            other => match other.parse() {
+                Ok(k) => kmax = k,
+                Err(_) => {
+                    eprintln!(
+                        "usage: k_scaling [kmax] [--json] [--json-out PATH] [--json-label NAME]"
+                    );
+                    std::process::exit(2);
+                }
             },
         }
     }
-    let om_backend = backend.build().om_backend;
     println!("# k-scaling of reachability construction (reach config, 1 worker)");
     let mut t = Table::new(&["k", "SF (ms)", "F (ms)", "SF bytes", "F bytes", "F/SF"]);
     let mut bench_objects: Vec<Json> = Vec::new();
@@ -136,13 +123,7 @@ fn main() {
         let mut rows: Vec<Json> = Vec::new();
         for (label, kind) in ARMS {
             let w = FutureChain { k };
-            let out = drive(
-                &w,
-                DriveConfig::with(kind, Mode::Reach, 1)
-                    .to_builder()
-                    .om_backend(om_backend)
-                    .build(),
-            );
+            let out = drive(&w, DriveConfig::with(kind, Mode::Reach, 1));
             let rep = out.report.unwrap();
             assert_eq!(rep.counts.futures as usize, k);
             times_ms.push(out.wall.as_secs_f64() * 1e3);
@@ -178,66 +159,41 @@ fn main() {
     }
     print!("{}", t.render());
 
-    // High-k fan-out cells: deep-chain + fan-out readers, SF-Order reach
-    // under BOTH order-maintenance backends. The chain keeps deepening the
-    // SP positions, so this is the `precedes`-depth stress where the `--om`
-    // backends separate (DePa pays longer label compares but zero shared
-    // structure; OmList pays seqlock reads on a shared list).
-    println!("\n# fan-out chain (FAN={FAN} readers per link), SF-Order reach, both --om backends");
-    let mut ft = Table::new(&["k", "om-list (ms)", "depa (ms)", "depa words", "max depth"]);
+    // High-k fan-out cells: deep chain + fan-out readers, SF-Order reach.
+    // The chain keeps deepening the SP positions, so this is the
+    // `precedes`-depth stress.
+    println!("\n# fan-out chain (FAN={FAN} readers per link), SF-Order reach");
+    let mut ft = Table::new(&["k", "SF (ms)"]);
     let mut k = 512;
     while k <= kmax.min(4096) {
-        let mut row = vec![k.to_string()];
-        let mut rows: Vec<Json> = Vec::new();
-        let mut depa_words = 0u64;
-        let mut depa_depth = 0u64;
-        for om in [OmBackend::OmList, OmBackend::DePa] {
-            let w = FanoutChain { k };
-            let out = drive(
-                &w,
-                DriveConfig::with(DetectorKind::SfOrder, Mode::Reach, 1)
-                    .to_builder()
-                    .om_backend(om)
-                    .build(),
-            );
-            let rep = out.report.unwrap();
-            assert_eq!(rep.counts.futures as usize, k);
-            if om == OmBackend::DePa {
-                assert_eq!(rep.metrics.om_global_escalations, 0);
-                assert_eq!(rep.metrics.om_query_retries, 0);
-                depa_words = rep.metrics.depa_label_words;
-                depa_depth = rep.metrics.depa_max_depth;
-            }
-            row.push(format!("{:.2}", out.wall.as_secs_f64() * 1e3));
-            let cell = TimedCell {
-                timing: Timing {
-                    mean: out.wall.as_secs_f64(),
-                    sd: 0.0,
-                },
-                report: Some(rep),
-            };
-            rows.push(cell_json(
-                &format!("SF-Order/reach/{}", om.label()),
-                1,
-                &cell,
-            ));
-        }
-        row.push(depa_words.to_string());
-        row.push(depa_depth.to_string());
-        ft.row(row);
+        let w = FanoutChain { k };
+        let out = drive(&w, DriveConfig::with(DetectorKind::SfOrder, Mode::Reach, 1));
+        let rep = out.report.unwrap();
+        assert_eq!(rep.counts.futures as usize, k);
+        ft.row(vec![
+            k.to_string(),
+            format!("{:.2}", out.wall.as_secs_f64() * 1e3),
+        ]);
+        let cell = TimedCell {
+            timing: Timing {
+                mean: out.wall.as_secs_f64(),
+                sd: 0.0,
+            },
+            report: Some(rep),
+        };
         bench_objects.push(
             Json::obj()
                 .field("bench", format!("fanout_chain_k{k}"))
                 .field("work", (k * FAN) as u64)
                 .field("span", k as u64)
                 .field("parallelism", FAN as f64)
-                .field("rows", rows),
+                .field("rows", vec![cell_json("SF-Order/reach", 1, &cell)]),
         );
         k *= 2;
     }
     print!("{}", ft.render());
 
-    // The same construct stream through `SpOrder` alone (OmList backend):
+    // The same construct stream through `SpOrder` alone:
     // what each inserted position cost the two lists in rewritten keys.
     println!("\n# om relabeled_slots / inserts (fan-out chain through SpOrder::fork/sync)");
     let mut ot = Table::new(&["k", "inserts", "relabeled_slots", "per insert"]);

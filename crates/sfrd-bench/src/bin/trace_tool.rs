@@ -12,8 +12,8 @@
 //! trace_tool analyze /tmp/sw.trace
 //! trace_tool analyze /tmp/sw.journal
 //!
-//! # Replay a journal into a detector (same backend flag everywhere):
-//! trace_tool detect /tmp/sw.journal --detector sf --om list
+//! # Replay a journal into a detector:
+//! trace_tool detect /tmp/sw.journal --detector sf
 //! ```
 //!
 //! Text-trace analysis uses the brute-force oracle, so it is exact but
@@ -29,26 +29,21 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use sfrd_core::{
-    DriveConfig, DriveConfigBuilder, EngineConfig, FoDetector, MbDetector, RaceReport,
-    RecordingHooks, SfDetector, Workload,
+    EngineConfig, FoDetector, MbDetector, RaceReport, RecordingHooks, SfDetector, Workload,
 };
 use sfrd_dag::{read_trace, write_trace, RecordedProgram};
 use sfrd_runtime::{run_sequential, Batched};
 use sfrd_trace::{is_journal, replay_journal, JournalHooks, JournalReader, JournalWriter};
 use sfrd_workloads::{make_bench, Scale, BENCH_NAMES};
 
-fn usage() -> String {
-    format!(
-        "usage:\n  trace_tool record <bench> <file> [--scale small|medium|paper] [--journal]\n  \
-         trace_tool analyze <file>\n  \
-         trace_tool detect <file> [--detector sf|f|mb] {}",
-        DriveConfigBuilder::backend_flag_usage()
-    )
-}
+const USAGE: &str =
+    "usage:\n  trace_tool record <bench> <file> [--scale small|medium|paper] [--journal]\n  \
+     trace_tool analyze <file>\n  \
+     trace_tool detect <file> [--detector sf|f|mb]";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("trace_tool: {msg}");
-    eprintln!("{}", usage());
+    eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
 
@@ -202,7 +197,7 @@ fn analyze_journal(bytes: &[u8]) -> Result<(), sfrd_trace::JournalError> {
     println!("{events} events: {strands} strands, {batches} access batches, {accesses} accesses");
     // Where those accesses would go: replay once through SF-Order with
     // every default and show the access-path census.
-    let cfg = EngineConfig::from(&DriveConfig::builder().build());
+    let cfg = EngineConfig::default();
     let mut om_rewrites = (0, 0, 0.0);
     let report = replay_report(bytes, SfDetector::from_config(&cfg), |d| {
         om_rewrites = sfrd_bench::om_rewrites_per_insert(d.reach().sp_order());
@@ -274,7 +269,6 @@ fn detect(args: &[String]) -> ExitCode {
         return fail("detect: missing file");
     };
     let mut detector = "sf".to_string();
-    let mut backend = DriveConfig::builder();
     let mut rest = args[1..].iter().cloned();
     while let Some(a) = rest.next() {
         match a.as_str() {
@@ -284,14 +278,10 @@ fn detect(args: &[String]) -> ExitCode {
                     None => return fail("missing value for --detector"),
                 }
             }
-            flag => match backend.parse_backend_flag(flag, &mut rest) {
-                Ok(true) => {}
-                Ok(false) => return fail(&format!("detect: unknown flag {flag:?}")),
-                Err(e) => return fail(&e),
-            },
+            flag => return fail(&format!("detect: unknown flag {flag:?}")),
         }
     }
-    let cfg = EngineConfig::from(&backend.build());
+    let cfg = EngineConfig::default();
     let (bytes, binary) = match sniff(path) {
         Ok(x) => x,
         Err(e) => return fail(&e),

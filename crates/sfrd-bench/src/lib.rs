@@ -23,8 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sfrd_core::{
-    drive, DetectorKind, DriveConfig, DriveConfigBuilder, Mode, OmBackend, Outcome, RaceReport,
-    RecordingHooks, Workload,
+    drive, DetectorKind, DriveConfig, Mode, Outcome, RaceReport, RecordingHooks, Workload,
 };
 use sfrd_runtime::run_sequential;
 use sfrd_workloads::{make_bench, AnyBench, Scale, BENCH_NAMES};
@@ -47,9 +46,6 @@ pub struct HarnessArgs {
     pub json: Option<String>,
     /// Snapshot label recorded in the JSON trajectory (`--json-label`).
     pub json_label: Option<String>,
-    /// Order-maintenance backend (`--om list|depa`, alias `--om-backend`;
-    /// default the shared two-level list).
-    pub om_backend: OmBackend,
 }
 
 impl HarnessArgs {
@@ -68,9 +64,6 @@ impl HarnessArgs {
         let mut reps = 1usize;
         let mut json = None;
         let mut json_label = None;
-        // Backend flags route through the one shared parser so every
-        // binary accepts the same spellings.
-        let mut backend = DriveConfig::builder();
         let mut args = args.into_iter();
         // `--workers` / `--reps`: a count of at least one.
         let count = |flag: &str, v: Option<String>| {
@@ -105,11 +98,7 @@ impl HarnessArgs {
                     json_label = Some(args.next().ok_or("missing --json-label name")?)
                 }
                 "--help" | "-h" => return Err(String::new()),
-                other => {
-                    if !backend.parse_backend_flag(other, &mut args)? {
-                        return Err(format!("unknown flag {other:?}"));
-                    }
-                }
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
         if benches.is_empty() {
@@ -122,16 +111,7 @@ impl HarnessArgs {
             reps,
             json,
             json_label,
-            om_backend: backend.build().om_backend,
         })
-    }
-
-    /// A detector configuration honoring the harness's backend selection.
-    pub fn cfg(&self, kind: DetectorKind, mode: Mode, workers: usize) -> DriveConfig {
-        DriveConfig::with(kind, mode, workers)
-            .to_builder()
-            .om_backend(self.om_backend)
-            .build()
     }
 }
 
@@ -141,9 +121,8 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--scale small|medium|paper] [--workers N] [--reps N] \
-         [--bench mm|sort|sw|hw|ferret]... {} [--json] [--json-out PATH] \
-         [--json-label NAME]",
-        DriveConfigBuilder::backend_flag_usage()
+         [--bench mm|sort|sw|hw|ferret]... [--json] [--json-out PATH] \
+         [--json-label NAME]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -253,9 +232,6 @@ pub fn report_json(rep: &RaceReport) -> Json {
         .field("om_group_locks", rep.metrics.om_group_locks)
         .field("om_global_escalations", rep.metrics.om_global_escalations)
         .field("om_query_retries", rep.metrics.om_query_retries)
-        .field("depa_label_words", rep.metrics.depa_label_words)
-        .field("depa_spills", rep.metrics.depa_spills)
-        .field("depa_max_depth", rep.metrics.depa_max_depth)
         .field("shadow_fast_hits", rep.metrics.shadow_fast_hits)
         .field("shadow_cas_retries", rep.metrics.shadow_cas_retries)
         .field("page_allocs", rep.metrics.page_allocs)
@@ -481,16 +457,12 @@ mod tests {
     }
 
     #[test]
-    fn only_the_om_backend_flag_survives() {
-        let err = parse(&["--shadow", "paged"]).unwrap_err();
-        assert!(
-            err.contains("unknown flag") && err.contains("--shadow"),
-            "{err}"
-        );
-        let args = parse(&["--om", "depa", "--bench", "sw"]).unwrap();
-        assert_eq!(args.om_backend, OmBackend::DePa);
-        assert_eq!(args.benches, ["sw"]);
-        assert!(parse(&["--om", "bogus"]).is_err());
+    fn no_backend_flag_survives() {
+        for flag in ["--shadow", "--om"] {
+            let err = parse(&[flag, "list", "--bench", "sw"]).unwrap_err();
+            assert!(err.contains("unknown flag") && err.contains(flag), "{err}");
+        }
+        assert_eq!(parse(&["--bench", "sw"]).unwrap().benches, ["sw"]);
     }
 
     #[test]

@@ -2,21 +2,15 @@
 //! fluent [`DriveConfig`] builder.
 //!
 //! Configuration is the paper's axes and nothing else: the detector,
-//! `reach` vs `full`, the §3.5/§4 reader policy, how to run (workers /
-//! sequential), and the order-maintenance backend (the one engineering
-//! decision still open — see ROADMAP).
+//! `reach` vs `full`, the §3.5/§4 reader policy, and how to run (workers /
+//! sequential).
 //!
 //! * [`EngineConfig`] — everything a detector constructor needs, as one
 //!   `#[non_exhaustive]` struct with fluent setters. Detectors take it via
 //!   `from_config(&EngineConfig)`; `X::new(..)` covers the defaults.
 //! * [`DriveConfigBuilder`] — the fluent builder behind
-//!   [`DriveConfig::builder`], plus [`parse_backend_flag`]
-//!   (`DriveConfigBuilder::parse_backend_flag`) so `--om list|depa` (alias
-//!   `--om-backend`) is parsed in exactly one place and every binary
-//!   (`fig4_times`, `fig5_memory`, `k_scaling`, `trace_tool`,
-//!   `sfrd-serve`) accepts the same spellings.
+//!   [`DriveConfig::builder`].
 
-use sfrd_om::OmBackend;
 use sfrd_shadow::ReaderPolicy;
 
 use crate::detectors::Mode;
@@ -34,8 +28,6 @@ pub struct EngineConfig {
     /// Reader-retention policy of the access history (SF-Order and
     /// WSP-Order honor it; F-Order and MultiBags are always `All`).
     pub policy: ReaderPolicy,
-    /// Order-maintenance backend (`OmList` shared list or DePa labels).
-    pub om_backend: OmBackend,
 }
 
 impl Default for EngineConfig {
@@ -43,7 +35,6 @@ impl Default for EngineConfig {
         Self {
             mode: Mode::Full,
             policy: ReaderPolicy::All,
-            om_backend: OmBackend::default(),
         }
     }
 }
@@ -69,12 +60,6 @@ impl EngineConfig {
         self.policy = policy;
         self
     }
-
-    /// Set the order-maintenance backend.
-    pub fn om_backend(mut self, om_backend: OmBackend) -> Self {
-        self.om_backend = om_backend;
-        self
-    }
 }
 
 impl From<&DriveConfig> for EngineConfig {
@@ -82,7 +67,6 @@ impl From<&DriveConfig> for EngineConfig {
         Self {
             mode: cfg.mode,
             policy: cfg.policy,
-            om_backend: cfg.om_backend,
         }
     }
 }
@@ -153,45 +137,9 @@ impl DriveConfigBuilder {
         self
     }
 
-    /// Order-maintenance backend.
-    pub fn om_backend(mut self, om_backend: OmBackend) -> Self {
-        self.cfg.om_backend = om_backend;
-        self
-    }
-
     /// Finish the configuration.
     pub fn build(self) -> DriveConfig {
         self.cfg
-    }
-
-    /// The shared backend-flag parser: every binary routes unmatched flags
-    /// here so `--om` (alias `--om-backend`) is spelled and validated in
-    /// exactly one place — [`OmBackend::parse`] is the single source of
-    /// truth for its value set.
-    ///
-    /// Returns `Ok(true)` when `flag` was recognized (its value consumed
-    /// from `args`), `Ok(false)` when it is not a backend flag (nothing
-    /// consumed), and `Err` with a usage message on a missing or bad value.
-    pub fn parse_backend_flag(
-        &mut self,
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        if !matches!(flag, "--om" | "--om-backend") {
-            return Ok(false);
-        }
-        let v = args
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))?;
-        self.cfg.om_backend =
-            OmBackend::parse(&v).ok_or_else(|| format!("bad {flag} {v:?} (list|depa)"))?;
-        Ok(true)
-    }
-
-    /// Usage fragment documenting the flags [`parse_backend_flag`]
-    /// (`Self::parse_backend_flag`) accepts, for the binaries' `--help`.
-    pub fn backend_flag_usage() -> &'static str {
-        "[--om list|depa]"
     }
 }
 
@@ -205,12 +153,10 @@ mod tests {
             .detector(DetectorKind::SfOrder)
             .mode(Mode::Reach)
             .policy(ReaderPolicy::PerFutureLR)
-            .om_backend(OmBackend::DePa)
             .build();
         let ec = EngineConfig::from(&cfg);
         assert_eq!(ec.mode, Mode::Reach);
         assert_eq!(ec.policy, ReaderPolicy::PerFutureLR);
-        assert_eq!(ec.om_backend, OmBackend::DePa);
         assert_eq!(ec.with_mode(Mode::Full).mode, Mode::Full);
     }
 
@@ -223,7 +169,6 @@ mod tests {
         assert_eq!(b.workers, base.workers);
         assert_eq!(b.sequential, base.sequential);
         assert_eq!(b.policy, base.policy);
-        assert_eq!(b.om_backend, base.om_backend);
     }
 
     #[test]
@@ -247,33 +192,5 @@ mod tests {
         let again = cfg.to_builder().build();
         assert_eq!(cfg.detector, again.detector);
         assert_eq!(cfg.workers, again.workers);
-    }
-
-    #[test]
-    fn om_flag_alias_selects_either_backend() {
-        for (value, expect) in [
-            ("list", OmBackend::OmList),
-            ("om-list", OmBackend::OmList),
-            ("depa", OmBackend::DePa),
-        ] {
-            for flag in ["--om", "--om-backend"] {
-                let mut b = DriveConfig::builder();
-                let values = [value];
-                let mut args = values.iter().map(|s| s.to_string());
-                assert_eq!(b.parse_backend_flag(flag, &mut args), Ok(true));
-                assert_eq!(b.build().om_backend, expect, "{flag} {value}");
-            }
-        }
-        let mut b = DriveConfig::builder();
-        let mut args = ["bogus"].iter().map(|s| s.to_string());
-        assert!(b.parse_backend_flag("--om", &mut args).is_err());
-    }
-
-    #[test]
-    fn shared_flag_parser_rejects_bad_values_without_panicking() {
-        let mut b = DriveConfig::builder();
-        let mut empty = std::iter::empty::<String>();
-        assert!(b.parse_backend_flag("--om", &mut empty).is_err());
-        assert_eq!(b.parse_backend_flag("--workers", &mut empty), Ok(false));
     }
 }

@@ -22,7 +22,6 @@
 
 use parking_lot::Mutex;
 
-use sfrd_om::OmBackend;
 use sfrd_reach::{
     FoReach, FoStrand, MbPos, MbReach, MbStrand, SetStatsSnapshot, SfPos, SfReach, SfStrand,
     StrandPos,
@@ -91,8 +90,8 @@ impl<H: sfrd_runtime::TaskHooks> sfrd_runtime::TaskHooks for ReachOnly<H> {
 pub struct SfEngine(pub(crate) SfReach);
 
 impl SfEngine {
-    fn new(om_backend: OmBackend) -> (Self, SfStrand) {
-        let (reach, root) = SfReach::with_backend(om_backend);
+    fn new() -> (Self, SfStrand) {
+        let (reach, root) = SfReach::new();
         (Self(reach), root)
     }
 }
@@ -153,10 +152,10 @@ impl SfDetector {
     /// every field: `policy` selects the §3.5 bounded reader set or the
     /// ship-it-all variant the paper's implementation uses.
     pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(SfEngine::new(cfg.om_backend), cfg.mode, cfg.policy)
+        EventSink::build(SfEngine::new(), cfg.mode, cfg.policy)
     }
 
-    /// Build a one-shot detector on the default order-maintenance backend.
+    /// Build a one-shot detector.
     pub fn new(mode: Mode, policy: ReaderPolicy) -> Self {
         Self::from_config(&EngineConfig::new(mode).policy(policy))
     }
@@ -173,8 +172,8 @@ impl SfDetector {
 pub struct FoEngine(pub(crate) FoReach);
 
 impl FoEngine {
-    fn new(om_backend: OmBackend) -> (Self, FoStrand) {
-        let (reach, root) = FoReach::with_backend(om_backend);
+    fn new() -> (Self, FoStrand) {
+        let (reach, root) = FoReach::new();
         (Self(reach), root)
     }
 }
@@ -228,10 +227,10 @@ impl FoDetector {
     /// Build a one-shot detector from an [`EngineConfig`]. F-Order cannot
     /// bound readers: the policy is always [`ReaderPolicy::All`].
     pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(FoEngine::new(cfg.om_backend), cfg.mode, ReaderPolicy::All)
+        EventSink::build(FoEngine::new(), cfg.mode, ReaderPolicy::All)
     }
 
-    /// Build a one-shot detector on the default order-maintenance backend.
+    /// Build a one-shot detector.
     pub fn new(mode: Mode) -> Self {
         Self::from_config(&EngineConfig::new(mode))
     }

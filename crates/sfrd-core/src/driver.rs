@@ -4,7 +4,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sfrd_om::OmBackend;
 use sfrd_runtime::{run_sequential, Cx, NullHooks, PoolStats, Runtime};
 use sfrd_shadow::ReaderPolicy;
 
@@ -55,11 +54,6 @@ pub struct DriveConfig {
     pub sequential: bool,
     /// Reader policy for SF-Order's access history.
     pub policy: ReaderPolicy,
-    /// Which order-maintenance backend the reachability engines keep their
-    /// English/Hebrew total orders in: the shared two-level `OmList`
-    /// (default) or the DePa fork-local packed-label backend, which is
-    /// escalation- and retry-free by construction.
-    pub om_backend: OmBackend,
 }
 
 impl DriveConfig {
@@ -77,7 +71,6 @@ impl DriveConfig {
             workers,
             sequential: matches!(detector, DetectorKind::MultiBags),
             policy: ReaderPolicy::All,
-            om_backend: OmBackend::default(),
         }
     }
 
@@ -261,7 +254,6 @@ mod tests {
             sf2.to_builder()
                 .policy(sfrd_shadow::ReaderPolicy::PerFutureLR)
                 .build(),
-            sf2.to_builder().om_backend(OmBackend::DePa).build(),
             DriveConfig::with(DetectorKind::FOrder, Mode::Full, 1),
             DriveConfig::with(DetectorKind::FOrder, Mode::Full, 2),
             DriveConfig::with(DetectorKind::MultiBags, Mode::Full, 1),

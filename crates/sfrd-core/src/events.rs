@@ -187,9 +187,6 @@ impl<E: ReachEngine> EventSink<E> {
                     om_group_locks: om.group_locks,
                     om_global_escalations: om.global_escalations,
                     om_query_retries: om.query_retries,
-                    depa_label_words: om.depa_label_words,
-                    depa_spills: om.depa_spills,
-                    depa_max_depth: om.depa_max_depth,
                     shadow_fast_hits: self.history.as_ref().map_or(0, |h| h.fast_hits()),
                     shadow_cas_retries: self.history.as_ref().map_or(0, |h| h.cas_retries()),
                     page_allocs: self.history.as_ref().map_or(0, |h| h.page_allocs()),

@@ -62,7 +62,6 @@ pub use shared::{ShadowArray, ShadowCell, ShadowMatrix, Word};
 pub use wsp::{WspDetector, WspEngine, WspStrand};
 
 // Re-exports so downstream users need only this crate.
-pub use sfrd_om::OmBackend;
 pub use sfrd_reach::SetStatsSnapshot;
 pub use sfrd_runtime::{BatchStats, Batched, Cx, FutureHandle, NullHooks, Runtime, TaskHooks};
 pub use sfrd_shadow::ReaderPolicy;

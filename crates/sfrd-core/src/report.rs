@@ -193,13 +193,6 @@ pub struct MetricsSnapshot {
     pub om_global_escalations: u64,
     /// OM order-query seqlock retries.
     pub om_query_retries: u64,
-    /// DePa backend: 64-bit label words allocated across both orders
-    /// (inline + spilled); 0 under the `OmList` backend.
-    pub depa_label_words: u64,
-    /// DePa backend: spill-chunk operations past the inline depth budget.
-    pub depa_spills: u64,
-    /// DePa backend: maximum label depth in bits observed at fork time.
-    pub depa_max_depth: u64,
     /// Shadow reads completed on the zero-store fast path.
     pub shadow_fast_hits: u64,
     /// Shadow per-slot seqlock CAS retries plus fast-path snapshot

@@ -30,8 +30,8 @@ pub struct WspStrand {
 pub struct WspEngine(pub(crate) SpOrder);
 
 impl WspEngine {
-    fn new(om_backend: sfrd_om::OmBackend) -> (Self, WspStrand) {
-        let (sp, root) = SpOrder::with_backend(om_backend);
+    fn new() -> (Self, WspStrand) {
+        let (sp, root) = SpOrder::new();
         (Self(sp), WspStrand { sp: root })
     }
 }
@@ -92,13 +92,12 @@ pub type WspDetector = EventSink<WspEngine>;
 impl WspDetector {
     /// Build a one-shot detector from an [`EngineConfig`].
     pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(WspEngine::new(cfg.om_backend), cfg.mode, cfg.policy)
+        EventSink::build(WspEngine::new(), cfg.mode, cfg.policy)
     }
 
-    /// Build a one-shot detector on the default order-maintenance backend.
-    /// The classic WSP-Order access history is the leftmost/rightmost pair
-    /// — [`ReaderPolicy::PerFutureLR`] with a single "future" (the whole
-    /// SP-dag) degenerates to exactly that.
+    /// Build a one-shot detector. The classic WSP-Order access history is
+    /// the leftmost/rightmost pair — [`ReaderPolicy::PerFutureLR`] with a
+    /// single "future" (the whole SP-dag) degenerates to exactly that.
     pub fn new(mode: Mode, policy: ReaderPolicy) -> Self {
         Self::from_config(&EngineConfig::new(mode).policy(policy))
     }

@@ -373,14 +373,19 @@ mod tests {
             let a = Arc::clone(&arena);
             let s = Arc::clone(&stop);
             std::thread::spawn(move || {
+                let mut seen = 0;
                 while s.load(Ordering::Relaxed) == 0 {
                     let len = a.len();
-                    if len > 0 {
-                        // Slots hold writer-tagged values; all must be
-                        // readable (i.e. initialized) up to len.
-                        let i = len - 1;
-                        assert!(*a.get(i) < WRITERS * PER + WRITERS);
+                    if len == seen {
+                        // Nothing new: give the core to the writer whose
+                        // turn it is to publish (as `push`'s wait does).
+                        std::thread::yield_now();
+                        continue;
                     }
+                    seen = len;
+                    // Slots hold writer-tagged values; all must be
+                    // readable (i.e. initialized) up to len.
+                    assert!(*a.get(len - 1) < WRITERS * PER + WRITERS);
                 }
             })
         };

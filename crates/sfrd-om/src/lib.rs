@@ -49,47 +49,7 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod depa;
 mod list;
-mod order;
 
 pub use arena::AppendArena;
-pub use depa::DepaList;
 pub use list::{OmHandle, OmList, OmStats};
-pub use order::OmOrder;
-
-/// Which order-maintenance implementation backs the English/Hebrew total
-/// orders: the two-level group-local [`OmList`] (shared structure, global
-/// lock on the geometrically-rare escalations, seqlock queries) or the
-/// DePa fork-local path-label [`DepaList`] (immutable labels computed at
-/// fork time, no shared structure, escalation- and retry-free by
-/// construction). [`OmOrder`] dispatches over the two at runtime.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum OmBackend {
-    /// The two-level group-local list in this crate (the default).
-    #[default]
-    OmList,
-    /// The DePa fork-local path-label backend.
-    DePa,
-}
-
-impl OmBackend {
-    /// Short flag-style name.
-    pub fn label(self) -> &'static str {
-        match self {
-            OmBackend::OmList => "om-list",
-            OmBackend::DePa => "depa",
-        }
-    }
-
-    /// Parse a flag value (`om-list`/`list` or `depa`); `None` for
-    /// unknown names.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "om-list" | "list" => Some(OmBackend::OmList),
-            "depa" => Some(OmBackend::DePa),
-            _ => None,
-        }
-    }
-}

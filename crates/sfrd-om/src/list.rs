@@ -237,13 +237,6 @@ pub struct OmStats {
     /// maintenance work per insert, the quantity the amortized-O(1) bound
     /// is about; `relabels + splits + respreads` only counts passes.
     pub relabeled_slots: u64,
-    /// DePa backend: total 64-bit label words allocated (inline + spilled).
-    pub depa_label_words: u64,
-    /// DePa backend: spill-chunk operations (extension-word appends and
-    /// copy-and-double reallocations) past the inline depth budget.
-    pub depa_spills: u64,
-    /// DePa backend: maximum label depth (bits) observed at publish time.
-    pub depa_max_depth: u64,
 }
 
 impl OmStats {
@@ -258,9 +251,6 @@ impl OmStats {
             splits: self.splits + other.splits,
             respreads: self.respreads + other.respreads,
             relabeled_slots: self.relabeled_slots + other.relabeled_slots,
-            depa_label_words: self.depa_label_words + other.depa_label_words,
-            depa_spills: self.depa_spills + other.depa_spills,
-            depa_max_depth: self.depa_max_depth.max(other.depa_max_depth),
         }
     }
 
@@ -385,7 +375,6 @@ impl OmList {
             splits: self.counters.splits.load(Ordering::Relaxed),
             respreads: self.counters.respreads.load(Ordering::Relaxed),
             relabeled_slots: self.counters.relabeled_slots.load(Ordering::Relaxed),
-            ..OmStats::default()
         }
     }
 

@@ -1,8 +1,8 @@
 //! Model-checked order-maintenance protocols (`--cfg sfrd_model`).
 //!
-//! Both backends route every atomic through the `sfrd_runtime::sync`
-//! facade, so the in-crate deterministic-interleaving model checker can
-//! drive the *real* implementations through ≥1000 seeded SC schedules:
+//! `OmList` routes every atomic through the `sfrd_runtime::sync` facade,
+//! so the in-crate deterministic-interleaving model checker can drive the
+//! *real* implementation through ≥1000 seeded SC schedules:
 //!
 //! * **OmList seqlock**: a writer pushes the head group over its label
 //!   gap / `GROUP_MAX` budget mid-schedule, forcing an escalated relabel
@@ -16,20 +16,16 @@
 //!   section also rewrites *group* labels — of groups the chain's items
 //!   live in. A three-bit group-label space (test fixture) brings that on
 //!   at the third split at one spot instead of the sixty-fourth.
-//! * **DePa lock-freedom**: concurrent same-anchor runs (racing the
-//!   ticket counter) and a concurrent querier, with the model's mutex
-//!   census asserting ZERO lock acquisitions — the `global_escalations
-//!   == 0` claim held structurally, not statistically.
 //!
 //! Honesty: the model preempts only at facade operations, so this checks
-//! the protocols (seqlock write-section discipline, ticket-CAS publish
-//! order), not hardware-level tearing — the release-mode stress tests in
-//! `om_concurrent.rs` cover real parallel hardware.
+//! the protocol (seqlock write-section discipline), not hardware-level
+//! tearing — the release-mode stress tests in `om_concurrent.rs` cover
+//! real parallel hardware.
 #![cfg(sfrd_model)]
 
 use std::sync::Arc;
 
-use sfrd_om::{OmBackend, OmList, OmOrder};
+use sfrd_om::OmList;
 use sfrd_runtime::model::{self, Config};
 
 /// Serial prefix: enough head inserts that the concurrent phase's next
@@ -47,7 +43,7 @@ fn omlist_relabels_never_tear_queries() {
         ..Config::default()
     };
     let report = model::explore(cfg, || {
-        let (om, base) = OmOrder::new(OmBackend::OmList);
+        let (om, base) = OmList::new();
         let om = Arc::new(om);
         // A verification chain base < c0 < c1 < c2 built away from the
         // hammer point (after the current head-insert pile-up).
@@ -196,80 +192,5 @@ fn omlist_range_relabels_never_tear_queries() {
     assert!(
         retries.load(std::sync::atomic::Ordering::Relaxed) > 0,
         "no schedule overlapped a query with the relabel's write section"
-    );
-}
-
-#[test]
-fn depa_concurrent_runs_take_zero_locks() {
-    let cfg = Config {
-        schedules: 1000,
-        ..Config::default()
-    };
-    let report = model::explore(cfg, || {
-        let (om, base) = OmOrder::new(OmBackend::DePa);
-        let om = Arc::new(om);
-        let mut chain = vec![base];
-        let mut last = base;
-        for _ in 0..3 {
-            last = om.insert_after(last);
-            chain.push(last);
-        }
-
-        // Two writers race runs after the SAME anchor (ticket contention)
-        // and extend private chains; a reader queries throughout.
-        let writers: Vec<_> = (0..2)
-            .map(|_| {
-                let om = Arc::clone(&om);
-                model::spawn(move || {
-                    let first = om.insert_after(base);
-                    let [a, b] = om.insert_n_after::<2>(first);
-                    (first, a, b)
-                })
-            })
-            .collect();
-        let reader = {
-            let om = Arc::clone(&om);
-            let chain = chain.clone();
-            model::spawn(move || {
-                for _ in 0..3 {
-                    for w in chain.windows(2) {
-                        assert!(om.precedes(w[0], w[1]));
-                        assert!(!om.precedes(w[1], w[0]));
-                    }
-                }
-            })
-        };
-        let runs: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
-        reader.join();
-
-        // Each writer's run is internally ordered and nested after base,
-        // before the pre-built chain's first element.
-        for &(first, a, b) in &runs {
-            assert!(om.precedes(base, first));
-            assert!(om.precedes(first, a));
-            assert!(om.precedes(a, b));
-            assert!(om.precedes(b, chain[1]));
-        }
-        // The racing tickets landed in distinct slots: a total order.
-        let (f0, f1) = (runs[0].0, runs[1].0);
-        assert!(
-            om.precedes(f0, f1) != om.precedes(f1, f0),
-            "tickets collided"
-        );
-
-        let stats = om.stats();
-        assert_eq!(stats.global_escalations, 0, "{stats:?}");
-        assert_eq!(stats.query_retries, 0, "{stats:?}");
-        assert_eq!(stats.group_locks, 0, "{stats:?}");
-    });
-    assert_eq!(report.schedules, cfg.schedules);
-    assert!(
-        report.schedules >= 1000,
-        "acceptance floor: >=1000 schedules"
-    );
-    assert_eq!(report.truncated, 0, "schedules must run to completion");
-    assert_eq!(
-        report.lock_ops, 0,
-        "DePa inserts and queries must take zero mutex acquisitions"
     );
 }

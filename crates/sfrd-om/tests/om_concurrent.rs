@@ -1,16 +1,9 @@
-//! Threaded stress tests for both order-maintenance backends: concurrent
-//! inserters + concurrent lock-free queriers, validated against a
-//! total-order oracle rebuilt from the final list.
+//! Threaded stress tests for `OmList`: concurrent inserters + concurrent
+//! lock-free queriers, validated against a total-order oracle rebuilt
+//! from the final list.
 //!
-//! The `OmList` cells force group splits and group-label range relabels
-//! (hammered at one spot, and at a moving front shaped like SP-Order's
-//! fork stream); the
-//! DePa cells exercise the fork-local label scheme (run tickets under
-//! contention, spill chains on deep labels) and additionally assert the
-//! structural guarantees `global_escalations == 0` and
-//! `query_retries == 0`. DePa cells run with smaller counts: repeated
-//! same-anchor runs grow labels linearly in the ticket, so the oracle
-//! workloads are quadratic in total label bits.
+//! The cells force group splits and group-label range relabels (hammered
+//! at one spot, and at a moving front shaped like SP-Order's fork stream).
 //!
 //! Run in release mode (CI does): debug-mode atomics make the seqlock
 //! windows so long that the schedules stop resembling production.
@@ -19,12 +12,12 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use sfrd_om::{OmBackend, OmHandle, OmOrder};
+use sfrd_om::{OmHandle, OmList};
 
 /// Rank oracle: handle → position in the list's true total order, read
 /// out *after* all writers joined. `order()` answers must agree with rank
 /// comparison for every pair.
-fn rank_oracle(om: &OmOrder) -> BTreeMap<usize, usize> {
+fn rank_oracle(om: &OmList) -> BTreeMap<usize, usize> {
     om.iter_order()
         .into_iter()
         .enumerate()
@@ -32,11 +25,7 @@ fn rank_oracle(om: &OmOrder) -> BTreeMap<usize, usize> {
         .collect()
 }
 
-fn assert_order_matches_oracle(
-    om: &OmOrder,
-    handles: &[OmHandle],
-    oracle: &BTreeMap<usize, usize>,
-) {
+fn assert_order_matches_oracle(om: &OmList, handles: &[OmHandle], oracle: &BTreeMap<usize, usize>) {
     let n = handles.len();
     let step = (n / 64).max(1);
     for i in (0..n).step_by(step) {
@@ -59,11 +48,13 @@ fn assert_order_matches_oracle(
 /// threads verify a fixed chain; afterwards every thread's chain must be
 /// contiguous in rank space between its anchors and all pairwise orders
 /// must match the oracle.
-fn concurrent_inserters(backend: OmBackend, per: usize) {
+#[test]
+fn concurrent_inserters_match_rank_oracle() {
     const WRITERS: usize = 4;
     const READERS: usize = 2;
+    const PER: usize = 8_000;
 
-    let (om, base) = OmOrder::new(backend);
+    let (om, base) = OmList::new();
     let om = Arc::new(om);
     // Anchors: base < a0 < a1 < a2 < a3, built serially.
     let mut anchors = Vec::with_capacity(WRITERS);
@@ -97,7 +88,7 @@ fn concurrent_inserters(backend: OmBackend, per: usize) {
             std::thread::spawn(move || {
                 let mut chain = vec![anchor];
                 let mut cur = anchor;
-                for i in 0..per {
+                for i in 0..PER {
                     // Mix single inserts with combined runs, like
                     // SpOrder::fork does.
                     match i % 3 {
@@ -158,49 +149,29 @@ fn concurrent_inserters(backend: OmBackend, per: usize) {
     assert_order_matches_oracle(&om, &sample, &oracle);
 
     let stats = om.stats();
-    match backend {
-        OmBackend::OmList => {
-            assert!(stats.splits > 0, "32k inserts must split groups: {stats:?}");
-            assert!(
-                stats.fast_inserts > stats.global_escalations,
-                "fast path must dominate: {stats:?}"
-            );
-            assert!(
-                stats.group_locks >= stats.fast_inserts,
-                "every fast insert holds a group lock: {stats:?}"
-            );
-        }
-        _ => {
-            assert_eq!(stats.global_escalations, 0, "{stats:?}");
-            assert_eq!(stats.query_retries, 0, "{stats:?}");
-            assert_eq!(stats.group_locks, 0, "{stats:?}");
-            assert!(stats.depa_max_depth > 64, "deep chains spill: {stats:?}");
-        }
-    }
+    assert!(stats.splits > 0, "32k inserts must split groups: {stats:?}");
+    assert!(
+        stats.fast_inserts > stats.global_escalations,
+        "fast path must dominate: {stats:?}"
+    );
+    assert!(
+        stats.group_locks >= stats.fast_inserts,
+        "every fast insert holds a group lock: {stats:?}"
+    );
 }
 
+/// All writers hammer the SAME position (right after the base element):
+/// maximal group-lock contention, geometric label-gap exhaustion, forced
+/// splits of the head group, and forced group-label respreads (the head
+/// group's neighbour gap halves at every split). Query threads must never
+/// observe the verification chain out of order.
 #[test]
-fn concurrent_inserters_match_rank_oracle() {
-    concurrent_inserters(OmBackend::OmList, 8_000);
-}
-
-#[test]
-fn depa_concurrent_inserters_match_rank_oracle() {
-    concurrent_inserters(OmBackend::DePa, 2_000);
-}
-
-/// All writers hammer the SAME position (right after the base element).
-/// OmList: maximal group-lock contention, geometric label-gap exhaustion,
-/// forced splits of the head group, and forced group-label respreads (the
-/// head group's neighbour gap halves at every split). DePa: the
-/// run-ticket counter is the only shared word — every concurrent run after
-/// the same parent must land in a distinct, totally ordered slot. Query
-/// threads must never observe the verification chain out of order.
-fn head_hammer(backend: OmBackend, per: usize) {
+fn head_hammer_forces_splits_and_respreads_under_queries() {
     const WRITERS: usize = 4;
     const READERS: usize = 2;
+    const PER: usize = 8_000;
 
-    let (om, base) = OmOrder::new(backend);
+    let (om, base) = OmList::new();
     let om = Arc::new(om);
     let mut chain = vec![base];
     let mut last = base;
@@ -230,46 +201,30 @@ fn head_hammer(backend: OmBackend, per: usize) {
         .map(|_| {
             let om = Arc::clone(&om);
             std::thread::spawn(move || {
-                let mut mine = Vec::with_capacity(per);
-                for _ in 0..per {
-                    mine.push(om.insert_after(base));
+                for _ in 0..PER {
+                    om.insert_after(base);
                 }
-                mine
             })
         })
         .collect();
-    let per_writer: Vec<Vec<OmHandle>> = writers.into_iter().map(|t| t.join().unwrap()).collect();
+    for w in writers {
+        w.join().unwrap();
+    }
     stop.store(true, Ordering::Relaxed);
     for r in readers {
         r.join().unwrap();
     }
 
-    assert_eq!(om.len(), 1 + 12 + WRITERS * per);
+    assert_eq!(om.len(), 1 + 12 + WRITERS * PER);
     let stats = om.stats();
-    match backend {
-        OmBackend::OmList => {
-            assert!(stats.splits > 0, "head hammering must split: {stats:?}");
-            assert!(
-                stats.respreads > 0,
-                "repeated head splits must exhaust group-label gaps: {stats:?}"
-            );
-            // (item-level `relabels` may legitimately stay 0 here: splits
-            // respace the head group's labels every ~GROUP_MAX/2 inserts,
-            // well before 63 geometric halvings can exhaust a fresh gap.)
-        }
-        _ => {
-            assert_eq!(stats.global_escalations, 0, "{stats:?}");
-            assert_eq!(stats.query_retries, 0, "{stats:?}");
-            // A later same-anchor run (higher ticket) precedes every
-            // earlier one — verify per writer, whose handles are in
-            // ticket order.
-            for mine in &per_writer {
-                for w in mine.windows(2) {
-                    assert!(om.precedes(w[1], w[0]), "later run must nest before");
-                }
-            }
-        }
-    }
+    assert!(stats.splits > 0, "head hammering must split: {stats:?}");
+    assert!(
+        stats.respreads > 0,
+        "repeated head splits must exhaust group-label gaps: {stats:?}"
+    );
+    // (item-level `relabels` may legitimately stay 0 here: splits
+    // respace the head group's labels every ~GROUP_MAX/2 inserts,
+    // well before 63 geometric halvings can exhaust a fresh gap.)
 
     // The verification chain survived every relabel, split and range
     // relabel.
@@ -280,101 +235,84 @@ fn head_hammer(backend: OmBackend, per: usize) {
     }
 }
 
-#[test]
-fn head_hammer_forces_splits_and_respreads_under_queries() {
-    head_hammer(OmBackend::OmList, 8_000);
-}
-
-#[test]
-fn depa_head_hammer_run_tickets_stay_ordered() {
-    head_hammer(OmBackend::DePa, 500);
-}
-
 /// Writers insert at uniformly random positions of a shared (pre-built)
 /// backbone while queriers compare random backbone pairs; the final order
 /// must agree with the oracle and every query observed during the run is
-/// checked against the *immutable* backbone order. Runs on both backends.
+/// checked against the *immutable* backbone order.
 #[test]
 fn random_position_inserts_with_concurrent_queries() {
     const WRITERS: usize = 3;
     const PER: usize = 4_000;
 
-    for backend in [OmBackend::OmList, OmBackend::DePa] {
-        let (om, base) = OmOrder::new(backend);
-        let om = Arc::new(om);
-        let mut backbone = vec![base];
-        let mut last = base;
-        for _ in 0..256 {
-            last = om.insert_after(last);
-            backbone.push(last);
-        }
-        let backbone = Arc::new(backbone);
+    let (om, base) = OmList::new();
+    let om = Arc::new(om);
+    let mut backbone = vec![base];
+    let mut last = base;
+    for _ in 0..256 {
+        last = om.insert_after(last);
+        backbone.push(last);
+    }
+    let backbone = Arc::new(backbone);
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let querier = {
+    let stop = Arc::new(AtomicBool::new(false));
+    let querier = {
+        let om = Arc::clone(&om);
+        let stop = Arc::clone(&stop);
+        let backbone = Arc::clone(&backbone);
+        std::thread::spawn(move || {
+            // Deterministic pseudo-random pair walk (no rand in dev-deps
+            // of the integration target needed).
+            let mut x = 0x9E3779B97F4A7C15u64;
+            while !stop.load(Ordering::Relaxed) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let i = (x as usize >> 8) % backbone.len();
+                let j = (x as usize >> 24) % backbone.len();
+                let expect = i.cmp(&j);
+                assert_eq!(
+                    om.order(backbone[i], backbone[j]),
+                    expect,
+                    "backbone order is immutable"
+                );
+            }
+        })
+    };
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
             let om = Arc::clone(&om);
-            let stop = Arc::clone(&stop);
             let backbone = Arc::clone(&backbone);
             std::thread::spawn(move || {
-                // Deterministic pseudo-random pair walk (no rand in dev-deps
-                // of the integration target needed).
-                let mut x = 0x9E3779B97F4A7C15u64;
-                while !stop.load(Ordering::Relaxed) {
+                let mut x = 0xD1B54A32D192ED03u64.wrapping_mul(w as u64 + 1) | 1;
+                for _ in 0..PER {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
                     let i = (x as usize >> 8) % backbone.len();
-                    let j = (x as usize >> 24) % backbone.len();
-                    let expect = i.cmp(&j);
-                    assert_eq!(
-                        om.order(backbone[i], backbone[j]),
-                        expect,
-                        "backbone order is immutable"
-                    );
+                    // Insert after a random backbone element; the new item
+                    // lands somewhere between backbone[i] and backbone[i+1].
+                    om.insert_after(backbone[i]);
                 }
             })
-        };
-
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                let om = Arc::clone(&om);
-                let backbone = Arc::clone(&backbone);
-                std::thread::spawn(move || {
-                    let mut x = 0xD1B54A32D192ED03u64.wrapping_mul(w as u64 + 1) | 1;
-                    for _ in 0..PER {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        let i = (x as usize >> 8) % backbone.len();
-                        // Insert after a random backbone element; the new item
-                        // lands somewhere between backbone[i] and backbone[i+1].
-                        om.insert_after(backbone[i]);
-                    }
-                })
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        querier.join().unwrap();
-
-        let oracle = rank_oracle(&om);
-        // Backbone stays in order, and random inserts landed inside the right
-        // backbone gaps (checked implicitly: iter_order covers all items and
-        // backbone ranks are strictly increasing).
-        let ranks: Vec<usize> = backbone.iter().map(|h| oracle[&h.index()]).collect();
-        for pair in ranks.windows(2) {
-            assert!(pair[0] < pair[1]);
-        }
-        assert_eq!(oracle.len(), 1 + 256 + WRITERS * PER);
-        assert_order_matches_oracle(&om, &backbone, &oracle);
-        if backend == OmBackend::DePa {
-            let stats = om.stats();
-            assert_eq!(stats.global_escalations, 0, "{stats:?}");
-            assert_eq!(stats.query_retries, 0, "{stats:?}");
-        }
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
     }
+    stop.store(true, Ordering::Relaxed);
+    querier.join().unwrap();
+
+    let oracle = rank_oracle(&om);
+    // Backbone stays in order, and random inserts landed inside the right
+    // backbone gaps (checked implicitly: iter_order covers all items and
+    // backbone ranks are strictly increasing).
+    let ranks: Vec<usize> = backbone.iter().map(|h| oracle[&h.index()]).collect();
+    for pair in ranks.windows(2) {
+        assert!(pair[0] < pair[1]);
+    }
+    assert_eq!(oracle.len(), 1 + 256 + WRITERS * PER);
+    assert_order_matches_oracle(&om, &backbone, &oracle);
 }
 
 /// One task's position in an English/Hebrew pair of lists, as
@@ -388,7 +326,7 @@ struct Task {
     block: Option<(OmHandle, OmHandle)>,
 }
 
-fn fork(eng: &OmOrder, heb: &OmOrder, t: &mut Task) -> Task {
+fn fork(eng: &OmList, heb: &OmList, t: &mut Task) -> Task {
     let (child, cont) = if t.block.is_none() {
         let [c_eng, k_eng, s_eng] = eng.insert_n_after::<3>(t.cur.0);
         let [k_heb, c_heb, s_heb] = heb.insert_n_after::<3>(t.cur.1);
@@ -426,8 +364,8 @@ fn moving_front_fork_chains_relabel_ranges_under_queries() {
     const FUTURES: usize = 3_000;
     const FAN: usize = 8;
 
-    let (eng, e0) = OmOrder::new(OmBackend::OmList);
-    let (heb, h0) = OmOrder::new(OmBackend::OmList);
+    let (eng, e0) = OmList::new();
+    let (heb, h0) = OmList::new();
     let (eng, heb) = (Arc::new(eng), Arc::new(heb));
     let mut root = Task {
         cur: (e0, h0),
@@ -498,10 +436,7 @@ fn moving_front_fork_chains_relabel_ranges_under_queries() {
         ),
         ("Hebrew", &*heb, |p| p.1),
     ] {
-        let OmOrder::List(list) = om else {
-            unreachable!()
-        };
-        list.check_invariants();
+        om.check_invariants();
         let oracle = rank_oracle(om);
         let ranks: Vec<usize> = chain.iter().map(|p| oracle[&pick(p).index()]).collect();
         assert!(ranks.windows(2).all(|w| w[0] < w[1]), "{name} chain order");

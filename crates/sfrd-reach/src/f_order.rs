@@ -22,7 +22,6 @@ use std::sync::Arc;
 use std::sync::OnceLock;
 
 use sfrd_dag::FutureId;
-use sfrd_om::OmBackend;
 
 use crate::arena::NodeArena;
 use crate::bitmap::SetStats;
@@ -92,15 +91,9 @@ fn table_bytes(t: &NspTable) -> usize {
 }
 
 impl FoReach {
-    /// New engine on the default order-maintenance backend; returns the
-    /// root task's strand.
+    /// New engine; returns the root task's strand.
     pub fn new() -> (Self, FoStrand) {
-        Self::with_backend(OmBackend::default())
-    }
-
-    /// New engine whose SP orders run on `om_backend`.
-    pub fn with_backend(om_backend: OmBackend) -> (Self, FoStrand) {
-        let (sp, task) = SpOrder::with_backend(om_backend);
+        let (sp, task) = SpOrder::new();
         let engine = Self {
             sp,
             next_future: AtomicU32::new(1),

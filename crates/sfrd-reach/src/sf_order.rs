@@ -35,7 +35,6 @@ use std::sync::Arc;
 use std::sync::OnceLock;
 
 use sfrd_dag::FutureId;
-use sfrd_om::OmBackend;
 
 use crate::arena::NodeArena;
 use crate::bitmap::{merge, with_future, FutureSet, SetStats};
@@ -96,15 +95,9 @@ pub struct SfReach {
 }
 
 impl SfReach {
-    /// New engine on the default order-maintenance backend; returns the
-    /// root task's strand (future 0).
+    /// New engine; returns the root task's strand (future 0).
     pub fn new() -> (Self, SfStrand) {
-        Self::with_backend(OmBackend::default())
-    }
-
-    /// New engine on an explicit order-maintenance backend.
-    pub fn with_backend(om_backend: OmBackend) -> (Self, SfStrand) {
-        let (sp, task) = SpOrder::with_backend(om_backend);
+        let (sp, task) = SpOrder::new();
         let empty = Arc::new(FutureSet::empty());
         let engine = Self {
             sp,

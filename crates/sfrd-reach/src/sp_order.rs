@@ -23,7 +23,7 @@
 //! sync), so both constructs use the same rule.
 
 use sfrd_dag::FutureId;
-use sfrd_om::{OmBackend, OmHandle, OmOrder};
+use sfrd_om::{OmHandle, OmList};
 
 /// A strand's position: one handle in each total order. Strands that are
 /// serially equivalent in `PSP(D)` may share a position.
@@ -65,21 +65,15 @@ impl SpTask {
 
 /// The two OM lists plus query logic.
 pub struct SpOrder {
-    eng: OmOrder,
-    heb: OmOrder,
+    eng: OmList,
+    heb: OmList,
 }
 
 impl SpOrder {
-    /// New structure on the default [`OmBackend`]; returns the root task's
-    /// state.
+    /// New structure; returns the root task's state.
     pub fn new() -> (Self, SpTask) {
-        Self::with_backend(OmBackend::default())
-    }
-
-    /// New structure whose English/Hebrew orders run on `backend`.
-    pub fn with_backend(backend: OmBackend) -> (Self, SpTask) {
-        let (eng, e0) = OmOrder::new(backend);
-        let (heb, h0) = OmOrder::new(backend);
+        let (eng, e0) = OmList::new();
+        let (heb, h0) = OmList::new();
         (
             Self { eng, heb },
             SpTask {
@@ -87,11 +81,6 @@ impl SpOrder {
                 block: None,
             },
         )
-    }
-
-    /// Which order-maintenance backend the two lists run on.
-    pub fn backend(&self) -> OmBackend {
-        self.eng.backend()
     }
 
     /// Handle a `spawn` or `create` by task `t`; returns the child task's
@@ -314,32 +303,5 @@ mod tests {
         let stats = sp.om_stats();
         assert_eq!(stats.fast_inserts, 4);
         assert_eq!(stats.global_escalations, 0);
-    }
-
-    /// The DePa backend answers the same basic SP relations and is
-    /// escalation- and retry-free by construction.
-    #[test]
-    fn depa_backend_matches_list_on_basic_relations() {
-        for backend in [OmBackend::OmList, OmBackend::DePa] {
-            let (sp, mut root) = SpOrder::with_backend(backend);
-            assert_eq!(sp.backend(), backend);
-            let c1 = sp.fork(&mut root);
-            let k1 = root.pos();
-            sp.sync(&mut root);
-            let s1 = root.pos();
-            let c2 = sp.fork(&mut root);
-            sp.sync(&mut root);
-            let s2 = root.pos();
-            assert!(sp.precedes_eq(c1.pos(), s1));
-            assert!(sp.precedes_eq(c1.pos(), c2.pos()));
-            assert!(!sp.precedes_eq(c1.pos(), k1) && !sp.precedes_eq(k1, c1.pos()));
-            assert!(sp.precedes_eq(c2.pos(), s2));
-            if backend == OmBackend::DePa {
-                let stats = sp.om_stats();
-                assert_eq!(stats.global_escalations, 0);
-                assert_eq!(stats.query_retries, 0);
-                assert!(stats.depa_label_words > 0);
-            }
-        }
     }
 }

@@ -2,26 +2,19 @@
 
 use std::process::ExitCode;
 
-use sfrd_core::{DriveConfig, EngineConfig};
 use sfrd_serve::{Server, ServerConfig};
 
-fn usage() -> String {
-    format!(
-        "usage: sfrd-serve [--addr HOST:PORT] [--workers N] [--queue-cap N] {}",
-        sfrd_core::DriveConfigBuilder::backend_flag_usage()
-    )
-}
+const USAGE: &str = "usage: sfrd-serve [--addr HOST:PORT] [--workers N] [--queue-cap N]";
 
 fn main() -> ExitCode {
     let mut addr = String::from("127.0.0.1:7199");
     let mut cfg = ServerConfig::default();
-    let mut backend = DriveConfig::builder();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let result = match arg.as_str() {
             "--help" | "-h" => {
-                println!("{}", usage());
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             "--addr" => args
@@ -30,19 +23,14 @@ fn main() -> ExitCode {
                 .ok_or_else(|| "missing value for --addr".to_string()),
             "--workers" => parse_num(&mut args, "--workers").map(|n| cfg.workers = n),
             "--queue-cap" => parse_num(&mut args, "--queue-cap").map(|n| cfg.queue_cap = n),
-            flag => match backend.parse_backend_flag(flag, &mut args) {
-                Ok(true) => Ok(()),
-                Ok(false) => Err(format!("unknown flag {flag:?}")),
-                Err(e) => Err(e),
-            },
+            flag => Err(format!("unknown flag {flag:?}")),
         };
         if let Err(e) = result {
             eprintln!("sfrd-serve: {e}");
-            eprintln!("{}", usage());
+            eprintln!("{USAGE}");
             return ExitCode::FAILURE;
         }
     }
-    cfg.engine = EngineConfig::from(&backend.build());
 
     let server = match Server::bind(addr.as_str(), cfg) {
         Ok(s) => s,

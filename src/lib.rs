@@ -36,8 +36,8 @@ pub use sfrd_workloads as workloads;
 pub mod prelude {
     pub use sfrd_core::{
         drive, Detector, DetectorKind, DriveConfig, DriveConfigBuilder, EngineConfig, FutureHandle,
-        Mode, MultiBags, OmBackend, RaceReport, ReachOnly, SfOrder, ShadowArray, ShadowCell,
-        ShadowMatrix, Strand, Workload, WspDetector,
+        Mode, MultiBags, RaceReport, ReachOnly, SfOrder, ShadowArray, ShadowCell, ShadowMatrix,
+        Strand, Workload, WspDetector,
     };
     pub use sfrd_runtime::{Cx, RuntimeConfig};
     pub use sfrd_shadow::ReaderPolicy;

@@ -27,10 +27,7 @@ fn reader_policy(c: &mut Criterion) {
         g.bench_function(label, |b| {
             b.iter(|| {
                 let w = make_bench("sw", Scale::Small, 1);
-                let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1)
-                    .to_builder()
-                    .policy(policy)
-                    .build();
+                let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1).policy(policy);
                 black_box(drive(&w, cfg));
             })
         });

@@ -10,17 +10,16 @@
 //! machine-independent. EXPERIMENTS.md discusses the mapping to the
 //! paper's 20-core numbers.
 //!
-//! `--json` maintains `BENCH_fig4.json` (`--json-out PATH` to override)
-//! as a **trajectory**: a schema-2 document whose `snapshots` array gets
-//! one entry appended per invocation — every timed cell with its wall
-//! time and, for detector configs, the metrics snapshot of the final
-//! repetition (shadow-lock, fast-path, batching, and OM-contention
-//! counters). `--json-label` names the snapshot. A legacy schema-1 file
-//! (one bare snapshot object) is migrated in place on first append. The
-//! committed trajectory is the machine-tracked perf record across PRs.
+//! `--json` writes a snapshot to `BENCH_fig4.json` (`--json-out PATH` to
+//! override): a schema-2 document whose `snapshots` array holds this
+//! invocation's one entry — every timed cell with its wall time and, for
+//! detector configs, the metrics snapshot of the final repetition
+//! (shadow-lock, fast-path, batching, and OM-contention counters).
+//! `--json-label` names the snapshot. The file holds the latest snapshot;
+//! the trajectory across PRs is `git log -p BENCH_fig4.json`.
 
 use sfrd_bench::{
-    append_snapshot, cell_json, fig4_grid, run_bench_cell, times, work_span, HarnessArgs, Json,
+    cell_json, fig4_grid, run_bench_cell, times, work_span, write_snapshot, HarnessArgs, Json,
     Table,
 };
 use sfrd_core::{DetectorKind, DriveConfig};
@@ -125,7 +124,7 @@ fn main() {
             .field("workers", p)
             .field("reps", args.reps)
             .field("benches", bench_objects);
-        append_snapshot(path, snap);
-        eprintln!("appended snapshot to {path}");
+        write_snapshot(path, snap);
+        eprintln!("wrote snapshot to {path}");
     }
 }

@@ -26,13 +26,13 @@
 //! per insert — where a whole-list relabel doubles it). The binary fails
 //! if the last `k`'s figure is 1.25x the first's or more.
 //!
-//! `--json` appends one snapshot per invocation to the `BENCH_fig4.json`
-//! perf trajectory (same schema-2 row shape as `fig4_times`: one
+//! `--json` writes a snapshot to `BENCH_fig4.json`, replacing the one
+//! there (same schema-2 row shape as `fig4_times`: one
 //! `future_chain_k<k>` bench entry per sweep point, one row per detector
 //! configuration with the full metrics payload).
 
 use sfrd_bench::{
-    append_snapshot, cell_json, om_rewrites_per_insert, Json, Table, TimedCell, Timing,
+    cell_json, om_rewrites_per_insert, write_snapshot, Json, Table, TimedCell, Timing,
 };
 use sfrd_core::{drive, DetectorKind, DriveConfig, Mode, Workload};
 use sfrd_reach::SpOrder;
@@ -236,7 +236,7 @@ fn main() {
             .field("workers", 1usize)
             .field("reps", 1usize)
             .field("benches", bench_objects);
-        append_snapshot(path, snap);
-        eprintln!("appended snapshot to {path}");
+        write_snapshot(path, snap);
+        eprintln!("wrote snapshot to {path}");
     }
 }

@@ -1,27 +1,24 @@
-//! Record and analyze executions offline — text dag traces and binary
-//! strand-event journals.
+//! Record executions as binary strand-event journals and analyze them
+//! offline.
 //!
 //! ```sh
-//! # Record a benchmark's dag + access log to a text trace:
-//! trace_tool record sw /tmp/sw.trace --scale small
+//! # Record a benchmark's strand-event stream:
+//! trace_tool record sw /tmp/sw.journal --scale small
 //!
-//! # Record the strand-event stream to a binary journal instead:
-//! trace_tool record sw /tmp/sw.journal --scale small --journal
-//!
-//! # Analyze either kind (the format is sniffed from the magic bytes):
-//! trace_tool analyze /tmp/sw.trace
+//! # Summarize it: events, the access-path census, the recorded dag:
 //! trace_tool analyze /tmp/sw.journal
 //!
-//! # Replay a journal into a detector:
+//! # Replay it into a detector, or into the exact offline oracle:
 //! trace_tool detect /tmp/sw.journal --detector sf
+//! trace_tool detect /tmp/sw.journal --detector oracle
 //! ```
 //!
-//! Text-trace analysis uses the brute-force oracle, so it is exact but
-//! quadratic per location — meant for small/medium traces and debugging.
-//! Journal detection replays the recorded stream through the real
-//! detectors, so it scales like live detection. Malformed inputs of
-//! either kind produce an error message and a nonzero exit, never a
-//! panic.
+//! `sf`, `f` and `mb` replay the recorded stream through the real
+//! detectors, so they scale like live detection. `oracle` replays it into
+//! a recorded dag and runs the brute-force oracle on that, so it is exact
+//! but quadratic per location — meant for small/medium runs and
+//! debugging. Malformed journals produce an error message and a nonzero
+//! exit, never a panic.
 
 use std::collections::BTreeSet;
 use std::io::BufWriter;
@@ -31,15 +28,13 @@ use std::sync::Arc;
 use sfrd_core::{
     EngineConfig, FoDetector, MbDetector, RaceReport, RecordingHooks, SfDetector, Workload,
 };
-use sfrd_dag::{read_trace, write_trace, RecordedProgram};
 use sfrd_runtime::{run_sequential, Batched};
-use sfrd_trace::{is_journal, replay_journal, JournalHooks, JournalReader, JournalWriter};
+use sfrd_trace::{replay_journal, JournalError, JournalHooks, JournalReader, JournalWriter};
 use sfrd_workloads::{make_bench, Scale, BENCH_NAMES};
 
-const USAGE: &str =
-    "usage:\n  trace_tool record <bench> <file> [--scale small|medium|paper] [--journal]\n  \
+const USAGE: &str = "usage:\n  trace_tool record <bench> <file> [--scale small|medium|paper]\n  \
      trace_tool analyze <file>\n  \
-     trace_tool detect <file> [--detector sf|f|mb]";
+     trace_tool detect <file> [--detector sf|f|mb|oracle]";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("trace_tool: {msg}");
@@ -68,7 +63,6 @@ fn record(args: &[String]) -> ExitCode {
         return fail(&format!("unknown bench {name:?}"));
     }
     let mut scale = Scale::Small;
-    let mut journal = false;
     let mut rest = args[2..].iter();
     while let Some(a) = rest.next() {
         match a.as_str() {
@@ -80,100 +74,67 @@ fn record(args: &[String]) -> ExitCode {
                     other => return fail(&format!("bad --scale {other:?}")),
                 }
             }
-            "--journal" => journal = true,
             other => return fail(&format!("record: unknown flag {other:?}")),
         }
     }
     let w = make_bench(name, scale, 0xBE7C);
 
-    if journal {
-        let file = match std::fs::File::create(path) {
-            Ok(f) => f,
-            Err(e) => return fail(&format!("create {path}: {e}")),
-        };
-        let meta = format!("bench={name} scale={scale:?} seed=0xBE7C");
-        let writer = match JournalWriter::new(BufWriter::new(file), &meta) {
-            Ok(w) => w,
-            Err(e) => return fail(&format!("write {path}: {e}")),
-        };
-        let hooks = Batched::new(JournalHooks::new(writer));
-        run_sequential(&hooks, |ctx| w.run(ctx));
-        assert!(
-            w.verify_ok(),
-            "workload failed verification while recording"
-        );
-        let stats = hooks.stats();
-        match hooks.into_inner().finish_owned().and_then(|b| {
-            b.into_inner()
-                .map_err(|e| e.into_error())
-                .and_then(|mut f| std::io::Write::flush(&mut f).map(|()| f))
-        }) {
-            Ok(_) => {}
-            Err(e) => return fail(&format!("write {path}: {e}")),
-        }
-        println!(
-            "recorded {name} ({scale:?}) journal: {} batch flushes, {} accesses \
-             recorded, {} filtered -> {path}",
-            stats.flushes, stats.recorded, stats.filtered
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let hooks = RecordingHooks::new();
+    let file = match std::fs::File::create(path) {
+        Ok(f) => f,
+        Err(e) => return fail(&format!("create {path}: {e}")),
+    };
+    let meta = format!("bench={name} scale={scale:?} seed=0xBE7C");
+    let writer = match JournalWriter::new(BufWriter::new(file), &meta) {
+        Ok(w) => w,
+        Err(e) => return fail(&format!("write {path}: {e}")),
+    };
+    let hooks = Batched::new(JournalHooks::new(writer));
     run_sequential(&hooks, |ctx| w.run(ctx));
     assert!(
         w.verify_ok(),
         "workload failed verification while recording"
     );
-    let recorded = RecordingHooks::finish(Arc::new(hooks));
-    let file = match std::fs::File::create(path) {
-        Ok(f) => f,
-        Err(e) => return fail(&format!("create {path}: {e}")),
-    };
-    if let Err(e) = write_trace(&recorded, BufWriter::new(file)) {
-        return fail(&format!("write {path}: {e}"));
+    let stats = hooks.stats();
+    match hooks.into_inner().finish_owned().and_then(|b| {
+        b.into_inner()
+            .map_err(|e| e.into_error())
+            .and_then(|mut f| std::io::Write::flush(&mut f).map(|()| f))
+    }) {
+        Ok(_) => {}
+        Err(e) => return fail(&format!("write {path}: {e}")),
     }
     println!(
-        "recorded {name} ({scale:?}): {} nodes, {} futures, {} accesses -> {path}",
-        recorded.dag.node_count(),
-        recorded.dag.future_count(),
-        recorded.log.len()
+        "recorded {name} ({scale:?}) journal: {} batch flushes, {} accesses \
+         recorded, {} filtered -> {path}",
+        stats.flushes, stats.recorded, stats.filtered
     );
     ExitCode::SUCCESS
 }
 
-/// Read `path` and classify it by magic bytes.
-fn sniff(path: &str) -> Result<(Vec<u8>, bool), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    let binary = is_journal(&bytes);
-    Ok((bytes, binary))
+fn exit(path: &str, result: Result<(), JournalError>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(&format!("{path}: {e}")),
+    }
 }
 
 fn analyze(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return fail("analyze: missing file");
     };
-    let (bytes, binary) = match sniff(path) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) => return fail(&format!("read {path}: {e}")),
     };
-    if binary {
-        return match analyze_journal(&bytes) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&format!("{path}: {e}")),
-        };
-    }
-    let recorded = match read_trace(&bytes[..]) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("{path}: {e}")),
-    };
-    analyze_text(&recorded);
-    ExitCode::SUCCESS
+    exit(
+        path,
+        analyze_journal(&bytes).and_then(|()| oracle_report(&bytes)),
+    )
 }
 
 /// Journal summary: header metadata plus a full decode pass (which also
 /// proves the stream is well formed).
-fn analyze_journal(bytes: &[u8]) -> Result<(), sfrd_trace::JournalError> {
+fn analyze_journal(bytes: &[u8]) -> Result<(), JournalError> {
     let mut reader = JournalReader::new(bytes)?;
     println!(
         "binary strand-event journal; metadata: {:?}",
@@ -211,7 +172,7 @@ fn analyze_journal(bytes: &[u8]) -> Result<(), sfrd_trace::JournalError> {
          om_query_retries {}, relabeled_slots / inserts {rewritten} / {inserted} = {per_insert:.3}",
         m.om_fast_inserts, m.om_group_locks, m.om_global_escalations, m.om_query_retries,
     );
-    println!("replayable with: trace_tool detect <file> [--detector sf|f|mb]");
+    println!("replayable with: trace_tool detect <file> [--detector sf|f|mb|oracle]");
     Ok(())
 }
 
@@ -230,10 +191,18 @@ fn access_path_census(report: &RaceReport) -> String {
     )
 }
 
-fn analyze_text(recorded: &RecordedProgram) {
+/// The oracle is one more replay target: replay into a recorded dag,
+/// then the dag's shape, work/span, the structured-future validator and
+/// the exact race set. The log holds what the recording's batch filter
+/// admitted; the repeats it combined away count as work only.
+fn oracle_report(bytes: &[u8]) -> Result<(), JournalError> {
+    let mut reader = JournalReader::new(bytes)?;
+    let hooks = RecordingHooks::new();
+    replay_journal(&mut reader, &hooks)?;
+    let recorded = RecordingHooks::finish(Arc::new(hooks));
     let (work, span) = recorded.dag.work_span();
     println!(
-        "text dag trace: {} nodes, {} futures, {} edges, {} accesses",
+        "recorded dag: {} nodes, {} futures, {} edges, {} logged accesses",
         recorded.dag.node_count(),
         recorded.dag.future_count(),
         recorded.dag.edge_count(),
@@ -262,6 +231,7 @@ fn analyze_text(recorded: &RecordedProgram) {
             println!("  ... ({} more)", races.len() - 10);
         }
     }
+    Ok(())
 }
 
 fn detect(args: &[String]) -> ExitCode {
@@ -282,26 +252,16 @@ fn detect(args: &[String]) -> ExitCode {
         }
     }
     let cfg = EngineConfig::default();
-    let (bytes, binary) = match sniff(path) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) => return fail(&format!("read {path}: {e}")),
     };
-    if !binary {
-        // Text traces carry the dag, not the strand-event stream; the
-        // exact oracle is the right tool there.
-        let recorded = match read_trace(&bytes[..]) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("{path}: {e}")),
-        };
-        println!("text dag trace: using the exact offline oracle (detectors replay journals)");
-        analyze_text(&recorded);
-        return ExitCode::SUCCESS;
-    }
     let report = match detector.as_str() {
         "sf" | "sf-order" => replay_report(&bytes, SfDetector::from_config(&cfg), |d| d.report()),
         "f" | "f-order" => replay_report(&bytes, FoDetector::from_config(&cfg), |d| d.report()),
         "mb" | "multibags" => replay_report(&bytes, MbDetector::from_config(&cfg), |d| d.report()),
-        other => return fail(&format!("bad --detector {other:?} (sf|f|mb)")),
+        "oracle" => return exit(path, oracle_report(&bytes)),
+        other => return fail(&format!("bad --detector {other:?} (sf|f|mb|oracle)")),
     };
     let report = match report {
         Ok(r) => r,
@@ -323,11 +283,7 @@ fn detect(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn replay_report<H, F>(
-    bytes: &[u8],
-    det: H,
-    report: F,
-) -> Result<RaceReport, sfrd_trace::JournalError>
+fn replay_report<H, F>(bytes: &[u8], det: H, report: F) -> Result<RaceReport, JournalError>
 where
     H: sfrd_runtime::TaskHooks,
     F: FnOnce(&H) -> RaceReport,

@@ -1,7 +1,6 @@
-//! Minimal hand-rolled JSON emission and parsing for the machine-tracked
-//! perf trajectory (`BENCH_fig4.json`). The container vendors no serde,
-//! and the bench schema is a dozen fields — a tiny value tree, an escaper
-//! and a recursive-descent parser (for the `bench_gate` drift check) are
+//! Minimal hand-rolled JSON emission for the machine-readable perf
+//! snapshot (`BENCH_fig4.json`). The container vendors no serde, and the
+//! bench schema is a dozen fields — a tiny value tree and an escaper are
 //! all that is needed.
 
 /// A JSON value tree.
@@ -27,60 +26,6 @@ impl Json {
     /// Object builder.
     pub fn obj() -> Self {
         Json::Obj(Vec::new())
-    }
-
-    /// Parse a JSON document. Accepts exactly what [`render`](Self::render)
-    /// emits (plus arbitrary standard JSON); rejects trailing garbage.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup (`None` for non-objects / missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Numeric payload as f64 (covers both integer and float nodes).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::U64(n) => Some(*n as f64),
-            Json::F64(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// Unsigned-integer payload, if this is an integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::U64(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Array items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
     }
 
     /// Add a field to an object (panics on non-objects).
@@ -158,157 +103,6 @@ impl Json {
             }
         }
     }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", b as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                fields.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogates never appear in our own output; map
-                        // them to U+FFFD rather than pairing.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8 sequences pass through untouched: find
-                // the char boundary via the str view.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii slice");
-    if let Ok(n) = text.parse::<u64>() {
-        return Ok(Json::U64(n));
-    }
-    text.parse::<f64>()
-        .map(Json::F64)
-        .map_err(|_| format!("bad number {text:?} at byte {start}"))
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -400,44 +194,5 @@ mod tests {
     fn trims_float_zeros() {
         assert_eq!(Json::F64(2.5).render(), "2.5\n");
         assert_eq!(Json::F64(3.0).render(), "3\n");
-    }
-
-    #[test]
-    fn parse_round_trips_render() {
-        let j = Json::obj()
-            .field("schema", 2u64)
-            .field("label", "kernels auto")
-            .field("mean_s", 0.03125f64)
-            .field("rows", vec![Json::obj().field("w", 4u64), Json::Null])
-            .field("esc", "a\"b\\c\nd");
-        let parsed = Json::parse(&j.render()).unwrap();
-        assert_eq!(parsed.get("schema").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            parsed.get("label").and_then(Json::as_str),
-            Some("kernels auto")
-        );
-        assert_eq!(parsed.get("mean_s").and_then(Json::as_f64), Some(0.03125));
-        let rows = parsed.get("rows").and_then(Json::as_arr).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("w").and_then(Json::as_u64), Some(4));
-        assert!(matches!(rows[1], Json::Null));
-        assert_eq!(parsed.get("esc").and_then(Json::as_str), Some("a\"b\\c\nd"));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Json::parse("{\"a\": 1} x").is_err());
-        assert!(Json::parse("{\"a\" 1}").is_err());
-        assert!(Json::parse("[1,").is_err());
-        assert!(Json::parse("nul").is_err());
-    }
-
-    #[test]
-    fn parse_negative_and_float_numbers() {
-        let j = Json::parse("[-1.5, 2, 1e3]").unwrap();
-        let a = j.as_arr().unwrap();
-        assert_eq!(a[0].as_f64(), Some(-1.5));
-        assert_eq!(a[1].as_u64(), Some(2));
-        assert_eq!(a[2].as_f64(), Some(1000.0));
     }
 }

@@ -44,7 +44,7 @@ pub struct HarnessArgs {
     /// Machine-readable output path (`--json`, default `BENCH_fig4.json`;
     /// override with `--json-out PATH`). `None` = human table only.
     pub json: Option<String>,
-    /// Snapshot label recorded in the JSON trajectory (`--json-label`).
+    /// Snapshot label recorded in the JSON snapshot (`--json-label`).
     pub json_label: Option<String>,
 }
 
@@ -214,7 +214,7 @@ pub fn run_bench_timed(name: &str, scale: Scale, cfg: DriveConfig, reps: usize) 
     run_bench_cell(name, scale, cfg, reps).timing
 }
 
-/// The per-detector metrics snapshot as a JSON object (the perf-trajectory
+/// The per-detector metrics snapshot as a JSON object (the perf-snapshot
 /// payload of `BENCH_fig4.json`).
 pub fn report_json(rep: &RaceReport) -> Json {
     Json::obj()
@@ -250,7 +250,7 @@ pub fn report_json(rep: &RaceReport) -> Json {
         .field("sched_wakeups", rep.metrics.sched_wakeups)
 }
 
-/// One timed cell as a trajectory-row JSON object (shape shared by
+/// One timed cell as a snapshot-row JSON object (shape shared by
 /// `fig4_times` and `k_scaling`).
 pub fn cell_json(config: &str, workers: usize, cell: &TimedCell) -> Json {
     let metrics = match &cell.report {
@@ -265,44 +265,15 @@ pub fn cell_json(config: &str, workers: usize, cell: &TimedCell) -> Json {
         .field("metrics", metrics)
 }
 
-/// Append `snap` to the schema-2 perf trajectory at `path`, creating the
-/// document if absent and migrating a legacy schema-1 file (a single bare
-/// snapshot object) by wrapping it as the first snapshot. There is no
-/// vendored JSON parser, so this splices textually — sound because the
-/// renderer's layout is fixed (two-space indent, `]\n}\n` tail).
-pub fn append_snapshot(path: &str, snap: Json) {
-    const TAIL: &str = "\n  ]\n}\n";
-    let reindent = |text: &str| -> String {
-        text.trim_end()
-            .lines()
-            .map(|l| format!("    {l}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-            .trim_start()
-            .to_string()
-    };
-    let fresh = |snapshots: Vec<String>| {
-        let body: Vec<String> = snapshots.iter().map(|s| format!("    {s}")).collect();
-        format!(
-            "{{\n  \"schema\": 2,\n  \"figure\": \"fig4\",\n  \"snapshots\": [\n{}{TAIL}",
-            body.join(",\n")
-        )
-    };
-    let rendered = reindent(&snap.render());
-    let doc = match std::fs::read_to_string(path) {
-        Err(_) => fresh(vec![rendered]),
-        Ok(existing) if existing.contains("\"schema\": 2") => {
-            let body = existing.strip_suffix(TAIL).unwrap_or_else(|| {
-                panic!("{path}: schema-2 trajectory has an unexpected layout; refusing to splice")
-            });
-            format!("{body},\n    {rendered}{TAIL}")
-        }
-        Ok(legacy) => {
-            // Schema-1: one bare snapshot object — keep it as history.
-            fresh(vec![reindent(&legacy), rendered])
-        }
-    };
-    std::fs::write(path, doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+/// Write `snap` to `path` as a one-snapshot schema-2 document,
+/// replacing what was there: the file holds the latest snapshot per
+/// invocation and git holds the trajectory (`git log -p BENCH_fig4.json`).
+pub fn write_snapshot(path: &str, snap: Json) {
+    let doc = Json::obj()
+        .field("schema", 2u64)
+        .field("figure", "fig4")
+        .field("snapshots", vec![snap]);
+    std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }
 
 /// Work and span of the recorded dag (node weights = instrumented

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use sfrd_runtime::{run_sequential, Cx, NullHooks, PoolStats, Runtime};
 use sfrd_shadow::ReaderPolicy;
 
-use crate::config::{DriveConfigBuilder, EngineConfig};
+use crate::config::EngineConfig;
 use crate::detectors::{FoDetector, MbDetector, Mode, SfDetector};
 use crate::report::RaceReport;
 use crate::wsp::WspDetector;
@@ -38,9 +38,9 @@ pub enum DetectorKind {
 
 /// A full execution configuration.
 ///
-/// `#[non_exhaustive]`: assemble via [`DriveConfig::base`],
-/// [`DriveConfig::with`], or the fluent [`DriveConfig::builder`] (struct
-/// literals and update syntax are reserved to this crate).
+/// `#[non_exhaustive]`: assemble via [`DriveConfig::base`] or
+/// [`DriveConfig::with`], then [`DriveConfig::policy`] (struct literals
+/// and update syntax are reserved to this crate).
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy)]
 pub struct DriveConfig {
@@ -74,15 +74,10 @@ impl DriveConfig {
         }
     }
 
-    /// A fluent builder starting from the defaults (no detector, full
-    /// mode, one worker).
-    pub fn builder() -> DriveConfigBuilder {
-        DriveConfigBuilder::new()
-    }
-
-    /// A fluent builder starting from this configuration.
-    pub fn to_builder(self) -> DriveConfigBuilder {
-        DriveConfigBuilder::from_cfg(self)
+    /// Set the reader-retention policy of the access history.
+    pub fn policy(mut self, policy: ReaderPolicy) -> Self {
+        self.policy = policy;
+        self
     }
 }
 
@@ -251,9 +246,7 @@ mod tests {
         vec![
             DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1),
             sf2,
-            sf2.to_builder()
-                .policy(sfrd_shadow::ReaderPolicy::PerFutureLR)
-                .build(),
+            sf2.policy(ReaderPolicy::PerFutureLR),
             DriveConfig::with(DetectorKind::FOrder, Mode::Full, 1),
             DriveConfig::with(DetectorKind::FOrder, Mode::Full, 2),
             DriveConfig::with(DetectorKind::MultiBags, Mode::Full, 1),
@@ -395,10 +388,10 @@ mod tests {
         let w = Racy {
             data: ShadowArray::new(1),
         };
-        let cfg = DriveConfig::with(DetectorKind::MultiBags, Mode::Full, 2)
-            .to_builder()
-            .sequential(false)
-            .build();
+        let cfg = DriveConfig {
+            sequential: false,
+            ..DriveConfig::with(DetectorKind::MultiBags, Mode::Full, 2)
+        };
         drive(&w, cfg);
     }
 }

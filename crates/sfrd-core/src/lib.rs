@@ -50,7 +50,7 @@ pub mod report;
 pub mod shared;
 pub mod wsp;
 
-pub use config::{DriveConfigBuilder, EngineConfig};
+pub use config::EngineConfig;
 pub use detectors::{
     FoDetector, FoEngine, MbDetector, MbEngine, Mode, ReachOnly, SfDetector, SfEngine,
 };
@@ -65,18 +65,3 @@ pub use wsp::{WspDetector, WspEngine, WspStrand};
 pub use sfrd_reach::SetStatsSnapshot;
 pub use sfrd_runtime::{BatchStats, Batched, Cx, FutureHandle, NullHooks, Runtime, TaskHooks};
 pub use sfrd_shadow::ReaderPolicy;
-
-/// A detector strand — alias used in the facade prelude.
-pub type Strand = sfrd_reach::SfStrand;
-
-/// A race detector choice — alias used in the facade prelude.
-pub type Detector = DetectorKind;
-
-/// The MultiBags detector re-exported under the paper's name.
-pub type MultiBags = MbDetector;
-
-/// The SF-Order detector re-exported under the paper's name.
-pub type SfOrder = SfDetector;
-
-/// The F-Order detector re-exported under the paper's name.
-pub type FOrder = FoDetector;

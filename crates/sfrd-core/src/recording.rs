@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use sfrd_dag::generator::{Body, GenProgram, Op};
 use sfrd_dag::{RecStrand, RecordedProgram, Recorder};
-use sfrd_runtime::{Cx, TaskHooks};
+use sfrd_runtime::{AccessBatch, Cx, TaskHooks};
 
 use crate::driver::Workload;
 
@@ -80,6 +80,14 @@ impl TaskHooks for RecordingHooks {
     }
     fn on_write(&self, s: &mut RecStrand, addr: u64) {
         self.rec.access(s, addr, true);
+    }
+    /// Every access of a batch is at the strand's current node, so the
+    /// counts it write-combined away are credited there as weight:
+    /// work/span from a batched run or journal equal an unbatched one's.
+    fn on_access_batch(&self, s: &mut RecStrand, batch: &mut AccessBatch) {
+        let (reads, writes) = batch.take_filtered();
+        self.rec.credit(s, reads + writes);
+        batch.replay(|addr, is_write| self.rec.access(s, addr, is_write));
     }
 }
 

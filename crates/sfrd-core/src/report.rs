@@ -219,7 +219,7 @@ pub struct MetricsSnapshot {
     pub set_lineage_hits: u64,
     /// Scheduler: tasks executed by the work-stealing pool.
     pub sched_tasks_run: u64,
-    /// Scheduler: tasks obtained by stealing (injector or sibling deque).
+    /// Scheduler: tasks obtained by stealing (root slot or sibling deque).
     pub sched_steals: u64,
     /// Scheduler: steal attempts that lost a CAS race and retried.
     pub sched_steal_retries: u64,

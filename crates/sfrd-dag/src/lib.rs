@@ -45,11 +45,9 @@ pub mod ids;
 pub mod oracle;
 pub mod paths;
 pub mod recorder;
-pub mod trace;
 
 pub use graph::{Dag, EdgeKind, NodeInfo, NodeKind, StructureError};
 pub use ids::{FutureId, NodeId};
 pub use oracle::{race_oracle, racy_addrs, Access, RacePair, ReachOracle};
 pub use paths::{canonical_path, is_canonical};
 pub use recorder::{RecStrand, RecordedProgram, Recorder};
-pub use trace::{read_trace, write_trace, TraceError};

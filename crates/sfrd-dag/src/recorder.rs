@@ -178,6 +178,13 @@ impl Recorder {
         inner.dag.add_weight(s.node, 1);
     }
 
+    /// Credit `n` accesses to the strand's current node without logging
+    /// them: repeats a batch filter combined away at this position, which
+    /// cannot change a verdict but are work the program did.
+    pub fn credit(&self, s: &RecStrand, n: u64) {
+        self.inner.lock().dag.add_weight(s.node, n);
+    }
+
     /// Finish recording.
     pub fn finish(self) -> RecordedProgram {
         let inner = self.inner.into_inner();

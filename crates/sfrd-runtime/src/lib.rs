@@ -37,7 +37,6 @@
 pub mod batch;
 pub mod chase_lev;
 pub mod hooks;
-pub mod injector;
 #[cfg(sfrd_model)]
 pub mod model;
 pub mod parallel;

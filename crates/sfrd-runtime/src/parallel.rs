@@ -5,15 +5,17 @@
 //! lock-free [`crate::chase_lev`] deque), child-stealing (`spawn`/`create`
 //! push the child; the continuation keeps running), and *work-helping*
 //! joins — a task blocked at `sync`/`get` executes other ready tasks
-//! instead of sleeping, so join chains never deadlock (the waited-on task
-//! is either in some deque, where the waiter can claim it, or running on
-//! another worker, which makes progress).
+//! instead of sleeping. That is not safe for futures: a helper can pick a
+//! task that `get`s the frame it stands on, and an up-front `get` chain
+//! then deadlocks (DESIGN.md §10, ROADMAP item 1).
 //!
 //! The scheduler hot path (push/pop/steal) performs **zero mutex
-//! acquisitions**: local deques are Chase-Lev, root jobs ride the lock-free
-//! segment-queue [`crate::injector`], and sleeping is an eventcount
+//! acquisitions**: local deques are Chase-Lev, and sleeping is an eventcount
 //! (announce → epoch snapshot → rescan → sleep-if-unchanged) whose mutex is
-//! touched only when a worker actually runs out of work. Only pool threads
+//! touched only when a worker actually runs out of work. The one job that
+//! does not start on a deque, a scope's root, waits in a one-element slot
+//! (`Shared::root`) whose mutex is locked to fill it and to take it, once
+//! each per scope. Only pool threads
 //! — threads that can claim a job — ever count as `parked`, so a push's
 //! `notify_one` is a fence and a load unless a worker really is asleep, and
 //! a one-worker run makes no futex call per task.
@@ -37,7 +39,6 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::chase_lev::{Steal, Stealer, Worker};
 use crate::hooks::{Cx, TaskHooks};
-use crate::injector::Injector;
 
 /// A ready task. Lifetime-erased; see module docs.
 type Job<H> = Box<dyn FnOnce(&WorkerCore<H>) + Send>;
@@ -47,7 +48,13 @@ type ScopedJob<'scope, H> = Box<dyn FnOnce(&WorkerCore<H>) + Send + 'scope>;
 
 /// State shared by all workers and the scope owner.
 struct Shared<H: TaskHooks> {
-    injector: Injector<Job<H>>,
+    /// The scope's root job. [`Runtime::run`] is its only producer, once
+    /// per scope, and `run_guard` admits one scope at a time: one element
+    /// needs no queue.
+    root: Mutex<Option<Job<H>>>,
+    /// Set once `root` is filled, cleared by the worker that takes it:
+    /// what a worker reads (one load) after a local-pop miss.
+    root_ready: AtomicBool,
     stealers: Box<[Stealer<Job<H>>]>,
     /// Jobs pushed but not yet finished (queued + running).
     pending: AtomicUsize,
@@ -68,7 +75,7 @@ struct Shared<H: TaskHooks> {
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Tasks executed (lifetime of the pool).
     tasks_run: AtomicU64,
-    /// Tasks obtained by stealing (from the injector or a sibling deque).
+    /// Tasks obtained by stealing (the root slot or a sibling deque).
     steals: AtomicU64,
     /// Steal attempts that lost a CAS race and had to retry.
     steal_retries: AtomicU64,
@@ -166,21 +173,20 @@ pub struct WorkerCore<H: TaskHooks> {
 }
 
 impl<H: TaskHooks> WorkerCore<H> {
-    /// Local pop, then injector, then round-robin steal. Entirely lock-free.
+    /// Local pop, then the root slot, then round-robin steal. Lock-free
+    /// except the once-per-scope root take.
     fn find_job(&self) -> Option<Job<H>> {
         if let Some(j) = self.local.pop() {
             return Some(j);
         }
-        loop {
-            match self.shared.injector.steal() {
-                Steal::Success(j) => {
-                    self.shared.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(j);
-                }
-                Steal::Empty => break,
-                Steal::Retry => {
-                    self.shared.steal_retries.fetch_add(1, Ordering::Relaxed);
-                }
+        if self.shared.root_ready.load(Ordering::Acquire) {
+            let mut root = self.shared.root.lock();
+            if let Some(j) = root.take() {
+                // Cleared before the job runs, so before the next scope —
+                // which starts after this one quiesces — can set it again.
+                self.shared.root_ready.store(false, Ordering::Relaxed);
+                self.shared.steals.fetch_add(1, Ordering::Relaxed);
+                return Some(j);
             }
         }
         let n = self.shared.stealers.len();
@@ -429,7 +435,7 @@ impl<'scope, H: TaskHooks> Cx<'scope> for ParCtx<'scope, H> {
 pub struct PoolStats {
     /// Tasks executed over the pool's lifetime.
     pub tasks_run: u64,
-    /// Tasks obtained by stealing (injector or sibling deque).
+    /// Tasks obtained by stealing (the root slot or a sibling deque).
     pub steals: u64,
     /// Steal attempts that lost a CAS race and retried (W6: each retry
     /// means another thread made progress).
@@ -454,9 +460,9 @@ impl<H: TaskHooks> Runtime<H> {
         assert!(workers >= 1, "need at least one worker");
         let locals: Vec<Worker<Job<H>>> = (0..workers).map(|_| Worker::new()).collect();
         let stealers = locals.iter().map(Worker::stealer).collect();
-        let injector = Injector::new();
         let shared = Arc::new(Shared {
-            injector,
+            root: Mutex::new(None),
+            root_ready: AtomicBool::new(false),
             stealers,
             pending: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
@@ -538,7 +544,8 @@ impl<H: TaskHooks> Runtime<H> {
                 *result.lock() = Some(out);
             });
             self.shared.pending.fetch_add(1, Ordering::SeqCst);
-            self.shared.injector.push(unsafe { erase_job(job) });
+            *self.shared.root.lock() = Some(unsafe { erase_job(job) });
+            self.shared.root_ready.store(true, Ordering::Release);
             self.shared.notify_one();
         }
         // Quiescence barrier, on the owner's own channel: the job that
@@ -676,7 +683,7 @@ mod tests {
         let s = rt.stats();
         // Root + 10 spawns.
         assert_eq!(s.tasks_run, 11);
-        // The root job always arrives via the injector.
+        // The root job is taken from the root slot, which counts as a steal.
         assert!(s.steals >= 1);
     }
 

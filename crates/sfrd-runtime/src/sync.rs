@@ -4,8 +4,8 @@
 //! methods are `#[inline]` passthroughs). Under `--cfg sfrd_model` every
 //! operation first calls [`crate::model::yield_point`], turning each atomic
 //! access into a scheduling point of the in-crate deterministic-interleaving
-//! model checker. Code written against this facade — the Chase-Lev deque and
-//! injector here, the packed shadow word in `sfrd-shadow`, the lineage CAS in
+//! model checker. Code written against this facade — the Chase-Lev deque
+//! here, the packed shadow word in `sfrd-shadow`, the lineage CAS in
 //! `sfrd-reach` — can therefore be driven through thousands of schedules
 //! without a separate model of the protocol: the model checker runs the real
 //! implementation.

@@ -1,8 +1,8 @@
-//! Model-checked scheduler-queue invariants (`--cfg sfrd_model` only).
+//! Model-checked work-stealing deque invariants (`--cfg sfrd_model` only).
 //!
-//! Drives the Chase-Lev deque and the segment-queue injector through
-//! thousands of seeded sequentially-consistent interleavings and asserts
-//! the `WorkStealing.tla` invariant set:
+//! Drives the Chase-Lev deque through thousands of seeded
+//! sequentially-consistent interleavings and asserts the
+//! `WorkStealing.tla` invariant set:
 //!
 //! * **W1** (no lost tasks) + **W2** (no double execution): the multiset of
 //!   items removed by the owner, the thieves, and the final drain is exactly
@@ -22,7 +22,6 @@
 use std::sync::Arc;
 
 use sfrd_runtime::chase_lev::{Steal, Stealer, Worker};
-use sfrd_runtime::injector::Injector;
 use sfrd_runtime::model::{self, Config};
 use sfrd_runtime::sync::Mutex;
 
@@ -96,69 +95,6 @@ fn deque_w1_w2_w3_two_thieves_census_zero() {
         report.lock_ops, 0,
         "Chase-Lev hot path must take zero mutex acquisitions"
     );
-}
-
-#[test]
-fn injector_exactly_once_across_segment_boundary_census_zero() {
-    // 34 items cross the 32-slot segment boundary: the boundary claimant's
-    // tail_seg/head_seg swings and the retire handshake are exercised.
-    const N: usize = 34;
-    let cfg = Config {
-        schedules: 1000,
-        ..Config::default()
-    };
-    let report = model::explore(cfg, || {
-        let inj: Arc<Injector<usize>> = Arc::new(Injector::new());
-        let producer = {
-            let inj = Arc::clone(&inj);
-            model::spawn(move || {
-                for i in 0..N {
-                    inj.push(i);
-                }
-            })
-        };
-        let consume = |inj: Arc<Injector<usize>>| move || run_injector_thief(&inj);
-        let c1 = model::spawn(consume(Arc::clone(&inj)));
-        let c2 = model::spawn(consume(Arc::clone(&inj)));
-        producer.join();
-        let (g1, g2) = (c1.join(), c2.join());
-        // Consumers may have bailed on Empty before the producer finished;
-        // the main thread drains the remainder.
-        let rest = run_injector_thief(&inj);
-
-        // Per-consumer FIFO: a consumer's claimed tickets are increasing
-        // and a single producer assigns tickets in push order.
-        assert_strictly_increasing(&g1, "consumer 1");
-        assert_strictly_increasing(&g2, "consumer 2");
-        assert_strictly_increasing(&rest, "drain");
-
-        let mut all = g1;
-        all.extend(g2);
-        all.extend(rest);
-        all.sort_unstable();
-        assert_eq!(all, (0..N).collect::<Vec<_>>(), "lost or duplicated job");
-    });
-    assert_eq!(report.schedules, cfg.schedules);
-    assert!(
-        report.schedules >= 1000,
-        "acceptance floor: >=1000 schedules"
-    );
-    assert_eq!(
-        report.lock_ops, 0,
-        "injector hot path must take zero mutex acquisitions"
-    );
-}
-
-fn run_injector_thief(inj: &Injector<usize>) -> Vec<usize> {
-    let mut got = Vec::new();
-    loop {
-        match inj.steal() {
-            Steal::Success(v) => got.push(v),
-            Steal::Empty => break,
-            Steal::Retry => {}
-        }
-    }
-    got
 }
 
 /// The census is not vacuous: a workload that *does* lock reports it.

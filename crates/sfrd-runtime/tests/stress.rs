@@ -158,7 +158,7 @@ fn steals_happen_under_parallel_load() {
     assert!(stats.tasks_run >= 200);
     assert!(
         stats.steals > 0,
-        "root job enters via the injector, so ≥1 steal"
+        "taking the root job counts as a steal, so ≥1"
     );
 }
 

@@ -13,9 +13,8 @@
 //! - a **thread-per-connection reader** parses the handshake and frames
 //!   off the socket, pushing complete frame payloads into the session's
 //!   **bounded ingestion queue**;
-//! - a **shared worker pool** built on the in-crate Chase-Lev deques and
-//!   MPMC injector drains sessions, decodes frames, and feeds the
-//!   per-session engine;
+//! - a **shared worker pool** built on the in-crate Chase-Lev deques
+//!   drains sessions, decodes frames, and feeds the per-session engine;
 //! - when a queue is full, the *connection reader* blocks (explicit
 //!   backpressure counted in `backpressure_stalls`) — a slow consumer
 //!   stalls only its own connection, never a pool worker.

@@ -1,5 +1,5 @@
-//! The shared worker pool: in-crate Chase-Lev deques plus the MPMC
-//! injector, reused from the runtime's scheduler substrate — no new
+//! The shared worker pool: the runtime's Chase-Lev deques plus a queue of
+//! submitted sessions under the mutex idle workers sleep on — no new
 //! dependencies, same stealing discipline.
 //!
 //! Tasks are whole sessions, not frames: a worker claims a session (the
@@ -9,6 +9,7 @@
 //! — so one chatty connection cannot monopolize the pool, and a slow
 //! consumer blocks only its own connection's reader, never a worker.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -16,16 +17,16 @@ use std::thread::JoinHandle;
 use parking_lot::{Condvar, Mutex};
 
 use sfrd_runtime::chase_lev::{Steal, Stealer, Worker};
-use sfrd_runtime::injector::Injector;
 
 use crate::session::Session;
 
 type Task = Arc<Session>;
 
 pub(crate) struct Pool {
-    injector: Injector<Task>,
+    /// Submitted sessions. One push per session activation, and `submit`
+    /// and the idle re-check hold this mutex for the wakeup anyway.
+    queue: Mutex<VecDeque<Task>>,
     stealers: Vec<Stealer<Task>>,
-    sleep: Mutex<()>,
     wake: Condvar,
     paused: AtomicBool,
     shutdown: AtomicBool,
@@ -41,9 +42,8 @@ impl Pool {
         let deques: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new()).collect();
         let stealers = deques.iter().map(Worker::stealer).collect();
         let pool = Arc::new(Self {
-            injector: Injector::new(),
+            queue: Mutex::new(VecDeque::new()),
             stealers,
-            sleep: Mutex::new(()),
             wake: Condvar::new(),
             paused: AtomicBool::new(paused),
             shutdown: AtomicBool::new(false),
@@ -65,15 +65,15 @@ impl Pool {
 
     /// Hand a claimed session to the pool.
     pub(crate) fn submit(&self, task: Task) {
-        self.injector.push(task);
-        let _g = self.sleep.lock();
+        let mut queue = self.queue.lock();
+        queue.push_back(task);
         self.wake.notify_one();
     }
 
     /// Un-pause a pool constructed paused.
     pub(crate) fn resume(&self) {
         self.paused.store(false, Ordering::Release);
-        let _g = self.sleep.lock();
+        let _g = self.queue.lock();
         self.wake.notify_all();
     }
 
@@ -81,7 +81,7 @@ impl Pool {
     pub(crate) fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         {
-            let _g = self.sleep.lock();
+            let _g = self.queue.lock();
             self.wake.notify_all();
         }
         let handles = std::mem::take(&mut *self.handles.lock());
@@ -90,13 +90,11 @@ impl Pool {
         }
     }
 
-    fn has_work(&self, me: usize) -> bool {
-        !self.injector.is_empty()
-            || self
-                .stealers
-                .iter()
-                .enumerate()
-                .any(|(i, s)| i != me && !s.is_empty())
+    fn has_stealable(&self, me: usize) -> bool {
+        self.stealers
+            .iter()
+            .enumerate()
+            .any(|(i, s)| i != me && !s.is_empty())
     }
 }
 
@@ -113,16 +111,16 @@ fn worker_loop(pool: &Pool, local: &Worker<Task>, me: usize) {
         match task {
             Some(session) => session.drain(local),
             None => {
-                let mut g = pool.sleep.lock();
+                let mut queue = pool.queue.lock();
                 // Recheck under the lock: a submit between our miss and
                 // this wait would otherwise be a lost wakeup.
                 if pool.shutdown.load(Ordering::Acquire) {
                     return;
                 }
                 let runnable = !pool.paused.load(Ordering::Acquire)
-                    && (!local.is_empty() || pool.has_work(me));
+                    && (!queue.is_empty() || !local.is_empty() || pool.has_stealable(me));
                 if !runnable {
-                    pool.wake.wait(&mut g);
+                    pool.wake.wait(&mut queue);
                 }
             }
         }
@@ -133,12 +131,8 @@ fn find_task(pool: &Pool, local: &Worker<Task>, me: usize) -> Option<Task> {
     if let Some(t) = local.pop() {
         return Some(t);
     }
-    loop {
-        match pool.injector.steal() {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
+    if let Some(t) = pool.queue.lock().pop_front() {
+        return Some(t);
     }
     for (i, stealer) in pool.stealers.iter().enumerate() {
         if i == me {

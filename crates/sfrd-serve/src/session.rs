@@ -117,7 +117,7 @@ pub(crate) struct Session {
     ingest: Mutex<Ingest>,
     /// Signaled when the queue shrinks or the session finishes.
     space: Condvar,
-    /// In the pool (injector/deque) or being drained right now?
+    /// In the pool (queue/deque) or being drained right now?
     scheduled: AtomicBool,
     work: Mutex<Work>,
     response: Mutex<Option<String>>,

@@ -30,12 +30,6 @@ pub(crate) const OP_TASK_END: u8 = 0x05;
 pub(crate) const OP_TASK_RETURN: u8 = 0x06;
 pub(crate) const OP_ACCESSES: u8 = 0x07;
 
-/// Does `bytes` begin a binary journal? The auto-detect hook for tools
-/// that also accept the `sfrdtrace v1` text format.
-pub fn is_journal(bytes: &[u8]) -> bool {
-    bytes.starts_with(&JOURNAL_MAGIC)
-}
-
 /// Is this frame payload the end-of-journal marker? Lets a transport spot
 /// the last frame without decoding events (the detection server's
 /// connection readers stop reading here).

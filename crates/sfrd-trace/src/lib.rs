@@ -50,9 +50,7 @@ mod replay;
 mod varint;
 mod writer;
 
-pub use format::{
-    is_end_frame, is_journal, JournalError, JOURNAL_MAGIC, JOURNAL_VERSION, MAX_FRAME_LEN,
-};
+pub use format::{is_end_frame, JournalError, JOURNAL_MAGIC, JOURNAL_VERSION, MAX_FRAME_LEN};
 pub use reader::{read_frame, read_header, DecodedFrame, EventDecoder, JEvent, JournalReader};
 pub use replay::{replay_journal, ReplayStats, Replayer};
 pub use writer::{JournalHooks, JournalWriter};

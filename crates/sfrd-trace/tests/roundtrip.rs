@@ -10,13 +10,14 @@ use proptest::prelude::*;
 use rand::prelude::*;
 
 use sfrd_core::{
-    EngineConfig, FoDetector, GenWorkload, MbDetector, RaceReport, SfDetector, Workload,
+    EngineConfig, FoDetector, GenWorkload, MbDetector, RaceReport, RecordingHooks, SfDetector,
+    Workload,
 };
 use sfrd_dag::generator::{GenParams, GenProgram};
 use sfrd_runtime::{run_sequential, BatchStats, Batched, NullHooks, Runtime, TaskHooks};
 use sfrd_trace::{
-    is_journal, replay_journal, JEvent, JournalError, JournalHooks, JournalReader, JournalWriter,
-    ReplayStats, MAX_FRAME_LEN,
+    replay_journal, JEvent, JournalError, JournalHooks, JournalReader, JournalWriter, ReplayStats,
+    MAX_FRAME_LEN,
 };
 
 /// Generation knobs biased toward the racy regime (small address space)
@@ -100,7 +101,6 @@ proptest! {
         let prog = gen_prog(seed);
         let meta = format!("roundtrip seed={seed}");
         let (bytes, rec_stats) = record_seq(&prog, &meta);
-        prop_assert!(is_journal(&bytes));
 
         // Byte-identical re-encode.
         let mut reader = JournalReader::new(&bytes[..]).expect("header");
@@ -164,7 +164,9 @@ proptest! {
 }
 
 /// All three detectors reach the same verdicts replaying a sequential
-/// recording as they do live, program after program.
+/// recording as they do live, program after program — and the exact
+/// offline oracle, replaying the same journal into a recorded dag, names
+/// the same racy addresses.
 #[test]
 fn verdict_equality_all_detectors() {
     let mut races_seen = 0u64;
@@ -201,6 +203,21 @@ fn verdict_equality_all_detectors() {
             verdicts(&mb_replay.report()),
             "MultiBags diverged on seed {seed}"
         );
+
+        let oracle = RecordingHooks::new();
+        replay_into(&bytes, &oracle);
+        let recorded = RecordingHooks::finish(Arc::new(oracle));
+        let exact = sfrd_dag::racy_addrs(&recorded.dag, &recorded.log);
+        for (name, rep) in [
+            ("SF-Order", sf_replay.report()),
+            ("F-Order", fo_replay.report()),
+            ("MultiBags", mb_replay.report()),
+        ] {
+            assert_eq!(
+                exact, rep.racy_addrs,
+                "{name} and the oracle diverged on seed {seed}"
+            );
+        }
     }
     assert!(
         races_seen > 0,
@@ -358,7 +375,6 @@ fn malformed_inputs_map_to_specific_errors() {
         JournalReader::new(&b"sfrdtrace v1\n"[..]),
         Err(JournalError::BadMagic)
     ));
-    assert!(!is_journal(b"sfrdtrace v1\n"));
 
     // Wrong version.
     let mut v = good.clone();

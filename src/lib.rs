@@ -2,9 +2,9 @@
 //!
 //! Facade crate re-exporting the whole SF-Order reproduction workspace:
 //!
-//! * [`core`] ([`sfrd_core`]) — the race detectors ([`core::SfOrder`],
-//!   [`core::FOrder`], [`core::MultiBags`]) and the instrumented shared-data
-//!   wrappers used by programs under test.
+//! * [`core`] ([`sfrd_core`]) — the race detectors ([`core::SfDetector`],
+//!   [`core::FoDetector`], [`core::MbDetector`]) and the instrumented
+//!   shared-data wrappers used by programs under test.
 //! * [`runtime`] ([`sfrd_runtime`]) — the work-stealing and sequential
 //!   task-parallel runtimes (spawn/sync + create/get).
 //! * [`reach`] ([`sfrd_reach`]) — the reachability engines.
@@ -31,13 +31,12 @@ pub use sfrd_workloads as workloads;
 /// Convenience prelude: the names most programs under test need.
 ///
 /// Configuration enters through two types only: [`DriveConfig`]
-/// (assembled with [`DriveConfig::builder`]) for end-to-end runs, and
-/// [`EngineConfig`] for constructing a detector directly.
+/// ([`DriveConfig::with`], then [`DriveConfig::policy`]) for end-to-end
+/// runs, and [`EngineConfig`] for constructing a detector directly.
 pub mod prelude {
     pub use sfrd_core::{
-        drive, Detector, DetectorKind, DriveConfig, DriveConfigBuilder, EngineConfig, FutureHandle,
-        Mode, MultiBags, RaceReport, ReachOnly, SfOrder, ShadowArray, ShadowCell, ShadowMatrix,
-        Strand, Workload, WspDetector,
+        drive, DetectorKind, DriveConfig, EngineConfig, FutureHandle, Mode, RaceReport, ReachOnly,
+        ShadowArray, ShadowCell, ShadowMatrix, Workload, WspDetector,
     };
     pub use sfrd_runtime::{Cx, RuntimeConfig};
     pub use sfrd_shadow::ReaderPolicy;

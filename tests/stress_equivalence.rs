@@ -40,12 +40,7 @@ fn all_configs() -> Vec<DriveConfig> {
     let mut cfgs = Vec::new();
     for workers in WORKERS {
         for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
-            cfgs.push(
-                DriveConfig::with(DetectorKind::SfOrder, Mode::Full, workers)
-                    .to_builder()
-                    .policy(policy)
-                    .build(),
-            );
+            cfgs.push(DriveConfig::with(DetectorKind::SfOrder, Mode::Full, workers).policy(policy));
         }
         cfgs.push(DriveConfig::with(DetectorKind::FOrder, Mode::Full, workers));
     }
@@ -160,12 +155,9 @@ fn paged_backend_cuts_lock_ops() {
             rep.metrics.shadow_fast_hits > 0,
             "{bench}: same-epoch short-circuit never hit under the default policy"
         );
-        let fast = drive(
-            &w,
-            cfg.to_builder().policy(ReaderPolicy::PerFutureLR).build(),
-        )
-        .report
-        .unwrap();
+        let fast = drive(&w, cfg.policy(ReaderPolicy::PerFutureLR))
+            .report
+            .unwrap();
         assert_eq!(fast.metrics.lock_ops, 0, "{bench}: shadow path locked");
         assert!(
             fast.metrics.shadow_fast_hits > 0,

@@ -1,21 +1,35 @@
-//! Trace record → serialize → parse → offline analysis, end to end, on
-//! real workloads and on parallel executions.
+//! Record → journal → replay into the recorder → offline analysis, end to
+//! end, on real workloads and on parallel executions.
 
 use std::sync::Arc;
 
 use sfrd::core::{drive, DetectorKind, DriveConfig, Mode, RecordingHooks, Workload};
-use sfrd::dag::{read_trace, write_trace};
-use sfrd::runtime::{run_sequential, Runtime};
+use sfrd::dag::RecordedProgram;
+use sfrd::runtime::{run_sequential, Batched, Runtime};
+use sfrd::trace::{replay_journal, JournalHooks, JournalReader, JournalWriter};
 use sfrd::workloads::{make_bench, Scale, BENCH_NAMES};
 
-fn roundtrip(prog: &sfrd::dag::RecordedProgram) -> sfrd::dag::RecordedProgram {
-    let mut buf = Vec::new();
-    write_trace(prog, &mut buf).unwrap();
-    read_trace(std::io::Cursor::new(buf)).unwrap()
+type Recording = Batched<JournalHooks<Vec<u8>>>;
+
+/// `trace_tool record`'s setup: journal hooks under the batch pipeline.
+fn recording() -> Recording {
+    Batched::new(JournalHooks::new(
+        JournalWriter::new(Vec::new(), "trace_integration").unwrap(),
+    ))
 }
 
-/// Every benchmark's recorded trace survives serialization with identical
-/// offline analysis results.
+/// `trace_tool detect --detector oracle`: the journal replayed into the
+/// dag recorder.
+fn replay_recorded(hooks: Recording) -> RecordedProgram {
+    let bytes = hooks.into_inner().finish_owned().unwrap();
+    let sink = RecordingHooks::new();
+    replay_journal(&mut JournalReader::new(&bytes[..]).unwrap(), &sink).unwrap();
+    RecordingHooks::finish(Arc::new(sink))
+}
+
+/// Every benchmark's batched journal replays to the dag a direct
+/// recording builds: same futures, same work and span (the repeats the
+/// batch filter combined away are credited as weight), no races.
 #[test]
 fn suite_traces_roundtrip() {
     for name in BENCH_NAMES {
@@ -24,7 +38,12 @@ fn suite_traces_roundtrip() {
         run_sequential(&hooks, |ctx| w.run(ctx));
         assert!(w.verify_ok());
         let prog = RecordingHooks::finish(Arc::new(hooks));
-        let back = roundtrip(&prog);
+
+        let hooks = recording();
+        let w = make_bench(name, Scale::Small, 11);
+        run_sequential(&hooks, |ctx| w.run(ctx));
+        assert!(w.verify_ok());
+        let back = replay_recorded(hooks);
         assert!(back.validate().is_ok(), "{name}");
         assert!(back.races().is_empty(), "{name}");
         assert_eq!(back.dag.work_span(), prog.dag.work_span(), "{name}");
@@ -32,7 +51,7 @@ fn suite_traces_roundtrip() {
     }
 }
 
-/// A racy program's trace, recorded under the PARALLEL runtime, yields
+/// A racy program's journal, recorded under the PARALLEL runtime, yields
 /// the same racy addresses offline as the on-the-fly detector reported.
 #[test]
 fn parallel_trace_offline_matches_online() {
@@ -65,16 +84,18 @@ fn parallel_trace_offline_matches_online() {
     let online_addrs = online.report.unwrap().racy_addrs;
     assert_eq!(online_addrs.len(), 4);
 
-    // Offline: record (parallel), serialize, parse, analyze.
-    let hooks = Arc::new(RecordingHooks::new());
-    let rt: Runtime<RecordingHooks> = Runtime::new(2);
+    // Offline: record (parallel), replay, analyze.
+    let hooks = Arc::new(recording());
+    let rt: Runtime<Recording> = Runtime::new(2);
     let w2 = Racy {
         data: ShadowArray::new(8),
     };
     rt.run(Arc::clone(&hooks), |ctx| w2.run(ctx));
     drop(rt);
-    let prog = RecordingHooks::finish(hooks);
-    let back = roundtrip(&prog);
+    let hooks = Arc::try_unwrap(hooks)
+        .ok()
+        .expect("runtime still holds the hooks");
+    let back = replay_recorded(hooks);
     let offline_addrs: std::collections::BTreeSet<u64> =
         back.races().iter().map(|r| r.addr).collect();
     // Addresses differ between the two instances; compare *indices*.

@@ -11,8 +11,7 @@
 //! SF-Order and F-Order, and the F/SF byte ratio as `k` grows.
 //!
 //! ```sh
-//! cargo run -p sfrd-bench --release --bin k_scaling -- [kmax] \
-//!     [--json] [--json-out PATH] [--json-label NAME]
+//! cargo run -p sfrd-bench --release --bin k_scaling -- [kmax]
 //! ```
 //!
 //! A second sweep runs the fan-out chain cells (`fanout_chain_k<k>`):
@@ -26,15 +25,23 @@
 //! per insert — where a whole-list relabel doubles it). The binary fails
 //! if the last `k`'s figure is 1.25x the first's or more.
 //!
-//! `--json` writes a snapshot to `BENCH_fig4.json`, replacing the one
-//! there (same schema-2 row shape as `fig4_times`: one
-//! `future_chain_k<k>` bench entry per sweep point, one row per detector
-//! configuration with the full metrics payload).
+//! The last table is the only multi-threaded order-maintenance timing:
+//! one `OmList` shared by 1/2/4/8 threads, median of 5. `ns/insert`: a
+//! fixed budget of [`OM_INSERTS`] appends split across the threads, each
+//! on its own anchor chain (the group-local fast path; threads meet only
+//! on the arena's reservation counter). `ns/query`: [`OM_QUERIES`]
+//! lock-free order queries split across the threads while one extra
+//! thread inserts [`OM_WRITER_INSERTS`] times at the head (maximal
+//! relabel/split pressure, so seqlock retries show). Both are wall time
+//! of the whole threaded section divided by the budget, thread start-up
+//! included.
 
-use sfrd_bench::{
-    cell_json, om_rewrites_per_insert, write_snapshot, Json, Table, TimedCell, Timing,
-};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+use sfrd_bench::{om_rewrites_per_insert, Table};
 use sfrd_core::{drive, DetectorKind, DriveConfig, Mode, Workload};
+use sfrd_om::OmList;
 use sfrd_reach::SpOrder;
 use sfrd_runtime::Cx;
 
@@ -83,45 +90,103 @@ impl Workload for FanoutChain {
     }
 }
 
-/// The sweep's detector arms.
-const ARMS: [(&str, DetectorKind); 2] = [
-    ("SF-Order/reach", DetectorKind::SfOrder),
-    ("F-Order/reach", DetectorKind::FOrder),
-];
+/// The sweep's detector arms (the `SF` and `F` columns).
+const ARMS: [DetectorKind; 2] = [DetectorKind::SfOrder, DetectorKind::FOrder];
+
+/// Appends per `ns/insert` cell, split across the threads.
+const OM_INSERTS: usize = 4096;
+/// Order queries per `ns/query` cell, split across the query threads.
+const OM_QUERIES: usize = 16_384;
+/// Head inserts by the writer running beside the query threads.
+const OM_WRITER_INSERTS: usize = 2_048;
+
+/// Median of five runs of `run`, each returning its own timed span.
+fn median5(mut run: impl FnMut() -> Duration) -> Duration {
+    let mut spans: Vec<Duration> = (0..5).map(|_| run()).collect();
+    spans.sort();
+    spans[2]
+}
+
+/// `threads` threads append [`OM_INSERTS`] items in total to one list,
+/// each on its own anchor chain.
+fn contended_inserts(threads: usize) -> Duration {
+    let (list, base) = OmList::new();
+    let mut anchors = Vec::with_capacity(threads);
+    let mut last = base;
+    for _ in 0..threads {
+        last = list.insert_after(last);
+        anchors.push(last);
+    }
+    let per = OM_INSERTS / threads;
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for &anchor in &anchors {
+            let list = &list;
+            s.spawn(move || {
+                let mut cur = anchor;
+                for _ in 0..per {
+                    cur = list.insert_after(cur);
+                }
+                black_box(cur);
+            });
+        }
+    });
+    t0.elapsed()
+}
+
+/// `threads` threads ask [`OM_QUERIES`] order queries in total over a
+/// 1 001-item list while one more thread inserts at its head.
+fn contended_queries(threads: usize) -> Duration {
+    let (list, base) = OmList::new();
+    let mut handles = vec![base];
+    let mut cur = base;
+    for _ in 0..1_000 {
+        cur = list.insert_after(cur);
+        handles.push(cur);
+    }
+    let per = OM_QUERIES / threads;
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (list, handles) = (&list, &handles);
+            s.spawn(move || {
+                let mut i = t * 7919;
+                for _ in 0..per {
+                    i = (i + 7919) % handles.len();
+                    let j = (i * 31 + 1) % handles.len();
+                    black_box(list.precedes(handles[i], handles[j]));
+                }
+            });
+        }
+        let list = &list;
+        s.spawn(move || {
+            for _ in 0..OM_WRITER_INSERTS {
+                black_box(list.insert_after(base));
+            }
+        });
+    });
+    t0.elapsed()
+}
 
 fn main() {
     let mut kmax: usize = 8192;
-    let mut json: Option<String> = None;
-    let mut json_label: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => {
-                json.get_or_insert_with(|| "BENCH_fig4.json".to_string());
+    for a in std::env::args().skip(1) {
+        match a.parse() {
+            Ok(k) => kmax = k,
+            Err(_) => {
+                eprintln!("error: unknown argument {a:?}\nusage: k_scaling [kmax]");
+                std::process::exit(2);
             }
-            "--json-out" => json = Some(args.next().expect("missing --json-out path")),
-            "--json-label" => json_label = Some(args.next().expect("missing --json-label name")),
-            other => match other.parse() {
-                Ok(k) => kmax = k,
-                Err(_) => {
-                    eprintln!(
-                        "usage: k_scaling [kmax] [--json] [--json-out PATH] [--json-label NAME]"
-                    );
-                    std::process::exit(2);
-                }
-            },
         }
     }
     println!("# k-scaling of reachability construction (reach config, 1 worker)");
     let mut t = Table::new(&["k", "SF (ms)", "F (ms)", "SF bytes", "F bytes", "F/SF"]);
-    let mut bench_objects: Vec<Json> = Vec::new();
     let mut k = 512;
     while k <= kmax {
         let mut row = vec![k.to_string()];
         let mut times_ms = Vec::new();
         let mut bytes: Vec<u64> = Vec::new();
-        let mut rows: Vec<Json> = Vec::new();
-        for (label, kind) in ARMS {
+        for kind in ARMS {
             let w = FutureChain { k };
             let out = drive(&w, DriveConfig::with(kind, Mode::Reach, 1));
             let rep = out.report.unwrap();
@@ -129,14 +194,6 @@ fn main() {
             times_ms.push(out.wall.as_secs_f64() * 1e3);
             // F-Order reports its table bytes through the same counters.
             bytes.push(rep.metrics.set_bytes);
-            let cell = TimedCell {
-                timing: Timing {
-                    mean: out.wall.as_secs_f64(),
-                    sd: 0.0,
-                },
-                report: Some(rep),
-            };
-            rows.push(cell_json(label, 1, &cell));
         }
         for ms in &times_ms {
             row.push(format!("{ms:.2}"));
@@ -147,14 +204,6 @@ fn main() {
         let (sf, fo) = (bytes[0], bytes[1]);
         row.push(format!("{:.1}x", fo as f64 / sf.max(1) as f64));
         t.row(row);
-        bench_objects.push(
-            Json::obj()
-                .field("bench", format!("future_chain_k{k}"))
-                .field("work", k as u64)
-                .field("span", k as u64)
-                .field("parallelism", 1.0)
-                .field("rows", rows),
-        );
         k *= 2;
     }
     print!("{}", t.render());
@@ -174,21 +223,6 @@ fn main() {
             k.to_string(),
             format!("{:.2}", out.wall.as_secs_f64() * 1e3),
         ]);
-        let cell = TimedCell {
-            timing: Timing {
-                mean: out.wall.as_secs_f64(),
-                sd: 0.0,
-            },
-            report: Some(rep),
-        };
-        bench_objects.push(
-            Json::obj()
-                .field("bench", format!("fanout_chain_k{k}"))
-                .field("work", (k * FAN) as u64)
-                .field("span", k as u64)
-                .field("parallelism", FAN as f64)
-                .field("rows", vec![cell_json("SF-Order/reach", 1, &cell)]),
-        );
         k *= 2;
     }
     print!("{}", ft.render());
@@ -228,15 +262,20 @@ fn main() {
             k / 2
         );
     }
-    if let Some(path) = &json {
-        let label = json_label.unwrap_or_else(|| format!("kscaling-kmax{kmax}"));
-        let snap = Json::obj()
-            .field("label", label)
-            .field("scale", "kscaling")
-            .field("workers", 1usize)
-            .field("reps", 1usize)
-            .field("benches", bench_objects);
-        write_snapshot(path, snap);
-        eprintln!("wrote snapshot to {path}");
+
+    println!(
+        "\n# contended order maintenance: one OmList, {OM_INSERTS} inserts on disjoint \
+         chains / {OM_QUERIES} queries beside one head-inserting writer, median of 5"
+    );
+    let mut ct = Table::new(&["threads", "ns/insert", "ns/query"]);
+    for threads in [1usize, 2, 4, 8] {
+        let ins = median5(|| contended_inserts(threads));
+        let qry = median5(|| contended_queries(threads));
+        ct.row(vec![
+            threads.to_string(),
+            format!("{:.1}", ins.as_nanos() as f64 / OM_INSERTS as f64),
+            format!("{:.1}", qry.as_nanos() as f64 / OM_QUERIES as f64),
+        ]);
     }
+    print!("{}", ct.render());
 }

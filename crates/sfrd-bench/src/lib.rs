@@ -9,26 +9,27 @@
 //!   scalability annotations (plus the dag parallelism `T1/T∞`, which is
 //!   the honest scalability signal on core-starved CI boxes);
 //! * `fig5_memory` — Fig. 5: reachability-maintenance memory of F-Order
-//!   vs SF-Order.
+//!   vs SF-Order;
+//! * `k_scaling` — the `O(k²)` construction term, order-maintenance
+//!   inserts per `k`, and the contended order-maintenance table;
+//! * `trace_tool` — record a run as a journal, summarize it, replay it
+//!   into a detector or the exact oracle.
 //!
-//! All binaries take `--scale small|medium|paper`, `--workers N` and
-//! `--bench <name>` (repeatable). Criterion micro-benchmarks live under
-//! `benches/`.
+//! The three figure binaries take `--scale small|medium|paper`,
+//! `--workers N`, `--reps N` and `--bench <name>` (repeatable). Every
+//! binary prints tables; the gated measurement is the separate
+//! `benchmark/` package.
 
 #![warn(missing_docs)]
-
-mod json;
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use sfrd_core::{
-    drive, DetectorKind, DriveConfig, Mode, Outcome, RaceReport, RecordingHooks, Workload,
+    drive, DetectorKind, DriveConfig, Mode, Outcome, ReaderPolicy, RecordingHooks, Workload,
 };
 use sfrd_runtime::run_sequential;
 use sfrd_workloads::{make_bench, AnyBench, Scale, BENCH_NAMES};
-
-pub use json::Json;
 
 /// Parsed harness options.
 #[derive(Debug, Clone)]
@@ -41,11 +42,6 @@ pub struct HarnessArgs {
     pub benches: Vec<String>,
     /// Repetitions per timed cell (the paper averages five runs).
     pub reps: usize,
-    /// Machine-readable output path (`--json`, default `BENCH_fig4.json`;
-    /// override with `--json-out PATH`). `None` = human table only.
-    pub json: Option<String>,
-    /// Snapshot label recorded in the JSON snapshot (`--json-label`).
-    pub json_label: Option<String>,
 }
 
 impl HarnessArgs {
@@ -62,8 +58,6 @@ impl HarnessArgs {
         let mut workers = default_workers();
         let mut benches: Vec<String> = Vec::new();
         let mut reps = 1usize;
-        let mut json = None;
-        let mut json_label = None;
         let mut args = args.into_iter();
         // `--workers` / `--reps`: a count of at least one.
         let count = |flag: &str, v: Option<String>| {
@@ -90,13 +84,6 @@ impl HarnessArgs {
                     benches.push(name);
                 }
                 "--reps" => reps = count("--reps", args.next())?,
-                "--json" => {
-                    json.get_or_insert_with(|| "BENCH_fig4.json".to_string());
-                }
-                "--json-out" => json = Some(args.next().ok_or("missing --json-out path")?),
-                "--json-label" => {
-                    json_label = Some(args.next().ok_or("missing --json-label name")?)
-                }
                 "--help" | "-h" => return Err(String::new()),
                 other => return Err(format!("unknown flag {other:?}")),
             }
@@ -109,8 +96,6 @@ impl HarnessArgs {
             workers,
             benches,
             reps,
-            json,
-            json_label,
         })
     }
 }
@@ -121,8 +106,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--scale small|medium|paper] [--workers N] [--reps N] \
-         [--bench mm|sort|sw|hw|ferret]... [--json] [--json-out PATH] \
-         [--json-label NAME]"
+         [--bench mm|sort|sw|hw|ferret]..."
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -174,106 +158,21 @@ impl Timing {
     }
 }
 
-/// One timed grid cell: the timing plus the *last* repetition's race
-/// report (detector configs only; `None` for base runs).
-pub struct TimedCell {
-    /// Mean/sd over the repetitions.
-    pub timing: Timing,
-    /// Report of the final repetition (counter values are per-run, not
-    /// accumulated across reps — each rep builds a fresh detector).
-    pub report: Option<RaceReport>,
-}
-
-/// Run a cell `reps` times; returns mean/sd plus the last run's report
-/// (each run re-verifies).
-pub fn run_bench_cell(name: &str, scale: Scale, cfg: DriveConfig, reps: usize) -> TimedCell {
-    let mut samples = Vec::with_capacity(reps.max(1));
-    let mut report = None;
-    for _ in 0..reps.max(1) {
-        let (out, _) = run_bench(name, scale, cfg);
-        samples.push(out.wall.as_secs_f64());
-        report = out.report;
-    }
+/// Run a cell `reps` times; returns mean/sd (each run re-verifies).
+pub fn run_bench_cell(name: &str, scale: Scale, cfg: DriveConfig, reps: usize) -> Timing {
+    let samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| run_bench(name, scale, cfg).0.wall.as_secs_f64())
+        .collect();
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     let var = if samples.len() > 1 {
         samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / (samples.len() - 1) as f64
     } else {
         0.0
     };
-    TimedCell {
-        timing: Timing {
-            mean,
-            sd: var.sqrt(),
-        },
-        report,
+    Timing {
+        mean,
+        sd: var.sqrt(),
     }
-}
-
-/// Run a cell `reps` times; returns mean/sd (each run re-verifies).
-pub fn run_bench_timed(name: &str, scale: Scale, cfg: DriveConfig, reps: usize) -> Timing {
-    run_bench_cell(name, scale, cfg, reps).timing
-}
-
-/// The per-detector metrics snapshot as a JSON object (the perf-snapshot
-/// payload of `BENCH_fig4.json`).
-pub fn report_json(rep: &RaceReport) -> Json {
-    Json::obj()
-        .field("reads", rep.counts.reads)
-        .field("writes", rep.counts.writes)
-        .field("queries", rep.counts.queries)
-        .field("reach_bytes", rep.reach_bytes)
-        .field("history_bytes", rep.history_bytes)
-        .field("lock_ops", rep.metrics.lock_ops)
-        .field("batch_flushes", rep.metrics.batch_flushes)
-        .field("batched_accesses", rep.metrics.batched_accesses)
-        .field("filtered_accesses", rep.metrics.filtered_accesses)
-        .field("bitmap_merges", rep.metrics.bitmap_merges)
-        .field("om_fast_inserts", rep.metrics.om_fast_inserts)
-        .field("om_group_locks", rep.metrics.om_group_locks)
-        .field("om_global_escalations", rep.metrics.om_global_escalations)
-        .field("om_query_retries", rep.metrics.om_query_retries)
-        .field("shadow_fast_hits", rep.metrics.shadow_fast_hits)
-        .field("shadow_cas_retries", rep.metrics.shadow_cas_retries)
-        .field("page_allocs", rep.metrics.page_allocs)
-        .field("set_bytes", rep.metrics.set_bytes)
-        .field("set_allocs", rep.metrics.set_allocs)
-        .field("set_tier_inline", rep.metrics.set_tier_inline)
-        .field("set_tier_sparse", rep.metrics.set_tier_sparse)
-        .field("set_tier_chunked", rep.metrics.set_tier_chunked)
-        .field("set_chunks_shared", rep.metrics.set_chunks_shared)
-        .field("set_chunks_copied", rep.metrics.set_chunks_copied)
-        .field("set_lineage_hits", rep.metrics.set_lineage_hits)
-        .field("sched_tasks_run", rep.metrics.sched_tasks_run)
-        .field("sched_steals", rep.metrics.sched_steals)
-        .field("sched_steal_retries", rep.metrics.sched_steal_retries)
-        .field("sched_parks", rep.metrics.sched_parks)
-        .field("sched_wakeups", rep.metrics.sched_wakeups)
-}
-
-/// One timed cell as a snapshot-row JSON object (shape shared by
-/// `fig4_times` and `k_scaling`).
-pub fn cell_json(config: &str, workers: usize, cell: &TimedCell) -> Json {
-    let metrics = match &cell.report {
-        Some(rep) => report_json(rep),
-        None => Json::Null,
-    };
-    Json::obj()
-        .field("config", config)
-        .field("workers", workers)
-        .field("mean_s", cell.timing.mean)
-        .field("sd_s", cell.timing.sd)
-        .field("metrics", metrics)
-}
-
-/// Write `snap` to `path` as a one-snapshot schema-2 document,
-/// replacing what was there: the file holds the latest snapshot per
-/// invocation and git holds the trajectory (`git log -p BENCH_fig4.json`).
-pub fn write_snapshot(path: &str, snap: Json) {
-    let doc = Json::obj()
-        .field("schema", 2u64)
-        .field("figure", "fig4")
-        .field("snapshots", vec![snap]);
-    std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }
 
 /// Work and span of the recorded dag (node weights = instrumented
@@ -373,15 +272,26 @@ impl Table {
     }
 }
 
-/// The detector/mode grid of Fig. 4, in presentation order.
-pub fn fig4_grid() -> [(&'static str, DetectorKind, Mode); 6] {
+/// The detector/mode grid of Fig. 4 on `workers` workers, in presentation
+/// order, plus SF-Order `full` under the §3.5 per-future
+/// leftmost/rightmost reader policy (every other row keeps all readers,
+/// the paper's shipped history).
+pub fn fig4_grid(workers: usize) -> [(&'static str, DriveConfig); 7] {
+    let cell = |kind, mode| DriveConfig::with(kind, mode, workers);
     [
-        ("MultiBags/reach", DetectorKind::MultiBags, Mode::Reach),
-        ("MultiBags/full", DetectorKind::MultiBags, Mode::Full),
-        ("F-Order/reach", DetectorKind::FOrder, Mode::Reach),
-        ("F-Order/full", DetectorKind::FOrder, Mode::Full),
-        ("SF-Order/reach", DetectorKind::SfOrder, Mode::Reach),
-        ("SF-Order/full", DetectorKind::SfOrder, Mode::Full),
+        (
+            "MultiBags/reach",
+            cell(DetectorKind::MultiBags, Mode::Reach),
+        ),
+        ("MultiBags/full", cell(DetectorKind::MultiBags, Mode::Full)),
+        ("F-Order/reach", cell(DetectorKind::FOrder, Mode::Reach)),
+        ("F-Order/full", cell(DetectorKind::FOrder, Mode::Full)),
+        ("SF-Order/reach", cell(DetectorKind::SfOrder, Mode::Reach)),
+        ("SF-Order/full", cell(DetectorKind::SfOrder, Mode::Full)),
+        (
+            "SF-Order/full (LR)",
+            cell(DetectorKind::SfOrder, Mode::Full).policy(ReaderPolicy::PerFutureLR),
+        ),
     ]
 }
 
@@ -434,6 +344,14 @@ mod tests {
             assert!(err.contains("unknown flag") && err.contains(flag), "{err}");
         }
         assert_eq!(parse(&["--bench", "sw"]).unwrap().benches, ["sw"]);
+    }
+
+    #[test]
+    fn snapshot_flags_are_unknown() {
+        for flag in ["--json", "--json-label"] {
+            let err = parse(&[flag, "x"]).unwrap_err();
+            assert!(err.contains("unknown flag") && err.contains(flag), "{err}");
+        }
     }
 
     #[test]

@@ -2,31 +2,31 @@
 //! from.
 //!
 //! Configuration is the paper's axes and nothing else: the detector,
-//! `reach` vs `full`, the §3.5/§4 reader policy, and how to run (workers /
-//! sequential).
+//! `reach` vs `full`, the §3.5/§4 reader policy, and the worker count
+//! (MultiBags always runs on the serial elision).
 //!
 //! * [`EngineConfig`] — everything a detector constructor needs, as one
 //!   `#[non_exhaustive]` struct with fluent setters. Detectors take it via
 //!   `from_config(&EngineConfig)`; `X::new(..)` covers the defaults.
-//! * [`DriveConfig`] — a whole execution: [`DriveConfig::with`] /
-//!   [`DriveConfig::base`], then [`DriveConfig::policy`].
+//! * [`DriveConfig`](crate::DriveConfig) — a whole execution: the
+//!   detector, the worker count and an [`EngineConfig`], built by
+//!   `DriveConfig::with` / `DriveConfig::base`, then `DriveConfig::policy`.
 
 use sfrd_shadow::ReaderPolicy;
 
 use crate::detectors::Mode;
-use crate::driver::DriveConfig;
 
 /// Everything a detector constructor needs, in one place.
 ///
 /// `#[non_exhaustive]`: construct via [`EngineConfig::new`] /
-/// [`Default`] / `From<&DriveConfig>` and adjust with the fluent setters.
+/// [`Default`] and adjust with the fluent setters.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// `reach` or `full`.
     pub mode: Mode,
-    /// Reader-retention policy of the access history (SF-Order and
-    /// WSP-Order honor it; F-Order and MultiBags are always `All`).
+    /// Reader-retention policy of the access history (SF-Order honors it;
+    /// F-Order and MultiBags are always `All`).
     pub policy: ReaderPolicy,
 }
 
@@ -48,13 +48,6 @@ impl EngineConfig {
         }
     }
 
-    /// This configuration with the mode replaced (the `reach`/`full` axis
-    /// of a Fig. 4 grid shares everything else).
-    pub fn with_mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Set the reader-retention policy.
     pub fn policy(mut self, policy: ReaderPolicy) -> Self {
         self.policy = policy;
@@ -62,33 +55,19 @@ impl EngineConfig {
     }
 }
 
-impl From<&DriveConfig> for EngineConfig {
-    fn from(cfg: &DriveConfig) -> Self {
-        Self {
-            mode: cfg.mode,
-            policy: cfg.policy,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::DetectorKind;
+    use crate::driver::{DetectorKind, DriveConfig};
 
     #[test]
     fn engine_config_from_drive_config() {
         let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Reach, 1)
             .policy(ReaderPolicy::PerFutureLR);
-        let ec = EngineConfig::from(&cfg);
-        assert_eq!(ec.mode, Mode::Reach);
-        assert_eq!(ec.policy, ReaderPolicy::PerFutureLR);
-        assert_eq!(ec.with_mode(Mode::Full).mode, Mode::Full);
-    }
-
-    #[test]
-    fn with_forces_multibags_sequential() {
-        assert!(DriveConfig::with(DetectorKind::MultiBags, Mode::Full, 4).sequential);
-        assert!(!DriveConfig::with(DetectorKind::FOrder, Mode::Full, 4).sequential);
+        assert_eq!(
+            cfg.engine,
+            EngineConfig::new(Mode::Reach).policy(ReaderPolicy::PerFutureLR)
+        );
+        assert_eq!(DriveConfig::base(2).engine, EngineConfig::default());
     }
 }

@@ -10,7 +10,6 @@ use sfrd_shadow::ReaderPolicy;
 use crate::config::EngineConfig;
 use crate::detectors::{FoDetector, MbDetector, Mode, SfDetector};
 use crate::report::RaceReport;
-use crate::wsp::WspDetector;
 
 /// A program under test: one generic body that runs on any runtime with
 /// any detector (mirroring the paper, where each benchmark is compiled
@@ -30,10 +29,8 @@ pub enum DetectorKind {
     SfOrder,
     /// F-Order (general-futures baseline).
     FOrder,
-    /// MultiBags (sequential baseline).
+    /// MultiBags (sequential baseline; always runs on the serial elision).
     MultiBags,
-    /// WSP-Order (fork-join-only; panics on futures).
-    WspOrder,
 }
 
 /// A full execution configuration.
@@ -46,14 +43,13 @@ pub enum DetectorKind {
 pub struct DriveConfig {
     /// Detector choice.
     pub detector: DetectorKind,
-    /// `reach` or `full` (ignored for [`DetectorKind::None`]).
-    pub mode: Mode,
-    /// Worker count for parallel execution.
+    /// Worker count for parallel execution (MultiBags, whose SP-bags
+    /// invariant only holds for the serial depth-first execution, runs on
+    /// the serial elision and ignores it).
     pub workers: usize,
-    /// Serial left-to-right depth-first execution (required by MultiBags).
-    pub sequential: bool,
-    /// Reader policy for SF-Order's access history.
-    pub policy: ReaderPolicy,
+    /// What the detector is built from: `reach` or `full`, and the reader
+    /// policy (ignored for [`DetectorKind::None`]).
+    pub engine: EngineConfig,
 }
 
 impl DriveConfig {
@@ -62,21 +58,18 @@ impl DriveConfig {
         Self::with(DetectorKind::None, Mode::Full, workers)
     }
 
-    /// A detector in the given mode on `workers` workers. MultiBags is
-    /// automatically forced onto the sequential runtime.
+    /// A detector in the given mode on `workers` workers.
     pub fn with(detector: DetectorKind, mode: Mode, workers: usize) -> Self {
         Self {
             detector,
-            mode,
             workers,
-            sequential: matches!(detector, DetectorKind::MultiBags),
-            policy: ReaderPolicy::All,
+            engine: EngineConfig::new(mode),
         }
     }
 
     /// Set the reader-retention policy of the access history.
     pub fn policy(mut self, policy: ReaderPolicy) -> Self {
-        self.policy = policy;
+        self.engine = self.engine.policy(policy);
         self
     }
 }
@@ -105,7 +98,7 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
         det: Arc<H>,
         cfg: &DriveConfig,
     ) -> (Duration, Option<PoolStats>) {
-        if cfg.sequential {
+        if cfg.detector == DetectorKind::MultiBags {
             let t0 = Instant::now();
             run_sequential(&*det, |ctx| w.run(ctx));
             (t0.elapsed(), None)
@@ -130,11 +123,11 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
 
     macro_rules! detector_arm {
         ($make:expr) => {{
-            match cfg.mode {
+            match cfg.engine.mode {
                 // The batched pipeline: accesses buffer per strand and
                 // flush through the detector's bulk hook.
                 Mode::Full => {
-                    let det = Arc::new(sfrd_runtime::Batched::new($make(Mode::Full)));
+                    let det = Arc::new(sfrd_runtime::Batched::new($make(&cfg.engine)));
                     let (wall, stats) = timed(w, Arc::clone(&det), &cfg);
                     let mut report = det.inner().report();
                     let bs = det.stats();
@@ -153,7 +146,7 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
                 // monomorphization time, like the paper's uninstrumented
                 // reach binaries.
                 Mode::Reach => {
-                    let det = Arc::new(ReachOnly($make(Mode::Reach)));
+                    let det = Arc::new(ReachOnly($make(&cfg.engine)));
                     let (wall, stats) = timed(w, Arc::clone(&det), &cfg);
                     let mut report = det.0.report();
                     merge_sched(&mut report, stats);
@@ -167,7 +160,6 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
         }};
     }
 
-    let ec = EngineConfig::from(&cfg);
     match cfg.detector {
         DetectorKind::None => {
             let (wall, sched) = timed(w, Arc::new(NullHooks), &cfg);
@@ -177,21 +169,9 @@ pub fn drive<W: Workload>(w: &W, cfg: DriveConfig) -> Outcome {
                 sched,
             }
         }
-        DetectorKind::SfOrder => {
-            detector_arm!(|m| SfDetector::from_config(&ec.with_mode(m)))
-        }
-        DetectorKind::FOrder => detector_arm!(|m| FoDetector::from_config(&ec.with_mode(m))),
-        DetectorKind::WspOrder => {
-            detector_arm!(|m| WspDetector::from_config(&ec.with_mode(m)))
-        }
-        DetectorKind::MultiBags => {
-            assert!(
-                cfg.sequential,
-                "MultiBags requires the sequential runtime (its SP-bags invariant \
-                 only holds for the serial depth-first execution)"
-            );
-            detector_arm!(|m| MbDetector::from_config(&ec.with_mode(m)))
-        }
+        DetectorKind::SfOrder => detector_arm!(SfDetector::from_config),
+        DetectorKind::FOrder => detector_arm!(FoDetector::from_config),
+        DetectorKind::MultiBags => detector_arm!(MbDetector::from_config),
     }
 }
 
@@ -382,16 +362,20 @@ mod tests {
         assert!(base.parks <= 2 && base.wakeups <= 1, "{base:?}");
     }
 
+    /// Asking MultiBags for four workers still runs it on the serial
+    /// elision: no pool, and the race is found.
     #[test]
-    #[should_panic(expected = "sequential runtime")]
-    fn multibags_rejects_parallel() {
+    fn multibags_runs_on_the_serial_elision() {
         let w = Racy {
             data: ShadowArray::new(1),
         };
-        let cfg = DriveConfig {
-            sequential: false,
-            ..DriveConfig::with(DetectorKind::MultiBags, Mode::Full, 2)
-        };
-        drive(&w, cfg);
+        let out = drive(
+            &w,
+            DriveConfig::with(DetectorKind::MultiBags, Mode::Full, 4),
+        );
+        assert!(out.sched.is_none(), "{:?}", out.sched);
+        assert_eq!(out.report.unwrap().racy_addrs.len(), 1);
+        let fo = drive(&w, DriveConfig::with(DetectorKind::FOrder, Mode::Full, 4));
+        assert!(fo.sched.is_some());
     }
 }

@@ -1,13 +1,13 @@
 //! The unified strand-event pipeline: one detector hot path for all
 //! reachability engines.
 //!
-//! Before this module, `SfDetector`/`FoDetector`/`MbDetector` (and the
-//! fork-join `WspDetector`) each carried a private copy of the on-the-fly
-//! protocol — the same writer-check / reader-check / epoch-update sequence
-//! four times over, differing only in how reachability questions are
-//! answered. [`EventSink`] collapses them: a detector is now *one* struct
-//! parameterized by a [`ReachEngine`], and the engines (`detectors.rs`,
-//! `wsp.rs`) are thin adapters over `sfrd-reach`.
+//! Before this module, `SfDetector`/`FoDetector`/`MbDetector` each carried
+//! a private copy of the on-the-fly protocol — the same writer-check /
+//! reader-check / epoch-update sequence three times over, differing only
+//! in how reachability questions are answered. [`EventSink`] collapses
+//! them: a detector is now *one* struct parameterized by a
+//! [`ReachEngine`], and the engines (`detectors.rs`) are thin adapters
+//! over `sfrd-reach`.
 //!
 //! The sink speaks both access protocols of `sfrd-runtime`:
 //!
@@ -131,8 +131,8 @@ pub trait ReachEngine: Send + Sync + 'static {
 
 /// The unified detector: the on-the-fly protocol of §1/§3 over any
 /// [`ReachEngine`], speaking both the per-access and the batched access
-/// protocol. `SfDetector`, `FoDetector`, `MbDetector` and `WspDetector`
-/// are type aliases of this struct.
+/// protocol. `SfDetector`, `FoDetector` and `MbDetector` are type aliases
+/// of this struct.
 pub struct EventSink<E: ReachEngine> {
     pub(crate) engine: E,
     root: Mutex<Option<E::Strand>>,
@@ -428,7 +428,6 @@ mod tests {
 
     use super::*;
     use crate::detectors::{FoDetector, MbDetector, SfDetector, SfEngine};
-    use crate::wsp::WspDetector;
     use sfrd_runtime::{Batched, BatchedAccess, Cx, Runtime};
     use std::sync::Arc;
 
@@ -535,7 +534,6 @@ mod tests {
         same_epoch_rules(SfDetector::new(Mode::Full, ReaderPolicy::All)); // SfPos
         same_epoch_rules(FoDetector::new(Mode::Full)); // StrandPos
         same_epoch_rules(MbDetector::new(Mode::Full)); // MbPos
-        same_epoch_rules(WspDetector::new(Mode::Full, ReaderPolicy::All)); // SpPos
     }
 
     fn kinds<E: ReachEngine>(det: &EventSink<E>) -> Vec<RaceKind> {
@@ -620,7 +618,6 @@ mod tests {
     fn read_by_current_writer_holds_for_every_position_type_and_policy() {
         for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
             current_writer_rule(SfDetector::new(Mode::Full, policy)); // SfPos
-            current_writer_rule(WspDetector::new(Mode::Full, policy)); // SpPos
         }
         current_writer_rule(FoDetector::new(Mode::Full)); // StrandPos
         current_writer_rule_depth_first(MbDetector::new(Mode::Full)); // MbPos

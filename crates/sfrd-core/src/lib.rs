@@ -48,7 +48,6 @@ pub mod events;
 pub mod recording;
 pub mod report;
 pub mod shared;
-pub mod wsp;
 
 pub use config::EngineConfig;
 pub use detectors::{
@@ -59,7 +58,6 @@ pub use events::{EventSink, ReachEngine};
 pub use recording::{GenWorkload, RecordingHooks};
 pub use report::{CountsSnapshot, MetricsSnapshot, Race, RaceCollector, RaceKind, RaceReport};
 pub use shared::{ShadowArray, ShadowCell, ShadowMatrix, Word};
-pub use wsp::{WspDetector, WspEngine, WspStrand};
 
 // Re-exports so downstream users need only this crate.
 pub use sfrd_reach::SetStatsSnapshot;

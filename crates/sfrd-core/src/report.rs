@@ -229,18 +229,6 @@ pub struct MetricsSnapshot {
     pub sched_wakeups: u64,
 }
 
-impl MetricsSnapshot {
-    /// Fraction of raw accesses absorbed by the write-combining filter.
-    pub fn filter_hit_rate(&self) -> f64 {
-        let total = self.batched_accesses + self.filtered_accesses;
-        if total == 0 {
-            0.0
-        } else {
-            self.filtered_accesses as f64 / total as f64
-        }
-    }
-}
-
 /// Everything a detector run produces.
 #[derive(Debug, Clone)]
 pub struct RaceReport {

@@ -1,19 +1,24 @@
-//! Detector matrix on generated programs:
+//! SF-Order on fork-join-only programs — its degenerate case, k = 0, where
+//! the pseudo-SP-dag is the whole dag and `cp`/`gp` stay empty:
 //!
-//! * WSP-Order vs the oracle on fork-join-only programs (its legal
-//!   domain), across schedules;
-//! * WSP-Order vs SF-Order agreement on the same programs (SF-Order
-//!   degenerates to WSP-Order when k = 0).
+//! * against the oracle on generated programs, across schedules;
+//! * on three fixed programs: a fork-join race, synced accesses, and a
+//!   parallel writer behind three middle readers under `PerFutureLR`
+//!   (with one future, its leftmost/rightmost pair is the classic
+//!   fork-join reader history).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::prelude::*;
 
-use sfrd_core::{GenWorkload, Mode, RecordingHooks, SfDetector, Workload, WspDetector};
+use sfrd_core::{GenWorkload, Mode, RaceReport, RecordingHooks, SfDetector, Workload};
 use sfrd_dag::generator::{GenParams, GenProgram};
 use sfrd_runtime::hooks::PairHooks;
-use sfrd_runtime::Runtime;
+use sfrd_runtime::{Cx, ParCtx, Runtime};
 use sfrd_shadow::ReaderPolicy;
+
+const POLICIES: [ReaderPolicy; 2] = [ReaderPolicy::All, ReaderPolicy::PerFutureLR];
 
 /// Fork-join-only generator parameters (no creates, no gets).
 fn forkjoin_params() -> GenParams {
@@ -27,54 +32,86 @@ fn forkjoin_params() -> GenParams {
 }
 
 #[test]
-fn wsp_matches_oracle_on_forkjoin_programs() {
+fn sf_matches_oracle_on_forkjoin_programs() {
     let mut rng = StdRng::seed_from_u64(0x757);
     for round in 0..15 {
         let prog = GenProgram::random(&mut rng, &forkjoin_params());
         assert_eq!(prog.counts().1, 0, "generator must not emit creates");
-        for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
+        for policy in POLICIES {
             let hooks = Arc::new(PairHooks(
                 RecordingHooks::new(),
-                WspDetector::new(Mode::Full, policy),
+                SfDetector::new(Mode::Full, policy),
             ));
-            let rt: Runtime<PairHooks<RecordingHooks, WspDetector>> = Runtime::new(2);
+            let rt: Runtime<PairHooks<RecordingHooks, SfDetector>> = Runtime::new(2);
             let w = GenWorkload(prog.clone());
             rt.run(Arc::clone(&hooks), |ctx| w.run(ctx));
             drop(rt);
             let PairHooks(rec, det) = Arc::try_unwrap(hooks).ok().expect("sole owner");
             let recorded = RecordingHooks::finish(Arc::new(rec));
-            let want: std::collections::BTreeSet<u64> =
-                recorded.races().iter().map(|r| r.addr).collect();
+            let want: BTreeSet<u64> = recorded.races().iter().map(|r| r.addr).collect();
+            let rep = det.report();
+            assert_eq!(rep.counts.futures, 0);
             assert_eq!(
-                det.report().racy_addrs,
-                want,
-                "wsp {policy:?} round {round}\n{prog:?}"
+                rep.racy_addrs, want,
+                "sf {policy:?} round {round}\n{prog:?}"
             );
         }
     }
 }
 
+fn run_sf<F>(policy: ReaderPolicy, f: F) -> RaceReport
+where
+    F: for<'e> FnOnce(&mut ParCtx<'e, SfDetector>) + Send,
+{
+    let det = Arc::new(SfDetector::new(Mode::Full, policy));
+    let rt: Runtime<SfDetector> = Runtime::new(2);
+    rt.run(Arc::clone(&det), f);
+    drop(rt);
+    det.report()
+}
+
 #[test]
-fn wsp_and_sf_agree_on_forkjoin_programs() {
-    let mut rng = StdRng::seed_from_u64(0x5F57);
-    for _ in 0..15 {
-        let prog = GenProgram::random(&mut rng, &forkjoin_params());
+fn detects_fork_join_race() {
+    for policy in POLICIES {
+        let rep = run_sf(policy, |ctx| {
+            ctx.spawn(|c| c.record_write(64));
+            ctx.record_write(64);
+            ctx.sync();
+        });
+        assert!(rep.total_races > 0, "{policy:?}");
+    }
+}
 
-        let wsp = Arc::new(WspDetector::new(Mode::Full, ReaderPolicy::All));
-        let rt: Runtime<WspDetector> = Runtime::new(2);
-        let w = GenWorkload(prog.clone());
-        rt.run(Arc::clone(&wsp), |ctx| w.run(ctx));
-        drop(rt);
+#[test]
+fn synced_accesses_are_clean() {
+    for policy in POLICIES {
+        let rep = run_sf(policy, |ctx| {
+            ctx.spawn(|c| c.record_write(64));
+            ctx.sync();
+            ctx.record_write(64);
+            ctx.spawn(|c| c.record_read(64));
+            ctx.spawn(|c| c.record_read(64));
+            ctx.sync();
+            ctx.record_write(64);
+        });
+        assert_eq!(rep.total_races, 0, "{policy:?}");
+        assert_eq!(rep.counts.spawns, 3);
+    }
+}
 
-        let sf = Arc::new(SfDetector::new(Mode::Full, ReaderPolicy::All));
-        let rt: Runtime<SfDetector> = Runtime::new(2);
-        let w2 = GenWorkload(prog.clone());
-        rt.run(Arc::clone(&sf), |ctx| w2.run(ctx));
-        drop(rt);
-
-        assert_eq!(wsp.report().racy_addrs, sf.report().racy_addrs, "{prog:?}");
-        // Identical access counts too.
-        assert_eq!(wsp.report().counts.reads, sf.report().counts.reads);
-        assert_eq!(wsp.report().counts.writes, sf.report().counts.writes);
+#[test]
+fn lr_reader_pair_still_catches_middle_reader_races() {
+    // Three parallel readers; a later parallel writer must race with them
+    // even though `PerFutureLR` retains only the leftmost/rightmost pair.
+    for policy in POLICIES {
+        let rep = run_sf(policy, |ctx| {
+            for _ in 0..3 {
+                ctx.spawn(|c| c.record_read(8));
+            }
+            // A fourth parallel branch writes.
+            ctx.spawn(|c| c.record_write(8));
+            ctx.sync();
+        });
+        assert!(rep.total_races > 0, "{policy:?}");
     }
 }

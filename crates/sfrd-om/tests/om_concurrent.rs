@@ -7,6 +7,10 @@
 //!
 //! Run in release mode (CI does): debug-mode atomics make the seqlock
 //! windows so long that the schedules stop resembling production.
+//!
+//! Every reader yields once per pass. A reader that spins without yielding
+//! can hold the core a writer needs to publish its arena slots in order,
+//! and on a two-core box the run time then becomes a scheduling lottery.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,6 +80,7 @@ fn concurrent_inserters_match_rank_oracle() {
                         assert!(om.precedes(w[0], w[1]), "anchor order violated");
                         assert!(!om.precedes(w[1], w[0]));
                     }
+                    std::thread::yield_now();
                 }
             })
         })
@@ -192,6 +197,7 @@ fn head_hammer_forces_splits_and_respreads_under_queries() {
                         assert!(om.precedes(w[0], w[1]));
                         assert!(!om.precedes(w[1], w[0]));
                     }
+                    std::thread::yield_now();
                 }
             })
         })
@@ -261,20 +267,23 @@ fn random_position_inserts_with_concurrent_queries() {
         let backbone = Arc::clone(&backbone);
         std::thread::spawn(move || {
             // Deterministic pseudo-random pair walk (no rand in dev-deps
-            // of the integration target needed).
+            // of the integration target needed), 64 pairs per pass.
             let mut x = 0x9E3779B97F4A7C15u64;
             while !stop.load(Ordering::Relaxed) {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let i = (x as usize >> 8) % backbone.len();
-                let j = (x as usize >> 24) % backbone.len();
-                let expect = i.cmp(&j);
-                assert_eq!(
-                    om.order(backbone[i], backbone[j]),
-                    expect,
-                    "backbone order is immutable"
-                );
+                for _ in 0..64 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let i = (x as usize >> 8) % backbone.len();
+                    let j = (x as usize >> 24) % backbone.len();
+                    let expect = i.cmp(&j);
+                    assert_eq!(
+                        om.order(backbone[i], backbone[j]),
+                        expect,
+                        "backbone order is immutable"
+                    );
+                }
+                std::thread::yield_now();
             }
         })
     };
@@ -397,6 +406,7 @@ fn moving_front_fork_chains_relabel_ranges_under_queries() {
                         assert!(!heb.precedes(w[1].1, w[0].1));
                     }
                     passes += 1;
+                    std::thread::yield_now();
                 }
             })
         })

@@ -90,14 +90,6 @@ pub struct AllocDelta {
     pub chunks_shared: u64,
 }
 
-impl AllocDelta {
-    fn absorb(&mut self, other: AllocDelta) {
-        self.fresh_bytes += other.fresh_bytes;
-        self.chunks_copied += other.chunks_copied;
-        self.chunks_shared += other.chunks_shared;
-    }
-}
-
 /// A persistent chunked bitmap: `Arc`-shared directory + inline tail.
 #[derive(Debug, Clone)]
 pub struct Chunked {
@@ -423,13 +415,6 @@ impl Chunked {
             }
         }
         true
-    }
-
-    /// Unified allocation delta of `a.absorb(b)` style merges (test aid).
-    pub fn combine_deltas(a: AllocDelta, b: AllocDelta) -> AllocDelta {
-        let mut out = a;
-        out.absorb(b);
-        out
     }
 
     /// Resident heap bytes of this set's payload: the directory box plus

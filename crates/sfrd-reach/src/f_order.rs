@@ -54,11 +54,6 @@ impl FoStrand {
     pub fn future(&self) -> FutureId {
         self.future
     }
-
-    /// Entries currently reachable from this strand's table.
-    pub fn nsp_len(&self) -> usize {
-        self.nsp.values().map(Vec::len).sum()
-    }
 }
 
 /// Per-future state in the engine's slab arena: the memoized

@@ -290,18 +290,6 @@ pub struct BatchStats {
     pub filtered: u64,
 }
 
-impl BatchStats {
-    /// Fraction of raw accesses absorbed by the dedup filter.
-    pub fn filter_hit_rate(&self) -> f64 {
-        let total = self.recorded + self.filtered;
-        if total == 0 {
-            0.0
-        } else {
-            self.filtered as f64 / total as f64
-        }
-    }
-}
-
 /// Wrap any detector so accesses flow through the batch pipeline.
 ///
 /// `Batched<H>` buffers `on_read`/`on_write` into the strand's

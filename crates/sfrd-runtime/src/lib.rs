@@ -47,30 +47,3 @@ pub use batch::{AccessBatch, BatchStats, BatchStrand, Batched, BatchedAccess};
 pub use hooks::{Cx, NullHooks, TaskHooks};
 pub use parallel::{FutureHandle, ParCtx, PoolStats, Runtime};
 pub use sequential::{run_sequential, SeqCtx, SeqHandle};
-
-/// How to execute a program under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeConfig {
-    /// Number of workers (`P`); ignored when `sequential`.
-    pub workers: usize,
-    /// Serial elision instead of the work-stealing pool.
-    pub sequential: bool,
-}
-
-impl RuntimeConfig {
-    /// Parallel execution on `workers` workers.
-    pub fn parallel(workers: usize) -> Self {
-        Self {
-            workers,
-            sequential: false,
-        }
-    }
-
-    /// Serial left-to-right depth-first execution.
-    pub fn serial() -> Self {
-        Self {
-            workers: 1,
-            sequential: true,
-        }
-    }
-}

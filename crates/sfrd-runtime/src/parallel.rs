@@ -336,11 +336,6 @@ impl<'scope, H: TaskHooks> ParCtx<'scope, H> {
         self.hooks.on_task_end(&mut self.strand);
         self.strand
     }
-
-    /// The detector instance driving this execution.
-    pub fn hooks_arc(&self) -> &Arc<H> {
-        &self.hooks
-    }
 }
 
 /// Erase the scope lifetime from a job box. Sound because `Runtime::run`

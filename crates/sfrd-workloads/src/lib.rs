@@ -30,7 +30,7 @@ pub mod sw;
 pub use ferret::{FerretParams, FerretWorkload};
 pub use hw::{HwParams, HwWorkload};
 pub use lcs::{LcsParams, LcsWorkload};
-pub use mm::{MmForkJoin, MmParams, MmWorkload};
+pub use mm::{MmParams, MmWorkload};
 pub use sort::{SortParams, SortWorkload};
 pub use sw::{SwParams, SwWorkload};
 

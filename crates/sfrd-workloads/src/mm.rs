@@ -179,42 +179,6 @@ impl Workload for MmWorkload {
     }
 }
 
-/// Fork-join variant of the same kernel — `spawn`/`sync` instead of
-/// `create`/`get`. Used by the WSP-Order ablation ("what does structured-
-/// futures support cost on identical work").
-pub struct MmForkJoin(pub MmWorkload);
-
-impl MmForkJoin {
-    fn rec<'s, C: Cx<'s>>(&'s self, ctx: &mut C, qc: Quad, qa: Quad, qb: Quad) {
-        let w = &self.0;
-        if qc.n <= w.params.base {
-            w.base_mul(ctx, qc, qa, qb);
-            return;
-        }
-        let [c11, c12, c21, c22] = qc.split();
-        let [a11, a12, a21, a22] = qa.split();
-        let [b11, b12, b21, b22] = qb.split();
-        ctx.spawn(move |t| self.rec(t, c11, a11, b11));
-        ctx.spawn(move |t| self.rec(t, c12, a11, b12));
-        ctx.spawn(move |t| self.rec(t, c21, a21, b11));
-        self.rec(ctx, c22, a21, b12);
-        ctx.sync();
-        ctx.spawn(move |t| self.rec(t, c11, a12, b21));
-        ctx.spawn(move |t| self.rec(t, c12, a12, b22));
-        ctx.spawn(move |t| self.rec(t, c21, a22, b21));
-        self.rec(ctx, c22, a22, b22);
-        ctx.sync();
-    }
-}
-
-impl Workload for MmForkJoin {
-    fn run<'s, C: Cx<'s>>(&'s self, ctx: &mut C) {
-        let n = self.0.params.n;
-        let whole = Quad { r: 0, c: 0, n };
-        self.rec(ctx, whole, whole, whole);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,9 +36,9 @@ pub use sfrd_workloads as workloads;
 pub mod prelude {
     pub use sfrd_core::{
         drive, DetectorKind, DriveConfig, EngineConfig, FutureHandle, Mode, RaceReport, ReachOnly,
-        ShadowArray, ShadowCell, ShadowMatrix, Workload, WspDetector,
+        ShadowArray, ShadowCell, ShadowMatrix, Workload,
     };
-    pub use sfrd_runtime::{Cx, RuntimeConfig};
+    pub use sfrd_runtime::Cx;
     pub use sfrd_shadow::ReaderPolicy;
     pub use sfrd_trace::{
         replay_journal, JournalError, JournalHooks, JournalReader, JournalWriter,

@@ -173,30 +173,6 @@ fn half_synced_future_read_detected() {
     }
 }
 
-/// The fork-join mm variant runs clean under WSP-Order and SF-Order and
-/// produces the same product as the futures version.
-#[test]
-fn forkjoin_mm_under_wsp_and_sf() {
-    use sfrd::workloads::{MmForkJoin, MmParams, MmWorkload};
-    for kind in [DetectorKind::WspOrder, DetectorKind::SfOrder] {
-        let w = MmForkJoin(MmWorkload::new(MmParams { n: 16, base: 4 }, 5));
-        let out = drive(&w, DriveConfig::with(kind, Mode::Full, 2));
-        assert!(w.0.verify(), "{kind:?}");
-        let rep = out.report.unwrap();
-        assert_eq!(rep.total_races, 0, "{kind:?}");
-        assert_eq!(rep.counts.futures, 0, "fork-join variant uses no futures");
-        assert_eq!(rep.counts.spawns, 9 * 6, "six spawns per internal node");
-    }
-}
-
-/// WSP-Order rejects future-using programs loudly.
-#[test]
-#[should_panic(expected = "fork-join parallelism only")]
-fn wsp_rejects_futures() {
-    let w = make_bench("sort", Scale::Small, 1);
-    drive(&w, DriveConfig::with(DetectorKind::WspOrder, Mode::Full, 2));
-}
-
 /// Determinism: many repetitions of a parallel racy program always report.
 #[test]
 fn racy_program_detected_across_many_schedules() {

@@ -52,6 +52,6 @@ run fig3_characteristics results_fig3_"$SCALE".txt --scale "$SCALE"
 run fig5_memory          results_fig5_"$SCALE".txt --scale "$SCALE"
 run k_scaling            results_kscaling.txt
 # fig4 last: it is timing-sensitive, keep the machine quiet.
-run fig4_times           results_fig4_"$SCALE".txt --scale "$SCALE" --workers "$WORKERS" --reps "$REPS" --json
+run fig4_times           results_fig4_"$SCALE".txt --scale "$SCALE" --workers "$WORKERS" --reps "$REPS"
 
 echo ">> done (scale=$SCALE workers=$WORKERS reps=$REPS); see results_*.txt"

@@ -22,10 +22,7 @@
 
 use parking_lot::Mutex;
 
-use sfrd_reach::{
-    FoReach, FoStrand, MbPos, MbReach, MbStrand, SetStatsSnapshot, SfPos, SfReach, SfStrand,
-    StrandPos,
-};
+use sfrd_reach::{FoReach, FoStrand, MbReach, MbStrand, Pos, SetStatsSnapshot, SfReach, SfStrand};
 use sfrd_shadow::ReaderPolicy;
 
 use crate::config::EngineConfig;
@@ -98,7 +95,6 @@ impl SfEngine {
 
 impl ReachEngine for SfEngine {
     type Strand = SfStrand;
-    type Pos = SfPos;
 
     fn spawn(&self, parent: &mut SfStrand) -> SfStrand {
         self.0.spawn(parent)
@@ -115,23 +111,24 @@ impl ReachEngine for SfEngine {
     fn task_end(&self, s: &mut SfStrand) {
         self.0.task_end(s);
     }
-    fn pos(s: &SfStrand) -> SfPos {
-        s.pos()
+    fn pos(s: &SfStrand) -> Pos {
+        s.pos_id()
     }
     fn future_id(s: &SfStrand) -> u32 {
         s.future().0
     }
-    fn precedes(&self, a: SfPos, s: &SfStrand) -> bool {
-        self.0.precedes(a, s)
+    fn precedes(&self, a: Pos, s: &SfStrand) -> bool {
+        self.0.precedes_id(a, s)
     }
-    fn eng_less(&self, a: &SfPos, b: &SfPos) -> bool {
-        self.0.sp_order().eng_precedes(a.sp, b.sp)
+    fn eng_less(&self, a: Pos, b: Pos) -> bool {
+        self.0.sp_order().eng_precedes(a, b)
     }
-    fn heb_less(&self, a: &SfPos, b: &SfPos) -> bool {
-        self.0.sp_order().heb_precedes(a.sp, b.sp)
+    fn heb_less(&self, a: Pos, b: Pos) -> bool {
+        self.0.sp_order().heb_precedes(a, b)
     }
-    fn pos_precedes(&self, a: &SfPos, b: &SfPos) -> bool {
-        self.0.sp_order().precedes_eq(a.sp, b.sp)
+    fn pos_precedes(&self, a: Pos, b: Pos) -> bool {
+        let sp = self.0.sp_order();
+        sp.precedes_eq(sp.sp_pos(a), sp.sp_pos(b))
     }
     fn heap_bytes(&self) -> usize {
         self.0.heap_bytes()
@@ -180,7 +177,6 @@ impl FoEngine {
 
 impl ReachEngine for FoEngine {
     type Strand = FoStrand;
-    type Pos = StrandPos;
 
     fn spawn(&self, parent: &mut FoStrand) -> FoStrand {
         self.0.spawn(parent)
@@ -197,14 +193,14 @@ impl ReachEngine for FoEngine {
     fn task_end(&self, s: &mut FoStrand) {
         self.0.task_end(s);
     }
-    fn pos(s: &FoStrand) -> StrandPos {
-        s.pos()
+    fn pos(s: &FoStrand) -> Pos {
+        s.pos_id()
     }
     fn future_id(s: &FoStrand) -> u32 {
         s.future().0
     }
-    fn precedes(&self, a: StrandPos, s: &FoStrand) -> bool {
-        self.0.precedes(a, s)
+    fn precedes(&self, a: Pos, s: &FoStrand) -> bool {
+        self.0.precedes_id(a, s)
     }
     // F-Order cannot bound readers: the LR comparators stay at the
     // constant-false defaults (policy is always `All`).
@@ -258,7 +254,6 @@ impl MbEngine {
 
 impl ReachEngine for MbEngine {
     type Strand = MbStrand;
-    type Pos = MbPos;
 
     fn spawn(&self, parent: &mut MbStrand) -> MbStrand {
         self.0.lock().spawn(parent)
@@ -282,14 +277,14 @@ impl ReachEngine for MbEngine {
     fn task_return(&self, parent: &mut MbStrand, child: &mut MbStrand) {
         self.0.lock().task_return(parent, child);
     }
-    fn pos(s: &MbStrand) -> MbPos {
-        s.pos()
+    fn pos(s: &MbStrand) -> Pos {
+        s.pos_id()
     }
     fn future_id(s: &MbStrand) -> u32 {
         s.future().0
     }
-    fn precedes(&self, a: MbPos, s: &MbStrand) -> bool {
-        self.0.lock().precedes(a, s)
+    fn precedes(&self, a: Pos, s: &MbStrand) -> bool {
+        self.0.lock().precedes_id(a, s)
     }
     fn heap_bytes(&self) -> usize {
         self.0.lock().heap_bytes()
@@ -313,5 +308,11 @@ impl MbDetector {
     /// Build a one-shot detector.
     pub fn new(mode: Mode) -> Self {
         Self::from_config(&EngineConfig::new(mode))
+    }
+
+    /// Reachability engine (diagnostics), behind the detector's own lock —
+    /// never contended under the sequential runtime.
+    pub fn reach(&self) -> impl std::ops::Deref<Target = MbReach> + '_ {
+        self.engine.0.lock()
     }
 }

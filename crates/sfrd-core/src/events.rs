@@ -36,6 +36,7 @@
 
 use parking_lot::Mutex;
 
+use sfrd_reach::Pos;
 use sfrd_runtime::{AccessBatch, TaskHooks};
 use sfrd_shadow::{LocEntry, PageCursor, PagedHistory, ReaderPolicy};
 
@@ -74,11 +75,14 @@ impl Tally {
 /// position `a` precede strand `s`" and maintains per-strand positions
 /// across the parallel constructs. Adapters over `sfrd-reach` implement
 /// this; the detection protocol itself lives in the sink.
+///
+/// Positions are [`Pos`] words, which every engine mints so that two
+/// strands hold equal ids exactly when they hold equal rich positions
+/// (`sfrd_reach::pos`): the sink's "same position, no query" test is the
+/// same test for every engine, and the access history stores one word.
 pub trait ReachEngine: Send + Sync + 'static {
     /// Per-task engine state.
     type Strand: Send + 'static;
-    /// Position stored in the access history.
-    type Pos: Copy + PartialEq + Send + 'static;
 
     /// A task spawned a fork-join child.
     fn spawn(&self, parent: &mut Self::Strand) -> Self::Strand;
@@ -94,24 +98,25 @@ pub trait ReachEngine: Send + Sync + 'static {
     fn task_return(&self, _parent: &mut Self::Strand, _child: &mut Self::Strand) {}
 
     /// The strand's current position.
-    fn pos(s: &Self::Strand) -> Self::Pos;
+    fn pos(s: &Self::Strand) -> Pos;
     /// The strand's future id (0 for the fork-join root region).
     fn future_id(s: &Self::Strand) -> u32;
     /// Does the stored position `a` precede strand `s`? The one query the
-    /// whole protocol is built on.
-    fn precedes(&self, a: Self::Pos, s: &Self::Strand) -> bool;
+    /// whole protocol is built on; the engine resolves `a` here, and only
+    /// here on the hot path.
+    fn precedes(&self, a: Pos, s: &Self::Strand) -> bool;
 
     /// English-order comparison of two stored positions (only consulted
     /// under [`ReaderPolicy::PerFutureLR`]).
-    fn eng_less(&self, _a: &Self::Pos, _b: &Self::Pos) -> bool {
+    fn eng_less(&self, _a: Pos, _b: Pos) -> bool {
         false
     }
     /// Hebrew-order comparison of two stored positions.
-    fn heb_less(&self, _a: &Self::Pos, _b: &Self::Pos) -> bool {
+    fn heb_less(&self, _a: Pos, _b: Pos) -> bool {
         false
     }
     /// Same-future serial comparison of two stored positions.
-    fn pos_precedes(&self, _a: &Self::Pos, _b: &Self::Pos) -> bool {
+    fn pos_precedes(&self, _a: Pos, _b: Pos) -> bool {
         false
     }
 
@@ -136,7 +141,7 @@ pub trait ReachEngine: Send + Sync + 'static {
 pub struct EventSink<E: ReachEngine> {
     pub(crate) engine: E,
     root: Mutex<Option<E::Strand>>,
-    pub(crate) history: Option<PagedHistory<E::Pos>>,
+    pub(crate) history: Option<PagedHistory<Pos>>,
     /// Detected races.
     pub collector: RaceCollector,
     /// Execution counters (Fig. 3).
@@ -162,7 +167,7 @@ impl<E: ReachEngine> EventSink<E> {
     }
 
     /// The access history (diagnostics; `None` in reach mode).
-    pub fn history(&self) -> Option<&PagedHistory<E::Pos>> {
+    pub fn history(&self) -> Option<&PagedHistory<Pos>> {
         self.history.as_ref()
     }
 
@@ -223,7 +228,7 @@ impl<E: ReachEngine> EventSink<E> {
     /// accessor `a`: at the strand's own position it is serial by
     /// construction (no query); anywhere else, ask `precedes`.
     #[inline]
-    fn ordered(&self, a: E::Pos, pos: E::Pos, s: &E::Strand, t: &mut Tally) -> bool {
+    fn ordered(&self, a: Pos, pos: Pos, s: &E::Strand, t: &mut Tally) -> bool {
         a == pos || {
             t.queries += 1;
             self.engine.precedes(a, s)
@@ -235,10 +240,10 @@ impl<E: ReachEngine> EventSink<E> {
     /// writer's own position ([`LocEntry::retain_reader`]).
     fn check_read(
         &self,
-        e: &mut LocEntry<E::Pos>,
+        e: &mut LocEntry<'_, Pos>,
         addr: u64,
         fut: u32,
-        pos: E::Pos,
+        pos: Pos,
         s: &E::Strand,
         t: &mut Tally,
     ) {
@@ -249,9 +254,9 @@ impl<E: ReachEngine> EventSink<E> {
         e.retain_reader(
             fut,
             pos,
-            |a, b| eng.eng_less(a, b),
-            |a, b| eng.heb_less(a, b),
-            |a, b| eng.pos_precedes(a, b),
+            |a, b| eng.eng_less(*a, *b),
+            |a, b| eng.heb_less(*a, *b),
+            |a, b| eng.pos_precedes(*a, *b),
         );
     }
 
@@ -259,9 +264,9 @@ impl<E: ReachEngine> EventSink<E> {
     /// then open a new write epoch.
     fn check_write(
         &self,
-        e: &mut LocEntry<E::Pos>,
+        e: &mut LocEntry<'_, Pos>,
         addr: u64,
-        pos: E::Pos,
+        pos: Pos,
         s: &E::Strand,
         t: &mut Tally,
     ) {
@@ -289,10 +294,10 @@ impl<E: ReachEngine> EventSink<E> {
     /// locked path re-derives and reports exactly once.
     fn read(
         &self,
-        cur: &mut PageCursor<'_, E::Pos>,
+        cur: &mut PageCursor<'_, Pos>,
         addr: u64,
         fut: u32,
-        pos: E::Pos,
+        pos: Pos,
         s: &E::Strand,
         t: &mut Tally,
     ) {
@@ -302,9 +307,9 @@ impl<E: ReachEngine> EventSink<E> {
             addr,
             fut,
             pos,
-            |a, b| eng.eng_less(a, b),
-            |a, b| eng.heb_less(a, b),
-            |a, b| eng.pos_precedes(a, b),
+            |a, b| eng.eng_less(*a, *b),
+            |a, b| eng.heb_less(*a, *b),
+            |a, b| eng.pos_precedes(*a, *b),
             |w| w.is_none_or(|w| self.ordered(w, pos, s, t)),
         );
         if !hit {
@@ -315,9 +320,9 @@ impl<E: ReachEngine> EventSink<E> {
     /// One write: write-same-epoch from the snapshot, else the section.
     fn write(
         &self,
-        cur: &mut PageCursor<'_, E::Pos>,
+        cur: &mut PageCursor<'_, Pos>,
         addr: u64,
-        pos: E::Pos,
+        pos: Pos,
         s: &E::Strand,
         t: &mut Tally,
     ) {
@@ -449,7 +454,7 @@ mod tests {
     /// `(writer_seq, retained readers)` of `addr`.
     fn entry<E: ReachEngine>(det: &EventSink<E>, addr: u64) -> (u64, usize) {
         let history = det.history().expect("full mode");
-        history.locked(addr, |e| (e.writer_seq, e.readers.len()))
+        history.locked(addr, |e| (*e.writer_seq, e.readers.len()))
     }
 
     /// Finish a spawned child and join it into `parent`, the way the
@@ -461,8 +466,8 @@ mod tests {
     }
 
     /// The rules rest on one premise — equal positions belong to one
-    /// task's serial chain — so they are checked on every position type
-    /// the sink is instantiated with, not assumed.
+    /// task's serial chain — which each engine's id minting establishes,
+    /// so they are checked once per engine, not assumed.
     fn same_epoch_rules<E: ReachEngine>(det: EventSink<E>) {
         let mut r = det.root();
         // A serial predecessor writes X, so reads of X have a writer to check.
@@ -530,10 +535,10 @@ mod tests {
     }
 
     #[test]
-    fn same_epoch_rules_hold_for_every_position_type() {
-        same_epoch_rules(SfDetector::new(Mode::Full, ReaderPolicy::All)); // SfPos
-        same_epoch_rules(FoDetector::new(Mode::Full)); // StrandPos
-        same_epoch_rules(MbDetector::new(Mode::Full)); // MbPos
+    fn same_epoch_rules_hold_for_every_engine() {
+        same_epoch_rules(SfDetector::new(Mode::Full, ReaderPolicy::All));
+        same_epoch_rules(FoDetector::new(Mode::Full));
+        same_epoch_rules(MbDetector::new(Mode::Full));
     }
 
     fn kinds<E: ReachEngine>(det: &EventSink<E>) -> Vec<RaceKind> {
@@ -583,8 +588,8 @@ mod tests {
 
     /// The same three facts in serial depth-first order, which MultiBags
     /// requires — possible there because all of a task's strands share one
-    /// `MbPos`, so the parent is still at the writer's position after a
-    /// child ran.
+    /// position (its union-find element), so the parent is still at the
+    /// writer's position after a child ran.
     fn current_writer_rule_depth_first<E: ReachEngine>(det: EventSink<E>) {
         let mut r = det.root();
         det.on_write(&mut r, X);
@@ -617,10 +622,10 @@ mod tests {
     #[test]
     fn read_by_current_writer_holds_for_every_position_type_and_policy() {
         for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
-            current_writer_rule(SfDetector::new(Mode::Full, policy)); // SfPos
+            current_writer_rule(SfDetector::new(Mode::Full, policy));
         }
-        current_writer_rule(FoDetector::new(Mode::Full)); // StrandPos
-        current_writer_rule_depth_first(MbDetector::new(Mode::Full)); // MbPos
+        current_writer_rule(FoDetector::new(Mode::Full));
+        current_writer_rule_depth_first(MbDetector::new(Mode::Full));
     }
 
     /// `PerFutureLR` answers from the same snapshot by its own test: the
@@ -675,7 +680,7 @@ mod tests {
         assert_eq!(entry(&det, X), (1, 1));
     }
 
-    /// A `get` keeps the strand's `SpPos` and only grows `gp`: a verdict
+    /// A `get` keeps the strand's position and only grows `gp`: a verdict
     /// can only turn from "race" to "ordered", and a race seen before the
     /// `get` is already in the set. So the read after the `get` may skip.
     #[test]

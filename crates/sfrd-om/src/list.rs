@@ -116,6 +116,15 @@ impl OmHandle {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The handle with raw index `index` — the inverse of
+    /// [`index`](Self::index), for callers that store handles as integers.
+    /// Only meaningful for an index the same list handed out; any other
+    /// index panics (out of bounds) or names another item.
+    #[inline]
+    pub fn from_index(index: u32) -> Self {
+        OmHandle(index)
+    }
 }
 
 struct ItemSlot {
@@ -128,6 +137,11 @@ struct ItemSlot {
     next: AtomicU32,
     /// Previous item in the group. Protected by the group lock.
     prev: AtomicU32,
+    /// The caller's word for this item ([`OmList::aux`]): written by the
+    /// run insert before the arena publishes the slot and never changed,
+    /// so it needs no atomic. It fits the padding after the four fields
+    /// above, so the slot stays 24 bytes.
+    aux: u32,
 }
 
 struct GroupSlot {
@@ -324,6 +338,7 @@ impl OmList {
             group: AtomicU32::new(0),
             next: AtomicU32::new(NIL),
             prev: AtomicU32::new(NIL),
+            aux: 0,
         });
         (list, OmHandle(0))
     }
@@ -384,27 +399,23 @@ impl OmList {
     }
 
     /// Insert a new element immediately after `after`, returning its handle.
+    /// Its [`aux`](Self::aux) word is 0.
     pub fn insert_after(&self, after: OmHandle) -> OmHandle {
-        let [h] = self.insert_n_after::<1>(after);
+        let [h] = self.insert_n_after(after, [0]);
         h
-    }
-
-    /// Insert two elements right after `after`; returns `(first, second)`
-    /// where order is `after < first < second`. Used by SP-Order at spawn.
-    pub fn insert_two_after(&self, after: OmHandle) -> (OmHandle, OmHandle) {
-        let [a, b] = self.insert_n_after::<2>(after);
-        (a, b)
     }
 
     /// Insert a run of `N` elements right after `after` in one combined
     /// group operation: one group-lock acquisition allocates all `N`
     /// labels by even gap-splitting and one arena append holds all `N`
     /// slots. Returns the handles in list order, i.e.
-    /// `after < r[0] < r[1] < … < r[N-1]`.
+    /// `after < r[0] < r[1] < … < r[N-1]`. Element `r[k]` carries
+    /// `aux[k]` as its [`aux`](Self::aux) word, written before the run is
+    /// published.
     ///
     /// `SpOrder::fork` uses this to pay one lock acquisition for the 2–3
     /// positions it adds per list instead of one per position.
-    pub fn insert_n_after<const N: usize>(&self, after: OmHandle) -> [OmHandle; N] {
+    pub fn insert_n_after<const N: usize>(&self, after: OmHandle, aux: [u32; N]) -> [OmHandle; N] {
         assert!(N >= 1 && N <= 8, "insert run length must be in 1..=8");
         let pred = after.0;
         let pred_slot = self.items.get(pred as usize);
@@ -418,7 +429,7 @@ impl OmList {
                 drop(guard);
                 continue;
             }
-            if let Some(handles) = self.try_insert_run::<N>(gidx, group, pred, pred_slot) {
+            if let Some(handles) = self.try_insert_run(gidx, group, pred, pred_slot, aux) {
                 bump(&group.fast_inserts, 1);
                 let oversized = group.count.load(Ordering::Relaxed) as usize > GROUP_MAX;
                 drop(guard);
@@ -436,7 +447,7 @@ impl OmList {
             self.counters
                 .global_escalations
                 .fetch_add(1, Ordering::Relaxed);
-            return self.insert_run_escalated::<N>(pred);
+            return self.insert_run_escalated(pred, aux);
         }
     }
 
@@ -474,6 +485,7 @@ impl OmList {
         group: &GroupSlot,
         pred: u32,
         pred_slot: &ItemSlot,
+        aux: [u32; N],
     ) -> Option<[OmHandle; N]> {
         let pred_label = pred_slot.label.load(Ordering::Relaxed);
         let succ = pred_slot.next.load(Ordering::Relaxed);
@@ -501,6 +513,7 @@ impl OmList {
                 } else {
                     first.wrapping_add(k as u32 - 1)
                 }),
+                aux: aux[k],
             })
         });
         // Checked after the append (a panic inside it would wedge the
@@ -523,7 +536,7 @@ impl OmList {
 
     /// Slow-path insert under the global lock: relabel the group if its
     /// gap is exhausted, insert, and split if oversized.
-    fn insert_run_escalated<const N: usize>(&self, pred: u32) -> [OmHandle; N] {
+    fn insert_run_escalated<const N: usize>(&self, pred: u32, aux: [u32; N]) -> [OmHandle; N] {
         let mut inner = self.lock.lock();
         // Under the global lock no split can run, so the predecessor's
         // group index is stable once read.
@@ -531,13 +544,13 @@ impl OmList {
         let gidx = pred_slot.group.load(Ordering::Acquire);
         let group = self.groups.get(gidx as usize);
         let guard = self.lock_group(group);
-        let handles = match self.try_insert_run::<N>(gidx, group, pred, pred_slot) {
+        let handles = match self.try_insert_run(gidx, group, pred, pred_slot, aux) {
             // Another thread relabeled between our fast-path failure and
             // the escalation — the gap is back.
             Some(h) => h,
             None => {
                 self.relabel_group(group);
-                self.try_insert_run::<N>(gidx, group, pred, pred_slot)
+                self.try_insert_run(gidx, group, pred, pred_slot, aux)
                     .expect("freshly relabeled group must have label gaps")
             }
         };
@@ -840,6 +853,14 @@ impl OmList {
         self.order(a, b) == CmpOrdering::Less
     }
 
+    /// The word `h` was inserted with ([`insert_n_after`](Self::insert_n_after);
+    /// 0 for the base element and [`insert_after`](Self::insert_after)).
+    /// Lock-free and never retried: no relabel touches it.
+    #[inline]
+    pub fn aux(&self, h: OmHandle) -> u32 {
+        self.items.get(h.0 as usize).aux
+    }
+
     /// Collect all handles in list order (test/diagnostic aid; O(n)).
     /// Takes the global lock (freezing the group chain) and each group's
     /// lock while walking it (freezing that item chain).
@@ -981,20 +1002,36 @@ mod tests {
         );
     }
 
+    /// The caller's word rides in the item slot's padding: the slot stays
+    /// 24 bytes, as it was before it carried one.
     #[test]
-    fn insert_two_after_orders_pair() {
+    fn item_slot_carries_aux_in_its_padding() {
+        assert_eq!(std::mem::size_of::<ItemSlot>(), 24);
+    }
+
+    /// Each run element keeps its own aux word, through the relabels and
+    /// splits a hot spot forces.
+    #[test]
+    fn aux_words_survive_relabels() {
         let (list, base) = OmList::new();
-        let (a, b) = list.insert_two_after(base);
-        assert!(list.precedes(base, a));
-        assert!(list.precedes(a, b));
-        assert!(!list.precedes(b, a));
+        let mut runs = Vec::new();
+        for i in 0..2_000u32 {
+            runs.push((list.insert_n_after(base, [3 * i, 3 * i + 1, 3 * i + 2]), i));
+        }
+        assert!(list.relabel_count() > 0);
+        assert_eq!(list.aux(base), 0);
+        for (run, i) in runs {
+            assert_eq!(run.map(|h| list.aux(h)), [3 * i, 3 * i + 1, 3 * i + 2]);
+            assert_eq!(OmHandle::from_index(run[1].index() as u32), run[1]);
+        }
+        assert_eq!(list.aux(list.insert_after(base)), 0);
     }
 
     #[test]
     fn insert_n_after_orders_run() {
         let (list, base) = OmList::new();
         let tail = list.insert_after(base);
-        let run = list.insert_n_after::<4>(base);
+        let run = list.insert_n_after(base, [0; 4]);
         let mut prev = base;
         for h in run {
             assert!(list.precedes(prev, h));
@@ -1029,15 +1066,15 @@ mod tests {
             let pos = rng.random_range(0..model.len());
             match rng.random_range(0..3) {
                 0 => {
-                    let run = list.insert_n_after::<2>(model[pos]);
+                    let run = list.insert_n_after(model[pos], [0; 2]);
                     model.splice(pos + 1..pos + 1, run);
                 }
                 1 => {
-                    let run = list.insert_n_after::<3>(model[pos]);
+                    let run = list.insert_n_after(model[pos], [0; 3]);
                     model.splice(pos + 1..pos + 1, run);
                 }
                 _ => {
-                    let run = list.insert_n_after::<4>(model[pos]);
+                    let run = list.insert_n_after(model[pos], [0; 4]);
                     model.splice(pos + 1..pos + 1, run);
                 }
             }
@@ -1140,7 +1177,7 @@ mod tests {
             for _ in 0..600 {
                 // Clustered positions: most inserts land near the front.
                 let pos = rng.random_range(0..model.len().min(8 + model.len() / 16));
-                let run = list.insert_n_after::<3>(model[pos]);
+                let run = list.insert_n_after(model[pos], [0; 3]);
                 model.splice(pos + 1..pos + 1, run);
             }
             check_against_model(&model, &list);
@@ -1234,7 +1271,7 @@ mod tests {
         let ops = 20_000u64;
         for _ in 0..ops {
             let pos = rng.random_range(0..handles.len().min(50));
-            handles.push(list.insert_n_after::<2>(handles[pos])[0]);
+            handles.push(list.insert_n_after(handles[pos], [0; 2])[0]);
         }
         let s = list.stats();
         // Single-threaded, an insert that leaves the fast path always

@@ -130,18 +130,18 @@ fn omlist_range_relabels_never_tear_queries() {
             // first: one handle from each era, each in its own group.
             let mut eras = Vec::new();
             for _ in 0..8 {
-                eras.push(om.insert_n_after::<8>(base)[7]);
+                eras.push(om.insert_n_after(base, [0; 8])[7]);
             }
             assert_eq!(om.stats().splits, 1);
             let early = eras[0];
             for _ in 0..4 {
-                om.insert_n_after::<8>(base);
+                om.insert_n_after(base, [0; 8]);
             }
             let mid = om.insert_after(base);
             assert_eq!(om.stats().splits, 2);
             let mut late = base;
             for _ in 0..4 {
-                late = om.insert_n_after::<8>(base)[7];
+                late = om.insert_n_after(base, [0; 8])[7];
             }
             assert_eq!(om.stats().respreads, 0);
             let chain = [base, late, mid, early];

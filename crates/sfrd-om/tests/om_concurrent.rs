@@ -102,13 +102,13 @@ fn concurrent_inserters_match_rank_oracle() {
                             chain.push(cur);
                         }
                         1 => {
-                            let [a, b] = om.insert_n_after::<2>(cur);
+                            let [a, b] = om.insert_n_after(cur, [0; 2]);
                             chain.push(a);
                             chain.push(b);
                             cur = b;
                         }
                         _ => {
-                            let [a, b, c] = om.insert_n_after::<3>(cur);
+                            let [a, b, c] = om.insert_n_after(cur, [0; 3]);
                             chain.push(a);
                             chain.push(b);
                             chain.push(c);
@@ -337,13 +337,13 @@ struct Task {
 
 fn fork(eng: &OmList, heb: &OmList, t: &mut Task) -> Task {
     let (child, cont) = if t.block.is_none() {
-        let [c_eng, k_eng, s_eng] = eng.insert_n_after::<3>(t.cur.0);
-        let [k_heb, c_heb, s_heb] = heb.insert_n_after::<3>(t.cur.1);
+        let [c_eng, k_eng, s_eng] = eng.insert_n_after(t.cur.0, [0; 3]);
+        let [k_heb, c_heb, s_heb] = heb.insert_n_after(t.cur.1, [0; 3]);
         t.block = Some((s_eng, s_heb));
         ((c_eng, c_heb), (k_eng, k_heb))
     } else {
-        let [c_eng, k_eng] = eng.insert_n_after::<2>(t.cur.0);
-        let [k_heb, c_heb] = heb.insert_n_after::<2>(t.cur.1);
+        let [c_eng, k_eng] = eng.insert_n_after(t.cur.0, [0; 2]);
+        let [k_heb, c_heb] = heb.insert_n_after(t.cur.1, [0; 2]);
         ((c_eng, c_heb), (k_eng, k_heb))
     };
     t.cur = cont;

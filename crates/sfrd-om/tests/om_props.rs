@@ -48,7 +48,7 @@ proptest! {
         for (i, &p) in pattern.iter().enumerate() {
             let pos = p as usize % model.len();
             if i % 3 == 0 {
-                let [a, b] = om.insert_n_after::<2>(model[pos]);
+                let [a, b] = om.insert_n_after(model[pos], [0; 2]);
                 model.insert(pos + 1, a);
                 model.insert(pos + 2, b);
             } else {

@@ -26,6 +26,7 @@ use sfrd_dag::FutureId;
 use crate::arena::NodeArena;
 use crate::bitmap::SetStats;
 use crate::hash::FxHashMap;
+use crate::pos::Pos;
 use crate::sp_order::{SpOrder, SpPos, SpTask, StrandPos};
 
 /// Per-future antichain of non-SP departure points (create/put positions).
@@ -34,25 +35,32 @@ type NspTable = FxHashMap<FutureId, Vec<SpPos>>;
 /// Per-task F-Order state.
 #[derive(Debug)]
 pub struct FoStrand {
+    /// SP-Order state, owning future included.
     sp: SpTask,
-    future: FutureId,
     nsp: Arc<NspTable>,
 }
 
 impl FoStrand {
-    /// Identity of the current strand for the access history.
+    /// The current strand's rich position.
     #[inline]
     pub fn pos(&self) -> StrandPos {
         StrandPos {
             sp: self.sp.pos(),
-            future: self.future,
+            future: self.future(),
         }
+    }
+
+    /// The current strand's position as the access history stores it
+    /// ([`FoReach::resolve`] inverts it).
+    #[inline]
+    pub fn pos_id(&self) -> Pos {
+        self.sp.pos_id()
     }
 
     /// Owning future id.
     #[inline]
     pub fn future(&self) -> FutureId {
-        self.future
+        self.sp.future()
     }
 }
 
@@ -98,7 +106,6 @@ impl FoReach {
         engine.nodes.set(FutureId::ROOT.0, FoNode::default());
         let root = FoStrand {
             sp: task,
-            future: FutureId::ROOT,
             nsp: Arc::new(NspTable::default()),
         };
         (engine, root)
@@ -128,29 +135,27 @@ impl FoReach {
 
     /// `spawn`: child shares the table.
     pub fn spawn(&self, parent: &mut FoStrand) -> FoStrand {
-        let child_sp = self.sp.fork(&mut parent.sp);
         FoStrand {
-            sp: child_sp,
-            future: parent.future,
+            sp: self.sp.fork(&mut parent.sp),
             nsp: Arc::clone(&parent.nsp),
         }
     }
 
     /// `create`: the child's table gains the create node as a departure
     /// point — a fresh table allocation (O(k) copy), the cost SF-Order's
-    /// `cp` bitmaps avoid.
+    /// `cp` bitmaps avoid. The future id is minted before the fork, which
+    /// records it as the owner of the child's first position.
     pub fn create(&self, parent: &mut FoStrand) -> FoStrand {
         let create_pos = parent.sp.pos();
-        let parent_future = parent.future;
-        let child_sp = self.sp.fork(&mut parent.sp);
+        let parent_future = parent.future();
         let fid = FutureId(self.next_future.fetch_add(1, Ordering::Relaxed));
+        let child_sp = self.sp.fork_future(&mut parent.sp, fid);
         self.nodes.set(fid.0, FoNode::default());
         let mut table = (*parent.nsp).clone();
         self.insert_op(&mut table, parent_future, create_pos);
         self.note_alloc(&table);
         FoStrand {
             sp: child_sp,
-            future: fid,
             nsp: Arc::new(table),
         }
     }
@@ -168,9 +173,9 @@ impl FoReach {
     /// "done table" depends only on the completed future, so the first
     /// get memoizes it in the future's arena node.
     pub fn get(&self, s: &mut FoStrand, done: &FoStrand) {
-        let with_put = self.node(done.future).done.get_or_init(|| {
+        let with_put = self.node(done.future()).done.get_or_init(|| {
             let mut t = (*done.nsp).clone();
-            self.insert_op(&mut t, done.future, done.pos().sp);
+            self.insert_op(&mut t, done.future(), done.sp.pos());
             self.note_alloc(&t);
             Arc::new(t)
         });
@@ -186,6 +191,19 @@ impl FoReach {
     /// (reflexively)?
     pub fn precedes(&self, u: StrandPos, v: &FoStrand) -> bool {
         self.precedes_pos(u, v.pos(), &v.nsp)
+    }
+
+    /// [`precedes`](Self::precedes) for a position the access history
+    /// stored: resolve the id, then query.
+    #[inline]
+    pub fn precedes_id(&self, u: Pos, v: &FoStrand) -> bool {
+        self.precedes(self.resolve(u), v)
+    }
+
+    /// The rich position an id names (the inverse of [`FoStrand::pos_id`]).
+    #[inline]
+    pub fn resolve(&self, p: Pos) -> StrandPos {
+        self.sp.resolve(p)
     }
 
     fn precedes_pos(&self, u: StrandPos, v: StrandPos, v_nsp: &NspTable) -> bool {

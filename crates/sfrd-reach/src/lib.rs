@@ -17,6 +17,10 @@
 //! with 512-bit chunk [`kernels`], a slab [`arena`] for
 //! per-future reach nodes, and a local Fx-style hasher ([`hash`]).
 //!
+//! Each engine names a strand's position two ways: the rich position its
+//! queries work on ([`StrandPos`], [`MbPos`]) and the one-word [`Pos`] the
+//! access history stores, which the engine resolves back ([`pos`]).
+//!
 //! ```
 //! use sfrd_reach::SfReach;
 //!
@@ -42,6 +46,7 @@ pub mod f_order;
 pub mod hash;
 pub mod kernels;
 pub mod multibags;
+pub mod pos;
 pub mod sf_order;
 pub mod sp_order;
 
@@ -50,5 +55,6 @@ pub use bitmap::{FutureSet, SetStats, SetStatsSnapshot};
 pub use f_order::{FoReach, FoStrand};
 pub use kernels::Merge512;
 pub use multibags::{MbPos, MbReach, MbStrand};
+pub use pos::Pos;
 pub use sf_order::{SfPos, SfReach, SfStrand};
 pub use sp_order::{SpOrder, SpPos, SpTask, StrandPos};

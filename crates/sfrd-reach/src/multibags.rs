@@ -28,6 +28,7 @@ use std::sync::Arc;
 use sfrd_dag::FutureId;
 
 use crate::bitmap::{merge, with_future, FutureSet, SetStats};
+use crate::pos::Pos;
 
 /// A union-find element: one per task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,20 +41,25 @@ enum Kind {
     P,
 }
 
-/// Union-find with per-root bag kind (path halving + union by rank).
+/// Union-find with per-root bag kind (path halving + union by rank), and
+/// per element the future of the task that owns it: an element is the
+/// task's access-history position, so its future is what a [`Pos`]
+/// resolves to next to it.
 #[derive(Debug, Default)]
 struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
     kind: Vec<Kind>,
+    future: Vec<u32>,
 }
 
 impl UnionFind {
-    fn singleton(&mut self, kind: Kind) -> BagElem {
+    fn singleton(&mut self, kind: Kind, future: FutureId) -> BagElem {
         let id = self.parent.len() as u32;
         self.parent.push(id);
         self.rank.push(0);
         self.kind.push(kind);
+        self.future.push(future.0);
         BagElem(id)
     }
 
@@ -98,7 +104,9 @@ impl UnionFind {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.parent.capacity() * 4 + self.rank.capacity() + self.kind.capacity()
+        (self.parent.capacity() + self.future.capacity()) * 4
+            + self.rank.capacity()
+            + self.kind.capacity()
     }
 }
 
@@ -114,7 +122,8 @@ pub struct MbStrand {
     gp: Arc<FutureSet>,
 }
 
-/// Access-history key for MultiBags.
+/// MultiBags' rich strand position; the access history stores it
+/// interned as a [`Pos`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MbPos {
     /// Union-find element of the owning task.
@@ -124,13 +133,20 @@ pub struct MbPos {
 }
 
 impl MbStrand {
-    /// Identity of the current strand.
+    /// The current strand's rich position.
     #[inline]
     pub fn pos(&self) -> MbPos {
         MbPos {
             elem: self.elem,
             future: self.future,
         }
+    }
+
+    /// The current strand's position as the access history stores it: the
+    /// task's element, interned ([`MbReach::resolve`] inverts it).
+    #[inline]
+    pub fn pos_id(&self) -> Pos {
+        Pos::from_index(self.elem.0)
     }
 
     /// Owning future id.
@@ -156,7 +172,7 @@ impl MbReach {
     /// New engine; returns the root task's frame.
     pub fn new() -> (Self, MbStrand) {
         let mut uf = UnionFind::default();
-        let e0 = uf.singleton(Kind::S);
+        let e0 = uf.singleton(Kind::S, FutureId::ROOT);
         let empty = Arc::new(FutureSet::empty());
         let engine = Self {
             uf,
@@ -177,23 +193,26 @@ impl MbReach {
     /// order the caller descends into the child immediately; the parent's
     /// element is unchanged (all strands of one task share its element).
     pub fn spawn(&mut self, parent: &mut MbStrand) -> MbStrand {
-        let child = self.uf.singleton(Kind::S);
-        MbStrand {
-            elem: child,
-            p_rep: None,
-            future: parent.future,
-            cp: Arc::clone(&parent.cp),
-            gp: Arc::clone(&parent.gp),
-        }
+        self.child(parent, parent.future, Arc::clone(&parent.cp))
     }
 
     /// `create`: like spawn in the PSP view, plus the future bookkeeping.
     pub fn create(&mut self, parent: &mut MbStrand) -> MbStrand {
-        let mut child = self.spawn(parent);
-        child.future = FutureId(self.next_future);
+        let future = FutureId(self.next_future);
         self.next_future += 1;
-        child.cp = with_future(&parent.cp, parent.future, &self.stats);
-        child
+        let cp = with_future(&parent.cp, parent.future, &self.stats);
+        self.child(parent, future, cp)
+    }
+
+    /// A new task frame in `future`, with its own singleton S-bag.
+    fn child(&mut self, parent: &MbStrand, future: FutureId, cp: Arc<FutureSet>) -> MbStrand {
+        MbStrand {
+            elem: self.uf.singleton(Kind::S, future),
+            p_rep: None,
+            future,
+            cp,
+            gp: Arc::clone(&parent.gp),
+        }
     }
 
     /// A child task (spawned or created) returned to `parent` in the serial
@@ -246,6 +265,21 @@ impl MbReach {
             return true;
         }
         v.gp.contains(u.future)
+    }
+
+    /// [`precedes`](Self::precedes) for a position the access history
+    /// stored: resolve the id, then query.
+    pub fn precedes_id(&mut self, u: Pos, v: &MbStrand) -> bool {
+        let u = self.resolve(u);
+        self.precedes(u, v)
+    }
+
+    /// The rich position an id names (the inverse of [`MbStrand::pos_id`]).
+    pub fn resolve(&self, p: Pos) -> MbPos {
+        MbPos {
+            elem: BagElem(p.index()),
+            future: FutureId(self.uf.future[p.index() as usize]),
+        }
     }
 
     /// Number of futures, root included.

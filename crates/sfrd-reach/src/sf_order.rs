@@ -38,18 +38,20 @@ use sfrd_dag::FutureId;
 
 use crate::arena::NodeArena;
 use crate::bitmap::{merge, with_future, FutureSet, SetStats};
+use crate::pos::Pos;
 use crate::sp_order::{SpOrder, SpTask, StrandPos};
 
-/// SF-Order's access-history key (shared across engines).
+/// SF-Order's rich strand position (shared with F-Order); the access
+/// history stores it interned as a [`Pos`].
 pub type SfPos = StrandPos;
 
 /// Per-task SF-Order state, threaded through the runtime hooks. The
 /// owning future's `cp` is *not* carried here — it lives in the engine's
-/// node arena, looked up by `future` on the (rarer) cross-future query.
+/// node arena, looked up by future on the (rarer) cross-future query.
 #[derive(Debug)]
 pub struct SfStrand {
+    /// SP-Order state, owning future included.
     sp: SpTask,
-    future: FutureId,
     /// `gp` of the current strand.
     gp: Arc<FutureSet>,
 }
@@ -64,19 +66,26 @@ struct SfNode {
 }
 
 impl SfStrand {
-    /// Identity of the current strand for the access history.
+    /// The current strand's rich position.
     #[inline]
     pub fn pos(&self) -> SfPos {
         StrandPos {
             sp: self.sp.pos(),
-            future: self.future,
+            future: self.future(),
         }
+    }
+
+    /// The current strand's position as the access history stores it
+    /// ([`SfReach::resolve`] inverts it).
+    #[inline]
+    pub fn pos_id(&self) -> Pos {
+        self.sp.pos_id()
     }
 
     /// Owning future id.
     #[inline]
     pub fn future(&self) -> FutureId {
-        self.future
+        self.sp.future()
     }
 
     /// Current `gp` table (shared).
@@ -114,7 +123,6 @@ impl SfReach {
         );
         let root = SfStrand {
             sp: task,
-            future: FutureId::ROOT,
             gp: empty,
         };
         (engine, root)
@@ -133,21 +141,22 @@ impl SfReach {
     /// `spawn`: child shares the future and (pointer-shared) `gp`; `cp`
     /// is per-future state in the arena, so nothing else is copied.
     pub fn spawn(&self, parent: &mut SfStrand) -> SfStrand {
-        let child_sp = self.sp.fork(&mut parent.sp);
         SfStrand {
-            sp: child_sp,
-            future: parent.future,
+            sp: self.sp.fork(&mut parent.sp),
             gp: Arc::clone(&parent.gp),
         }
     }
 
     /// `create`: mint a future id; the child's `cp` is the parent's plus
     /// the parent future itself (the O(k)-per-create copy of Lemma 3.12),
-    /// published into the node arena under the new id.
+    /// published into the node arena under the new id. The id is minted
+    /// before the fork, which records it as the owner of the child's
+    /// first position.
     pub fn create(&self, parent: &mut SfStrand) -> SfStrand {
-        let child_sp = self.sp.fork(&mut parent.sp);
         let fid = FutureId(self.next_future.fetch_add(1, Ordering::Relaxed));
-        let cp = with_future(&self.node(parent.future).cp, parent.future, &self.stats);
+        let child_sp = self.sp.fork_future(&mut parent.sp, fid);
+        let pf = parent.future();
+        let cp = with_future(&self.node(pf).cp, pf, &self.stats);
         self.nodes.set(
             fid.0,
             SfNode {
@@ -157,7 +166,6 @@ impl SfReach {
         );
         SfStrand {
             sp: child_sp,
-            future: fid,
             gp: Arc::clone(&parent.gp),
         }
     }
@@ -166,7 +174,7 @@ impl SfReach {
     pub fn sync<'a>(&self, s: &mut SfStrand, children: impl IntoIterator<Item = &'a SfStrand>) {
         self.sp.sync(&mut s.sp);
         for c in children {
-            debug_assert_eq!(c.future, s.future);
+            debug_assert_eq!(c.future(), s.future());
             s.gp = merge(&s.gp, &c.gp, &self.stats);
         }
     }
@@ -178,9 +186,9 @@ impl SfReach {
     /// future) merge the shared set instead of rebuilding it.
     pub fn get(&self, s: &mut SfStrand, done: &SfStrand) {
         let with_done = self
-            .node(done.future)
+            .node(done.future())
             .done_gp
-            .get_or_init(|| with_future(&done.gp, done.future, &self.stats));
+            .get_or_init(|| with_future(&done.gp, done.future(), &self.stats));
         s.gp = merge(&s.gp, with_done, &self.stats);
     }
 
@@ -195,10 +203,23 @@ impl SfReach {
     /// one arena lookup away.
     #[inline]
     pub fn precedes(&self, u: SfPos, v: &SfStrand) -> bool {
-        if u.future == v.future {
+        if u.future == v.future() {
             return self.sp.precedes_eq(u.sp, v.sp.pos());
         }
-        self.precedes_pos(u, v.pos(), &self.node(v.future).cp, &v.gp)
+        self.precedes_pos(u, v.pos(), &self.node(v.future()).cp, &v.gp)
+    }
+
+    /// [`precedes`](Self::precedes) for a position the access history
+    /// stored: resolve the id, then run Algorithm 1.
+    #[inline]
+    pub fn precedes_id(&self, u: Pos, v: &SfStrand) -> bool {
+        self.precedes(self.resolve(u), v)
+    }
+
+    /// The rich position an id names (the inverse of [`SfStrand::pos_id`]).
+    #[inline]
+    pub fn resolve(&self, p: Pos) -> SfPos {
+        self.sp.resolve(p)
     }
 
     /// Query between two recorded positions, given the querier also knows

@@ -21,9 +21,19 @@
 //!
 //! In `PSP(D)` a `create` is exactly a `spawn` (joined at the block's
 //! sync), so both constructs use the same rule.
+//!
+//! Every position a fork inserts belongs to one future (the child's first
+//! strand to the child, the continuation and the post-sync strand to the
+//! forking task), and the inserts record it for the access history's
+//! [`Pos`] ids: each English item's `aux` word is its Hebrew twin's handle,
+//! each Hebrew item's is the owning future ([`SpOrder::resolve`]). The
+//! Hebrew run is inserted first so that its handles exist when the English
+//! run is written.
 
 use sfrd_dag::FutureId;
 use sfrd_om::{OmHandle, OmList};
+
+use crate::pos::Pos;
 
 /// A strand's position: one handle in each total order. Strands that are
 /// serially equivalent in `PSP(D)` may share a position.
@@ -46,6 +56,17 @@ pub struct StrandPos {
     pub future: FutureId,
 }
 
+/// A Hebrew handle as its English twin's `aux` word.
+fn handle_word(h: OmHandle) -> u32 {
+    h.index() as u32
+}
+
+/// The English handle an id is.
+#[inline]
+fn eng_handle(p: Pos) -> OmHandle {
+    OmHandle::from_index(p.index())
+}
+
 /// Per-task SP-Order state. Each runtime task owns exactly one.
 #[derive(Debug)]
 pub struct SpTask {
@@ -53,6 +74,9 @@ pub struct SpTask {
     cur: SpPos,
     /// The pre-created post-sync position of the currently open sync block.
     block: Option<SpPos>,
+    /// The future the task runs in: the owner of every position it forks
+    /// for itself.
+    future: FutureId,
 }
 
 impl SpTask {
@@ -60,6 +84,19 @@ impl SpTask {
     #[inline]
     pub fn pos(&self) -> SpPos {
         self.cur
+    }
+
+    /// The current position as the access history stores it: the English
+    /// handle, interned ([`SpOrder::resolve`] inverts it).
+    #[inline]
+    pub fn pos_id(&self) -> Pos {
+        Pos::from_index(self.cur.eng.index() as u32)
+    }
+
+    /// The future the task runs in.
+    #[inline]
+    pub fn future(&self) -> FutureId {
+        self.future
     }
 }
 
@@ -70,7 +107,8 @@ pub struct SpOrder {
 }
 
 impl SpOrder {
-    /// New structure; returns the root task's state.
+    /// New structure; returns the root task's state (future 0). The two
+    /// base items' `aux` words are 0: handle 0 and [`FutureId::ROOT`].
     pub fn new() -> (Self, SpTask) {
         let (eng, e0) = OmList::new();
         let (heb, h0) = OmList::new();
@@ -79,20 +117,31 @@ impl SpOrder {
             SpTask {
                 cur: SpPos { eng: e0, heb: h0 },
                 block: None,
+                future: FutureId::ROOT,
             },
         )
     }
 
-    /// Handle a `spawn` or `create` by task `t`; returns the child task's
-    /// state. Thread-safe: concurrent tasks may call this simultaneously.
+    /// Handle a `spawn` by task `t` (or the fork half of a `create`, whose
+    /// child then runs in `t`'s future); returns the child task's state.
+    /// Thread-safe: concurrent tasks may call this simultaneously.
     pub fn fork(&self, t: &mut SpTask) -> SpTask {
+        self.fork_future(t, t.future)
+    }
+
+    /// [`fork`](Self::fork) for a child task that runs in `future`: a
+    /// `create`, whose engine mints the future id before it forks.
+    pub fn fork_future(&self, t: &mut SpTask, future: FutureId) -> SpTask {
         let u = t.cur;
+        let (own, child) = (t.future.0, future.0);
         // Each list is updated with ONE combined run insert (a single
         // group-lock acquisition) instead of one insert per position.
-        let (child, cont) = if t.block.is_none() {
+        let (child_pos, cont) = if t.block.is_none() {
             // English: u, c, k, s — Hebrew: u, k, c, s.
-            let [c_eng, k_eng, s_eng] = self.eng.insert_n_after::<3>(u.eng);
-            let [k_heb, c_heb, s_heb] = self.heb.insert_n_after::<3>(u.heb);
+            let [k_heb, c_heb, s_heb] = self.heb.insert_n_after(u.heb, [own, child, own]);
+            let [c_eng, k_eng, s_eng] = self
+                .eng
+                .insert_n_after(u.eng, [c_heb, k_heb, s_heb].map(handle_word));
             t.block = Some(SpPos {
                 eng: s_eng,
                 heb: s_heb,
@@ -110,8 +159,10 @@ impl SpOrder {
         } else {
             // English inserts c, k after u; Hebrew inserts k, c after u
             // (child subtrees pile up before s, after all continuations).
-            let [c_eng, k_eng] = self.eng.insert_n_after::<2>(u.eng);
-            let [k_heb, c_heb] = self.heb.insert_n_after::<2>(u.heb);
+            let [k_heb, c_heb] = self.heb.insert_n_after(u.heb, [own, child]);
+            let [c_eng, k_eng] = self
+                .eng
+                .insert_n_after(u.eng, [c_heb, k_heb].map(handle_word));
             (
                 SpPos {
                     eng: c_eng,
@@ -125,8 +176,32 @@ impl SpOrder {
         };
         t.cur = cont;
         SpTask {
-            cur: child,
+            cur: child_pos,
             block: None,
+            future,
+        }
+    }
+
+    /// The pseudo-SP-dag position an id names: its English handle, and the
+    /// Hebrew handle that item's `aux` word holds.
+    #[inline]
+    pub fn sp_pos(&self, p: Pos) -> SpPos {
+        let eng = eng_handle(p);
+        SpPos {
+            eng,
+            heb: OmHandle::from_index(self.eng.aux(eng)),
+        }
+    }
+
+    /// The strand position an id names: [`sp_pos`](Self::sp_pos) plus the
+    /// future the Hebrew item's `aux` word holds. Both reads land on the
+    /// item slots an order query on the same position loads anyway.
+    #[inline]
+    pub fn resolve(&self, p: Pos) -> StrandPos {
+        let sp = self.sp_pos(p);
+        StrandPos {
+            sp,
+            future: FutureId(self.heb.aux(sp.heb)),
         }
     }
 
@@ -150,15 +225,16 @@ impl SpOrder {
     }
 
     /// `a` strictly before `b` in the English (left-to-right DFS) order.
+    /// An id is its English handle, so nothing is resolved.
     #[inline]
-    pub fn eng_precedes(&self, a: SpPos, b: SpPos) -> bool {
-        self.eng.precedes(a.eng, b.eng)
+    pub fn eng_precedes(&self, a: Pos, b: Pos) -> bool {
+        self.eng.precedes(eng_handle(a), eng_handle(b))
     }
 
     /// `a` strictly before `b` in the Hebrew (right-to-left DFS) order.
     #[inline]
-    pub fn heb_precedes(&self, a: SpPos, b: SpPos) -> bool {
-        self.heb.precedes(a.heb, b.heb)
+    pub fn heb_precedes(&self, a: Pos, b: Pos) -> bool {
+        self.heb.precedes(self.sp_pos(a).heb, self.sp_pos(b).heb)
     }
 
     /// Heap bytes of both OM lists (memory reporting).
@@ -272,6 +348,40 @@ mod tests {
         assert!(!sp.precedes_eq(fut.pos(), k) && !sp.precedes_eq(k, fut.pos()));
         assert!(sp.precedes_eq(inner.pos(), s));
         assert!(sp.precedes_eq(fut.pos(), s));
+    }
+
+    /// An id resolves to the position it was minted for and to the future
+    /// that owns it — the child's for its first strand, the forking task's
+    /// for the continuation and the post-sync strand.
+    #[test]
+    fn ids_resolve_to_their_strand_positions() {
+        let (sp, mut root) = SpOrder::new();
+        let at = |t: &SpTask| (t.pos_id(), t.pos(), t.future());
+        let mut seen = vec![at(&root)];
+        let mut f = sp.fork_future(&mut root, FutureId(1));
+        seen.extend([at(&f), at(&root)]);
+        let c = sp.fork(&mut f);
+        let d = sp.fork(&mut f);
+        seen.extend([at(&c), at(&d), at(&f)]);
+        sp.sync(&mut f);
+        sp.sync(&mut root);
+        seen.extend([at(&f), at(&root)]);
+        assert_eq!(f.future(), FutureId(1));
+        assert_eq!(c.future(), FutureId(1));
+        for (id, pos, future) in &seen {
+            assert_eq!(
+                sp.resolve(*id),
+                StrandPos {
+                    sp: *pos,
+                    future: *future
+                }
+            );
+        }
+        for a in &seen {
+            for b in &seen {
+                assert_eq!(a.0 == b.0, a.1 == b.1);
+            }
+        }
     }
 
     #[test]

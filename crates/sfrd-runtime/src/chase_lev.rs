@@ -246,6 +246,22 @@ impl<T> Worker<T> {
         }
     }
 
+    /// The owner's `bottom` index: every later push lands at or above it
+    /// until a pop takes the deque below it again.
+    pub fn bottom(&self) -> isize {
+        self.inner.bottom.load(Ordering::Relaxed)
+    }
+
+    /// [`Worker::pop`], but only an entry at index `floor` or above: the
+    /// entries pushed since `bottom()` read `floor`. Only the owner moves
+    /// `bottom`, so the check cannot race.
+    pub fn pop_above(&self, floor: isize) -> Option<T> {
+        if self.inner.bottom.load(Ordering::Relaxed) <= floor {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Double the buffer, copying live slots `t..b`; retire the old buffer
     /// and opportunistically free retired buffers once no thief is present.
     unsafe fn grow(&self, b: isize, t: isize) -> *mut Buffer<T> {
@@ -341,6 +357,24 @@ mod tests {
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), None);
         assert_eq!(s.steal(), Steal::Empty);
+    }
+
+    #[test]
+    fn pop_above_leaves_older_entries() {
+        let w = Worker::new();
+        w.push(1);
+        let floor = w.bottom();
+        w.push(2);
+        w.push(3);
+        assert_eq!(w.pop_above(floor), Some(3));
+        assert_eq!(w.pop_above(floor), Some(2));
+        assert_eq!(w.pop_above(floor), None);
+        assert_eq!(w.pop(), Some(1));
+        // A thief took the entry above the floor: nothing left to pop.
+        w.push(4);
+        let floor = w.bottom() - 1;
+        assert_eq!(w.stealer().steal(), Steal::Success(4));
+        assert_eq!(w.pop_above(floor), None);
     }
 
     #[test]

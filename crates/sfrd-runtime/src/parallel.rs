@@ -3,22 +3,28 @@
 //! Stands in for the paper's extended Cilk-F runtime (DESIGN.md §7): a
 //! fixed pool of workers with per-worker LIFO deques (the in-crate
 //! lock-free [`crate::chase_lev`] deque), child-stealing (`spawn`/`create`
-//! push the child; the continuation keeps running), and *work-helping*
-//! joins — a task blocked at `sync`/`get` executes other ready tasks
-//! instead of sleeping. That is not safe for futures: a helper can pick a
-//! task that `get`s the frame it stands on, and an up-front `get` chain
-//! then deadlocks (DESIGN.md §10, ROADMAP item 1).
+//! push the child; the continuation keeps running), and joins that run
+//! only work that cannot wait on the blocked frame. *A task runs on top of
+//! a frame only if its serial-elision execution precedes the frame's
+//! current point*: a task blocked at `sync`/`get` pops entries of its own
+//! deque pushed since the frame started (its own children and futures, and
+//! theirs), and a `get` also runs the awaited future's body if nobody has
+//! claimed it yet. Anything else — a steal, the root slot, an older entry
+//! of its own deque — could `get` the frame it would stand on, so the
+//! blocked frame parks instead until a completion wakes it (DESIGN.md §10).
 //!
 //! The scheduler hot path (push/pop/steal) performs **zero mutex
 //! acquisitions**: local deques are Chase-Lev, and sleeping is an eventcount
 //! (announce → epoch snapshot → rescan → sleep-if-unchanged) whose mutex is
-//! touched only when a worker actually runs out of work. The one job that
+//! touched only when a worker actually runs out of work. Idle workers and
+//! blocked joins sleep on two eventcounts: a push wakes one idle worker, a
+//! completion wakes the joins. The one job that
 //! does not start on a deque, a scope's root, waits in a one-element slot
 //! (`Shared::root`) whose mutex is locked to fill it and to take it, once
-//! each per scope. Only pool threads
-//! — threads that can claim a job — ever count as `parked`, so a push's
-//! `notify_one` is a fence and a load unless a worker really is asleep, and
-//! a one-worker run makes no futex call per task.
+//! each per scope. Only idle pool threads
+//! — threads that can claim any job — ever count as parked on `idle`, so a
+//! push's `notify_one` is a fence and a load unless a worker really is
+//! asleep, and a one-worker run makes no futex call per task.
 //!
 //! Scoped soundness: [`Runtime::run`] does not return until the global
 //! pending-job count reaches zero — including *escaping futures* that
@@ -46,6 +52,58 @@ type Job<H> = Box<dyn FnOnce(&WorkerCore<H>) + Send>;
 /// A ready task still carrying its scope lifetime (pre-erasure).
 type ScopedJob<'scope, H> = Box<dyn FnOnce(&WorkerCore<H>) + Send + 'scope>;
 
+/// One sleeping place: the threads inside [`Shared::park_wait`] on it, and
+/// an epoch bumped under the lock by every notification.
+struct EventCount {
+    parked: AtomicUsize,
+    epoch: Mutex<u64>,
+    cv: Condvar,
+}
+
+impl EventCount {
+    fn new() -> Self {
+        Self {
+            parked: AtomicUsize::new(0),
+            epoch: Mutex::new(0),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Wake every sleeper if any is registered.
+    ///
+    /// The SeqCst fence is the eventcount's Dekker arbitration with
+    /// [`Shared::park_wait`]'s announce: either we observe the sleeper's
+    /// `parked` increment (and deliver an epoch bump + wakeup), or the
+    /// sleeper's announce is ordered after our fence, in which case its
+    /// rescan — which follows the announce — observes the state we
+    /// published before the fence. A wakeup is never lost.
+    #[inline]
+    fn notify_all(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            self.force_notify_all();
+        }
+    }
+
+    /// Wake at most one sleeper. Same fence pairing as
+    /// [`EventCount::notify_all`].
+    #[inline]
+    fn notify_one(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            let mut e = self.epoch.lock();
+            *e = e.wrapping_add(1);
+            self.cv.notify_one();
+        }
+    }
+
+    fn force_notify_all(&self) {
+        let mut e = self.epoch.lock();
+        *e = e.wrapping_add(1);
+        self.cv.notify_all();
+    }
+}
+
 /// State shared by all workers and the scope owner.
 struct Shared<H: TaskHooks> {
     /// The scope's root job. [`Runtime::run`] is its only producer, once
@@ -58,12 +116,13 @@ struct Shared<H: TaskHooks> {
     stealers: Box<[Stealer<Job<H>>]>,
     /// Jobs pushed but not yet finished (queued + running).
     pending: AtomicUsize,
-    /// Pool threads currently inside [`Shared::park_wait`] (never the
-    /// scope owner: every counted thread can claim a job).
-    parked: AtomicUsize,
-    /// Eventcount epoch: bumped under the lock by every notification.
-    epoch: Mutex<u64>,
-    cv: Condvar,
+    /// Where workers with no frame sleep (never the scope owner: every
+    /// thread counted here can claim any job). A push wakes one.
+    idle: EventCount,
+    /// Where frames blocked at `sync`/`get` sleep. They can run none of
+    /// the jobs a push offers, so only a completion wakes them, all of
+    /// them (each may wait on a different child or future).
+    joins: EventCount,
     /// The scope owner's wait channel. [`WorkerCore::run_job`] signals it
     /// when `pending` goes 1 → 0 (decrement, lock, notify) and
     /// [`Runtime::run`] re-checks `pending` under the lock before every
@@ -86,47 +145,10 @@ struct Shared<H: TaskHooks> {
 }
 
 impl<H: TaskHooks> Shared<H> {
-    /// Wake all sleepers if any are registered: broadcast, used on task
-    /// completion (several `help_until` waiters may each be blocked on a
-    /// *different* child's completion).
-    ///
-    /// The SeqCst fence is the eventcount's Dekker arbitration with
-    /// [`Shared::park_wait`]'s announce: either we observe the sleeper's
-    /// `parked` increment (and deliver an epoch bump + wakeup), or the
-    /// sleeper's announce is ordered after our fence, in which case its
-    /// rescan — which follows the announce — observes the work we published
-    /// before the fence. A wakeup is never lost.
-    #[inline]
-    fn notify(&self) {
-        fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) > 0 {
-            self.force_notify();
-        }
-    }
-
-    /// Wake at most one sleeper. Used on the task-push path: one new job
-    /// needs one worker, and every sleeper on `cv` is a pool thread that
-    /// can claim it via [`WorkerCore::find_job`]. Same fence pairing as
-    /// [`Shared::notify`].
-    #[inline]
-    fn notify_one(&self) {
-        fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) > 0 {
-            let mut e = self.epoch.lock();
-            *e = e.wrapping_add(1);
-            self.cv.notify_one();
-        }
-    }
-
-    fn force_notify(&self) {
-        let mut e = self.epoch.lock();
-        *e = e.wrapping_add(1);
-        self.cv.notify_all();
-    }
-
-    /// Eventcount sleep: announce, snapshot the epoch, rescan for work,
-    /// and sleep only if the rescan found nothing, `cancel` doesn't hold,
-    /// and no notification landed since the snapshot (epoch unchanged).
+    /// Eventcount sleep on `ec`: announce, snapshot the epoch, rescan for
+    /// work, and sleep only if the rescan found nothing, `cancel` doesn't
+    /// hold, and no notification landed since the snapshot (epoch
+    /// unchanged).
     ///
     /// Every notifier bumps the epoch under the lock before signalling, and
     /// publishes its work *before* its fence + `parked` check; combined
@@ -137,22 +159,23 @@ impl<H: TaskHooks> Shared<H> {
     /// shutdown needs exactly one broadcast (see `Drop for Runtime`).
     fn park_wait<T>(
         &self,
+        ec: &EventCount,
         rescan: impl FnOnce() -> Option<T>,
         cancel: impl Fn() -> bool,
     ) -> Option<T> {
-        self.parked.fetch_add(1, Ordering::SeqCst);
+        ec.parked.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        let e1 = *self.epoch.lock();
+        let e1 = *ec.epoch.lock();
         let found = rescan();
         if found.is_none() && !cancel() && !self.shutdown.load(Ordering::Acquire) {
-            let mut e = self.epoch.lock();
+            let mut e = ec.epoch.lock();
             if *e == e1 {
                 self.parks.fetch_add(1, Ordering::Relaxed);
-                self.cv.wait(&mut e);
+                ec.cv.wait(&mut e);
                 self.wakeups.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.parked.fetch_sub(1, Ordering::SeqCst);
+        ec.parked.fetch_sub(1, Ordering::SeqCst);
         found
     }
 
@@ -214,7 +237,7 @@ impl<H: TaskHooks> WorkerCore<H> {
     fn push(&self, job: Job<H>) {
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
         self.local.push(job);
-        self.shared.notify_one();
+        self.shared.idle.notify_one();
     }
 
     /// Run one job with panic capture and completion bookkeeping.
@@ -228,39 +251,39 @@ impl<H: TaskHooks> WorkerCore<H> {
             let _quiesce = self.shared.quiesce.lock();
             self.shared.quiesce_cv.notify_one();
         }
-        self.shared.notify();
+        self.shared.joins.notify_all();
     }
 
-    /// Work-helping wait: run other tasks until `pred` holds; sleep via the
-    /// eventcount when none are ready (completions broadcast, so a pred
-    /// flip always wakes us).
-    fn help_until(&self, pred: impl Fn() -> bool) {
+    /// Join wait of the frame whose deque entries start at `floor`: until
+    /// `pred` holds, run the frame's own entries (pushed since it started)
+    /// or, through `run_awaited`, the awaited future's unclaimed body;
+    /// with neither, sleep on the joins' eventcount (every completion
+    /// broadcasts there, so a pred flip always wakes us). Nothing else can
+    /// push onto this deque or unclaim a body meanwhile, so the sleep needs
+    /// no rescan.
+    fn help_until(&self, floor: isize, pred: impl Fn() -> bool, run_awaited: impl Fn() -> bool) {
+        let panicked = || self.shared.panicked.load(Ordering::Acquire);
         loop {
             if pred() {
                 return;
             }
-            if self.shared.panicked.load(Ordering::Acquire) {
+            if panicked() {
                 // Unwind this task too; the scope owner rethrows the
                 // original payload.
                 panic!("sfrd-runtime: sibling task panicked");
             }
-            match self.find_job() {
-                Some(job) => self.run_job(job),
-                None => {
-                    let found = self.shared.park_wait(
-                        || self.find_job(),
-                        || pred() || self.shared.panicked.load(Ordering::Acquire),
-                    );
-                    if let Some(job) = found {
-                        self.run_job(job);
-                    }
-                }
+            if let Some(job) = self.local.pop_above(floor) {
+                self.run_job(job);
+            } else if !run_awaited() {
+                self.shared
+                    .park_wait(&self.shared.joins, || None::<()>, || pred() || panicked());
             }
         }
     }
 }
 
 fn worker_loop<H: TaskHooks>(core: WorkerCore<H>) {
+    let idle = &core.shared.idle;
     loop {
         match core.find_job() {
             Some(job) => core.run_job(job),
@@ -268,7 +291,7 @@ fn worker_loop<H: TaskHooks>(core: WorkerCore<H>) {
                 if core.shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                if let Some(job) = core.shared.park_wait(|| core.find_job(), || false) {
+                if let Some(job) = core.shared.park_wait(idle, || core.find_job(), || false) {
                     core.run_job(job);
                 }
             }
@@ -282,28 +305,54 @@ struct SpawnSlot<S> {
     strand: Mutex<Option<S>>,
 }
 
-/// Completion slot for a future: value + final detector strand.
-struct FutSlot<T, S> {
+/// A future's body: runs the task, returns its value and final strand.
+type FutBody<'scope, T, H> =
+    Box<dyn FnOnce(&WorkerCore<H>) -> (T, <H as TaskHooks>::Strand) + Send + 'scope>;
+
+/// Completion slot for a future: its body until someone claims it, then
+/// value + final detector strand.
+struct FutSlot<'scope, T, H: TaskHooks> {
+    /// Taken exactly once: by the future's deque entry, or by the `get`
+    /// that finds it still here and runs it in place (the entry is then a
+    /// no-op).
+    body: Mutex<Option<FutBody<'scope, T, H>>>,
     done: AtomicBool,
-    payload: Mutex<Option<(T, S)>>,
+    payload: Mutex<Option<(T, H::Strand)>>,
+}
+
+impl<T, H: TaskHooks> FutSlot<'_, T, H> {
+    /// Claim and run the body on `core` unless someone already has;
+    /// whether this call ran it.
+    fn run_if_unclaimed(&self, core: &WorkerCore<H>) -> bool {
+        let Some(body) = self.body.lock().take() else {
+            return false;
+        };
+        let out = body(core);
+        *self.payload.lock() = Some(out);
+        self.done.store(true, Ordering::Release);
+        true
+    }
 }
 
 /// Single-touch handle to a created future. `get` consumes it — the
 /// structured-future restriction (a) holds by construction; restriction (b)
 /// holds because the handle value itself only flows along dag edges out of
 /// the create continuation (Rust ownership; no aliasing).
-pub struct FutureHandle<'scope, T, S> {
-    slot: Arc<FutSlot<T, S>>,
+pub struct FutureHandle<'scope, T, H: TaskHooks> {
+    slot: Arc<FutSlot<'scope, T, H>>,
     _scope: PhantomData<fn(&'scope ()) -> &'scope ()>,
 }
 
-// SAFETY: the handle is only a reference to the slot; T and S move across
-// threads exactly once each.
-unsafe impl<T: Send, S: Send> Send for FutureHandle<'_, T, S> {}
+// SAFETY: the handle is only a reference to the slot; the body, T and the
+// strand move across threads exactly once each.
+unsafe impl<T: Send, H: TaskHooks> Send for FutureHandle<'_, T, H> {}
 
 /// Per-task execution context of the parallel runtime.
 pub struct ParCtx<'scope, H: TaskHooks> {
     core: *const WorkerCore<H>,
+    /// The worker's deque `bottom` when this task started: entries at or
+    /// above it were pushed by this task or by tasks run on top of it.
+    floor: isize,
     hooks: Arc<H>,
     strand: H::Strand,
     children: Vec<Arc<SpawnSlot<H::Strand>>>,
@@ -314,6 +363,7 @@ impl<'scope, H: TaskHooks> ParCtx<'scope, H> {
     fn new(core: &WorkerCore<H>, hooks: Arc<H>, strand: H::Strand) -> Self {
         Self {
             core,
+            floor: core.local.bottom(),
             hooks,
             strand,
             children: Vec::new(),
@@ -346,7 +396,7 @@ unsafe fn erase_job<'scope, H: TaskHooks>(job: ScopedJob<'scope, H>) -> Job<H> {
 
 impl<'scope, H: TaskHooks> Cx<'scope> for ParCtx<'scope, H> {
     type Hooks = H;
-    type Handle<T: Send + 'scope> = FutureHandle<'scope, T, H::Strand>;
+    type Handle<T: Send + 'scope> = FutureHandle<'scope, T, H>;
 
     fn spawn<F>(&mut self, f: F)
     where
@@ -371,8 +421,11 @@ impl<'scope, H: TaskHooks> Cx<'scope> for ParCtx<'scope, H> {
 
     fn sync(&mut self) {
         let children = std::mem::take(&mut self.children);
-        self.core()
-            .help_until(|| children.iter().all(|c| c.done.load(Ordering::Acquire)));
+        self.core().help_until(
+            self.floor,
+            || children.iter().all(|c| c.done.load(Ordering::Acquire)),
+            || false,
+        );
         let strands = children
             .iter()
             .map(|c| c.strand.lock().take().expect("child strand missing"))
@@ -386,18 +439,20 @@ impl<'scope, H: TaskHooks> Cx<'scope> for ParCtx<'scope, H> {
         F: FnOnce(&mut Self) -> T + Send + 'scope,
     {
         let child_strand = self.hooks.on_create(&mut self.strand);
+        let hooks = Arc::clone(&self.hooks);
+        let body: FutBody<'scope, T, H> = Box::new(move |core| {
+            let mut ctx = ParCtx::new(core, hooks, child_strand);
+            let value = f(&mut ctx);
+            (value, ctx.finish_task())
+        });
         let slot = Arc::new(FutSlot {
+            body: Mutex::new(Some(body)),
             done: AtomicBool::new(false),
             payload: Mutex::new(None),
         });
         let job_slot = Arc::clone(&slot);
-        let hooks = Arc::clone(&self.hooks);
         let job: ScopedJob<'scope, H> = Box::new(move |core| {
-            let mut ctx = ParCtx::new(core, hooks, child_strand);
-            let value = f(&mut ctx);
-            let strand = ctx.finish_task();
-            *job_slot.payload.lock() = Some((value, strand));
-            job_slot.done.store(true, Ordering::Release);
+            job_slot.run_if_unclaimed(core);
         });
         self.core().push(unsafe { erase_job(job) });
         FutureHandle {
@@ -407,8 +462,12 @@ impl<'scope, H: TaskHooks> Cx<'scope> for ParCtx<'scope, H> {
     }
 
     fn get<T: Send + 'scope>(&mut self, h: Self::Handle<T>) -> T {
-        self.core()
-            .help_until(|| h.slot.done.load(Ordering::Acquire));
+        let core = self.core();
+        core.help_until(
+            self.floor,
+            || h.slot.done.load(Ordering::Acquire),
+            || h.slot.run_if_unclaimed(core),
+        );
         let (value, done_strand) = h
             .slot
             .payload
@@ -460,9 +519,8 @@ impl<H: TaskHooks> Runtime<H> {
             root_ready: AtomicBool::new(false),
             stealers,
             pending: AtomicUsize::new(0),
-            parked: AtomicUsize::new(0),
-            epoch: Mutex::new(0),
-            cv: Condvar::new(),
+            idle: EventCount::new(),
+            joins: EventCount::new(),
             quiesce: Mutex::new(()),
             quiesce_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -541,7 +599,7 @@ impl<H: TaskHooks> Runtime<H> {
             self.shared.pending.fetch_add(1, Ordering::SeqCst);
             *self.shared.root.lock() = Some(unsafe { erase_job(job) });
             self.shared.root_ready.store(true, Ordering::Release);
-            self.shared.notify_one();
+            self.shared.idle.notify_one();
         }
         // Quiescence barrier, on the owner's own channel: the job that
         // takes `pending` to zero locks `quiesce` before it signals, so it
@@ -567,9 +625,10 @@ impl<H: TaskHooks> Drop for Runtime<H> {
         // epoch-bump + broadcast below cannot be lost — a worker either
         // sees the bump (skips the sleep, observes `shutdown` on its next
         // loop via the mutex's ordering) or was already waiting and is
-        // woken. One broadcast, plain joins, no busy-wait.
+        // woken. One broadcast, plain joins, no busy-wait. No frame is
+        // blocked in a join once the last scope has quiesced.
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.force_notify();
+        self.shared.idle.force_notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

@@ -162,6 +162,100 @@ fn steals_happen_under_parallel_load() {
     );
 }
 
+/// Runs `body` on a helper thread and fails unless it returns within
+/// `secs`: a join that deadlocks is a failed test, not a wedged run.
+fn finishes_within<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc;
+    let (done, result) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    match result.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(v) => v,
+        Err(e) => panic!("the program did not finish within {secs} s: {e}"),
+    }
+}
+
+/// A `get` chain created before its first link runs, on three workers:
+/// link 1 holds one worker on a channel, link 2 blocks another in
+/// `get(link 1)`, and link 3 — which `get`s link 2 — is pushed while
+/// link 2 waits. A join that helps with any ready task runs link 3 on top
+/// of link 2, and the two wait on each other for good; a join that runs
+/// only work that cannot wait on it leaves link 3 to the root.
+#[test]
+fn a_blocked_get_never_runs_a_later_link_of_its_chain() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let out = finishes_within(60, || {
+        let pool = rt(3);
+        let (open, gate) = mpsc::channel::<()>();
+        let (l1_tx, l1_started) = mpsc::channel::<()>();
+        let (l2_tx, l2_started) = mpsc::channel::<()>();
+        let (l3_tx, l3_started) = mpsc::channel::<()>();
+        pool.run(Arc::new(NullHooks), move |ctx| {
+            let l1 = ctx.create(move |_| {
+                l1_tx.send(()).unwrap();
+                gate.recv().unwrap();
+                1u64
+            });
+            l1_started.recv().unwrap();
+            let l2 = ctx.create(move |c| {
+                l2_tx.send(()).unwrap();
+                c.get(l1) + 1
+            });
+            l2_started.recv().unwrap();
+            let l3 = ctx.create(move |c| {
+                let _ = l3_tx.send(());
+                c.get(l2) + 1
+            });
+            // Give a helping join the time to pick link 3 up.
+            let _ = l3_started.recv_timeout(Duration::from_millis(300));
+            open.send(()).unwrap();
+            ctx.get(l3)
+        })
+    });
+    assert_eq!(out, 3);
+}
+
+/// The `sync` twin: future G syncs on a child that another worker holds
+/// on a channel, and the root then creates T, which `get`s G. A helping
+/// `sync` inside G runs T on top of G's own frame; T waits for G, G for
+/// T to return.
+#[test]
+fn a_blocked_sync_never_runs_a_task_that_gets_its_own_future() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let out = finishes_within(60, || {
+        let pool = rt(3);
+        let (open, gate) = mpsc::channel::<()>();
+        let (k_tx, k_started) = mpsc::channel::<()>();
+        let (g_tx, g_syncing) = mpsc::channel::<()>();
+        let (t_tx, t_started) = mpsc::channel::<()>();
+        pool.run(Arc::new(NullHooks), move |ctx| {
+            let g = ctx.create(move |c| {
+                c.spawn(move |_| {
+                    k_tx.send(()).unwrap();
+                    gate.recv().unwrap();
+                });
+                k_started.recv().unwrap();
+                g_tx.send(()).unwrap();
+                c.sync();
+                1u64
+            });
+            g_syncing.recv().unwrap();
+            let t = ctx.create(move |c| {
+                let _ = t_tx.send(());
+                c.get(g) + 1
+            });
+            // Give a helping sync the time to pick T up.
+            let _ = t_started.recv_timeout(Duration::from_millis(300));
+            open.send(()).unwrap();
+            ctx.get(t)
+        })
+    });
+    assert_eq!(out, 2);
+}
+
 /// Many back-to-back scopes on one pool (allocation hygiene).
 #[test]
 fn repeated_scopes_do_not_leak_state() {

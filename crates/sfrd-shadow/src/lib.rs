@@ -8,9 +8,10 @@
 //! direct-mapped page table: addresses resolve in O(1) through an
 //! atomically-published page directory with **no hashing and no locks**
 //! on the addressing path, and each location's slot is one packed atomic
-//! word (writer epoch + section tag), the claiming address and the
-//! [`LocEntry`] itself — 80 bytes for a 12-byte position, with the first
-//! and the most recent reader inline and a heap spill only past that. A
+//! word (writer epoch, section tag, the claiming address's low bits) and
+//! the [`LocEntry`]'s other fields — 32 bytes for the detectors' one-word
+//! position, two slots per cache line, with the first and the most recent
+//! reader inline and a spill, named by a 4-byte index, only past that. A
 //! *same-epoch* access — a read by the location's last recorded reader or
 //! by its writer, a write by its writer with no reader retained — is
 //! answered from a packed-word-validated snapshot of those inline fields
@@ -22,8 +23,8 @@
 //!
 //! Every [`LocEntry`] carries a [`writer_seq`](LocEntry::writer_seq)
 //! counter bumped whenever a new writer is installed
-//! ([`LocEntry::begin_write_epoch`]). The paged store bakes it into each
-//! slot's packed word — a seqlock's sequence word: a write section
+//! ([`LocEntry::begin_write_epoch`]). The paged store keeps it only in
+//! each slot's packed word — a seqlock's sequence word: a write section
 //! publishes a new packed word, so a reader that copied the entry's
 //! inline fields *validates* the copy with one atomic re-load instead of
 //! taking the section. That is all the epoch is for; nothing outside this
@@ -46,9 +47,10 @@
 //! retained ([`LocEntry::retain_reader`]): the writer, at the same
 //! position, stands for it in every later check.
 //!
-//! The entry type is generic in the position type `P` (each reachability
-//! engine has its own); order comparisons are injected as closures so this
-//! crate stays engine-agnostic.
+//! The entry type is generic in the position type `P` — the detectors
+//! store `sfrd_reach::Pos`, one interned word per strand position; order
+//! comparisons are injected as closures so this crate stays
+//! engine-agnostic.
 //!
 //! ```
 //! use sfrd_shadow::{PagedHistory, ReaderPolicy};
@@ -74,9 +76,12 @@
 
 #![warn(missing_docs)]
 
+use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::MaybeUninit;
+
+use sfrd_om::AppendArena;
 
 pub mod paged;
 
@@ -119,10 +124,10 @@ pub enum ReaderPolicy {
 const LR_BIT: u32 = 1;
 /// Inline index of the most recent reader (`All`) / rightmost
 /// (`PerFutureLR`). It comes first so that read-same-epoch's fields — the
-/// slot's packed word and owner, then `meta` and this — are contiguous.
-const LAST: usize = 0;
+/// slot's packed word, then `meta` and this — are contiguous.
+pub(crate) const LAST: usize = 0;
 /// Inline index of the first reader (`All`) / leftmost (`PerFutureLR`).
-const FIRST: usize = 1;
+pub(crate) const FIRST: usize = 1;
 
 /// The inline, plain-old-data part of [`Readers`]: everything the paged
 /// store's lock-free snapshot interprets. It holds no pointer, so a copy
@@ -145,7 +150,7 @@ pub(crate) struct Head<P> {
 }
 
 impl<P: Copy> Head<P> {
-    fn new(policy: ReaderPolicy) -> Self {
+    pub(crate) fn new(policy: ReaderPolicy) -> Self {
         Head {
             meta: u32::from(policy == ReaderPolicy::PerFutureLR) * LR_BIT,
             fut: 0,
@@ -195,18 +200,75 @@ impl<P: Copy> Head<P> {
 }
 
 /// Readers past the inline capacity of a [`Head`].
-enum Spill<P> {
+#[derive(Default)]
+pub(crate) enum Spill<P> {
+    /// Nothing spilled yet.
+    #[default]
+    None,
     All(Vec<P>),
     PerFuture(Vec<(u32, P, P)>),
 }
 
-/// Retained readers of one location: two positions inline, a heap spill
-/// only past that (see [`ReaderPolicy`] for what is retained).
-#[repr(C)]
-pub struct Readers<P> {
-    pub(crate) head: Head<P>,
-    /// Only ever touched inside the owning slot's write section.
-    spill: Option<Box<Spill<P>>>,
+/// A paged slot's spill, held by its history so that the slot names it
+/// with a 4-byte index.
+pub(crate) struct SpillCell<P>(UnsafeCell<Spill<P>>);
+
+// SAFETY: a cell is only touched through its slot's `SpillRef::Indexed`,
+// which exists only inside that slot's write section (exclusive by CAS).
+unsafe impl<P: Send> Sync for SpillCell<P> {}
+// SAFETY: as above.
+unsafe impl<P: Send> Send for SpillCell<P> {}
+
+/// A history's spill cells, by the index a slot stores (index + 1; 0 is
+/// none).
+pub(crate) type SpillArena<P> = AppendArena<SpillCell<P>>;
+
+/// Where one location's spill lives.
+enum SpillRef<'a, P> {
+    /// In a [`LocState`] (the fallback map, reference models).
+    Owned(&'a mut Spill<P>),
+    /// Behind a paged slot's index into its history's arena; followed
+    /// only when the readers need the spill.
+    Indexed {
+        index: &'a mut u32,
+        arena: &'a SpillArena<P>,
+    },
+}
+
+impl<P> SpillRef<'_, P> {
+    fn get(&self) -> Option<&Spill<P>> {
+        match self {
+            SpillRef::Owned(s) => Some(s),
+            SpillRef::Indexed { index, arena } => index.checked_sub(1).map(|i| {
+                // SAFETY: the view exists only inside the slot's write
+                // section, so the slot's cell is this view's alone.
+                unsafe { &*arena.get(i as usize).0.get() }
+            }),
+        }
+    }
+
+    /// The spill, with a cell taken for a slot that has none yet.
+    fn get_mut(&mut self) -> &mut Spill<P> {
+        match self {
+            SpillRef::Owned(s) => s,
+            SpillRef::Indexed { index, arena } => {
+                if **index == 0 {
+                    let i = arena.push(SpillCell(UnsafeCell::new(Spill::None)));
+                    **index = u32::try_from(i + 1).expect("spill index fits 32 bits");
+                }
+                // SAFETY: as in `get`.
+                unsafe { &mut *arena.get(**index as usize - 1).0.get() }
+            }
+        }
+    }
+}
+
+/// Retained readers of one location: two positions inline, a spill only
+/// past that (see [`ReaderPolicy`] for what is retained). A view into the
+/// location's state, borrowed for one write section.
+pub struct Readers<'a, P> {
+    pub(crate) head: &'a mut Head<P>,
+    spill: SpillRef<'a, P>,
 }
 
 /// The Mellor-Crummey update of one `(leftmost, rightmost)` pair.
@@ -226,47 +288,50 @@ fn lr_update<P: Copy>(
     }
 }
 
-impl<P: Copy> Readers<P> {
-    pub(crate) fn new(policy: ReaderPolicy) -> Self {
-        Readers {
-            head: Head::new(policy),
-            spill: None,
-        }
+impl<P: Copy> Readers<'_, P> {
+    /// Readers (`All`) or triples (`PerFutureLR`) held in the spill: all
+    /// but the inline two, or all but the inline triple. The spill is
+    /// only looked at when this is non-zero.
+    fn spilled(&self) -> usize {
+        let inline = if self.head.is_lr() { 1 } else { 2 };
+        self.head.count().saturating_sub(inline)
     }
 
     fn spilled_all(&self) -> &[P] {
-        match self.spill.as_deref() {
+        match self.spill.get() {
             Some(Spill::All(v)) => v,
             _ => &[],
         }
     }
 
     fn spilled_lr(&self) -> &[(u32, P, P)] {
-        match self.spill.as_deref() {
+        match self.spill.get() {
             Some(Spill::PerFuture(v)) => v,
             _ => &[],
         }
     }
 
-    /// The `All` spill, allocated on first use.
+    /// The `All` spill, started on first use.
     fn spill_all(&mut self) -> &mut Vec<P> {
-        let spill = self
-            .spill
-            .get_or_insert_with(|| Box::new(Spill::All(Vec::new())));
-        match &mut **spill {
+        let spill = self.spill.get_mut();
+        if let Spill::None = spill {
+            *spill = Spill::All(Vec::new());
+        }
+        match spill {
             Spill::All(v) => v,
-            Spill::PerFuture(_) => unreachable!("policy is fixed at construction"),
+            _ => unreachable!("policy is fixed at construction"),
         }
     }
 
-    /// The `PerFutureLR` spill, allocated on first use.
+    /// The `PerFutureLR` spill, started on first use.
     fn spill_lr(&mut self) -> &mut Vec<(u32, P, P)> {
-        let spill = self
-            .spill
-            .get_or_insert_with(|| Box::new(Spill::PerFuture(Vec::new())));
-        match &mut **spill {
+        let spill = self.spill.get_mut();
+        if let Spill::None = spill {
+            *spill = Spill::PerFuture(Vec::new());
+        }
+        match spill {
             Spill::PerFuture(v) => v,
-            Spill::All(_) => unreachable!("policy is fixed at construction"),
+            _ => unreachable!("policy is fixed at construction"),
         }
     }
 
@@ -277,17 +342,22 @@ impl<P: Copy> Readers<P> {
         if n == 0 {
             return;
         }
+        let spilled = self.spilled() > 0;
         if self.head.is_lr() {
             f(self.head.get(FIRST));
             f(self.head.get(LAST));
-            for &(_, l, r) in self.spilled_lr() {
-                f(l);
-                f(r);
+            if spilled {
+                for &(_, l, r) in self.spilled_lr() {
+                    f(l);
+                    f(r);
+                }
             }
         } else {
             if n >= 2 {
                 f(self.head.get(FIRST));
-                self.spilled_all().iter().copied().for_each(&mut f);
+                if spilled {
+                    self.spilled_all().iter().copied().for_each(&mut f);
+                }
             }
             f(self.head.get(LAST));
         }
@@ -374,30 +444,27 @@ impl<P: Copy> Readers<P> {
     }
 
     /// Drop every reader; a spill keeps its allocation for the next epoch.
-    pub(crate) fn clear(&mut self) {
-        self.head.set_count(0);
-        match self.spill.as_deref_mut() {
-            Some(Spill::All(v)) => v.clear(),
-            Some(Spill::PerFuture(v)) => v.clear(),
-            None => {}
+    fn clear(&mut self) {
+        if self.spilled() > 0 {
+            match self.spill.get_mut() {
+                Spill::All(v) => v.clear(),
+                Spill::PerFuture(v) => v.clear(),
+                Spill::None => {}
+            }
         }
+        self.head.set_count(0);
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
-        match self.spill.as_deref() {
-            None => 0,
-            Some(s) => {
-                std::mem::size_of::<Spill<P>>()
-                    + match s {
-                        Spill::All(v) => v.capacity() * std::mem::size_of::<P>(),
-                        Spill::PerFuture(v) => v.capacity() * std::mem::size_of::<(u32, P, P)>(),
-                    }
-            }
+        match self.spill.get() {
+            None | Some(Spill::None) => 0,
+            Some(Spill::All(v)) => v.capacity() * std::mem::size_of::<P>(),
+            Some(Spill::PerFuture(v)) => v.capacity() * std::mem::size_of::<(u32, P, P)>(),
         }
     }
 }
 
-impl<P: Copy + std::fmt::Debug> std::fmt::Debug for Readers<P> {
+impl<P: Copy + std::fmt::Debug> std::fmt::Debug for Readers<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut list = f.debug_list();
         self.for_each(|p| {
@@ -407,22 +474,23 @@ impl<P: Copy + std::fmt::Debug> std::fmt::Debug for Readers<P> {
     }
 }
 
-/// Shadow state of one memory location. This is the representation the
-/// paged store keeps in each slot — there is no second copy. Field order
-/// is layout (`repr(C)`): the readers' head leads because the hottest
-/// path, read-same-epoch, reads nothing else of the entry.
-#[repr(C)]
-pub struct LocEntry<P> {
+/// Shadow state of one memory location, as a write section sees it: a
+/// view of the location's fields, borrowed for the section. In the paged
+/// store the view points into the slot itself — the epoch is the one
+/// field it carries apart, decoded from the packed word and published
+/// back with it — and in the fallback map into a [`LocState`].
+pub struct LocEntry<'a, P> {
     /// Retained readers since the last write.
-    pub readers: Readers<P>,
+    pub readers: Readers<'a, P>,
     /// Last writer, if any.
-    pub writer: Option<P>,
+    pub writer: &'a mut Option<P>,
     /// Writer epoch: bumped every time a new writer is installed. The
-    /// paged store's packed word carries it (see module docs).
-    pub writer_seq: u64,
+    /// paged store keeps it only in the packed word, 36 bits wide (see
+    /// module docs).
+    pub writer_seq: &'a mut u64,
 }
 
-impl<P: Copy + std::fmt::Debug> std::fmt::Debug for LocEntry<P> {
+impl<P: Copy + std::fmt::Debug> std::fmt::Debug for LocEntry<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocEntry")
             .field("writer", &self.writer)
@@ -432,13 +500,25 @@ impl<P: Copy + std::fmt::Debug> std::fmt::Debug for LocEntry<P> {
     }
 }
 
-impl<P: Copy> LocEntry<P> {
-    /// An untouched location: no writer, no readers, epoch 0.
-    pub fn new(policy: ReaderPolicy) -> Self {
+impl<'a, P: Copy> LocEntry<'a, P> {
+    /// The view of a paged slot's fields, at epoch `writer_seq`.
+    pub(crate) fn in_slot(
+        head: &'a mut Head<P>,
+        writer: &'a mut Option<P>,
+        spill: &'a mut u32,
+        arena: &'a SpillArena<P>,
+        writer_seq: &'a mut u64,
+    ) -> Self {
         LocEntry {
-            writer: None,
-            writer_seq: 0,
-            readers: Readers::new(policy),
+            readers: Readers {
+                head,
+                spill: SpillRef::Indexed {
+                    index: spill,
+                    arena,
+                },
+            },
+            writer,
+            writer_seq,
         }
     }
 
@@ -446,8 +526,8 @@ impl<P: Copy> LocEntry<P> {
     /// retained readers (sound: any race with a dropped reader is either
     /// already reported or subsumed by a race with this writer).
     pub fn begin_write_epoch(&mut self, w: P) {
-        self.writer = Some(w);
-        self.writer_seq += 1;
+        *self.writer = Some(w);
+        *self.writer_seq += 1;
         self.readers.clear();
     }
 
@@ -469,8 +549,42 @@ impl<P: Copy> LocEntry<P> {
     ) where
         P: PartialEq,
     {
-        if self.writer != Some(p) {
+        if *self.writer != Some(p) {
             self.readers.record(future, p, eng_less, heb_less, precedes);
+        }
+    }
+}
+
+/// One location's shadow state held by value: what the paged store's
+/// fallback map keeps per address, and what reference models keep. Its
+/// [`entry`](Self::entry) is the same view a paged slot's section gets.
+pub struct LocState<P> {
+    head: Head<P>,
+    spill: Spill<P>,
+    writer: Option<P>,
+    writer_seq: u64,
+}
+
+impl<P: Copy> LocState<P> {
+    /// An untouched location: no writer, no readers, epoch 0.
+    pub fn new(policy: ReaderPolicy) -> Self {
+        LocState {
+            head: Head::new(policy),
+            spill: Spill::None,
+            writer: None,
+            writer_seq: 0,
+        }
+    }
+
+    /// The location's entry, for one check.
+    pub fn entry(&mut self) -> LocEntry<'_, P> {
+        LocEntry {
+            readers: Readers {
+                head: &mut self.head,
+                spill: SpillRef::Owned(&mut self.spill),
+            },
+            writer: &mut self.writer,
+            writer_seq: &mut self.writer_seq,
         }
     }
 }
@@ -575,14 +689,14 @@ mod tests {
     fn write_epoch_clears_readers_and_advances_seq() {
         let h = history(ReaderPolicy::All);
         h.locked(0x8, |e| {
-            assert_eq!(e.writer_seq, 0);
+            assert_eq!(*e.writer_seq, 0);
             e.readers.record(0, (1, 1), eng_less, heb_less, precedes);
             e.begin_write_epoch((2, 2));
             assert!(e.readers.is_empty());
-            assert_eq!(e.writer, Some((2, 2)));
-            assert_eq!(e.writer_seq, 1);
+            assert_eq!(*e.writer, Some((2, 2)));
+            assert_eq!(*e.writer_seq, 1);
             e.begin_write_epoch((3, 3));
-            assert_eq!(e.writer_seq, 2);
+            assert_eq!(*e.writer_seq, 2);
         });
     }
 
@@ -609,10 +723,41 @@ mod tests {
         let h = history(ReaderPolicy::All);
         h.locked(0x40, |e| e.begin_write_epoch((1, 1)));
         h.locked(0x44, |e| e.begin_write_epoch((2, 2)));
-        h.locked(0x40, |e| assert_eq!(e.writer, Some((1, 1))));
-        h.locked(0x44, |e| assert_eq!(e.writer, Some((2, 2))));
+        h.locked(0x40, |e| assert_eq!(*e.writer, Some((1, 1))));
+        h.locked(0x44, |e| assert_eq!(*e.writer, Some((2, 2))));
         assert_eq!(h.locations(), 2);
         assert_eq!(h.lock_ops(), 2, "one fallback lock per 0x44 access");
+        // The lock-free side tells them apart by the claim in the packed
+        // word: 0x44 never answers from 0x40's slot.
+        let mut cur = h.cursor();
+        assert_eq!(cur.snapshot(0x40).and_then(|s| s.writer()), Some((1, 1)));
+        assert!(cur.snapshot(0x44).is_none());
+        assert!(cur.fast_write(0x40, (1, 1)));
+        assert!(!cur.fast_write(0x44, (1, 1)));
+        assert!(!cur.fast_read(0x44, 0, (1, 1), eng_less, heb_less, precedes, |_| true));
+        drop(cur);
+        let mut seen = vec![];
+        h.for_each_entry(|addr, e| seen.push((addr, *e.writer)));
+        seen.sort_unstable();
+        assert_eq!(seen, [(0x40, Some((1, 1))), (0x44, Some((2, 2)))]);
+        assert_eq!(h.lock_ops(), 2, "snapshots and sweeps count no access lock");
+    }
+
+    /// A sweep names every location by its exact address, rebuilt from the
+    /// slot's place in the directory and the claim's low bits.
+    #[test]
+    fn the_sweep_names_each_exact_address() {
+        let h = history(ReaderPolicy::All);
+        let mut addrs = vec![0x3, 0x40, 0x7ffe_dead_bee8 + 5, (1 << MAPPED_BITS) - 1];
+        for &a in &addrs {
+            h.locked(a, |e| e.begin_write_epoch((1, 1)));
+        }
+        let mut seen = vec![];
+        h.for_each_entry(|addr, _| seen.push(addr));
+        seen.sort_unstable();
+        addrs.sort_unstable();
+        assert_eq!(seen, addrs);
+        assert_eq!(h.lock_ops(), 0);
     }
 
     #[test]
@@ -620,7 +765,7 @@ mod tests {
         let h = history(ReaderPolicy::All);
         let high = 1u64 << 60;
         h.locked(high, |e| e.begin_write_epoch((1, 1)));
-        h.locked(high, |e| assert_eq!(e.writer, Some((1, 1))));
+        h.locked(high, |e| assert_eq!(*e.writer, Some((1, 1))));
         assert_eq!(h.lock_ops(), 2);
         assert_eq!(h.locations(), 1);
         let mut seen = vec![];
@@ -714,7 +859,7 @@ mod tests {
                 e.readers.record(0, (1, 1), eng_less, heb_less, precedes)
             });
             assert!(!cur.fast_write(0x40, (1, 1)));
-            cur.locked(0x40, |e| assert_eq!(e.writer_seq, 1));
+            cur.locked(0x40, |e| assert_eq!(*e.writer_seq, 1));
             drop(cur);
             assert_eq!(h.fast_hits(), 1);
         }
@@ -840,12 +985,15 @@ mod tests {
     #[test]
     fn heap_bytes_covers_table_capacity() {
         // Bytes must be capacity-based, so a store holding N entries
-        // charges at least N * entry-size even before any reader payload.
+        // charges every slot of the pages that hold them — at least 32
+        // bytes each, the one-word position's slot — even before any
+        // reader payload.
         let h = history(ReaderPolicy::All);
         for a in 0..100u64 {
             h.locked(a * 16, |e| e.begin_write_epoch((1, 1)));
         }
-        let floor = 100 * std::mem::size_of::<(u64, LocEntry<Pos>)>();
+        let floor = h.page_allocs() as usize * PAGE_SLOTS * 32;
+        assert!(floor > 0);
         assert!(h.heap_bytes() >= floor, "{} < {floor}", h.heap_bytes());
     }
 }

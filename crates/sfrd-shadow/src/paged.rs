@@ -32,36 +32,52 @@
 //!   store ever takes a lock, which is exactly what
 //!   [`PagedHistory::lock_ops`] counts.
 //!
-//! ## One slot, one representation
+//! ## One slot, 32 bytes
 //!
-//! A slot is the packed word, the claiming address and the location's
-//! [`LocEntry`] itself (`#[repr(C)]`, 80 bytes for a 12-byte position;
-//! DESIGN.md §6 has the byte offsets). Nothing is mirrored: the entry the
-//! write section mutates is the entry the lock-free snapshot copies from.
+//! A slot is the packed word and the location's entry fields, nothing
+//! else (`#[repr(C, align(32))]`; DESIGN.md §6 has the byte offsets). For
+//! the detectors' one-word position (`sfrd_reach::Pos`) it is 32 bytes —
+//! two slots per cache line, none straddling one, and a 2 048-slot page
+//! is exactly 64 KiB:
 //!
 //! ```text
-//! packed: [ 63..24: writer epoch | 23..1: section tag | 0: busy ]
+//! packed 8 | meta 4 | fut 4 | inline[LAST] 4 | inline[FIRST] 4 | writer 4 | spill 4
+//!
+//! packed: [ 63..28: writer epoch | 27..5: section tag | 4..2: addr & 7 | 1: claimed | 0: busy ]
 //! ```
+//!
+//! * The writer epoch lives only in the packed word.
+//! * The claiming address is the slot's own 8-byte span plus the three
+//!   `addr & 7` bits and a claimed bit, also in the packed word — so the
+//!   lock-free read learns whether the slot is its address's from the same
+//!   load that opens its window.
+//! * Readers past the two inline ones spill to a history-owned arena; the
+//!   slot names its spill by a 4-byte index.
+//!
+//! Nothing is mirrored: a write section hands its closure a [`LocEntry`]
+//! view of the slot's own fields (plus the epoch, decoded from the packed
+//! word and published back with it), and the lock-free snapshot copies
+//! from the same slot.
 //!
 //! State-changing accesses open a *seqlock-style write section*: CAS the
 //! busy bit (contended retries are counted in
 //! [`PagedHistory::cas_retries`]), mutate the entry, and release by
-//! publishing a new packed word — writer epoch from `writer_seq`, tag
-//! incremented. Any interleaved section therefore changes the packed
-//! word, which is what makes the snapshot's validation sound.
+//! publishing a new packed word — the entry's writer epoch, tag
+//! incremented, the claim. Any interleaved section therefore changes the
+//! packed word, which is what makes the snapshot's validation sound.
 //!
 //! ## The zero-store same-epoch paths
 //!
-//! One private routine, `PageCursor::validated`, copies the entry's
-//! plain-old-data fields (owner, writer, epoch, and the readers' inline
-//! head — never the spill pointer) between two loads of the packed word
-//! and discards the copy unless both loads agree and show the slot idle
-//! ([`PageCursor::snapshot`] is its public face). A rule that needs a
-//! second field only when the first did not decide copies it later in
-//! the same window and re-loads the word again. On a validated
-//! snapshot the cursor answers *"would the write section leave this entry
-//! unchanged and report nothing?"* with **zero stores, zero CAS, no
-//! lock**:
+//! One private routine, `PageCursor::validated`, checks the packed word's
+//! claim against the queried address, copies the slot's fields it needs
+//! (the readers' inline head, the writer — never the spill) and discards
+//! the copy unless a second load of the packed word agrees with the first
+//! and showed the slot idle ([`PageCursor::snapshot`] is its public face).
+//! A rule that needs a second field only when the first did not decide
+//! copies it later in the same window and re-loads the word again. On a
+//! validated snapshot the cursor answers *"would the write section leave
+//! this entry unchanged and report nothing?"* with **zero stores, zero
+//! CAS, no lock**:
 //!
 //! * [`fast_read`](PageCursor::fast_read) under [`ReaderPolicy::All`] —
 //!   *read-same-epoch*: the most recently recorded reader equals the
@@ -95,7 +111,7 @@ use std::ptr::addr_of;
 
 use sfrd_om::AppendArena;
 
-use crate::{AddrMap, Head, LocEntry, ReaderPolicy};
+use crate::{AddrMap, Head, LocEntry, LocState, ReaderPolicy, SpillArena};
 
 /// log2 of a slot's address span: one slot per 8-byte word, which is one
 /// instrumented `ShadowArray`/`ShadowCell` cell whatever its element type,
@@ -116,48 +132,73 @@ const ROOT_LEN: usize = 1 << ROOT_BITS;
 /// user address space); anything above goes to the locked fallback map.
 pub const MAPPED_BITS: u32 = SLOT_SHIFT + PAGE_SHIFT + MID_SHIFT + ROOT_BITS;
 
-/// Slot-owner sentinel: no address has claimed the slot yet.
-const UNCLAIMED: u64 = u64::MAX;
-
-// Packed-word layout.
+// Packed-word layout (module docs).
 const BUSY: u64 = 1;
-const TAG_SHIFT: u32 = 1;
+/// Set by the first section on the slot, with `addr & 7` above it.
+const CLAIMED: u64 = 1 << 1;
+const SUB_SHIFT: u32 = 2;
+const SUB_MASK: u64 = ((1 << SLOT_SHIFT) - 1) << SUB_SHIFT;
+const OWNER_MASK: u64 = CLAIMED | SUB_MASK;
+const TAG_SHIFT: u32 = SUB_SHIFT + SLOT_SHIFT;
 const TAG_BITS: u32 = 23;
 const TAG_MASK: u64 = ((1 << TAG_BITS) - 1) << TAG_SHIFT;
 const EPOCH_SHIFT: u32 = TAG_SHIFT + TAG_BITS;
 
+/// The claim `addr` holds on its slot: the packed word's owner bits.
 #[inline]
-fn pack(writer_seq: u64, tag: u64) -> u64 {
-    (writer_seq << EPOCH_SHIFT) | ((tag << TAG_SHIFT) & TAG_MASK)
+fn claim(addr: u64) -> u64 {
+    CLAIMED | (addr << SUB_SHIFT) & SUB_MASK
 }
 
-/// One location's slot: packed word (seqlock + epoch + section tag), the
-/// exact claiming address, and the entry — the only copy of it.
+/// The writer epoch a packed word carries (36 bits; it wraps).
+#[inline]
+fn epoch(packed: u64) -> u64 {
+    packed >> EPOCH_SHIFT
+}
+
+#[inline]
+fn pack(writer_seq: u64, tag: u64, owner: u64) -> u64 {
+    (writer_seq << EPOCH_SHIFT) | ((tag << TAG_SHIFT) & TAG_MASK) | owner
+}
+
+/// Everything a slot holds besides its packed word: a [`LocEntry`]'s
+/// fields minus the epoch, with the readers' spill named by index.
 #[repr(C)]
+struct Body<P> {
+    head: Head<P>,
+    writer: Option<P>,
+    /// The readers' spill: index + 1 into [`PagedHistory::spills`], 0 for
+    /// none. Only ever touched inside the slot's write section.
+    spill: u32,
+}
+
+/// One location's slot: the packed word (seqlock + epoch + section tag +
+/// claim) and the entry's fields — the only copy of them.
+#[repr(C, align(32))]
 struct Slot<P: Copy> {
     packed: AtomicU64,
-    /// Exact address that claimed this slot ([`UNCLAIMED`] until first
-    /// touch); written only inside the write section.
-    owner: UnsafeCell<u64>,
-    entry: UnsafeCell<LocEntry<P>>,
+    body: UnsafeCell<Body<P>>,
 }
 
-// SAFETY: `owner` and `entry` are only written, and the entry's spill
-// pointer only followed, inside the busy-bit write section (exclusive by
-// CAS). Outside it they are read only by `PageCursor::validated`, which
-// copies pointer-free fields with `read_volatile` and discards the copy
-// unless the packed word proves no section overlapped it. `P: Send`
-// because a position stored by one thread is read and dropped by others.
+// SAFETY: the body is only written, and its spill index only followed,
+// inside the busy-bit write section (exclusive by CAS). Outside it the
+// body is read only by `PageCursor::validated`, which copies fields with
+// `read_volatile` and discards the copy unless the packed word proves no
+// section overlapped it. `P: Send` because a position stored by one thread
+// is read by others.
 unsafe impl<P: Copy + Send> Sync for Slot<P> {}
-// SAFETY: as above; the slot owns its entry outright.
+// SAFETY: as above; the slot holds plain data.
 unsafe impl<P: Copy + Send> Send for Slot<P> {}
 
 impl<P: Copy> Slot<P> {
     fn new(policy: ReaderPolicy) -> Self {
         Slot {
             packed: AtomicU64::new(0),
-            owner: UnsafeCell::new(UNCLAIMED),
-            entry: UnsafeCell::new(LocEntry::new(policy)),
+            body: UnsafeCell::new(Body {
+                head: Head::new(policy),
+                writer: None,
+                spill: 0,
+            }),
         }
     }
 }
@@ -195,9 +236,11 @@ pub struct PagedHistory<P: Copy + Send> {
     root: Box<[AtomicPtr<MidChunk<P>>]>,
     mid_arena: AppendArena<MidChunk<P>>,
     page_arena: AppendArena<Page<P>>,
+    /// Reader spills of mapped slots, by the index a slot stores.
+    spills: SpillArena<P>,
     policy: ReaderPolicy,
     /// Addresses above [`MAPPED_BITS`]: the locked escape hatch.
-    fallback: Mutex<AddrMap<LocEntry<P>>>,
+    fallback: Mutex<AddrMap<LocState<P>>>,
     /// Mutex acquisitions — fallback-map only; the mapped path never locks.
     lock_ops: AtomicU64,
     /// Accesses answered from a validated snapshot (same-epoch reads and
@@ -219,6 +262,7 @@ impl<P: Copy + Send> PagedHistory<P> {
                 .collect(),
             mid_arena: AppendArena::new(),
             page_arena: AppendArena::new(),
+            spills: AppendArena::new(),
             policy,
             fallback: Mutex::new(AddrMap::default()),
             lock_ops: AtomicU64::new(0),
@@ -272,7 +316,7 @@ impl<P: Copy + Send> PagedHistory<P> {
 
     /// Per-access entry point (no cursor reuse): run `f` on the location's
     /// entry inside its write section.
-    pub fn locked<R>(&self, addr: u64, f: impl FnOnce(&mut LocEntry<P>) -> R) -> R {
+    pub fn locked<R>(&self, addr: u64, f: impl FnOnce(&mut LocEntry<'_, P>) -> R) -> R {
         self.cursor().locked(addr, f)
     }
 
@@ -360,26 +404,39 @@ impl<P: Copy + Send> PagedHistory<P> {
         }
     }
 
-    /// Close the write section: publish a new packed word (the entry's
-    /// epoch, tag + 1). Nothing else is written — the entry is its own
-    /// snapshot source.
-    fn unlock_slot(&self, slot: &Slot<P>, prev: u64) {
-        // SAFETY: we hold the busy bit — exclusive access to the entry.
-        let writer_seq = unsafe { (*slot.entry.get()).writer_seq };
-        let tag = ((prev & TAG_MASK) >> TAG_SHIFT).wrapping_add(1);
-        slot.packed.store(pack(writer_seq, tag), Ordering::Release);
+    /// Run `f` on the view of a slot's entry, at the epoch the
+    /// pre-section word `prev` carries; returns what `f` returns and the
+    /// epoch to publish. Caller holds the busy bit.
+    #[inline(always)]
+    fn in_section<R>(
+        &self,
+        slot: &Slot<P>,
+        prev: u64,
+        f: impl FnOnce(&mut LocEntry<'_, P>) -> R,
+    ) -> (R, u64) {
+        // SAFETY: busy bit held — exclusive access to the body.
+        let body = unsafe { &mut *slot.body.get() };
+        let mut writer_seq = epoch(prev);
+        let r = f(&mut LocEntry::in_slot(
+            &mut body.head,
+            &mut body.writer,
+            &mut body.spill,
+            &self.spills,
+            &mut writer_seq,
+        ));
+        (r, writer_seq)
     }
 
-    fn fallback_locked<R>(&self, addr: u64, f: impl FnOnce(&mut LocEntry<P>) -> R) -> R {
+    fn fallback_locked<R>(&self, addr: u64, f: impl FnOnce(&mut LocEntry<'_, P>) -> R) -> R {
         self.lock_ops.fetch_add(1, Ordering::Relaxed);
         let mut map = self.fallback.lock();
         let policy = self.policy;
-        let e = map.entry(addr).or_insert_with(|| LocEntry::new(policy));
-        f(e)
+        let state = map.entry(addr).or_insert_with(|| LocState::new(policy));
+        f(&mut state.entry())
     }
 
-    fn is_tracked(e: &LocEntry<P>) -> bool {
-        e.writer.is_some() || !e.readers.is_empty() || e.writer_seq > 0
+    fn is_tracked(e: &LocEntry<'_, P>) -> bool {
+        e.writer.is_some() || !e.readers.is_empty() || *e.writer_seq > 0
     }
 
     /// Visit every touched `(addr, entry)` pair. Quiescent use only
@@ -388,36 +445,40 @@ impl<P: Copy + Send> PagedHistory<P> {
     /// overall sweep is not a consistent cut. The sweep is read-only: it
     /// releases each slot with the packed word it found, so snapshots
     /// taken across it stay valid.
-    pub fn for_each_entry(&self, mut f: impl FnMut(u64, &LocEntry<P>)) {
-        for mid_slot in self.root.iter() {
+    pub fn for_each_entry(&self, mut f: impl FnMut(u64, &LocEntry<'_, P>)) {
+        for (root_idx, mid_slot) in self.root.iter().enumerate() {
             let mid_ptr = mid_slot.load(Ordering::Acquire);
             if mid_ptr.is_null() {
                 continue;
             }
             // SAFETY: published arena pointer (see page_for).
             let mid = unsafe { &*mid_ptr };
-            for page_slot in mid.pages.iter() {
+            for (mid_idx, page_slot) in mid.pages.iter().enumerate() {
                 let page_ptr = page_slot.load(Ordering::Acquire);
                 if page_ptr.is_null() {
                     continue;
                 }
                 // SAFETY: as above.
                 let page = unsafe { &*page_ptr };
-                for slot in page.slots.iter() {
+                let page_word = ((root_idx << MID_SHIFT | mid_idx) << PAGE_SHIFT) as u64;
+                for (slot_idx, slot) in page.slots.iter().enumerate() {
                     let prev = self.lock_slot(slot);
-                    // SAFETY: busy bit held.
-                    let e = unsafe { &*slot.entry.get() };
-                    let owner = unsafe { *slot.owner.get() };
-                    if owner != UNCLAIMED && Self::is_tracked(e) {
-                        f(owner, e);
+                    if prev & CLAIMED != 0 {
+                        let word = page_word | slot_idx as u64;
+                        let addr = word << SLOT_SHIFT | (prev & SUB_MASK) >> SUB_SHIFT;
+                        self.in_section(slot, prev, |e| {
+                            if Self::is_tracked(e) {
+                                f(addr, e);
+                            }
+                        });
                     }
                     slot.packed.store(prev, Ordering::Release);
                 }
             }
         }
-        let map = self.fallback.lock();
-        for (&addr, e) in map.iter() {
-            f(addr, e);
+        let mut map = self.fallback.lock();
+        for (&addr, state) in map.iter_mut() {
+            f(addr, &state.entry());
         }
     }
 
@@ -449,17 +510,18 @@ impl<P: Copy + Send> PagedHistory<P> {
 
     /// Approximate heap bytes: root directory, both arenas (including the
     /// boxed payloads of every allocated chunk and page — published or
-    /// stranded by a CAS race), retained-reader payloads, and the fallback
-    /// map.
+    /// stranded by a CAS race), the spill arena, retained-reader payloads,
+    /// and the fallback map.
     pub fn heap_bytes(&self) -> usize {
         let mut bytes = self.root.len() * std::mem::size_of::<AtomicPtr<MidChunk<P>>>();
         bytes += self.mid_arena.heap_bytes()
             + self.mid_arena.len() * MID_LEN * std::mem::size_of::<AtomicPtr<Page<P>>>();
         bytes += self.page_arena.heap_bytes()
-            + self.page_arena.len() * PAGE_SLOTS * std::mem::size_of::<Slot<P>>();
+            + self.page_arena.len() * PAGE_SLOTS * std::mem::size_of::<Slot<P>>()
+            + self.spills.heap_bytes();
         self.for_each_entry(|_, e| bytes += e.readers.heap_bytes());
         let map = self.fallback.lock();
-        bytes += map.capacity() * (std::mem::size_of::<(u64, LocEntry<P>)>() + 8);
+        bytes += map.capacity() * (std::mem::size_of::<(u64, LocState<P>)>() + 8);
         bytes
     }
 }
@@ -490,15 +552,15 @@ impl<P: Copy> SlotSnapshot<P> {
     }
 }
 
-/// Volatile copy of an entry's writer, for a read window. `Option<P>` is
+/// Volatile copy of a slot's writer, for a read window. `Option<P>` is
 /// not valid for every bit pattern, so it stays `MaybeUninit` until the
 /// window has been rechecked.
 ///
 /// # Safety
-/// `e` points to the entry of a live slot.
+/// `b` points to the body of a live slot.
 #[inline(always)]
-unsafe fn copy_writer<P: Copy>(e: *const LocEntry<P>) -> MaybeUninit<Option<P>> {
-    addr_of!((*e).writer)
+unsafe fn copy_writer<P: Copy>(b: *const Body<P>) -> MaybeUninit<Option<P>> {
+    addr_of!((*b).writer)
         .cast::<MaybeUninit<Option<P>>>()
         .read_volatile()
 }
@@ -580,7 +642,7 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     /// is taken unless the address lies outside the mapped range or its
     /// slot is already claimed by a different exact address (sub-word
     /// collision) — both divert to the fallback map.
-    pub fn locked<R>(&mut self, addr: u64, f: impl FnOnce(&mut LocEntry<P>) -> R) -> R {
+    pub fn locked<R>(&mut self, addr: u64, f: impl FnOnce(&mut LocEntry<'_, P>) -> R) -> R {
         if addr >> MAPPED_BITS != 0 {
             return self.hist.fallback_locked(addr, f);
         }
@@ -589,20 +651,18 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
             .expect("mapped-range page allocation cannot fail");
         let hist = self.hist;
         let prev = hist.lock_slot(slot);
-        // SAFETY: busy bit held — exclusive access to owner and entry.
-        let owner = unsafe { *slot.owner.get() };
-        if owner == UNCLAIMED {
-            // SAFETY: as above.
-            unsafe { *slot.owner.get() = addr };
-        } else if owner != addr {
+        let owner = claim(addr);
+        if prev & CLAIMED != 0 && prev & OWNER_MASK != owner {
             // Exact-address discipline: never merge two addresses into one
             // entry. Release the slot untouched and serve from the map.
             slot.packed.store(prev, Ordering::Release);
             return hist.fallback_locked(addr, f);
         }
-        // SAFETY: as above.
-        let r = f(unsafe { &mut *slot.entry.get() });
-        hist.unlock_slot(slot, prev);
+        let (r, writer_seq) = hist.in_section(slot, prev, f);
+        // Close the section: the entry's epoch, tag + 1, the claim.
+        let tag = ((prev & TAG_MASK) >> TAG_SHIFT).wrapping_add(1);
+        slot.packed
+            .store(pack(writer_seq, tag, owner), Ordering::Release);
         r
     }
 
@@ -611,14 +671,14 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     /// what it read when the window opened.
     ///
     /// A write section may be storing to the slot while `copy` runs, so
-    /// `copy` must only `read_volatile` pointer-free fields into types
-    /// that are valid for every bit pattern, and must not follow the
-    /// readers' spill pointer. What it returns is meaningful exactly when
-    /// this returns `Some`: every section changes the packed word on
-    /// release, so an unchanged idle word means no section overlapped the
-    /// window up to here. One window may be rechecked more than once — a
-    /// rule that reads a second field only when the first did not decide
-    /// copies it inside the same window and rechecks again.
+    /// `copy` must only `read_volatile` fields into types that are valid
+    /// for every bit pattern, and must not follow the spill index. What it
+    /// returns is meaningful exactly when this returns `Some`: every
+    /// section changes the packed word on release, so an unchanged idle
+    /// word means no section overlapped the window up to here. One window
+    /// may be rechecked more than once — a rule that reads a second field
+    /// only when the first did not decide copies it inside the same window
+    /// and rechecks again.
     #[inline(always)]
     fn recheck<T>(&mut self, w: &Window<'_, P>, copy: impl FnOnce(&Slot<P>) -> T) -> Option<T> {
         let copied = copy(w.slot);
@@ -630,13 +690,14 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
         Some(copied)
     }
 
-    /// The one lock-free read protocol of a slot: run `copy` on `addr`'s
-    /// entry inside a [`window`](Self::window) and keep what it returns
-    /// only if the [`recheck`](Self::recheck) passes and the slot is
-    /// `addr`'s own — a span claimed by a different exact address (whose
-    /// entry lives in the fallback map) or by none is not this address's
-    /// entry. The window comes back with the copy, for a rule that may
-    /// need a second field.
+    /// The one lock-free read protocol of a slot: open a
+    /// [`window`](Self::window) on `addr`'s slot, check that its packed
+    /// word carries `addr`'s claim — a span claimed by a different exact
+    /// address (whose entry lives in the fallback map) or by none is not
+    /// this address's entry — and run `copy` on the body, keeping what it
+    /// returns only if the [`recheck`](Self::recheck) passes, which also
+    /// re-validates the claim. The window comes back with the copy, for a
+    /// rule that may need a second field.
     // `inline(always)`, on the whole protocol: with plain `inline` the
     // batch loop kept this as a call and sw's `full` at one worker
     // measured 0.18 s instead of 0.13 s.
@@ -644,17 +705,14 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     fn validated<T>(
         &mut self,
         addr: u64,
-        copy: impl FnOnce(*const LocEntry<P>) -> T,
+        copy: impl FnOnce(*const Body<P>) -> T,
     ) -> Option<(T, Window<'a, P>)> {
         let w = self.window(addr)?;
-        let (owner, copied) = self.recheck(&w, |slot| {
-            // SAFETY: seqlock read protocol — a `u64` is valid whatever a
-            // racing section leaves in it, and it is not interpreted until
-            // `recheck` has re-loaded the packed word.
-            let owner = unsafe { slot.owner.get().read_volatile() };
-            (owner, copy(slot.entry.get()))
-        })?;
-        (owner == addr).then_some((copied, w))
+        if w.idle & OWNER_MASK != claim(addr) {
+            return None;
+        }
+        let copied = self.recheck(&w, |slot| copy(slot.body.get()))?;
+        Some((copied, w))
     }
 
     /// Validated copy of every pointer-free field of `addr`'s entry:
@@ -662,18 +720,14 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     pub fn snapshot(&mut self, addr: u64) -> Option<SlotSnapshot<P>> {
         // SAFETY: `Head` is integers and `MaybeUninit`, valid for every bit
         // pattern; see `recheck` for the protocol.
-        let ((head, writer, writer_seq), _) = self.validated(addr, |e| unsafe {
-            (
-                addr_of!((*e).readers.head).read_volatile(),
-                copy_writer(e),
-                addr_of!((*e).writer_seq).read_volatile(),
-            )
+        let ((head, writer), w) = self.validated(addr, |b| unsafe {
+            (addr_of!((*b).head).read_volatile(), copy_writer(b))
         })?;
         Some(SlotSnapshot {
             // SAFETY: validated, so these are the bytes of the `Option<P>`
             // the last write section left behind.
             writer: unsafe { writer.assume_init() },
-            writer_seq,
+            writer_seq: epoch(w.idle),
             head,
         })
     }
@@ -694,8 +748,8 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     ///   query) and [`LocEntry::retain_reader`] would retain nothing.
     ///   Under `All` the writer is copied only when read-same-epoch did
     ///   not decide, inside the same window, so that rule still touches
-    ///   the slot's first 36 bytes — packed word, owner, `meta`, last
-    ///   reader; one cache line three times out of four — and no more.
+    ///   the slot's first 24 bytes — packed word and the readers' inline
+    ///   head — and no more.
     /// * [`ReaderPolicy::PerFutureLR`] — `future`'s inline (leftmost,
     ///   rightmost) pair is unchanged under the LR update rule, and
     ///   `writer_ok(writer)` accepts the snapshot's writer (typically: a
@@ -724,15 +778,13 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
             ReaderPolicy::All => {
                 // SAFETY: `Head` is integers and `MaybeUninit`, valid for
                 // every bit pattern; see `recheck` for the protocol.
-                let head = self.validated(addr, |e| unsafe {
-                    addr_of!((*e).readers.head).read_volatile()
-                });
+                let head = self.validated(addr, |b| unsafe { addr_of!((*b).head).read_volatile() });
                 head.is_some_and(|(head, w)| {
                     head.last() == Some(pos)
                         || self
-                            // SAFETY: the slot's entry is live; the copy is
+                            // SAFETY: the slot is live; the copy is
                             // `MaybeUninit` until the recheck has passed.
-                            .recheck(&w, |slot| unsafe { copy_writer(slot.entry.get()) })
+                            .recheck(&w, |slot| unsafe { copy_writer(slot.body.get()) })
                             // SAFETY: rechecked, so these are the bytes of
                             // the `Option<P>` a finished section left.
                             .is_some_and(|writer| unsafe { writer.assume_init() } == Some(pos))
@@ -778,25 +830,44 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfrd_reach::StrandPos;
-    use std::mem::{offset_of, size_of};
+    use sfrd_reach::Pos;
+    use std::mem::{align_of, offset_of, size_of};
 
-    /// The slot diet's budget, on the detectors' real 12-byte position:
-    /// 80 bytes (176 with the mirror it replaced), and the offsets
-    /// DESIGN.md §6 draws.
+    /// The slot's budget on the detectors' one-word position: 32 bytes and
+    /// 32-aligned — two slots per cache line, none straddling one, a page
+    /// exactly 64 KiB — and the offsets DESIGN.md §6 draws.
     #[test]
     fn slot_fits_the_budget() {
-        assert!(size_of::<Slot<StrandPos>>() <= 96);
-        assert_eq!(size_of::<Slot<StrandPos>>(), 80);
-        assert_eq!(size_of::<Slot<u64>>(), 72);
-        assert_eq!(offset_of!(Slot<StrandPos>, owner), 8);
-        assert_eq!(offset_of!(Slot<StrandPos>, entry), 16);
-        // Read-same-epoch reads packed, owner, meta and the last reader:
-        // slot bytes 0..36.
-        assert_eq!(offset_of!(LocEntry<StrandPos>, readers), 0);
-        assert_eq!(size_of::<Head<StrandPos>>(), 32);
-        assert_eq!(offset_of!(LocEntry<StrandPos>, writer), 40);
-        assert_eq!(offset_of!(LocEntry<StrandPos>, writer_seq), 56);
-        assert_eq!(size_of::<LocEntry<StrandPos>>(), 64);
+        assert_eq!(size_of::<Option<Pos>>(), 4);
+        assert_eq!(size_of::<Slot<Pos>>(), 32);
+        assert_eq!(align_of::<Slot<Pos>>(), 32);
+        assert_eq!(PAGE_SLOTS * size_of::<Slot<Pos>>(), 64 << 10);
+        // packed 8 | meta 4 | fut 4 | inline[LAST] 4 | inline[FIRST] 4 |
+        // writer 4 | spill 4. Read-same-epoch reads packed, meta and the
+        // last reader: slot bytes 0..20.
+        let body = offset_of!(Slot<Pos>, body);
+        assert_eq!((offset_of!(Slot<Pos>, packed), body), (0, 8));
+        let head = body + offset_of!(Body<Pos>, head);
+        assert_eq!(head + offset_of!(Head<Pos>, meta), 8);
+        assert_eq!(head + offset_of!(Head<Pos>, fut), 12);
+        let inline = head + offset_of!(Head<Pos>, inline);
+        assert_eq!(inline + crate::LAST * size_of::<Pos>(), 16);
+        assert_eq!(inline + crate::FIRST * size_of::<Pos>(), 20);
+        assert_eq!(body + offset_of!(Body<Pos>, writer), 24);
+        assert_eq!(body + offset_of!(Body<Pos>, spill), 28);
+    }
+
+    /// The claim bits hold the exact address's low bits, and the epoch
+    /// and tag sit above them without overlap.
+    #[test]
+    fn packed_word_fields_do_not_overlap() {
+        let word = pack(u64::MAX >> EPOCH_SHIFT, u64::MAX, claim(7));
+        assert_eq!(word | BUSY, u64::MAX);
+        assert_eq!(epoch(word), u64::MAX >> EPOCH_SHIFT);
+        assert_eq!(word & OWNER_MASK, claim(0xFF));
+        assert_ne!(claim(0x40), claim(0x44));
+        assert_eq!(claim(0x40), claim(0x48), "one claim per 8-byte span");
+        assert_eq!(BUSY & (OWNER_MASK | TAG_MASK), 0);
+        assert_eq!(OWNER_MASK & TAG_MASK, 0);
     }
 }

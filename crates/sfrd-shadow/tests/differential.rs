@@ -2,7 +2,7 @@
 //! under arbitrary access sequences.
 //!
 //! The store's contract is "one [`LocEntry`] per exact address", so the
-//! reference is exactly that: an in-test `BTreeMap<u64, LocEntry<Pos>>`
+//! reference is exactly that: an in-test `BTreeMap<u64, LocState<Pos>>`
 //! on which **every** access runs the full check — the write section's
 //! logic, never a short-circuit. Each case decodes a `Vec<u64>` into a
 //! sequence of reads and writes — mixed futures, positions,
@@ -18,14 +18,15 @@
 //!   `(addr, kind)` **sets** are identical (a same-epoch repeat of a racy
 //!   read is observed once, not once per repeat);
 //! * the retained state (writer, reader list per address) is identical,
-//!   and the writer epoch never runs ahead of the reference's (a
-//!   write-same-epoch hit leaves it alone);
+//!   and the writer epoch — which the paged side keeps only in the slot's
+//!   packed word — never runs ahead of the reference's (a write-same-epoch
+//!   hit leaves it alone);
 //! * `max_retained_readers` and `locations` agree.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use sfrd_shadow::{LocEntry, PagedHistory, ReaderPolicy};
+use sfrd_shadow::{LocEntry, LocState, PagedHistory, ReaderPolicy};
 
 type Pos = (u32, u32); // (eng, heb) toy positions
 
@@ -76,7 +77,7 @@ fn races(a: &Pos, p: &Pos) -> bool {
 }
 
 /// The write half of the detectors' check protocol on one entry.
-fn check_write(e: &mut LocEntry<Pos>, op: &Op) -> bool {
+fn check_write(e: &mut LocEntry<'_, Pos>, op: &Op) -> bool {
     let mut race = e.writer.is_some_and(|w| races(&w, &op.pos));
     e.readers.for_each(|r| race |= races(&r, &op.pos));
     e.begin_write_epoch(op.pos);
@@ -86,7 +87,7 @@ fn check_write(e: &mut LocEntry<Pos>, op: &Op) -> bool {
 /// The read half: check the writer, retain the reader — through the
 /// store's own retention rule, so the reference keeps exactly what the
 /// detectors keep (a read at the writer's position is not retained).
-fn check_read(e: &mut LocEntry<Pos>, op: &Op) -> bool {
+fn check_read(e: &mut LocEntry<'_, Pos>, op: &Op) -> bool {
     let race = e.writer.is_some_and(|w| races(&w, &op.pos));
     e.retain_reader(op.fut, op.pos, eng_less, heb_less, precedes);
     race
@@ -114,20 +115,21 @@ fn run_paged(h: &PagedHistory<Pos>, ops: &[Op]) -> Vec<bool> {
 
 /// The reference: one entry per exact address, the full check on every
 /// access.
-type Model = BTreeMap<u64, LocEntry<Pos>>;
+type Model = BTreeMap<u64, LocState<Pos>>;
 
 fn run_model(policy: ReaderPolicy, ops: &[Op]) -> (Model, Vec<bool>) {
     let mut model = Model::new();
     let verdicts = ops
         .iter()
         .map(|op| {
-            let e = model
+            let mut e = model
                 .entry(op.addr)
-                .or_insert_with(|| LocEntry::new(policy));
+                .or_insert_with(|| LocState::new(policy))
+                .entry();
             if op.write {
-                check_write(e, op)
+                check_write(&mut e, op)
             } else {
-                check_read(e, op)
+                check_read(&mut e, op)
             }
         })
         .collect();
@@ -144,10 +146,10 @@ fn racy_set(ops: &[Op], verdicts: &[bool]) -> BTreeSet<(u64, bool)> {
 }
 
 /// One address's retained state, readers in record order.
-fn entry_state(addr: u64, e: &LocEntry<Pos>) -> (u64, Option<Pos>, Vec<Pos>) {
+fn entry_state(addr: u64, e: &LocEntry<'_, Pos>) -> (u64, Option<Pos>, Vec<Pos>) {
     let mut readers = Vec::new();
     e.readers.for_each(|p| readers.push(p));
-    (addr, e.writer, readers)
+    (addr, *e.writer, readers)
 }
 
 proptest! {
@@ -168,27 +170,28 @@ proptest! {
             ops = ops.iter().flat_map(|&op| [op, op, Op { write: !op.write, ..op }, op]).collect();
         }
         let paged = PagedHistory::with_policy(policy);
-        let (model, vm) = run_model(policy, &ops);
+        let (mut model, vm) = run_model(policy, &ops);
         let vp = run_paged(&paged, &ops);
         for (i, (&p, &m)) in vp.iter().zip(&vm).enumerate() {
             prop_assert!(!p || m, "op {} raced on the paged side only\nops: {:?}", i, ops);
         }
         prop_assert_eq!(racy_set(&ops, &vp), racy_set(&ops, &vm), "racy sets diverge\nops: {:?}", ops);
-        let want: Vec<_> = model.iter().map(|(&a, e)| entry_state(a, e)).collect();
+        let want: Vec<_> = model.iter_mut().map(|(&a, e)| entry_state(a, &e.entry())).collect();
         let mut got = Vec::new();
         let mut epochs = Vec::new();
         paged.for_each_entry(|a, e| {
             got.push(entry_state(a, e));
-            epochs.push((a, e.writer_seq));
+            epochs.push((a, *e.writer_seq));
         });
         got.sort_unstable();
         prop_assert_eq!(want, got);
         for (a, seq) in epochs {
-            prop_assert!(seq <= model[&a].writer_seq, "epoch of {:#x} ran ahead", a);
+            let model_seq = *model.get_mut(&a).expect("same addresses").entry().writer_seq;
+            prop_assert!(seq <= model_seq, "epoch of {:#x} ran ahead", a);
         }
         prop_assert_eq!(model.len(), paged.locations());
         prop_assert_eq!(
-            model.values().map(|e| e.readers.len()).max().unwrap_or(0),
+            model.values_mut().map(|e| e.entry().readers.len()).max().unwrap_or(0),
             paged.max_retained_readers()
         );
     }

@@ -11,12 +11,16 @@
 //!   the writer maintains `writer == Some(7 * writer_seq)` (and, in the
 //!   `All`-policy test, `last reader == 11 * writer_seq`, re-established
 //!   only at the *end* of a section that yields in the middle), so a view
-//!   mixing two sections, or showing half of one, is caught;
+//!   mixing two sections, or showing half of one, is caught. The epoch a
+//!   snapshot reports is read from the packed word it was validated
+//!   against — the slot keeps no other copy — and the writer from the
+//!   slot body, so the equation ties the two halves of the protocol;
 //! * the `All`-policy section also parks a poison value in `writer`
 //!   across a yield, so read-by-current-writer — which copies the writer
 //!   later than the head — is caught if it ever reads it outside the
 //!   window the head was validated in (say, after a busy bail);
-//! * `writer_seq` observed through the locked path is monotone;
+//! * `writer_seq` observed through the locked path (loaded from the packed
+//!   word into the section's working copy) is monotone;
 //! * the mapped path takes zero locks: both the history's own fallback-map
 //!   census (`lock_ops()`) and the model's facade census stay 0.
 //!
@@ -71,7 +75,7 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
                     hist.locked(ADDR, |e| {
                         // Invariant the reader checks on every validated
                         // snapshot: writer value is derived from the epoch.
-                        let next = 7 * (e.writer_seq + 1);
+                        let next = 7 * (*e.writer_seq + 1);
                         e.begin_write_epoch(next);
                     });
                     // The epoch cleared the readers; re-record so later
@@ -105,7 +109,7 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
                         assert!(w.is_none_or(|x| x % 7 == 0 && x <= 7 * WRITES));
                         true
                     });
-                    let seq = cur.locked(ADDR, |e| e.writer_seq);
+                    let seq = cur.locked(ADDR, |e| *e.writer_seq);
                     assert!(seq >= last_seq, "writer_seq went backwards");
                     last_seq = seq;
                 }
@@ -114,7 +118,7 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
         writer.join();
         reader.join();
 
-        let (w, seq) = hist.locked(ADDR, |e| (e.writer, e.writer_seq));
+        let (w, seq) = hist.locked(ADDR, |e| (*e.writer, *e.writer_seq));
         assert_eq!(seq, WRITES, "lost write epoch");
         assert_eq!(w, Some(7 * WRITES));
         assert_eq!(
@@ -154,8 +158,8 @@ fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
         let hist = Arc::new(PagedHistory::<u64>::with_policy(ReaderPolicy::All));
         let section = |hist: &PagedHistory<u64>| {
             hist.locked(ADDR, |e| {
-                let seq = e.writer_seq + 1;
-                e.writer = Some(POISON);
+                let seq = *e.writer_seq + 1;
+                *e.writer = Some(POISON);
                 sfrd_runtime::sync::yield_point();
                 e.begin_write_epoch(7 * seq);
                 sfrd_runtime::sync::yield_point();

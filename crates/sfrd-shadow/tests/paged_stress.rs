@@ -6,14 +6,16 @@
 //!
 //! Torn-read detection: every position ever stored is diagonal `(v, v)`,
 //! so any comparison closure or writer snapshot that observes `(a, b)`
-//! with `a != b` has seen a torn copy of the `LocEntry` — the seqlock
-//! protocol must make that impossible.
+//! with `a != b` has seen a torn copy of a slot — the seqlock protocol
+//! must make that impossible.
 //!
 //! The second test is `model_paged.rs`'s `All`-policy invariant on real
 //! threads: sections that install `writer = 7·seq` and `last reader =
 //! 11·seq` on 12-byte positions (after parking a poison writer no
 //! finished section holds), against readers that take validated snapshots
-//! of the same slots the whole time.
+//! of the same slots the whole time. The epoch is the packed word's, the
+//! positions the slot body's: three times wider than the detectors' word,
+//! so a snapshot spans more of the slot than theirs does.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -93,7 +95,7 @@ fn run_thread(h: &PagedHistory<Pos>, thread: u32, probe: bool) {
 fn state(h: &PagedHistory<Pos>) -> Vec<(u64, Option<Pos>, u64, Vec<Pos>)> {
     let mut v = Vec::new();
     h.for_each_entry(|a, e| {
-        if let Some(w) = e.writer {
+        if let Some(w) = *e.writer {
             assert!(diag(&w), "torn writer retained: {w:?}");
         }
         let mut readers = Vec::new();
@@ -102,7 +104,7 @@ fn state(h: &PagedHistory<Pos>) -> Vec<(u64, Option<Pos>, u64, Vec<Pos>)> {
             readers.push(p);
         });
         readers.sort_unstable();
-        v.push((a, e.writer, e.writer_seq, readers));
+        v.push((a, *e.writer, *e.writer_seq, readers));
     });
     v.sort_unstable();
     v
@@ -177,10 +179,10 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
             for _ in 0..sections {
                 for slot in 0..SLOTS {
                     cur.locked(slot << SLOT_SHIFT, |e| {
-                        let seq = e.writer_seq as u32 + 1;
-                        e.writer = Some(wide(POISON));
+                        let seq = *e.writer_seq as u32 + 1;
+                        *e.writer = Some(wide(POISON));
                         // Keep the store: the next line overwrites it.
-                        std::hint::black_box(&mut e.writer);
+                        std::hint::black_box(&mut *e.writer);
                         e.begin_write_epoch(wide(7 * seq));
                         e.readers.record(0, wide(11 * seq), never, never, never);
                     });
@@ -248,7 +250,7 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
     assert_eq!(h.lock_ops(), 0, "mapped slots must never lock");
     for slot in 0..SLOTS {
         h.locked(slot << SLOT_SHIFT, |e| {
-            assert_eq!(e.writer_seq, u64::from(sections), "lost write epoch");
+            assert_eq!(*e.writer_seq, u64::from(sections), "lost write epoch");
         });
     }
 }

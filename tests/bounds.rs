@@ -9,7 +9,9 @@
 //!   location retains at most 2k readers;
 //! * order-maintenance amortization — the keys an insert makes the list
 //!   rewrite stay under a small constant per inserted item, and that
-//!   constant does not grow with the list.
+//!   constant does not grow with the list;
+//! * the access history's slot — 32 bytes, so a page of 2 048 slots is
+//!   64 KiB, counted on a real run.
 
 use std::sync::Arc;
 
@@ -19,7 +21,7 @@ use sfrd::core::{GenWorkload, Mode, SfDetector, Workload};
 use sfrd::dag::generator::{GenParams, GenProgram};
 use sfrd::runtime::Runtime;
 use sfrd::shadow::ReaderPolicy;
-use sfrd::workloads::{make_bench, Scale, BENCH_NAMES};
+use sfrd::workloads::{make_bench, Scale, SortParams, SortWorkload, BENCH_NAMES};
 
 fn run_sf(w: &impl Workload, policy: ReaderPolicy, workers: usize) -> Arc<SfDetector> {
     let det = Arc::new(SfDetector::new(Mode::Full, policy));
@@ -181,4 +183,42 @@ fn om_relabels_amortized() {
              to k = 65536 — not amortized O(1)"
         );
     }
+}
+
+/// The slot stays 32 bytes, counted on a real run rather than timed:
+/// `sort` under SF-Order `full` on one worker (no page allocation race
+/// strands a page), at the small input and at twice it. The pages follow
+/// the cell count — 2 048 eight-byte cells each, plus at most one partial
+/// page at each end of the two arrays — and the history grows by exactly
+/// 64 KiB per extra page, since both runs share one directory and sort
+/// leaves no reader payload behind. A slot that regrows fails it.
+#[test]
+fn history_pages_are_64_kib_of_slots() {
+    let run = |n: usize| {
+        let w = SortWorkload::new(
+            SortParams {
+                n,
+                ..SortParams::small()
+            },
+            3,
+        );
+        let det = run_sf(&w, ReaderPolicy::All, 1);
+        assert!(w.verify());
+        let r = det.report();
+        let (pages, bytes) = (r.metrics.page_allocs as usize, r.history_bytes);
+        let full_pages = 2 * n / sfrd::shadow::PAGE_SLOTS;
+        assert!(
+            (full_pages..=full_pages + 2).contains(&pages),
+            "n = {n}: {pages} pages for {full_pages} pages' worth of cells"
+        );
+        (pages, bytes)
+    };
+    let n = SortParams::small().n;
+    let (small_pages, small_bytes) = run(n);
+    let (large_pages, large_bytes) = run(2 * n);
+    assert_eq!(
+        large_bytes - small_bytes,
+        (large_pages - small_pages) * (64 << 10),
+        "{small_pages} -> {large_pages} pages"
+    );
 }

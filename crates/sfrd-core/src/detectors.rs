@@ -134,7 +134,7 @@ impl ReachEngine for SfEngine {
         self.0.heap_bytes()
     }
     fn set_stats_snapshot(&self) -> SetStatsSnapshot {
-        self.0.set_stats().full_snapshot()
+        self.0.set_stats().snapshot()
     }
     fn om_stats(&self) -> sfrd_om::OmStats {
         self.0.sp_order().om_stats()
@@ -208,7 +208,7 @@ impl ReachEngine for FoEngine {
         self.0.heap_bytes()
     }
     fn set_stats_snapshot(&self) -> SetStatsSnapshot {
-        self.0.set_stats().full_snapshot()
+        self.0.set_stats().snapshot()
     }
     fn om_stats(&self) -> sfrd_om::OmStats {
         self.0.sp_order().om_stats()
@@ -290,7 +290,7 @@ impl ReachEngine for MbEngine {
         self.0.lock().heap_bytes()
     }
     fn set_stats_snapshot(&self) -> SetStatsSnapshot {
-        self.0.lock().set_stats().full_snapshot()
+        self.0.lock().set_stats().snapshot()
     }
 }
 

@@ -122,8 +122,8 @@ pub trait ReachEngine: Send + Sync + 'static {
 
     /// Reachability-structure heap bytes (Fig. 5).
     fn heap_bytes(&self) -> usize;
-    /// Full `cp`/`gp` set-layer counters (merges, allocation tiers, chunk
-    /// sharing, lineage fast exits); zeros for engines without sets.
+    /// `cp`/`gp` set-layer counters (allocations, payload bytes, merges);
+    /// zeros for engines without sets.
     fn set_stats_snapshot(&self) -> sfrd_reach::SetStatsSnapshot {
         sfrd_reach::SetStatsSnapshot::default()
     }
@@ -197,12 +197,6 @@ impl<E: ReachEngine> EventSink<E> {
                     page_allocs: self.history.as_ref().map_or(0, |h| h.page_allocs()),
                     set_bytes: set.bytes,
                     set_allocs: set.allocations,
-                    set_tier_inline: set.tier_inline,
-                    set_tier_sparse: set.tier_sparse,
-                    set_tier_chunked: set.tier_chunked,
-                    set_chunks_shared: set.chunks_shared,
-                    set_chunks_copied: set.chunks_copied,
-                    set_lineage_hits: set.lineage_hits,
                     ..MetricsSnapshot::default()
                 }
             },

@@ -205,18 +205,6 @@ pub struct MetricsSnapshot {
     pub set_bytes: u64,
     /// `cp`/`gp` set allocations.
     pub set_allocs: u64,
-    /// Set allocations that landed in the inline tier (zero heap).
-    pub set_tier_inline: u64,
-    /// Set allocations that landed in the sparse tier.
-    pub set_tier_sparse: u64,
-    /// Set allocations that landed in the chunked tier.
-    pub set_tier_chunked: u64,
-    /// Chunks pointer-shared instead of copied by chunked-set derivations.
-    pub set_chunks_shared: u64,
-    /// Chunks copy-on-written by chunked-set derivations.
-    pub set_chunks_copied: u64,
-    /// Merges resolved O(1) by the monotone-lineage fast exit.
-    pub set_lineage_hits: u64,
     /// Scheduler: tasks executed by the work-stealing pool.
     pub sched_tasks_run: u64,
     /// Scheduler: tasks obtained by stealing (root slot or sibling deque).

@@ -17,13 +17,12 @@
 //! hash-table allocation and O(k)-entry merges per create/get/divergent
 //! sync, versus SF-Order's word-wise bitmap operations.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
 
 use sfrd_dag::FutureId;
+use sfrd_om::AppendArena;
 
-use crate::arena::NodeArena;
 use crate::bitmap::SetStats;
 use crate::hash::FxHashMap;
 use crate::pos::Pos;
@@ -64,7 +63,7 @@ impl FoStrand {
     }
 }
 
-/// Per-future state in the engine's slab arena: the memoized
+/// Per-future state in the engine's node arena: the memoized
 /// "done table" (`nsp(last(G)) + put node`) the first get publishes, so
 /// fan-in gets of one future clone the table once, not once per getter.
 /// Sound for the same reason as SF-Order's memoization: `done.nsp` is
@@ -78,9 +77,9 @@ struct FoNode {
 /// The F-Order reachability engine.
 pub struct FoReach {
     sp: SpOrder,
-    next_future: AtomicU32,
     stats: SetStats,
-    nodes: NodeArena<FoNode>,
+    /// One node per future; a node's index is its future's id.
+    nodes: AppendArena<FoNode>,
 }
 
 /// Rough heap footprint of one table (capacity-insensitive estimate used
@@ -99,11 +98,10 @@ impl FoReach {
         let (sp, task) = SpOrder::new();
         let engine = Self {
             sp,
-            next_future: AtomicU32::new(1),
             stats: SetStats::default(),
-            nodes: NodeArena::new(),
+            nodes: AppendArena::new(),
         };
-        engine.nodes.set(FutureId::ROOT.0, FoNode::default());
+        engine.nodes.push(FoNode::default());
         let root = FoStrand {
             sp: task,
             nsp: Arc::new(NspTable::default()),
@@ -111,13 +109,11 @@ impl FoReach {
         (engine, root)
     }
 
-    /// The arena node of future `f` (published at create — see the
-    /// `arena` module docs for why it is always visible here).
+    /// The arena node of future `f` (published by its create, which every
+    /// use of the id is ordered after).
     #[inline]
     fn node(&self, f: FutureId) -> &FoNode {
-        self.nodes
-            .get(f.0)
-            .expect("future node published before use")
+        self.nodes.get(f.index())
     }
 
     /// Insert op node `(f, w)` into `table` keeping the per-future
@@ -143,14 +139,15 @@ impl FoReach {
 
     /// `create`: the child's table gains the create node as a departure
     /// point — a fresh table allocation (O(k) copy), the cost SF-Order's
-    /// `cp` bitmaps avoid. The future id is minted before the fork, which
-    /// records it as the owner of the child's first position.
+    /// `cp` bitmaps avoid. Pushing the future's node mints its id, before
+    /// the fork, which records it as the owner of the child's first
+    /// position.
     pub fn create(&self, parent: &mut FoStrand) -> FoStrand {
         let create_pos = parent.sp.pos();
         let parent_future = parent.future();
-        let fid = FutureId(self.next_future.fetch_add(1, Ordering::Relaxed));
+        let idx = self.nodes.push(FoNode::default());
+        let fid = FutureId(u32::try_from(idx).expect("future ids fit in u32"));
         let child_sp = self.sp.fork_future(&mut parent.sp, fid);
-        self.nodes.set(fid.0, FoNode::default());
         let mut table = (*parent.nsp).clone();
         self.insert_op(&mut table, parent_future, create_pos);
         self.note_alloc(&table);
@@ -223,7 +220,7 @@ impl FoReach {
         if table_subset(a, b) {
             return Arc::clone(b);
         }
-        self.stats.merges.fetch_add(1, Ordering::Relaxed);
+        self.stats.note_merge();
         let mut out = (**a).clone();
         for (&f, ops) in b.iter() {
             for &w in ops {
@@ -235,7 +232,7 @@ impl FoReach {
     }
 
     fn note_alloc(&self, t: &NspTable) {
-        self.stats.note_alloc_bytes(table_bytes(t) as u64);
+        self.stats.note_alloc(table_bytes(t));
     }
 
     /// The underlying order structure (for access-history comparisons).
@@ -245,7 +242,7 @@ impl FoReach {
 
     /// Number of futures created so far, root included.
     pub fn future_count(&self) -> u32 {
-        self.next_future.load(Ordering::Relaxed)
+        self.nodes.len() as u32
     }
 
     /// Allocation statistics (Fig. 5).
@@ -253,9 +250,9 @@ impl FoReach {
         &self.stats
     }
 
-    /// Heap bytes: OM lists + cumulative table payloads + arena slabs.
+    /// Heap bytes: OM lists + cumulative table payloads + the node arena.
     pub fn heap_bytes(&self) -> usize {
-        self.sp.heap_bytes() + self.stats.snapshot().1 as usize + self.nodes.heap_bytes()
+        self.sp.heap_bytes() + self.stats.snapshot().bytes as usize + self.nodes.heap_bytes()
     }
 }
 
@@ -336,9 +333,9 @@ mod tests {
         let mut f = eng.create(&mut root);
         eng.task_end(&mut f);
         eng.get(&mut root, &f);
-        let (allocs, bytes, _) = eng.set_stats().snapshot();
-        assert!(allocs >= 2);
-        assert!(bytes > 0);
+        let snap = eng.set_stats().snapshot();
+        assert!(snap.allocations >= 2);
+        assert!(snap.bytes > 0);
         assert!(eng.heap_bytes() > 0);
     }
 }

@@ -1,17 +1,16 @@
-//! 512-bit chunk kernels — the inner loops of the chunked
-//! [`FutureSet`](crate::bitmap::FutureSet) tier.
+//! 512-bit chunk kernels — the inner loops of the
+//! [`FutureSet`](crate::bitmap::FutureSet) chunk directory.
 //!
-//! A [`Chunk`](crate::chunked::Chunk) is exactly 512 bits (`[u64; 8]`),
-//! one cache line. Every chunk-wide primitive — union ([`or_into`]),
-//! subset test ([`subset512`]), popcount ([`popcnt512`]), the fused merge
-//! step ([`merge512`]), set-bit iteration ([`iter_set_bits`]) and sorted-id
+//! A chunk is exactly 512 bits (`[u64; 8]`), one cache line. Every
+//! chunk-wide primitive — subset test ([`subset512`]), popcount
+//! ([`popcnt512`]), the fused merge step ([`merge512`]) and sorted-id
 //! insertion ([`set_bits512`]) — is a plain 8-lane loop that inlines into
 //! its caller and that LLVM vectorizes to whatever the build target offers.
 //! There is one implementation of each: a hand-written AVX2 arm ran beside
 //! these until PR 18 and never moved an end-to-end number (a gated run
 //! performs at most a few hundred chunk merges; DESIGN.md §14).
 
-use crate::chunked::CHUNK_WORDS;
+use crate::bitmap::CHUNK_WORDS;
 
 /// One chunk's payload: 512 bits as eight 64-bit lanes.
 pub type ChunkWords = [u64; CHUNK_WORDS];
@@ -24,16 +23,8 @@ pub enum Merge512 {
     Left,
     /// `a | b == b` and `b != a`: the right chunk holds the union.
     Right,
-    /// Genuinely mixed: the fresh union words and their popcount.
-    Fresh(ChunkWords, u32),
-}
-
-/// `dst |= src`, lane-wise over the whole chunk.
-#[inline]
-pub fn or_into(dst: &mut ChunkWords, src: &ChunkWords) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d |= s;
-    }
+    /// Genuinely mixed: the fresh union words.
+    Fresh(ChunkWords),
 }
 
 /// `sub ⊆ sup` over the whole chunk (no early exit — one pass of and-not
@@ -53,10 +44,8 @@ pub fn popcnt512(a: &ChunkWords) -> u32 {
     a.iter().map(|w| w.count_ones()).sum()
 }
 
-/// Fused union step for the copy-on-write merge path: computes `a | b`,
-/// detects collapse onto either input, and popcounts the fresh words in
-/// one pass over the lanes. The popcount is only computed on the `Fresh`
-/// path — collapsed chunks reuse their cached count.
+/// Fused union step for the copy-on-write merge path: computes `a | b`
+/// and detects collapse onto either input in one pass over the lanes.
 #[inline]
 pub fn merge512(a: &ChunkWords, b: &ChunkWords) -> Merge512 {
     let mut out = *a;
@@ -73,25 +62,12 @@ pub fn merge512(a: &ChunkWords, b: &ChunkWords) -> Merge512 {
     if !grew_b {
         return Merge512::Right;
     }
-    Merge512::Fresh(out, popcnt512(&out))
-}
-
-/// Call `f(base + bit)` for every set bit, ascending.
-#[inline]
-pub fn iter_set_bits(words: &ChunkWords, base: u32, mut f: impl FnMut(u32)) {
-    for (wi, &w) in words.iter().enumerate() {
-        let mut cur = w;
-        while cur != 0 {
-            f(base + wi as u32 * 64 + cur.trailing_zeros());
-            cur &= cur - 1;
-        }
-    }
+    Merge512::Fresh(out)
 }
 
 /// OR sorted absolute ids into a chunk based at `base`, one *word* at a
 /// time: ids landing in the same 64-bit lane are folded into a single
-/// mask before the store, replacing the per-id read-modify-write loop the
-/// sparse/tail merge used to run.
+/// mask before the store instead of one read-modify-write per id.
 #[inline]
 pub fn set_bits512(words: &mut ChunkWords, ids: &[u32], base: u32) {
     let mut i = 0;
@@ -150,9 +126,6 @@ mod tests {
             let a = sample(seed);
             let b = sample(seed.wrapping_mul(31).wrapping_add(7));
             let sup = naive_union(&a, &b);
-            let mut acc = a;
-            or_into(&mut acc, &b);
-            assert_eq!(acc, sup, "or_into seed {seed}");
             assert!(subset512(&a, &sup), "subset512 seed {seed}");
             assert!(subset512(&a, &a));
             assert_eq!(
@@ -164,13 +137,6 @@ mod tests {
                 popcnt512(&a),
                 (0..512).filter(|&i| bit(&a, i)).count() as u32
             );
-            let mut got = Vec::new();
-            iter_set_bits(&a, 1024, |id| got.push(id));
-            let want: Vec<u32> = (0..512u32)
-                .filter(|&i| bit(&a, i))
-                .map(|i| 1024 + i)
-                .collect();
-            assert_eq!(got, want, "iter_set_bits seed {seed}");
         }
     }
 
@@ -180,17 +146,11 @@ mod tests {
             let a = sample(seed);
             let b = sample(seed.wrapping_mul(31).wrapping_add(7));
             let sup = naive_union(&a, &b);
-            let ones = (0..512).filter(|&i| bit(&sup, i)).count() as u32;
             // Random chunks never contain each other, so the plain merge
-            // is fresh with the exact union and popcount.
-            assert_eq!(
-                merge512(&a, &b),
-                Merge512::Fresh(sup, ones),
-                "fresh seed {seed}"
-            );
+            // is fresh with the exact union.
+            assert_eq!(merge512(&a, &b), Merge512::Fresh(sup), "fresh seed {seed}");
             // A side already holding the union collapses onto it; equal
-            // inputs report `Left` (the probe order `Chunked::union`
-            // relies on).
+            // inputs report `Left`.
             assert_eq!(merge512(&sup, &a), Merge512::Left, "seed {seed}");
             assert_eq!(merge512(&a, &sup), Merge512::Right, "seed {seed}");
             assert_eq!(merge512(&a, &a), Merge512::Left, "seed {seed}");

@@ -13,9 +13,11 @@
 //!   sequential-only SP-bags union-find specialization.
 //!
 //! Shared substrates: [`sp_order::SpOrder`] (English/Hebrew order
-//! maintenance over `PSP(D)`), [`bitmap::FutureSet`] (future-id bitmaps)
-//! with 512-bit chunk [`kernels`], a slab [`arena`] for
-//! per-future reach nodes, and a local Fx-style hasher ([`hash`]).
+//! maintenance over `PSP(D)`), [`bitmap::FutureSet`] (future-id bitmaps:
+//! an inline tail over an `Arc`-shared directory of 512-bit chunks, with
+//! chunk [`kernels`]) and a local Fx-style hasher ([`hash`]). SF-Order and
+//! F-Order keep one node per future in an [`sfrd_om::AppendArena`], whose
+//! index is the future's id.
 //!
 //! Each engine names a strand's position two ways: the rich position its
 //! queries work on ([`StrandPos`], [`MbPos`]) and the one-word [`Pos`] the
@@ -39,9 +41,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arena;
 pub mod bitmap;
-pub mod chunked;
 pub mod f_order;
 pub mod hash;
 pub mod kernels;
@@ -50,10 +50,8 @@ pub mod pos;
 pub mod sf_order;
 pub mod sp_order;
 
-pub use arena::NodeArena;
 pub use bitmap::{FutureSet, SetStats, SetStatsSnapshot};
 pub use f_order::{FoReach, FoStrand};
-pub use kernels::Merge512;
 pub use multibags::{MbPos, MbReach, MbStrand};
 pub use pos::Pos;
 pub use sf_order::{SfPos, SfReach, SfStrand};

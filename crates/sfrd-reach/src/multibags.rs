@@ -294,7 +294,7 @@ impl MbReach {
 
     /// Heap bytes of the union-find plus bitmap payloads.
     pub fn heap_bytes(&self) -> usize {
-        self.uf.heap_bytes() + self.stats.snapshot().1 as usize
+        self.uf.heap_bytes() + self.stats.snapshot().bytes as usize
     }
 }
 

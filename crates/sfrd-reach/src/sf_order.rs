@@ -20,23 +20,21 @@
 //! total); `gp` is pointer-shared through single-parent nodes and merged at
 //! sync/get nodes only when both sides diverge (O(k) merges total).
 //!
-//! Layout (this crate's perf pass): per-future state (`cp`, plus the
-//! memoized `gp(last(G)) ∪ {G}` a get publishes) lives in a slab
-//! [`NodeArena`] keyed by `FutureId` instead of being scattered across
-//! per-strand `Arc` clones — strands stay small (spawn/create no longer
-//! bump a `cp` refcount), nodes of nearby futures share cache lines, and
-//! repeated gets of the same future reuse one set instead of rebuilding
-//! it. Memoization is sound because `done.gp` is frozen by the time any
-//! get observes the future completed (the runtime orders `task_end`
-//! before every `get`), so the first-computed value is *the* value.
+//! Layout: per-future state (`cp`, plus the memoized `gp(last(G)) ∪ {G}`
+//! a get publishes) is one node in an [`AppendArena`], and the node's index
+//! is the future's id. Strands stay small (spawn/create do not bump a `cp`
+//! refcount), nodes of nearby futures share cache lines, and repeated gets
+//! of the same future reuse one set instead of rebuilding it. Memoization
+//! is sound because `done.gp` is frozen by the time any get observes the
+//! future completed (the runtime orders `task_end` before every `get`), so
+//! the first-computed value is *the* value.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
 
 use sfrd_dag::FutureId;
+use sfrd_om::AppendArena;
 
-use crate::arena::NodeArena;
 use crate::bitmap::{merge, with_future, FutureSet, SetStats};
 use crate::pos::Pos;
 use crate::sp_order::{SpOrder, SpTask, StrandPos};
@@ -56,7 +54,7 @@ pub struct SfStrand {
     gp: Arc<FutureSet>,
 }
 
-/// Per-future state in the engine's slab arena.
+/// Per-future state in the engine's node arena.
 #[derive(Debug)]
 struct SfNode {
     /// `cp` of the future (proper future ancestors), fixed at create.
@@ -98,9 +96,9 @@ impl SfStrand {
 /// calling task's own strand mutably and may run concurrently across tasks.
 pub struct SfReach {
     sp: SpOrder,
-    next_future: AtomicU32,
     stats: SetStats,
-    nodes: NodeArena<SfNode>,
+    /// One node per future; a node's index is its future's id.
+    nodes: AppendArena<SfNode>,
 }
 
 impl SfReach {
@@ -110,17 +108,13 @@ impl SfReach {
         let empty = Arc::new(FutureSet::empty());
         let engine = Self {
             sp,
-            next_future: AtomicU32::new(1),
             stats: SetStats::default(),
-            nodes: NodeArena::new(),
+            nodes: AppendArena::new(),
         };
-        engine.nodes.set(
-            FutureId::ROOT.0,
-            SfNode {
-                cp: Arc::clone(&empty),
-                done_gp: OnceLock::new(),
-            },
-        );
+        engine.nodes.push(SfNode {
+            cp: Arc::clone(&empty),
+            done_gp: OnceLock::new(),
+        });
         let root = SfStrand {
             sp: task,
             gp: empty,
@@ -129,13 +123,11 @@ impl SfReach {
     }
 
     /// The arena node of future `f`. A future id only reaches a caller
-    /// through events ordered after its create, so the node is always
-    /// published (see `arena` module docs).
+    /// through events ordered after its create, which returns only once
+    /// the node is published.
     #[inline]
     fn node(&self, f: FutureId) -> &SfNode {
-        self.nodes
-            .get(f.0)
-            .expect("future node published before use")
+        self.nodes.get(f.index())
     }
 
     /// `spawn`: child shares the future and (pointer-shared) `gp`; `cp`
@@ -147,23 +139,19 @@ impl SfReach {
         }
     }
 
-    /// `create`: mint a future id; the child's `cp` is the parent's plus
-    /// the parent future itself (the O(k)-per-create copy of Lemma 3.12),
-    /// published into the node arena under the new id. The id is minted
-    /// before the fork, which records it as the owner of the child's
-    /// first position.
+    /// `create`: the child's `cp` is the parent's plus the parent future
+    /// itself (the O(k)-per-create copy of Lemma 3.12). Pushing the new
+    /// future's node into the arena mints its id, before the fork, which
+    /// records the id as the owner of the child's first position.
     pub fn create(&self, parent: &mut SfStrand) -> SfStrand {
-        let fid = FutureId(self.next_future.fetch_add(1, Ordering::Relaxed));
-        let child_sp = self.sp.fork_future(&mut parent.sp, fid);
         let pf = parent.future();
         let cp = with_future(&self.node(pf).cp, pf, &self.stats);
-        self.nodes.set(
-            fid.0,
-            SfNode {
-                cp,
-                done_gp: OnceLock::new(),
-            },
-        );
+        let idx = self.nodes.push(SfNode {
+            cp,
+            done_gp: OnceLock::new(),
+        });
+        let fid = FutureId(u32::try_from(idx).expect("future ids fit in u32"));
+        let child_sp = self.sp.fork_future(&mut parent.sp, fid);
         SfStrand {
             sp: child_sp,
             gp: Arc::clone(&parent.gp),
@@ -246,7 +234,7 @@ impl SfReach {
 
     /// Number of futures created so far (k), root included.
     pub fn future_count(&self) -> u32 {
-        self.next_future.load(Ordering::Relaxed)
+        self.nodes.len() as u32
     }
 
     /// Bitmap allocation statistics (Fig. 5).
@@ -260,9 +248,9 @@ impl SfReach {
     }
 
     /// Heap bytes of the reachability structures: OM lists + cumulative
-    /// bitmap payloads + the node-arena slabs.
+    /// bitmap payloads + the node arena.
     pub fn heap_bytes(&self) -> usize {
-        self.sp.heap_bytes() + self.stats.snapshot().1 as usize + self.nodes.heap_bytes()
+        self.sp.heap_bytes() + self.stats.snapshot().bytes as usize + self.nodes.heap_bytes()
     }
 }
 
@@ -395,10 +383,10 @@ mod tests {
         eng.task_end(&mut f);
         let mut sib = eng.spawn(&mut root);
         eng.get(&mut root, &f);
-        let after_first = eng.set_stats().full_snapshot().allocations;
+        let after_first = eng.set_stats().snapshot().allocations;
         eng.get(&mut sib, &f);
         assert_eq!(
-            eng.set_stats().full_snapshot().allocations,
+            eng.set_stats().snapshot().allocations,
             after_first,
             "second get of the same future must not allocate"
         );
@@ -416,10 +404,37 @@ mod tests {
         eng.task_end(&mut f);
         eng.get(&mut root, &f);
         assert!(eng.heap_bytes() > 0);
-        // Tiny sets live in the inline tier: allocations are
-        // counted but their payload is heap-free.
-        let snap = eng.set_stats().full_snapshot();
-        assert!(snap.allocations >= 1 && snap.tier_inline >= 1);
-        assert_eq!(snap.bytes, 0, "inline-tier sets must be payload-free");
+        // Sets of at most 8 ids are a tail alone: allocations are counted
+        // but carry no payload.
+        let snap = eng.set_stats().snapshot();
+        assert!(snap.allocations >= 1);
+        assert_eq!(snap.bytes, 0, "tail-only sets must be payload-free");
+        assert_eq!(eng.cp_of(f.future()).heap_bytes(), 0);
+    }
+
+    /// Future ids past 2^20, where the fixed node directory before
+    /// `AppendArena` ran out: 2^20 + 2 creates from the root, no gets.
+    #[test]
+    fn more_than_a_million_futures() {
+        const N: u32 = (1 << 20) + 2;
+        let (eng, mut root) = SfReach::new();
+        let start = root.pos();
+        let (mut below, mut above) = (None, None);
+        for id in 1..=N {
+            let fut = eng.create(&mut root);
+            if id == (1 << 20) - 1 {
+                below = Some(fut);
+            } else if id == N {
+                above = Some(fut);
+            }
+        }
+        let (below, above) = (below.unwrap(), above.unwrap());
+        assert_eq!(eng.future_count(), N + 1);
+        assert_eq!(above.future(), FutureId(N));
+        assert!(eng.precedes(start, &below) && eng.precedes(start, &above));
+        assert!(!eng.precedes(below.pos(), &above), "siblings stay parallel");
+        assert!(!eng.precedes(above.pos(), &below), "siblings stay parallel");
+        assert!(!eng.precedes(above.pos(), &root), "ungotten future ∥ root");
+        assert!(eng.cp_of(above.future()).contains(FutureId::ROOT));
     }
 }

@@ -17,7 +17,7 @@
 //! facade calls). What it does catch — lost tasks, double execution, lost
 //! updates, mutual-exclusion and validation-protocol bugs, ABA in the
 //! reclamation handshake — is exactly the invariant set of
-//! `WorkStealing.tla` (W1/W2/W3/W6) plus the seqlock/lineage protocols.
+//! `WorkStealing.tla` (W1/W2/W3/W6) plus the seqlock protocols.
 //! Hardware-level tearing is covered separately by the release-mode stress
 //! tests on real parallel hardware.
 //!

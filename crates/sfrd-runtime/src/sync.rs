@@ -5,10 +5,10 @@
 //! operation first calls [`crate::model::yield_point`], turning each atomic
 //! access into a scheduling point of the in-crate deterministic-interleaving
 //! model checker. Code written against this facade — the Chase-Lev deque
-//! here, the packed shadow word in `sfrd-shadow`, the lineage CAS in
-//! `sfrd-reach` — can therefore be driven through thousands of schedules
-//! without a separate model of the protocol: the model checker runs the real
-//! implementation.
+//! here, the packed shadow word in `sfrd-shadow`, the order-maintenance
+//! seqlock in `sfrd-om` — can therefore be driven through thousands of
+//! schedules without a separate model of the protocol: the model checker
+//! runs the real implementation.
 //!
 //! [`Mutex`] participates in the lock-op census: under `sfrd_model` each
 //! `lock()` increments a per-execution counter, so model tests can assert

@@ -48,7 +48,7 @@ fn gp_merges_linear_in_k() {
         let w = GenWorkload(prog);
         let det = run_sf(&w, ReaderPolicy::All, 2);
         let k = det.reach().future_count() as u64;
-        let (_, _, merges) = det.reach().set_stats().snapshot();
+        let merges = det.reach().set_stats().snapshot().merges;
         assert!(
             merges <= 2 * k + 4,
             "merges = {merges} exceeds the O(k) budget for k = {k}"
@@ -64,7 +64,7 @@ fn gp_merges_linear_in_k_on_suite() {
         let det = run_sf(&w, ReaderPolicy::All, 2);
         assert!(w.verify_ok());
         let k = det.reach().future_count() as u64;
-        let (_, _, merges) = det.reach().set_stats().snapshot();
+        let merges = det.reach().set_stats().snapshot().merges;
         assert!(merges <= 2 * k + 4, "{name}: merges = {merges}, k = {k}");
     }
 }

@@ -184,7 +184,7 @@ impl Workload for FutureChain {
 
 /// The memory guard of the adaptive `cp`/`gp` sets, end-to-end through
 /// `drive()` metrics: on the reach configuration at k = 4096 the chain
-/// allocates 58 544 payload bytes (deterministic), so 64 KiB is the
+/// allocates 56 952 payload bytes (deterministic), so 64 KiB is the
 /// regression ceiling. The flat bitmap this representation replaced
 /// allocated 1 098 240 bytes on the same chain (last measurable at
 /// 433dfdb), so the ceiling still certifies — with 4x to spare — the

@@ -4,11 +4,10 @@ use std::process::ExitCode;
 
 use sfrd_serve::{Server, ServerConfig};
 
-const USAGE: &str = "usage: sfrd-serve [--addr HOST:PORT] [--workers N] [--queue-cap N]";
+const USAGE: &str = "usage: sfrd-serve [--addr HOST:PORT]";
 
 fn main() -> ExitCode {
     let mut addr = String::from("127.0.0.1:7199");
-    let mut cfg = ServerConfig::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -21,8 +20,6 @@ fn main() -> ExitCode {
                 .next()
                 .map(|v| addr = v)
                 .ok_or_else(|| "missing value for --addr".to_string()),
-            "--workers" => parse_num(&mut args, "--workers").map(|n| cfg.workers = n),
-            "--queue-cap" => parse_num(&mut args, "--queue-cap").map(|n| cfg.queue_cap = n),
             flag => Err(format!("unknown flag {flag:?}")),
         };
         if let Err(e) = result {
@@ -32,7 +29,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let server = match Server::bind(addr.as_str(), cfg) {
+    let server = match Server::bind(addr.as_str(), ServerConfig::default()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("sfrd-serve: bind {addr}: {e}");
@@ -40,21 +37,11 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "sfrd-serve: listening on {} ({} workers, queue cap {})",
-        server.local_addr(),
-        cfg.workers,
-        cfg.queue_cap
+        "sfrd-serve: listening on {} (one thread per session)",
+        server.local_addr()
     );
     // Serve until killed.
     loop {
         std::thread::park();
     }
-}
-
-fn parse_num(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
-    let v = args
-        .next()
-        .ok_or_else(|| format!("missing value for {flag}"))?;
-    v.parse()
-        .map_err(|_| format!("bad value for {flag}: {v:?}"))
 }

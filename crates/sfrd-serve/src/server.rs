@@ -1,56 +1,37 @@
-//! The blocking-socket front end: accept loop, handshake, framed
-//! ingestion, response.
+//! The blocking-socket front end: accept loop, handshake, the session's
+//! replay on its connection's thread, response.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::cell::Cell;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use sfrd_core::EngineConfig;
-use sfrd_trace::{is_end_frame, read_frame, read_header};
+use sfrd_trace::JournalReader;
 
 use crate::metrics::{MetricsView, ServerMetrics};
-use crate::pool::Pool;
-use crate::session::{Session, SessionDetector};
+use crate::session::{self, SessionDetector};
 
 /// Server knobs. `#[non_exhaustive]`: construct via `Default` and adjust
 /// fields, like every other config in this workspace.
 #[non_exhaustive]
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServerConfig {
-    /// Pool worker threads shared by all sessions.
+    /// Read by nothing: each session replays on its own connection's
+    /// thread. Kept so callers that set it still build.
     pub workers: usize,
-    /// Per-session ingestion queue depth, in frames. When a session's
-    /// queue is full its connection reader blocks (stalling only that
-    /// client) until a worker drains — bounded memory per session, and
-    /// backpressure that never touches the pool.
-    pub queue_cap: usize,
     /// Backend knobs for every per-session detector.
     pub engine: EngineConfig,
-    /// Start with the worker pool paused (test hook: lets a test fill a
-    /// session queue deterministically, observe the stall counter, then
-    /// [`Server::resume`]).
-    pub start_paused: bool,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            queue_cap: 64,
-            engine: EngineConfig::default(),
-            start_paused: false,
-        }
-    }
-}
-
-/// A running detection server. One framed TCP connection = one session =
-/// one private detector; the worker pool is shared.
+/// A running detection server. One TCP connection = one session = one
+/// thread = one private detector.
 pub struct Server {
     addr: SocketAddr,
     metrics: Arc<ServerMetrics>,
-    pool: Arc<Pool>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
 }
@@ -61,11 +42,9 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(ServerMetrics::default());
-        let pool = Pool::new(cfg.workers, cfg.start_paused);
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let metrics = Arc::clone(&metrics);
-            let pool = Arc::clone(&pool);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("sfrd-serve-accept".into())
@@ -76,17 +55,18 @@ impl Server {
                         }
                         let Ok(stream) = stream else { continue };
                         let metrics = Arc::clone(&metrics);
-                        let pool = Arc::clone(&pool);
+                        // Detached: a session lasts as long as its client
+                        // keeps sending, and `shutdown` does not wait on
+                        // clients.
                         let _ = std::thread::Builder::new()
                             .name("sfrd-serve-conn".into())
-                            .spawn(move || handle_conn(stream, &cfg, &pool, &metrics));
+                            .spawn(move || handle_conn(stream, &cfg.engine, &metrics));
                     }
                 })?
         };
         Ok(Self {
             addr,
             metrics,
-            pool,
             stop,
             accept: Some(accept),
         })
@@ -102,29 +82,20 @@ impl Server {
         self.metrics.view()
     }
 
-    /// Un-pause a server started with
-    /// [`start_paused`](ServerConfig::start_paused).
-    pub fn resume(&self) {
-        self.pool.resume();
-    }
-
-    /// Stop accepting, join the accept thread, and shut the pool down.
-    /// In-flight connection threads finish on their own.
+    /// Stop accepting and join the accept thread. In-flight sessions
+    /// finish on their own threads.
     pub fn shutdown(mut self) {
         self.stop_impl();
     }
 
     fn stop_impl(&mut self) {
-        if self.accept.is_none() {
+        let Some(accept) = self.accept.take() else {
             return;
-        }
+        };
         self.stop.store(true, Ordering::Release);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        self.pool.shutdown();
+        let _ = accept.join();
     }
 }
 
@@ -134,69 +105,55 @@ impl Drop for Server {
     }
 }
 
-/// Decrement `sessions_open` on every exit path.
-struct OpenGuard<'m>(&'m ServerMetrics);
+/// A connection's input, counted into the session's and the server's
+/// `bytes_in` as it is read.
+struct Counted<'a> {
+    stream: &'a TcpStream,
+    bytes: &'a Cell<u64>,
+    metrics: &'a ServerMetrics,
+}
 
-impl Drop for OpenGuard<'_> {
-    fn drop(&mut self) {
-        self.0.sessions_open.fetch_sub(1, Ordering::Relaxed);
+impl Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.bytes.set(self.bytes.get() + n as u64);
+        self.metrics.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
     }
 }
 
-fn handle_conn(stream: TcpStream, cfg: &ServerConfig, pool: &Pool, metrics: &Arc<ServerMetrics>) {
-    let mut out = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    if let Err(e) = run_session(stream, cfg, pool, metrics) {
-        let _ = out.write_all(format!("ERR {e}\n").as_bytes());
-    }
-    let _ = out.flush();
+fn handle_conn(stream: TcpStream, engine: &EngineConfig, metrics: &ServerMetrics) {
+    let response = run_session(&stream, engine, metrics).unwrap_or_else(|e| format!("ERR {e}\n"));
+    let _ = (&stream).write_all(response.as_bytes());
 }
 
-/// Drive one connection end to end; `Err` is rendered as an `ERR` line by
-/// the caller.
+/// Drive one connection end to end and return its `OK` line; `Err` is
+/// rendered as an `ERR` line by the caller.
 fn run_session(
-    stream: TcpStream,
-    cfg: &ServerConfig,
-    pool: &Pool,
-    metrics: &Arc<ServerMetrics>,
-) -> Result<(), String> {
-    let mut out = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-
-    let kind = read_handshake(&mut reader)?;
-    let meta = read_header(&mut reader).map_err(|e| e.to_string())?;
+    stream: &TcpStream,
+    engine: &EngineConfig,
+    metrics: &ServerMetrics,
+) -> Result<String, String> {
+    let bytes = Cell::new(0);
+    let mut input = BufReader::new(Counted {
+        stream,
+        bytes: &bytes,
+        metrics,
+    });
+    let kind = read_handshake(&mut input)?;
+    let mut journal = JournalReader::new(input).map_err(|e| e.to_string())?;
 
     metrics.sessions_open.fetch_add(1, Ordering::Relaxed);
     metrics.sessions_total.fetch_add(1, Ordering::Relaxed);
-    let _open = OpenGuard(metrics);
-
-    let session = Arc::new(Session::new(
-        kind,
-        &cfg.engine,
-        cfg.queue_cap,
-        Arc::clone(metrics),
-    ));
-    session.count_header(16 + meta.len() as u64);
-
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(p) => p,
-            Err(e) => {
-                session.abort();
-                return Err(e.to_string());
-            }
-        };
-        let end = is_end_frame(&payload);
-        if !session.push_frame(payload, pool) || end {
-            break;
-        }
-    }
-    let response = session.wait_response();
-    out.write_all(response.as_bytes())
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        session::replay(kind, engine, &mut journal)
+    }));
+    // The count before the decrement still includes this session.
+    let open = metrics.sessions_open.fetch_sub(1, Ordering::Relaxed);
+    let (report, stats) = outcome
+        .map_err(|_| "detector panicked during replay".to_string())?
         .map_err(|e| e.to_string())?;
-    out.flush().map_err(|e| e.to_string())
+    Ok(session::ok_line(&report, &stats, bytes.get(), open))
 }
 
 /// Read the `DETECT <kind>\n` line (bounded; CRLF tolerated).

@@ -30,13 +30,6 @@ pub(crate) const OP_TASK_END: u8 = 0x05;
 pub(crate) const OP_TASK_RETURN: u8 = 0x06;
 pub(crate) const OP_ACCESSES: u8 = 0x07;
 
-/// Is this frame payload the end-of-journal marker? Lets a transport spot
-/// the last frame without decoding events (the detection server's
-/// connection readers stop reading here).
-pub fn is_end_frame(payload: &[u8]) -> bool {
-    payload.first() == Some(&FRAME_END)
-}
-
 /// Everything that can go wrong reading or replaying a journal. Malformed
 /// input — truncated, over-length, wrong-version, garbage — is always an
 /// `Err`, never a panic: journals cross process and machine boundaries, so

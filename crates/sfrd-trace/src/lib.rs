@@ -10,11 +10,13 @@
 //!   implementation (used under [`Batched`](sfrd_runtime::Batched), so the
 //!   recorded access stream is exactly what a live batched detector would
 //!   have seen) that appends every event to a [`JournalWriter`];
-//! * [`JournalReader`] — a streaming decoder over any `Read`;
-//! * [`replay_journal`] — feeds a decoded stream into any `TaskHooks`
-//!   sink, per-strand access batches and verdict caches included, so a
-//!   fresh detector reproduces the recording run's verdicts (and, for
-//!   sequentially recorded journals, its counters) exactly.
+//! * [`JournalReader`] — a streaming decoder over any `Read` (a file, a
+//!   byte slice, a socket), one event at a time;
+//! * [`replay_journal`] — the one replay path: feeds a decoded stream
+//!   into any `TaskHooks` sink, so a fresh detector reproduces the
+//!   recording run's verdicts (and, for sequentially recorded journals,
+//!   its counters) exactly. `trace_tool detect`, the `sfrd-serve`
+//!   sessions and the offline oracle all replay through it.
 //!
 //! ## Why replay is sound
 //!
@@ -50,7 +52,7 @@ mod replay;
 mod varint;
 mod writer;
 
-pub use format::{is_end_frame, JournalError, JOURNAL_MAGIC, JOURNAL_VERSION, MAX_FRAME_LEN};
-pub use reader::{read_frame, read_header, DecodedFrame, EventDecoder, JEvent, JournalReader};
-pub use replay::{replay_journal, ReplayStats, Replayer};
+pub use format::{JournalError, JOURNAL_MAGIC, JOURNAL_VERSION, MAX_FRAME_LEN};
+pub use reader::{JEvent, JournalReader};
+pub use replay::{replay_journal, ReplayStats};
 pub use writer::{JournalHooks, JournalWriter};

@@ -1,6 +1,5 @@
 //! Streaming journal decoder.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 
 use sfrd_runtime::BatchedAccess;
@@ -70,11 +69,77 @@ pub enum JEvent {
     },
 }
 
+/// Streaming decoder over any `Read` — a file, a byte slice or a socket.
+/// The header is validated eagerly, each frame as it arrives and each
+/// event as it is asked for; every malformation is an error, never a
+/// panic.
+pub struct JournalReader<R: Read> {
+    src: R,
+    metadata: String,
+    /// The last events frame read (kind byte first) and the offset of its
+    /// next undecoded event; `pos == frame.len()` once it is used up.
+    frame: Vec<u8>,
+    pos: usize,
+    /// Implicit id of the next `Spawn`/`Create` child: the writer hands
+    /// them out in event order from 1 (the root is 0), and so does this.
+    next_id: u32,
+    ended: bool,
+}
+
+impl<R: Read> JournalReader<R> {
+    /// Validate the header (magic, version, metadata).
+    pub fn new(mut src: R) -> Result<Self, JournalError> {
+        let metadata = read_header(&mut src)?;
+        Ok(Self {
+            src,
+            metadata,
+            frame: Vec::new(),
+            pos: 0,
+            next_id: 1,
+            ended: false,
+        })
+    }
+
+    /// The header's free-form metadata tag.
+    pub fn metadata(&self) -> &str {
+        &self.metadata
+    }
+
+    /// Decode the next event; `Ok(None)` after the end marker. A journal
+    /// that runs out of bytes *without* the marker is [`Truncated`]
+    /// (`JournalError::Truncated`) — a half-written file never parses as a
+    /// shorter run.
+    pub fn next_event(&mut self) -> Result<Option<JEvent>, JournalError> {
+        while self.pos == self.frame.len() {
+            if self.ended {
+                return Ok(None);
+            }
+            let payload = read_frame(&mut self.src)?;
+            match payload[0] {
+                FRAME_EVENTS => {
+                    self.frame = payload;
+                    self.pos = 1;
+                }
+                FRAME_END => self.ended = true,
+                k => return Err(JournalError::BadFrame(k)),
+            }
+        }
+        decode_event(&self.frame, &mut self.pos, &mut self.next_id).map(Some)
+    }
+
+    /// Decode the remaining events into a vector.
+    pub fn read_all(&mut self) -> Result<Vec<JEvent>, JournalError> {
+        let mut out = Vec::new();
+        while let Some(ev) = self.next_event()? {
+            out.push(ev);
+        }
+        Ok(out)
+    }
+}
+
 /// Validate a journal header (magic, version, metadata) at the front of
-/// `src` and return the metadata tag. The entry point for consumers that
-/// handle their own framing — the detection server's connection readers —
-/// and the first thing [`JournalReader::new`] does.
-pub fn read_header<R: Read>(src: &mut R) -> Result<String, JournalError> {
+/// `src` and return the metadata tag.
+fn read_header<R: Read>(src: &mut R) -> Result<String, JournalError> {
     let mut magic = [0u8; 8];
     read_exact_or(src, &mut magic, JournalError::BadMagic)?;
     if magic != JOURNAL_MAGIC {
@@ -96,194 +161,10 @@ pub fn read_header<R: Read>(src: &mut R) -> Result<String, JournalError> {
     String::from_utf8(meta).map_err(|_| JournalError::BadMetadata)
 }
 
-/// One decoded frame payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodedFrame {
-    /// A run of events.
-    Events(Vec<JEvent>),
-    /// The explicit end-of-journal marker.
-    End,
-}
-
-/// Stateful decoder over *frame payloads* (the bytes after each length
-/// prefix). The only cross-frame state is the implicit child-id counter,
-/// which is exactly why this is a struct: one decoder per journal, frames
-/// fed strictly in stream order. Used directly by consumers that receive
-/// frames out of a transport (the detection server); wrapped by
-/// [`JournalReader`] for whole-stream decoding.
-#[derive(Debug)]
-pub struct EventDecoder {
-    next_id: u32,
-}
-
-impl Default for EventDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventDecoder {
-    /// A decoder at the start of a journal's event stream (root strand 0,
-    /// first child 1).
-    pub fn new() -> Self {
-        Self { next_id: 1 }
-    }
-
-    /// Decode one frame payload (kind byte first). Every malformation is
-    /// an error, never a panic.
-    pub fn decode_frame(&mut self, payload: &[u8]) -> Result<DecodedFrame, JournalError> {
-        match payload.first() {
-            None => Err(JournalError::BadFrame(0)),
-            Some(&FRAME_END) => Ok(DecodedFrame::End),
-            Some(&FRAME_EVENTS) => {
-                let mut events = Vec::new();
-                let mut pos = 1;
-                while pos < payload.len() {
-                    events.push(self.decode_event(payload, &mut pos)?);
-                }
-                Ok(DecodedFrame::Events(events))
-            }
-            Some(&k) => Err(JournalError::BadFrame(k)),
-        }
-    }
-
-    fn decode_event(&mut self, buf: &[u8], pos: &mut usize) -> Result<JEvent, JournalError> {
-        let op = buf[*pos];
-        *pos += 1;
-        let ev = match op {
-            OP_SPAWN => {
-                let parent = read_u32(buf, pos)?;
-                let child = self.next_id;
-                self.next_id += 1;
-                JEvent::Spawn { parent, child }
-            }
-            OP_CREATE => {
-                let parent = read_u32(buf, pos)?;
-                let child = self.next_id;
-                self.next_id += 1;
-                JEvent::Create { parent, child }
-            }
-            OP_SYNC => {
-                let strand = read_u32(buf, pos)?;
-                let n = read_u32(buf, pos)? as usize;
-                if n > buf.len() - *pos {
-                    return Err(JournalError::Truncated);
-                }
-                let mut children = Vec::with_capacity(n);
-                for _ in 0..n {
-                    children.push(read_u32(buf, pos)?);
-                }
-                JEvent::Sync { strand, children }
-            }
-            OP_GET => JEvent::Get {
-                strand: read_u32(buf, pos)?,
-                done: read_u32(buf, pos)?,
-            },
-            OP_TASK_END => JEvent::TaskEnd {
-                strand: read_u32(buf, pos)?,
-            },
-            OP_TASK_RETURN => JEvent::TaskReturn {
-                parent: read_u32(buf, pos)?,
-                child: read_u32(buf, pos)?,
-            },
-            OP_ACCESSES => {
-                let strand = read_u32(buf, pos)?;
-                let filtered_reads = read_u64(buf, pos)?;
-                let filtered_writes = read_u64(buf, pos)?;
-                let n = read_u32(buf, pos)? as usize;
-                let bitmap_len = n.div_ceil(8);
-                if bitmap_len > buf.len() - *pos {
-                    return Err(JournalError::Truncated);
-                }
-                let bitmap_at = *pos;
-                *pos += bitmap_len;
-                let mut entries = Vec::with_capacity(n);
-                let mut prev = 0u64;
-                for i in 0..n {
-                    let delta = unzigzag(read_u64(buf, pos)?);
-                    let addr = prev.wrapping_add(delta as u64);
-                    prev = addr;
-                    entries.push(BatchedAccess {
-                        addr,
-                        is_write: buf[bitmap_at + i / 8] >> (i % 8) & 1 == 1,
-                    });
-                }
-                JEvent::Accesses {
-                    strand,
-                    filtered_reads,
-                    filtered_writes,
-                    entries,
-                }
-            }
-            op => return Err(JournalError::BadEvent(op)),
-        };
-        Ok(ev)
-    }
-}
-
-/// Streaming decoder over any `Read`. Validates the header eagerly and
-/// each frame as it arrives; every malformation is an error, never a
-/// panic.
-pub struct JournalReader<R: Read> {
-    src: R,
-    metadata: String,
-    decoder: EventDecoder,
-    queue: VecDeque<JEvent>,
-    ended: bool,
-}
-
-impl<R: Read> JournalReader<R> {
-    /// Validate the header (magic, version, metadata).
-    pub fn new(mut src: R) -> Result<Self, JournalError> {
-        let metadata = read_header(&mut src)?;
-        Ok(Self {
-            src,
-            metadata,
-            decoder: EventDecoder::new(),
-            queue: VecDeque::new(),
-            ended: false,
-        })
-    }
-
-    /// The header's free-form metadata tag.
-    pub fn metadata(&self) -> &str {
-        &self.metadata
-    }
-
-    /// Decode the next event; `Ok(None)` after the end marker. A journal
-    /// that runs out of bytes *without* the marker is [`Truncated`]
-    /// (`JournalError::Truncated`) — a half-written file never parses as a
-    /// shorter run.
-    pub fn next_event(&mut self) -> Result<Option<JEvent>, JournalError> {
-        loop {
-            if let Some(ev) = self.queue.pop_front() {
-                return Ok(Some(ev));
-            }
-            if self.ended {
-                return Ok(None);
-            }
-            let payload = read_frame(&mut self.src)?;
-            match self.decoder.decode_frame(&payload)? {
-                DecodedFrame::Events(events) => self.queue.extend(events),
-                DecodedFrame::End => self.ended = true,
-            }
-        }
-    }
-
-    /// Decode the remaining events into a vector.
-    pub fn read_all(&mut self) -> Result<Vec<JEvent>, JournalError> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.next_event()? {
-            out.push(ev);
-        }
-        Ok(out)
-    }
-}
-
 /// Read one length-prefixed frame payload off `src`, enforcing the
-/// [`MAX_FRAME_LEN`] bound — shared by [`JournalReader`] and the detection
-/// server's connection readers.
-pub fn read_frame<R: Read>(src: &mut R) -> Result<Vec<u8>, JournalError> {
+/// [`MAX_FRAME_LEN`] bound before allocating for it. The payload is never
+/// empty: a zero length prefix is an error.
+fn read_frame<R: Read>(src: &mut R) -> Result<Vec<u8>, JournalError> {
     let mut word = [0u8; 4];
     read_exact_or(src, &mut word, JournalError::Truncated)?;
     let len = u32::from_le_bytes(word);
@@ -296,6 +177,81 @@ pub fn read_frame<R: Read>(src: &mut R) -> Result<Vec<u8>, JournalError> {
     let mut payload = vec![0u8; len as usize];
     read_exact_or(src, &mut payload, JournalError::Truncated)?;
     Ok(payload)
+}
+
+/// Decode the event at `buf[*pos]` (an opcode, then its fields) and
+/// advance `*pos` past it. `*pos < buf.len()` on entry.
+fn decode_event(buf: &[u8], pos: &mut usize, next_id: &mut u32) -> Result<JEvent, JournalError> {
+    let op = buf[*pos];
+    *pos += 1;
+    let ev = match op {
+        OP_SPAWN => {
+            let parent = read_u32(buf, pos)?;
+            let child = *next_id;
+            *next_id += 1;
+            JEvent::Spawn { parent, child }
+        }
+        OP_CREATE => {
+            let parent = read_u32(buf, pos)?;
+            let child = *next_id;
+            *next_id += 1;
+            JEvent::Create { parent, child }
+        }
+        OP_SYNC => {
+            let strand = read_u32(buf, pos)?;
+            let n = read_u32(buf, pos)? as usize;
+            if n > buf.len() - *pos {
+                return Err(JournalError::Truncated);
+            }
+            let mut children = Vec::with_capacity(n);
+            for _ in 0..n {
+                children.push(read_u32(buf, pos)?);
+            }
+            JEvent::Sync { strand, children }
+        }
+        OP_GET => JEvent::Get {
+            strand: read_u32(buf, pos)?,
+            done: read_u32(buf, pos)?,
+        },
+        OP_TASK_END => JEvent::TaskEnd {
+            strand: read_u32(buf, pos)?,
+        },
+        OP_TASK_RETURN => JEvent::TaskReturn {
+            parent: read_u32(buf, pos)?,
+            child: read_u32(buf, pos)?,
+        },
+        OP_ACCESSES => {
+            let strand = read_u32(buf, pos)?;
+            let filtered_reads = read_u64(buf, pos)?;
+            let filtered_writes = read_u64(buf, pos)?;
+            let n = read_u32(buf, pos)? as usize;
+            let bitmap_len = n.div_ceil(8);
+            if bitmap_len > buf.len() - *pos {
+                return Err(JournalError::Truncated);
+            }
+            let bitmap_at = *pos;
+            *pos += bitmap_len;
+            let mut entries = Vec::with_capacity(n);
+            let mut prev = 0u64;
+            for i in 0..n {
+                let delta = unzigzag(read_u64(buf, pos)?);
+                let addr = prev.wrapping_add(delta as u64);
+                prev = addr;
+                entries.push(BatchedAccess {
+                    addr,
+                    is_write: buf[bitmap_at + i / 8] >> (i % 8) & 1 == 1,
+                });
+            }
+            JEvent::Accesses {
+                strand,
+                filtered_reads,
+                filtered_writes,
+                entries,
+            }
+        }
+        op => return Err(JournalError::BadEvent(op)),
+    };
+    Ok(ev)
 }
 
 fn read_exact_or<R: Read>(

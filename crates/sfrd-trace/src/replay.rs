@@ -22,10 +22,9 @@ pub struct ReplayStats {
     pub filtered: u64,
 }
 
-/// Incremental replay state: the strand table of a journal being fed into
-/// one sink, event by event. The detection server holds one per session
-/// and feeds events as frames arrive off the wire; [`replay_journal`] is
-/// the whole-stream wrapper.
+/// Replay every remaining event of `reader` into `sink`. A reference to a
+/// strand id never introduced (or already consumed) is
+/// [`JournalError::UnknownStrand`].
 ///
 /// The sink sees exactly the hook sequence the recording run's detector
 /// saw: boundary ordering is baked into the journal (the recording
@@ -36,85 +35,68 @@ pub struct ReplayStats {
 /// by construction; the journal's linearization makes that a legal
 /// schedule of the recorded dag.
 ///
-/// Per journal strand the replayer holds the sink's own strand and
-/// nothing else: every `Accesses` event goes through the one scratch
-/// [`AccessBatch`], so a frame of `Spawn` events costs what the sink's
-/// strands cost, not a batch buffer each.
-pub struct Replayer<H: TaskHooks> {
-    strands: Vec<Option<H::Strand>>,
-    scratch: AccessBatch,
-    stats: ReplayStats,
-}
-
-impl<H: TaskHooks> Replayer<H> {
-    /// A replayer holding only the sink's root strand (journal id 0).
-    pub fn new(sink: &H) -> Self {
-        Self {
-            strands: vec![Some(sink.root())],
-            scratch: AccessBatch::new(DEFAULT_BATCH_CAP),
-            stats: ReplayStats::default(),
-        }
+/// Per journal strand the replay holds the sink's own strand and nothing
+/// else: every `Accesses` event goes through one scratch [`AccessBatch`],
+/// so a frame of `Spawn` events costs what the sink's strands cost, not a
+/// batch buffer each.
+pub fn replay_journal<R: Read, H: TaskHooks>(
+    reader: &mut JournalReader<R>,
+    sink: &H,
+) -> Result<ReplayStats, JournalError> {
+    fn live<S>(table: &mut [Option<S>], id: u32) -> Result<&mut S, JournalError> {
+        table
+            .get_mut(id as usize)
+            .and_then(Option::as_mut)
+            .ok_or(JournalError::UnknownStrand(id))
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> ReplayStats {
-        self.stats
+    fn take<S>(table: &mut [Option<S>], id: u32) -> Result<S, JournalError> {
+        table
+            .get_mut(id as usize)
+            .and_then(Option::take)
+            .ok_or(JournalError::UnknownStrand(id))
     }
 
-    /// Deliver one event to the sink. Events must arrive in journal
-    /// order; a reference to an id never introduced (or already consumed)
-    /// is [`JournalError::UnknownStrand`].
-    pub fn feed(&mut self, sink: &H, ev: &JEvent) -> Result<(), JournalError> {
-        fn live<S>(table: &mut [Option<S>], id: u32) -> Result<&mut S, JournalError> {
-            table
-                .get_mut(id as usize)
-                .and_then(Option::as_mut)
-                .ok_or(JournalError::UnknownStrand(id))
-        }
-
-        fn take<S>(table: &mut [Option<S>], id: u32) -> Result<S, JournalError> {
-            table
-                .get_mut(id as usize)
-                .and_then(Option::take)
-                .ok_or(JournalError::UnknownStrand(id))
-        }
-
-        self.stats.events += 1;
+    let mut strands = vec![Some(sink.root())];
+    let mut scratch = AccessBatch::new(DEFAULT_BATCH_CAP);
+    let mut stats = ReplayStats::default();
+    while let Some(ev) = reader.next_event()? {
+        stats.events += 1;
         match ev {
-            &JEvent::Spawn { parent, child } | &JEvent::Create { parent, child } => {
+            JEvent::Spawn { parent, child } | JEvent::Create { parent, child } => {
                 let is_create = matches!(ev, JEvent::Create { .. });
-                let p = live(&mut self.strands, parent)?;
+                let p = live(&mut strands, parent)?;
                 let strand = if is_create {
                     sink.on_create(p)
                 } else {
                     sink.on_spawn(p)
                 };
-                if self.strands.len() != child as usize {
+                if strands.len() != child as usize {
                     return Err(JournalError::UnknownStrand(child));
                 }
-                self.strands.push(Some(strand));
+                strands.push(Some(strand));
             }
             JEvent::Sync { strand, children } => {
                 let joined = children
                     .iter()
-                    .map(|&c| take(&mut self.strands, c))
+                    .map(|&c| take(&mut strands, c))
                     .collect::<Result<Vec<_>, _>>()?;
-                sink.on_sync(live(&mut self.strands, *strand)?, joined);
+                sink.on_sync(live(&mut strands, strand)?, joined);
             }
-            &JEvent::Get { strand, done } => {
-                let done = take(&mut self.strands, done)?;
-                sink.on_get(live(&mut self.strands, strand)?, &done);
+            JEvent::Get { strand, done } => {
+                let done = take(&mut strands, done)?;
+                sink.on_get(live(&mut strands, strand)?, &done);
             }
-            &JEvent::TaskEnd { strand } => {
-                sink.on_task_end(live(&mut self.strands, strand)?);
+            JEvent::TaskEnd { strand } => {
+                sink.on_task_end(live(&mut strands, strand)?);
             }
-            &JEvent::TaskReturn { parent, child } => {
+            JEvent::TaskReturn { parent, child } => {
                 // Both strands stay live (the child is consumed later by
                 // its sync); borrow them disjointly by taking the child
                 // out around the call.
-                let mut c = take(&mut self.strands, child)?;
-                sink.on_task_return(live(&mut self.strands, parent)?, &mut c);
-                self.strands[child as usize] = Some(c);
+                let mut c = take(&mut strands, child)?;
+                sink.on_task_return(live(&mut strands, parent)?, &mut c);
+                strands[child as usize] = Some(c);
             }
             JEvent::Accesses {
                 strand,
@@ -122,27 +104,14 @@ impl<H: TaskHooks> Replayer<H> {
                 filtered_writes,
                 entries,
             } => {
-                self.stats.flushes += u64::from(!entries.is_empty());
-                self.stats.accesses += entries.len() as u64;
-                self.stats.filtered += filtered_reads + filtered_writes;
-                let s = live(&mut self.strands, *strand)?;
-                self.scratch
-                    .reinject(entries, (*filtered_reads, *filtered_writes));
-                sink.on_access_batch(s, &mut self.scratch);
+                stats.flushes += u64::from(!entries.is_empty());
+                stats.accesses += entries.len() as u64;
+                stats.filtered += filtered_reads + filtered_writes;
+                let s = live(&mut strands, strand)?;
+                scratch.reinject(&entries, (filtered_reads, filtered_writes));
+                sink.on_access_batch(s, &mut scratch);
             }
         }
-        Ok(())
     }
-}
-
-/// Replay every remaining event of `reader` into `sink`.
-pub fn replay_journal<R: Read, H: TaskHooks>(
-    reader: &mut JournalReader<R>,
-    sink: &H,
-) -> Result<ReplayStats, JournalError> {
-    let mut rp = Replayer::new(sink);
-    while let Some(ev) = reader.next_event()? {
-        rp.feed(sink, &ev)?;
-    }
-    Ok(rp.stats())
+    Ok(stats)
 }

@@ -6,8 +6,8 @@
 //! (MultiBags always runs on the serial elision).
 //!
 //! * [`EngineConfig`] — everything a detector constructor needs, as one
-//!   `#[non_exhaustive]` struct with fluent setters. Detectors take it via
-//!   `from_config(&EngineConfig)`; `X::new(..)` covers the defaults.
+//!   `#[non_exhaustive]` struct with fluent setters. `from_config(&EngineConfig)`
+//!   is every detector's one constructor.
 //! * [`DriveConfig`](crate::DriveConfig) — a whole execution: the
 //!   detector, the worker count and an [`EngineConfig`], built by
 //!   `DriveConfig::with` / `DriveConfig::base`, then `DriveConfig::policy`.

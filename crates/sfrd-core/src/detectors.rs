@@ -152,11 +152,6 @@ impl SfDetector {
         EventSink::build(SfEngine::new(), cfg.mode, cfg.policy)
     }
 
-    /// Build a one-shot detector.
-    pub fn new(mode: Mode, policy: ReaderPolicy) -> Self {
-        Self::from_config(&EngineConfig::new(mode).policy(policy))
-    }
-
     /// Reachability engine (diagnostics).
     pub fn reach(&self) -> &SfReach {
         &self.engine.0
@@ -224,11 +219,6 @@ impl FoDetector {
     /// bound readers: the policy is always [`ReaderPolicy::All`].
     pub fn from_config(cfg: &EngineConfig) -> Self {
         EventSink::build(FoEngine::new(), cfg.mode, ReaderPolicy::All)
-    }
-
-    /// Build a one-shot detector.
-    pub fn new(mode: Mode) -> Self {
-        Self::from_config(&EngineConfig::new(mode))
     }
 
     /// Reachability engine (diagnostics).
@@ -303,11 +293,6 @@ impl MbDetector {
     /// applies.
     pub fn from_config(cfg: &EngineConfig) -> Self {
         EventSink::build(MbEngine::new(), cfg.mode, ReaderPolicy::All)
-    }
-
-    /// Build a one-shot detector.
-    pub fn new(mode: Mode) -> Self {
-        Self::from_config(&EngineConfig::new(mode))
     }
 
     /// Reachability engine (diagnostics), behind the detector's own lock —

@@ -426,12 +426,17 @@ mod tests {
     //! a property of the dag, not of the schedule.
 
     use super::*;
+    use crate::config::EngineConfig;
     use crate::detectors::{FoDetector, MbDetector, SfDetector, SfEngine};
     use sfrd_runtime::{Batched, BatchedAccess, Cx, Runtime};
     use std::sync::Arc;
 
     const X: u64 = 0x1000;
     const Y: u64 = 0x2000;
+
+    fn full() -> EngineConfig {
+        EngineConfig::new(Mode::Full)
+    }
 
     /// `(queries, shadow_fast_hits, reads, writes, total_races)`.
     fn census<E: ReachEngine>(det: &EventSink<E>) -> (u64, u64, u64, u64, u64) {
@@ -530,9 +535,9 @@ mod tests {
 
     #[test]
     fn same_epoch_rules_hold_for_every_engine() {
-        same_epoch_rules(SfDetector::new(Mode::Full, ReaderPolicy::All));
-        same_epoch_rules(FoDetector::new(Mode::Full));
-        same_epoch_rules(MbDetector::new(Mode::Full));
+        same_epoch_rules(SfDetector::from_config(&full()));
+        same_epoch_rules(FoDetector::from_config(&full()));
+        same_epoch_rules(MbDetector::from_config(&full()));
     }
 
     fn kinds<E: ReachEngine>(det: &EventSink<E>) -> Vec<RaceKind> {
@@ -616,10 +621,10 @@ mod tests {
     #[test]
     fn read_by_current_writer_holds_for_every_position_type_and_policy() {
         for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
-            current_writer_rule(SfDetector::new(Mode::Full, policy));
+            current_writer_rule(SfDetector::from_config(&full().policy(policy)));
         }
-        current_writer_rule(FoDetector::new(Mode::Full));
-        current_writer_rule_depth_first(MbDetector::new(Mode::Full));
+        current_writer_rule(FoDetector::from_config(&full()));
+        current_writer_rule_depth_first(MbDetector::from_config(&full()));
     }
 
     /// `PerFutureLR` answers from the same snapshot by its own test: the
@@ -627,7 +632,7 @@ mod tests {
     /// runs per read — unbatched, that is one query each.
     #[test]
     fn lr_policy_repeats_hit_through_the_same_snapshot() {
-        let det = SfDetector::new(Mode::Full, ReaderPolicy::PerFutureLR);
+        let det = SfDetector::from_config(&full().policy(ReaderPolicy::PerFutureLR));
         let mut r = det.root();
         let mut w = det.on_spawn(&mut r);
         det.on_write(&mut w, X);
@@ -649,7 +654,7 @@ mod tests {
     /// have absorbed them) costs one query and one retained reader.
     #[test]
     fn batched_repeats_short_circuit_and_fold_once() {
-        let det = SfDetector::new(Mode::Full, ReaderPolicy::All);
+        let det = SfDetector::from_config(&full());
         let mut r = det.root();
         let mut w = det.on_spawn(&mut r);
         det.on_write(&mut w, X);
@@ -679,7 +684,7 @@ mod tests {
     /// `get` is already in the set. So the read after the `get` may skip.
     #[test]
     fn read_get_read_at_an_unchanged_position() {
-        let det = SfDetector::new(Mode::Full, ReaderPolicy::All);
+        let det = SfDetector::from_config(&full());
         let mut r = det.root();
         det.on_write(&mut r, Y);
         let mut f = det.on_create(&mut r);
@@ -712,7 +717,7 @@ mod tests {
     /// A racy repeat: the set is unchanged, only the repeat count falls.
     #[test]
     fn racy_repeat_is_reported_once_per_epoch() {
-        let det = SfDetector::new(Mode::Full, ReaderPolicy::All);
+        let det = SfDetector::from_config(&full());
         let mut r = det.root();
         let mut c = det.on_spawn(&mut r);
         det.on_write(&mut c, X);
@@ -734,7 +739,7 @@ mod tests {
     /// access: one collector lock, one distinct pair, repeats counted.
     #[test]
     fn a_batch_folds_its_races_under_one_lock() {
-        let det = SfDetector::new(Mode::Full, ReaderPolicy::All);
+        let det = SfDetector::from_config(&full());
         let mut r = det.root();
         let mut readers = Vec::new();
         for _ in 0..64 {
@@ -769,7 +774,7 @@ mod tests {
             })
             .take(TASKS as usize)
             .collect();
-        let det = Arc::new(Batched::new(SfDetector::new(Mode::Full, ReaderPolicy::All)));
+        let det = Arc::new(Batched::new(SfDetector::from_config(&full())));
         let rt: Runtime<Batched<SfDetector>> = Runtime::new(4);
         rt.run(Arc::clone(&det), |ctx| {
             for &y in &evictors {

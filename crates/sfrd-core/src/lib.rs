@@ -45,6 +45,7 @@ pub mod config;
 pub mod detectors;
 pub mod driver;
 pub mod events;
+pub mod generator;
 pub mod recording;
 pub mod report;
 pub mod shared;
@@ -55,7 +56,8 @@ pub use detectors::{
 };
 pub use driver::{drive, DetectorKind, DriveConfig, Outcome, Workload};
 pub use events::{EventSink, ReachEngine};
-pub use recording::{GenWorkload, RecordingHooks};
+pub use generator::GenWorkload;
+pub use recording::RecordingHooks;
 pub use report::{CountsSnapshot, MetricsSnapshot, Race, RaceCollector, RaceKind, RaceReport};
 pub use shared::{ShadowArray, ShadowCell, ShadowMatrix, Word};
 

@@ -1,27 +1,20 @@
-//! Dag recording as runtime hooks, and a generated-program workload.
+//! Dag recording as runtime hooks.
 //!
 //! [`RecordingHooks`] wraps the `sfrd-dag` [`Recorder`] in the
 //! [`TaskHooks`] interface, so any execution — parallel included — can
-//! capture its SF-dag and access log. Paired with a detector through
-//! [`sfrd_runtime::hooks::PairHooks`], this lets tests compare a
-//! detector's verdicts against the exact offline oracle *for the very
-//! schedule that ran*. It also powers the work/span accounting in the
-//! benchmark harness ([`Dag::work_span`]).
-//!
-//! [`GenWorkload`] interprets a random program from
-//! [`sfrd_dag::generator`] against the real runtime context, turning the
-//! property-test corpus into executable parallel workloads.
+//! capture its SF-dag and access log. Run beside a detector (the root
+//! suites' ground-truth probe), it lets tests compare the detector's
+//! verdicts against the exact offline oracle *for the very schedule that
+//! ran*. It also powers the work/span accounting in the benchmark harness
+//! ([`Dag::work_span`]).
 //!
 //! [`Dag::work_span`]: sfrd_dag::Dag::work_span
 
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-use sfrd_dag::generator::{Body, GenProgram, Op};
 use sfrd_dag::{RecStrand, RecordedProgram, Recorder};
-use sfrd_runtime::{AccessBatch, Cx, TaskHooks};
-
-use crate::driver::Workload;
+use sfrd_runtime::{AccessBatch, TaskHooks};
 
 /// Hooks that record the executed SF-dag and access log.
 pub struct RecordingHooks {
@@ -91,69 +84,31 @@ impl TaskHooks for RecordingHooks {
     }
 }
 
-/// A random structured-future program as a runnable [`Workload`]: `Work`
-/// ops become bare `record_read`/`record_write` calls (detectors only see
-/// addresses), parallel ops become real runtime constructs.
-pub struct GenWorkload(pub GenProgram);
-
-fn interp<'s, C: Cx<'s>>(ctx: &mut C, body: &'s Body) {
-    let mut handles: Vec<Option<C::Handle<()>>> = Vec::new();
-    for op in &body.0 {
-        match op {
-            Op::Work { addr, write } => {
-                if *write {
-                    ctx.record_write(*addr);
-                } else {
-                    ctx.record_read(*addr);
-                }
-            }
-            Op::Spawn(b) => ctx.spawn(move |c| interp(c, b)),
-            Op::Sync => ctx.sync(),
-            Op::Create(b) => handles.push(Some(ctx.create(move |c| interp(c, b)))),
-            Op::Get(i) => {
-                if let Some(h) = handles.get_mut(*i).and_then(Option::take) {
-                    ctx.get(h);
-                }
-            }
-        }
-    }
-    // Leftover handles escape (futures outliving their creator).
-}
-
-impl Workload for GenWorkload {
-    fn run<'s, C: Cx<'s>>(&'s self, ctx: &mut C) {
-        interp(ctx, &self.0.root);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GenWorkload, Workload};
     use rand::prelude::*;
-    use sfrd_dag::generator::GenParams;
-    use sfrd_runtime::{run_sequential, Runtime};
+    use sfrd_dag::generator::{GenParams, GenProgram};
+    use sfrd_runtime::{run_sequential, Cx, Runtime};
 
-    /// The parallel-recorded dag must match the serial replay's dag in
+    /// The parallel-recorded dag must match the serial execution's dag in
     /// size and race set (node numbering may differ across schedules, but
     /// our runtime events are deterministic per task, and the recorder
     /// serializes them; counts and race addresses are schedule-invariant).
     #[test]
     fn parallel_recording_matches_serial_replay() {
         let mut rng = StdRng::seed_from_u64(99);
+        let rt: Runtime<RecordingHooks> = Runtime::new(2);
         for _ in 0..10 {
-            let prog = GenProgram::random(&mut rng, &GenParams::default());
+            let w = GenWorkload(GenProgram::random(&mut rng, &GenParams::default()));
 
-            // Serial replay through the dag crate's walker.
-            let (rec, mut root) = Recorder::new();
-            sfrd_dag::generator::replay(&prog, &mut (&rec), &mut root);
-            let serial = rec.finish();
+            let hooks = RecordingHooks::new();
+            run_sequential(&hooks, |ctx| w.run(ctx));
+            let serial = RecordingHooks::finish(Arc::new(hooks));
 
-            // Parallel execution through the runtime with recording hooks.
             let hooks = Arc::new(RecordingHooks::new());
-            let rt: Runtime<RecordingHooks> = Runtime::new(2);
-            let w = GenWorkload(prog);
             rt.run(Arc::clone(&hooks), |ctx| w.run(ctx));
-            drop(rt);
             let parallel = RecordingHooks::finish(hooks);
 
             assert_eq!(parallel.dag.node_count(), serial.dag.node_count());

@@ -258,6 +258,7 @@ impl<T: Word> ShadowMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{drive, DetectorKind, DriveConfig, Mode, Workload};
     use sfrd_runtime::{run_sequential, NullHooks};
 
     #[test]
@@ -274,7 +275,8 @@ mod tests {
     }
 
     /// One element = one aligned 8-byte granule = one shadow slot, for
-    /// every element type.
+    /// every element type: a 32-bit table driven under SF-Order has no
+    /// sub-word neighbour, so nothing reaches the fallback map.
     #[test]
     fn a_cell_is_one_shadow_slot() {
         use std::mem::{align_of, size_of};
@@ -292,6 +294,20 @@ mod tests {
         check::<i64>();
         assert_eq!(1u64 << sfrd_shadow::SLOT_SHIFT, 8);
         assert_eq!(ShadowCell::new(0u32).addr() % 8, 0);
+
+        struct Table(ShadowArray<u32>);
+        impl Workload for Table {
+            fn run<'s, C: Cx<'s>>(&'s self, ctx: &mut C) {
+                for i in 0..self.0.len() {
+                    let v = self.0.read(ctx, i);
+                    self.0.write(ctx, i, v + 1);
+                }
+            }
+        }
+        let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 1);
+        let report = drive(&Table(ShadowArray::new(64)), cfg).report.unwrap();
+        assert_eq!(report.counts.writes, 64);
+        assert_eq!(report.metrics.lock_ops, 0);
     }
 
     #[test]

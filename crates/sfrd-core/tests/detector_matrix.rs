@@ -1,21 +1,26 @@
 //! SF-Order on fork-join-only programs — its degenerate case, k = 0, where
 //! the pseudo-SP-dag is the whole dag and `cp`/`gp` stay empty:
 //!
-//! * against the oracle on generated programs, across schedules;
+//! * against the oracle on generated programs, run through `drive`;
 //! * on three fixed programs: a fork-join race, synced accesses, and a
 //!   parallel writer behind three middle readers under `PerFutureLR`
 //!   (with one future, its leftmost/rightmost pair is the classic
 //!   fork-join reader history).
+//!
+//! Every query and interned position of these programs is checked against
+//! the oracle by the root suite's ground-truth probe.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::prelude::*;
 
-use sfrd_core::{GenWorkload, Mode, RaceReport, RecordingHooks, SfDetector, Workload};
+use sfrd_core::{
+    drive, DetectorKind, DriveConfig, EngineConfig, GenWorkload, Mode, RaceReport, RecordingHooks,
+    SfDetector, Workload,
+};
 use sfrd_dag::generator::{GenParams, GenProgram};
-use sfrd_runtime::hooks::PairHooks;
-use sfrd_runtime::{Cx, ParCtx, Runtime};
+use sfrd_runtime::{run_sequential, Cx, ParCtx, Runtime};
 use sfrd_shadow::ReaderPolicy;
 
 const POLICIES: [ReaderPolicy; 2] = [ReaderPolicy::All, ReaderPolicy::PerFutureLR];
@@ -35,25 +40,23 @@ fn forkjoin_params() -> GenParams {
 fn sf_matches_oracle_on_forkjoin_programs() {
     let mut rng = StdRng::seed_from_u64(0x757);
     for round in 0..15 {
-        let prog = GenProgram::random(&mut rng, &forkjoin_params());
-        assert_eq!(prog.counts().1, 0, "generator must not emit creates");
+        let w = GenWorkload(GenProgram::random(&mut rng, &forkjoin_params()));
+        assert_eq!(w.0.counts().1, 0, "generator must not emit creates");
+        // The racy address set is schedule-invariant: the serial walk's
+        // recording is the oracle for any pool schedule.
+        let rec = RecordingHooks::new();
+        run_sequential(&rec, |ctx| w.run(ctx));
+        let recorded = RecordingHooks::finish(Arc::new(rec));
+        recorded.validate().unwrap();
+        let want: BTreeSet<u64> = recorded.races().iter().map(|r| r.addr).collect();
         for policy in POLICIES {
-            let hooks = Arc::new(PairHooks(
-                RecordingHooks::new(),
-                SfDetector::new(Mode::Full, policy),
-            ));
-            let rt: Runtime<PairHooks<RecordingHooks, SfDetector>> = Runtime::new(2);
-            let w = GenWorkload(prog.clone());
-            rt.run(Arc::clone(&hooks), |ctx| w.run(ctx));
-            drop(rt);
-            let PairHooks(rec, det) = Arc::try_unwrap(hooks).ok().expect("sole owner");
-            let recorded = RecordingHooks::finish(Arc::new(rec));
-            let want: BTreeSet<u64> = recorded.races().iter().map(|r| r.addr).collect();
-            let rep = det.report();
+            let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, 2).policy(policy);
+            let rep = drive(&w, cfg).report.expect("a detector ran");
             assert_eq!(rep.counts.futures, 0);
             assert_eq!(
                 rep.racy_addrs, want,
-                "sf {policy:?} round {round}\n{prog:?}"
+                "sf {policy:?} round {round}\n{:?}",
+                w.0
             );
         }
     }
@@ -63,7 +66,9 @@ fn run_sf<F>(policy: ReaderPolicy, f: F) -> RaceReport
 where
     F: for<'e> FnOnce(&mut ParCtx<'e, SfDetector>) + Send,
 {
-    let det = Arc::new(SfDetector::new(Mode::Full, policy));
+    let det = Arc::new(SfDetector::from_config(
+        &EngineConfig::new(Mode::Full).policy(policy),
+    ));
     let rt: Runtime<SfDetector> = Runtime::new(2);
     rt.run(Arc::clone(&det), f);
     drop(rt);

@@ -1,4 +1,4 @@
-//! Random structured-future programs, and a sequential replayer.
+//! Random structured-future programs.
 //!
 //! Property tests need arbitrary SF programs whose ground truth is
 //! computable. [`GenProgram`] is a small AST of the five constructs (memory
@@ -9,14 +9,11 @@
 //! never gotten), which the generator produces on purpose — escaping futures
 //! are the stress case for `gp` maintenance and the PSP task-end joins.
 //!
-//! [`replay`] walks a program in the serial left-to-right depth-first order
-//! (the paper's one-core execution) against any [`ProgramSink`] — the dag
-//! [`Recorder`](crate::recorder::Recorder), a reachability engine under
-//! test, or several at once via [`PairSink`].
+//! A program runs through `sfrd-core`'s `GenWorkload` on either runtime;
+//! `run_sequential` gives the serial left-to-right depth-first walk (the
+//! paper's one-core execution), and `RecordingHooks` records its dag.
 
 use rand::Rng;
-
-use crate::recorder::{RecStrand, Recorder};
 
 /// One operation of a generated task body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,8 +134,8 @@ fn gen_body<R: Rng + ?Sized>(rng: &mut R, p: &GenParams, depth: u32, budget: &mu
                 Op::Create(gen_body(rng, p, depth + 1, budget))
             }
             4 if live_handles > 0 => {
-                // Pick any handle index ever created; replay ignores
-                // already-gotten ones, so collisions simply skip.
+                // Pick any handle index ever created; the interpreter
+                // ignores already-gotten ones, so collisions simply skip.
                 Op::Get(rng.random_range(0..live_handles))
             }
             _ => Op::Work {
@@ -151,145 +148,10 @@ fn gen_body<R: Rng + ?Sized>(rng: &mut R, p: &GenParams, depth: u32, budget: &mu
     Body(ops)
 }
 
-/// A consumer of the serial replay of a program: the same event set the
-/// runtime hooks deliver, in left-to-right depth-first order.
-pub trait ProgramSink {
-    /// Per-strand state threaded through the walk.
-    type Strand;
-    /// A shared-memory access by `s`.
-    fn access(&mut self, s: &mut Self::Strand, addr: u64, write: bool);
-    /// Fork a child task; returns the child's strand.
-    fn spawn(&mut self, parent: &mut Self::Strand) -> Self::Strand;
-    /// Join completed spawned children.
-    fn sync(&mut self, s: &mut Self::Strand, children: Vec<Self::Strand>);
-    /// Create a future task; returns its strand.
-    fn create(&mut self, parent: &mut Self::Strand) -> Self::Strand;
-    /// Get a completed future, whose final strand is `done`.
-    fn get(&mut self, s: &mut Self::Strand, done: Self::Strand);
-    /// Task end (after the implicit sync of spawned children).
-    fn task_end(&mut self, s: &mut Self::Strand);
-    /// A child task (spawned or created) returned to `parent` in the
-    /// serial order — fires right after the child's `task_end`. Sequential
-    /// detectors (SP-bags) transition the child's bag here; others ignore it.
-    fn returned(&mut self, _parent: &mut Self::Strand, _child: &mut Self::Strand) {}
-}
-
-/// Replay `program` serially into `sink`, starting from the root strand.
-/// Emits the Cilk implicit sync (joining outstanding spawned children) at
-/// every task end, then `task_end`.
-pub fn replay<S: ProgramSink>(program: &GenProgram, sink: &mut S, root: &mut S::Strand) {
-    run_body(&program.root, sink, root);
-    sink.task_end(root);
-}
-
-fn run_body<S: ProgramSink>(body: &Body, sink: &mut S, strand: &mut S::Strand) {
-    let mut children: Vec<S::Strand> = Vec::new();
-    let mut handles: Vec<Option<S::Strand>> = Vec::new();
-    for op in &body.0 {
-        match op {
-            Op::Work { addr, write } => sink.access(strand, *addr, *write),
-            Op::Spawn(b) => {
-                let mut c = sink.spawn(strand);
-                run_body(b, sink, &mut c);
-                sink.task_end(&mut c);
-                sink.returned(strand, &mut c);
-                children.push(c);
-            }
-            Op::Sync => sink.sync(strand, std::mem::take(&mut children)),
-            Op::Create(b) => {
-                let mut f = sink.create(strand);
-                run_body(b, sink, &mut f);
-                sink.task_end(&mut f);
-                sink.returned(strand, &mut f);
-                handles.push(Some(f));
-            }
-            Op::Get(i) => {
-                if let Some(done) = handles.get_mut(*i).and_then(Option::take) {
-                    sink.get(strand, done);
-                }
-            }
-        }
-    }
-    if !children.is_empty() {
-        sink.sync(strand, children);
-    }
-    // Remaining handles escape: the futures are never gotten.
-}
-
-impl ProgramSink for &Recorder {
-    type Strand = RecStrand;
-
-    fn access(&mut self, s: &mut RecStrand, addr: u64, write: bool) {
-        Recorder::access(self, s, addr, write);
-    }
-    fn spawn(&mut self, parent: &mut RecStrand) -> RecStrand {
-        Recorder::spawn(self, parent)
-    }
-    fn sync(&mut self, s: &mut RecStrand, children: Vec<RecStrand>) {
-        Recorder::sync(self, s, &children);
-    }
-    fn create(&mut self, parent: &mut RecStrand) -> RecStrand {
-        Recorder::create(self, parent)
-    }
-    fn get(&mut self, s: &mut RecStrand, done: RecStrand) {
-        Recorder::get(self, s, &done);
-    }
-    fn task_end(&mut self, s: &mut RecStrand) {
-        Recorder::task_end(self, s);
-    }
-}
-
-/// Drive two sinks in lockstep; strands are pairs.
-pub struct PairSink<A, B>(pub A, pub B);
-
-impl<A: ProgramSink, B: ProgramSink> ProgramSink for PairSink<A, B> {
-    type Strand = (A::Strand, B::Strand);
-
-    fn access(&mut self, s: &mut Self::Strand, addr: u64, write: bool) {
-        self.0.access(&mut s.0, addr, write);
-        self.1.access(&mut s.1, addr, write);
-    }
-    fn spawn(&mut self, parent: &mut Self::Strand) -> Self::Strand {
-        (self.0.spawn(&mut parent.0), self.1.spawn(&mut parent.1))
-    }
-    fn sync(&mut self, s: &mut Self::Strand, children: Vec<Self::Strand>) {
-        let (ca, cb): (Vec<_>, Vec<_>) = children.into_iter().unzip();
-        self.0.sync(&mut s.0, ca);
-        self.1.sync(&mut s.1, cb);
-    }
-    fn create(&mut self, parent: &mut Self::Strand) -> Self::Strand {
-        (self.0.create(&mut parent.0), self.1.create(&mut parent.1))
-    }
-    fn get(&mut self, s: &mut Self::Strand, done: Self::Strand) {
-        self.0.get(&mut s.0, done.0);
-        self.1.get(&mut s.1, done.1);
-    }
-    fn task_end(&mut self, s: &mut Self::Strand) {
-        self.0.task_end(&mut s.0);
-        self.1.task_end(&mut s.1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::prelude::*;
-
-    #[test]
-    fn generated_programs_replay_and_validate() {
-        let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..50 {
-            let prog = GenProgram::random(&mut rng, &GenParams::default());
-            let (rec, mut root) = Recorder::new();
-            replay(&prog, &mut (&rec), &mut root);
-            let recorded = rec.finish();
-            recorded.validate().unwrap_or_else(|e| {
-                panic!("generator produced unstructured program: {e}\n{prog:?}")
-            });
-            let (_, creates) = prog.counts();
-            assert_eq!(recorded.dag.future_count(), creates + 1);
-        }
-    }
 
     #[test]
     fn deep_programs_hit_budget() {
@@ -303,43 +165,5 @@ mod tests {
             let (s, c) = prog.counts();
             assert!(s + c <= 5);
         }
-    }
-
-    #[test]
-    fn pair_sink_drives_two_recorders_identically() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let prog = GenProgram::random(&mut rng, &GenParams::default());
-        let (ra, root_a) = Recorder::new();
-        let (rb, root_b) = Recorder::new();
-        let mut pair = PairSink(&ra, &rb);
-        let mut root = (root_a, root_b);
-        replay(&prog, &mut pair, &mut root);
-        let (pa, pb) = (ra.finish(), rb.finish());
-        assert_eq!(pa.dag.node_count(), pb.dag.node_count());
-        assert_eq!(pa.log, pb.log);
-        assert_eq!(pa.races(), pb.races());
-    }
-
-    #[test]
-    fn some_generated_program_contains_a_race() {
-        // With a tiny address space, races appear quickly; assert the
-        // generator actually exercises the racy regime.
-        let mut rng = StdRng::seed_from_u64(1);
-        let params = GenParams {
-            addr_space: 2,
-            write_prob: 0.8,
-            ..Default::default()
-        };
-        let mut found = false;
-        for _ in 0..30 {
-            let prog = GenProgram::random(&mut rng, &params);
-            let (rec, mut root) = Recorder::new();
-            replay(&prog, &mut (&rec), &mut root);
-            if !rec.finish().races().is_empty() {
-                found = true;
-                break;
-            }
-        }
-        assert!(found, "no race in 30 random programs — generator too tame");
     }
 }

@@ -8,8 +8,8 @@
 //!   (the ground truth for all property tests);
 //! * [`recorder::Recorder`] — builds the executed dag on the fly from the
 //!   same events the runtime hooks deliver;
-//! * [`generator`] — random structured-future programs and a serial
-//!   replayer over any [`generator::ProgramSink`].
+//! * [`generator`] — random structured-future programs (run and recorded
+//!   through `sfrd-core`'s `GenWorkload` and `RecordingHooks`).
 //!
 //! Terminology follows §2–3 of the paper: an **SF-dag** is a set of
 //! series-parallel dags (one per future task) connected by non-SP `create`

@@ -96,10 +96,7 @@ pub fn edge_census(path: &[(NodeId, EdgeKind, NodeId)]) -> (usize, usize, usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{replay, GenParams, GenProgram};
-    use crate::oracle::ReachOracle;
     use crate::recorder::Recorder;
-    use rand::prelude::*;
 
     #[test]
     fn canonical_detector_accepts_and_rejects() {
@@ -115,56 +112,6 @@ mod tests {
             (a, EdgeKind::CreateChild, b),
             (b, EdgeKind::GetReturn, c)
         ]));
-    }
-
-    /// Lemma 3.2 on random programs: wherever the oracle says `u ; v`, a
-    /// canonical path exists, and its edges are contiguous in the dag.
-    #[test]
-    fn lemma_3_2_canonical_paths_exist() {
-        let mut rng = StdRng::seed_from_u64(0x32);
-        for _ in 0..40 {
-            let prog = GenProgram::random(
-                &mut rng,
-                &GenParams {
-                    max_tasks: 16,
-                    max_body_len: 5,
-                    ..Default::default()
-                },
-            );
-            let (rec, mut root) = Recorder::new();
-            replay(&prog, &mut (&rec), &mut root);
-            let recorded = rec.finish();
-            let dag = &recorded.dag;
-            let oracle = ReachOracle::build(dag, |k| k != EdgeKind::PspJoin);
-            for u in dag.node_ids() {
-                for v in dag.node_ids() {
-                    let path = canonical_path(dag, u, v);
-                    if u == v {
-                        continue;
-                    }
-                    assert_eq!(
-                        path.is_some(),
-                        oracle.reaches(u, v),
-                        "canonical path existence must match reachability ({u} -> {v})"
-                    );
-                    if let Some(p) = path {
-                        assert!(is_canonical(&p));
-                        assert!(!p.is_empty());
-                        assert_eq!(p.first().unwrap().0, u);
-                        assert_eq!(p.last().unwrap().2, v);
-                        for w in p.windows(2) {
-                            assert_eq!(w[0].2, w[1].0, "path must be contiguous");
-                        }
-                        for &(x, kind, y) in &p {
-                            assert!(
-                                dag.succs(x).contains(&(y, kind)),
-                                "path edge must exist in dag"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// The canonical structure itself: gets-then-creates on a concrete

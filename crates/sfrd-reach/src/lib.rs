@@ -1,7 +1,8 @@
 //! # sfrd-reach — reachability engines for determinacy race detection
 //!
 //! The three reachability analyses compared in the paper, behind
-//! hook-shaped APIs the runtime (or a serial replayer) drives:
+//! hook-shaped APIs the runtimes drive through `sfrd-core`'s detector
+//! adapters:
 //!
 //! * [`sf_order::SfReach`] — **SF-Order** (this paper): O(1) queries from
 //!   an SP-order over the pseudo-SP-dag plus `cp`/`gp` future bitmaps.

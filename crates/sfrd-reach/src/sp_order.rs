@@ -398,8 +398,11 @@ mod tests {
         assert!(sp.precedes_eq(root.pos(), root.pos()));
     }
 
-    /// Exhaustive cross-check against the dag oracle on random programs is
-    /// in tests/ at the crate root (drives SpOrder through a ProgramSink).
+    // The exhaustive cross-check against the dag oracle on random programs
+    // is the workspace's ground-truth probe (`tests/ground_truth/`, run by
+    // `oracle_props.rs`, `interning.rs` and `parallel_oracle.rs`), through
+    // SF-Order and F-Order, which answer from this order.
+
     #[test]
     fn positions_counter_tracks_oms() {
         let (sp, mut root) = SpOrder::new();

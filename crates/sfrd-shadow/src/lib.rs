@@ -77,8 +77,6 @@
 #![warn(missing_docs)]
 
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::MaybeUninit;
 
 use sfrd_om::AppendArena;
@@ -86,29 +84,6 @@ use sfrd_om::AppendArena;
 pub mod paged;
 
 pub use paged::{PageCursor, PagedHistory, MAPPED_BITS, PAGE_SHIFT, PAGE_SLOTS, SLOT_SHIFT};
-
-/// Multiplicative address hasher (locally implemented; see DESIGN.md §7).
-#[derive(Default)]
-pub struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ b as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-        }
-    }
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-pub(crate) type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 
 /// Which readers to retain per location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

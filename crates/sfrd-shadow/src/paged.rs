@@ -106,12 +106,13 @@
 
 use sfrd_runtime::sync::{fence, AtomicPtr, AtomicU64, Mutex, Ordering};
 use std::cell::UnsafeCell;
+use std::collections::HashMap;
 use std::mem::MaybeUninit;
 use std::ptr::addr_of;
 
 use sfrd_om::AppendArena;
 
-use crate::{AddrMap, Head, LocEntry, LocState, ReaderPolicy, SpillArena};
+use crate::{Head, LocEntry, LocState, ReaderPolicy, SpillArena};
 
 /// log2 of a slot's address span: one slot per 8-byte word, which is one
 /// instrumented `ShadowArray`/`ShadowCell` cell whatever its element type,
@@ -239,8 +240,12 @@ pub struct PagedHistory<P: Copy + Send> {
     /// Reader spills of mapped slots, by the index a slot stores.
     spills: SpillArena<P>,
     policy: ReaderPolicy,
-    /// Addresses above [`MAPPED_BITS`]: the locked escape hatch.
-    fallback: Mutex<AddrMap<LocState<P>>>,
+    /// Addresses above [`MAPPED_BITS`] and sub-word collisions: the locked
+    /// escape hatch. Its keys come from the program under test (or a
+    /// journal), so it keeps std's randomly seeded hasher: a multiplicative
+    /// one sends addresses that agree in their low bits down one probe
+    /// sequence, and a strided input turns every lookup linear.
+    fallback: Mutex<HashMap<u64, LocState<P>>>,
     /// Mutex acquisitions — fallback-map only; the mapped path never locks.
     lock_ops: AtomicU64,
     /// Accesses answered from a validated snapshot (same-epoch reads and
@@ -264,7 +269,7 @@ impl<P: Copy + Send> PagedHistory<P> {
             page_arena: AppendArena::new(),
             spills: AppendArena::new(),
             policy,
-            fallback: Mutex::new(AddrMap::default()),
+            fallback: Mutex::new(HashMap::new()),
             lock_ops: AtomicU64::new(0),
             fast_hits: AtomicU64::new(0),
             cas_retries: AtomicU64::new(0),
@@ -869,5 +874,28 @@ mod tests {
         assert_eq!(claim(0x40), claim(0x48), "one claim per 8-byte span");
         assert_eq!(BUSY & (OWNER_MASK | TAG_MASK), 0);
         assert_eq!(OWNER_MASK & TAG_MASK, 0);
+    }
+
+    /// The fallback map's keys are the program's (or a journal's)
+    /// addresses, so a crafted stream must not degrade it: 500 000
+    /// addresses above 2^47 that agree in their low 20 bits stay linear.
+    /// A hasher that sends them down one probe sequence takes minutes; the
+    /// watchdog turns that into a failure instead of a hang.
+    #[test]
+    fn strided_high_addresses_do_not_flood_the_fallback_map() {
+        const N: u64 = 500_000;
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let h: PagedHistory<u64> = PagedHistory::with_policy(ReaderPolicy::All);
+            for j in 0..N {
+                h.locked((1 << 50) + (j << 20), |e| e.begin_write_epoch(j));
+            }
+            done.send(h.lock_ops()).unwrap();
+        });
+        let lock_ops = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("500 000 fallback-map inserts took over 30 s");
+        worker.join().unwrap();
+        assert_eq!(lock_ops, N);
     }
 }

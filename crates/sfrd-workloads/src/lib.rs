@@ -22,14 +22,12 @@
 
 pub mod ferret;
 pub mod hw;
-pub mod lcs;
 pub mod mm;
 pub mod sort;
 pub mod sw;
 
 pub use ferret::{FerretParams, FerretWorkload};
 pub use hw::{HwParams, HwWorkload};
-pub use lcs::{LcsParams, LcsWorkload};
 pub use mm::{MmParams, MmWorkload};
 pub use sort::{SortParams, SortWorkload};
 pub use sw::{SwParams, SwWorkload};

@@ -32,7 +32,8 @@ pub use sfrd_workloads as workloads;
 ///
 /// Configuration enters through two types only: [`DriveConfig`]
 /// ([`DriveConfig::with`], then [`DriveConfig::policy`]) for end-to-end
-/// runs, and [`EngineConfig`] for constructing a detector directly.
+/// runs, and [`EngineConfig`] for constructing a detector directly — each
+/// detector's one constructor is `from_config(&EngineConfig)`.
 pub mod prelude {
     pub use sfrd_core::{
         drive, DetectorKind, DriveConfig, EngineConfig, FutureHandle, Mode, RaceReport, ReachOnly,

@@ -17,14 +17,16 @@ use std::sync::Arc;
 
 use rand::prelude::*;
 
-use sfrd::core::{GenWorkload, Mode, SfDetector, Workload};
+use sfrd::core::{EngineConfig, GenWorkload, Mode, SfDetector, Workload};
 use sfrd::dag::generator::{GenParams, GenProgram};
 use sfrd::runtime::Runtime;
 use sfrd::shadow::ReaderPolicy;
 use sfrd::workloads::{make_bench, Scale, SortParams, SortWorkload, BENCH_NAMES};
 
 fn run_sf(w: &impl Workload, policy: ReaderPolicy, workers: usize) -> Arc<SfDetector> {
-    let det = Arc::new(SfDetector::new(Mode::Full, policy));
+    let det = Arc::new(SfDetector::from_config(
+        &EngineConfig::new(Mode::Full).policy(policy),
+    ));
     let rt: Runtime<SfDetector> = Runtime::new(workers);
     rt.run(Arc::clone(&det), |ctx| w.run(ctx));
     det

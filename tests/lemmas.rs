@@ -3,24 +3,33 @@
 //! correctness proof rests on; testing them directly means a future
 //! regression pinpoints *which* lemma an implementation change broke.
 
+use std::sync::Arc;
+
 use rand::prelude::*;
 
-use sfrd::dag::generator::{replay, GenParams, GenProgram};
-use sfrd::dag::{EdgeKind, FutureId, ReachOracle, RecordedProgram, Recorder};
+use sfrd::core::{GenWorkload, RecordingHooks, Workload};
+use sfrd::dag::generator::{GenParams, GenProgram};
+use sfrd::dag::{canonical_path, is_canonical, EdgeKind, FutureId, ReachOracle, RecordedProgram};
+use sfrd::runtime::run_sequential;
+
+/// The dag of `prog`'s serial depth-first execution.
+fn record_program(prog: GenProgram) -> RecordedProgram {
+    let hooks = RecordingHooks::new();
+    let w = GenWorkload(prog);
+    run_sequential(&hooks, |ctx| w.run(ctx));
+    RecordingHooks::finish(Arc::new(hooks))
+}
 
 fn record(seed: u64) -> RecordedProgram {
     let mut rng = StdRng::seed_from_u64(seed);
-    let prog = GenProgram::random(
+    record_program(GenProgram::random(
         &mut rng,
         &GenParams {
             max_tasks: 18,
             max_body_len: 5,
             ..Default::default()
         },
-    );
-    let (rec, mut root) = Recorder::new();
-    replay(&prog, &mut (&rec), &mut root);
-    rec.finish()
+    ))
 }
 
 /// Ancestor relation on futures (transitive parent closure).
@@ -32,6 +41,53 @@ fn f_ancs(prog: &RecordedProgram, g: FutureId) -> Vec<FutureId> {
         cur = prog.dag.future(p).parent;
     }
     out
+}
+
+/// Lemma 3.2: wherever the oracle says `u ; v`, a canonical path exists,
+/// and its edges are contiguous in the dag.
+#[test]
+fn lemma_3_2_canonical_paths_exist() {
+    let mut rng = StdRng::seed_from_u64(0x32);
+    for _ in 0..40 {
+        let recorded = record_program(GenProgram::random(
+            &mut rng,
+            &GenParams {
+                max_tasks: 16,
+                max_body_len: 5,
+                ..Default::default()
+            },
+        ));
+        let dag = &recorded.dag;
+        let oracle = ReachOracle::build(dag, |k| k != EdgeKind::PspJoin);
+        for u in dag.node_ids() {
+            for v in dag.node_ids() {
+                let path = canonical_path(dag, u, v);
+                if u == v {
+                    continue;
+                }
+                assert_eq!(
+                    path.is_some(),
+                    oracle.reaches(u, v),
+                    "canonical path existence must match reachability ({u} -> {v})"
+                );
+                if let Some(p) = path {
+                    assert!(is_canonical(&p));
+                    assert!(!p.is_empty());
+                    assert_eq!(p.first().unwrap().0, u);
+                    assert_eq!(p.last().unwrap().2, v);
+                    for w in p.windows(2) {
+                        assert_eq!(w[0].2, w[1].0, "path must be contiguous");
+                    }
+                    for &(x, kind, y) in &p {
+                        assert!(
+                            dag.succs(x).contains(&(y, kind)),
+                            "path edge must exist in dag"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -137,7 +193,7 @@ fn lemma_3_7_and_3_9_psp_exact_for_ancestor_queries() {
 
 #[test]
 fn lemma_3_1_serial_execution_exists() {
-    // The serial replay order itself witnesses Lemma 3.1: every future's
+    // The serial execution order itself witnesses Lemma 3.1: every future's
     // descendants complete before it does (DFS). Check the recorded dag:
     // descendants' last nodes have SMALLER recorder timestamps... our node
     // ids are allocation-ordered, not completion-ordered, so instead check

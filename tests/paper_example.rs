@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use sfrd::core::{Mode, RecordingHooks, SfDetector};
+use sfrd::core::{EngineConfig, Mode, RecordingHooks, SfDetector};
 use sfrd::dag::{EdgeKind, ReachOracle};
 use sfrd::reach::SfReach;
 use sfrd::runtime::hooks::PairHooks;
@@ -106,7 +106,7 @@ fn running_example_phenomena() {
 fn running_example_oracle_crosscheck() {
     let pair = PairHooks(
         RecordingHooks::new(),
-        SfDetector::new(Mode::Full, sfrd::shadow::ReaderPolicy::All),
+        SfDetector::from_config(&EngineConfig::new(Mode::Full)),
     );
     // Unique addresses per probe point; conflicts engineered where the
     // phenomena predict parallelism (C's body vs post-sync strand).

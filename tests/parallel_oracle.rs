@@ -1,61 +1,32 @@
-//! End-to-end ground truth under *parallel* execution.
-//!
-//! The strongest system-level test: run random structured-future programs
-//! on the real work-stealing runtime with a detector attached AND the dag
-//! recorder attached (via `PairHooks`), then check the detector's racy
-//! address set against the brute-force oracle computed on the dag that
-//! actually executed. Repeats each program across schedules.
+//! End-to-end ground truth under *parallel* execution: random
+//! structured-future programs on the real work-stealing runtime, each
+//! detector batched as `drive` builds it with the dag recorder beside it,
+//! the detector's racy address set checked against the brute-force oracle
+//! on the dag that actually executed (the [`ground_truth`] probe, which
+//! checks every query and interned position as well). Each program repeats
+//! across schedules.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
+mod ground_truth;
 
 use rand::prelude::*;
 
-use sfrd::core::{FoDetector, GenWorkload, MbDetector, Mode, RecordingHooks, SfDetector, Workload};
-use sfrd::dag::generator::{GenParams, GenProgram};
-use sfrd::runtime::hooks::PairHooks;
-use sfrd::runtime::{run_sequential, Runtime};
-use sfrd::shadow::ReaderPolicy;
+use ground_truth::{check, shapes, turn, F_ORDER, MULTIBAGS, SF_ALL, SF_LR, TURNS};
+use sfrd::dag::generator::{Body, GenProgram, Op};
 
-fn oracle_racy_addrs(rec: &sfrd::dag::RecordedProgram) -> BTreeSet<u64> {
-    rec.races().iter().map(|r| r.addr).collect()
-}
-
-fn gen_params() -> GenParams {
-    GenParams {
-        max_tasks: 24,
-        max_body_len: 6,
-        addr_space: 4,
-        ..Default::default()
-    }
+/// A stream of generated future programs.
+fn programs(seed: u64) -> impl Iterator<Item = GenProgram> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (_, params) = shapes()[1].clone();
+    std::iter::repeat_with(move || GenProgram::random(&mut rng, &params))
 }
 
 /// SF-Order under the parallel runtime, both reader policies.
 #[test]
 fn sf_order_parallel_matches_oracle() {
-    let mut rng = StdRng::seed_from_u64(0xE0);
-    for round in 0..12 {
-        let prog = GenProgram::random(&mut rng, &gen_params());
-        for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
+    for (round, prog) in programs(0xE0).take(12).enumerate() {
+        for config in [SF_ALL, SF_LR] {
             for workers in [1, 3] {
-                let hooks = Arc::new(PairHooks(
-                    RecordingHooks::new(),
-                    SfDetector::new(Mode::Full, policy),
-                ));
-                let rt: Runtime<PairHooks<RecordingHooks, SfDetector>> = Runtime::new(workers);
-                let w = GenWorkload(prog.clone());
-                rt.run(Arc::clone(&hooks), |ctx| w.run(ctx));
-                drop(rt);
-                let PairHooks(rec, det) = Arc::try_unwrap(hooks).ok().expect("sole owner");
-                let recorded = Arc::new(rec);
-                let recorded = RecordingHooks::finish(recorded);
-                recorded.validate().unwrap();
-                let want = oracle_racy_addrs(&recorded);
-                let got = det.report().racy_addrs;
-                assert_eq!(
-                    got, want,
-                    "sf-order {policy:?} workers={workers} round={round}\nprogram: {prog:?}"
-                );
+                check(&prog, turn(config, workers), &format!("round={round}"));
             }
         }
     }
@@ -64,26 +35,9 @@ fn sf_order_parallel_matches_oracle() {
 /// F-Order under the parallel runtime.
 #[test]
 fn f_order_parallel_matches_oracle() {
-    let mut rng = StdRng::seed_from_u64(0xF0);
-    for round in 0..12 {
-        let prog = GenProgram::random(&mut rng, &gen_params());
+    for (round, prog) in programs(0xF0).take(12).enumerate() {
         for workers in [1, 3] {
-            let hooks = Arc::new(PairHooks(
-                RecordingHooks::new(),
-                FoDetector::new(Mode::Full),
-            ));
-            let rt: Runtime<PairHooks<RecordingHooks, FoDetector>> = Runtime::new(workers);
-            let w = GenWorkload(prog.clone());
-            rt.run(Arc::clone(&hooks), |ctx| w.run(ctx));
-            drop(rt);
-            let PairHooks(rec, det) = Arc::try_unwrap(hooks).ok().expect("sole owner");
-            let recorded = RecordingHooks::finish(Arc::new(rec));
-            let want = oracle_racy_addrs(&recorded);
-            let got = det.report().racy_addrs;
-            assert_eq!(
-                got, want,
-                "f-order workers={workers} round={round}\nprogram: {prog:?}"
-            );
+            check(&prog, turn(F_ORDER, workers), &format!("round={round}"));
         }
     }
 }
@@ -91,47 +45,36 @@ fn f_order_parallel_matches_oracle() {
 /// MultiBags under the sequential runtime.
 #[test]
 fn multibags_sequential_matches_oracle() {
-    let mut rng = StdRng::seed_from_u64(0xB0);
-    for round in 0..20 {
-        let prog = GenProgram::random(&mut rng, &gen_params());
-        let pair = PairHooks(RecordingHooks::new(), MbDetector::new(Mode::Full));
-        let w = GenWorkload(prog.clone());
-        run_sequential(&pair, |ctx| w.run(ctx));
-        let PairHooks(rec, det) = pair;
-        let recorded = RecordingHooks::finish(Arc::new(rec));
-        let want = oracle_racy_addrs(&recorded);
-        let got = det.report().racy_addrs;
-        assert_eq!(got, want, "multibags round={round}\nprogram: {prog:?}");
+    for (round, prog) in programs(0xB0).take(20).enumerate() {
+        check(&prog, turn(MULTIBAGS, 0), &format!("round={round}"));
     }
 }
 
 /// All three detectors agree on the racy address set for the same program.
 #[test]
 fn detectors_agree_across_engines() {
-    let mut rng = StdRng::seed_from_u64(0xAA);
-    for _ in 0..15 {
-        let prog = GenProgram::random(&mut rng, &gen_params());
+    for (round, prog) in programs(0xAA).take(15).enumerate() {
+        let what = format!("round={round}");
+        let sf = check(&prog, turn(SF_ALL, 2), &what).racy;
+        let fo = check(&prog, turn(F_ORDER, 2), &what).racy;
+        let mb = check(&prog, turn(MULTIBAGS, 0), &what).racy;
+        assert_eq!(sf, fo, "sf vs fo\n{prog:?}");
+        assert_eq!(sf, mb, "sf vs mb\n{prog:?}");
+    }
+}
 
-        let sf = Arc::new(SfDetector::new(Mode::Full, ReaderPolicy::All));
-        let rt: Runtime<SfDetector> = Runtime::new(2);
-        let w = GenWorkload(prog.clone());
-        rt.run(Arc::clone(&sf), |ctx| w.run(ctx));
-        drop(rt);
-
-        let fo = Arc::new(FoDetector::new(Mode::Full));
-        let rt: Runtime<FoDetector> = Runtime::new(2);
-        let w2 = GenWorkload(prog.clone());
-        rt.run(Arc::clone(&fo), |ctx| w2.run(ctx));
-        drop(rt);
-
-        let mb = MbDetector::new(Mode::Full);
-        let w3 = GenWorkload(prog.clone());
-        run_sequential(&mb, |ctx| w3.run(ctx));
-
-        let a = sf.report().racy_addrs;
-        let b = fo.report().racy_addrs;
-        let c = mb.report().racy_addrs;
-        assert_eq!(a, b, "sf vs fo\n{prog:?}");
-        assert_eq!(a, c, "sf vs mb\n{prog:?}");
+/// The write-combining filter's eviction case: `write A; read B; write B`
+/// at one position, A and B in one filter way (one word, as generated),
+/// and B read in parallel. B's read evicts A's entry; if it inherited A's
+/// `wrote` flag, B's write would be combined away and its race missed.
+#[test]
+fn a_write_behind_an_evicting_read_races() {
+    let work = |addr, write| Op::Work { addr, write };
+    let child = Body(vec![work(0, true), work(1, false), work(1, true)]);
+    let prog = GenProgram {
+        root: Body(vec![Op::Spawn(child), work(1, false), Op::Sync]),
+    };
+    for turn in 0..TURNS {
+        assert_eq!(check(&prog, turn, "evicting read").racy.len(), 1);
     }
 }

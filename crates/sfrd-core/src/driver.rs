@@ -263,13 +263,14 @@ mod tests {
     /// of the batch filter; the continuation reads B. B is the only race.
     struct EvictedWrite {
         data: ShadowArray<u64>,
+        a: usize,
         b: usize,
     }
 
     impl Workload for EvictedWrite {
         fn run<'s, C: Cx<'s>>(&'s self, ctx: &mut C) {
             let h = ctx.create(move |c| {
-                self.data.write(c, 0, 1);
+                self.data.write(c, self.a, 1);
                 self.data.read(c, self.b);
                 self.data.write(c, self.b, 2);
             });
@@ -278,21 +279,37 @@ mod tests {
         }
     }
 
+    /// Two elements of `data`, `a < b`, in one filter way. Found through
+    /// the filter itself: after a write to every element, re-recording an
+    /// element is combined away unless a later one took its way, and a
+    /// combined repeat changes nothing.
+    fn same_way_pair(data: &ShadowArray<u64>) -> (usize, usize) {
+        let mut all = sfrd_runtime::AccessBatch::new(4);
+        for i in 0..data.len() {
+            all.record(data.addr(i), true);
+        }
+        let a = (0..data.len())
+            .find(|&i| all.record(data.addr(i), true))
+            .expect("more elements than ways: two share one");
+        let mut probe = sfrd_runtime::AccessBatch::new(4);
+        probe.record(data.addr(a), true);
+        let b = (a + 1..data.len())
+            .find(|&j| {
+                probe.record(data.addr(j), true);
+                probe.record(data.addr(a), true)
+            })
+            .expect("a later element took a's way");
+        (a, b)
+    }
+
     /// The filter once let B's read take over the `wrote` flag of the A it
     /// evicted and combined B's write away: the detector saw two reads.
     #[test]
     fn a_write_behind_an_evicting_read_still_races() {
         for cfg in all_full_configs() {
-            let data: ShadowArray<u64> = ShadowArray::new(2048);
-            let b = (1..data.len())
-                .find(|&i| {
-                    let mut probe = sfrd_runtime::AccessBatch::new(4);
-                    probe.record(data.addr(0), true);
-                    probe.record(data.addr(i), true);
-                    probe.record(data.addr(0), true)
-                })
-                .expect("some element shares element 0's way");
-            let w = EvictedWrite { data, b };
+            let data: ShadowArray<u64> = ShadowArray::new(sfrd_runtime::FILTER_WAYS + 1);
+            let (a, b) = same_way_pair(&data);
+            let w = EvictedWrite { data, a, b };
             let rep = drive(&w, cfg).report.unwrap();
             assert_eq!(
                 rep.racy_addrs.into_iter().collect::<Vec<_>>(),

@@ -1,13 +1,14 @@
 //! The blocking-socket front end: accept loop, handshake, the session's
-//! replay on its connection's thread, response.
+//! replay on its connection's thread, response, drain.
 
 use std::cell::Cell;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use sfrd_core::EngineConfig;
 use sfrd_trace::JournalReader;
@@ -122,9 +123,23 @@ impl Read for Counted<'_> {
     }
 }
 
+/// Most input a connection's thread reads and discards after answering.
+const DRAIN_CAP: u64 = 64 << 20;
+
+/// How long the drain waits for each read before it gives up.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+
 fn handle_conn(stream: TcpStream, engine: &EngineConfig, metrics: &ServerMetrics) {
     let response = run_session(&stream, engine, metrics).unwrap_or_else(|e| format!("ERR {e}\n"));
     let _ = (&stream).write_all(response.as_bytes());
+    // A socket closed with input unread sends a reset, which can destroy
+    // the response before the client reads it: a rejected journal's
+    // sender would see "connection reset" instead of the `ERR` line. So
+    // end the response with a FIN, and read what the client still sends
+    // until it closes, stalls or passes the cap.
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(DRAIN_TIMEOUT));
+    let _ = io::copy(&mut (&stream).take(DRAIN_CAP), &mut io::sink());
 }
 
 /// Drive one connection end to end and return its `OK` line; `Err` is

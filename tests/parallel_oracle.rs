@@ -78,3 +78,29 @@ fn a_write_behind_an_evicting_read_races() {
         assert_eq!(check(&prog, turn, "evicting read").racy.len(), 1);
     }
 }
+
+/// A future and its getter touch the same cells. At one worker the
+/// future's body runs inside `get`'s wait, on the getter's thread and so
+/// in the write-combining filter the getter's own accesses just went
+/// through; on the sequential runtime it runs first, in the filter the
+/// getter goes on to use. Neither strand's entries may filter the other's
+/// accesses: both cells race with the continuation.
+#[test]
+fn a_future_run_inside_its_getters_wait_races() {
+    let work = |addr, write| Op::Work { addr, write };
+    let future = Body(vec![work(0, true), work(1, false)]);
+    let prog = GenProgram {
+        root: Body(vec![
+            Op::Create(future),
+            work(0, false),
+            work(1, true),
+            work(0, true),
+            Op::Get(0),
+            work(0, true),
+            work(1, false),
+        ]),
+    };
+    for turn in 0..TURNS {
+        assert_eq!(check(&prog, turn, "nested future").racy.len(), 2);
+    }
+}

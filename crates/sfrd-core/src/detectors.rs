@@ -42,7 +42,8 @@ pub enum Mode {
 /// The paper's `reach` configuration is a separate *build* with no access
 /// instrumentation emitted at all; a runtime `if` per access would charge
 /// it ~2 ns x 10^8 accesses it should not pay. Wrapping a detector in
-/// `ReachOnly` replaces `on_read`/`on_write` with empty inlined bodies —
+/// `ReachOnly` replaces `on_access` with an empty inlined body, and the
+/// default `on_access_batch` loop over it with nothing —
 /// monomorphization deletes the access path exactly like the paper's
 /// separate compilation does — while every parallel-construct hook still
 /// reaches the inner detector.
@@ -73,12 +74,7 @@ impl<H: sfrd_runtime::TaskHooks> sfrd_runtime::TaskHooks for ReachOnly<H> {
         self.0.on_task_return(p, c)
     }
     #[inline(always)]
-    fn on_read(&self, _: &mut Self::Strand, _: u64) {}
-    #[inline(always)]
-    fn on_write(&self, _: &mut Self::Strand, _: u64) {}
-    fn on_access_batch(&self, _: &mut Self::Strand, batch: &mut sfrd_runtime::AccessBatch) {
-        batch.discard();
-    }
+    fn on_access(&self, _: &mut Self::Strand, _: u64, _: bool) {}
 }
 
 // ================================================================ SF-Order

@@ -9,45 +9,39 @@
 //! [`ReachEngine`], and the engines (`detectors.rs`) are thin adapters
 //! over `sfrd-reach`.
 //!
-//! The sink speaks both access protocols of `sfrd-runtime`:
+//! The sink has one access path, `on_access_batch`: a borrowed slice of
+//! accesses, all issued at one dag position, run through one page cursor.
+//! [`Batched`](sfrd_runtime::Batched), which [`drive`](crate::drive)
+//! always installs, and a journal replay deliver slices; a bare
+//! `on_access` is a batch of one.
 //!
-//! * **per-access** (`on_read`/`on_write`): one shadow access per call.
-//!   This is the plain `TaskHooks` contract bare detectors run through;
-//! * **per-batch** (`on_access_batch`, fed by
-//!   [`Batched`](sfrd_runtime::Batched), which [`drive`](crate::drive)
-//!   always installs): the buffered accesses — all issued at one dag
-//!   position — replay through one page cursor.
-//!
-//! Every access, on either path, first asks the shadow's validated
-//! snapshot whether it is a *same-epoch* repeat — a read by the
-//! location's last recorded reader or by its writer, a write by its
-//! writer with no reader retained — and if so is done without a store
-//! (DESIGN.md §6); anything else enters the slot's write section and runs
-//! the same [`check_read`](EventSink::on_read)/write logic, which asks
+//! Every access first asks the shadow's validated snapshot whether it is
+//! a *same-epoch* repeat — a read by the location's last recorded reader
+//! or by its writer, a write by its writer with no reader retained — and
+//! if so is done without a store (DESIGN.md §6); anything else enters the
+//! slot's write section and runs the `check_read`/write logic, which asks
 //! `precedes` of every retained accessor at another position. So neither
 //! batching nor the short-circuit can change which addresses race — only
 //! how many times a repeated race is observed. The one thing that shapes
 //! the `(addr, kind)` set is the retention rule both paths share: a read
 //! at the writer's own position is not retained, so a later parallel
 //! writer reports `WriteWrite` against that writer and no `ReadWrite`
-//! beside it. Counters
-//! and race reports are tallied locally and folded into the shared state
-//! once per batch.
+//! beside it. Counters and race reports are tallied locally and folded
+//! into the shared state once per batch.
 
 use parking_lot::Mutex;
 
 use sfrd_reach::Pos;
-use sfrd_runtime::{AccessBatch, TaskHooks};
+use sfrd_runtime::{BatchedAccess, TaskHooks};
 use sfrd_shadow::{LocEntry, PageCursor, PagedHistory, ReaderPolicy};
 
 use crate::detectors::Mode;
 use crate::report::{Counters, MetricsSnapshot, Race, RaceCollector, RaceKind, RaceReport};
 
-/// What one batch (or one unbatched access) adds to the sink's shared
-/// state, kept in locals while the accesses replay and folded in with
-/// [`EventSink::fold`] afterwards: one atomic add per touched counter and
-/// at most one collector lock per batch instead of one of each per
-/// access.
+/// What one batch adds to the sink's shared state, kept in locals while
+/// the accesses run and folded in with [`EventSink::fold`] afterwards:
+/// one atomic add per touched counter and at most one collector lock per
+/// batch instead of one of each per access.
 #[derive(Default)]
 struct Tally {
     reads: u64,
@@ -366,54 +360,42 @@ impl<E: ReachEngine> TaskHooks for EventSink<E> {
     }
 
     #[inline]
-    fn on_read(&self, s: &mut E::Strand, addr: u64) {
-        let Some(history) = &self.history else { return };
-        let mut t = Tally::default();
-        let (pos, fut) = (E::pos(s), E::future_id(s));
-        self.read(&mut history.cursor(), addr, fut, pos, s, &mut t);
-        self.fold(t);
+    fn on_access(&self, s: &mut E::Strand, addr: u64, is_write: bool) {
+        self.on_access_batch(s, &[BatchedAccess { addr, is_write }], (0, 0));
     }
 
-    #[inline]
-    fn on_write(&self, s: &mut E::Strand, addr: u64) {
-        let Some(history) = &self.history else { return };
-        let mut t = Tally::default();
-        self.write(&mut history.cursor(), addr, E::pos(s), s, &mut t);
-        self.fold(t);
-    }
-
-    /// The batched hot path: replay in buffer order (per-address program
-    /// order for free, no sort) through one [`PageCursor`], so runs of
+    /// The hot path: run the entries in order (per-address program order
+    /// for free, no sort) through one [`PageCursor`], so runs of
     /// same-page addresses skip the directory walk; each access first
     /// tries the zero-store snapshot test, and only state-changing ones
     /// enter a slot's write section. No lock is taken on the mapped path,
     /// and the shared counters and the race collector are touched once,
     /// after the loop.
-    fn on_access_batch(&self, s: &mut E::Strand, batch: &mut AccessBatch) {
-        let Some(history) = &self.history else {
-            batch.discard();
-            return;
-        };
+    fn on_access_batch(
+        &self,
+        s: &mut E::Strand,
+        entries: &[BatchedAccess],
+        (filtered_reads, filtered_writes): (u64, u64),
+    ) {
+        let Some(history) = &self.history else { return };
         let pos = E::pos(s);
         let fut = E::future_id(s);
         // Write-combined repeats never reach this sink as entries, but they
         // are real instrumented accesses: fold them into the Fig. 3
         // counters so counts stay schedule- and filter-invariant.
-        let (filtered_reads, filtered_writes) = batch.take_filtered();
         let mut t = Tally {
             reads: filtered_reads,
             writes: filtered_writes,
             ..Tally::default()
         };
         let mut cur = history.cursor();
-        for a in batch.entries() {
+        for a in entries {
             if a.is_write {
                 self.write(&mut cur, a.addr, pos, s, &mut t);
             } else {
                 self.read(&mut cur, a.addr, fut, pos, s, &mut t);
             }
         }
-        batch.discard();
         self.fold(t);
     }
 }
@@ -428,7 +410,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::detectors::{FoDetector, MbDetector, SfDetector, SfEngine};
-    use sfrd_runtime::{Batched, BatchedAccess, Cx, Runtime};
+    use sfrd_runtime::{AccessBatch, Batched, Cx, Runtime};
     use std::sync::Arc;
 
     const X: u64 = 0x1000;
@@ -471,14 +453,14 @@ mod tests {
         let mut r = det.root();
         // A serial predecessor writes X, so reads of X have a writer to check.
         let mut w = det.on_spawn(&mut r);
-        det.on_write(&mut w, X);
+        det.on_access(&mut w, X, true);
         join(&det, &mut r, w);
 
         // Read-same-epoch: five reads at one position = one query, one
         // retained reader, four snapshot hits, five counted reads.
         let before = census(&det);
         for _ in 0..5 {
-            det.on_read(&mut r, X);
+            det.on_access(&mut r, X, false);
         }
         let after = census(&det);
         assert_eq!(after.0 - before.0, 1, "one precedes for five reads");
@@ -489,33 +471,33 @@ mod tests {
         // A reader from another strand becomes the last one: the next
         // read by `r` must take the section, and both are retained.
         let mut c = det.on_spawn(&mut r);
-        det.on_read(&mut c, X);
+        det.on_access(&mut c, X, false);
         let before = census(&det);
-        det.on_read(&mut c, X);
+        det.on_access(&mut c, X, false);
         assert_eq!(
             census(&det).1 - before.1,
             1,
             "the interloper repeats for free"
         );
         let before = census(&det);
-        det.on_read(&mut r, X);
+        det.on_access(&mut r, X, false);
         assert_eq!(
             census(&det).1,
             before.1,
             "a different last reader defeats it"
         );
         assert_eq!(entry(&det, X).1, 3);
-        det.on_read(&mut r, X);
+        det.on_access(&mut r, X, false);
         assert_eq!(census(&det).1 - before.1, 1);
         join(&det, &mut r, c);
 
         // A write sweeps and clears the readers. Read-by-current-writer:
         // the next read, at the writer's own position, is answered from
         // the snapshot — no query, nothing retained.
-        det.on_write(&mut r, X);
+        det.on_access(&mut r, X, true);
         assert_eq!(entry(&det, X), (2, 0));
         let before = census(&det);
-        det.on_read(&mut r, X);
+        det.on_access(&mut r, X, false);
         let after = census(&det);
         assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
         assert_eq!(entry(&det, X), (2, 0));
@@ -524,7 +506,7 @@ mod tests {
         // its own epoch with no reader and leaves it alone.
         let before = census(&det);
         for _ in 0..3 {
-            det.on_write(&mut r, X);
+            det.on_access(&mut r, X, true);
         }
         let after = census(&det);
         assert_eq!(after.1 - before.1, 3);
@@ -550,33 +532,33 @@ mod tests {
     fn current_writer_rule<E: ReachEngine>(det: EventSink<E>) {
         let mut r = det.root();
         let mut c = det.on_spawn(&mut r);
-        det.on_write(&mut c, X);
+        det.on_access(&mut c, X, true);
         let before = census(&det);
-        det.on_read(&mut c, X);
+        det.on_access(&mut c, X, false);
         let after = census(&det);
         assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
         assert_eq!(entry(&det, X), (1, 0), "no reader retained");
 
         // A reader at another position is recorded like any other, and
         // the writer's own reads go on hitting past it.
-        det.on_read(&mut r, X);
+        det.on_access(&mut r, X, false);
         assert_eq!(kinds(&det), vec![RaceKind::WriteRead]);
         let retained = entry(&det, X).1;
         assert_ne!(retained, 0, "the interloper is retained");
         let before = census(&det);
-        det.on_read(&mut c, X);
+        det.on_access(&mut c, X, false);
         assert_eq!(census(&det).1 - before.1, 1);
         assert_eq!(entry(&det, X), (1, retained));
         // The writer's next write finds a reader: the section sweeps it.
-        det.on_write(&mut c, X);
+        det.on_access(&mut c, X, true);
         assert_eq!(entry(&det, X), (2, 0));
         assert_eq!(kinds(&det), vec![RaceKind::WriteRead, RaceKind::ReadWrite]);
 
         // write → read → parallel write: the unretained read is covered
         // by the writer at the same position.
-        det.on_write(&mut c, Y);
-        det.on_read(&mut c, Y);
-        det.on_write(&mut r, Y);
+        det.on_access(&mut c, Y, true);
+        det.on_access(&mut c, Y, false);
+        det.on_access(&mut r, Y, true);
         let report = det.report();
         assert!(report.races.contains(&Race {
             addr: Y,
@@ -591,30 +573,30 @@ mod tests {
     /// writer's position after a child ran.
     fn current_writer_rule_depth_first<E: ReachEngine>(det: EventSink<E>) {
         let mut r = det.root();
-        det.on_write(&mut r, X);
+        det.on_access(&mut r, X, true);
         let before = census(&det);
-        det.on_read(&mut r, X);
+        det.on_access(&mut r, X, false);
         let after = census(&det);
         assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
         assert_eq!(entry(&det, X), (1, 0), "no reader retained");
 
         let mut c = det.on_spawn(&mut r);
-        det.on_read(&mut c, X);
-        det.on_write(&mut c, Y);
-        det.on_read(&mut c, Y);
+        det.on_access(&mut c, X, false);
+        det.on_access(&mut c, Y, true);
+        det.on_access(&mut c, Y, false);
         det.on_task_end(&mut c);
         det.on_task_return(&mut r, &mut c);
         assert_eq!(entry(&det, X), (1, 1), "the interloper is retained");
         assert_eq!(det.report().total_races, 0);
         // Returned but not synced: `c` is parallel to what `r` does now.
         let before = census(&det);
-        det.on_read(&mut r, X);
+        det.on_access(&mut r, X, false);
         assert_eq!(census(&det).1 - before.1, 1);
         assert_eq!(entry(&det, X), (1, 1));
-        det.on_write(&mut r, X);
+        det.on_access(&mut r, X, true);
         assert_eq!(entry(&det, X), (2, 0));
         assert_eq!(kinds(&det), vec![RaceKind::ReadWrite]);
-        det.on_write(&mut r, Y);
+        det.on_access(&mut r, Y, true);
         assert_eq!(kinds(&det), vec![RaceKind::ReadWrite, RaceKind::WriteWrite]);
     }
 
@@ -635,16 +617,16 @@ mod tests {
         let det = SfDetector::from_config(&full().policy(ReaderPolicy::PerFutureLR));
         let mut r = det.root();
         let mut w = det.on_spawn(&mut r);
-        det.on_write(&mut w, X);
+        det.on_access(&mut w, X, true);
         join(&det, &mut r, w);
         for _ in 0..5 {
-            det.on_read(&mut r, X);
+            det.on_access(&mut r, X, false);
         }
         let (queries, fast, reads, _, races) = census(&det);
         assert_eq!((queries, fast, reads, races), (5, 4, 5, 0));
         assert_eq!(entry(&det, X), (1, 2));
-        det.on_write(&mut r, X);
-        det.on_write(&mut r, X);
+        det.on_access(&mut r, X, true);
+        det.on_access(&mut r, X, true);
         assert_eq!(census(&det).1, 5, "write-same-epoch is policy-blind");
         assert_eq!(entry(&det, X), (2, 0));
     }
@@ -657,17 +639,14 @@ mod tests {
         let det = SfDetector::from_config(&full());
         let mut r = det.root();
         let mut w = det.on_spawn(&mut r);
-        det.on_write(&mut w, X);
+        det.on_access(&mut w, X, true);
         join(&det, &mut r, w);
 
-        let mut batch = AccessBatch::new(16);
         let read = BatchedAccess {
             addr: X,
             is_write: false,
         };
-        batch.reinject(&[read; 6], (3, 1));
-        det.on_access_batch(&mut r, &mut batch);
-        assert!(batch.is_empty());
+        det.on_access_batch(&mut r, &[read; 6], (3, 1));
         let (queries, fast, reads, writes, races) = census(&det);
         assert_eq!((queries, fast), (1, 5));
         assert_eq!(
@@ -686,20 +665,20 @@ mod tests {
     fn read_get_read_at_an_unchanged_position() {
         let det = SfDetector::from_config(&full());
         let mut r = det.root();
-        det.on_write(&mut r, Y);
+        det.on_access(&mut r, Y, true);
         let mut f = det.on_create(&mut r);
-        det.on_write(&mut f, X);
+        det.on_access(&mut f, X, true);
         det.on_task_end(&mut f);
         // The continuation is parallel to the future until the get.
-        det.on_read(&mut r, X);
-        det.on_read(&mut r, Y);
+        det.on_access(&mut r, X, false);
+        det.on_access(&mut r, Y, false);
         let pos = SfEngine::pos(&r);
         let before = census(&det);
         assert_eq!(before.4, 1, "X raced with the future's write");
         det.on_get(&mut r, &f);
         assert!(SfEngine::pos(&r) == pos, "get moved the position");
-        det.on_read(&mut r, X);
-        det.on_read(&mut r, Y);
+        det.on_access(&mut r, X, false);
+        det.on_access(&mut r, Y, false);
         let after = census(&det);
         assert_eq!(after.1 - before.1, 2, "both re-reads are same-epoch");
         assert_eq!(after.0, before.0, "no query re-asked");
@@ -720,9 +699,9 @@ mod tests {
         let det = SfDetector::from_config(&full());
         let mut r = det.root();
         let mut c = det.on_spawn(&mut r);
-        det.on_write(&mut c, X);
+        det.on_access(&mut c, X, true);
         for _ in 0..3 {
-            det.on_read(&mut r, X);
+            det.on_access(&mut r, X, false);
         }
         let report = det.report();
         assert_eq!(report.total_races, 1);
@@ -730,7 +709,7 @@ mod tests {
         assert_eq!(report.counts.reads, 3);
         // The child writes again (same position, but a reader is now
         // retained): the section runs and reports the other direction.
-        det.on_write(&mut c, X);
+        det.on_access(&mut c, X, true);
         let kinds: Vec<_> = det.report().races.iter().map(|r| r.kind).collect();
         assert_eq!(kinds, vec![RaceKind::WriteRead, RaceKind::ReadWrite]);
     }
@@ -744,11 +723,11 @@ mod tests {
         let mut readers = Vec::new();
         for _ in 0..64 {
             let mut c = det.on_spawn(&mut r);
-            det.on_read(&mut c, X);
+            det.on_access(&mut c, X, false);
             readers.push(c);
         }
         let mut w = det.on_spawn(&mut r);
-        det.on_write(&mut w, X);
+        det.on_access(&mut w, X, true);
         assert_eq!(det.collector.total(), 64);
         assert_eq!(det.collector.distinct().len(), 1);
         assert_eq!(det.collector.lock_ops(), 1);

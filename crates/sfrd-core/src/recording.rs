@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use sfrd_dag::{RecStrand, RecordedProgram, Recorder};
-use sfrd_runtime::{AccessBatch, TaskHooks};
+use sfrd_runtime::{BatchedAccess, TaskHooks};
 
 /// Hooks that record the executed SF-dag and access log.
 pub struct RecordingHooks {
@@ -68,19 +68,17 @@ impl TaskHooks for RecordingHooks {
     fn on_task_end(&self, s: &mut RecStrand) {
         self.rec.task_end(s);
     }
-    fn on_read(&self, s: &mut RecStrand, addr: u64) {
-        self.rec.access(s, addr, false);
-    }
-    fn on_write(&self, s: &mut RecStrand, addr: u64) {
-        self.rec.access(s, addr, true);
+    fn on_access(&self, s: &mut RecStrand, addr: u64, is_write: bool) {
+        self.rec.access(s, addr, is_write);
     }
     /// Every access of a batch is at the strand's current node, so the
     /// counts it write-combined away are credited there as weight:
     /// work/span from a batched run or journal equal an unbatched one's.
-    fn on_access_batch(&self, s: &mut RecStrand, batch: &mut AccessBatch) {
-        let (reads, writes) = batch.take_filtered();
-        self.rec.credit(s, reads + writes);
-        batch.replay(|addr, is_write| self.rec.access(s, addr, is_write));
+    fn on_access_batch(&self, s: &mut RecStrand, entries: &[BatchedAccess], filtered: (u64, u64)) {
+        self.rec.credit(s, filtered.0 + filtered.1);
+        for a in entries {
+            self.rec.access(s, a.addr, a.is_write);
+        }
     }
 }
 

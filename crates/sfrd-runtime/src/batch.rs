@@ -5,8 +5,9 @@
 //! acquisition per instrumented read/write. The batch pipeline attacks
 //! that volume from the runtime side: instead of handing every access to
 //! the detector immediately, [`Batched`] accumulates a strand's accesses
-//! in a per-strand [`AccessBatch`] and flushes them to the detector's
-//! [`TaskHooks::on_access_batch`] hook in one call
+//! in a per-strand buffer and hands them to the detector's
+//! [`TaskHooks::on_access_batch`] hook in one call, as a borrowed slice
+//! with the counts the filter dropped since the last call,
 //!
 //! * at every **strand boundary** (`spawn`/`create`/`sync`/`get`/task
 //!   end/task return) — the dag position is about to change, so pending
@@ -81,8 +82,8 @@ thread_local! {
     /// `(next, end)` of this thread's block of epochs.
     static EPOCHS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     /// Entry buffers of dropped batches, each empty with capacity at most
-    /// [`DEFAULT_BATCH_CAP`] (a buffer grown by [`AccessBatch::reinject`]
-    /// is freed, not retained sixteen times over). A construct-heavy
+    /// [`DEFAULT_BATCH_CAP`] (a larger one, from a batch made with a larger
+    /// cap, is freed, not retained sixteen times over). A construct-heavy
     /// program starts and ends a strand per few accesses, and an 8 KB
     /// `malloc` per strand is then most of what recording costs. Touched
     /// at strand birth and death only, never by `record`.
@@ -191,15 +192,8 @@ impl AccessBatch {
         true
     }
 
-    /// `(reads, writes)` write-combined away since the last flush,
-    /// consumed. Batch-aware sinks fold these into their access counters
-    /// so filtering stays invisible in program-characteristic counts.
-    pub fn take_filtered(&mut self) -> (u64, u64) {
-        std::mem::take(&mut self.pending_filtered)
-    }
-
-    /// Any filtered accesses not yet consumed by [`take_filtered`](Self::take_filtered)?
-    pub fn has_pending_filtered(&self) -> bool {
+    /// Any filtered accesses not yet delivered?
+    fn has_pending_filtered(&self) -> bool {
         self.pending_filtered != (0, 0)
     }
 
@@ -213,41 +207,8 @@ impl AccessBatch {
         self.entries.is_empty()
     }
 
-    /// The pending entries in program order, for a flush path that walks
-    /// them in place; it must [`discard`](Self::discard) them afterwards.
-    pub fn entries(&self) -> &[BatchedAccess] {
-        &self.entries
-    }
-
-    /// Drain the buffer through `f` in program order — the default
-    /// [`TaskHooks::on_access_batch`] replay. Filtered repeats are dropped
-    /// entirely (the legacy fast-path semantics), so the pending filtered
-    /// counts are discarded too.
-    pub fn replay(&mut self, mut f: impl FnMut(u64, bool)) {
-        self.pending_filtered = (0, 0);
-        for a in self.entries.drain(..) {
-            f(a.addr, a.is_write);
-        }
-    }
-
-    /// Re-inject recorded entries verbatim, bypassing the write-combining
-    /// filter — the journal-replay path. A recorded `Accesses` event holds
-    /// exactly the entries the *recording* run's filter admitted at one
-    /// dag position (plus the counts it combined away), so re-filtering
-    /// them here would double-drop; they are appended untouched and the
-    /// filtered counts restored for the sink's [`take_filtered`]
-    /// (`Self::take_filtered`) accounting.
-    pub fn reinject(&mut self, entries: &[BatchedAccess], (reads, writes): (u64, u64)) {
-        self.recorded += entries.len() as u64;
-        self.filtered += reads + writes;
-        self.pending_filtered.0 += reads;
-        self.pending_filtered.1 += writes;
-        self.entries.extend_from_slice(entries);
-    }
-
-    /// Drop pending entries: processed in place through
-    /// [`entries`](Self::entries), or never wanted (reach-only detectors).
-    pub fn discard(&mut self) {
+    /// Drop the pending entries and filtered counts, once delivered.
+    fn discard(&mut self) {
         self.pending_filtered = (0, 0);
         self.entries.clear();
     }
@@ -300,12 +261,12 @@ pub struct BatchStats {
 
 /// Wrap any detector so accesses flow through the batch pipeline.
 ///
-/// `Batched<H>` buffers `on_read`/`on_write` into the strand's
-/// [`AccessBatch`] and delivers them via `H`'s
+/// `Batched<H>` buffers `on_access` into the strand's [`AccessBatch`] and
+/// delivers the buffered entries, as a slice, via `H`'s
 /// [`TaskHooks::on_access_batch`] at strand boundaries and at the size
 /// cap. Detectors that don't override the batch hook get the default
-/// replay and behave exactly as if unwrapped (minus filtered repeats);
-/// detectors that do (sfrd-core's unified event sink) replay the whole
+/// loop and behave exactly as if unwrapped (minus filtered repeats);
+/// detectors that do (sfrd-core's unified event sink) run the whole
 /// batch through one shadow page cursor.
 pub struct Batched<H> {
     inner: H,
@@ -366,17 +327,16 @@ impl<H: TaskHooks> Batched<H> {
     #[inline]
     fn flush(&self, s: &mut BatchStrand<H::Strand>) {
         // Deliver when entries are pending, or when only filtered counts
-        // are (a cap flush drained the entries but repeats kept arriving) —
-        // the sink still needs those for its access counters.
+        // are (a cap flush delivered the entries but repeats kept
+        // arriving) — the sink still needs those for its access counters.
         if !s.batch.is_empty() || s.batch.has_pending_filtered() {
             if !s.batch.is_empty() {
                 self.counters.flushes.fetch_add(1, Ordering::Relaxed);
             }
-            self.inner.on_access_batch(&mut s.inner, &mut s.batch);
-            debug_assert!(
-                s.batch.is_empty() && !s.batch.has_pending_filtered(),
-                "on_access_batch must drain the batch"
-            );
+            let b = &mut s.batch;
+            self.inner
+                .on_access_batch(&mut s.inner, &b.entries, b.pending_filtered);
+            b.discard();
         }
     }
 
@@ -457,15 +417,8 @@ impl<H: TaskHooks> TaskHooks for Batched<H> {
     }
 
     #[inline]
-    fn on_read(&self, s: &mut Self::Strand, addr: u64) {
-        if s.batch.record(addr, false) && s.batch.len() >= self.cap {
-            self.flush(s);
-        }
-    }
-
-    #[inline]
-    fn on_write(&self, s: &mut Self::Strand, addr: u64) {
-        if s.batch.record(addr, true) && s.batch.len() >= self.cap {
+    fn on_access(&self, s: &mut Self::Strand, addr: u64, is_write: bool) {
+        if s.batch.record(addr, is_write) && s.batch.len() >= self.cap {
             self.flush(s);
         }
     }
@@ -484,11 +437,9 @@ mod tests {
         assert!(b.record(8, true), "first write kept after read");
         assert!(!b.record(8, true), "repeat write combined");
         assert!(!b.record(8, false), "read after write covered");
-        assert_eq!(b.len(), 2);
-        let mut seen = vec![];
-        b.replay(|a, w| seen.push((a, w)));
-        assert_eq!(seen, vec![(8, false), (8, true)], "program order kept");
-        assert!(b.is_empty());
+        let kinds: Vec<_> = b.entries.iter().map(|a| (a.addr, a.is_write)).collect();
+        assert_eq!(kinds, vec![(8, false), (8, true)], "program order kept");
+        assert_eq!(b.pending_filtered, (2, 1));
         assert_eq!(b.stats(), (2, 3));
     }
 
@@ -694,11 +645,9 @@ mod tests {
         fn on_task_end(&self, _: &mut ()) {
             self.0.lock().push("end".into());
         }
-        fn on_read(&self, _: &mut (), addr: u64) {
-            self.0.lock().push(format!("r{addr}"));
-        }
-        fn on_write(&self, _: &mut (), addr: u64) {
-            self.0.lock().push(format!("w{addr}"));
+        fn on_access(&self, _: &mut (), addr: u64, is_write: bool) {
+            let kind = if is_write { 'w' } else { 'r' };
+            self.0.lock().push(format!("{kind}{addr}"));
         }
     }
 
@@ -707,11 +656,11 @@ mod tests {
         let b = Batched::with_capacity(Log(Mutex::new(Vec::new())), 64);
         let mut s = b.root();
         // Whole-word addresses: bytes of one word share a way.
-        b.on_read(&mut s, 8);
-        b.on_write(&mut s, 16);
-        b.on_read(&mut s, 8); // combined
+        b.on_access(&mut s, 8, false);
+        b.on_access(&mut s, 16, true);
+        b.on_access(&mut s, 8, false); // combined
         let mut child = b.on_spawn(&mut s);
-        b.on_write(&mut child, 24);
+        b.on_access(&mut child, 24, true);
         b.on_task_end(&mut child);
         b.on_sync(&mut s, vec![child]);
         b.on_task_end(&mut s);
@@ -760,7 +709,7 @@ mod tests {
         assert_eq!(spares(), 0, "root strand runs on the 512-entry spare");
         assert!(s.batch.entries.capacity() >= DEFAULT_BATCH_CAP);
         for a in 0..5 {
-            b.on_write(&mut s, a);
+            b.on_access(&mut s, a, true);
         }
         assert_eq!(b.inner().0.lock().len(), 4, "flushed at 2 and at 4");
         assert_eq!(b.stats().flushes, 2);
@@ -776,7 +725,7 @@ mod tests {
             let children = (0..1000u64)
                 .map(|a| {
                     let mut c = b.on_spawn(&mut root);
-                    b.on_write(&mut c, a * 8);
+                    b.on_access(&mut c, a * 8, true);
                     b.on_task_end(&mut c);
                     c
                 })
@@ -787,16 +736,7 @@ mod tests {
         assert_eq!(b.stats().recorded, 10_000);
 
         drop(take_spares());
-        let mut big = AccessBatch::new(16);
-        let entries = vec![
-            BatchedAccess {
-                addr: 8,
-                is_write: false
-            };
-            4 * DEFAULT_BATCH_CAP
-        ];
-        big.reinject(&entries, (0, 0));
-        drop(big);
+        drop(AccessBatch::new(4 * DEFAULT_BATCH_CAP));
         assert_eq!(spares(), 0, "a grown buffer is not retained");
     }
 
@@ -839,11 +779,7 @@ mod tests {
                     op => {
                         // 24 addresses: repeats at one position are common.
                         let addr = self.next() % 24 * 8;
-                        if op & 1 == 0 {
-                            self.b.on_write(s, addr);
-                        } else {
-                            self.b.on_read(s, addr);
-                        }
+                        self.b.on_access(s, addr, op & 1 == 0);
                     }
                 }
                 (self.between)();
@@ -899,7 +835,7 @@ mod tests {
         let b = Batched::with_capacity(Log(Mutex::new(Vec::new())), 2);
         let mut s = b.root();
         for a in 0..5 {
-            b.on_write(&mut s, a);
+            b.on_access(&mut s, a, true);
         }
         // cap=2: addresses 0..3 must already be delivered.
         assert!(b.inner().0.lock().len() >= 4);

@@ -6,7 +6,12 @@
 //! interface: a detector implements it, and both the work-stealing and the
 //! sequential runtime call it at the corresponding events. `Strand` is the
 //! detector's per-task state (reachability position, `gp` table, ...),
-//! owned by the task and handed back at joins.
+//! owned by the task and handed back at joins. An access arrives alone
+//! ([`TaskHooks::on_access`]) or in a borrowed slice
+//! ([`TaskHooks::on_access_batch`]); a sink with a bulk path takes a
+//! single access as a batch of one.
+
+use crate::batch::BatchedAccess;
 
 /// Detector callbacks invoked by the runtimes.
 ///
@@ -19,7 +24,8 @@
 ///   final strand;
 /// * the sequential runtime additionally fires `on_task_return` right after
 ///   a child's `on_task_end`, in serial DFS order (SP-bags needs it);
-/// * `on_read`/`on_write` fire on the accessing task's strand.
+/// * `on_access` and `on_access_batch` fire on the accessing task's
+///   strand, every entry of a batch issued at its current dag position.
 pub trait TaskHooks: Sync + Send + 'static {
     /// Per-task detector state.
     type Strand: Send + 'static;
@@ -45,28 +51,26 @@ pub trait TaskHooks: Sync + Send + 'static {
     /// Sequential runtime only: child returned to `parent` in DFS order.
     fn on_task_return(&self, _parent: &mut Self::Strand, _child: &mut Self::Strand) {}
 
-    /// A shared-memory read at `addr`.
-    fn on_read(&self, _s: &mut Self::Strand, _addr: u64) {}
+    /// A shared-memory access at `addr`: a write if `is_write`, else a
+    /// read.
+    fn on_access(&self, _s: &mut Self::Strand, _addr: u64, _is_write: bool) {}
 
-    /// A shared-memory write at `addr`.
-    fn on_write(&self, _s: &mut Self::Strand, _addr: u64) {}
-
-    /// A batch of accesses, all issued at the strand's current dag
-    /// position, delivered by the [`Batched`](crate::batch::Batched)
-    /// pipeline at a strand boundary or size cap. Implementations must
-    /// drain the batch. The default replays each access through
-    /// [`on_read`](Self::on_read)/[`on_write`](Self::on_write), so
-    /// detectors that never heard of batching behave identically under
-    /// the pipeline; batch-aware detectors override this with a bulk path
-    /// (e.g. one shadow page cursor for the whole batch).
-    fn on_access_batch(&self, s: &mut Self::Strand, batch: &mut crate::batch::AccessBatch) {
-        batch.replay(|addr, is_write| {
-            if is_write {
-                self.on_write(s, addr);
-            } else {
-                self.on_read(s, addr);
-            }
-        });
+    /// Accesses in program order, all at the strand's current dag
+    /// position, from a [`Batched`](crate::batch::Batched) flush or a
+    /// journal replay. `filtered` is the `(reads, writes)` its
+    /// write-combining filter dropped as repeats since the last batch.
+    /// The default runs each entry through [`on_access`](Self::on_access)
+    /// and ignores `filtered`; a bulk sink overrides it (one shadow page
+    /// cursor per batch) and counts `filtered`.
+    fn on_access_batch(
+        &self,
+        s: &mut Self::Strand,
+        entries: &[BatchedAccess],
+        _filtered: (u64, u64),
+    ) {
+        for a in entries {
+            self.on_access(s, a.addr, a.is_write);
+        }
     }
 }
 
@@ -126,13 +130,18 @@ impl<A: TaskHooks, B: TaskHooks> TaskHooks for PairHooks<A, B> {
         self.0.on_task_return(&mut p.0, &mut c.0);
         self.1.on_task_return(&mut p.1, &mut c.1);
     }
-    fn on_read(&self, s: &mut Self::Strand, addr: u64) {
-        self.0.on_read(&mut s.0, addr);
-        self.1.on_read(&mut s.1, addr);
+    fn on_access(&self, s: &mut Self::Strand, addr: u64, is_write: bool) {
+        self.0.on_access(&mut s.0, addr, is_write);
+        self.1.on_access(&mut s.1, addr, is_write);
     }
-    fn on_write(&self, s: &mut Self::Strand, addr: u64) {
-        self.0.on_write(&mut s.0, addr);
-        self.1.on_write(&mut s.1, addr);
+    fn on_access_batch(
+        &self,
+        s: &mut Self::Strand,
+        entries: &[BatchedAccess],
+        filtered: (u64, u64),
+    ) {
+        self.0.on_access_batch(&mut s.0, entries, filtered);
+        self.1.on_access_batch(&mut s.1, entries, filtered);
     }
 }
 
@@ -175,13 +184,13 @@ pub trait Cx<'scope>: Sized {
     #[inline]
     fn record_read(&mut self, addr: u64) {
         let (h, s) = self.hook_access();
-        h.on_read(s, addr);
+        h.on_access(s, addr, false);
     }
 
     /// Report a shared write at `addr` to the detector.
     #[inline]
     fn record_write(&mut self, addr: u64) {
         let (h, s) = self.hook_access();
-        h.on_write(s, addr);
+        h.on_access(s, addr, true);
     }
 }

@@ -210,11 +210,9 @@ mod tests {
             fn on_sync(&self, _: &mut (), _: Vec<()>) {}
             fn on_get(&self, _: &mut (), _: &()) {}
             fn on_task_end(&self, _: &mut ()) {}
-            fn on_read(&self, _: &mut (), _: u64) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-            fn on_write(&self, _: &mut (), _: u64) {
-                self.1.fetch_add(1, Ordering::Relaxed);
+            fn on_access(&self, _: &mut (), _: u64, is_write: bool) {
+                let n = if is_write { &self.1 } else { &self.0 };
+                n.fetch_add(1, Ordering::Relaxed);
             }
         }
         let c = Counter::default();

@@ -226,7 +226,10 @@ fn decode_event(buf: &[u8], pos: &mut usize, next_id: &mut u32) -> Result<JEvent
             let filtered_writes = read_u64(buf, pos)?;
             let n = read_u32(buf, pos)? as usize;
             let bitmap_len = n.div_ceil(8);
-            if bitmap_len > buf.len() - *pos {
+            // Every entry takes at least one address byte besides its
+            // bitmap bit: checking both before `with_capacity` caps the
+            // entries' allocation at 16 times the frame, whatever `n` says.
+            if n + bitmap_len > buf.len() - *pos {
                 return Err(JournalError::Truncated);
             }
             let bitmap_at = *pos;

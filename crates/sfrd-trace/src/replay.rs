@@ -1,9 +1,12 @@
 //! Feed a decoded journal into any [`TaskHooks`] sink.
+//!
+//! Each recorded access batch reaches the sink as the borrowed slice it
+//! was decoded into, with its filtered counts: one
+//! [`TaskHooks::on_access_batch`] call per `Accesses` event, no copy.
 
 use std::io::Read;
 
-use sfrd_runtime::batch::DEFAULT_BATCH_CAP;
-use sfrd_runtime::{AccessBatch, TaskHooks};
+use sfrd_runtime::TaskHooks;
 
 use crate::format::JournalError;
 use crate::reader::{JEvent, JournalReader};
@@ -28,17 +31,16 @@ pub struct ReplayStats {
 ///
 /// The sink sees exactly the hook sequence the recording run's detector
 /// saw: boundary ordering is baked into the journal (the recording
-/// `Batched` wrapper flushed batches before each boundary event), entries
-/// re-enter through [`AccessBatch::reinject`] (no re-filtering — the
-/// journal already holds the filter-admitted stream), and strand state is
-/// kept per id until consumed by `Sync`/`Get`. Replay is single-threaded
-/// by construction; the journal's linearization makes that a legal
-/// schedule of the recorded dag.
+/// `Batched` wrapper flushed batches before each boundary event), each
+/// `Accesses` event's decoded entries and filtered counts go straight to
+/// [`TaskHooks::on_access_batch`] (no re-filtering — the journal already
+/// holds the filter-admitted stream), and strand state is kept per id
+/// until consumed by `Sync`/`Get`. Replay is single-threaded by
+/// construction; the journal's linearization makes that a legal schedule
+/// of the recorded dag.
 ///
 /// Per journal strand the replay holds the sink's own strand and nothing
-/// else: every `Accesses` event goes through one scratch [`AccessBatch`],
-/// so a frame of `Spawn` events costs what the sink's strands cost, not a
-/// batch buffer each.
+/// else, so a frame of `Spawn` events costs what the sink's strands cost.
 pub fn replay_journal<R: Read, H: TaskHooks>(
     reader: &mut JournalReader<R>,
     sink: &H,
@@ -58,7 +60,6 @@ pub fn replay_journal<R: Read, H: TaskHooks>(
     }
 
     let mut strands = vec![Some(sink.root())];
-    let mut scratch = AccessBatch::new(DEFAULT_BATCH_CAP);
     let mut stats = ReplayStats::default();
     while let Some(ev) = reader.next_event()? {
         stats.events += 1;
@@ -108,8 +109,7 @@ pub fn replay_journal<R: Read, H: TaskHooks>(
                 stats.accesses += entries.len() as u64;
                 stats.filtered += filtered_reads + filtered_writes;
                 let s = live(&mut strands, strand)?;
-                scratch.reinject(&entries, (filtered_reads, filtered_writes));
-                sink.on_access_batch(s, &mut scratch);
+                sink.on_access_batch(s, &entries, (filtered_reads, filtered_writes));
             }
         }
     }

@@ -4,7 +4,7 @@ use std::io::{self, Write};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sfrd_runtime::{AccessBatch, BatchedAccess, TaskHooks};
+use sfrd_runtime::{BatchedAccess, TaskHooks};
 
 use crate::format::{
     FRAME_END, FRAME_EVENTS, JOURNAL_MAGIC, JOURNAL_VERSION, OP_ACCESSES, OP_CREATE, OP_GET,
@@ -267,31 +267,11 @@ impl<W: Write + Send + 'static> TaskHooks for JournalHooks<W> {
         self.writer.lock().task_return(*parent, *child);
     }
 
-    fn on_read(&self, s: &mut u32, addr: u64) {
-        self.writer.lock().accesses(
-            *s,
-            (0, 0),
-            &[BatchedAccess {
-                addr,
-                is_write: false,
-            }],
-        );
+    fn on_access(&self, s: &mut u32, addr: u64, is_write: bool) {
+        self.on_access_batch(s, &[BatchedAccess { addr, is_write }], (0, 0));
     }
 
-    fn on_write(&self, s: &mut u32, addr: u64) {
-        self.writer.lock().accesses(
-            *s,
-            (0, 0),
-            &[BatchedAccess {
-                addr,
-                is_write: true,
-            }],
-        );
-    }
-
-    fn on_access_batch(&self, s: &mut u32, batch: &mut AccessBatch) {
-        let filtered = batch.take_filtered();
-        self.writer.lock().accesses(*s, filtered, batch.entries());
-        batch.discard();
+    fn on_access_batch(&self, s: &mut u32, entries: &[BatchedAccess], filtered: (u64, u64)) {
+        self.writer.lock().accesses(*s, filtered, entries);
     }
 }

@@ -14,6 +14,7 @@ use sfrd_core::{
     Workload,
 };
 use sfrd_dag::generator::{GenParams, GenProgram};
+use sfrd_runtime::hooks::PairHooks;
 use sfrd_runtime::{run_sequential, BatchStats, Batched, NullHooks, Runtime, TaskHooks};
 use sfrd_trace::{
     replay_journal, JEvent, JournalError, JournalHooks, JournalReader, JournalWriter, ReplayStats,
@@ -122,6 +123,11 @@ proptest! {
         prop_assert_eq!(&a.races, &b.races);
         prop_assert_eq!(&a.racy_addrs, &b.racy_addrs);
         prop_assert_eq!(a.counts, b.counts);
+        // Fig. 3 counts every instrumented access, filtered or not.
+        prop_assert_eq!(
+            a.counts.reads + a.counts.writes,
+            live_stats.recorded + live_stats.filtered
+        );
         prop_assert_eq!(a.reach_bytes, b.reach_bytes);
         prop_assert_eq!(a.history_bytes, b.history_bytes);
         prop_assert_eq!(a.metrics, b.metrics, "detector-side metrics must match exactly");
@@ -262,24 +268,24 @@ fn interleaved_siblings<H: TaskHooks>(h: &Batched<H>) {
     const OWN: u64 = 0x2_0000;
     let mut root = h.root();
     for i in 0..32 {
-        h.on_write(&mut root, SHARED + 8 * i);
+        h.on_access(&mut root, SHARED + 8 * i, true);
     }
     let mut a = h.on_spawn(&mut root);
     let mut b = h.on_spawn(&mut root);
     for i in 0..32 {
         // Both read what the root wrote (ordered: one query each) ...
-        h.on_read(&mut a, SHARED + 8 * i);
-        h.on_read(&mut b, SHARED + 8 * i);
+        h.on_access(&mut a, SHARED + 8 * i, false);
+        h.on_access(&mut b, SHARED + 8 * i, false);
         // ... `a` writes its own cells, and `b` writes every other one
         // of them too — the races.
-        h.on_write(&mut a, OWN + 8 * i);
-        h.on_write(&mut b, OWN + 16 * i);
+        h.on_access(&mut a, OWN + 8 * i, true);
+        h.on_access(&mut b, OWN + 16 * i, true);
     }
     h.on_task_end(&mut a);
     h.on_task_end(&mut b);
     h.on_sync(&mut root, vec![a, b]);
     for i in 0..32 {
-        h.on_read(&mut root, OWN + 8 * i);
+        h.on_access(&mut root, OWN + 8 * i, false);
     }
     h.on_task_end(&mut root);
 }
@@ -324,6 +330,37 @@ fn interleaved_split_batches_replay_to_live_counts() {
     assert_eq!(live.races, replayed.races);
     assert_eq!(live.total_races, replayed.total_races);
     assert_eq!(live.metrics, replayed.metrics);
+}
+
+/// A journal replayed into `PairHooks` reaches both halves whole, the
+/// filtered counts of each batch included: the detector half's counts and
+/// racy set and the recorder half's work and span equal the lone replays'.
+#[test]
+fn pair_hooks_replay_matches_lone_replays() {
+    let mut filtered = 0;
+    for seed in 0..8 {
+        let (bytes, stats) = record_seq(&gen_prog(seed), "pair");
+        filtered += stats.filtered;
+
+        let pair = PairHooks(
+            RecordingHooks::new(),
+            SfDetector::from_config(&EngineConfig::default()),
+        );
+        replay_into(&bytes, &pair);
+        let PairHooks(rec, det) = pair;
+        let lone_det = SfDetector::from_config(&EngineConfig::default());
+        replay_into(&bytes, &lone_det);
+        let lone_rec = RecordingHooks::new();
+        replay_into(&bytes, &lone_rec);
+
+        let (paired, lone) = (det.report(), lone_det.report());
+        assert_eq!(paired.counts, lone.counts, "seed {seed}");
+        assert_eq!(paired.racy_addrs, lone.racy_addrs, "seed {seed}");
+        let paired = RecordingHooks::finish(Arc::new(rec)).dag.work_span();
+        let lone = RecordingHooks::finish(Arc::new(lone_rec)).dag.work_span();
+        assert_eq!(paired, lone, "seed {seed}: (work, span)");
+    }
+    assert!(filtered > 0, "no batch carried filtered counts");
 }
 
 /// Unbatched recording (bare `JournalHooks`, one-entry access events)

@@ -128,12 +128,7 @@ impl<E: Observed> Probe<E> {
             .map(|(u, pos)| (u, node, engine.precedes(pos, strand)))
             .collect();
         self.log.lock().unwrap().verdicts.extend(verdicts);
-        let addr = addr * self.stride;
-        if write {
-            self.hooks.on_write(s, addr);
-        } else {
-            self.hooks.on_read(s, addr);
-        }
+        self.hooks.on_access(s, addr * self.stride, write);
     }
 }
 
@@ -161,11 +156,8 @@ impl<E: Observed> TaskHooks for Probe<E> {
     fn on_task_return(&self, p: &mut Strand<E>, c: &mut Strand<E>) {
         self.hooks.on_task_return(p, c)
     }
-    fn on_read(&self, s: &mut Strand<E>, addr: u64) {
-        self.access(s, addr, false)
-    }
-    fn on_write(&self, s: &mut Strand<E>, addr: u64) {
-        self.access(s, addr, true)
+    fn on_access(&self, s: &mut Strand<E>, addr: u64, is_write: bool) {
+        self.access(s, addr, is_write)
     }
 }
 

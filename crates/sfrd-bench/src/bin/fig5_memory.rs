@@ -10,10 +10,14 @@
 //! is charged in full. Next to it: the accesses the batch filter admitted
 //! to the shadow (`reads + writes − filtered`) and how many of them it
 //! answered from a validated snapshot (`shadow_fast_hits` — reads and
-//! writes both), since those are the accesses that retain nothing.
+//! writes both), since those are the accesses that retain nothing. The
+//! `filter/thread` column is the write-combining filter's table, which
+//! every thread carries as static TLS: no history, reach or heap figure
+//! includes it.
 
 use sfrd_bench::{run_bench, HarnessArgs, Table};
 use sfrd_core::{DetectorKind, DriveConfig, Mode};
+use sfrd_runtime::FILTER_BYTES;
 
 fn fmt_bytes(b: usize) -> String {
     if b >= 1 << 30 {
@@ -73,6 +77,7 @@ fn main() {
     let mut h = Table::new(&[
         "bench",
         "history",
+        "filter/thread",
         "admitted",
         "shadow_fast_hits",
         "hits/admitted",
@@ -88,6 +93,7 @@ fn main() {
         h.row(vec![
             name.clone(),
             fmt_bytes(rep.history_bytes),
+            fmt_bytes(FILTER_BYTES),
             admitted.to_string(),
             hits.to_string(),
             format!("{:.1}%", hits as f64 * 100.0 / admitted.max(1) as f64),

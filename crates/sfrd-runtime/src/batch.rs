@@ -37,6 +37,15 @@
 //! batch's epoch reads as an empty way, so strands that share a thread —
 //! nested in a blocked join, or one after another — can only evict each
 //! other's entries, never filter each other's accesses.
+//!
+//! The table has [`FILTER_WAYS`] = 16 384 ways, [`FILTER_BYTES`] = 256 KiB
+//! per thread: enough for the working set one strand re-reads between two
+//! boundaries on the benchmark's inputs. An sw block's 32 column prefixes
+//! stay live while its row prefixes stream through them, and a second
+//! pass over the block admits 2 % of its accesses at 16 384 ways against
+//! 42 % at 4 096. The table is static TLS, so every thread of the process
+//! carries it from birth, whether it records or not, and no heap census
+//! counts it.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,11 +62,15 @@ pub struct BatchedAccess {
 }
 
 /// log2 of the filter's ways.
-const WAY_BITS: u32 = 12;
+const WAY_BITS: u32 = 14;
 
-/// Ways of a thread's write-combining filter (direct-mapped): 4 096 ways
-/// of 16 bytes, 64 KB per thread.
+/// Ways of a thread's write-combining filter (direct-mapped): 16 384
+/// ways of 16 bytes, 256 KiB per thread.
 pub const FILTER_WAYS: usize = 1 << WAY_BITS;
+
+/// Bytes of one thread's filter: static TLS that every thread carries
+/// from its creation, outside any heap census.
+pub const FILTER_BYTES: usize = FILTER_WAYS * std::mem::size_of::<Cell<(u64, u64)>>();
 
 /// Default flush threshold for [`Batched`].
 pub const DEFAULT_BATCH_CAP: usize = 512;
@@ -464,7 +477,7 @@ mod tests {
         let b_addr = (1..)
             .map(|k| A + 8 * k)
             .find(|&b| way(b) == way(A))
-            .expect("4 096 ways");
+            .expect("finitely many ways");
         let mut b = AccessBatch::new(16);
         assert!(b.record(A, true));
         assert!(b.record(b_addr, false), "evicts A");
@@ -474,22 +487,55 @@ mod tests {
         assert_eq!(b.stats(), (3, 2));
     }
 
-    /// A fixed address stream in the two shapes the gated workloads have —
-    /// a three-point stencil over rows of cells (sw, mm) and a two-run
-    /// merge (sort) — with cap flushes and a boundary per row block, as
-    /// `Batched` issues them. The counts are those of today's `way`: a
-    /// change to the hash, the way count or the eviction rule shows here
-    /// as a diff rather than as a benchmark's hit ratio drifting.
-    #[test]
-    fn a_fixed_stream_pins_the_filter() {
-        fn cell(array: u64, i: u64) -> u64 {
-            0x7f3a_5c00_1000 + (array << 20) + 8 * i
+    /// Address of word `i` of one of a few disjoint arrays.
+    fn cell(array: u64, i: u64) -> u64 {
+        0x7f3a_5c00_1000 + (array << 20) + 8 * i
+    }
+
+    /// Record as `Batched` does, a cap flush delivering (here: dropping)
+    /// the entries and keeping the position.
+    fn record(b: &mut AccessBatch, addr: u64, is_write: bool) {
+        if b.record(addr, is_write) && b.len() >= DEFAULT_BATCH_CAP {
+            b.discard();
         }
-        fn record(b: &mut AccessBatch, addr: u64, is_write: bool) {
-            if b.record(addr, is_write) && b.len() >= DEFAULT_BATCH_CAP {
-                b.discard();
+    }
+
+    /// Side of the benchmark's sw table (n = 192, so 193 × 193 cells).
+    const SW_SIDE: u64 = 193;
+    /// First row and column of sw's last and largest 32 × 32 block.
+    const SW_LAST_BLOCK: u64 = 161;
+
+    /// The accesses of sw's last block, in program order and all at one
+    /// dag position (the block is one future's body): per cell the
+    /// diagonal read, the row prefix, the stride-193 column prefix and
+    /// the write.
+    fn sw_block(b: &mut AccessBatch) {
+        let at = |i: u64, j: u64| cell(3, i * SW_SIDE + j);
+        for i in SW_LAST_BLOCK..SW_SIDE {
+            for j in SW_LAST_BLOCK..SW_SIDE {
+                record(b, at(i - 1, j - 1), false);
+                for k in 0..j {
+                    record(b, at(i, k), false);
+                }
+                for k in 0..i {
+                    record(b, at(k, j), false);
+                }
+                record(b, at(i, j), true);
             }
         }
+    }
+
+    /// A fixed address stream in the three shapes the gated workloads
+    /// have — a three-point stencil over rows of cells (mm), a two-run
+    /// merge (sort) and an sw block's row and column prefixes — with cap
+    /// flushes and a boundary per row block, as `Batched` issues them.
+    /// The counts are those of today's `way` and way count: a change to
+    /// the hash, the way count or the eviction rule shows here as a diff
+    /// rather than as a benchmark's hit ratio drifting. The stencil and
+    /// the merge count the same at 4 096 ways as at 16 384; only the sw
+    /// block tells the two apart ((154 642, 208 878) at 4 096).
+    #[test]
+    fn a_fixed_stream_pins_the_filter() {
         let mut b = AccessBatch::new(DEFAULT_BATCH_CAP);
         const COLS: u64 = 192;
         for row in 1..32 {
@@ -520,8 +566,36 @@ mod tests {
             }
             record(&mut b, cell(2, i + j - 1), true);
         }
+        let merge = b.stats();
+        assert_eq!((merge.0 - stencil.0, merge.1 - stencil.1), (4_059, 2_028));
+
+        b.discard();
+        b.clear_filter();
+        sw_block(&mut b);
         let (recorded, filtered) = b.stats();
-        assert_eq!((recorded - stencil.0, filtered - stencil.1), (4_059, 2_028));
+        assert_eq!((recorded - merge.0, filtered - merge.1), (16_360, 347_160));
+    }
+
+    /// sw's largest block reads about 11 Ki distinct words — 32 row
+    /// prefixes and 32 stride-193 column prefixes — over and over at one
+    /// dag position. Run it, then run it again at the same position: the
+    /// filter must hold the block's working set, so that at least 95 % of
+    /// the second pass is combined away rather than sent on to the shadow
+    /// store and the journal. What must stay live across the block is the
+    /// 6 Ki words of column prefixes (a row prefix is reused only along
+    /// its row), and 4 096 ways cannot hold them.
+    #[test]
+    fn the_filter_holds_an_sw_blocks_working_set() {
+        let mut b = AccessBatch::new(DEFAULT_BATCH_CAP);
+        sw_block(&mut b);
+        let first = b.stats();
+        sw_block(&mut b);
+        let (recorded, filtered) = b.stats();
+        let (admitted, combined) = (recorded - first.0, filtered - first.1);
+        assert!(
+            combined >= 19 * admitted,
+            "second pass: {admitted} admitted, {combined} combined away"
+        );
     }
 
     /// A private filter, one per strand, cleared by `fill` at every
@@ -575,14 +649,15 @@ mod tests {
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for step in 0..200_000u32 {
             xorshift(&mut x);
-            if x.is_multiple_of(97) {
+            if x.is_multiple_of(997) {
                 b.clear_filter();
                 reference.clear();
             }
-            // 1 Ki words scattered over the address space, about 220 of
-            // them in shared ways (1 Ki consecutive words would all get a
-            // way of their own).
-            let word = ((x >> 8) % 1024).wrapping_mul(0xd6e8_feb8_6659_fd93) >> 19;
+            // 16 Ki words scattered over the address space, and a boundary
+            // every ~1 000 accesses: about 5 % of accesses find another
+            // word in their way and about 4 % repeat. (1 Ki scattered
+            // words never shared a way at 16 384 ways.)
+            let word = ((x >> 8) % 16_384).wrapping_mul(0xd6e8_feb8_6659_fd93) >> 19;
             let (addr, is_write) = (word * 8, x & 1 == 0);
             assert_eq!(
                 b.record(addr, is_write),
@@ -591,7 +666,13 @@ mod tests {
             );
             b.discard();
         }
-        assert!(reference.evictions > 0, "no way was ever shared");
+        let (_, filtered) = b.stats();
+        assert!(
+            reference.evictions >= 10_000,
+            "only {} evictions",
+            reference.evictions
+        );
+        assert!(filtered >= 5_000, "only {filtered} repeats filtered");
     }
 
     /// Three strands' batches recording on one thread, interleaved, over

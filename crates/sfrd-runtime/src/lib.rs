@@ -43,7 +43,9 @@ pub mod parallel;
 pub mod sequential;
 pub mod sync;
 
-pub use batch::{AccessBatch, BatchStats, BatchStrand, Batched, BatchedAccess, FILTER_WAYS};
+pub use batch::{
+    AccessBatch, BatchStats, BatchStrand, Batched, BatchedAccess, FILTER_BYTES, FILTER_WAYS,
+};
 pub use hooks::{Cx, NullHooks, TaskHooks};
 pub use parallel::{FutureHandle, ParCtx, PoolStats, Runtime};
 pub use sequential::{run_sequential, SeqCtx, SeqHandle};

@@ -18,7 +18,7 @@ use sfrd::core::{
     drive, DetectorKind, DriveConfig, GenWorkload, Mode, ReaderPolicy, ShadowArray, Workload,
 };
 use sfrd::dag::generator::{GenParams, GenProgram};
-use sfrd::runtime::{Cx, NullHooks, Runtime};
+use sfrd::runtime::{Cx, NullHooks, Runtime, FILTER_WAYS};
 use sfrd::workloads::{make_bench, Scale};
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -143,8 +143,10 @@ fn race_free_clean_and_counts_invariant() {
 /// no shadow lock is ever taken — and the zero-store snapshot paths must
 /// actually fire where repeats outlive the write-combining filter: same-
 /// epoch repeats under the default policy, the LR no-op test under the
-/// retained-reader one. On hw the filter absorbs every repeat, so the
-/// snapshot paths are checked on sw and sort.
+/// retained-reader one. On hw and sw the filter absorbs every repeat at
+/// Small, so the snapshot paths are checked on sort here and on a strand
+/// that outgrows the filter in
+/// `snapshot_paths_fire_when_a_strand_outgrows_the_filter`.
 #[test]
 fn paged_backend_cuts_lock_ops() {
     for bench in ["sw", "hw", "sort"] {
@@ -157,12 +159,60 @@ fn paged_backend_cuts_lock_ops() {
                 rep.metrics.lock_ops, 0,
                 "{bench} {policy:?}: shadow path locked"
             );
-            if bench != "hw" {
+            if bench == "sort" {
                 assert!(
                     rep.metrics.shadow_fast_hits > 0,
                     "{bench} {policy:?}: zero-store snapshot path never hit"
                 );
             }
+        }
+    }
+}
+
+/// One strand writes, then twice reads, twice as many cells as a thread's
+/// filter has ways, all at one dag position: the filter cannot hold them,
+/// so the repeats reach the shadow store.
+struct Retouch {
+    cells: ShadowArray<u64>,
+}
+
+impl Workload for Retouch {
+    fn run<'s, C: Cx<'s>>(&'s self, ctx: &mut C) {
+        for i in 0..self.cells.len() {
+            self.cells.write(ctx, i, i as u64);
+        }
+        for _ in 0..2 {
+            for i in 0..self.cells.len() {
+                self.cells.read(ctx, i);
+            }
+        }
+    }
+}
+
+/// The snapshot-path coverage for repeats the filter cannot absorb: a
+/// strand that re-touches more words at one position than the filter has
+/// ways sends them to the shadow store, where every one is a zero-store
+/// hit (read-by-current-writer under either policy) and none locks.
+#[test]
+fn snapshot_paths_fire_when_a_strand_outgrows_the_filter() {
+    let w = Retouch {
+        cells: ShadowArray::new(2 * FILTER_WAYS),
+    };
+    for workers in [1, 4] {
+        let cfg = DriveConfig::with(DetectorKind::SfOrder, Mode::Full, workers);
+        for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
+            let rep = drive(&w, cfg.policy(policy)).report.unwrap();
+            assert_eq!(rep.total_races, 0);
+            assert_eq!(rep.metrics.lock_ops, 0, "{policy:?}: shadow path locked");
+            let repeats = rep.metrics.batched_accesses - w.cells.len() as u64;
+            assert!(
+                repeats > FILTER_WAYS as u64,
+                "{policy:?}: the filter absorbed the repeats"
+            );
+            assert_eq!(
+                rep.metrics.shadow_fast_hits, repeats,
+                "{workers}w {policy:?}: an admitted repeat missed the snapshot path"
+            );
         }
     }
 }

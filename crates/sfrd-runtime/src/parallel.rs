@@ -29,28 +29,176 @@
 //! Scoped soundness: [`Runtime::run`] does not return until the global
 //! pending-job count reaches zero — including *escaping futures* that
 //! outlive their creating task — so task closures may safely borrow from
-//! the caller's stack (`'env`). Internally job boxes erase that lifetime;
-//! the quiescence barrier is what makes the erasure sound. The scope owner
-//! waits for quiescence on a mutex/condvar pair of its own
+//! the caller's stack (`'env`). Internally deque entries erase that
+//! lifetime, and every task's context holds the scope's hooks by plain
+//! reference; the quiescence barrier is what makes both sound. The scope
+//! owner waits for quiescence on a mutex/condvar pair of its own
 //! (`Shared::quiesce`), signalled by the one completion that takes
 //! `pending` from 1 to 0: it runs no jobs, so it must not be where a
 //! push-path wakeup can land.
+//!
+//! A task is one allocation and takes no lock: a `Task` block holds its
+//! body, a claim flag, a completion flag and its output, shared by the
+//! deque entry and the one reader of the output (the parent's children
+//! list, the future's handle, or the scope owner for the root).
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crossbeam_utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 
 use crate::chase_lev::{Steal, Stealer, Worker};
 use crate::hooks::{Cx, TaskHooks};
+use crate::sync::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering, UnsafeCell};
 
-/// A ready task. Lifetime-erased; see module docs.
-type Job<H> = Box<dyn FnOnce(&WorkerCore<H>) + Send>;
+/// What a deque entry does with its task block: run the body unless a
+/// `get` claimed it first.
+trait Runnable<H: TaskHooks>: Send + Sync {
+    fn run(&self, core: &WorkerCore<H>);
+}
+
+/// A ready task: one reference to its block. Lifetime-erased; see module
+/// docs.
+type Job<H> = Arc<dyn Runnable<H>>;
 
 /// A ready task still carrying its scope lifetime (pre-erasure).
-type ScopedJob<'scope, H> = Box<dyn FnOnce(&WorkerCore<H>) + Send + 'scope>;
+type ScopedJob<'scope, H> = Arc<dyn Runnable<H> + 'scope>;
+
+/// A task's body until it runs, its output after: the block holds the
+/// larger of the two, not both.
+enum Slot<F, O> {
+    Body(F),
+    Out(O),
+    Taken,
+}
+
+/// The output side of a [`Slot`], whatever its body.
+trait Output {
+    type Out;
+    /// Move the output out.
+    fn take_out(&mut self) -> Self::Out;
+}
+
+/// A [`Slot`] whose body takes an `A`.
+trait Stage<A>: Output {
+    /// Run the body on `arg` and keep its output in its place.
+    fn run(&mut self, arg: A);
+}
+
+impl<F, O> Output for Slot<F, O> {
+    type Out = O;
+
+    fn take_out(&mut self) -> O {
+        match std::mem::replace(self, Slot::Taken) {
+            Slot::Out(out) => out,
+            _ => panic!("task output taken once, after its body ran"),
+        }
+    }
+}
+
+impl<A, F: FnOnce(A) -> O, O> Stage<A> for Slot<F, O> {
+    #[inline]
+    fn run(&mut self, arg: A) {
+        // A panicking body leaves `Taken` behind, and unwinding drops what
+        // it captured.
+        let Slot::Body(body) = std::mem::replace(self, Slot::Taken) else {
+            panic!("a task body runs once");
+        };
+        *self = Slot::Out(body(arg));
+    }
+}
+
+/// One task, one allocation: its claim and completion flags and its
+/// [`Slot`].
+///
+/// Two write-once publications, neither with a lock:
+/// * **claim** — `claimed.swap(true)` picks the body's one caller: the
+///   deque entry or, for a future, the `get` that runs it in place (W2);
+/// * **completion** — the caller leaves the output in the slot, then
+///   stores `done` with Release; the output's one reader takes it only
+///   after an Acquire load of `done` reads true.
+struct Task<S: ?Sized> {
+    claimed: AtomicBool,
+    done: AtomicBool,
+    slot: UnsafeCell<S>,
+}
+
+// SAFETY: the slot is touched by the one call whose claim swap read
+// `false`, on whichever thread made it, and then by the output's one
+// reader after its Acquire load of `done` read what that call stored with
+// Release: the two accesses are ordered, and the body and the output cross
+// threads once each (`S: Send`). The flags are atomics.
+unsafe impl<S: ?Sized + Send> Sync for Task<S> {}
+
+/// A task block seen through its slot's trait, whatever closure it holds:
+/// what the output's reader holds.
+type TaskRef<'scope, H, O> =
+    Arc<Task<dyn for<'c> Stage<&'c WorkerCore<H>, Out = O> + Send + 'scope>>;
+
+impl<F, O> Task<Slot<F, O>> {
+    fn new(body: F) -> Arc<Self> {
+        Arc::new(Self {
+            claimed: AtomicBool::new(false),
+            done: AtomicBool::new(false),
+            slot: UnsafeCell::new(Slot::Body(body)),
+        })
+    }
+}
+
+impl<S: ?Sized> Task<S> {
+    /// Claim and run the body with `arg` unless someone already has;
+    /// whether this call ran it.
+    fn run_if_unclaimed<A>(&self, arg: A) -> bool
+    where
+        S: Stage<A>,
+    {
+        // The claim publishes nothing: the body was in place before the
+        // block was shared, and a losing caller never touches the slot.
+        if self.claimed.swap(true, Ordering::Relaxed) {
+            return false;
+        }
+        // SAFETY: the swap read `false` in this call and in no other, and
+        // the reader waits for the store below.
+        unsafe { (*self.slot.get()).run(arg) };
+        self.done.store(true, Ordering::Release);
+        true
+    }
+
+    /// Whether the body has run and its output is in place (Acquire:
+    /// pairs with the Release store in [`Task::run_if_unclaimed`]).
+    #[inline]
+    fn is_done(&self) -> bool {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// The body's output.
+    ///
+    /// # Safety
+    /// The caller is the output's one reader: the parent's children list,
+    /// the future's handle, or the scope owner for the root.
+    unsafe fn take_out(&self) -> S::Out
+    where
+        S: Output,
+    {
+        assert!(self.is_done(), "task output read before its completion");
+        // SAFETY: `done` read true with Acquire, so the body's call and its
+        // write of the output happened before this; the caller is the one
+        // reader.
+        unsafe { (*self.slot.get()).take_out() }
+    }
+}
+
+impl<H: TaskHooks, F, O> Runnable<H> for Task<Slot<F, O>>
+where
+    F: FnOnce(&WorkerCore<H>) -> O + Send,
+    O: Send,
+{
+    fn run(&self, core: &WorkerCore<H>) {
+        self.run_if_unclaimed(core);
+    }
+}
 
 /// One sleeping place: the threads inside [`Shared::park_wait`] on it, and
 /// an epoch bumped under the lock by every notification.
@@ -132,8 +280,9 @@ struct Shared<H: TaskHooks> {
     shutdown: AtomicBool,
     panicked: AtomicBool,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Tasks executed (lifetime of the pool).
-    tasks_run: AtomicU64,
+    /// Tasks executed over the pool's lifetime, one counter per worker,
+    /// written only by that worker.
+    tasks_run: Box<[CachePadded<AtomicU64>]>,
     /// Tasks obtained by stealing (the root slot or a sibling deque).
     steals: AtomicU64,
     /// Steal attempts that lost a CAS race and had to retry.
@@ -179,12 +328,16 @@ impl<H: TaskHooks> Shared<H> {
         found
     }
 
+    /// Keep the first panic's payload. It is stored before `panicked` is
+    /// raised, so the "sibling task panicked" of a frame that saw the flag
+    /// can never take its place.
     fn record_panic(&self, payload: Box<dyn std::any::Any + Send>) {
-        self.panicked.store(true, Ordering::Release);
         let mut slot = self.panic.lock();
         if slot.is_none() {
             *slot = Some(payload);
         }
+        drop(slot);
+        self.panicked.store(true, Ordering::Release);
     }
 }
 
@@ -242,8 +395,11 @@ impl<H: TaskHooks> WorkerCore<H> {
 
     /// Run one job with panic capture and completion bookkeeping.
     fn run_job(&self, job: Job<H>) {
-        self.shared.tasks_run.fetch_add(1, Ordering::Relaxed);
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| job(self))) {
+        let tasks_run = &self.shared.tasks_run[self.index];
+        tasks_run.store(tasks_run.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        // The entry's reference drops inside the catch: when it is the last
+        // one, an escaping future's result drops with the block.
+        if let Err(p) = catch_unwind(AssertUnwindSafe(move || job.run(self))) {
             self.shared.record_panic(p);
         }
         if self.shared.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -299,53 +455,14 @@ fn worker_loop<H: TaskHooks>(core: WorkerCore<H>) {
     }
 }
 
-/// Completion slot for a spawned child: final detector strand.
-struct SpawnSlot<S> {
-    done: AtomicBool,
-    strand: Mutex<Option<S>>,
-}
-
-/// A future's body: runs the task, returns its value and final strand.
-type FutBody<'scope, T, H> =
-    Box<dyn FnOnce(&WorkerCore<H>) -> (T, <H as TaskHooks>::Strand) + Send + 'scope>;
-
-/// Completion slot for a future: its body until someone claims it, then
-/// value + final detector strand.
-struct FutSlot<'scope, T, H: TaskHooks> {
-    /// Taken exactly once: by the future's deque entry, or by the `get`
-    /// that finds it still here and runs it in place (the entry is then a
-    /// no-op).
-    body: Mutex<Option<FutBody<'scope, T, H>>>,
-    done: AtomicBool,
-    payload: Mutex<Option<(T, H::Strand)>>,
-}
-
-impl<T, H: TaskHooks> FutSlot<'_, T, H> {
-    /// Claim and run the body on `core` unless someone already has;
-    /// whether this call ran it.
-    fn run_if_unclaimed(&self, core: &WorkerCore<H>) -> bool {
-        let Some(body) = self.body.lock().take() else {
-            return false;
-        };
-        let out = body(core);
-        *self.payload.lock() = Some(out);
-        self.done.store(true, Ordering::Release);
-        true
-    }
-}
-
 /// Single-touch handle to a created future. `get` consumes it — the
 /// structured-future restriction (a) holds by construction; restriction (b)
 /// holds because the handle value itself only flows along dag edges out of
 /// the create continuation (Rust ownership; no aliasing).
 pub struct FutureHandle<'scope, T, H: TaskHooks> {
-    slot: Arc<FutSlot<'scope, T, H>>,
+    task: TaskRef<'scope, H, (T, H::Strand)>,
     _scope: PhantomData<fn(&'scope ()) -> &'scope ()>,
 }
-
-// SAFETY: the handle is only a reference to the slot; the body, T and the
-// strand move across threads exactly once each.
-unsafe impl<T: Send, H: TaskHooks> Send for FutureHandle<'_, T, H> {}
 
 /// Per-task execution context of the parallel runtime.
 pub struct ParCtx<'scope, H: TaskHooks> {
@@ -353,14 +470,18 @@ pub struct ParCtx<'scope, H: TaskHooks> {
     /// The worker's deque `bottom` when this task started: entries at or
     /// above it were pushed by this task or by tasks run on top of it.
     floor: isize,
-    hooks: Arc<H>,
+    /// The scope's hooks. [`Runtime::run`] holds their `Arc` until the
+    /// scope has quiesced, so the reference outlives every task.
+    hooks: &'scope H,
     strand: H::Strand,
-    children: Vec<Arc<SpawnSlot<H::Strand>>>,
+    /// Children spawned since the last sync; the list keeps its capacity
+    /// across syncs.
+    children: Vec<TaskRef<'scope, H, H::Strand>>,
     _scope: PhantomData<fn(&'scope ()) -> &'scope ()>,
 }
 
 impl<'scope, H: TaskHooks> ParCtx<'scope, H> {
-    fn new(core: &WorkerCore<H>, hooks: Arc<H>, strand: H::Strand) -> Self {
+    fn new(core: &WorkerCore<H>, hooks: &'scope H, strand: H::Strand) -> Self {
         Self {
             core,
             floor: core.local.bottom(),
@@ -388,8 +509,11 @@ impl<'scope, H: TaskHooks> ParCtx<'scope, H> {
     }
 }
 
-/// Erase the scope lifetime from a job box. Sound because `Runtime::run`
-/// blocks until every job has completed (see module docs).
+/// Erase the scope lifetime from a deque entry.
+///
+/// # Safety
+/// The entry must belong to a scope of [`Runtime::run`], which blocks until
+/// every job has completed (see module docs).
 unsafe fn erase_job<'scope, H: TaskHooks>(job: ScopedJob<'scope, H>) -> Job<H> {
     unsafe { std::mem::transmute(job) }
 }
@@ -403,32 +527,30 @@ impl<'scope, H: TaskHooks> Cx<'scope> for ParCtx<'scope, H> {
         F: FnOnce(&mut Self) + Send + 'scope,
     {
         let child_strand = self.hooks.on_spawn(&mut self.strand);
-        let slot = Arc::new(SpawnSlot {
-            done: AtomicBool::new(false),
-            strand: Mutex::new(None),
-        });
-        self.children.push(Arc::clone(&slot));
-        let hooks = Arc::clone(&self.hooks);
-        let job: ScopedJob<'scope, H> = Box::new(move |core| {
+        let hooks = self.hooks;
+        let task = Task::new(move |core: &WorkerCore<H>| {
             let mut ctx = ParCtx::new(core, hooks, child_strand);
             f(&mut ctx);
-            let strand = ctx.finish_task();
-            *slot.strand.lock() = Some(strand);
-            slot.done.store(true, Ordering::Release);
+            ctx.finish_task()
         });
-        self.core().push(unsafe { erase_job(job) });
+        let entry: ScopedJob<'scope, H> = task.clone();
+        // SAFETY: this task runs inside a `Runtime::run` scope.
+        self.core().push(unsafe { erase_job(entry) });
+        self.children.push(task);
     }
 
     fn sync(&mut self) {
-        let children = std::mem::take(&mut self.children);
+        let children = &self.children;
         self.core().help_until(
             self.floor,
-            || children.iter().all(|c| c.done.load(Ordering::Acquire)),
+            || children.iter().all(|c| c.is_done()),
             || false,
         );
-        let strands = children
-            .iter()
-            .map(|c| c.strand.lock().take().expect("child strand missing"))
+        // SAFETY: the children list is each child's one reader.
+        let strands = self
+            .children
+            .drain(..)
+            .map(|c| unsafe { c.take_out() })
             .collect();
         self.hooks.on_sync(&mut self.strand, strands);
     }
@@ -439,48 +561,39 @@ impl<'scope, H: TaskHooks> Cx<'scope> for ParCtx<'scope, H> {
         F: FnOnce(&mut Self) -> T + Send + 'scope,
     {
         let child_strand = self.hooks.on_create(&mut self.strand);
-        let hooks = Arc::clone(&self.hooks);
-        let body: FutBody<'scope, T, H> = Box::new(move |core| {
+        let hooks = self.hooks;
+        let task = Task::new(move |core: &WorkerCore<H>| {
             let mut ctx = ParCtx::new(core, hooks, child_strand);
             let value = f(&mut ctx);
             (value, ctx.finish_task())
         });
-        let slot = Arc::new(FutSlot {
-            body: Mutex::new(Some(body)),
-            done: AtomicBool::new(false),
-            payload: Mutex::new(None),
-        });
-        let job_slot = Arc::clone(&slot);
-        let job: ScopedJob<'scope, H> = Box::new(move |core| {
-            job_slot.run_if_unclaimed(core);
-        });
-        self.core().push(unsafe { erase_job(job) });
+        let entry: ScopedJob<'scope, H> = task.clone();
+        // SAFETY: this task runs inside a `Runtime::run` scope.
+        self.core().push(unsafe { erase_job(entry) });
         FutureHandle {
-            slot,
+            task,
             _scope: PhantomData,
         }
     }
 
     fn get<T: Send + 'scope>(&mut self, h: Self::Handle<T>) -> T {
         let core = self.core();
+        let task = &h.task;
         core.help_until(
             self.floor,
-            || h.slot.done.load(Ordering::Acquire),
-            || h.slot.run_if_unclaimed(core),
+            || task.is_done(),
+            || task.run_if_unclaimed(core),
         );
-        let (value, done_strand) = h
-            .slot
-            .payload
-            .lock()
-            .take()
-            .expect("future payload missing");
+        // SAFETY: `get` consumes the single-touch handle, the future's one
+        // reader.
+        let (value, done_strand) = unsafe { task.take_out() };
         self.hooks.on_get(&mut self.strand, &done_strand);
         value
     }
 
     #[inline]
     fn hook_access(&mut self) -> (&H, &mut H::Strand) {
-        (&self.hooks, &mut self.strand)
+        (self.hooks, &mut self.strand)
     }
 }
 
@@ -512,6 +625,9 @@ impl<H: TaskHooks> Runtime<H> {
     /// Spin up `workers` worker threads (`P` in the paper's bounds).
     pub fn new(workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
+        let tasks_run = (0..workers)
+            .map(|_| CachePadded::new(AtomicU64::new(0)))
+            .collect();
         let locals: Vec<Worker<Job<H>>> = (0..workers).map(|_| Worker::new()).collect();
         let stealers = locals.iter().map(Worker::stealer).collect();
         let shared = Arc::new(Shared {
@@ -526,7 +642,7 @@ impl<H: TaskHooks> Runtime<H> {
             shutdown: AtomicBool::new(false),
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
-            tasks_run: AtomicU64::new(0),
+            tasks_run,
             steals: AtomicU64::new(0),
             steal_retries: AtomicU64::new(0),
             parks: AtomicU64::new(0),
@@ -563,7 +679,12 @@ impl<H: TaskHooks> Runtime<H> {
     /// Scheduler statistics over the pool's lifetime.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            tasks_run: self.shared.tasks_run.load(Ordering::Relaxed),
+            tasks_run: self
+                .shared
+                .tasks_run
+                .iter()
+                .map(|n| n.load(Ordering::Relaxed))
+                .sum(),
             steals: self.shared.steals.load(Ordering::Relaxed),
             steal_retries: self.shared.steal_retries.load(Ordering::Relaxed),
             parks: self.shared.parks.load(Ordering::Relaxed),
@@ -586,21 +707,22 @@ impl<H: TaskHooks> Runtime<H> {
         self.shared.panicked.store(false, Ordering::Release);
         *self.shared.panic.lock() = None;
 
-        let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
         let root_strand = hooks.root();
-        {
-            let result = Arc::clone(&result);
-            let job: ScopedJob<'env, H> = Box::new(move |core| {
-                let mut ctx = ParCtx::new(core, hooks, root_strand);
-                let out = f(&mut ctx);
-                ctx.finish_task();
-                *result.lock() = Some(out);
-            });
-            self.shared.pending.fetch_add(1, Ordering::SeqCst);
-            *self.shared.root.lock() = Some(unsafe { erase_job(job) });
-            self.shared.root_ready.store(true, Ordering::Release);
-            self.shared.idle.notify_one();
-        }
+        // SAFETY: `hooks` lives until this call returns, after the
+        // quiescence barrier below: no task holds the reference by then.
+        let hooks_ref: &'env H = unsafe { &*Arc::as_ptr(&hooks) };
+        let root = Task::new(move |core: &WorkerCore<H>| {
+            let mut ctx = ParCtx::new(core, hooks_ref, root_strand);
+            let out = f(&mut ctx);
+            ctx.finish_task();
+            out
+        });
+        let entry: ScopedJob<'env, H> = root.clone();
+        self.shared.pending.fetch_add(1, Ordering::SeqCst);
+        // SAFETY: this call returns only after the quiescence barrier.
+        *self.shared.root.lock() = Some(unsafe { erase_job(entry) });
+        self.shared.root_ready.store(true, Ordering::Release);
+        self.shared.idle.notify_one();
         // Quiescence barrier, on the owner's own channel: the job that
         // takes `pending` to zero locks `quiesce` before it signals, so it
         // either finds us asleep or we see the zero here. No timed polling.
@@ -613,8 +735,8 @@ impl<H: TaskHooks> Runtime<H> {
         if let Some(p) = self.shared.panic.lock().take() {
             std::panic::resume_unwind(p);
         }
-        let out = result.lock().take().expect("root task produced no result");
-        out
+        // SAFETY: the scope owner is the root's one reader.
+        unsafe { root.take_out() }
     }
 }
 
@@ -725,29 +847,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_count_tasks() {
-        let rt = rt(2);
-        rt.run(Arc::new(NullHooks), |ctx| {
-            for _ in 0..10 {
-                ctx.spawn(|_| {});
-            }
-            ctx.sync();
-        });
-        let s = rt.stats();
-        // Root + 10 spawns.
-        assert_eq!(s.tasks_run, 11);
-        // The root job is taken from the root slot, which counts as a steal.
-        assert!(s.steals >= 1);
-    }
-
-    /// One worker never sleeps while it has work, and the scope owner is
-    /// not on the workers' eventcount: 11 001 micro-tasks cost the worker
-    /// its start-up park, the wakeup by the root job, and the park after
-    /// the scope — not a futex round trip per push and per completion.
-    #[test]
-    fn one_worker_micro_tasks_never_wake_the_owner() {
-        let rt = rt(1);
+    /// 1 000 futures of 10 empty children each: 11 001 tasks with the root.
+    fn micro_tasks(rt: &Runtime<NullHooks>) {
         let total = rt.run(Arc::new(NullHooks), |ctx| {
             let mut total = 0u64;
             for i in 0..1000u64 {
@@ -763,6 +864,39 @@ mod tests {
             total
         });
         assert_eq!(total, (0..1000).sum());
+    }
+
+    /// `tasks_run` is the sum of per-worker counters, each written only by
+    /// its worker: exact at any width.
+    #[test]
+    fn stats_count_tasks() {
+        for workers in [2, 4] {
+            let rt = rt(workers);
+            rt.run(Arc::new(NullHooks), |ctx| {
+                for _ in 0..10 {
+                    ctx.spawn(|_| {});
+                }
+                ctx.sync();
+            });
+            let s = rt.stats();
+            // Root + 10 spawns.
+            assert_eq!(s.tasks_run, 11, "workers={workers}");
+            // The root job is taken from the root slot, which counts as a steal.
+            assert!(s.steals >= 1);
+        }
+        let rt = rt(4);
+        micro_tasks(&rt);
+        assert_eq!(rt.stats().tasks_run, 11_001);
+    }
+
+    /// One worker never sleeps while it has work, and the scope owner is
+    /// not on the workers' eventcount: 11 001 micro-tasks cost the worker
+    /// its start-up park, the wakeup by the root job, and the park after
+    /// the scope — not a futex round trip per push and per completion.
+    #[test]
+    fn one_worker_micro_tasks_never_wake_the_owner() {
+        let rt = rt(1);
+        micro_tasks(&rt);
         let s = rt.stats();
         assert_eq!(s.tasks_run, 11_001);
         assert!(s.parks <= 2 && s.wakeups <= 1, "{s:?}");
@@ -848,5 +982,80 @@ mod tests {
         let rt = rt(2);
         let out = rt.run(Arc::new(NullHooks), |ctx| nest(ctx, 200));
         assert_eq!(out, 200);
+    }
+}
+
+/// The task block's two publications under the model checker
+/// (`--cfg sfrd_model`), explored on the real block without a pool: the
+/// body's argument is `()` in place of a worker.
+#[cfg(all(test, sfrd_model))]
+mod model_tests {
+    use super::*;
+    use crate::model::{self, Config, Report};
+    use crate::sync::spin_loop;
+
+    fn cfg() -> Config {
+        Config {
+            schedules: 1200,
+            ..Config::default()
+        }
+    }
+
+    fn assert_explored_lock_free(report: Report) {
+        assert!(
+            report.schedules >= 1000,
+            "acceptance floor: >=1000 schedules"
+        );
+        assert_eq!(report.lock_ops, 0, "a task's publications take no lock");
+    }
+
+    /// A child completes on a second thread while its parent polls `done`
+    /// (`sync`'s predicate): the parent always takes the child's strand.
+    #[test]
+    fn model_a_parent_always_takes_its_childs_strand() {
+        let report = model::explore(cfg(), || {
+            let task = Task::new(|(): ()| vec![7u64]);
+            let entry = Arc::clone(&task);
+            let child = model::spawn(move || {
+                entry.run_if_unclaimed(());
+            });
+            while !task.is_done() {
+                spin_loop();
+            }
+            // SAFETY: this thread is the block's one reader.
+            assert_eq!(unsafe { task.take_out() }, vec![7]);
+            child.join();
+        });
+        assert_explored_lock_free(report);
+    }
+
+    /// A future's deque entry races its `get` for the claim (the getter in
+    /// `help_until`'s order: check `done`, else try to run the body in
+    /// place, else wait): the body runs exactly once (W2), and the getter
+    /// always reads its output.
+    #[test]
+    fn model_a_futures_body_runs_once_whoever_claims_it() {
+        let report = model::explore(cfg(), || {
+            let runs = Arc::new(AtomicUsize::new(0));
+            let body_runs = Arc::clone(&runs);
+            let task = Task::new(move |(): ()| {
+                body_runs.fetch_add(1, Ordering::SeqCst);
+                vec![42u64]
+            });
+            let entry = Arc::clone(&task);
+            let deque_entry = model::spawn(move || {
+                entry.run_if_unclaimed(());
+            });
+            while !task.is_done() {
+                if !task.run_if_unclaimed(()) {
+                    spin_loop();
+                }
+            }
+            // SAFETY: this thread is the block's one reader.
+            assert_eq!(unsafe { task.take_out() }, vec![42]);
+            deque_entry.join();
+            assert_eq!(runs.load(Ordering::SeqCst), 1, "W2: the body ran once");
+        });
+        assert_explored_lock_free(report);
     }
 }

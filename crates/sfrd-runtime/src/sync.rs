@@ -224,6 +224,31 @@ impl<T> AtomicPtr<T> {
     }
 }
 
+/// Facade over [`std::cell::UnsafeCell`] for data a flag publishes.
+///
+/// [`UnsafeCell::get`] is a scheduling point under the model checker, so
+/// an explored schedule can run another thread between a flag's store and
+/// a write it should have published, and a reader that trusts the flag
+/// sees the hole.
+#[repr(transparent)]
+pub struct UnsafeCell<T: ?Sized>(std::cell::UnsafeCell<T>);
+
+impl<T> UnsafeCell<T> {
+    /// New cell holding `v`.
+    pub const fn new(v: T) -> Self {
+        Self(std::cell::UnsafeCell::new(v))
+    }
+}
+
+impl<T: ?Sized> UnsafeCell<T> {
+    /// Raw pointer to the contents; the caller upholds the aliasing rules.
+    #[inline]
+    pub fn get(&self) -> *mut T {
+        yield_point();
+        self.0.get()
+    }
+}
+
 /// Memory fence; a scheduling point under the model checker.
 #[inline]
 pub fn fence(o: Ordering) {

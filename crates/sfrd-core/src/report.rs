@@ -207,13 +207,13 @@ pub struct MetricsSnapshot {
     pub set_allocs: u64,
     /// Scheduler: tasks executed by the work-stealing pool.
     pub sched_tasks_run: u64,
-    /// Scheduler: tasks obtained by stealing (root slot or sibling deque).
+    /// Scheduler: tasks taken from a sibling deque.
     pub sched_steals: u64,
     /// Scheduler: steal attempts that lost a CAS race and retried.
     pub sched_steal_retries: u64,
-    /// Scheduler: times a pool thread slept on the eventcount.
+    /// Scheduler: times a worker slept on an eventcount.
     pub sched_parks: u64,
-    /// Scheduler: times a sleeping pool thread was woken.
+    /// Scheduler: times a sleeping worker was woken.
     pub sched_wakeups: u64,
 }
 

@@ -3,8 +3,8 @@
 //! The classic algorithm (Chase & Lev, SPAA '05) with the C11 memory
 //! orderings of Lê, Pop, Cohen & Petri (PPoPP '13): the owner pushes and
 //! pops at `bottom` fence-free except on the last-element race, where owner
-//! and thieves arbitrate with a sequentially-consistent CAS on `top`;
-//! thieves take from the `top` (FIFO) end. All atomics go through the
+//! and stealers arbitrate with a sequentially-consistent CAS on `top`;
+//! stealers take from the `top` (FIFO) end. All atomics go through the
 //! [`crate::sync`] facade, so the same code is driven through thousands of
 //! interleavings by the `cfg(sfrd_model)` model checker (see
 //! `tests/model_deque.rs`), checking the WorkStealing.tla invariants: no
@@ -14,24 +14,23 @@
 //!
 //! # Buffer reclamation
 //!
-//! When the owner grows the buffer it cannot free the old one immediately: a
-//! thief may hold a pointer into it between loading `buf` and reading the
-//! slot. Instead of a full epoch GC we use a quiescence counter: thieves
-//! announce themselves in `thieves` (fetch_add SeqCst) *before* loading the
-//! buffer pointer and retreat after the CAS; the owner retires old buffers
-//! to a local list and frees them only after `fence(SeqCst); thieves == 0`.
-//! The SeqCst pairing is a Dekker-style handshake: either the thief's
-//! announcement is visible to the owner (buffer not freed), or the owner's
-//! `buf` store is visible to the thief (it reads the new buffer). Retired
-//! buffers are owner-private, so the list needs no synchronization; all are
-//! freed on drop.
+//! When the owner grows the buffer it cannot free the old one: a thief may
+//! hold a pointer into it between loading `buf` and reading the slot. So it
+//! frees none before the deque drops. A grown-out buffer goes on the
+//! owner's private `retired` list, which needs no synchronization, and a
+//! thief may read a stale buffer's slot safely: the slot still holds the
+//! copy the owner made, and the CAS on `top` decides whether that copy is
+//! the thief's. Each buffer doubles the one before it, so the retired
+//! buffers together are smaller than the live one: keeping them at most
+//! doubles the deque's footprint, and a steal needs no protocol beyond its
+//! CAS.
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 
-use crate::sync::{fence, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
+use crate::sync::{fence, AtomicIsize, AtomicPtr, Ordering};
 
 /// Outcome of a steal attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,9 +88,8 @@ struct Inner<T> {
     bottom: AtomicIsize,
     top: AtomicIsize,
     buf: AtomicPtr<Buffer<T>>,
-    /// Thief presence counter for quiescence-based buffer reclamation.
-    thieves: AtomicUsize,
-    /// Retired buffers; owner-only (the single `Worker`), hence UnsafeCell.
+    /// Grown-out buffers, freed on drop; owner-only (the single `Worker`),
+    /// hence UnsafeCell.
     retired: UnsafeCell<Vec<*mut Buffer<T>>>,
 }
 
@@ -161,7 +159,6 @@ impl<T> Worker<T> {
                 bottom: AtomicIsize::new(0),
                 top: AtomicIsize::new(0),
                 buf: AtomicPtr::new(Buffer::alloc(cap)),
-                thieves: AtomicUsize::new(0),
                 retired: UnsafeCell::new(Vec::new()),
             }),
             _not_sync: PhantomData,
@@ -189,7 +186,7 @@ impl<T> Worker<T> {
 
     /// Push onto the owner (hot) end. Never blocks; grows the buffer when
     /// full. The `Release` store on `bottom` publishes the slot write to
-    /// thieves (paired with their `Acquire` load of `bottom`).
+    /// stealers (paired with their `Acquire` load of `bottom`).
     pub fn push(&self, v: T) {
         let inner = &*self.inner;
         let b = inner.bottom.load(Ordering::Relaxed);
@@ -205,7 +202,7 @@ impl<T> Worker<T> {
     }
 
     /// Pop from the owner (hot) end, LIFO. Fence-free except for the single
-    /// SeqCst fence arbitrating the last-element race with thieves, plus the
+    /// SeqCst fence arbitrating the last-element race with stealers, plus the
     /// SeqCst CAS on `top` when exactly one element remains.
     pub fn pop(&self) -> Option<T> {
         let inner = &*self.inner;
@@ -218,7 +215,7 @@ impl<T> Worker<T> {
         fence(Ordering::SeqCst);
         let t = inner.top.load(Ordering::Relaxed);
         if t <= b {
-            // Non-empty. The slot read is safe: thieves never touch index b
+            // Non-empty. The slot read is safe: stealers never touch index b
             // while top <= b, and the CAS below arbitrates the t == b case.
             let v = unsafe { (*buf).read(b) };
             if t == b {
@@ -262,8 +259,8 @@ impl<T> Worker<T> {
         self.pop()
     }
 
-    /// Double the buffer, copying live slots `t..b`; retire the old buffer
-    /// and opportunistically free retired buffers once no thief is present.
+    /// Double the buffer, copying live slots `t..b`, and retire the old
+    /// one until the deque drops (see the module docs).
     unsafe fn grow(&self, b: isize, t: isize) -> *mut Buffer<T> {
         let inner = &*self.inner;
         let old = inner.buf.load(Ordering::Relaxed);
@@ -273,25 +270,7 @@ impl<T> Worker<T> {
         }
         inner.buf.store(new, Ordering::Release);
         (*inner.retired.get()).push(old);
-        self.reclaim_retired();
         new
-    }
-
-    /// Free retired buffers if no thief is inside the read window.
-    ///
-    /// Dekker handshake with `Stealer::steal`: the thief does
-    /// `thieves.fetch_add (SeqCst); fence(SeqCst); load buf`; we do
-    /// `buf.store; fence(SeqCst); load thieves`. If we read `thieves == 0`,
-    /// every concurrent thief's subsequent `buf` load sees the new buffer,
-    /// so nothing can still reference a retired one.
-    unsafe fn reclaim_retired(&self) {
-        let inner = &*self.inner;
-        fence(Ordering::SeqCst);
-        if inner.thieves.load(Ordering::SeqCst) == 0 {
-            for p in (*inner.retired.get()).drain(..) {
-                drop(Box::from_raw(p));
-            }
-        }
     }
 }
 
@@ -321,9 +300,9 @@ impl<T> Stealer<T> {
         if t >= b {
             return Steal::Empty;
         }
-        // Announce before touching the buffer (reclamation handshake).
-        inner.thieves.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
+        // Acquire pairs with `grow`'s Release store: a new buffer is seen
+        // with its copied slots. A stale one is still allocated (retired
+        // buffers live until the deque drops).
         let buf = inner.buf.load(Ordering::Acquire);
         // Speculative read: only valid to *use* if the CAS wins; a lost CAS
         // discards the MaybeUninit copy without dropping T.
@@ -332,7 +311,6 @@ impl<T> Stealer<T> {
             .top
             .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
             .is_ok();
-        inner.thieves.fetch_sub(1, Ordering::SeqCst);
         if won {
             Steal::Success(unsafe { v.assume_init() })
         } else {
@@ -452,7 +430,7 @@ mod tests {
         done.store(true, std::sync::atomic::Ordering::Release);
         loop {
             // Drain anything pushed-back nothing more is pushed; just let
-            // thieves observe Empty and exit.
+            // stealers observe Empty and exit.
             if w.is_empty() {
                 break;
             }

@@ -1,7 +1,7 @@
 //! The work-stealing parallel runtime.
 //!
 //! Stands in for the paper's extended Cilk-F runtime (DESIGN.md §7): a
-//! fixed pool of workers with per-worker LIFO deques (the in-crate
+//! fixed pool of P workers with per-worker LIFO deques (the in-crate
 //! lock-free [`crate::chase_lev`] deque), child-stealing (`spawn`/`create`
 //! push the child; the continuation keeps running), and joins that run
 //! only work that cannot wait on the blocked frame. *A task runs on top of
@@ -9,44 +9,44 @@
 //! current point*: a task blocked at `sync`/`get` pops entries of its own
 //! deque pushed since the frame started (its own children and futures, and
 //! theirs), and a `get` also runs the awaited future's body if nobody has
-//! claimed it yet. Anything else — a steal, the root slot, an older entry
-//! of its own deque — could `get` the frame it would stand on, so the
-//! blocked frame parks instead until a completion wakes it (DESIGN.md §10).
+//! claimed it yet. Anything else — a steal or an older entry of its own
+//! deque — could `get` the frame it would stand on, so the blocked frame
+//! parks instead until a completion wakes it (DESIGN.md §10).
+//!
+//! The thread inside [`Runtime::run`] is worker 0 for the scope: it runs
+//! the root inline on worker 0's deque and, once the root returns, works as
+//! an idle worker until the scope drains. The pool starts the other
+//! P − 1 threads.
 //!
 //! The scheduler hot path (push/pop/steal) performs **zero mutex
 //! acquisitions**: local deques are Chase-Lev, and sleeping is an eventcount
 //! (announce → epoch snapshot → rescan → sleep-if-unchanged) whose mutex is
 //! touched only when a worker actually runs out of work. Idle workers and
 //! blocked joins sleep on two eventcounts: a push wakes one idle worker, a
-//! completion wakes the joins. The one job that
-//! does not start on a deque, a scope's root, waits in a one-element slot
-//! (`Shared::root`) whose mutex is locked to fill it and to take it, once
-//! each per scope. Only idle pool threads
-//! — threads that can claim any job — ever count as parked on `idle`, so a
-//! push's `notify_one` is a fence and a load unless a worker really is
-//! asleep, and a one-worker run makes no futex call per task.
+//! completion wakes the joins. Only threads with no frame — threads that
+//! can claim any job — ever count as parked on `idle`, so a push's
+//! `notify_one` is a fence and a load unless a worker really is asleep,
+//! and a one-worker run makes no futex call at all.
 //!
 //! Scoped soundness: [`Runtime::run`] does not return until the global
 //! pending-job count reaches zero — including *escaping futures* that
 //! outlive their creating task — so task closures may safely borrow from
 //! the caller's stack (`'env`). Internally deque entries erase that
 //! lifetime, and every task's context holds the scope's hooks by plain
-//! reference; the quiescence barrier is what makes both sound. The scope
-//! owner waits for quiescence on a mutex/condvar pair of its own
-//! (`Shared::quiesce`), signalled by the one completion that takes
-//! `pending` from 1 to 0: it runs no jobs, so it must not be where a
-//! push-path wakeup can land.
+//! reference; the end-of-scope barrier is what makes both sound. The root
+//! holds one pending count while it runs, so the count reaches zero once
+//! per scope, and the completion that takes it there wakes `idle`, where
+//! the caller sleeps if its root returned before the scope drained.
 //!
 //! A task is one allocation and takes no lock: a `Task` block holds its
 //! body, a claim flag, a completion flag and its output, shared by the
 //! deque entry and the one reader of the output (the parent's children
-//! list, the future's handle, or the scope owner for the root).
+//! list or the future's handle).
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crossbeam_utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 
 use crate::chase_lev::{Steal, Stealer, Worker};
@@ -176,8 +176,8 @@ impl<S: ?Sized> Task<S> {
     /// The body's output.
     ///
     /// # Safety
-    /// The caller is the output's one reader: the parent's children list,
-    /// the future's handle, or the scope owner for the root.
+    /// The caller is the output's one reader: the parent's children list
+    /// or the future's handle.
     unsafe fn take_out(&self) -> S::Out
     where
         S: Output,
@@ -252,42 +252,39 @@ impl EventCount {
     }
 }
 
-/// State shared by all workers and the scope owner.
+/// A per-worker counter on a 128-byte block of its own, so one worker's
+/// writes never invalidate the line another worker writes (128: adjacent
+/// cache lines are prefetched in pairs).
+#[repr(align(128))]
+struct Padded(AtomicU64);
+
+/// State shared by all workers, worker 0 being the caller of
+/// [`Runtime::run`].
 struct Shared<H: TaskHooks> {
-    /// The scope's root job. [`Runtime::run`] is its only producer, once
-    /// per scope, and `run_guard` admits one scope at a time: one element
-    /// needs no queue.
-    root: Mutex<Option<Job<H>>>,
-    /// Set once `root` is filled, cleared by the worker that takes it:
-    /// what a worker reads (one load) after a local-pop miss.
-    root_ready: AtomicBool,
     stealers: Box<[Stealer<Job<H>>]>,
-    /// Jobs pushed but not yet finished (queued + running).
+    /// Jobs pushed but not yet finished (queued + running), plus one for
+    /// a scope's root while it runs.
     pending: AtomicUsize,
-    /// Where workers with no frame sleep (never the scope owner: every
-    /// thread counted here can claim any job). A push wakes one.
+    /// Where workers with no frame sleep: pool threads between jobs, and
+    /// the caller once its root has returned. Every thread counted here
+    /// can claim any job. A push wakes one; the completion that takes
+    /// `pending` to zero wakes all, the caller among them.
     idle: EventCount,
     /// Where frames blocked at `sync`/`get` sleep. They can run none of
     /// the jobs a push offers, so only a completion wakes them, all of
     /// them (each may wait on a different child or future).
     joins: EventCount,
-    /// The scope owner's wait channel. [`WorkerCore::run_job`] signals it
-    /// when `pending` goes 1 → 0 (decrement, lock, notify) and
-    /// [`Runtime::run`] re-checks `pending` under the lock before every
-    /// wait, so the final wakeup cannot fall between check and sleep.
-    quiesce: Mutex<()>,
-    quiesce_cv: Condvar,
     shutdown: AtomicBool,
     panicked: AtomicBool,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Tasks executed over the pool's lifetime, one counter per worker,
     /// written only by that worker.
-    tasks_run: Box<[CachePadded<AtomicU64>]>,
-    /// Tasks obtained by stealing (the root slot or a sibling deque).
+    tasks_run: Box<[Padded]>,
+    /// Tasks taken from a sibling deque.
     steals: AtomicU64,
     /// Steal attempts that lost a CAS race and had to retry.
     steal_retries: AtomicU64,
-    /// Times a pool thread went to sleep in [`Shared::park_wait`].
+    /// Times a worker went to sleep in [`Shared::park_wait`].
     parks: AtomicU64,
     /// Times a sleeping thread was woken.
     wakeups: AtomicU64,
@@ -305,7 +302,8 @@ impl<H: TaskHooks> Shared<H> {
     /// call either changes the epoch (we skip the sleep) or is ordered
     /// before the announce (the rescan/cancel observes the work). Sleeps
     /// are therefore untimed — no periodic-poll wakeups burn idle CPUs, and
-    /// shutdown needs exactly one broadcast (see `Drop for Runtime`).
+    /// shutdown, a pool thread's `cancel`, needs exactly one broadcast (see
+    /// `Drop for Runtime`).
     fn park_wait<T>(
         &self,
         ec: &EventCount,
@@ -316,7 +314,7 @@ impl<H: TaskHooks> Shared<H> {
         fence(Ordering::SeqCst);
         let e1 = *ec.epoch.lock();
         let found = rescan();
-        if found.is_none() && !cancel() && !self.shutdown.load(Ordering::Acquire) {
+        if found.is_none() && !cancel() {
             let mut e = ec.epoch.lock();
             if *e == e1 {
                 self.parks.fetch_add(1, Ordering::Relaxed);
@@ -339,6 +337,14 @@ impl<H: TaskHooks> Shared<H> {
         drop(slot);
         self.panicked.store(true, Ordering::Release);
     }
+
+    /// Drop one `pending` count. The one that takes it to zero ends the
+    /// scope: it wakes `idle`, where the caller may sleep.
+    fn release_pending(&self) {
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.idle.notify_all();
+        }
+    }
 }
 
 /// A worker's execution engine: its deque plus the shared state.
@@ -349,21 +355,10 @@ pub struct WorkerCore<H: TaskHooks> {
 }
 
 impl<H: TaskHooks> WorkerCore<H> {
-    /// Local pop, then the root slot, then round-robin steal. Lock-free
-    /// except the once-per-scope root take.
+    /// Local pop, then round-robin steal. Lock-free.
     fn find_job(&self) -> Option<Job<H>> {
         if let Some(j) = self.local.pop() {
             return Some(j);
-        }
-        if self.shared.root_ready.load(Ordering::Acquire) {
-            let mut root = self.shared.root.lock();
-            if let Some(j) = root.take() {
-                // Cleared before the job runs, so before the next scope —
-                // which starts after this one quiesces — can set it again.
-                self.shared.root_ready.store(false, Ordering::Relaxed);
-                self.shared.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(j);
-            }
         }
         let n = self.shared.stealers.len();
         for k in 1..=n {
@@ -393,21 +388,37 @@ impl<H: TaskHooks> WorkerCore<H> {
         self.shared.idle.notify_one();
     }
 
+    /// Run `task` as one of this worker's tasks: count it, and keep a
+    /// panic for [`Runtime::run`] to re-raise.
+    fn run_task<T>(&self, task: impl FnOnce() -> T) -> Option<T> {
+        let tasks_run = &self.shared.tasks_run[self.index].0;
+        tasks_run.store(tasks_run.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        catch_unwind(AssertUnwindSafe(task))
+            .map_err(|p| self.shared.record_panic(p))
+            .ok()
+    }
+
     /// Run one job with panic capture and completion bookkeeping.
     fn run_job(&self, job: Job<H>) {
-        let tasks_run = &self.shared.tasks_run[self.index];
-        tasks_run.store(tasks_run.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         // The entry's reference drops inside the catch: when it is the last
         // one, an escaping future's result drops with the block.
-        if let Err(p) = catch_unwind(AssertUnwindSafe(move || job.run(self))) {
-            self.shared.record_panic(p);
-        }
-        if self.shared.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // The scope has quiesced; at most one owner waits (`run_guard`).
-            let _quiesce = self.shared.quiesce.lock();
-            self.shared.quiesce_cv.notify_one();
-        }
+        self.run_task(move || job.run(self));
+        self.shared.release_pending();
         self.shared.joins.notify_all();
+    }
+
+    /// Run jobs until `done` holds, sleeping on `idle` when there are
+    /// none.
+    fn work_until(&self, done: impl Fn() -> bool) {
+        let idle = &self.shared.idle;
+        while !done() {
+            let job = self
+                .find_job()
+                .or_else(|| self.shared.park_wait(idle, || self.find_job(), &done));
+            if let Some(job) = job {
+                self.run_job(job);
+            }
+        }
     }
 
     /// Join wait of the frame whose deque entries start at `floor`: until
@@ -424,7 +435,7 @@ impl<H: TaskHooks> WorkerCore<H> {
                 return;
             }
             if panicked() {
-                // Unwind this task too; the scope owner rethrows the
+                // Unwind this task too; `Runtime::run` rethrows the
                 // original payload.
                 panic!("sfrd-runtime: sibling task panicked");
             }
@@ -433,23 +444,6 @@ impl<H: TaskHooks> WorkerCore<H> {
             } else if !run_awaited() {
                 self.shared
                     .park_wait(&self.shared.joins, || None::<()>, || pred() || panicked());
-            }
-        }
-    }
-}
-
-fn worker_loop<H: TaskHooks>(core: WorkerCore<H>) {
-    let idle = &core.shared.idle;
-    loop {
-        match core.find_job() {
-            Some(job) => core.run_job(job),
-            None => {
-                if core.shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(job) = core.shared.park_wait(idle, || core.find_job(), || false) {
-                    core.run_job(job);
-                }
             }
         }
     }
@@ -471,7 +465,7 @@ pub struct ParCtx<'scope, H: TaskHooks> {
     /// above it were pushed by this task or by tasks run on top of it.
     floor: isize,
     /// The scope's hooks. [`Runtime::run`] holds their `Arc` until the
-    /// scope has quiesced, so the reference outlives every task.
+    /// scope has drained, so the reference outlives every task.
     hooks: &'scope H,
     strand: H::Strand,
     /// Children spawned since the last sync; the list keeps its capacity
@@ -602,14 +596,14 @@ impl<'scope, H: TaskHooks> Cx<'scope> for ParCtx<'scope, H> {
 pub struct PoolStats {
     /// Tasks executed over the pool's lifetime.
     pub tasks_run: u64,
-    /// Tasks obtained by stealing (the root slot or a sibling deque).
+    /// Tasks taken from a sibling deque.
     pub steals: u64,
     /// Steal attempts that lost a CAS race and retried (W6: each retry
     /// means another thread made progress).
     pub steal_retries: u64,
-    /// Times a pool thread slept on the eventcount.
+    /// Times a worker slept on an eventcount.
     pub parks: u64,
-    /// Times a sleeping pool thread was woken.
+    /// Times a sleeping worker was woken.
     pub wakeups: u64,
 }
 
@@ -617,28 +611,25 @@ pub struct PoolStats {
 pub struct Runtime<H: TaskHooks> {
     shared: Arc<Shared<H>>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    run_guard: Mutex<()>,
+    /// Worker 0, whose thread is the caller of [`Runtime::run`]; the lock
+    /// admits one scope at a time.
+    caller: Mutex<WorkerCore<H>>,
     workers: usize,
 }
 
 impl<H: TaskHooks> Runtime<H> {
-    /// Spin up `workers` worker threads (`P` in the paper's bounds).
+    /// A pool of `workers` workers (`P` in the paper's bounds): the caller
+    /// of [`Runtime::run`] and `workers - 1` threads started here.
     pub fn new(workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        let tasks_run = (0..workers)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect();
+        let tasks_run = (0..workers).map(|_| Padded(AtomicU64::new(0))).collect();
         let locals: Vec<Worker<Job<H>>> = (0..workers).map(|_| Worker::new()).collect();
         let stealers = locals.iter().map(Worker::stealer).collect();
         let shared = Arc::new(Shared {
-            root: Mutex::new(None),
-            root_ready: AtomicBool::new(false),
             stealers,
             pending: AtomicUsize::new(0),
             idle: EventCount::new(),
             joins: EventCount::new(),
-            quiesce: Mutex::new(()),
-            quiesce_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
@@ -648,25 +639,30 @@ impl<H: TaskHooks> Runtime<H> {
             parks: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
         });
-        let threads = locals
+        let mut cores = locals
             .into_iter()
             .enumerate()
-            .map(|(index, local)| {
-                let core = WorkerCore {
-                    shared: Arc::clone(&shared),
-                    local,
-                    index,
-                };
+            .map(|(index, local)| WorkerCore {
+                shared: Arc::clone(&shared),
+                local,
+                index,
+            });
+        let caller = cores.next().expect("at least one worker");
+        let threads = cores
+            .map(|core| {
                 std::thread::Builder::new()
-                    .name(format!("sfrd-worker-{index}"))
-                    .spawn(move || worker_loop(core))
+                    .name(format!("sfrd-worker-{}", core.index))
+                    .spawn(move || {
+                        let shutdown = &core.shared.shutdown;
+                        core.work_until(|| shutdown.load(Ordering::Acquire));
+                    })
                     .expect("failed to spawn worker")
             })
             .collect();
         Self {
             shared,
             threads,
-            run_guard: Mutex::new(()),
+            caller: Mutex::new(caller),
             workers,
         }
     }
@@ -683,7 +679,7 @@ impl<H: TaskHooks> Runtime<H> {
                 .shared
                 .tasks_run
                 .iter()
-                .map(|n| n.load(Ordering::Relaxed))
+                .map(|n| n.0.load(Ordering::Relaxed))
                 .sum(),
             steals: self.shared.steals.load(Ordering::Relaxed),
             steal_retries: self.shared.steal_retries.load(Ordering::Relaxed),
@@ -692,8 +688,9 @@ impl<H: TaskHooks> Runtime<H> {
         }
     }
 
-    /// Execute `f` as the root task and block until the whole computation —
-    /// including escaping futures — has quiesced. One scope at a time.
+    /// Execute `f` as the root task on the calling thread and block until
+    /// the whole computation — including escaping futures — has finished.
+    /// One scope at a time.
     ///
     /// # Panics
     /// Re-raises the first panic of any task.
@@ -703,40 +700,33 @@ impl<H: TaskHooks> Runtime<H> {
         F: FnOnce(&mut ParCtx<'env, H>) -> T + Send + 'env,
         H: 'env,
     {
-        let _guard = self.run_guard.lock();
-        self.shared.panicked.store(false, Ordering::Release);
-        *self.shared.panic.lock() = None;
+        let core = self.caller.lock();
+        let shared = &*self.shared;
+        shared.panicked.store(false, Ordering::Release);
+        *shared.panic.lock() = None;
 
         let root_strand = hooks.root();
         // SAFETY: `hooks` lives until this call returns, after the
-        // quiescence barrier below: no task holds the reference by then.
+        // end-of-scope barrier below: no task holds the reference by then.
         let hooks_ref: &'env H = unsafe { &*Arc::as_ptr(&hooks) };
-        let root = Task::new(move |core: &WorkerCore<H>| {
-            let mut ctx = ParCtx::new(core, hooks_ref, root_strand);
+        // The root's own count: no completion but the scope's last can take
+        // `pending` to zero, however many futures finish before the root.
+        shared.pending.fetch_add(1, Ordering::SeqCst);
+        let out = core.run_task(|| {
+            let mut ctx = ParCtx::new(&core, hooks_ref, root_strand);
             let out = f(&mut ctx);
             ctx.finish_task();
             out
         });
-        let entry: ScopedJob<'env, H> = root.clone();
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: this call returns only after the quiescence barrier.
-        *self.shared.root.lock() = Some(unsafe { erase_job(entry) });
-        self.shared.root_ready.store(true, Ordering::Release);
-        self.shared.idle.notify_one();
-        // Quiescence barrier, on the owner's own channel: the job that
-        // takes `pending` to zero locks `quiesce` before it signals, so it
-        // either finds us asleep or we see the zero here. No timed polling.
-        {
-            let mut quiesce = self.shared.quiesce.lock();
-            while self.shared.pending.load(Ordering::SeqCst) != 0 {
-                self.shared.quiesce_cv.wait(&mut quiesce);
-            }
-        }
-        if let Some(p) = self.shared.panic.lock().take() {
+        shared.release_pending();
+        // End-of-scope barrier: the caller is an idle worker until `pending`
+        // reads zero. It sleeps on `idle` only with no frame on its stack,
+        // so it can run whatever job a push offers.
+        core.work_until(|| shared.pending.load(Ordering::SeqCst) == 0);
+        if let Some(p) = shared.panic.lock().take() {
             std::panic::resume_unwind(p);
         }
-        // SAFETY: the scope owner is the root's one reader.
-        unsafe { root.take_out() }
+        out.expect("a root that returned left its output")
     }
 }
 
@@ -748,7 +738,7 @@ impl<H: TaskHooks> Drop for Runtime<H> {
         // sees the bump (skips the sleep, observes `shutdown` on its next
         // loop via the mutex's ordering) or was already waiting and is
         // woken. One broadcast, plain joins, no busy-wait. No frame is
-        // blocked in a join once the last scope has quiesced.
+        // blocked in a join once the last scope has drained.
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.idle.force_notify_all();
         for t in self.threads.drain(..) {
@@ -881,25 +871,55 @@ mod tests {
             let s = rt.stats();
             // Root + 10 spawns.
             assert_eq!(s.tasks_run, 11, "workers={workers}");
-            // The root job is taken from the root slot, which counts as a steal.
-            assert!(s.steals >= 1);
         }
         let rt = rt(4);
         micro_tasks(&rt);
         assert_eq!(rt.stats().tasks_run, 11_001);
     }
 
-    /// One worker never sleeps while it has work, and the scope owner is
-    /// not on the workers' eventcount: 11 001 micro-tasks cost the worker
-    /// its start-up park, the wakeup by the root job, and the park after
-    /// the scope — not a futex round trip per push and per completion.
+    /// A one-worker pool is its caller: 11 001 micro-tasks run without a
+    /// single park, let alone a futex round trip per push and completion.
     #[test]
     fn one_worker_micro_tasks_never_wake_the_owner() {
         let rt = rt(1);
         micro_tasks(&rt);
         let s = rt.stats();
         assert_eq!(s.tasks_run, 11_001);
-        assert!(s.parks <= 2 && s.wakeups <= 1, "{s:?}");
+        assert_eq!((s.parks, s.wakeups), (0, 0), "{s:?}");
+    }
+
+    /// On one worker the root and every spawned and created task run on
+    /// the thread that called `run`, an escaping future included.
+    #[test]
+    fn one_worker_runs_every_task_on_the_caller() {
+        use std::thread::{current, ThreadId};
+        let rt = rt(1);
+        let caller = current().id();
+        let ran: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        let ran_ref = &ran;
+        let note = move || ran_ref.lock().push(current().id());
+        rt.run(Arc::new(NullHooks), |ctx| {
+            note();
+            for _ in 0..4 {
+                ctx.spawn(move |c| {
+                    note();
+                    let h = c.create(move |_| note());
+                    c.get(h);
+                });
+            }
+            ctx.sync();
+            drop(ctx.create(move |c| {
+                note();
+                c.spawn(move |_| note());
+            }));
+        });
+        let ran = ran.into_inner();
+        assert_eq!(
+            ran.len(),
+            1 + 4 * 2 + 2,
+            "root, 4 × (child, future), escaping future and its child"
+        );
+        assert!(ran.iter().all(|&t| t == caller), "{ran:?} vs {caller:?}");
     }
 
     #[test]

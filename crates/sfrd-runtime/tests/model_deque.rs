@@ -55,7 +55,8 @@ fn deque_w1_w2_w3_two_thieves_census_zero() {
     };
     let report = model::explore(cfg, || {
         // cap 2 so the owner grows the buffer (2 -> 4 -> 8) while thieves
-        // race it — the reclamation handshake is inside the explored space.
+        // race it — a steal from a retired buffer is inside the explored
+        // space.
         let w: Worker<usize> = Worker::with_capacity(2);
         let s1 = w.stealer();
         let s2 = w.stealer();

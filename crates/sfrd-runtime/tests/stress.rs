@@ -2,7 +2,7 @@
 //! construct patterns, and pathological shapes (wide fan-out, deep
 //! chains, futures crossing task boundaries, panics mid-flight).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sfrd_runtime::{run_sequential, Cx, NullHooks, Runtime};
@@ -141,25 +141,25 @@ fn nested_panic_recovery() {
     }
 }
 
-/// Steal accounting: with several workers and a sequential root pushing
-/// work, someone must steal.
+/// Steal accounting: the root spawns one child and, outside any join,
+/// spins until the child has run. The root's thread never pops its own
+/// deque meanwhile, so only a thief can run the child.
 #[test]
 fn steals_happen_under_parallel_load() {
-    let pool = rt(4);
-    pool.run(Arc::new(NullHooks), |ctx| {
-        for _ in 0..200 {
-            ctx.spawn(|_| {
-                std::hint::black_box((0..10_000u64).sum::<u64>());
-            });
-        }
-        ctx.sync();
+    let stats = finishes_within(60, || {
+        let pool = rt(4);
+        let ran = AtomicBool::new(false);
+        pool.run(Arc::new(NullHooks), |ctx| {
+            ctx.spawn(|_| ran.store(true, Ordering::Release));
+            while !ran.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            ctx.sync();
+        });
+        pool.stats()
     });
-    let stats = pool.stats();
-    assert!(stats.tasks_run >= 200);
-    assert!(
-        stats.steals > 0,
-        "taking the root job counts as a steal, so ≥1"
-    );
+    assert_eq!(stats.tasks_run, 2, "root and child");
+    assert!(stats.steals > 0, "{stats:?}");
 }
 
 /// Runs `body` on a helper thread and fails unless it returns within
@@ -270,8 +270,8 @@ fn repeated_scopes_do_not_leak_state() {
 }
 
 /// Quiescence soak: thousands of back-to-back scopes per pool, each ending
-/// in the one wakeup the scope owner sleeps for (the `pending` 1 → 0
-/// signal). The bodies are the shapes that reach zero differently — an
+/// in the completion that takes `pending` from 1 to 0, whose broadcast on
+/// `idle` wakes the caller if it sleeps there. The bodies are the shapes that reach zero differently — an
 /// empty root, a future that escapes its creator, and a child that
 /// panics. The soak runs on a helper thread and the test thread waits on a
 /// channel with a timeout, so a lost wakeup is a failure naming the pool
@@ -293,7 +293,7 @@ fn quiescence_soak_never_loses_the_final_wakeup() {
             for scope in 0..SCOPES {
                 match scope % 16 {
                     // A child panics under a syncing root; the panic
-                    // reaches the owner and the pool takes the next scope.
+                    // reaches the caller and the pool takes the next scope.
                     15 => {
                         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             pool.run(Arc::new(NullHooks), |ctx| {
@@ -303,18 +303,36 @@ fn quiescence_soak_never_loses_the_final_wakeup() {
                         }));
                         assert!(r.is_err(), "workers={workers} scope={scope}");
                     }
-                    // The root returns at once: the worker that ran it
-                    // signals quiescence, possibly before the owner waits.
+                    // The root returns at once: its own completion takes
+                    // `pending` to zero, and the caller never sleeps.
                     k if k % 2 == 0 => pool.run(Arc::new(NullHooks), |_| {}),
                     // The root drops its handle and returns; the future
-                    // is the scope's last job, typically on another worker.
-                    _ => {
+                    // is the scope's last job, run by the caller or by a
+                    // thief. On more than one worker, every other such
+                    // scope holds the root until a thief has the future,
+                    // and the future until some worker parks after it
+                    // started (on two workers, the caller: the one other
+                    // thread). Only the future's completion, which takes
+                    // `pending` to zero, can then wake the caller.
+                    k => {
                         expected += 1;
+                        let hold = workers > 1 && k % 4 == 1;
+                        let stolen = AtomicBool::new(false);
                         pool.run(Arc::new(NullHooks), |ctx| {
                             drop(ctx.create(|_| {
+                                // Read before the root may return, so the
+                                // caller's park is counted after it.
+                                let parks = pool.stats().parks;
+                                stolen.store(true, Ordering::Release);
+                                while hold && pool.stats().parks == parks {
+                                    std::thread::yield_now();
+                                }
                                 std::hint::black_box((0..64u64).sum::<u64>());
                                 escaped.fetch_add(1, Ordering::SeqCst);
                             }));
+                            while hold && !stolen.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
                         });
                         assert_eq!(
                             escaped.load(Ordering::SeqCst),

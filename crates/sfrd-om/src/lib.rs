@@ -3,8 +3,9 @@
 //! An [order-maintenance](https://en.wikipedia.org/wiki/Order-maintenance_problem)
 //! list: a total order supporting
 //!
-//! * [`OmList::insert_after`] / [`OmList::insert_n_after`] — insert one
-//!   element (or a run of N) right after an existing one, amortized O(1),
+//! * [`OmList::insert_after`] / [`OmList::insert_n_after`] /
+//!   [`OmList::insert_n_before`] — insert one element (or a run of N)
+//!   right after or right before an existing one, amortized O(1),
 //!   **group-local**: the common case takes only the target group's
 //!   spinlock, so inserts into different groups proceed in parallel;
 //! * [`OmList::order`] / [`OmList::precedes`] — compare two elements, O(1),

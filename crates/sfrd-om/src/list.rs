@@ -1,12 +1,14 @@
 //! Two-level order-maintenance list with group-local (decentralized) inserts.
 //!
-//! Supports `insert_after(x)` in amortized O(1) and `order(a, b)` in O(1),
-//! with order queries running lock-free. Inserts are *group-local*: each
-//! group carries its own spinlock, and an insert that finds a label gap
-//! inside one group touches only that group. The global mutex is acquired
-//! only on the geometrically-rare slow paths — a group whose label gap is
-//! exhausted (relabel) or a group that outgrew [`GROUP_MAX`] (split, which
-//! relabels a *range* of group labels when the new group finds no gap).
+//! Supports `insert_after(x)` and `insert_before(x)` (as runs:
+//! [`OmList::insert_n_after`], [`OmList::insert_n_before`]) in amortized
+//! O(1) and `order(a, b)` in O(1), with order queries running lock-free.
+//! Inserts are *group-local*: each group carries its own spinlock, and an
+//! insert that finds a label gap inside one group touches only that group.
+//! The global mutex is acquired only on the geometrically-rare slow paths —
+//! a group whose label gap is exhausted (relabel) or a group that outgrew
+//! [`GROUP_MAX`] (split, which relabels a *range* of group labels when the
+//! new group finds no gap).
 //!
 //! Layout: items live in *groups*. Each group has a 64-bit label; items carry
 //! a 64-bit label that is meaningful only within their group. An item's key
@@ -55,8 +57,8 @@
 //!
 //! A thread holding a group lock NEVER blocks on the global lock: when an
 //! insert needs the slow path it *releases* its group lock, takes the
-//! global lock, re-takes the group lock, and revalidates (the predecessor
-//! may have migrated to a different group during a concurrent split).
+//! global lock, re-takes the group lock, and revalidates (the anchor may
+//! have migrated to a different group during a concurrent split).
 //! Splits additionally hold the *new* group's lock (created in the locked
 //! state) until migration completes, so an inserter that observes the new
 //! group index spins until the labels it would split are final.
@@ -186,6 +188,24 @@ impl Drop for GroupGuard<'_> {
     }
 }
 
+/// Where a run insert goes: right after an item or right before it. The
+/// anchor item's group is the one the insert locks and joins.
+#[derive(Clone, Copy)]
+enum Anchor {
+    After(u32),
+    Before(u32),
+}
+
+impl Anchor {
+    /// The anchor item.
+    #[inline]
+    fn item(self) -> u32 {
+        match self {
+            Anchor::After(x) | Anchor::Before(x) => x,
+        }
+    }
+}
+
 /// Group-chain bookkeeping owned by the global mutex.
 struct Inner {
     head_group: u32,
@@ -202,8 +222,9 @@ struct LabelRange {
 }
 
 /// Maintenance counters. All but `query_retries` change only under the
-/// global lock, off the fast path; `query_retries` is added to once per
-/// query that retried. The fast path's own statistics live in the groups.
+/// global lock, off the fast path, with a plain [`bump`];
+/// `query_retries` is added to once per query that retried. The fast
+/// path's own statistics live in the groups.
 #[derive(Default)]
 struct OmCounters {
     /// Insert operations that escalated to the global lock (relabel or
@@ -413,23 +434,45 @@ impl OmList {
     /// `aux[k]` as its [`aux`](Self::aux) word, written before the run is
     /// published.
     ///
-    /// `SpOrder::fork` uses this to pay one lock acquisition for the 2–3
+    /// `SpOrder::fork` uses this to pay one lock acquisition for the 1–3
     /// positions it adds per list instead of one per position.
     pub fn insert_n_after<const N: usize>(&self, after: OmHandle, aux: [u32; N]) -> [OmHandle; N] {
+        self.insert_run(Anchor::After(after.0), aux)
+    }
+
+    /// Insert a run of `N` elements right before `before`, exactly as
+    /// [`insert_n_after`](Self::insert_n_after) inserts after its anchor:
+    /// `r[0] < … < r[N-1] < before`, with nothing between `r[N-1]` and
+    /// `before`. The run takes `before`'s group; at the front of the group
+    /// it becomes the group's new head, below every existing label there.
+    ///
+    /// An insert after `before`'s list predecessor that races this one
+    /// lands before the run either way: whichever runs second finds the
+    /// other's items between its anchor and the far neighbour.
+    pub fn insert_n_before<const N: usize>(
+        &self,
+        before: OmHandle,
+        aux: [u32; N],
+    ) -> [OmHandle; N] {
+        self.insert_run(Anchor::Before(before.0), aux)
+    }
+
+    /// The run insert behind both anchors: lock the anchor's group, take
+    /// the gap next to the anchor, escalate when the gap is exhausted.
+    fn insert_run<const N: usize>(&self, at: Anchor, aux: [u32; N]) -> [OmHandle; N] {
         assert!(N >= 1 && N <= 8, "insert run length must be in 1..=8");
-        let pred = after.0;
-        let pred_slot = self.items.get(pred as usize);
+        let anchor_slot = self.items.get(at.item() as usize);
         loop {
-            // Fast path: lock only the predecessor's group.
-            let gidx = pred_slot.group.load(Ordering::Acquire);
+            // Fast path: lock only the anchor's group.
+            let gidx = anchor_slot.group.load(Ordering::Acquire);
             let group = self.groups.get(gidx as usize);
             let guard = self.lock_group(group);
-            if pred_slot.group.load(Ordering::Relaxed) != gidx {
-                // Predecessor migrated during a concurrent split; retry.
+            if anchor_slot.group.load(Ordering::Relaxed) != gidx {
+                // The anchor migrated during a concurrent split; retry.
                 drop(guard);
                 continue;
             }
-            if let Some(handles) = self.try_insert_run(gidx, group, pred, pred_slot, aux) {
+            if let Some(handles) = self.try_insert_run(gidx, group, at, aux) {
                 bump(&group.fast_inserts, 1);
                 let oversized = group.count.load(Ordering::Relaxed) as usize > GROUP_MAX;
                 drop(guard);
@@ -444,10 +487,7 @@ impl OmList {
             drop(guard);
             // Slow path: the group's label gap is exhausted. Escalate to
             // the global lock (never acquired while holding a group lock).
-            self.counters
-                .global_escalations
-                .fetch_add(1, Ordering::Relaxed);
-            return self.insert_run_escalated(pred, aux);
+            return self.insert_run_escalated(at, aux);
         }
     }
 
@@ -472,24 +512,31 @@ impl OmList {
         GroupGuard { lock }
     }
 
-    /// Try to insert an `N`-run after `pred` inside group `gidx` using the
-    /// available label gap. Returns `None` when the gap is too small.
+    /// Try to insert an `N`-run next to the anchor inside group `gidx`
+    /// using the label gap there. Returns `None` when the gap is too small.
     ///
-    /// Caller holds `gidx`'s group lock and has verified `pred` is in
-    /// `gidx`. Writes only fresh item slots and chain pointers — no
-    /// existing `(group, label)` key is mutated, so no seqlock section is
-    /// needed and concurrent queries proceed untouched.
+    /// Caller holds `gidx`'s group lock and has verified the anchor is in
+    /// `gidx`, so the anchor's group-local neighbours — `pred` and `succ`
+    /// of the run, either of which may be `NIL` at an end of the group —
+    /// are stable. An end of the group bounds the gap at label 0 or
+    /// `u64::MAX`, neither of which any item holds. Writes only fresh item
+    /// slots and chain pointers — no existing `(group, label)` key is
+    /// mutated, so no seqlock section is needed and concurrent queries
+    /// proceed untouched.
     fn try_insert_run<const N: usize>(
         &self,
         gidx: u32,
         group: &GroupSlot,
-        pred: u32,
-        pred_slot: &ItemSlot,
+        at: Anchor,
         aux: [u32; N],
     ) -> Option<[OmHandle; N]> {
-        let pred_label = pred_slot.label.load(Ordering::Relaxed);
-        let succ = pred_slot.next.load(Ordering::Relaxed);
-        let succ_slot = (succ != NIL).then(|| self.items.get(succ as usize));
+        let slot = |i: u32| (i != NIL).then(|| self.items.get(i as usize));
+        let (pred, succ) = match at {
+            Anchor::After(x) => (x, self.items.get(x as usize).next.load(Ordering::Relaxed)),
+            Anchor::Before(x) => (self.items.get(x as usize).prev.load(Ordering::Relaxed), x),
+        };
+        let (pred_slot, succ_slot) = (slot(pred), slot(succ));
+        let pred_label = pred_slot.map_or(0, |s| s.label.load(Ordering::Relaxed));
         let succ_label = succ_slot.map_or(u64::MAX, |s| s.label.load(Ordering::Relaxed));
         let gap = succ_label - pred_label;
         if gap < N as u64 + 1 {
@@ -524,7 +571,10 @@ impl OmList {
         );
         let first = first as u32;
         let last = first + N as u32 - 1;
-        pred_slot.next.store(first, Ordering::Relaxed);
+        match pred_slot {
+            Some(p) => p.next.store(first, Ordering::Relaxed),
+            None => group.first.store(first, Ordering::Relaxed),
+        }
         match succ_slot {
             Some(s) => s.prev.store(last, Ordering::Relaxed),
             None => group.last.store(last, Ordering::Relaxed),
@@ -536,21 +586,25 @@ impl OmList {
 
     /// Slow-path insert under the global lock: relabel the group if its
     /// gap is exhausted, insert, and split if oversized.
-    fn insert_run_escalated<const N: usize>(&self, pred: u32, aux: [u32; N]) -> [OmHandle; N] {
+    fn insert_run_escalated<const N: usize>(&self, at: Anchor, aux: [u32; N]) -> [OmHandle; N] {
         let mut inner = self.lock.lock();
-        // Under the global lock no split can run, so the predecessor's
-        // group index is stable once read.
-        let pred_slot = self.items.get(pred as usize);
-        let gidx = pred_slot.group.load(Ordering::Acquire);
+        bump(&self.counters.global_escalations, 1);
+        // Under the global lock no split can run, so the anchor's group
+        // index is stable once read.
+        let gidx = self
+            .items
+            .get(at.item() as usize)
+            .group
+            .load(Ordering::Acquire);
         let group = self.groups.get(gidx as usize);
         let guard = self.lock_group(group);
-        let handles = match self.try_insert_run(gidx, group, pred, pred_slot, aux) {
+        let handles = match self.try_insert_run(gidx, group, at, aux) {
             // Another thread relabeled between our fast-path failure and
             // the escalation — the gap is back.
             Some(h) => h,
             None => {
                 self.relabel_group(group);
-                self.try_insert_run(gidx, group, pred, pred_slot, aux)
+                self.try_insert_run(gidx, group, at, aux)
                     .expect("freshly relabeled group must have label gaps")
             }
         };
@@ -564,10 +618,8 @@ impl OmList {
     /// Split `gidx` if it is still oversized. Called lock-free from the
     /// fast path after a deferred-maintenance insert.
     fn split_oversized(&self, gidx: u32) {
-        self.counters
-            .global_escalations
-            .fetch_add(1, Ordering::Relaxed);
         let mut inner = self.lock.lock();
+        bump(&self.counters.global_escalations, 1);
         let group = self.groups.get(gidx as usize);
         let guard = self.lock_group(group);
         // Re-check under locks: a concurrent escalation may have split it.
@@ -601,10 +653,8 @@ impl OmList {
         let count = group.count.load(Ordering::Relaxed) as u64;
         debug_assert!(count > 0);
         self.seq_write(|| self.respace_items(group.first.load(Ordering::Relaxed), count, None));
-        self.counters.relabels.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .relabeled_slots
-            .fetch_add(count, Ordering::Relaxed);
+        bump(&self.counters.relabels, 1);
+        bump(&self.counters.relabeled_slots, count);
     }
 
     /// Split group `gidx` in half, moving the tail half to a fresh group
@@ -694,17 +744,15 @@ impl OmList {
         });
         // Migration complete: open the new group for business.
         new_group.lock.store(0, Ordering::Release);
-        self.counters.splits.fetch_add(1, Ordering::Relaxed);
+        bump(&self.counters.splits, 1);
         if range.is_some() {
-            self.counters.respreads.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.respreads, 1);
         }
         // The new group's own label is fresh, not rewritten.
         let rewritten = (count - keep) as u64
             + if respace_kept { keep as u64 } else { 0 }
             + range.map_or(0, |r| r.len - 1);
-        self.counters
-            .relabeled_slots
-            .fetch_add(rewritten, Ordering::Relaxed);
+        bump(&self.counters.relabeled_slots, rewritten);
     }
 
     /// Largest group label.
@@ -853,8 +901,9 @@ impl OmList {
         self.order(a, b) == CmpOrdering::Less
     }
 
-    /// The word `h` was inserted with ([`insert_n_after`](Self::insert_n_after);
-    /// 0 for the base element and [`insert_after`](Self::insert_after)).
+    /// The word `h` was inserted with ([`insert_n_after`](Self::insert_n_after)
+    /// or [`insert_n_before`](Self::insert_n_before); 0 for the base element
+    /// and [`insert_after`](Self::insert_after)).
     /// Lock-free and never retried: no relabel touches it.
     #[inline]
     pub fn aux(&self, h: OmHandle) -> u32 {
@@ -1080,6 +1129,68 @@ mod tests {
             }
         }
         check_against_model(&model, &list);
+    }
+
+    /// Runs before and after random anchors against the `Vec` model. Every
+    /// tenth insert goes before the list's head, and many others land at
+    /// the front of a group, where the run's predecessor is `NIL`.
+    #[test]
+    fn random_before_and_after_runs_match_model() {
+        let mut rng = StdRng::seed_from_u64(0xB4F0);
+        let (list, base) = OmList::new();
+        let mut model = vec![base];
+        let mut group_fronts = 0;
+        for i in 0..3000 {
+            let head = i % 10 == 0;
+            let pos = if head {
+                0
+            } else {
+                rng.random_range(0..model.len())
+            };
+            let at = model[pos];
+            let len = rng.random_range(1..=3);
+            if head || rng.random_bool(0.5) {
+                if list.items.get(at.index()).prev.load(Ordering::Relaxed) == NIL {
+                    group_fronts += 1;
+                }
+                let run = match len {
+                    1 => list.insert_n_before(at, [0; 1]).to_vec(),
+                    2 => list.insert_n_before(at, [0; 2]).to_vec(),
+                    _ => list.insert_n_before(at, [0; 3]).to_vec(),
+                };
+                model.splice(pos..pos, run);
+            } else {
+                let run = match len {
+                    1 => list.insert_n_after(at, [0; 1]).to_vec(),
+                    2 => list.insert_n_after(at, [0; 2]).to_vec(),
+                    _ => list.insert_n_after(at, [0; 3]).to_vec(),
+                };
+                model.splice(pos + 1..pos + 1, run);
+            }
+        }
+        check_against_model(&model, &list);
+        let stats = list.stats();
+        assert!(group_fronts >= 300, "{group_fronts} group-front inserts");
+        assert!(stats.splits > 10, "{stats:?}");
+    }
+
+    /// A fixed successor with a moving predecessor — a spawn loop's child
+    /// positions going in before one continuation — halves one gap per
+    /// insert, like the head hot spot: the splits keep it open, and the
+    /// list stays in order.
+    #[test]
+    fn inserts_before_one_item_stay_ordered() {
+        let (list, base) = OmList::new();
+        let k = list.insert_after(base);
+        let mut model = vec![base];
+        for _ in 0..10_000 {
+            model.push(list.insert_n_before(k, [0])[0]);
+        }
+        model.push(k);
+        check_against_model(&model, &list);
+        let s = list.stats();
+        assert!(s.relabels <= 2, "{s:?}");
+        assert!(s.global_escalations * 5 <= s.fast_inserts, "{s:?}");
     }
 
     #[test]

@@ -17,6 +17,15 @@
 //!   live in. A three-bit group-label space (test fixture) brings that on
 //!   at the third split at one spot instead of the sixty-fourth.
 //!
+//! * **Insert before vs insert after the predecessor**: one thread
+//!   inserts a run right before `k` while another inserts after `x`, `k`'s
+//!   list predecessor — a child growing its subtree while its parent puts
+//!   the next sibling in front of a continuation nobody saw. The group is
+//!   one item short of its split, so the first insert to land splits it
+//!   and the other may find its anchor migrated. In every schedule the
+//!   second thread's items precede the first's and the list is well
+//!   formed.
+//!
 //! Honesty: the model preempts only at facade operations, so this checks
 //! the protocol (seqlock write-section discipline), not hardware-level
 //! tearing — the release-mode stress tests in `om_concurrent.rs` cover
@@ -193,4 +202,49 @@ fn omlist_range_relabels_never_tear_queries() {
         retries.load(std::sync::atomic::Ordering::Relaxed) > 0,
         "no schedule overlapped a query with the relabel's write section"
     );
+}
+
+#[test]
+fn omlist_insert_before_races_insert_after_its_predecessor() {
+    let cfg = Config {
+        schedules: 1000,
+        ..Config::default()
+    };
+    let report = model::explore(cfg, || {
+        let (om, base) = OmList::new();
+        let x = om.insert_after(base);
+        let k = om.insert_after(x);
+        // base, 61 head inserts, x, k: one group of 64, full.
+        for _ in 0..61 {
+            om.insert_after(base);
+        }
+        let om = Arc::new(om);
+        let parent = {
+            let om = Arc::clone(&om);
+            model::spawn(move || om.insert_n_before(k, [1, 2]))
+        };
+        let child = {
+            let om = Arc::clone(&om);
+            model::spawn(move || {
+                let b = om.insert_after(x);
+                [b, om.insert_after(b)]
+            })
+        };
+        let (a, b) = (parent.join(), child.join());
+        let order = [x, b[0], b[1], a[0], a[1], k];
+        for w in order.windows(2) {
+            assert!(om.precedes(w[0], w[1]), "{:?} not before {:?}", w[0], w[1]);
+        }
+        assert_eq!(om.iter_order()[62..], order);
+        assert_eq!((om.aux(a[0]), om.aux(a[1])), (1, 2));
+        om.check_invariants();
+        let stats = om.stats();
+        assert!(stats.splits >= 1, "the group must split: {stats:?}");
+    });
+    assert_eq!(report.schedules, cfg.schedules);
+    assert!(
+        report.schedules >= 1000,
+        "acceptance floor: >=1000 schedules"
+    );
+    assert_eq!(report.truncated, 0, "schedules must run to completion");
 }

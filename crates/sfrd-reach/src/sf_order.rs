@@ -16,18 +16,21 @@
 //! ```
 //!
 //! All three checks are O(1), giving the paper's constant-time query.
-//! Maintenance (§3.4): `cp` is copied once per create (O(k) each, O(k²)
-//! total); `gp` is pointer-shared through single-parent nodes and merged at
-//! sync/get nodes only when both sides diverge (O(k) merges total).
+//! Maintenance (§3.4): `cp` is copied once per creating future (O(k)
+//! each, O(k²) total; all children of one future share its copy); `gp`
+//! is pointer-shared through single-parent nodes and merged at sync/get
+//! nodes only when both sides diverge (O(k) merges total).
 //!
-//! Layout: per-future state (`cp`, plus the memoized `gp(last(G)) ∪ {G}`
-//! a get publishes) is one node in an [`AppendArena`], and the node's index
-//! is the future's id. Strands stay small (spawn/create do not bump a `cp`
-//! refcount), nodes of nearby futures share cache lines, and repeated gets
-//! of the same future reuse one set instead of rebuilding it. Memoization
-//! is sound because `done.gp` is frozen by the time any get observes the
-//! future completed (the runtime orders `task_end` before every `get`), so
-//! the first-computed value is *the* value.
+//! Layout: per-future state (`cp`, plus the memoized `cp(G) ∪ {G}` a
+//! create publishes and `gp(last(G)) ∪ {G}` a get publishes) is one node
+//! in an [`AppendArena`], and the node's index is the future's id.
+//! Strands stay small (a spawn does not bump a `cp` refcount), nodes of
+//! nearby futures share cache lines, and repeated creates by one future
+//! and repeated gets of one future reuse one set instead of rebuilding
+//! it. Memoization is sound because `cp(G)` is fixed at `G`'s create and
+//! `done.gp` is frozen by the time any get observes the future completed
+//! (the runtime orders `task_end` before every `get`), so the
+//! first-computed value is *the* value.
 
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -59,8 +62,21 @@ pub struct SfStrand {
 struct SfNode {
     /// `cp` of the future (proper future ancestors), fixed at create.
     cp: Arc<FutureSet>,
+    /// Memoized `cp(G) ∪ {G}`, the `cp` of every future `G` creates,
+    /// published by the first create.
+    child_cp: OnceLock<Arc<FutureSet>>,
     /// Memoized `gp(last(G)) ∪ {G}`, published by the first get.
     done_gp: OnceLock<Arc<FutureSet>>,
+}
+
+impl SfNode {
+    fn new(cp: Arc<FutureSet>) -> Self {
+        Self {
+            cp,
+            child_cp: OnceLock::new(),
+            done_gp: OnceLock::new(),
+        }
+    }
 }
 
 impl SfStrand {
@@ -111,10 +127,7 @@ impl SfReach {
             stats: SetStats::default(),
             nodes: AppendArena::new(),
         };
-        engine.nodes.push(SfNode {
-            cp: Arc::clone(&empty),
-            done_gp: OnceLock::new(),
-        });
+        engine.nodes.push(SfNode::new(Arc::clone(&empty)));
         let root = SfStrand {
             sp: task,
             gp: empty,
@@ -140,16 +153,19 @@ impl SfReach {
     }
 
     /// `create`: the child's `cp` is the parent's plus the parent future
-    /// itself (the O(k)-per-create copy of Lemma 3.12). Pushing the new
-    /// future's node into the arena mints its id, before the fork, which
-    /// records the id as the owner of the child's first position.
+    /// itself (the O(k)-per-create copy of Lemma 3.12). Both parts are
+    /// fixed once the parent future exists, so its first create memoizes
+    /// the set in the parent's node and every later sibling shares it.
+    /// Pushing the new future's node into the arena mints its id, before
+    /// the fork, which records the id as the owner of the child's first
+    /// position.
     pub fn create(&self, parent: &mut SfStrand) -> SfStrand {
         let pf = parent.future();
-        let cp = with_future(&self.node(pf).cp, pf, &self.stats);
-        let idx = self.nodes.push(SfNode {
-            cp,
-            done_gp: OnceLock::new(),
-        });
+        let node = self.node(pf);
+        let cp = node
+            .child_cp
+            .get_or_init(|| with_future(&node.cp, pf, &self.stats));
+        let idx = self.nodes.push(SfNode::new(Arc::clone(cp)));
         let fid = FutureId(u32::try_from(idx).expect("future ids fit in u32"));
         let child_sp = self.sp.fork_future(&mut parent.sp, fid);
         SfStrand {
@@ -158,12 +174,15 @@ impl SfReach {
         }
     }
 
-    /// `sync`: join spawned children; `gp(s) = gp(u) ∪ ⋃ gp(cᵢ)`.
+    /// `sync`: join spawned children; `gp(s) = gp(u) ∪ ⋃ gp(cᵢ)`. A child
+    /// that still shares the parent's set (it got nothing) adds nothing.
     pub fn sync<'a>(&self, s: &mut SfStrand, children: impl IntoIterator<Item = &'a SfStrand>) {
         self.sp.sync(&mut s.sp);
         for c in children {
             debug_assert_eq!(c.future(), s.future());
-            s.gp = merge(&s.gp, &c.gp, &self.stats);
+            if !Arc::ptr_eq(&s.gp, &c.gp) {
+                s.gp = merge(&s.gp, &c.gp, &self.stats);
+            }
         }
     }
 

@@ -12,12 +12,23 @@
 //!
 //! * first spawn/create of a sync block: English `u, c, k, s`;
 //!   Hebrew `u, k, c, s`;
-//! * later spawn/create in the block: English inserts `c, k` right after
-//!   `u` (before `s`); Hebrew inserts `k, c` right after `u` (child
-//!   subtrees pile up *before* `s` and after all continuations);
+//! * later spawn/create in the block, `u` handed out since the last fork:
+//!   English inserts `c, k` right after `u` (before `s`); Hebrew inserts
+//!   `k, c` right after `u` (child subtrees pile up *before* `s` and after
+//!   all continuations);
+//! * later spawn/create in the block, `u` never handed out: `u` is its own
+//!   continuation. English inserts `c` right before `u`, Hebrew right after
+//!   it — where the two rules above would put `c` relative to `k`, with
+//!   nothing that anyone could compare sitting between `u` and `k`;
 //! * `sync` (and the implicit task-end sync): the strand *becomes* `s`;
 //! * `get`: no effect — in `PSP(D)` the get node is a serial continuation,
 //!   so it shares its predecessor's position.
+//!
+//! A position is *handed out* when [`SpTask::pos`] or [`SpTask::pos_id`]
+//! returns it: every access, query and recorded position goes through one
+//! of the two. Restricted to the positions handed out, the orders are the
+//! ones the eager rule builds, so no answer changes; a spawn loop with
+//! nothing in between pays one insert per list and spawn instead of two.
 //!
 //! In `PSP(D)` a `create` is exactly a `spawn` (joined at the block's
 //! sync), so both constructs use the same rule.
@@ -29,6 +40,8 @@
 //! each Hebrew item's is the owning future ([`SpOrder::resolve`]). The
 //! Hebrew run is inserted first so that its handles exist when the English
 //! run is written.
+
+use std::cell::Cell;
 
 use sfrd_dag::FutureId;
 use sfrd_om::{OmHandle, OmList};
@@ -72,6 +85,10 @@ fn eng_handle(p: Pos) -> OmHandle {
 pub struct SpTask {
     /// Current strand position.
     cur: SpPos,
+    /// `cur` was handed out ([`pos`](Self::pos), [`pos_id`](Self::pos_id))
+    /// since the last fork. A later fork in the block reuses an unseen
+    /// `cur` as its continuation instead of inserting a new one.
+    seen: Cell<bool>,
     /// The pre-created post-sync position of the currently open sync block.
     block: Option<SpPos>,
     /// The future the task runs in: the owner of every position it forks
@@ -83,6 +100,7 @@ impl SpTask {
     /// The task's current strand position.
     #[inline]
     pub fn pos(&self) -> SpPos {
+        self.seen.set(true);
         self.cur
     }
 
@@ -90,6 +108,7 @@ impl SpTask {
     /// handle, interned ([`SpOrder::resolve`] inverts it).
     #[inline]
     pub fn pos_id(&self) -> Pos {
+        self.seen.set(true);
         Pos::from_index(self.cur.eng.index() as u32)
     }
 
@@ -116,6 +135,7 @@ impl SpOrder {
             Self { eng, heb },
             SpTask {
                 cur: SpPos { eng: e0, heb: h0 },
+                seen: Cell::new(false),
                 block: None,
                 future: FutureId::ROOT,
             },
@@ -136,7 +156,7 @@ impl SpOrder {
         let (own, child) = (t.future.0, future.0);
         // Each list is updated with ONE combined run insert (a single
         // group-lock acquisition) instead of one insert per position.
-        let (child_pos, cont) = if t.block.is_none() {
+        let child_pos = if t.block.is_none() {
             // English: u, c, k, s — Hebrew: u, k, c, s.
             let [k_heb, c_heb, s_heb] = self.heb.insert_n_after(u.heb, [own, child, own]);
             let [c_eng, k_eng, s_eng] = self
@@ -146,37 +166,43 @@ impl SpOrder {
                 eng: s_eng,
                 heb: s_heb,
             });
-            (
-                SpPos {
-                    eng: c_eng,
-                    heb: c_heb,
-                },
-                SpPos {
-                    eng: k_eng,
-                    heb: k_heb,
-                },
-            )
-        } else {
+            t.cur = SpPos {
+                eng: k_eng,
+                heb: k_heb,
+            };
+            SpPos {
+                eng: c_eng,
+                heb: c_heb,
+            }
+        } else if t.seen.get() {
             // English inserts c, k after u; Hebrew inserts k, c after u
             // (child subtrees pile up before s, after all continuations).
             let [k_heb, c_heb] = self.heb.insert_n_after(u.heb, [own, child]);
             let [c_eng, k_eng] = self
                 .eng
                 .insert_n_after(u.eng, [c_heb, k_heb].map(handle_word));
-            (
-                SpPos {
-                    eng: c_eng,
-                    heb: c_heb,
-                },
-                SpPos {
-                    eng: k_eng,
-                    heb: k_heb,
-                },
-            )
+            t.cur = SpPos {
+                eng: k_eng,
+                heb: k_heb,
+            };
+            SpPos {
+                eng: c_eng,
+                heb: c_heb,
+            }
+        } else {
+            // Nobody saw u: it stays the continuation. English c, u;
+            // Hebrew u, c.
+            let [c_heb] = self.heb.insert_n_after(u.heb, [child]);
+            let [c_eng] = self.eng.insert_n_before(u.eng, [handle_word(c_heb)]);
+            SpPos {
+                eng: c_eng,
+                heb: c_heb,
+            }
         };
-        t.cur = cont;
+        t.seen.set(false);
         SpTask {
             cur: child_pos,
+            seen: Cell::new(false),
             block: None,
             future,
         }
@@ -302,6 +328,38 @@ mod tests {
         assert!(sp.precedes_eq(c1.pos(), s) && sp.precedes_eq(c2.pos(), s));
     }
 
+    /// Both later-fork paths in one block: spawn, spawn (the continuation
+    /// was never handed out, so it is reused), a look at the continuation,
+    /// spawn (a fresh one is minted), spawn (reused again). Every child is
+    /// parallel to every other and to the continuation that follows its
+    /// spawn, the continuation seen before the third spawn precedes the
+    /// last two children, and the post-sync strand follows everything.
+    #[test]
+    fn later_forks_reuse_only_an_unseen_continuation() {
+        let (sp, mut root) = SpOrder::new();
+        let c1 = sp.fork(&mut root).pos();
+        let c2 = sp.fork(&mut root).pos();
+        let k2 = root.pos();
+        let c3 = sp.fork(&mut root).pos();
+        let c4 = sp.fork(&mut root).pos();
+        let k4 = root.pos();
+        assert_eq!(sp.positions(), 1 + 3 + 1 + 2 + 1);
+        sp.sync(&mut root);
+        let s = root.pos();
+        let children = [c1, c2, c3, c4];
+        for (i, &a) in children.iter().enumerate() {
+            for &b in &children[i + 1..] {
+                assert!(!sp.precedes_eq(a, b) && !sp.precedes_eq(b, a));
+            }
+            assert!(sp.precedes_eq(a, s));
+            assert!(!sp.precedes_eq(a, k4) && !sp.precedes_eq(k4, a));
+        }
+        assert!(!sp.precedes_eq(c2, k2) && !sp.precedes_eq(k2, c2));
+        assert!(sp.precedes_eq(k2, c3) && sp.precedes_eq(k2, c4));
+        assert!(sp.precedes_eq(k2, k4) && !sp.precedes_eq(k4, k2));
+        assert!(sp.precedes_eq(k4, s));
+    }
+
     /// Nested: child spawns a grandchild; grandchild ∥ parent's continuation
     /// but precedes the parent's post-sync strand.
     #[test]
@@ -403,18 +461,26 @@ mod tests {
     // `oracle_props.rs`, `interning.rs` and `parallel_oracle.rs`), through
     // SF-Order and F-Order, which answer from this order.
 
+    /// A later fork mints a continuation only when the current one was
+    /// handed out: c alone when nobody saw k, c and k when someone did.
     #[test]
     fn positions_counter_tracks_oms() {
-        let (sp, mut root) = SpOrder::new();
-        assert_eq!(sp.positions(), 1);
-        sp.fork(&mut root);
-        assert_eq!(sp.positions(), 4); // c, k, s added
-        sp.fork(&mut root);
-        assert_eq!(sp.positions(), 6); // c, k added
-                                       // Each fork paid ONE insert op per list (run inserts), none of
-                                       // which escalated to the global lock.
-        let stats = sp.om_stats();
-        assert_eq!(stats.fast_inserts, 4);
-        assert_eq!(stats.global_escalations, 0);
+        for look in [false, true] {
+            let (sp, mut root) = SpOrder::new();
+            assert_eq!(sp.positions(), 1);
+            sp.fork(&mut root);
+            assert_eq!(sp.positions(), 4); // c, k, s added
+            if look {
+                root.pos();
+            }
+            sp.fork(&mut root);
+            // c added; k too once it was seen.
+            assert_eq!(sp.positions(), if look { 6 } else { 5 });
+            // Each fork paid ONE insert op per list (run inserts), none of
+            // which escalated to the global lock.
+            let stats = sp.om_stats();
+            assert_eq!(stats.fast_inserts, 4);
+            assert_eq!(stats.global_escalations, 0);
+        }
     }
 }

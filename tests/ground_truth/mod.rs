@@ -45,7 +45,7 @@ use sfrd::core::{
     EngineConfig, EventSink, FoDetector, FoEngine, GenWorkload, MbDetector, MbEngine, Mode,
     ReachEngine, RecordingHooks, SfDetector, SfEngine, Workload,
 };
-use sfrd::dag::generator::{GenParams, GenProgram};
+use sfrd::dag::generator::{Body, GenParams, GenProgram, Op};
 use sfrd::dag::{EdgeKind, NodeId, ReachOracle, RecStrand};
 use sfrd::reach::{FoStrand, MbPos, MbStrand, Pos, SfPos, SfStrand, StrandPos};
 use sfrd::runtime::hooks::PairHooks;
@@ -390,4 +390,70 @@ pub fn shapes() -> [(&'static str, GenParams); 2] {
         ),
         ("futures", base),
     ]
+}
+
+/// A fixed program that takes both of a later fork's paths. The root
+/// spawns `spawn, spawn, spawn` with nothing in between — the second and
+/// third forks' continuation was never handed out, so it is reused and the
+/// child goes right before it in the English order — then `access, spawn`,
+/// whose continuation was seen and is minted afresh. Its children spawn in
+/// turn, so on a pool a child's subtree grows right next to where the root
+/// inserts its next child. Of two creates with nothing between them,
+/// SF-Order's second reuses the continuation; F-Order's create reads it
+/// first, so it mints one.
+pub fn both_fork_paths() -> GenProgram {
+    let w = |addr, write| Op::Work { addr, write };
+    let leaf = |addr, write| Op::Spawn(Body(vec![w(addr, write)]));
+    let a = Body(vec![
+        w(3, true),
+        leaf(1, true),
+        Op::Spawn(Body(vec![
+            w(2, false),
+            leaf(0, false),
+            leaf(3, false),
+            Op::Sync,
+        ])),
+        w(0, false),
+        Op::Sync,
+        w(2, false),
+    ]);
+    let b = Body(vec![
+        leaf(2, true),
+        leaf(4, true),
+        leaf(5, false),
+        w(1, false),
+    ]);
+    let c = Body(vec![
+        w(4, false),
+        leaf(0, false),
+        w(3, false),
+        leaf(1, false),
+        Op::Sync,
+    ]);
+    let d = Body(vec![leaf(4, true), leaf(2, false), Op::Sync, w(0, false)]);
+    let f = Body(vec![leaf(5, true), leaf(1, false), Op::Sync, w(5, false)]);
+    let g = Body(vec![
+        w(5, false),
+        leaf(0, false),
+        leaf(3, true),
+        w(4, false),
+    ]);
+    GenProgram {
+        root: Body(vec![
+            w(0, true),
+            Op::Spawn(a),
+            Op::Spawn(b),
+            Op::Spawn(c),
+            w(1, false),
+            Op::Spawn(d),
+            w(2, true),
+            Op::Sync,
+            w(1, true),
+            Op::Create(f),
+            Op::Create(g),
+            w(3, false),
+            Op::Get(0),
+            w(5, false),
+        ]),
+    }
 }

@@ -10,7 +10,9 @@ mod ground_truth;
 
 use rand::prelude::*;
 
-use ground_truth::{check, shapes, turn, F_ORDER, MULTIBAGS, SF_ALL, SF_LR, TURNS};
+use ground_truth::{
+    both_fork_paths, check, shapes, turn, F_ORDER, MULTIBAGS, SF_ALL, SF_LR, TURNS,
+};
 use sfrd::dag::generator::{Body, GenProgram, Op};
 
 /// A stream of generated future programs.
@@ -60,6 +62,24 @@ fn detectors_agree_across_engines() {
         let mb = check(&prog, turn(MULTIBAGS, 0), &what).racy;
         assert_eq!(sf, fo, "sf vs fo\n{prog:?}");
         assert_eq!(sf, mb, "sf vs mb\n{prog:?}");
+    }
+}
+
+/// A later fork reuses a continuation nobody saw and mints one that
+/// somebody did: both paths, with children growing their subtrees next to
+/// the reused continuation, answer every query as the oracle does —
+/// sequentially and at 1–3 workers, through SF-Order (both reader
+/// policies) and F-Order, repeated for more schedules.
+#[test]
+fn both_fork_paths_match_the_oracle() {
+    let prog = both_fork_paths();
+    for round in 0..4 {
+        for config in [SF_ALL, SF_LR, F_ORDER] {
+            for workers in 0..=3 {
+                let seen = check(&prog, turn(config, workers), &format!("round={round}"));
+                assert!(seen.accesses >= 30 && !seen.racy.is_empty());
+            }
+        }
     }
 }
 

@@ -19,7 +19,7 @@ use sfrd::core::{
 };
 use sfrd::dag::generator::{GenParams, GenProgram};
 use sfrd::runtime::{Cx, NullHooks, Runtime, FILTER_WAYS};
-use sfrd::workloads::{make_bench, Scale};
+use sfrd::workloads::{make_bench, AnyBench, Scale, SwParams, SwWorkload};
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
@@ -261,11 +261,17 @@ fn adaptive_sets_cut_bytes_4x_on_future_chains() {
 /// paper's query-heavy benchmarks, and the order-maintenance counters
 /// surface through `RaceReport::metrics`: both lists outgrow their first
 /// group on either input, so fast-path inserts and escalated splits are
-/// both nonzero at any worker count.
+/// both nonzero at any worker count. sw runs 144 blocks (`B = 8`), not
+/// `Small`'s 36: its root creates every block without touching memory in
+/// between, so each create adds one position per list, and 36 of them
+/// stay inside one 64-item group.
 #[test]
 fn sf_full_at_8_workers_matches_1_worker_on_hw_and_sw() {
     for bench in ["hw", "sw"] {
-        let w = make_bench(bench, Scale::Small, 0xA11CE);
+        let w = match bench {
+            "sw" => AnyBench::Sw(SwWorkload::new(SwParams { n: 96, base: 8 }, 0xA11CE)),
+            _ => make_bench(bench, Scale::Small, 0xA11CE),
+        };
         let mut racy: Option<BTreeSet<u64>> = None;
         for workers in [1, 8] {
             let rep = drive(

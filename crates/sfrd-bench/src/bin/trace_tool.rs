@@ -161,7 +161,7 @@ fn analyze_journal(bytes: &[u8]) -> Result<(), JournalError> {
     let cfg = EngineConfig::default();
     let mut om_rewrites = (0, 0, 0.0);
     let report = replay_report(bytes, SfDetector::from_config(&cfg), |d| {
-        om_rewrites = sfrd_bench::om_rewrites_per_insert(d.reach().sp_order());
+        om_rewrites = sfrd_bench::om_rewrites_per_insert(d.engine().sp_order());
         d.report()
     })?;
     println!("SF-Order replay: {}", access_path_census(&report));

@@ -11,8 +11,9 @@
 //!   against `v`; then `v` becomes the writer and the readers are dropped.
 //!
 //! The protocol itself lives once, in [`EventSink`](crate::events); this
-//! module provides the engine adapters — [`SfEngine`], [`FoEngine`],
-//! [`MbEngine`] — and the detector aliases over them.
+//! module implements [`ReachEngine`] on the three `sfrd-reach` engines
+//! themselves — [`SfReach`], [`FoReach`] and a mutex around [`MbReach`] —
+//! and names the detector aliases over them.
 //!
 //! Configurations (Fig. 4): `Reach` maintains only the reachability
 //! structures (no access-history work at all); `Full` does everything.
@@ -23,9 +24,7 @@
 use parking_lot::Mutex;
 
 use sfrd_reach::{FoReach, FoStrand, MbReach, MbStrand, Pos, SetStatsSnapshot, SfReach, SfStrand};
-use sfrd_shadow::ReaderPolicy;
 
-use crate::config::EngineConfig;
 use crate::events::{EventSink, ReachEngine};
 
 /// Detector configuration of Fig. 4.
@@ -79,33 +78,27 @@ impl<H: sfrd_runtime::TaskHooks> sfrd_runtime::TaskHooks for ReachOnly<H> {
 
 // ================================================================ SF-Order
 
-/// SF-Order reachability as a pluggable engine.
-pub struct SfEngine(pub(crate) SfReach);
-
-impl SfEngine {
-    fn new() -> (Self, SfStrand) {
-        let (reach, root) = SfReach::new();
-        (Self(reach), root)
-    }
-}
-
-impl ReachEngine for SfEngine {
+impl ReachEngine for SfReach {
     type Strand = SfStrand;
+    const HONORS_POLICY: bool = true;
 
+    fn start() -> (Self, SfStrand) {
+        SfReach::new()
+    }
     fn spawn(&self, parent: &mut SfStrand) -> SfStrand {
-        self.0.spawn(parent)
+        SfReach::spawn(self, parent)
     }
     fn create(&self, parent: &mut SfStrand) -> SfStrand {
-        self.0.create(parent)
+        SfReach::create(self, parent)
     }
     fn sync(&self, s: &mut SfStrand, children: &[SfStrand]) {
-        self.0.sync(s, children.iter());
+        SfReach::sync(self, s, children.iter());
     }
     fn get(&self, s: &mut SfStrand, done: &SfStrand) {
-        self.0.get(s, done);
+        SfReach::get(self, s, done);
     }
     fn task_end(&self, s: &mut SfStrand) {
-        self.0.task_end(s);
+        SfReach::task_end(self, s);
     }
     fn pos(s: &SfStrand) -> Pos {
         s.pos_id()
@@ -114,75 +107,56 @@ impl ReachEngine for SfEngine {
         s.future().0
     }
     fn precedes(&self, a: Pos, s: &SfStrand) -> bool {
-        self.0.precedes_id(a, s)
+        self.precedes_id(a, s)
     }
     fn eng_less(&self, a: Pos, b: Pos) -> bool {
-        self.0.sp_order().eng_precedes(a, b)
+        self.sp_order().eng_precedes(a, b)
     }
     fn heb_less(&self, a: Pos, b: Pos) -> bool {
-        self.0.sp_order().heb_precedes(a, b)
+        self.sp_order().heb_precedes(a, b)
     }
     fn pos_precedes(&self, a: Pos, b: Pos) -> bool {
-        let sp = self.0.sp_order();
+        let sp = self.sp_order();
         sp.precedes_eq(sp.sp_pos(a), sp.sp_pos(b))
     }
     fn heap_bytes(&self) -> usize {
-        self.0.heap_bytes()
+        SfReach::heap_bytes(self)
     }
     fn set_stats_snapshot(&self) -> SetStatsSnapshot {
-        self.0.set_stats().snapshot()
+        self.set_stats().snapshot()
     }
     fn om_stats(&self) -> sfrd_om::OmStats {
-        self.0.sp_order().om_stats()
+        self.sp_order().om_stats()
     }
 }
 
-/// The paper's detector: SF-Order reachability + access history.
-pub type SfDetector = EventSink<SfEngine>;
-
-impl SfDetector {
-    /// Build a one-shot detector from an [`EngineConfig`]. SF-Order honors
-    /// every field: `policy` selects the §3.5 bounded reader set or the
-    /// ship-it-all variant the paper's implementation uses.
-    pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(SfEngine::new(), cfg.mode, cfg.policy)
-    }
-
-    /// Reachability engine (diagnostics).
-    pub fn reach(&self) -> &SfReach {
-        &self.engine.0
-    }
-}
+/// The paper's detector: SF-Order reachability + access history, keeping
+/// the §3.5 bounded reader set or, as the paper's implementation does,
+/// every reader, as [`EngineConfig::policy`](crate::EngineConfig::policy) says.
+pub type SfDetector = EventSink<SfReach>;
 
 // ================================================================= F-Order
 
-/// F-Order reachability as a pluggable engine.
-pub struct FoEngine(pub(crate) FoReach);
-
-impl FoEngine {
-    fn new() -> (Self, FoStrand) {
-        let (reach, root) = FoReach::new();
-        (Self(reach), root)
-    }
-}
-
-impl ReachEngine for FoEngine {
+impl ReachEngine for FoReach {
     type Strand = FoStrand;
 
+    fn start() -> (Self, FoStrand) {
+        FoReach::new()
+    }
     fn spawn(&self, parent: &mut FoStrand) -> FoStrand {
-        self.0.spawn(parent)
+        FoReach::spawn(self, parent)
     }
     fn create(&self, parent: &mut FoStrand) -> FoStrand {
-        self.0.create(parent)
+        FoReach::create(self, parent)
     }
     fn sync(&self, s: &mut FoStrand, children: &[FoStrand]) {
-        self.0.sync(s, children.iter());
+        FoReach::sync(self, s, children.iter());
     }
     fn get(&self, s: &mut FoStrand, done: &FoStrand) {
-        self.0.get(s, done);
+        FoReach::get(self, s, done);
     }
     fn task_end(&self, s: &mut FoStrand) {
-        self.0.task_end(s);
+        FoReach::task_end(self, s);
     }
     fn pos(s: &FoStrand) -> Pos {
         s.pos_id()
@@ -191,77 +165,58 @@ impl ReachEngine for FoEngine {
         s.future().0
     }
     fn precedes(&self, a: Pos, s: &FoStrand) -> bool {
-        self.0.precedes_id(a, s)
+        self.precedes_id(a, s)
     }
     // F-Order cannot bound readers: the LR comparators stay at the
     // constant-false defaults (policy is always `All`).
     fn heap_bytes(&self) -> usize {
-        self.0.heap_bytes()
+        FoReach::heap_bytes(self)
     }
     fn set_stats_snapshot(&self) -> SetStatsSnapshot {
-        self.0.set_stats().snapshot()
+        self.set_stats().snapshot()
     }
     fn om_stats(&self) -> sfrd_om::OmStats {
-        self.0.sp_order().om_stats()
+        self.sp_order().om_stats()
     }
 }
 
 /// The general-futures baseline detector: F-Order reachability + all-reader
-/// access history.
-pub type FoDetector = EventSink<FoEngine>;
-
-impl FoDetector {
-    /// Build a one-shot detector from an [`EngineConfig`]. F-Order cannot
-    /// bound readers: the policy is always [`ReaderPolicy::All`].
-    pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(FoEngine::new(), cfg.mode, ReaderPolicy::All)
-    }
-
-    /// Reachability engine (diagnostics).
-    pub fn reach(&self) -> &FoReach {
-        &self.engine.0
-    }
-}
+/// access history (F-Order cannot bound readers).
+pub type FoDetector = EventSink<FoReach>;
 
 // =============================================================== MultiBags
 
-/// MultiBags (SP-bags union-find) reachability as a pluggable engine.
-/// Must run under the sequential runtime (`run_sequential`); the engine is
-/// behind a mutex only to satisfy the `&self` interface — it is never
-/// contended.
-pub struct MbEngine(pub(crate) Mutex<MbReach>);
-
-impl MbEngine {
-    fn new() -> (Self, MbStrand) {
-        let (reach, root) = MbReach::new();
-        (Self(Mutex::new(reach)), root)
-    }
-}
-
-impl ReachEngine for MbEngine {
+/// MultiBags (SP-bags union-find) reachability. Must run under the
+/// sequential runtime (`run_sequential`); the engine is behind a mutex
+/// only to satisfy the `&self` interface — it is never contended.
+impl ReachEngine for Mutex<MbReach> {
     type Strand = MbStrand;
 
+    fn start() -> (Self, MbStrand) {
+        let (reach, root) = MbReach::new();
+        (Mutex::new(reach), root)
+    }
     fn spawn(&self, parent: &mut MbStrand) -> MbStrand {
-        self.0.lock().spawn(parent)
+        self.lock().spawn(parent)
     }
     fn create(&self, parent: &mut MbStrand) -> MbStrand {
-        self.0.lock().create(parent)
+        self.lock().create(parent)
     }
     fn sync(&self, s: &mut MbStrand, children: &[MbStrand]) {
-        let mut reach = self.0.lock();
+        let mut reach = self.lock();
         for c in children {
             reach.absorb_gp(s, c.gp());
         }
         reach.sync(s);
     }
     fn get(&self, s: &mut MbStrand, done: &MbStrand) {
-        self.0.lock().get(s, done);
+        self.lock().get(s, done);
     }
     fn task_end(&self, s: &mut MbStrand) {
-        self.0.lock().task_end(s);
+        self.lock().task_end(s);
     }
     fn task_return(&self, parent: &mut MbStrand, child: &mut MbStrand) {
-        self.0.lock().task_return(parent, child);
+        self.lock().task_return(parent, child);
     }
     fn pos(s: &MbStrand) -> Pos {
         s.pos_id()
@@ -270,30 +225,17 @@ impl ReachEngine for MbEngine {
         s.future().0
     }
     fn precedes(&self, a: Pos, s: &MbStrand) -> bool {
-        self.0.lock().precedes_id(a, s)
+        self.lock().precedes_id(a, s)
     }
     fn heap_bytes(&self) -> usize {
-        self.0.lock().heap_bytes()
+        self.lock().heap_bytes()
     }
     fn set_stats_snapshot(&self) -> SetStatsSnapshot {
-        self.0.lock().set_stats().snapshot()
+        self.lock().set_stats().snapshot()
     }
 }
 
-/// The sequential baseline detector: SP-bags union-find reachability.
-pub type MbDetector = EventSink<MbEngine>;
-
-impl MbDetector {
-    /// Build a one-shot detector from an [`EngineConfig`]. MultiBags keeps
-    /// all readers and has no order-maintenance structure, so only `mode`
-    /// applies.
-    pub fn from_config(cfg: &EngineConfig) -> Self {
-        EventSink::build(MbEngine::new(), cfg.mode, ReaderPolicy::All)
-    }
-
-    /// Reachability engine (diagnostics), behind the detector's own lock —
-    /// never contended under the sequential runtime.
-    pub fn reach(&self) -> impl std::ops::Deref<Target = MbReach> + '_ {
-        self.engine.0.lock()
-    }
-}
+/// The sequential baseline detector: SP-bags union-find reachability. It
+/// keeps all readers and has no order-maintenance structure, so only
+/// `mode` applies.
+pub type MbDetector = EventSink<Mutex<MbReach>>;

@@ -284,14 +284,14 @@ mod tests {
     /// element is combined away unless a later one took its way, and a
     /// combined repeat changes nothing.
     fn same_way_pair(data: &ShadowArray<u64>) -> (usize, usize) {
-        let mut all = sfrd_runtime::AccessBatch::new(4);
+        let mut all = sfrd_runtime::AccessBatch::new();
         for i in 0..data.len() {
             all.record(data.addr(i), true);
         }
         let a = (0..data.len())
             .find(|&i| all.record(data.addr(i), true))
             .expect("more elements than ways: two share one");
-        let mut probe = sfrd_runtime::AccessBatch::new(4);
+        let mut probe = sfrd_runtime::AccessBatch::new();
         probe.record(data.addr(a), true);
         let b = (a + 1..data.len())
             .find(|&j| {

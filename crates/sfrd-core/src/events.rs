@@ -1,13 +1,10 @@
 //! The unified strand-event pipeline: one detector hot path for all
 //! reachability engines.
 //!
-//! Before this module, `SfDetector`/`FoDetector`/`MbDetector` each carried
-//! a private copy of the on-the-fly protocol — the same writer-check /
-//! reader-check / epoch-update sequence three times over, differing only
-//! in how reachability questions are answered. [`EventSink`] collapses
-//! them: a detector is now *one* struct parameterized by a
-//! [`ReachEngine`], and the engines (`detectors.rs`) are thin adapters
-//! over `sfrd-reach`.
+//! A detector is *one* struct, [`EventSink`], parameterized by a
+//! [`ReachEngine`], which `detectors.rs` implements on the `sfrd-reach`
+//! engines themselves: the protocol is written once, and only how
+//! reachability questions are answered differs.
 //!
 //! The sink has one access path, `on_access_batch`: a borrowed slice of
 //! accesses, all issued at one dag position, run through one page cursor.
@@ -35,6 +32,7 @@ use sfrd_reach::Pos;
 use sfrd_runtime::{BatchedAccess, TaskHooks};
 use sfrd_shadow::{LocEntry, PageCursor, PagedHistory, ReaderPolicy};
 
+use crate::config::EngineConfig;
 use crate::detectors::Mode;
 use crate::report::{Counters, MetricsSnapshot, Race, RaceCollector, RaceKind, RaceReport};
 
@@ -67,16 +65,24 @@ impl Tally {
 
 /// A reachability engine pluggable into [`EventSink`]: answers "does
 /// position `a` precede strand `s`" and maintains per-strand positions
-/// across the parallel constructs. Adapters over `sfrd-reach` implement
+/// across the parallel constructs. The `sfrd-reach` engines implement
 /// this; the detection protocol itself lives in the sink.
 ///
 /// Positions are [`Pos`] words, which every engine mints so that two
 /// strands hold equal ids exactly when they hold equal rich positions
 /// (`sfrd_reach::pos`): the sink's "same position, no query" test is the
 /// same test for every engine, and the access history stores one word.
-pub trait ReachEngine: Send + Sync + 'static {
+pub trait ReachEngine: Sized + Send + Sync + 'static {
     /// Per-task engine state.
     type Strand: Send + 'static;
+
+    /// Does the engine answer the order comparisons
+    /// [`ReaderPolicy::PerFutureLR`] needs? An engine that does not runs
+    /// under [`ReaderPolicy::All`] whatever the configuration asks.
+    const HONORS_POLICY: bool = false;
+
+    /// A fresh engine and the root strand of the one execution it sees.
+    fn start() -> (Self, Self::Strand);
 
     /// A task spawned a fork-join child.
     fn spawn(&self, parent: &mut Self::Strand) -> Self::Strand;
@@ -143,13 +149,20 @@ pub struct EventSink<E: ReachEngine> {
 }
 
 impl<E: ReachEngine> EventSink<E> {
-    /// Couple `engine` (with its root strand) to a fresh access history.
-    pub(crate) fn build(engine: (E, E::Strand), mode: Mode, policy: ReaderPolicy) -> Self {
-        let (engine, root) = engine;
+    /// A one-shot detector from an [`EngineConfig`]. Its history, in `full`
+    /// mode, keeps readers by `cfg.policy` if the engine
+    /// [honours it](ReachEngine::HONORS_POLICY), else by [`ReaderPolicy::All`].
+    pub fn from_config(cfg: &EngineConfig) -> Self {
+        let (engine, root) = E::start();
+        let policy = if E::HONORS_POLICY {
+            cfg.policy
+        } else {
+            ReaderPolicy::All
+        };
         Self {
             engine,
             root: Mutex::new(Some(root)),
-            history: matches!(mode, Mode::Full).then(|| PagedHistory::with_policy(policy)),
+            history: matches!(cfg.mode, Mode::Full).then(|| PagedHistory::with_policy(policy)),
             collector: RaceCollector::default(),
             counters: Counters::default(),
         }
@@ -409,7 +422,8 @@ mod tests {
 
     use super::*;
     use crate::config::EngineConfig;
-    use crate::detectors::{FoDetector, MbDetector, SfDetector, SfEngine};
+    use crate::detectors::{FoDetector, MbDetector, SfDetector};
+    use sfrd_reach::SfReach;
     use sfrd_runtime::{AccessBatch, Batched, Cx, Runtime};
     use std::sync::Arc;
 
@@ -432,10 +446,10 @@ mod tests {
         )
     }
 
-    /// `(writer_seq, retained readers)` of `addr`.
-    fn entry<E: ReachEngine>(det: &EventSink<E>, addr: u64) -> (u64, usize) {
+    /// `(writer, retained readers)` of `addr`.
+    fn entry<E: ReachEngine>(det: &EventSink<E>, addr: u64) -> (Option<Pos>, usize) {
         let history = det.history().expect("full mode");
-        history.locked(addr, |e| (*e.writer_seq, e.readers.len()))
+        history.locked(addr, |e| (*e.writer, e.readers.len()))
     }
 
     /// Finish a spawned child and join it into `parent`, the way the
@@ -454,6 +468,7 @@ mod tests {
         // A serial predecessor writes X, so reads of X have a writer to check.
         let mut w = det.on_spawn(&mut r);
         det.on_access(&mut w, X, true);
+        let pw = E::pos(&w);
         join(&det, &mut r, w);
 
         // Read-same-epoch: five reads at one position = one query, one
@@ -466,7 +481,7 @@ mod tests {
         assert_eq!(after.0 - before.0, 1, "one precedes for five reads");
         assert_eq!(after.1 - before.1, 4, "four snapshot hits");
         assert_eq!(after.2 - before.2, 5, "reads stay path-invariant");
-        assert_eq!(entry(&det, X), (1, 1));
+        assert_eq!(entry(&det, X), (Some(pw), 1));
 
         // A reader from another strand becomes the last one: the next
         // read by `r` must take the section, and both are retained.
@@ -495,12 +510,13 @@ mod tests {
         // the next read, at the writer's own position, is answered from
         // the snapshot — no query, nothing retained.
         det.on_access(&mut r, X, true);
-        assert_eq!(entry(&det, X), (2, 0));
+        let pr = E::pos(&r);
+        assert_eq!(entry(&det, X), (Some(pr), 0));
         let before = census(&det);
         det.on_access(&mut r, X, false);
         let after = census(&det);
         assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
-        assert_eq!(entry(&det, X), (2, 0));
+        assert_eq!(entry(&det, X), (Some(pr), 0));
 
         // Write-same-epoch: so the write after it, and every repeat, finds
         // its own epoch with no reader and leaves it alone.
@@ -511,7 +527,7 @@ mod tests {
         let after = census(&det);
         assert_eq!(after.1 - before.1, 3);
         assert_eq!(after.3 - before.3, 3, "writes stay path-invariant");
-        assert_eq!(entry(&det, X), (2, 0));
+        assert_eq!(entry(&det, X), (Some(pr), 0));
         assert_eq!(after.4, 0, "a serial program has no race");
     }
 
@@ -533,11 +549,12 @@ mod tests {
         let mut r = det.root();
         let mut c = det.on_spawn(&mut r);
         det.on_access(&mut c, X, true);
+        let pc = E::pos(&c);
         let before = census(&det);
         det.on_access(&mut c, X, false);
         let after = census(&det);
         assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
-        assert_eq!(entry(&det, X), (1, 0), "no reader retained");
+        assert_eq!(entry(&det, X), (Some(pc), 0), "no reader retained");
 
         // A reader at another position is recorded like any other, and
         // the writer's own reads go on hitting past it.
@@ -548,10 +565,10 @@ mod tests {
         let before = census(&det);
         det.on_access(&mut c, X, false);
         assert_eq!(census(&det).1 - before.1, 1);
-        assert_eq!(entry(&det, X), (1, retained));
+        assert_eq!(entry(&det, X), (Some(pc), retained));
         // The writer's next write finds a reader: the section sweeps it.
         det.on_access(&mut c, X, true);
-        assert_eq!(entry(&det, X), (2, 0));
+        assert_eq!(entry(&det, X), (Some(pc), 0));
         assert_eq!(kinds(&det), vec![RaceKind::WriteRead, RaceKind::ReadWrite]);
 
         // write → read → parallel write: the unretained read is covered
@@ -574,11 +591,12 @@ mod tests {
     fn current_writer_rule_depth_first<E: ReachEngine>(det: EventSink<E>) {
         let mut r = det.root();
         det.on_access(&mut r, X, true);
+        let pr = E::pos(&r);
         let before = census(&det);
         det.on_access(&mut r, X, false);
         let after = census(&det);
         assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
-        assert_eq!(entry(&det, X), (1, 0), "no reader retained");
+        assert_eq!(entry(&det, X), (Some(pr), 0), "no reader retained");
 
         let mut c = det.on_spawn(&mut r);
         det.on_access(&mut c, X, false);
@@ -586,15 +604,15 @@ mod tests {
         det.on_access(&mut c, Y, false);
         det.on_task_end(&mut c);
         det.on_task_return(&mut r, &mut c);
-        assert_eq!(entry(&det, X), (1, 1), "the interloper is retained");
+        assert_eq!(entry(&det, X), (Some(pr), 1), "the interloper is retained");
         assert_eq!(det.report().total_races, 0);
         // Returned but not synced: `c` is parallel to what `r` does now.
         let before = census(&det);
         det.on_access(&mut r, X, false);
         assert_eq!(census(&det).1 - before.1, 1);
-        assert_eq!(entry(&det, X), (1, 1));
+        assert_eq!(entry(&det, X), (Some(pr), 1));
         det.on_access(&mut r, X, true);
-        assert_eq!(entry(&det, X), (2, 0));
+        assert_eq!(entry(&det, X), (Some(E::pos(&r)), 0));
         assert_eq!(kinds(&det), vec![RaceKind::ReadWrite]);
         det.on_access(&mut r, Y, true);
         assert_eq!(kinds(&det), vec![RaceKind::ReadWrite, RaceKind::WriteWrite]);
@@ -618,17 +636,18 @@ mod tests {
         let mut r = det.root();
         let mut w = det.on_spawn(&mut r);
         det.on_access(&mut w, X, true);
+        let pw = SfReach::pos(&w);
         join(&det, &mut r, w);
         for _ in 0..5 {
             det.on_access(&mut r, X, false);
         }
         let (queries, fast, reads, _, races) = census(&det);
         assert_eq!((queries, fast, reads, races), (5, 4, 5, 0));
-        assert_eq!(entry(&det, X), (1, 2));
+        assert_eq!(entry(&det, X), (Some(pw), 2));
         det.on_access(&mut r, X, true);
         det.on_access(&mut r, X, true);
         assert_eq!(census(&det).1, 5, "write-same-epoch is policy-blind");
-        assert_eq!(entry(&det, X), (2, 0));
+        assert_eq!(entry(&det, X), (Some(SfReach::pos(&r)), 0));
     }
 
     /// The batched path takes the same short-circuits and folds its tally
@@ -640,6 +659,7 @@ mod tests {
         let mut r = det.root();
         let mut w = det.on_spawn(&mut r);
         det.on_access(&mut w, X, true);
+        let pw = SfReach::pos(&w);
         join(&det, &mut r, w);
 
         let read = BatchedAccess {
@@ -655,7 +675,7 @@ mod tests {
             "filtered repeats are counted"
         );
         assert_eq!(races, 0);
-        assert_eq!(entry(&det, X), (1, 1));
+        assert_eq!(entry(&det, X), (Some(pw), 1));
     }
 
     /// A `get` keeps the strand's position and only grows `gp`: a verdict
@@ -672,11 +692,11 @@ mod tests {
         // The continuation is parallel to the future until the get.
         det.on_access(&mut r, X, false);
         det.on_access(&mut r, Y, false);
-        let pos = SfEngine::pos(&r);
+        let pos = SfReach::pos(&r);
         let before = census(&det);
         assert_eq!(before.4, 1, "X raced with the future's write");
         det.on_get(&mut r, &f);
-        assert!(SfEngine::pos(&r) == pos, "get moved the position");
+        assert!(SfReach::pos(&r) == pos, "get moved the position");
         det.on_access(&mut r, X, false);
         det.on_access(&mut r, Y, false);
         let after = census(&det);
@@ -746,7 +766,7 @@ mod tests {
         let evictors: Vec<u64> = (1..)
             .map(|k| X + 8 * k)
             .filter(|&y| {
-                let mut probe = AccessBatch::new(4);
+                let mut probe = AccessBatch::new();
                 probe.record(X, true);
                 probe.record(y, true);
                 probe.record(X, true)

@@ -51,9 +51,7 @@ pub mod report;
 pub mod shared;
 
 pub use config::EngineConfig;
-pub use detectors::{
-    FoDetector, FoEngine, MbDetector, MbEngine, Mode, ReachOnly, SfDetector, SfEngine,
-};
+pub use detectors::{FoDetector, MbDetector, Mode, ReachOnly, SfDetector};
 pub use driver::{drive, DetectorKind, DriveConfig, Outcome, Workload};
 pub use events::{EventSink, ReachEngine};
 pub use generator::GenWorkload;

@@ -178,11 +178,6 @@ impl Dag {
         &self.succs[n.index()]
     }
 
-    /// Incoming edges of `n`.
-    pub fn preds(&self, n: NodeId) -> &[(NodeId, EdgeKind)] {
-        &self.preds[n.index()]
-    }
-
     /// Iterate all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u32).map(NodeId)

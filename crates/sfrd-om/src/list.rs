@@ -288,14 +288,6 @@ impl OmStats {
             relabeled_slots: self.relabeled_slots + other.relabeled_slots,
         }
     }
-
-    /// Upper bound on total insert operations: fast-path completions plus
-    /// global-lock acquisitions (escalated inserts and deferred splits —
-    /// the latter also counted in `fast_inserts`, so this over-counts by
-    /// the split count, making ratio checks against it conservative).
-    pub fn insert_ops(self) -> u64 {
-        self.fast_inserts + self.global_escalations
-    }
 }
 
 /// Order-maintenance list: total order with O(1) amortized `insert_after`

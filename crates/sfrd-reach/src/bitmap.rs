@@ -32,6 +32,9 @@
 //! allocates a union only when *each side contains something the other
 //! lacks* — which Xu et al. show happens O(k) times in total. Whether a
 //! merge shares or allocates depends only on set *contents*.
+//!
+//! The chunk primitives are plain 8-lane loops over one `[u64; 8]` chunk,
+//! one cache line, left for LLVM to vectorize.
 
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,14 +42,87 @@ use std::sync::Arc;
 
 use sfrd_dag::FutureId;
 
-use crate::kernels::{self, ChunkWords, Merge512};
-
 /// Words per chunk (512 bits).
-pub(crate) const CHUNK_WORDS: usize = 8;
+const CHUNK_WORDS: usize = 8;
 /// Bits per chunk.
 const CHUNK_BITS: usize = CHUNK_WORDS * 64;
 /// Ids held in the inline tail: derivations between directory rebuilds.
 const TAIL_CAP: usize = 8;
+
+/// One chunk's payload: 512 bits as eight 64-bit lanes.
+type ChunkWords = [u64; CHUNK_WORDS];
+
+/// Result of a fused chunk merge ([`merge512`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Merge512 {
+    /// `a | b == a`: the left chunk already holds the union (also the
+    /// verdict when `a == b`).
+    Left,
+    /// `a | b == b` and `b != a`: the right chunk holds the union.
+    Right,
+    /// Genuinely mixed: the fresh union words.
+    Fresh(ChunkWords),
+}
+
+/// `sub ⊆ sup` over the whole chunk (no early exit — one pass of and-not
+/// lanes folded to a single zero test beats a branchy loop).
+#[inline]
+fn subset512(sub: &ChunkWords, sup: &ChunkWords) -> bool {
+    let mut acc = 0u64;
+    for (a, b) in sub.iter().zip(sup.iter()) {
+        acc |= a & !b;
+    }
+    acc == 0
+}
+
+/// Chunk population count.
+#[inline]
+fn popcnt512(a: &ChunkWords) -> u32 {
+    a.iter().map(|w| w.count_ones()).sum()
+}
+
+/// Fused union step for the copy-on-write merge path: computes `a | b`
+/// and detects collapse onto either input in one pass over the lanes.
+#[inline]
+fn merge512(a: &ChunkWords, b: &ChunkWords) -> Merge512 {
+    let mut out = *a;
+    let (mut grew_a, mut grew_b) = (false, false);
+    for (o, (&x, &y)) in out.iter_mut().zip(a.iter().zip(b.iter())) {
+        let u = x | y;
+        grew_a |= u != x;
+        grew_b |= u != y;
+        *o = u;
+    }
+    if !grew_a {
+        return Merge512::Left;
+    }
+    if !grew_b {
+        return Merge512::Right;
+    }
+    Merge512::Fresh(out)
+}
+
+/// OR sorted absolute ids into a chunk based at `base`, one *word* at a
+/// time: ids landing in the same 64-bit lane are folded into a single
+/// mask before the store instead of one read-modify-write per id.
+#[inline]
+fn set_bits512(words: &mut ChunkWords, ids: &[u32], base: u32) {
+    let mut i = 0;
+    while i < ids.len() {
+        let off = ids[i] - base;
+        let wi = (off / 64) as usize;
+        let mut mask = 0u64;
+        while i < ids.len() {
+            let off = ids[i] - base;
+            if (off / 64) as usize != wi {
+                break;
+            }
+            mask |= 1 << (off % 64);
+            i += 1;
+        }
+        words[wi] |= mask;
+    }
+}
 
 /// One 512-bit block with a cached popcount.
 #[derive(Debug)]
@@ -57,7 +133,7 @@ struct Chunk {
 
 impl Chunk {
     fn new(words: ChunkWords) -> Self {
-        let ones = kernels::popcnt512(&words);
+        let ones = popcnt512(&words);
         Self { words, ones }
     }
 }
@@ -281,7 +357,7 @@ impl FutureSet {
             let Some(x) = x else { return true };
             match other.chunk(ci) {
                 Some(y) if Arc::ptr_eq(x, y) => true,
-                Some(y) if !other.tail_touches(ci) => kernels::subset512(&x.words, &y.words),
+                Some(y) if !other.tail_touches(ci) => subset512(&x.words, &y.words),
                 _ => (0..CHUNK_WORDS)
                     .all(|wo| x.words[wo] & !other.word_at(ci * CHUNK_WORDS + wo) == 0),
             }
@@ -333,7 +409,7 @@ fn build_chunk(
 ) -> Option<Arc<Chunk>> {
     let y = y.filter(|y| !x.is_some_and(|x| Arc::ptr_eq(x, y)));
     let (held, mut words) = match (x, y) {
-        (Some(x), Some(y)) => match kernels::merge512(&x.words, &y.words) {
+        (Some(x), Some(y)) => match merge512(&x.words, &y.words) {
             Merge512::Left => (Some(x), x.words),
             Merge512::Right => (Some(y), y.words),
             Merge512::Fresh(words) => (None, words),
@@ -342,7 +418,7 @@ fn build_chunk(
         (None, None) if ids.is_empty() => return None,
         (None, None) => (None, [0; CHUNK_WORDS]),
     };
-    kernels::set_bits512(&mut words, ids, base);
+    set_bits512(&mut words, ids, base);
     match held {
         Some(c) if c.words == words => Some(Arc::clone(c)),
         _ => {
@@ -456,6 +532,7 @@ pub fn with_future(set: &Arc<FutureSet>, f: FutureId, stats: &SetStats) -> Arc<F
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn f(i: u32) -> FutureId {
         FutureId(i)
@@ -668,5 +745,107 @@ mod tests {
         assert_eq!(s.len(), 4096);
         let bytes = stats.snapshot().bytes;
         assert!(bytes <= 64 << 10, "growth-chain payload bytes: {bytes}");
+    }
+
+    fn sample(seed: u64) -> ChunkWords {
+        // SplitMix64: deterministic, fills all lanes with varied bits.
+        let mut s = seed;
+        let mut out = [0u64; CHUNK_WORDS];
+        for w in &mut out {
+            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            *w = z ^ (z >> 31);
+        }
+        out
+    }
+
+    /// Bit `i` of a chunk, the naive way.
+    fn bit(c: &ChunkWords, i: u32) -> bool {
+        c[i as usize / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// `a | b` one bit at a time.
+    fn naive_union(a: &ChunkWords, b: &ChunkWords) -> ChunkWords {
+        let mut out = [0u64; CHUNK_WORDS];
+        for i in (0..512u32).filter(|&i| bit(a, i) || bit(b, i)) {
+            out[i as usize / 64] |= 1 << (i % 64);
+        }
+        out
+    }
+
+    #[test]
+    fn kernels_agree_on_primitives() {
+        for seed in 0..64u64 {
+            let a = sample(seed);
+            let b = sample(seed.wrapping_mul(31).wrapping_add(7));
+            let sup = naive_union(&a, &b);
+            assert!(subset512(&a, &sup), "subset512 seed {seed}");
+            assert!(subset512(&a, &a));
+            assert_eq!(
+                subset512(&sup, &a),
+                (0..512).all(|i| !bit(&sup, i) || bit(&a, i)),
+                "subset512 reverse seed {seed}"
+            );
+            assert_eq!(
+                popcnt512(&a),
+                (0..512).filter(|&i| bit(&a, i)).count() as u32
+            );
+        }
+    }
+
+    #[test]
+    fn merge512_collapses_and_counts() {
+        for seed in 0..64u64 {
+            let a = sample(seed);
+            let b = sample(seed.wrapping_mul(31).wrapping_add(7));
+            let sup = naive_union(&a, &b);
+            // Random chunks never contain each other, so the plain merge
+            // is fresh with the exact union.
+            assert_eq!(merge512(&a, &b), Merge512::Fresh(sup), "fresh seed {seed}");
+            // A side already holding the union collapses onto it; equal
+            // inputs report `Left`.
+            assert_eq!(merge512(&sup, &a), Merge512::Left, "seed {seed}");
+            assert_eq!(merge512(&a, &sup), Merge512::Right, "seed {seed}");
+            assert_eq!(merge512(&a, &a), Merge512::Left, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn set_bits512_matches_per_id_inserts() {
+        let base = 512u32;
+        let ids = [512u32, 513, 575, 576, 700, 1000, 1023];
+        let mut via_kernel = sample(3);
+        let mut via_loop = via_kernel;
+        set_bits512(&mut via_kernel, &ids, base);
+        for &id in &ids {
+            let b = (id - base) as usize;
+            via_loop[b / 64] |= 1 << (b % 64);
+        }
+        assert_eq!(via_kernel, via_loop);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..Default::default() })]
+
+        /// `set_bits512` matches per-id read-modify-write inserts for any
+        /// sorted id run.
+        #[test]
+        fn set_bits512_agrees_with_naive(codes in proptest::collection::vec(any::<u64>(), 1..64)) {
+            let base = (codes[0] % 8) as u32 * 512;
+            let mut offs: Vec<u32> = codes[1..].iter().map(|c| (c % 512) as u32).collect();
+            offs.sort_unstable();
+            offs.dedup();
+            let ids: Vec<u32> = offs.iter().map(|o| base + o).collect();
+            let mut via_kernel = sample(codes[0]);
+            let mut via_loop = via_kernel;
+            set_bits512(&mut via_kernel, &ids, base);
+            for &id in &ids {
+                let b = (id - base) as usize;
+                via_loop[b / 64] |= 1 << (b % 64);
+            }
+            prop_assert_eq!(via_kernel, via_loop);
+        }
     }
 }

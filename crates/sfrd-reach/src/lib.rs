@@ -15,8 +15,8 @@
 //!
 //! Shared substrates: [`sp_order::SpOrder`] (English/Hebrew order
 //! maintenance over `PSP(D)`), [`bitmap::FutureSet`] (future-id bitmaps:
-//! an inline tail over an `Arc`-shared directory of 512-bit chunks, with
-//! chunk [`kernels`]) and a local Fx-style hasher ([`hash`]). SF-Order and
+//! an inline tail over an `Arc`-shared directory of 512-bit chunks) and a
+//! local Fx-style hasher ([`hash`]). SF-Order and
 //! F-Order keep one node per future in an [`sfrd_om::AppendArena`], whose
 //! index is the future's id.
 //!
@@ -45,7 +45,6 @@
 pub mod bitmap;
 pub mod f_order;
 pub mod hash;
-pub mod kernels;
 pub mod multibags;
 pub mod pos;
 pub mod sf_order;

@@ -72,7 +72,7 @@ pub const FILTER_WAYS: usize = 1 << WAY_BITS;
 /// from its creation, outside any heap census.
 pub const FILTER_BYTES: usize = FILTER_WAYS * std::mem::size_of::<Cell<(u64, u64)>>();
 
-/// Default flush threshold for [`Batched`].
+/// A strand's buffer is delivered once it holds this many accesses.
 pub const DEFAULT_BATCH_CAP: usize = 512;
 
 /// Epochs a thread claims from [`EPOCH_BLOCKS`] at a time.
@@ -94,9 +94,7 @@ thread_local! {
         const { [const { Cell::new((0, 0)) }; FILTER_WAYS] };
     /// `(next, end)` of this thread's block of epochs.
     static EPOCHS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-    /// Entry buffers of dropped batches, each empty with capacity at most
-    /// [`DEFAULT_BATCH_CAP`] (a larger one, from a batch made with a larger
-    /// cap, is freed, not retained sixteen times over). A construct-heavy
+    /// Entry buffers of dropped batches, each empty. A construct-heavy
     /// program starts and ends a strand per few accesses, and an 8 KB
     /// `malloc` per strand is then most of what recording costs. Touched
     /// at strand birth and death only, never by `record`.
@@ -150,15 +148,15 @@ pub struct AccessBatch {
 }
 
 impl AccessBatch {
-    /// Empty batch with capacity for `cap` entries, on a recycled buffer
-    /// when this thread has one, at a fresh epoch.
-    pub fn new(cap: usize) -> Self {
+    /// Empty batch with capacity for [`DEFAULT_BATCH_CAP`] entries, on a
+    /// recycled buffer when this thread has one, at a fresh epoch.
+    pub fn new() -> Self {
         let mut entries = SPARES
             .try_with(|s| s.borrow_mut().pop())
             .ok()
             .flatten()
             .unwrap_or_default();
-        entries.reserve_exact(cap);
+        entries.reserve_exact(DEFAULT_BATCH_CAP);
         Self {
             entries,
             epoch: fresh_stamp(),
@@ -238,6 +236,12 @@ impl AccessBatch {
     }
 }
 
+impl Default for AccessBatch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Drop for AccessBatch {
     fn drop(&mut self) {
         let mut entries = std::mem::take(&mut self.entries);
@@ -246,7 +250,7 @@ impl Drop for AccessBatch {
         // spares already gone, and `entries` is freed with the closure.
         let _ = SPARES.try_with(move |s| {
             let mut s = s.borrow_mut();
-            if s.len() < SPARES_PER_THREAD && entries.capacity() <= DEFAULT_BATCH_CAP {
+            if s.len() < SPARES_PER_THREAD {
                 s.push(entries);
             }
         });
@@ -283,21 +287,14 @@ pub struct BatchStats {
 /// batch through one shadow page cursor.
 pub struct Batched<H> {
     inner: H,
-    cap: usize,
     counters: BatchCounters,
 }
 
 impl<H> Batched<H> {
-    /// Wrap `inner` with the default flush threshold.
+    /// Wrap `inner`, flushing at [`DEFAULT_BATCH_CAP`] buffered accesses.
     pub fn new(inner: H) -> Self {
-        Self::with_capacity(inner, DEFAULT_BATCH_CAP)
-    }
-
-    /// Wrap `inner`, flushing whenever a strand buffers `cap` accesses.
-    pub fn with_capacity(inner: H, cap: usize) -> Self {
         Self {
             inner,
-            cap: cap.max(1),
             counters: BatchCounters::default(),
         }
     }
@@ -363,7 +360,7 @@ impl<H: TaskHooks> Batched<H> {
     fn fresh_strand(&self, inner: H::Strand) -> BatchStrand<H::Strand> {
         BatchStrand {
             inner,
-            batch: AccessBatch::new(self.cap),
+            batch: AccessBatch::new(),
         }
     }
 
@@ -431,7 +428,7 @@ impl<H: TaskHooks> TaskHooks for Batched<H> {
 
     #[inline]
     fn on_access(&self, s: &mut Self::Strand, addr: u64, is_write: bool) {
-        if s.batch.record(addr, is_write) && s.batch.len() >= self.cap {
+        if s.batch.record(addr, is_write) && s.batch.len() >= DEFAULT_BATCH_CAP {
             self.flush(s);
         }
     }
@@ -444,7 +441,7 @@ mod tests {
 
     #[test]
     fn filter_write_combines() {
-        let mut b = AccessBatch::new(16);
+        let mut b = AccessBatch::new();
         assert!(b.record(8, false));
         assert!(!b.record(8, false), "repeat read combined");
         assert!(b.record(8, true), "first write kept after read");
@@ -458,7 +455,7 @@ mod tests {
 
     #[test]
     fn clear_filter_readmits() {
-        let mut b = AccessBatch::new(16);
+        let mut b = AccessBatch::new();
         assert!(b.record(8, true));
         b.discard();
         assert!(!b.record(8, true), "filter survives a cap flush");
@@ -478,7 +475,7 @@ mod tests {
             .map(|k| A + 8 * k)
             .find(|&b| way(b) == way(A))
             .expect("finitely many ways");
-        let mut b = AccessBatch::new(16);
+        let mut b = AccessBatch::new();
         assert!(b.record(A, true));
         assert!(b.record(b_addr, false), "evicts A");
         assert!(b.record(b_addr, true), "B's first write is not a repeat");
@@ -536,7 +533,7 @@ mod tests {
     /// block tells the two apart ((154 642, 208 878) at 4 096).
     #[test]
     fn a_fixed_stream_pins_the_filter() {
-        let mut b = AccessBatch::new(DEFAULT_BATCH_CAP);
+        let mut b = AccessBatch::new();
         const COLS: u64 = 192;
         for row in 1..32 {
             for col in 1..COLS {
@@ -586,7 +583,7 @@ mod tests {
     /// its row), and 4 096 ways cannot hold them.
     #[test]
     fn the_filter_holds_an_sw_blocks_working_set() {
-        let mut b = AccessBatch::new(DEFAULT_BATCH_CAP);
+        let mut b = AccessBatch::new();
         sw_block(&mut b);
         let first = b.stats();
         sw_block(&mut b);
@@ -644,7 +641,7 @@ mod tests {
     /// same admissions over a long random stream with boundaries.
     #[test]
     fn epoch_stamps_decide_like_a_cleared_filter() {
-        let mut b = AccessBatch::new(16);
+        let mut b = AccessBatch::new();
         let mut reference = Cleared::new();
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for step in 0..200_000u32 {
@@ -683,7 +680,7 @@ mod tests {
     #[test]
     fn interleaved_strands_never_filter_each_other() {
         let mut strands: Vec<(AccessBatch, Cleared)> = (0..3)
-            .map(|_| (AccessBatch::new(16), Cleared::new()))
+            .map(|_| (AccessBatch::new(), Cleared::new()))
             .collect();
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for step in 0..60_000u32 {
@@ -730,11 +727,19 @@ mod tests {
             let kind = if is_write { 'w' } else { 'r' };
             self.0.lock().push(format!("{kind}{addr}"));
         }
+        fn on_access_batch(&self, s: &mut (), entries: &[BatchedAccess], filtered: (u64, u64)) {
+            if entries.is_empty() {
+                self.0.lock().push(format!("filtered only {filtered:?}"));
+            }
+            for a in entries {
+                self.on_access(s, a.addr, a.is_write);
+            }
+        }
     }
 
     #[test]
     fn flushes_before_boundaries_in_program_order() {
-        let b = Batched::with_capacity(Log(Mutex::new(Vec::new())), 64);
+        let b = Batched::new(Log(Mutex::new(Vec::new())));
         let mut s = b.root();
         // Whole-word addresses: bytes of one word share a way.
         b.on_access(&mut s, 8, false);
@@ -763,7 +768,7 @@ mod tests {
     #[test]
     fn recycled_batch_decides_like_a_fresh_one() {
         drop(take_spares());
-        let mut b = AccessBatch::new(16);
+        let mut b = AccessBatch::new();
         assert!(b.record(8, true));
         assert!(!b.record(8, false), "covered by the write");
         assert_eq!(b.stats(), (1, 1));
@@ -771,7 +776,7 @@ mod tests {
         drop(b); // entries and filtered counts still pending
         assert_eq!(spares(), 1);
 
-        let mut b = AccessBatch::new(16);
+        let mut b = AccessBatch::new();
         assert_eq!(spares(), 0, "new() took the spare");
         assert_ne!(b.epoch, first_life);
         assert!(b.is_empty() && !b.has_pending_filtered());
@@ -781,23 +786,26 @@ mod tests {
         assert_eq!(b.stats(), (2, 0));
     }
 
+    /// A spare with room past the cap still flushes at the cap.
     #[test]
     fn recycled_capacity_does_not_move_the_flush_threshold() {
         drop(take_spares());
-        drop(AccessBatch::new(DEFAULT_BATCH_CAP));
-        let b = Batched::with_capacity(Log(Mutex::new(Vec::new())), 2);
+        let mut grown = AccessBatch::new();
+        grown.entries.reserve_exact(2 * DEFAULT_BATCH_CAP);
+        drop(grown);
+        let b = Batched::new(Log(Mutex::new(Vec::new())));
         let mut s = b.root();
-        assert_eq!(spares(), 0, "root strand runs on the 512-entry spare");
-        assert!(s.batch.entries.capacity() >= DEFAULT_BATCH_CAP);
-        for a in 0..5 {
-            b.on_access(&mut s, a, true);
+        assert_eq!(spares(), 0, "root strand runs on the grown spare");
+        assert!(s.batch.entries.capacity() >= 2 * DEFAULT_BATCH_CAP);
+        for a in 0..2 * DEFAULT_BATCH_CAP as u64 + 3 {
+            b.on_access(&mut s, 8 * a, true);
         }
-        assert_eq!(b.inner().0.lock().len(), 4, "flushed at 2 and at 4");
-        assert_eq!(b.stats().flushes, 2);
+        assert_eq!(b.inner().0.lock().len(), 2 * DEFAULT_BATCH_CAP);
+        assert_eq!(b.stats().flushes, 2, "two cap flushes");
     }
 
     #[test]
-    fn spares_stay_bounded_and_oversized_buffers_are_freed() {
+    fn spares_stay_bounded() {
         drop(take_spares());
         let b = Batched::new(crate::hooks::NullHooks);
         let mut root = b.root();
@@ -815,10 +823,6 @@ mod tests {
             assert_eq!(spares(), SPARES_PER_THREAD);
         }
         assert_eq!(b.stats().recorded, 10_000);
-
-        drop(take_spares());
-        drop(AccessBatch::new(4 * DEFAULT_BATCH_CAP));
-        assert_eq!(spares(), 0, "a grown buffer is not retained");
     }
 
     /// Serial depth-first run of a seeded random program, driven straight
@@ -857,6 +861,18 @@ mod tests {
                         }
                     }
                     4 if depth > 0 => break,
+                    5 if self.next().is_multiple_of(8) => {
+                        // Fresh writes 0-2 past the cap, then a repeat: with
+                        // none past it, the next flush is of counts only.
+                        let base = (u64::from(self.steps_left) + 1) << 16;
+                        let past = self.next() % 3;
+                        let end = DEFAULT_BATCH_CAP as u64 + past;
+                        for a in s.batch.len() as u64..end {
+                            self.b.on_access(s, base + 8 * a, true);
+                        }
+                        assert_eq!(s.batch.len() as u64, past, "a cap flush");
+                        self.b.on_access(s, base + 8 * (end - 1), false);
+                    }
                     op => {
                         // 24 addresses: repeats at one position are common.
                         let addr = self.next() % 24 * 8;
@@ -879,7 +895,7 @@ mod tests {
     #[test]
     fn recycling_is_invisible_to_the_detector() {
         fn run(seed: u64, between: &mut dyn FnMut()) -> (Vec<String>, BatchStats) {
-            let b = Batched::with_capacity(Log(Mutex::new(Vec::new())), 4);
+            let b = Batched::new(Log(Mutex::new(Vec::new())));
             let mut root = b.root();
             RandomProgram {
                 b: &b,
@@ -905,7 +921,8 @@ mod tests {
             assert!(held.len() > SPARES_PER_THREAD, "seed {seed}");
 
             assert!(fresh.0.len() > 3000, "seed {seed}: {}", fresh.0.len());
-            assert!(fresh.1.filtered > 0 && fresh.1.flushes > 0);
+            let counts_only = fresh.0.iter().any(|e| e.starts_with("filtered only"));
+            assert!(counts_only && fresh.1.filtered > 0, "seed {seed}");
             assert_eq!(recycled.0, fresh.0, "seed {seed}: delivered events");
             assert_eq!(recycled.1, fresh.1, "seed {seed}: Batched::stats()");
         }
@@ -913,14 +930,19 @@ mod tests {
 
     #[test]
     fn size_cap_flushes_midstream() {
-        let b = Batched::with_capacity(Log(Mutex::new(Vec::new())), 2);
+        let b = Batched::new(Log(Mutex::new(Vec::new())));
         let mut s = b.root();
-        for a in 0..5 {
-            b.on_access(&mut s, a, true);
+        let n = DEFAULT_BATCH_CAP as u64 + 3;
+        for a in 0..n {
+            b.on_access(&mut s, 8 * a, true);
         }
-        // cap=2: addresses 0..3 must already be delivered.
-        assert!(b.inner().0.lock().len() >= 4);
+        // The first DEFAULT_BATCH_CAP writes are already delivered.
+        assert_eq!(b.inner().0.lock().len(), DEFAULT_BATCH_CAP);
         b.on_task_end(&mut s);
-        assert_eq!(b.inner().0.lock().len(), 6, "5 writes + end");
+        assert_eq!(
+            b.inner().0.lock().len() as u64,
+            n + 1,
+            "the writes, then the end"
+        );
     }
 }

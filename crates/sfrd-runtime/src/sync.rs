@@ -74,13 +74,6 @@ macro_rules! atomic_int {
                 self.0.fetch_sub(v, o)
             }
 
-            /// Atomic bitwise or, returning the previous value.
-            #[inline]
-            pub fn fetch_or(&self, v: $prim, o: Ordering) -> $prim {
-                yield_point();
-                self.0.fetch_or(v, o)
-            }
-
             /// Atomic compare-and-exchange.
             #[inline]
             pub fn compare_exchange(
@@ -307,13 +300,6 @@ impl<T: ?Sized> Mutex<T> {
             }
         }
         self.0.lock()
-    }
-
-    /// Try to acquire the lock without blocking (not census-counted).
-    #[inline]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        yield_point();
-        self.0.try_lock()
     }
 
     /// Mutable access; no locking needed (`&mut self`).

@@ -8,7 +8,7 @@
 //! direct-mapped page table: addresses resolve in O(1) through an
 //! atomically-published page directory with **no hashing and no locks**
 //! on the addressing path, and each location's slot is one packed atomic
-//! word (writer epoch, section tag, the claiming address's low bits) and
+//! word (section tag, the claiming address's low bits, busy bit) and
 //! the [`LocEntry`]'s other fields — 32 bytes for the detectors' one-word
 //! position, two slots per cache line, with the first and the most recent
 //! reader inline and a spill, named by a 4-byte index, only past that. A
@@ -19,17 +19,17 @@
 //! seqlock-style write section. The store's contract is one [`LocEntry`]
 //! per exact address.
 //!
-//! ## Writer epochs
+//! ## The section tag
 //!
-//! Every [`LocEntry`] carries a [`writer_seq`](LocEntry::writer_seq)
-//! counter bumped whenever a new writer is installed
-//! ([`LocEntry::begin_write_epoch`]). The paged store keeps it only in
-//! each slot's packed word — a seqlock's sequence word: a write section
-//! publishes a new packed word, so a reader that copied the entry's
-//! inline fields *validates* the copy with one atomic re-load instead of
-//! taking the section. That is all the epoch is for; nothing outside this
-//! crate keys state on it (the per-strand cache of serial-writer verdicts
-//! that did was retired in PR 18, DESIGN.md §14).
+//! A location's state is its last writer and its retained readers, as in
+//! the paper (§3.5, §4); a write epoch is nothing more than the time
+//! between two writers ([`LocEntry::begin_write_epoch`]). The paged store
+//! adds one counter per slot, the *section tag* in the slot's packed word:
+//! every write section that releases the slot adds one to it, whatever the
+//! section changed. It is the slot seqlock's sequence, so a reader that
+//! copied the entry's inline fields *validates* the copy with one atomic
+//! re-load instead of taking the section. At 59 bits it cannot wrap
+//! within any window a reader holds open.
 //!
 //! ## Reader policies
 //!
@@ -199,7 +199,7 @@ unsafe impl<P: Send> Send for SpillCell<P> {}
 pub(crate) type SpillArena<P> = AppendArena<SpillCell<P>>;
 
 /// Where one location's spill lives.
-enum SpillRef<'a, P> {
+pub(crate) enum SpillRef<'a, P> {
     /// In a [`LocState`] (the fallback map, reference models).
     Owned(&'a mut Spill<P>),
     /// Behind a paged slot's index into its history's arena; followed
@@ -243,7 +243,7 @@ impl<P> SpillRef<'_, P> {
 /// location's state, borrowed for one write section.
 pub struct Readers<'a, P> {
     pub(crate) head: &'a mut Head<P>,
-    spill: SpillRef<'a, P>,
+    pub(crate) spill: SpillRef<'a, P>,
 }
 
 /// The Mellor-Crummey update of one `(leftmost, rightmost)` pair.
@@ -451,58 +451,30 @@ impl<P: Copy + std::fmt::Debug> std::fmt::Debug for Readers<'_, P> {
 
 /// Shadow state of one memory location, as a write section sees it: a
 /// view of the location's fields, borrowed for the section. In the paged
-/// store the view points into the slot itself — the epoch is the one
-/// field it carries apart, decoded from the packed word and published
-/// back with it — and in the fallback map into a [`LocState`].
+/// store the view points into the slot itself, and in the fallback map
+/// into a [`LocState`].
 pub struct LocEntry<'a, P> {
     /// Retained readers since the last write.
     pub readers: Readers<'a, P>,
     /// Last writer, if any.
     pub writer: &'a mut Option<P>,
-    /// Writer epoch: bumped every time a new writer is installed. The
-    /// paged store keeps it only in the packed word, 36 bits wide (see
-    /// module docs).
-    pub writer_seq: &'a mut u64,
 }
 
 impl<P: Copy + std::fmt::Debug> std::fmt::Debug for LocEntry<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocEntry")
             .field("writer", &self.writer)
-            .field("writer_seq", &self.writer_seq)
             .field("readers", &self.readers)
             .finish()
     }
 }
 
-impl<'a, P: Copy> LocEntry<'a, P> {
-    /// The view of a paged slot's fields, at epoch `writer_seq`.
-    pub(crate) fn in_slot(
-        head: &'a mut Head<P>,
-        writer: &'a mut Option<P>,
-        spill: &'a mut u32,
-        arena: &'a SpillArena<P>,
-        writer_seq: &'a mut u64,
-    ) -> Self {
-        LocEntry {
-            readers: Readers {
-                head,
-                spill: SpillRef::Indexed {
-                    index: spill,
-                    arena,
-                },
-            },
-            writer,
-            writer_seq,
-        }
-    }
-
-    /// Install a new writer, advance the writer epoch, and drop the
-    /// retained readers (sound: any race with a dropped reader is either
-    /// already reported or subsumed by a race with this writer).
+impl<P: Copy> LocEntry<'_, P> {
+    /// Install a new writer and drop the retained readers (sound: any race
+    /// with a dropped reader is either already reported or subsumed by a
+    /// race with this writer).
     pub fn begin_write_epoch(&mut self, w: P) {
         *self.writer = Some(w);
-        *self.writer_seq += 1;
         self.readers.clear();
     }
 
@@ -537,17 +509,15 @@ pub struct LocState<P> {
     head: Head<P>,
     spill: Spill<P>,
     writer: Option<P>,
-    writer_seq: u64,
 }
 
 impl<P: Copy> LocState<P> {
-    /// An untouched location: no writer, no readers, epoch 0.
+    /// An untouched location: no writer, no readers.
     pub fn new(policy: ReaderPolicy) -> Self {
         LocState {
             head: Head::new(policy),
             spill: Spill::None,
             writer: None,
-            writer_seq: 0,
         }
     }
 
@@ -559,7 +529,6 @@ impl<P: Copy> LocState<P> {
                 spill: SpillRef::Owned(&mut self.spill),
             },
             writer: &mut self.writer,
-            writer_seq: &mut self.writer_seq,
         }
     }
 }
@@ -660,19 +629,22 @@ mod tests {
         });
     }
 
+    /// A write epoch installs the writer and clears the readers, and the
+    /// section that opens it advances the slot's sequence, its tag.
     #[test]
     fn write_epoch_clears_readers_and_advances_seq() {
         let h = history(ReaderPolicy::All);
         h.locked(0x8, |e| {
-            assert_eq!(*e.writer_seq, 0);
+            assert!(e.writer.is_none());
             e.readers.record(0, (1, 1), eng_less, heb_less, precedes);
             e.begin_write_epoch((2, 2));
             assert!(e.readers.is_empty());
             assert_eq!(*e.writer, Some((2, 2)));
-            assert_eq!(*e.writer_seq, 1);
-            e.begin_write_epoch((3, 3));
-            assert_eq!(*e.writer_seq, 2);
         });
+        let before = h.packed_words()[1];
+        h.locked(0x8, |e| e.begin_write_epoch((3, 3)));
+        assert_ne!(h.packed_words()[1], before);
+        h.locked(0x8, |e| assert_eq!(*e.writer, Some((3, 3))));
     }
 
     #[test]
@@ -818,6 +790,8 @@ mod tests {
         assert_eq!(h.fast_hits(), 3, "hits fold in when the cursor drops");
     }
 
+    /// A write-same-epoch hit stores nothing: every packed word reads as
+    /// it did before it.
     #[test]
     fn same_epoch_write_hits_and_leaves_the_epoch() {
         for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
@@ -825,16 +799,17 @@ mod tests {
             let mut cur = h.cursor();
             assert!(!cur.fast_write(0x40, (1, 1)), "untouched location");
             cur.locked(0x40, |e| e.begin_write_epoch((1, 1)));
+            let before = h.packed_words();
             assert!(cur.fast_write(0x40, (1, 1)));
             assert!(!cur.fast_write(0x40, (2, 2)), "another writer");
+            assert_eq!(h.packed_words(), before, "a hit stored");
             let snap = cur.snapshot(0x40).expect("idle, owned slot");
-            assert_eq!((snap.writer(), snap.writer_seq()), (Some((1, 1)), 1));
+            assert_eq!(snap.writer(), Some((1, 1)));
             // A retained reader must be swept by the write section.
             cur.locked(0x40, |e| {
                 e.readers.record(0, (1, 1), eng_less, heb_less, precedes)
             });
             assert!(!cur.fast_write(0x40, (1, 1)));
-            cur.locked(0x40, |e| assert_eq!(*e.writer_seq, 1));
             drop(cur);
             assert_eq!(h.fast_hits(), 1);
         }

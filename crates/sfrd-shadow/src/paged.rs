@@ -43,10 +43,13 @@
 //! ```text
 //! packed 8 | meta 4 | fut 4 | inline[LAST] 4 | inline[FIRST] 4 | writer 4 | spill 4
 //!
-//! packed: [ 63..28: writer epoch | 27..5: section tag | 4..2: addr & 7 | 1: claimed | 0: busy ]
+//! packed: [ 63..5: section tag | 4..2: addr & 7 | 1: claimed | 0: busy ]
 //! ```
 //!
-//! * The writer epoch lives only in the packed word.
+//! * The section tag is the seqlock's sequence: every write section that
+//!   releases a slot adds one to it. It is 59 bits wide, so a snapshot
+//!   window would have to span 2^59 sections for the tag to come back to
+//!   the value it opened at.
 //! * The claiming address is the slot's own 8-byte span plus the three
 //!   `addr & 7` bits and a claimed bit, also in the packed word — so the
 //!   lock-free read learns whether the slot is its address's from the same
@@ -55,16 +58,15 @@
 //!   slot names its spill by a 4-byte index.
 //!
 //! Nothing is mirrored: a write section hands its closure a [`LocEntry`]
-//! view of the slot's own fields (plus the epoch, decoded from the packed
-//! word and published back with it), and the lock-free snapshot copies
-//! from the same slot.
+//! view of the slot's own fields, and the lock-free snapshot copies from
+//! the same slot.
 //!
 //! State-changing accesses open a *seqlock-style write section*: CAS the
 //! busy bit (contended retries are counted in
 //! [`PagedHistory::cas_retries`]), mutate the entry, and release by
-//! publishing a new packed word — the entry's writer epoch, tag
-//! incremented, the claim. Any interleaved section therefore changes the
-//! packed word, which is what makes the snapshot's validation sound.
+//! publishing a new packed word — the tag incremented, the claim. Any
+//! interleaved section therefore changes the packed word, which is what
+//! makes the snapshot's validation sound.
 //!
 //! ## The zero-store same-epoch paths
 //!
@@ -112,7 +114,7 @@ use std::ptr::addr_of;
 
 use sfrd_om::AppendArena;
 
-use crate::{Head, LocEntry, LocState, ReaderPolicy, SpillArena};
+use crate::{Head, LocEntry, LocState, ReaderPolicy, Readers, SpillArena, SpillRef};
 
 /// log2 of a slot's address span: one slot per 8-byte word, which is one
 /// instrumented `ShadowArray`/`ShadowCell` cell whatever its element type,
@@ -141,9 +143,9 @@ const SUB_SHIFT: u32 = 2;
 const SUB_MASK: u64 = ((1 << SLOT_SHIFT) - 1) << SUB_SHIFT;
 const OWNER_MASK: u64 = CLAIMED | SUB_MASK;
 const TAG_SHIFT: u32 = SUB_SHIFT + SLOT_SHIFT;
-const TAG_BITS: u32 = 23;
+/// Every bit above the claim.
+const TAG_BITS: u32 = u64::BITS - TAG_SHIFT;
 const TAG_MASK: u64 = ((1 << TAG_BITS) - 1) << TAG_SHIFT;
-const EPOCH_SHIFT: u32 = TAG_SHIFT + TAG_BITS;
 
 /// The claim `addr` holds on its slot: the packed word's owner bits.
 #[inline]
@@ -151,19 +153,13 @@ fn claim(addr: u64) -> u64 {
     CLAIMED | (addr << SUB_SHIFT) & SUB_MASK
 }
 
-/// The writer epoch a packed word carries (36 bits; it wraps).
 #[inline]
-fn epoch(packed: u64) -> u64 {
-    packed >> EPOCH_SHIFT
-}
-
-#[inline]
-fn pack(writer_seq: u64, tag: u64, owner: u64) -> u64 {
-    (writer_seq << EPOCH_SHIFT) | ((tag << TAG_SHIFT) & TAG_MASK) | owner
+fn pack(tag: u64, owner: u64) -> u64 {
+    ((tag << TAG_SHIFT) & TAG_MASK) | owner
 }
 
 /// Everything a slot holds besides its packed word: a [`LocEntry`]'s
-/// fields minus the epoch, with the readers' spill named by index.
+/// fields, with the readers' spill named by index.
 #[repr(C)]
 struct Body<P> {
     head: Head<P>,
@@ -173,7 +169,7 @@ struct Body<P> {
     spill: u32,
 }
 
-/// One location's slot: the packed word (seqlock + epoch + section tag +
+/// One location's slot: the packed word (seqlock: busy bit, section tag,
 /// claim) and the entry's fields — the only copy of them.
 #[repr(C, align(32))]
 struct Slot<P: Copy> {
@@ -275,11 +271,6 @@ impl<P: Copy + Send> PagedHistory<P> {
             cas_retries: AtomicU64::new(0),
             page_allocs: AtomicU64::new(0),
         }
-    }
-
-    /// The reader-retention policy in force.
-    pub fn policy(&self) -> ReaderPolicy {
-        self.policy
     }
 
     /// Fallback-map mutex acquisitions (the mapped path is lock-free).
@@ -409,27 +400,21 @@ impl<P: Copy + Send> PagedHistory<P> {
         }
     }
 
-    /// Run `f` on the view of a slot's entry, at the epoch the
-    /// pre-section word `prev` carries; returns what `f` returns and the
-    /// epoch to publish. Caller holds the busy bit.
+    /// Run `f` on the view of a slot's entry. Caller holds the busy bit.
     #[inline(always)]
-    fn in_section<R>(
-        &self,
-        slot: &Slot<P>,
-        prev: u64,
-        f: impl FnOnce(&mut LocEntry<'_, P>) -> R,
-    ) -> (R, u64) {
+    fn in_section<R>(&self, slot: &Slot<P>, f: impl FnOnce(&mut LocEntry<'_, P>) -> R) -> R {
         // SAFETY: busy bit held — exclusive access to the body.
         let body = unsafe { &mut *slot.body.get() };
-        let mut writer_seq = epoch(prev);
-        let r = f(&mut LocEntry::in_slot(
-            &mut body.head,
-            &mut body.writer,
-            &mut body.spill,
-            &self.spills,
-            &mut writer_seq,
-        ));
-        (r, writer_seq)
+        f(&mut LocEntry {
+            readers: Readers {
+                head: &mut body.head,
+                spill: SpillRef::Indexed {
+                    index: &mut body.spill,
+                    arena: &self.spills,
+                },
+            },
+            writer: &mut body.writer,
+        })
     }
 
     fn fallback_locked<R>(&self, addr: u64, f: impl FnOnce(&mut LocEntry<'_, P>) -> R) -> R {
@@ -441,7 +426,7 @@ impl<P: Copy + Send> PagedHistory<P> {
     }
 
     fn is_tracked(e: &LocEntry<'_, P>) -> bool {
-        e.writer.is_some() || !e.readers.is_empty() || *e.writer_seq > 0
+        e.writer.is_some() || !e.readers.is_empty()
     }
 
     /// Visit every touched `(addr, entry)` pair. Quiescent use only
@@ -471,7 +456,7 @@ impl<P: Copy + Send> PagedHistory<P> {
                     if prev & CLAIMED != 0 {
                         let word = page_word | slot_idx as u64;
                         let addr = word << SLOT_SHIFT | (prev & SUB_MASK) >> SUB_SHIFT;
-                        self.in_section(slot, prev, |e| {
+                        self.in_section(slot, |e| {
                             if Self::is_tracked(e) {
                                 f(addr, e);
                             }
@@ -536,7 +521,6 @@ impl<P: Copy + Send> PagedHistory<P> {
 /// open. Only a slot owned by the queried exact address yields one.
 pub struct SlotSnapshot<P> {
     writer: Option<P>,
-    writer_seq: u64,
     head: Head<P>,
 }
 
@@ -544,11 +528,6 @@ impl<P: Copy> SlotSnapshot<P> {
     /// The last writer.
     pub fn writer(&self) -> Option<P> {
         self.writer
-    }
-
-    /// The writer epoch.
-    pub fn writer_seq(&self) -> u64 {
-        self.writer_seq
     }
 
     /// The most recently recorded reader ([`ReaderPolicy::All`] only).
@@ -609,11 +588,6 @@ impl<P: Copy + Send> Drop for PageCursor<'_, P> {
 }
 
 impl<'a, P: Copy + Send> PageCursor<'a, P> {
-    /// The backing history.
-    pub fn history(&self) -> &'a PagedHistory<P> {
-        self.hist
-    }
-
     fn slot(&mut self, addr: u64, alloc: bool) -> Option<&'a Slot<P>> {
         let word = addr >> SLOT_SHIFT;
         let key = word >> PAGE_SHIFT;
@@ -663,11 +637,10 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
             slot.packed.store(prev, Ordering::Release);
             return hist.fallback_locked(addr, f);
         }
-        let (r, writer_seq) = hist.in_section(slot, prev, f);
-        // Close the section: the entry's epoch, tag + 1, the claim.
+        let r = hist.in_section(slot, f);
+        // Close the section: tag + 1, the claim.
         let tag = ((prev & TAG_MASK) >> TAG_SHIFT).wrapping_add(1);
-        slot.packed
-            .store(pack(writer_seq, tag, owner), Ordering::Release);
+        slot.packed.store(pack(tag, owner), Ordering::Release);
         r
     }
 
@@ -720,19 +693,18 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
         Some((copied, w))
     }
 
-    /// Validated copy of every pointer-free field of `addr`'s entry:
-    /// writer, epoch and the readers' inline head.
+    /// Validated copy of every pointer-free field of `addr`'s entry: the
+    /// writer and the readers' inline head.
     pub fn snapshot(&mut self, addr: u64) -> Option<SlotSnapshot<P>> {
         // SAFETY: `Head` is integers and `MaybeUninit`, valid for every bit
         // pattern; see `recheck` for the protocol.
-        let ((head, writer), w) = self.validated(addr, |b| unsafe {
+        let ((head, writer), _) = self.validated(addr, |b| unsafe {
             (addr_of!((*b).head).read_volatile(), copy_writer(b))
         })?;
         Some(SlotSnapshot {
             // SAFETY: validated, so these are the bytes of the `Option<P>`
             // the last write section left behind.
             writer: unsafe { writer.assume_init() },
-            writer_seq: epoch(w.idle),
             head,
         })
     }
@@ -818,8 +790,9 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     /// The zero-store write — **write-same-epoch**: `true` iff a validated
     /// snapshot shows `pos` is already the writer and no reader is
     /// retained, so the write section would check nothing, report nothing
-    /// and re-install the same writer. Skipping it leaves `writer_seq`
-    /// where it was. On `false` take [`locked`](Self::locked).
+    /// and re-install the same writer. Skipping it stores nothing, so the
+    /// packed word stays as it was. On `false` take
+    /// [`locked`](Self::locked).
     pub fn fast_write(&mut self, addr: u64, pos: P) -> bool
     where
         P: PartialEq,
@@ -862,18 +835,46 @@ mod tests {
         assert_eq!(body + offset_of!(Body<Pos>, spill), 28);
     }
 
-    /// The claim bits hold the exact address's low bits, and the epoch
-    /// and tag sit above them without overlap.
+    /// The claim bits hold the exact address's low bits, and the tag takes
+    /// every bit above them without overlap.
     #[test]
     fn packed_word_fields_do_not_overlap() {
-        let word = pack(u64::MAX >> EPOCH_SHIFT, u64::MAX, claim(7));
+        assert_eq!(TAG_BITS, 59);
+        let word = pack(u64::MAX, claim(7));
         assert_eq!(word | BUSY, u64::MAX);
-        assert_eq!(epoch(word), u64::MAX >> EPOCH_SHIFT);
+        assert_eq!(word & TAG_MASK, TAG_MASK);
         assert_eq!(word & OWNER_MASK, claim(0xFF));
         assert_ne!(claim(0x40), claim(0x44));
         assert_eq!(claim(0x40), claim(0x48), "one claim per 8-byte span");
         assert_eq!(BUSY & (OWNER_MASK | TAG_MASK), 0);
         assert_eq!(OWNER_MASK & TAG_MASK, 0);
+        // A 23-bit tag came back to its value after 2^23 sections.
+        assert_ne!(pack(1 << 23, claim(0)), pack(0, claim(0)));
+    }
+
+    /// The tag is the seqlock's whole sequence: a section that only
+    /// records a reader, with no writer installed, still publishes a new
+    /// packed word on its slot and on no other, so a window held open
+    /// across it is discarded.
+    #[test]
+    fn a_reader_only_section_changes_the_packed_word() {
+        let less = |a: &u64, b: &u64| a < b;
+        for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
+            let h: PagedHistory<u64> = PagedHistory::with_policy(policy);
+            h.locked(0x40, |e| e.begin_write_epoch(7));
+            let mut cur = h.cursor();
+            for reader in [11, 13, 2] {
+                let mut before = h.packed_words();
+                let w = cur.window(0x40).expect("idle");
+                h.locked(0x40, |e| e.readers.record(0, reader, less, less, less));
+                let after = h.packed_words();
+                assert_ne!(after[8], before[8], "{policy:?}: reader {reader}");
+                before[8] = after[8];
+                assert_eq!(after, before, "{policy:?}: another slot changed");
+                assert!(cur.recheck(&w, |_| ()).is_none(), "{policy:?}");
+            }
+            assert_eq!(cur.snapshot(0x40).and_then(|s| s.writer()), Some(7));
+        }
     }
 
     /// The fallback map's keys are the program's (or a journal's)

@@ -7,20 +7,19 @@
 //! concurrent snapshot reader through ~1000 seeded SC interleavings each
 //! and assert:
 //!
-//! * every snapshot the seqlock *validates* is internally consistent —
-//!   the writer maintains `writer == Some(7 * writer_seq)` (and, in the
-//!   `All`-policy test, `last reader == 11 * writer_seq`, re-established
-//!   only at the *end* of a section that yields in the middle), so a view
-//!   mixing two sections, or showing half of one, is caught. The epoch a
-//!   snapshot reports is read from the packed word it was validated
-//!   against — the slot keeps no other copy — and the writer from the
-//!   slot body, so the equation ties the two halves of the protocol;
+//! * every snapshot the seqlock *validates* is internally consistent.
+//!   Section `k` reads `k - 1` off the stored writer (`7 · (k - 1)`, none
+//!   for 0) and installs writer `7k` and reader `11k`, so at every section
+//!   boundary `writer == 7k && reader == 11k` for one `k`. The `All`-policy
+//!   section re-establishes it only at the *end* of a section that yields
+//!   in the middle. A view mixing two sections, or showing half of one,
+//!   breaks the equation;
 //! * the `All`-policy section also parks a poison value in `writer`
 //!   across a yield, so read-by-current-writer — which copies the writer
 //!   later than the head — is caught if it ever reads it outside the
 //!   window the head was validated in (say, after a busy bail);
-//! * `writer_seq` observed through the locked path (loaded from the packed
-//!   word into the section's working copy) is monotone;
+//! * the `k` a reader observes, through snapshots and through the locked
+//!   path, never goes backwards;
 //! * the mapped path takes zero locks: both the history's own fallback-map
 //!   census (`lock_ops()`) and the model's facade census stay 0.
 //!
@@ -40,8 +39,6 @@ use sfrd_shadow::{PageCursor, PagedHistory, ReaderPolicy};
 const ADDR: u64 = 0x40;
 /// The reader's future id.
 const FUT: u32 = 3;
-/// The reader's fixed order position.
-const POS: u64 = 5;
 /// Writes per schedule.
 const WRITES: u64 = 4;
 /// What `writer` holds in the first part of an `All`-policy section: not a
@@ -52,8 +49,9 @@ fn less(a: &u64, b: &u64) -> bool {
     a < b
 }
 
-fn record_reader(hist: &PagedHistory<u64>) {
-    hist.locked(ADDR, |e| e.readers.record(FUT, POS, less, less, less));
+/// The `k` of a stored writer `7k` (0 for none).
+fn k_of(writer: Option<u64>) -> u64 {
+    writer.map_or(0, |w| w / 7)
 }
 
 #[test]
@@ -64,23 +62,24 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
     };
     let report = model::explore(cfg, || {
         let hist = Arc::new(PagedHistory::<u64>::with_policy(ReaderPolicy::PerFutureLR));
-        // Seed the inline triple so the snapshot finds FUT's pair and the
-        // fast path reaches the writer check.
-        record_reader(&hist);
+        // Writer `7k`, then — across a yield — FUT's reader `11k`, which
+        // the snapshot finds as FUT's inline pair, so the fast path
+        // reaches the writer check.
+        let section = |hist: &PagedHistory<u64>| {
+            hist.locked(ADDR, |e| {
+                let k = k_of(*e.writer) + 1;
+                e.begin_write_epoch(7 * k);
+                sfrd_runtime::sync::yield_point();
+                e.readers.record(FUT, 11 * k, less, less, less);
+            })
+        };
+        section(&hist);
 
         let writer = {
             let hist = Arc::clone(&hist);
             model::spawn(move || {
-                for _ in 0..WRITES {
-                    hist.locked(ADDR, |e| {
-                        // Invariant the reader checks on every validated
-                        // snapshot: writer value is derived from the epoch.
-                        let next = 7 * (*e.writer_seq + 1);
-                        e.begin_write_epoch(next);
-                    });
-                    // The epoch cleared the readers; re-record so later
-                    // fast reads keep exercising the writer check.
-                    record_reader(&hist);
+                for _ in 1..WRITES {
+                    section(&hist);
                 }
             })
         };
@@ -88,39 +87,37 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
             let hist = Arc::clone(&hist);
             model::spawn(move || {
                 let mut cur = hist.cursor();
-                let mut last_seq = 0u64;
+                let mut last_k = 0u64;
                 for _ in 0..6 {
                     if let Some(snap) = cur.snapshot(ADDR) {
-                        let seq = snap.writer_seq();
-                        // A torn / mis-validated snapshot shows a writer
-                        // from one epoch with the seq of another.
-                        match snap.writer() {
-                            None => assert_eq!(seq, 0, "writer None after epoch {seq}"),
-                            Some(x) => assert_eq!(
-                                x,
-                                7 * seq,
-                                "inconsistent validated snapshot: writer {x}, seq {seq}"
-                            ),
-                        }
+                        let k = k_of(snap.writer());
+                        assert_eq!(snap.writer(), Some(7 * k), "writer of no section");
+                        assert!((1..=WRITES).contains(&k), "writer {k} of no section");
+                        assert!(k >= last_k, "validated writer went backwards");
+                        last_k = k;
                     }
                     // The LR read rides the same validated copy down to
-                    // its writer check.
-                    cur.fast_read(ADDR, FUT, POS, less, less, less, |w| {
-                        assert!(w.is_none_or(|x| x % 7 == 0 && x <= 7 * WRITES));
-                        true
-                    });
-                    let seq = cur.locked(ADDR, |e| *e.writer_seq);
-                    assert!(seq >= last_seq, "writer_seq went backwards");
-                    last_seq = seq;
+                    // its writer check: FUT's pair stays put only for the
+                    // reader `11k` stored, and that section's writer is
+                    // `7k`.
+                    for k in 1..=WRITES {
+                        cur.fast_read(ADDR, FUT, 11 * k, less, less, less, |w| {
+                            assert_eq!(w, Some(7 * k), "validated snapshot mixes two sections");
+                            true
+                        });
+                    }
+                    let k = cur.locked(ADDR, |e| k_of(*e.writer));
+                    assert!(k >= last_k, "the writer went backwards");
+                    last_k = k;
                 }
             })
         };
         writer.join();
         reader.join();
 
-        let (w, seq) = hist.locked(ADDR, |e| (*e.writer, *e.writer_seq));
-        assert_eq!(seq, WRITES, "lost write epoch");
-        assert_eq!(w, Some(7 * WRITES));
+        let (w, readers) = hist.locked(ADDR, |e| (*e.writer, e.readers.len()));
+        assert_eq!(w, Some(7 * WRITES), "lost write epoch");
+        assert_eq!(readers, 2, "FUT's pair");
         assert_eq!(
             hist.lock_ops(),
             0,
@@ -141,13 +138,13 @@ fn validated_snapshots_are_consistent_and_seq_is_monotone() {
 /// The default policy through the same snapshot: a reader racing a writer
 /// whose every section passes through a state no snapshot may ever show.
 ///
-/// Each writer section parks [`POISON`] in `writer`, installs epoch `s`
-/// (which clears the readers) and only then records the reader `11 * s`,
-/// *yielding to the scheduler with the busy bit held* between the steps.
-/// At every section boundary the entry therefore satisfies `writer == 7 *
-/// seq && last reader == 11 * seq`; a snapshot validated across or inside
-/// a section breaks that equation, and a read-by-current-writer hit at
-/// `POISON` has read the writer where no validated window could.
+/// Section `k` parks [`POISON`] in `writer`, installs writer `7k` (which
+/// clears the readers) and only then records the reader `11k`, *yielding
+/// to the scheduler with the busy bit held* between the steps. At every
+/// section boundary the entry therefore satisfies `writer == 7k && last
+/// reader == 11k`; a snapshot validated across or inside a section breaks
+/// that equation, and a read-by-current-writer hit at `POISON` has read
+/// the writer where no validated window could.
 #[test]
 fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
     let cfg = Config {
@@ -158,12 +155,12 @@ fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
         let hist = Arc::new(PagedHistory::<u64>::with_policy(ReaderPolicy::All));
         let section = |hist: &PagedHistory<u64>| {
             hist.locked(ADDR, |e| {
-                let seq = *e.writer_seq + 1;
+                let k = k_of(*e.writer) + 1;
                 *e.writer = Some(POISON);
                 sfrd_runtime::sync::yield_point();
-                e.begin_write_epoch(7 * seq);
+                e.begin_write_epoch(7 * k);
                 sfrd_runtime::sync::yield_point();
-                e.readers.record(FUT, 11 * seq, less, less, less);
+                e.readers.record(FUT, 11 * k, less, less, less);
             })
         };
         section(&hist);
@@ -180,16 +177,16 @@ fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
             let hist = Arc::clone(&hist);
             model::spawn(move || {
                 let mut cur = hist.cursor();
-                let mut last_seq = 0u64;
+                let mut last_k = 0u64;
                 for _ in 0..6 {
                     if let Some(snap) = cur.snapshot(ADDR) {
-                        let seq = snap.writer_seq();
-                        assert!(seq >= last_seq, "validated epoch went backwards");
-                        last_seq = seq;
+                        let k = k_of(snap.writer());
+                        assert!(k >= last_k, "validated writer went backwards");
+                        last_k = k;
                         assert_eq!(
                             (snap.writer(), snap.last_reader()),
-                            (Some(7 * seq), Some(11 * seq)),
-                            "validated snapshot shows the middle of a section (epoch {seq})"
+                            (Some(7 * k), Some(11 * k)),
+                            "validated snapshot shows the middle of a section (k = {k})"
                         );
                     }
                     // The same-epoch answers come from the same protocol:
@@ -205,18 +202,18 @@ fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
                         !fast_read(&mut cur, POISON),
                         "the writer was read outside a validated window"
                     );
-                    for seq in 1..=WRITES {
-                        for pos in [11 * seq, 7 * seq] {
+                    for k in 1..=WRITES {
+                        for pos in [11 * k, 7 * k] {
                             if fast_read(&mut cur, pos) {
                                 assert!(
-                                    seq >= last_seq,
-                                    "hit on an accessor older than a validated epoch"
+                                    k >= last_k,
+                                    "hit on an accessor older than a validated section"
                                 );
-                                last_seq = seq;
+                                last_k = k;
                             }
                         }
                         assert!(
-                            !cur.fast_write(ADDR, 7 * seq),
+                            !cur.fast_write(ADDR, 7 * k),
                             "write-same-epoch hit past a reader"
                         );
                     }
@@ -228,8 +225,7 @@ fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
 
         let mut cur = hist.cursor();
         let snap = cur.snapshot(ADDR).expect("quiescent, owned slot");
-        assert_eq!(snap.writer_seq(), WRITES, "lost write epoch");
-        assert_eq!(snap.writer(), Some(7 * WRITES));
+        assert_eq!(snap.writer(), Some(7 * WRITES), "lost write epoch");
         assert_eq!(snap.last_reader(), Some(11 * WRITES));
         assert_eq!(
             hist.lock_ops(),

@@ -10,12 +10,12 @@
 //! must make that impossible.
 //!
 //! The second test is `model_paged.rs`'s `All`-policy invariant on real
-//! threads: sections that install `writer = 7·seq` and `last reader =
-//! 11·seq` on 12-byte positions (after parking a poison writer no
-//! finished section holds), against readers that take validated snapshots
-//! of the same slots the whole time. The epoch is the packed word's, the
-//! positions the slot body's: three times wider than the detectors' word,
-//! so a snapshot spans more of the slot than theirs does.
+//! threads: section `k`, which reads `k - 1` off the stored writer,
+//! installs `writer = 7k` and `last reader = 11k` on 12-byte positions
+//! (after parking a poison writer no finished section holds, and dwelling
+//! on it for one spin-loop hint), against readers that take validated
+//! snapshots of the same slots the whole time. The positions are three times wider than the detectors' word, so
+//! a snapshot spans more of the slot than theirs does.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -58,15 +58,20 @@ fn owned_slots() -> u32 {
 
 /// One thread's deterministic op sequence against `h`. When `probe` is
 /// set, interleave zero-store fast-path probes against *other* threads'
-/// slots — pure reads that must never perturb state.
-fn run_thread(h: &PagedHistory<Pos>, thread: u32, probe: bool) {
+/// slots — pure reads that must never perturb state. Returns how many
+/// write sections ran on each owned slot, counted inside the section.
+fn run_thread(h: &PagedHistory<Pos>, thread: u32, probe: bool) -> Vec<(u64, u32)> {
     let mut cur = h.cursor();
+    let mut writes: Vec<(u64, u32)> = (0..owned_slots()).map(|k| (addr(thread, k), 0)).collect();
     for round in 1..=ROUNDS {
         for k in 0..owned_slots() {
             let a = addr(thread, k);
             let v = round * THREADS + thread;
             if (round + k) % 3 == 0 {
-                cur.locked(a, |e| e.begin_write_epoch((v, v)));
+                cur.locked(a, |e| {
+                    e.begin_write_epoch((v, v));
+                    writes[k as usize].1 += 1;
+                });
             } else {
                 cur.locked(a, |e| {
                     e.readers
@@ -89,10 +94,11 @@ fn run_thread(h: &PagedHistory<Pos>, thread: u32, probe: bool) {
             }
         }
     }
+    writes
 }
 
-/// Sorted final state: (addr, writer, writer_seq, sorted readers).
-fn state(h: &PagedHistory<Pos>) -> Vec<(u64, Option<Pos>, u64, Vec<Pos>)> {
+/// Sorted final state: (addr, writer, sorted readers).
+fn state(h: &PagedHistory<Pos>) -> Vec<(u64, Option<Pos>, Vec<Pos>)> {
     let mut v = Vec::new();
     h.for_each_entry(|a, e| {
         if let Some(w) = *e.writer {
@@ -104,7 +110,7 @@ fn state(h: &PagedHistory<Pos>) -> Vec<(u64, Option<Pos>, u64, Vec<Pos>)> {
             readers.push(p);
         });
         readers.sort_unstable();
-        v.push((a, *e.writer, *e.writer_seq, readers));
+        v.push((a, *e.writer, readers));
     });
     v.sort_unstable();
     v
@@ -113,22 +119,31 @@ fn state(h: &PagedHistory<Pos>) -> Vec<(u64, Option<Pos>, u64, Vec<Pos>)> {
 #[test]
 fn concurrent_matches_single_threaded_oracle() {
     let shared = PagedHistory::<Pos>::with_policy(ReaderPolicy::PerFutureLR);
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let shared = &shared;
-            s.spawn(move || run_thread(shared, t, true));
-        }
+    let mut shared_writes: Vec<(u64, u32)> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let shared = &shared;
+                s.spawn(move || run_thread(shared, t, true))
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().expect("stress thread panicked"))
+            .collect()
     });
 
     // Single-threaded oracle: same per-thread sequences, no probes, run
     // back-to-back. Slot ownership is disjoint, so the final per-address
-    // state must be identical to the concurrent run.
+    // state and write count must be identical to the concurrent run.
     let oracle = PagedHistory::<Pos>::with_policy(ReaderPolicy::PerFutureLR);
-    for t in 0..THREADS {
-        run_thread(&oracle, t, false);
-    }
+    let mut oracle_writes: Vec<(u64, u32)> = (0..THREADS)
+        .flat_map(|t| run_thread(&oracle, t, false))
+        .collect();
 
     assert_eq!(state(&shared), state(&oracle));
+    shared_writes.sort_unstable();
+    oracle_writes.sort_unstable();
+    assert_eq!(shared_writes, oracle_writes, "a write section was lost");
     assert_eq!(shared.locations(), 2 * PAGE_SLOTS);
     assert_eq!(shared.lock_ops(), 0, "mapped slots must never lock");
     assert!(
@@ -148,18 +163,24 @@ fn never(_: &Wide, _: &Wide) -> bool {
     unreachable!("the All policy consults no comparator")
 }
 
-/// What a section parks in `writer` before installing `7·s`: no multiple
+/// What a section parks in `writer` before installing `7k`: no multiple
 /// of 7, so only the middle of a section ever shows it.
 const POISON: u32 = 3;
 
+/// The `k` of a stored writer `7k` (0 for none).
+fn k_of(writer: Option<Wide>) -> u32 {
+    writer.map_or(0, |w| w.0 / 7)
+}
+
 /// The default policy's snapshot under real contention: one thread runs
-/// write sections over a few slots (poison writer, then new epoch `s`,
-/// writer `7·s`, then reader `11·s` — two field groups, one section),
-/// three threads snapshot the same slots continuously. A snapshot that
-/// validates must show one section's writer *and* reader, whole: never
-/// torn words, never the cleared reader list of a section's first half,
-/// never two epochs mixed — and read-by-current-writer, which copies the
-/// writer after the head, must never answer from the poison.
+/// write sections over a few slots (section `k` parks a poison writer,
+/// then installs writer `7k`, then reader `11k` — two field groups, one
+/// section), three threads snapshot the same slots continuously. A
+/// snapshot that validates must show one section's writer *and* reader,
+/// whole: never torn words, never the cleared reader list of a section's
+/// first half, never two sections mixed — and read-by-current-writer,
+/// which copies the writer after the head, must never answer from the
+/// poison.
 #[test]
 fn all_policy_snapshots_never_mix_sections_on_real_threads() {
     const SLOTS: u64 = 8;
@@ -179,12 +200,15 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
             for _ in 0..sections {
                 for slot in 0..SLOTS {
                     cur.locked(slot << SLOT_SHIFT, |e| {
-                        let seq = *e.writer_seq as u32 + 1;
+                        let k = k_of(*e.writer) + 1;
                         *e.writer = Some(wide(POISON));
-                        // Keep the store: the next line overwrites it.
+                        // Keep the store (the next line overwrites it)
+                        // and dwell on it, so a reader that copies a busy
+                        // slot finds the section half done.
                         std::hint::black_box(&mut *e.writer);
-                        e.begin_write_epoch(wide(7 * seq));
-                        e.readers.record(0, wide(11 * seq), never, never, never);
+                        std::hint::spin_loop();
+                        e.begin_write_epoch(wide(7 * k));
+                        e.readers.record(0, wide(11 * k), never, never, never);
                     });
                 }
             }
@@ -194,7 +218,7 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
             .map(|_| {
                 s.spawn(|| {
                     let mut cur = h.cursor();
-                    let mut last_seq = [0u64; SLOTS as usize];
+                    let mut last_k = [0u32; SLOTS as usize];
                     let (mut validated, mut hits, mut writer_hits) = (0u64, 0u64, 0u64);
                     let fast_read = |cur: &mut PageCursor<'_, Wide>, addr, pos| {
                         cur.fast_read(addr, 0, pos, never, never, never, |_| {
@@ -213,24 +237,23 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
                                 continue;
                             };
                             validated += 1;
-                            let seq = snap.writer_seq();
-                            assert!(seq >= last_seq[slot as usize], "epoch went backwards");
-                            last_seq[slot as usize] = seq;
+                            let k = k_of(snap.writer());
+                            assert!(k >= last_k[slot as usize], "the writer went backwards");
+                            last_k[slot as usize] = k;
                             assert_eq!(
                                 (snap.writer(), snap.last_reader()),
-                                (Some(wide(7 * seq as u32)), Some(wide(11 * seq as u32))),
-                                "validated snapshot is not one whole section (epoch {seq})"
+                                (Some(wide(7 * k)), Some(wide(11 * k))),
+                                "validated snapshot is not one whole section (k = {k})"
                             );
                             // The same-epoch answers ride the same protocol.
-                            hits += u64::from(fast_read(&mut cur, addr, wide(11 * seq as u32)));
-                            writer_hits +=
-                                u64::from(fast_read(&mut cur, addr, wide(7 * seq as u32)));
+                            hits += u64::from(fast_read(&mut cur, addr, wide(11 * k)));
+                            writer_hits += u64::from(fast_read(&mut cur, addr, wide(7 * k)));
                             assert!(
                                 !fast_read(&mut cur, addr, wide(POISON)),
                                 "the writer was read outside a validated window"
                             );
                             assert!(
-                                !cur.fast_write(addr, wide(7 * seq as u32)),
+                                !cur.fast_write(addr, wide(7 * k)),
                                 "write-same-epoch hit past a retained reader"
                             );
                         }
@@ -250,7 +273,7 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
     assert_eq!(h.lock_ops(), 0, "mapped slots must never lock");
     for slot in 0..SLOTS {
         h.locked(slot << SLOT_SHIFT, |e| {
-            assert_eq!(*e.writer_seq, u64::from(sections), "lost write epoch");
+            assert_eq!(*e.writer, Some(wide(7 * sections)), "lost write epoch");
         });
     }
 }

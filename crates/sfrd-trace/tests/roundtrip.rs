@@ -14,6 +14,7 @@ use sfrd_core::{
     Workload,
 };
 use sfrd_dag::generator::{GenParams, GenProgram};
+use sfrd_runtime::batch::DEFAULT_BATCH_CAP;
 use sfrd_runtime::hooks::PairHooks;
 use sfrd_runtime::{run_sequential, BatchStats, Batched, NullHooks, Runtime, TaskHooks};
 use sfrd_trace::{
@@ -260,19 +261,21 @@ fn parallel_recording_replays_to_live_verdicts() {
 }
 
 /// Two parallel siblings whose accesses alternate call by call, driven
-/// hook by hook on one thread so the live counts are exact. Under a batch
-/// cap of 2 each sibling's accesses at its one position leave as a run of
-/// two-entry `Accesses` events interleaved with the other's.
+/// hook by hook on one thread so the live counts are exact. Each sibling
+/// buffers two accesses a round, so its accesses at its one position leave
+/// as a run of 16 cap-sized `Accesses` events interleaved with the
+/// other's.
 fn interleaved_siblings<H: TaskHooks>(h: &Batched<H>) {
+    const ROUNDS: u64 = 16 * DEFAULT_BATCH_CAP as u64 / 2;
     const SHARED: u64 = 0x1_0000;
     const OWN: u64 = 0x2_0000;
     let mut root = h.root();
-    for i in 0..32 {
+    for i in 0..ROUNDS {
         h.on_access(&mut root, SHARED + 8 * i, true);
     }
     let mut a = h.on_spawn(&mut root);
     let mut b = h.on_spawn(&mut root);
-    for i in 0..32 {
+    for i in 0..ROUNDS {
         // Both read what the root wrote (ordered: one query each) ...
         h.on_access(&mut a, SHARED + 8 * i, false);
         h.on_access(&mut b, SHARED + 8 * i, false);
@@ -284,7 +287,7 @@ fn interleaved_siblings<H: TaskHooks>(h: &Batched<H>) {
     h.on_task_end(&mut a);
     h.on_task_end(&mut b);
     h.on_sync(&mut root, vec![a, b]);
-    for i in 0..32 {
+    for i in 0..ROUNDS {
         h.on_access(&mut root, OWN + 8 * i, false);
     }
     h.on_task_end(&mut root);
@@ -297,7 +300,7 @@ fn interleaved_siblings<H: TaskHooks>(h: &Batched<H>) {
 #[test]
 fn interleaved_split_batches_replay_to_live_counts() {
     let writer = JournalWriter::new(Vec::new(), "interleaved").expect("Vec sink cannot fail");
-    let rec = Batched::with_capacity(JournalHooks::new(writer), 2);
+    let rec = Batched::new(JournalHooks::new(writer));
     interleaved_siblings(&rec);
     let bytes = rec.into_inner().finish_owned().expect("finish journal");
 
@@ -319,7 +322,7 @@ fn interleaved_split_batches_replay_to_live_counts() {
         owners.len()
     );
 
-    let live = Batched::with_capacity(SfDetector::from_config(&EngineConfig::default()), 2);
+    let live = Batched::new(SfDetector::from_config(&EngineConfig::default()));
     interleaved_siblings(&live);
     let live = live.into_inner().report();
     let replayed = SfDetector::from_config(&EngineConfig::default());

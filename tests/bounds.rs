@@ -49,8 +49,8 @@ fn gp_merges_linear_in_k() {
         );
         let w = GenWorkload(prog);
         let det = run_sf(&w, ReaderPolicy::All, 2);
-        let k = det.reach().future_count() as u64;
-        let merges = det.reach().set_stats().snapshot().merges;
+        let k = det.engine().future_count() as u64;
+        let merges = det.engine().set_stats().snapshot().merges;
         assert!(
             merges <= 2 * k + 4,
             "merges = {merges} exceeds the O(k) budget for k = {k}"
@@ -65,8 +65,8 @@ fn gp_merges_linear_in_k_on_suite() {
         let w = make_bench(name, Scale::Small, 3);
         let det = run_sf(&w, ReaderPolicy::All, 2);
         assert!(w.verify_ok());
-        let k = det.reach().future_count() as u64;
-        let merges = det.reach().set_stats().snapshot().merges;
+        let k = det.engine().future_count() as u64;
+        let merges = det.engine().set_stats().snapshot().merges;
         assert!(merges <= 2 * k + 4, "{name}: merges = {merges}, k = {k}");
     }
 }
@@ -100,7 +100,7 @@ fn reader_retention_bounded_by_2k() {
         }
     }
     let det = run_sf(&ReadStorm, ReaderPolicy::PerFutureLR, 2);
-    let k = det.reach().future_count() as usize;
+    let k = det.engine().future_count() as usize;
     let max = det.history().unwrap().max_retained_readers();
     assert!(
         max <= 2 * k,

@@ -42,12 +42,12 @@ use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sfrd::core::{
-    EngineConfig, EventSink, FoDetector, FoEngine, GenWorkload, MbDetector, MbEngine, Mode,
-    ReachEngine, RecordingHooks, SfDetector, SfEngine, Workload,
+    EngineConfig, EventSink, FoDetector, GenWorkload, MbDetector, Mode, ReachEngine,
+    RecordingHooks, SfDetector, Workload,
 };
 use sfrd::dag::generator::{Body, GenParams, GenProgram, Op};
 use sfrd::dag::{EdgeKind, NodeId, ReachOracle, RecStrand};
-use sfrd::reach::{FoStrand, MbPos, MbStrand, Pos, SfPos, SfStrand, StrandPos};
+use sfrd::reach::{FoReach, FoStrand, MbPos, MbStrand, Pos, SfPos, SfReach, SfStrand, StrandPos};
 use sfrd::runtime::hooks::PairHooks;
 use sfrd::runtime::{run_sequential, BatchStrand, Batched, Runtime, TaskHooks};
 use sfrd::shadow::ReaderPolicy;
@@ -60,33 +60,43 @@ pub trait Observed: ReachEngine + Sized {
     fn resolve(det: &EventSink<Self>, p: Pos) -> Self::Rich;
 }
 
-impl Observed for SfEngine {
+impl Observed for SfReach {
     type Rich = SfPos;
     fn rich(s: &SfStrand) -> SfPos {
         s.pos()
     }
     fn resolve(det: &SfDetector, p: Pos) -> SfPos {
-        det.reach().resolve(p)
+        det.engine().resolve(p)
     }
 }
 
-impl Observed for FoEngine {
+impl Observed for FoReach {
     type Rich = StrandPos;
     fn rich(s: &FoStrand) -> StrandPos {
         s.pos()
     }
     fn resolve(det: &FoDetector, p: Pos) -> StrandPos {
-        det.reach().resolve(p)
+        det.engine().resolve(p)
     }
 }
 
-impl Observed for MbEngine {
+/// The engine a detector runs on, named through the detector: MultiBags'
+/// is a mutex around its union-find, of a crate this one does not use.
+pub trait Sink {
+    type Engine;
+}
+
+impl<E: ReachEngine> Sink for EventSink<E> {
+    type Engine = E;
+}
+
+impl Observed for <MbDetector as Sink>::Engine {
     type Rich = MbPos;
     fn rich(s: &MbStrand) -> MbPos {
         s.pos()
     }
     fn resolve(det: &MbDetector, p: Pos) -> MbPos {
-        det.reach().resolve(p)
+        det.engine().lock().resolve(p)
     }
 }
 
@@ -258,8 +268,8 @@ pub fn probe<E: Observed>(
 
 /// One pool per worker count and parallel engine, shared by every test.
 struct Pools {
-    sf: [Runtime<Probe<SfEngine>>; 3],
-    fo: [Runtime<Probe<FoEngine>>; 3],
+    sf: [Runtime<Probe<SfReach>>; 3],
+    fo: [Runtime<Probe<FoReach>>; 3],
 }
 
 fn pools() -> &'static Pools {

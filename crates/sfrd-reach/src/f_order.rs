@@ -1,5 +1,5 @@
 //! **F-Order** reachability — the general-futures baseline (Xu et al.,
-//! PPoPP 2020, [43] in the paper).
+//! PPoPP 2020, \[43\] in the paper).
 //!
 //! F-Order cannot exploit the structured-future properties, so instead of
 //! SF-Order's one-bit-per-future `gp`/`cp` bitmaps it keeps, per strand, a

@@ -1,5 +1,5 @@
 //! **MultiBags** — the sequential structured-futures baseline (Utterback
-//! et al., PPoPP 2019, [40] in the paper).
+//! et al., PPoPP 2019, \[40\] in the paper).
 //!
 //! MultiBags race-detects *while executing the program serially* in the
 //! left-to-right depth-first order, which lets it replace order-maintenance

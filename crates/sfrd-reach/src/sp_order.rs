@@ -4,7 +4,7 @@
 //! the *English* order (left-to-right depth-first) and the *Hebrew* order
 //! (right-to-left depth-first) — so that `u ↠ v` (reachability in the
 //! pseudo-SP-dag) is answered in O(1): `u ↠ v` iff `u` comes before `v` in
-//! **both** orders (Nudler–Rudolph; maintained as in WSP-Order [39]).
+//! **both** orders (Nudler–Rudolph; maintained as in WSP-Order \[39\]).
 //!
 //! Insertion rules (derived in DESIGN.md §5; `u` is the strand executing
 //! the construct, `c` the child's first strand, `k` the continuation, `s`

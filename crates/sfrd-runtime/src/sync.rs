@@ -2,7 +2,7 @@
 //!
 //! Normally these are zero-cost wrappers around `std::sync::atomic` (all
 //! methods are `#[inline]` passthroughs). Under `--cfg sfrd_model` every
-//! operation first calls [`crate::model::yield_point`], turning each atomic
+//! operation first calls `model::yield_point`, turning each atomic
 //! access into a scheduling point of the in-crate deterministic-interleaving
 //! model checker. Code written against this facade — the Chase-Lev deque
 //! here, the packed shadow word in `sfrd-shadow`, the order-maintenance

@@ -4,11 +4,11 @@
 //! memory location, remember enough previous accessors that a later
 //! conflicting access can be checked against them.
 //!
-//! The store is [`PagedHistory`] (module [`paged`]) — a two-level
-//! direct-mapped page table: addresses resolve in O(1) through an
-//! atomically-published page directory with **no hashing and no locks**
-//! on the addressing path, and each location's slot is one packed atomic
-//! word (section tag, the claiming address's low bits, busy bit) and
+//! The store is [`PagedHistory`] (module [`paged`]) — a three-level
+//! direct-mapped page table of 16 KiB nodes: addresses resolve in O(1)
+//! through an atomically-published page directory with **no hashing and no
+//! locks** on the addressing path, and each location's slot is one packed
+//! atomic word (section tag, the claiming address's low bits, busy bit) and
 //! the [`LocEntry`]'s other fields — 32 bytes for the detectors' one-word
 //! position, two slots per cache line, with the first and the most recent
 //! reader inline and a spill, named by a 4-byte index, only past that. A
@@ -80,6 +80,7 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 
 use sfrd_om::AppendArena;
+use sfrd_runtime::sync::{AtomicUsize, Ordering};
 
 pub mod paged;
 
@@ -244,6 +245,21 @@ impl<P> SpillRef<'_, P> {
 pub struct Readers<'a, P> {
     pub(crate) head: &'a mut Head<P>,
     pub(crate) spill: SpillRef<'a, P>,
+    /// The history's spill-capacity count, charged whenever a push grows
+    /// the spill (`None` for a [`LocState`] outside any history).
+    pub(crate) bytes: Option<&'a AtomicUsize>,
+}
+
+/// Push `x` onto a spill, charging any capacity it grows by to `bytes`.
+fn push_counted<T>(spill: &mut Vec<T>, x: T, bytes: Option<&AtomicUsize>) {
+    let cap = spill.capacity();
+    spill.push(x);
+    if let Some(bytes) = bytes.filter(|_| spill.capacity() != cap) {
+        bytes.fetch_add(
+            (spill.capacity() - cap) * std::mem::size_of::<T>(),
+            Ordering::Relaxed,
+        );
+    }
 }
 
 /// The Mellor-Crummey update of one `(leftmost, rightmost)` pair.
@@ -388,7 +404,8 @@ impl<P: Copy> Readers<'_, P> {
                 if n == 1 {
                     self.head.inline[FIRST] = MaybeUninit::new(last);
                 } else {
-                    self.spill_all().push(last);
+                    let bytes = self.bytes;
+                    push_counted(self.spill_all(), last, bytes);
                 }
             }
             self.head.inline[LAST] = MaybeUninit::new(p);
@@ -408,11 +425,12 @@ impl<P: Copy> Readers<'_, P> {
             self.head.inline[LAST] = MaybeUninit::new(r);
             return;
         }
+        let bytes = self.bytes;
         let spilled = self.spill_lr();
         match spilled.iter_mut().find(|t| t.0 == future) {
             Some((_, l, r)) => lr_update(l, r, p, eng_less, heb_less, precedes),
             None => {
-                spilled.push((future, p, p));
+                push_counted(spilled, (future, p, p), bytes);
                 self.head.set_count(n + 1);
             }
         }
@@ -430,6 +448,9 @@ impl<P: Copy> Readers<'_, P> {
         self.head.set_count(0);
     }
 
+    /// The spill's capacity in bytes: what [`push_counted`] has charged
+    /// for this location.
+    #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         match self.spill.get() {
             None | Some(Spill::None) => 0,
@@ -523,10 +544,16 @@ impl<P: Copy> LocState<P> {
 
     /// The location's entry, for one check.
     pub fn entry(&mut self) -> LocEntry<'_, P> {
+        self.entry_with(None)
+    }
+
+    /// The entry, charging spill growth to `bytes` (a history's count).
+    pub(crate) fn entry_with<'a>(&'a mut self, bytes: Option<&'a AtomicUsize>) -> LocEntry<'a, P> {
         LocEntry {
             readers: Readers {
                 head: &mut self.head,
                 spill: SpillRef::Owned(&mut self.spill),
+                bytes,
             },
             writer: &mut self.writer,
         }
@@ -691,11 +718,24 @@ mod tests {
     }
 
     /// A sweep names every location by its exact address, rebuilt from the
-    /// slot's place in the directory and the claim's low bits.
+    /// slot's place in the directory and the claim's low bits: addresses
+    /// on two pages of one leaf node, on two leaves of one mid node, under
+    /// three mid nodes, the last mapped word and the first unmapped one
+    /// (the fallback map's).
     #[test]
     fn the_sweep_names_each_exact_address() {
+        assert_eq!(MAPPED_BITS, 47);
         let h = history(ReaderPolicy::All);
-        let mut addrs = vec![0x3, 0x40, 0x7ffe_dead_bee8 + 5, (1 << MAPPED_BITS) - 1];
+        let mut addrs = vec![
+            0x3,
+            0x40,
+            (1 << 14) + 8,
+            (1 << 25) + 16,
+            (1 << 36) + 24,
+            0x7ffe_dead_bee8 + 5,
+            (1 << MAPPED_BITS) - 8,
+            1 << MAPPED_BITS,
+        ];
         for &a in &addrs {
             h.locked(a, |e| e.begin_write_epoch((1, 1)));
         }
@@ -704,7 +744,11 @@ mod tests {
         seen.sort_unstable();
         addrs.sort_unstable();
         assert_eq!(seen, addrs);
-        assert_eq!(h.lock_ops(), 0);
+        // Mid nodes under root entries 0, 1 and 0x7ff; leaves: two under
+        // the first, one under the second, two under the last.
+        assert_eq!(h.node_allocs(), 3 + 5);
+        assert_eq!(h.page_allocs(), 6);
+        assert_eq!(h.lock_ops(), 1, "only the first unmapped word locks");
     }
 
     #[test]

@@ -6,20 +6,22 @@
 //! page table — no hash, no probe sequence:
 //!
 //! ```text
-//! addr bits:  [ 63..47 | 46..31 | 30..14 |  13..3  | 2..0 ]
-//!                 ▲     ROOT_BITS MID_SHIFT PAGE_SHIFT SLOT granule
-//!              fallback  root idx  mid idx  slot idx  (8-byte span)
+//! addr bits:  [ 63..47 | 46..36 | 35..25 | 24..14 |  13..3  | 2..0 ]
+//!                 ▲      root     mid      leaf    PAGE_SHIFT SLOT granule
+//!              fallback  idx      idx      idx     slot idx  (8-byte span)
 //! ```
 //!
-//! * the **root directory** is one eager `Box<[AtomicPtr<MidChunk>]>`
-//!   (2^16 entries, 512 KiB) covering the canonical 47-bit user address
-//!   space;
-//! * **mid chunks** (2^17 page pointers, one chunk maps 2 GiB) and
-//!   **pages** (2^11 [`LocEntry`] slots, one page maps 16 KiB) are
-//!   CAS-allocated on first touch from [`AppendArena`]s and published with
-//!   `AtomicPtr` compare-exchange — a racing loser's allocation simply
-//!   stays in the arena (it is never published, is reclaimed on drop, and
-//!   is counted by `heap_bytes`);
+//! * the directory is three levels of **nodes**, each 2^11 `AtomicPtr`s
+//!   (16 KiB): the **root** is eager and maps the canonical 47-bit user
+//!   address space, a **mid** node maps 64 GiB, a **leaf** node maps
+//!   32 MiB — 2^11 pages;
+//! * mid and leaf nodes and **pages** (2^11 [`LocEntry`] slots, one page
+//!   maps 16 KiB) are allocated on first touch from [`AppendArena`]s and
+//!   published with `AtomicPtr` compare-exchange, all three through one
+//!   routine (`descend`) — a racing loser's allocation simply stays in the
+//!   arena (it is never published, is reclaimed on drop, and is counted by
+//!   `heap_bytes`). A history that has seen one access holds the root, one
+//!   mid, one leaf and one page: 48 KiB of directory and 64 KiB of slots;
 //! * each slot is **claimed by the first exact address** that touches its
 //!   8-byte span (the claim happens inside the slot's write section). The
 //!   history is keyed by *exact address*: a second, different address
@@ -31,6 +33,10 @@
 //!   collisions and addresses at or above 2^47 — the only place this
 //!   store ever takes a lock, which is exactly what
 //!   [`PagedHistory::lock_ops`] counts.
+//!
+//! [`PagedHistory::heap_bytes`] is a sum of counters, not a sweep: nodes
+//! and pages by their arenas' lengths, reader spills by a byte count that
+//! a write section adds to whenever it grows a spill's capacity.
 //!
 //! ## One slot, 32 bytes
 //!
@@ -106,7 +112,7 @@
 //! packed word before use, the standard seqlock idiom: a torn copy is
 //! possible but is discarded before any field is interpreted.
 
-use sfrd_runtime::sync::{fence, AtomicPtr, AtomicU64, Mutex, Ordering};
+use sfrd_runtime::sync::{fence, AtomicPtr, AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::mem::MaybeUninit;
@@ -125,15 +131,18 @@ pub const SLOT_SHIFT: u32 = 3;
 pub const PAGE_SHIFT: u32 = 11;
 /// Slots per page.
 pub const PAGE_SLOTS: usize = 1 << PAGE_SHIFT;
-/// log2 pages per mid-level chunk: one chunk maps 2 GiB.
-pub const MID_SHIFT: u32 = 17;
-const MID_LEN: usize = 1 << MID_SHIFT;
-/// log2 root-directory entries.
-pub const ROOT_BITS: u32 = 16;
-const ROOT_LEN: usize = 1 << ROOT_BITS;
+/// log2 pointers per directory node: a node is 16 KiB.
+const NODE_BITS: u32 = 11;
+const NODE_LEN: usize = 1 << NODE_BITS;
+/// Lowest word bit of a leaf node's index (above the slot index).
+const LEAF_SHIFT: u32 = PAGE_SHIFT;
+/// Lowest word bit of a mid node's index.
+const MID_SHIFT: u32 = LEAF_SHIFT + NODE_BITS;
+/// Lowest word bit of the root's index.
+const ROOT_SHIFT: u32 = MID_SHIFT + NODE_BITS;
 /// Address bits covered by the direct-mapped table (the canonical 47-bit
 /// user address space); anything above goes to the locked fallback map.
-pub const MAPPED_BITS: u32 = SLOT_SHIFT + PAGE_SHIFT + MID_SHIFT + ROOT_BITS;
+pub const MAPPED_BITS: u32 = SLOT_SHIFT + ROOT_SHIFT + NODE_BITS;
 
 // Packed-word layout (module docs).
 const BUSY: u64 = 1;
@@ -200,41 +209,103 @@ impl<P: Copy> Slot<P> {
     }
 }
 
-/// A page of [`PAGE_SLOTS`] direct-mapped slots.
-struct Page<P: Copy> {
-    slots: Box<[Slot<P>]>,
-}
+/// A page: [`PAGE_SLOTS`] direct-mapped slots.
+type Page<P> = [Slot<P>; PAGE_SLOTS];
 
-impl<P: Copy> Page<P> {
-    fn new(policy: ReaderPolicy) -> Self {
-        Page {
-            slots: (0..PAGE_SLOTS).map(|_| Slot::new(policy)).collect(),
-        }
+/// A directory node: [`NODE_LEN`] child links, each null until its child
+/// is published. A link points straight at the child's array, so each
+/// level costs one load.
+type Node<C> = [AtomicPtr<C>; NODE_LEN];
+/// The bottom directory level: page links for 32 MiB of address space.
+type Leaf<P> = Node<Page<P>>;
+/// The middle level: leaf links for 64 GiB.
+type Mid<P> = Node<Leaf<P>>;
+
+/// `N` values built by `make`, in one heap array.
+fn boxed<T, const N: usize>(make: impl FnMut() -> T) -> Box<[T; N]> {
+    match std::iter::repeat_with(make)
+        .take(N)
+        .collect::<Box<[T]>>()
+        .try_into()
+    {
+        Ok(array) => array,
+        Err(_) => unreachable!("exactly N values were collected"),
     }
 }
 
-/// Mid-level directory chunk: page pointers for one 2-GiB address region.
-struct MidChunk<P: Copy> {
-    pages: Box<[AtomicPtr<Page<P>>]>,
+/// An empty directory node.
+fn node<C>() -> Box<Node<C>> {
+    boxed(|| AtomicPtr::new(std::ptr::null_mut()))
 }
 
-impl<P: Copy> MidChunk<P> {
-    fn new() -> Self {
-        MidChunk {
-            pages: (0..MID_LEN)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
+/// The link `node` holds for `word` (an address right-shifted by
+/// [`SLOT_SHIFT`]) on the level whose index starts at word bit `shift`.
+#[inline(always)]
+fn link<C>(node: &Node<C>, word: u64, shift: u32) -> &AtomicPtr<C> {
+    &node[(word >> shift) as usize & (NODE_LEN - 1)]
+}
+
+/// `node`'s published children, by index.
+fn children<C>(node: &Node<C>) -> impl Iterator<Item = (usize, &C)> {
+    node.iter().enumerate().filter_map(|(i, link)| {
+        let ptr = link.load(Ordering::Acquire);
+        // SAFETY: a published link names an array boxed in an arena of
+        // the same history, which never moves or frees it before drop.
+        (!ptr.is_null()).then(|| (i, unsafe { &*ptr }))
+    })
+}
+
+/// The child behind `link`. When the link is null and `alloc` is set, a
+/// child built by `make` is pushed to `arena` and published with a
+/// compare-exchange, counted in `published`; a loser of that race leaves
+/// its child in the arena (never referenced, freed with it) and takes the
+/// winner's. Every level below the root goes through here.
+#[inline(always)]
+fn descend<'a, C>(
+    link: &AtomicPtr<C>,
+    arena: &'a AppendArena<Box<C>>,
+    alloc: bool,
+    published: &AtomicU64,
+    make: impl FnOnce() -> Box<C>,
+) -> Option<&'a C> {
+    let ptr = link.load(Ordering::Acquire);
+    if !ptr.is_null() {
+        // SAFETY: a published link names an array boxed in `arena`, which
+        // never moves or frees it before drop.
+        return Some(unsafe { &*ptr });
+    }
+    if !alloc {
+        return None;
+    }
+    let fresh: *const C = &**arena.get(arena.push(make()));
+    match link.compare_exchange(
+        std::ptr::null_mut(),
+        fresh.cast_mut(),
+        Ordering::AcqRel,
+        Ordering::Acquire,
+    ) {
+        Ok(_) => {
+            published.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: as above, `fresh` is boxed in `arena`.
+            Some(unsafe { &*fresh })
         }
+        // SAFETY: as above.
+        Err(winner) => Some(unsafe { &*winner }),
     }
 }
 
 /// The lock-free paged access history (see module docs).
 pub struct PagedHistory<P: Copy + Send> {
-    root: Box<[AtomicPtr<MidChunk<P>>]>,
-    mid_arena: AppendArena<MidChunk<P>>,
-    page_arena: AppendArena<Page<P>>,
+    /// The eager top directory level: mid-node pointers.
+    root: Box<Node<Mid<P>>>,
+    mids: AppendArena<Box<Mid<P>>>,
+    leaves: AppendArena<Box<Leaf<P>>>,
+    pages: AppendArena<Box<Page<P>>>,
     /// Reader spills of mapped slots, by the index a slot stores.
     spills: SpillArena<P>,
+    /// Bytes of spill capacity, mapped and fallback entries alike: a
+    /// write section adds to it whenever it grows a spill.
+    spill_bytes: AtomicUsize,
     policy: ReaderPolicy,
     /// Addresses above [`MAPPED_BITS`] and sub-word collisions: the locked
     /// escape hatch. Its keys come from the program under test (or a
@@ -252,24 +323,27 @@ pub struct PagedHistory<P: Copy + Send> {
     cas_retries: AtomicU64,
     /// Pages published into the directory.
     page_allocs: AtomicU64,
+    /// Mid and leaf nodes published into the directory.
+    node_allocs: AtomicU64,
 }
 
 impl<P: Copy + Send> PagedHistory<P> {
-    /// Create an empty paged history.
+    /// Create an empty paged history: the root node and nothing else.
     pub fn with_policy(policy: ReaderPolicy) -> Self {
         Self {
-            root: (0..ROOT_LEN)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-            mid_arena: AppendArena::new(),
-            page_arena: AppendArena::new(),
+            root: node(),
+            mids: AppendArena::new(),
+            leaves: AppendArena::new(),
+            pages: AppendArena::new(),
             spills: AppendArena::new(),
+            spill_bytes: AtomicUsize::new(0),
             policy,
             fallback: Mutex::new(HashMap::new()),
             lock_ops: AtomicU64::new(0),
             fast_hits: AtomicU64::new(0),
             cas_retries: AtomicU64::new(0),
             page_allocs: AtomicU64::new(0),
+            node_allocs: AtomicU64::new(0),
         }
     }
 
@@ -298,8 +372,13 @@ impl<P: Copy + Send> PagedHistory<P> {
         self.page_allocs.load(Ordering::Relaxed)
     }
 
+    /// Directory nodes published below the root (mid and leaf nodes).
+    pub fn node_allocs(&self) -> u64 {
+        self.node_allocs.load(Ordering::Relaxed)
+    }
+
     /// A page cursor: batch flushers iterate accesses through one cursor so
-    /// runs of same-page addresses skip the two directory loads.
+    /// runs of same-page addresses skip the three directory loads.
     pub fn cursor(&self) -> PageCursor<'_, P> {
         PageCursor {
             hist: self,
@@ -320,56 +399,23 @@ impl<P: Copy + Send> PagedHistory<P> {
     /// address right-shifted by [`SLOT_SHIFT`]). Caller guarantees
     /// `word < 1 << (MAPPED_BITS - SLOT_SHIFT)`.
     fn page_for(&self, word: u64, alloc: bool) -> Option<&Page<P>> {
-        let granule = word;
-        let root_idx = (granule >> (PAGE_SHIFT + MID_SHIFT)) as usize;
-        debug_assert!(root_idx < ROOT_LEN);
-        let mid_ptr = self.root[root_idx].load(Ordering::Acquire);
-        let mid: &MidChunk<P> = if mid_ptr.is_null() {
-            if !alloc {
-                return None;
-            }
-            let idx = self.mid_arena.push(MidChunk::new());
-            let fresh: *mut MidChunk<P> = self.mid_arena.get(idx) as *const _ as *mut _;
-            match self.root[root_idx].compare_exchange(
-                std::ptr::null_mut(),
-                fresh,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                // SAFETY: both pointers come from arenas owned by self and
-                // arenas never move or free elements before drop.
-                Ok(_) => unsafe { &*fresh },
-                Err(winner) => unsafe { &*winner },
-            }
-        } else {
-            // SAFETY: published pointers reference arena slots owned by self.
-            unsafe { &*mid_ptr }
-        };
-        let mid_idx = ((granule >> PAGE_SHIFT) & (MID_LEN as u64 - 1)) as usize;
-        let page_ptr = mid.pages[mid_idx].load(Ordering::Acquire);
-        if page_ptr.is_null() {
-            if !alloc {
-                return None;
-            }
-            let idx = self.page_arena.push(Page::new(self.policy));
-            let fresh: *mut Page<P> = self.page_arena.get(idx) as *const _ as *mut _;
-            match mid.pages[mid_idx].compare_exchange(
-                std::ptr::null_mut(),
-                fresh,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.page_allocs.fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: as above — arena slots are pinned.
-                    Some(unsafe { &*fresh })
-                }
-                Err(winner) => Some(unsafe { &*winner }),
-            }
-        } else {
-            // SAFETY: as above.
-            Some(unsafe { &*page_ptr })
-        }
+        debug_assert!(word >> (ROOT_SHIFT + NODE_BITS) == 0);
+        let nodes = &self.node_allocs;
+        let mid = descend(
+            link(&self.root, word, ROOT_SHIFT),
+            &self.mids,
+            alloc,
+            nodes,
+            node,
+        )?;
+        let leaf = descend(link(mid, word, MID_SHIFT), &self.leaves, alloc, nodes, node)?;
+        descend(
+            link(leaf, word, LEAF_SHIFT),
+            &self.pages,
+            alloc,
+            &self.page_allocs,
+            || boxed(|| Slot::new(self.policy)),
+        )
     }
 
     /// Open the slot's write section. Returns the pre-section packed word.
@@ -412,6 +458,7 @@ impl<P: Copy + Send> PagedHistory<P> {
                     index: &mut body.spill,
                     arena: &self.spills,
                 },
+                bytes: Some(&self.spill_bytes),
             },
             writer: &mut body.writer,
         })
@@ -422,7 +469,7 @@ impl<P: Copy + Send> PagedHistory<P> {
         let mut map = self.fallback.lock();
         let policy = self.policy;
         let state = map.entry(addr).or_insert_with(|| LocState::new(policy));
-        f(&mut state.entry())
+        f(&mut state.entry_with(Some(&self.spill_bytes)))
     }
 
     fn is_tracked(e: &LocEntry<'_, P>) -> bool {
@@ -436,33 +483,24 @@ impl<P: Copy + Send> PagedHistory<P> {
     /// releases each slot with the packed word it found, so snapshots
     /// taken across it stay valid.
     pub fn for_each_entry(&self, mut f: impl FnMut(u64, &LocEntry<'_, P>)) {
-        for (root_idx, mid_slot) in self.root.iter().enumerate() {
-            let mid_ptr = mid_slot.load(Ordering::Acquire);
-            if mid_ptr.is_null() {
-                continue;
-            }
-            // SAFETY: published arena pointer (see page_for).
-            let mid = unsafe { &*mid_ptr };
-            for (mid_idx, page_slot) in mid.pages.iter().enumerate() {
-                let page_ptr = page_slot.load(Ordering::Acquire);
-                if page_ptr.is_null() {
-                    continue;
-                }
-                // SAFETY: as above.
-                let page = unsafe { &*page_ptr };
-                let page_word = ((root_idx << MID_SHIFT | mid_idx) << PAGE_SHIFT) as u64;
-                for (slot_idx, slot) in page.slots.iter().enumerate() {
-                    let prev = self.lock_slot(slot);
-                    if prev & CLAIMED != 0 {
-                        let word = page_word | slot_idx as u64;
-                        let addr = word << SLOT_SHIFT | (prev & SUB_MASK) >> SUB_SHIFT;
-                        self.in_section(slot, |e| {
-                            if Self::is_tracked(e) {
-                                f(addr, e);
-                            }
-                        });
+        for (root_idx, mid) in children(&self.root) {
+            for (mid_idx, leaf) in children(mid) {
+                for (leaf_idx, page) in children(leaf) {
+                    let page_no = (root_idx << NODE_BITS | mid_idx) << NODE_BITS | leaf_idx;
+                    let page_word = (page_no as u64) << PAGE_SHIFT;
+                    for (slot_idx, slot) in page.iter().enumerate() {
+                        let prev = self.lock_slot(slot);
+                        if prev & CLAIMED != 0 {
+                            let word = page_word | slot_idx as u64;
+                            let addr = word << SLOT_SHIFT | (prev & SUB_MASK) >> SUB_SHIFT;
+                            self.in_section(slot, |e| {
+                                if Self::is_tracked(e) {
+                                    f(addr, e);
+                                }
+                            });
+                        }
+                        slot.packed.store(prev, Ordering::Release);
                     }
-                    slot.packed.store(prev, Ordering::Release);
                 }
             }
         }
@@ -476,9 +514,9 @@ impl<P: Copy + Send> PagedHistory<P> {
     #[cfg(test)]
     pub(crate) fn packed_words(&self) -> Vec<u64> {
         let mut words = Vec::new();
-        for idx in 0..self.page_arena.len() {
-            let page = self.page_arena.get(idx);
-            words.extend(page.slots.iter().map(|s| s.packed.load(Ordering::Relaxed)));
+        for idx in 0..self.pages.len() {
+            let page = self.pages.get(idx);
+            words.extend(page.iter().map(|s| s.packed.load(Ordering::Relaxed)));
         }
         words
     }
@@ -498,21 +536,23 @@ impl<P: Copy + Send> PagedHistory<P> {
         max
     }
 
-    /// Approximate heap bytes: root directory, both arenas (including the
-    /// boxed payloads of every allocated chunk and page — published or
-    /// stranded by a CAS race), the spill arena, retained-reader payloads,
-    /// and the fallback map.
+    /// Heap bytes, from counters alone: every directory node (the root,
+    /// and each mid and leaf node allocated, published or stranded by a
+    /// CAS race), every page's slots, the three arenas' own buckets, the
+    /// spill arena, the spills' capacity (kept by the write sections that
+    /// grow it) and the fallback map. No slot is visited.
     pub fn heap_bytes(&self) -> usize {
-        let mut bytes = self.root.len() * std::mem::size_of::<AtomicPtr<MidChunk<P>>>();
-        bytes += self.mid_arena.heap_bytes()
-            + self.mid_arena.len() * MID_LEN * std::mem::size_of::<AtomicPtr<Page<P>>>();
-        bytes += self.page_arena.heap_bytes()
-            + self.page_arena.len() * PAGE_SLOTS * std::mem::size_of::<Slot<P>>()
-            + self.spills.heap_bytes();
-        self.for_each_entry(|_, e| bytes += e.readers.heap_bytes());
-        let map = self.fallback.lock();
-        bytes += map.capacity() * (std::mem::size_of::<(u64, LocState<P>)>() + 8);
-        bytes
+        let nodes = 1 + self.mids.len() + self.leaves.len();
+        let pages = self.pages.len();
+        let map = self.fallback.lock().capacity();
+        nodes * std::mem::size_of::<Node<()>>()
+            + pages * std::mem::size_of::<Page<P>>()
+            + self.mids.heap_bytes()
+            + self.leaves.heap_bytes()
+            + self.pages.heap_bytes()
+            + self.spills.heap_bytes()
+            + self.spill_bytes.load(Ordering::Relaxed)
+            + map * (std::mem::size_of::<(u64, LocState<P>)>() + 8)
     }
 }
 
@@ -559,7 +599,7 @@ struct Window<'a, P: Copy> {
 
 /// A resolved-page memo over a [`PagedHistory`]: consecutive accesses to
 /// the same page (the common case for array scans) reuse the page pointer
-/// instead of re-walking the two directory levels. It also tallies its
+/// instead of re-walking the three directory levels. It also tallies its
 /// snapshot hits and discards locally and folds them into the history's
 /// counters when dropped — one atomic add per batch, not per access.
 pub struct PageCursor<'a, P: Copy + Send> {
@@ -595,8 +635,7 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
             self.page = self.hist.page_for(word, alloc);
             self.key = if self.page.is_some() { key } else { u64::MAX };
         }
-        self.page
-            .map(|p| &p.slots[(word & (PAGE_SLOTS as u64 - 1)) as usize])
+        self.page.map(|p| &p[word as usize & (PAGE_SLOTS - 1)])
     }
 
     /// Open a read window on `addr`'s slot. `None` when there is nothing
@@ -874,6 +913,74 @@ mod tests {
                 assert!(cur.recheck(&w, |_| ()).is_none(), "{policy:?}");
             }
             assert_eq!(cur.snapshot(0x40).and_then(|s| s.writer()), Some(7));
+        }
+    }
+
+    /// What `heap_bytes` summed before it kept a spill count: the same
+    /// directory, page and arena terms, and every location's spill
+    /// capacity found by a sweep.
+    fn swept_heap_bytes<P: Copy + Send>(h: &PagedHistory<P>) -> usize {
+        let nodes = 1 + h.mids.len() + h.leaves.len();
+        let mut bytes = nodes * size_of::<Node<()>>()
+            + h.pages.len() * size_of::<Page<P>>()
+            + h.mids.heap_bytes()
+            + h.leaves.heap_bytes()
+            + h.pages.heap_bytes()
+            + h.spills.heap_bytes();
+        h.for_each_entry(|_, e| bytes += e.readers.heap_bytes());
+        bytes + h.fallback.lock().capacity() * (size_of::<(u64, LocState<P>)>() + 8)
+    }
+
+    /// The counted total is the swept one, exactly: random reads and
+    /// writes from two threads, under both policies, on mapped words in
+    /// several nodes, their sub-word neighbours and addresses above the
+    /// mapped range — enough readers per location to spill, and writes
+    /// that clear them (a cleared spill keeps its capacity).
+    #[test]
+    fn counted_heap_bytes_equal_the_sweep() {
+        type Pos = (u32, u32);
+        let less = |a: &Pos, b: &Pos| a.0 < b.0;
+        let precedes = |a: &Pos, b: &Pos| a.0 < b.0 && a.1 < b.1;
+        let words = [0x40, 0x48, (1 << 14) + 8, (1 << 25) + 64, (1 << 36) + 8];
+        let addrs: Vec<u64> = words
+            .iter()
+            .flat_map(|&w| [w, w + 4])
+            .chain([1 << MAPPED_BITS, (1 << 50) + 8])
+            .collect();
+        for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
+            for seed in 1..=4u64 {
+                let h: PagedHistory<Pos> = PagedHistory::with_policy(policy);
+                std::thread::scope(|s| {
+                    for t in 0..2u64 {
+                        let (h, addrs) = (&h, &addrs);
+                        s.spawn(move || {
+                            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) + t;
+                            for _ in 0..4_000 {
+                                x = x
+                                    .wrapping_mul(6_364_136_223_846_793_005)
+                                    .wrapping_add(1_442_695_040_888_963_407);
+                                let r = (x >> 33) as u32;
+                                let addr = addrs[r as usize % addrs.len()];
+                                let p = (r >> 8 & 0xff, r >> 16 & 0xff);
+                                h.locked(addr, |e| {
+                                    if r.is_multiple_of(16) {
+                                        e.begin_write_epoch(p);
+                                    } else {
+                                        e.retain_reader(r >> 4 & 7, p, less, less, precedes);
+                                    }
+                                });
+                            }
+                        });
+                    }
+                });
+                assert!(h.spill_bytes.load(Ordering::Relaxed) > 0, "nothing spilled");
+                assert!(h.lock_ops() > 0, "no fallback entry");
+                assert_eq!(
+                    h.heap_bytes(),
+                    swept_heap_bytes(&h),
+                    "{policy:?}, seed {seed}"
+                );
+            }
         }
     }
 

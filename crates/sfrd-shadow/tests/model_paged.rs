@@ -243,3 +243,46 @@ fn all_policy_snapshot_is_never_a_mix_of_two_sections() {
         "mapped shadow path must take zero mutex acquisitions"
     );
 }
+
+/// Two threads first-touching one fresh interior node of the page
+/// directory: on every schedule the node is published once, by whichever
+/// compare-exchange wins, and each thread's slot is found afterwards. The
+/// threads' addresses share a mid node and sit on leaves of their own
+/// (`MID`), or share a leaf and sit on pages of their own (`LEAF`), so
+/// the schedules interleave the two publications of the shared node and
+/// the loser's fall-through to the winner's.
+#[test]
+fn first_touches_of_one_fresh_node_publish_it_once() {
+    /// Two addresses under one fresh mid node, on different leaves.
+    const MID: [u64; 2] = [(3 << 36) + 8, (3 << 36) + (1 << 25) + 16];
+    /// Two addresses under one fresh leaf, on different pages.
+    const LEAF: [u64; 2] = [(3 << 36) + 8, (3 << 36) + (1 << 14) + 16];
+    for (addrs, nodes) in [(MID, 3), (LEAF, 2)] {
+        let cfg = Config {
+            schedules: 1000,
+            ..Config::default()
+        };
+        let report = model::explore(cfg, || {
+            let hist = Arc::new(PagedHistory::<u64>::with_policy(ReaderPolicy::All));
+            let threads: Vec<_> = addrs
+                .iter()
+                .map(|&addr| {
+                    let hist = Arc::clone(&hist);
+                    model::spawn(move || hist.locked(addr, |e| e.begin_write_epoch(addr)))
+                })
+                .collect();
+            for t in threads {
+                t.join();
+            }
+            assert_eq!(hist.node_allocs(), nodes, "a node was published twice");
+            assert_eq!(hist.page_allocs(), 2);
+            for addr in addrs {
+                let w = hist.locked(addr, |e| *e.writer);
+                assert_eq!(w, Some(addr), "a first touch was lost");
+            }
+            assert_eq!(hist.lock_ops(), 0);
+        });
+        assert_eq!(report.schedules, cfg.schedules);
+        assert_eq!(report.lock_ops, 0);
+    }
+}

@@ -14,8 +14,13 @@
 //! installs `writer = 7k` and `last reader = 11k` on 12-byte positions
 //! (after parking a poison writer no finished section holds, and dwelling
 //! on it for one spin-loop hint), against readers that take validated
-//! snapshots of the same slots the whole time. The positions are three times wider than the detectors' word, so
-//! a snapshot spans more of the slot than theirs does.
+//! snapshots of the same slots the whole time. The positions are three
+//! times wider than the detectors' word, so a snapshot spans more of the
+//! slot than theirs does.
+//!
+//! The third races first touches: threads released together onto one
+//! fresh mid (or leaf) node of the page directory publish it once and
+//! keep every thread's slot.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -275,5 +280,49 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
         h.locked(slot << SLOT_SHIFT, |e| {
             assert_eq!(*e.writer, Some(wide(7 * sections)), "lost write epoch");
         });
+    }
+}
+
+/// Threads that first-touch one fresh interior node together publish it
+/// once. Each round starts an empty history and releases `THREADS`
+/// threads at once onto addresses under one mid node that nobody has
+/// touched: each thread on a leaf of its own (the threads race to publish
+/// the mid node), then each on a page of its own under one shared leaf
+/// (they race for the leaf). Every round ends with one node per link and
+/// every thread's slot found by the sweep.
+#[test]
+fn first_touches_of_one_fresh_node_publish_it_once() {
+    const ROUNDS: usize = 200;
+    /// Address bits below a leaf node's index and below a mid node's.
+    const PAGE_SPAN: u32 = 14;
+    const LEAF_SPAN: u32 = 25;
+    let base: u64 = 5 << 36;
+    for round in 0..ROUNDS {
+        let shift = if round % 2 == 0 { LEAF_SPAN } else { PAGE_SPAN };
+        let addrs: Vec<u64> = (0..u64::from(THREADS))
+            .map(|t| base + (t << shift) + 8 * t)
+            .collect();
+        let h = PagedHistory::<Pos>::with_policy(ReaderPolicy::All);
+        let start = Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for (t, &a) in addrs.iter().enumerate() {
+                let (h, start) = (&h, &start);
+                s.spawn(move || {
+                    start.wait();
+                    h.locked(a, |e| e.begin_write_epoch((t as u32, t as u32)));
+                });
+            }
+        });
+        let leaves = if shift == LEAF_SPAN { THREADS } else { 1 };
+        assert_eq!(h.node_allocs(), 1 + u64::from(leaves), "round {round}");
+        assert_eq!(h.page_allocs(), u64::from(THREADS), "round {round}");
+        let mut seen = Vec::new();
+        h.for_each_entry(|a, e| seen.push((a, *e.writer)));
+        seen.sort_unstable();
+        let want: Vec<_> = (0..THREADS)
+            .map(|t| (addrs[t as usize], Some((t, t))))
+            .collect();
+        assert_eq!(seen, want, "round {round}: a first touch was lost");
+        assert_eq!(h.lock_ops(), 0);
     }
 }

@@ -11,7 +11,7 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"SFRDJRNL";
 pub const JOURNAL_VERSION: u32 = 1;
 
 /// Hard upper bound on one frame's payload. The writer flushes frames at
-/// [`FRAME_CAP`](crate::writer) (32 KiB), so any larger length prefix is
+/// the writer's `FRAME_CAP` (32 KiB), so any larger length prefix is
 /// corruption — rejecting it keeps a hostile or truncated length prefix
 /// from driving an unbounded allocation.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
@@ -58,6 +58,10 @@ pub enum JournalError {
     /// Replay: an event referenced a strand id never introduced (or
     /// already consumed).
     UnknownStrand(u32),
+    /// Replay: a `Get` of a strand that a `Create` did not introduce, or a
+    /// `Sync` of a child that a `Spawn` did not — a join no
+    /// structured-future program makes.
+    WrongJoin(u32),
 }
 
 impl fmt::Display for JournalError {
@@ -82,6 +86,10 @@ impl fmt::Display for JournalError {
             JournalError::UnknownStrand(id) => {
                 write!(f, "event references unknown strand {id}")
             }
+            JournalError::WrongJoin(id) => write!(
+                f,
+                "strand {id} joined by the wrong construct: a get takes a created future, a sync its spawned children"
+            ),
         }
     }
 }

@@ -106,8 +106,8 @@ impl<R: Read> JournalReader<R> {
     }
 
     /// Decode the next event; `Ok(None)` after the end marker. A journal
-    /// that runs out of bytes *without* the marker is [`Truncated`]
-    /// (`JournalError::Truncated`) — a half-written file never parses as a
+    /// that runs out of bytes *without* the marker is
+    /// [`JournalError::Truncated`] — a half-written file never parses as a
     /// shorter run.
     pub fn next_event(&mut self) -> Result<Option<JEvent>, JournalError> {
         while self.pos == self.frame.len() {

@@ -25,9 +25,22 @@ pub struct ReplayStats {
     pub filtered: u64,
 }
 
+/// How a strand was introduced: its kind byte.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Root,
+    Spawned,
+    Created,
+}
+
 /// Replay every remaining event of `reader` into `sink`. A reference to a
 /// strand id never introduced (or already consumed) is
-/// [`JournalError::UnknownStrand`].
+/// [`JournalError::UnknownStrand`]; a `Get` of a strand no `Create`
+/// introduced, or a `Sync` of a child no `Spawn` did, is
+/// [`JournalError::WrongJoin`] — a live run cannot build either (`get`
+/// consumes the handle `create` returned, `sync` joins the spawned
+/// children), and the detectors' verdicts assume a structured-future
+/// program.
 ///
 /// The sink sees exactly the hook sequence the recording run's detector
 /// saw: boundary ordering is baked into the journal (the recording
@@ -59,7 +72,17 @@ pub fn replay_journal<R: Read, H: TaskHooks>(
             .ok_or(JournalError::UnknownStrand(id))
     }
 
+    /// `id` must be of `kind` to be joined; an id never introduced
+    /// passes here and fails its `take`.
+    fn joinable(kinds: &[Kind], id: u32, kind: Kind) -> Result<(), JournalError> {
+        match kinds.get(id as usize) {
+            Some(&k) if k != kind => Err(JournalError::WrongJoin(id)),
+            _ => Ok(()),
+        }
+    }
+
     let mut strands = vec![Some(sink.root())];
+    let mut kinds = vec![Kind::Root];
     let mut stats = ReplayStats::default();
     while let Some(ev) = reader.next_event()? {
         stats.events += 1;
@@ -76,15 +99,24 @@ pub fn replay_journal<R: Read, H: TaskHooks>(
                     return Err(JournalError::UnknownStrand(child));
                 }
                 strands.push(Some(strand));
+                kinds.push(if is_create {
+                    Kind::Created
+                } else {
+                    Kind::Spawned
+                });
             }
             JEvent::Sync { strand, children } => {
                 let joined = children
                     .iter()
-                    .map(|&c| take(&mut strands, c))
+                    .map(|&c| {
+                        joinable(&kinds, c, Kind::Spawned)?;
+                        take(&mut strands, c)
+                    })
                     .collect::<Result<Vec<_>, _>>()?;
                 sink.on_sync(live(&mut strands, strand)?, joined);
             }
             JEvent::Get { strand, done } => {
+                joinable(&kinds, done, Kind::Created)?;
                 let done = take(&mut strands, done)?;
                 sink.on_get(live(&mut strands, strand)?, &done);
             }

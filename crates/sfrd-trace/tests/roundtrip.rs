@@ -517,6 +517,55 @@ fn replay_rejects_double_consumed_strands() {
     ));
 }
 
+/// A journal that is no structured-future program: the root spawns `c`,
+/// `c` writes `x`, ends and returns, and the root `Get`s `c` — a get takes
+/// a created future, never a spawned child — then writes `x` and ends.
+/// It used to replay `Ok`, SF-Order and MultiBags reporting a race and
+/// F-Order none; every detector (and the null sink) now refuses it at the
+/// `Get`. Its mirror, a `Sync` of a created future, is refused too.
+#[test]
+fn replay_rejects_joins_no_structured_program_makes() {
+    let x = [sfrd_runtime::BatchedAccess {
+        addr: 0x40,
+        is_write: true,
+    }];
+    let mut w = JournalWriter::new(Vec::new(), "get of a spawned strand").unwrap();
+    let c = w.spawn(0);
+    w.accesses(c, (0, 0), &x);
+    w.task_end(c);
+    w.task_return(0, c);
+    w.get(0, c);
+    w.accesses(0, (0, 0), &x);
+    w.task_end(0);
+    let get_of_spawn = w.finish().unwrap();
+
+    let mut w = JournalWriter::new(Vec::new(), "sync of a created strand").unwrap();
+    let f = w.create(0);
+    w.task_end(f);
+    w.task_return(0, f);
+    w.sync(0, &[f]);
+    w.task_end(0);
+    let sync_of_create = w.finish().unwrap();
+
+    fn refused<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<ReplayStats, JournalError> {
+        replay_journal(&mut JournalReader::new(bytes).unwrap(), sink)
+    }
+    for (bytes, strand) in [(&get_of_spawn, c), (&sync_of_create, f)] {
+        let cfg = EngineConfig::default();
+        for result in [
+            refused(bytes, &SfDetector::from_config(&cfg)),
+            refused(bytes, &FoDetector::from_config(&cfg)),
+            refused(bytes, &MbDetector::from_config(&cfg)),
+            refused(bytes, &NullHooks),
+        ] {
+            assert!(
+                matches!(result, Err(JournalError::WrongJoin(id)) if id == strand),
+                "{result:?}"
+            );
+        }
+    }
+}
+
 /// Frame boundaries are deterministic: a recording large enough to span
 /// several frames still re-encodes byte-identically, and an event stream
 /// big enough to need multiple frames round-trips value-identically.

@@ -34,6 +34,11 @@ pub use sfrd_workloads as workloads;
 /// ([`DriveConfig::with`], then [`DriveConfig::policy`]) for end-to-end
 /// runs, and [`EngineConfig`] for constructing a detector directly — each
 /// detector's one constructor is `from_config(&EngineConfig)`.
+///
+/// [`DriveConfig`]: prelude::DriveConfig
+/// [`DriveConfig::with`]: prelude::DriveConfig::with
+/// [`DriveConfig::policy`]: prelude::DriveConfig::policy
+/// [`EngineConfig`]: prelude::EngineConfig
 pub mod prelude {
     pub use sfrd_core::{
         drive, DetectorKind, DriveConfig, EngineConfig, FutureHandle, Mode, RaceReport, ReachOnly,

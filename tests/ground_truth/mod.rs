@@ -25,8 +25,9 @@
 //! runtime and on pools of 1, 2 and 3 workers; MultiBags runs sequentially,
 //! the one way it runs. One configuration on one schedule is a *turn*
 //! ([`turn`]); there are [`TURNS`] of them. A full-mode run sets up a fresh
-//! access history whose page directory alone costs milliseconds in a debug
-//! build, so generated programs rotate the full-mode turn and its address
+//! access history, whose eager page directory once cost about 8 ms in a
+//! debug build (0.2 ms since it became three levels of 16 KiB nodes), so
+//! generated programs rotate the full-mode turn and its address
 //! layout by their seed ([`check_every_engine`]) and run every other engine
 //! in reach mode, which builds no history but answers the same queries and
 //! mints the same ids. Fixed programs take every turn in both layouts
@@ -239,8 +240,7 @@ pub fn probe<E: Observed>(
         );
     }
 
-    // The report's racy set and counts, read without its heap census
-    // (which walks the whole page directory).
+    // The racy set and counts, read from the collector and the counters.
     let want: BTreeSet<u64> = recorded.races().iter().map(|r| r.addr).collect();
     let counts = det.counters.snapshot();
     let (spawns, creates) = prog.counts();

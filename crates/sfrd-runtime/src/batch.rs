@@ -5,7 +5,7 @@
 //! acquisition per instrumented read/write. The batch pipeline attacks
 //! that volume from the runtime side: instead of handing every access to
 //! the detector immediately, [`Batched`] accumulates a strand's accesses
-//! in a per-strand buffer and hands them to the detector's
+//! as pending entries and hands them to the detector's
 //! [`TaskHooks::on_access_batch`] hook in one call, as a borrowed slice
 //! with the counts the filter dropped since the last call,
 //!
@@ -21,7 +21,7 @@
 //! schedule of the same dag — and determinacy races are a property of the
 //! dag, not of the schedule.
 //!
-//! Within a batch the buffer **write-combines**: a repeat access to an
+//! Within a batch the filter **write-combines**: a repeat access to an
 //! address already buffered (or already flushed at this position) with the
 //! same or weaker kind is dropped — it could neither change the access
 //! history nor produce a new race. A read followed by a first write to the
@@ -32,11 +32,28 @@
 //! suspended at a boundary (or in a blocked `get`/`sync`, just before
 //! one), so a strand that is not running has nothing in its filter worth
 //! keeping. Each entry is stamped with the recording batch's *position
-//! epoch*: a number taken fresh at strand birth and at every boundary and
-//! never handed out twice, by any thread. A stamp that is not the running
-//! batch's epoch reads as an empty way, so strands that share a thread —
-//! nested in a blocked join, or one after another — can only evict each
-//! other's entries, never filter each other's accesses.
+//! epoch*: a number never handed out twice, by any thread, that a strand
+//! takes at its first access at a position. A boundary drops the epoch
+//! rather than taking a fresh one — no way can carry a stamp no access
+//! wrote — so a strand that spawns or creates without accessing takes
+//! none. A stamp that is not the running batch's epoch reads as an empty
+//! way, so strands that share a thread — nested in a blocked join, or one
+//! after another — can only evict each other's entries, never filter each
+//! other's accesses.
+//!
+//! The pending entries live on **one stack per thread** too. A batch
+//! notes the stack's height when it takes its epoch, and its entries run
+//! from there to the top; a strand that has not accessed since its last
+//! boundary holds none, and its birth and death touch no storage at all.
+//! The running strand's entries are the top ones because strands nest
+//! strictly on a thread: a strand never migrates (a task runs start to
+//! end on the thread that claimed it, and is born and joined holding no
+//! entries), and a blocked `get`/`sync` runs other jobs to completion on
+//! top of its own frame, each flushing at its task end. So the entries a
+//! blocked strand left pending are on top again when it resumes.
+//! Recording into a batch from inside one of its thread's deliveries
+//! panics: the delivered entries are lent out of the stack, which must
+//! not move under them.
 //!
 //! The table has [`FILTER_WAYS`] = 16 384 ways, [`FILTER_BYTES`] = 256 KiB
 //! per thread: enough for the working set one strand re-reads between two
@@ -47,7 +64,9 @@
 //! carries it from birth, whether it records or not, and no heap census
 //! counts it.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
+use std::mem::ManuallyDrop;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hooks::TaskHooks;
@@ -72,19 +91,22 @@ pub const FILTER_WAYS: usize = 1 << WAY_BITS;
 /// from its creation, outside any heap census.
 pub const FILTER_BYTES: usize = FILTER_WAYS * std::mem::size_of::<Cell<(u64, u64)>>();
 
-/// A strand's buffer is delivered once it holds this many accesses.
+/// A strand's pending entries are delivered once they are this many.
 pub const DEFAULT_BATCH_CAP: usize = 512;
 
 /// Epochs a thread claims from [`EPOCH_BLOCKS`] at a time.
 const EPOCH_BLOCK: u64 = 1 << 16;
 
+/// A batch's stamp before its first access at a position. No way ever
+/// holds it (a way holds 0 until a batch with an epoch writes it, and an
+/// epoch would have to reach 2^63 − 1), so a batch without an epoch misses
+/// every way and takes its epoch only on the miss path: a repeat costs no
+/// extra test.
+const NO_EPOCH: u64 = !1;
+
 /// The first epoch of the next unclaimed block. Epoch 0 is never handed
 /// out: it is the stamp of a way no batch has used.
 static EPOCH_BLOCKS: AtomicU64 = AtomicU64::new(1);
-
-/// Dropped batches' entry buffers a thread keeps for its next ones:
-/// 16 × 8 KB, a spawn fan-out's worth.
-const SPARES_PER_THREAD: usize = 16;
 
 thread_local! {
     /// This thread's write-combining filter: `(addr + 1, epoch << 1 |
@@ -94,11 +116,12 @@ thread_local! {
         const { [const { Cell::new((0, 0)) }; FILTER_WAYS] };
     /// `(next, end)` of this thread's block of epochs.
     static EPOCHS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-    /// Entry buffers of dropped batches, each empty. A construct-heavy
-    /// program starts and ends a strand per few accesses, and an 8 KB
-    /// `malloc` per strand is then most of what recording costs. Touched
-    /// at strand birth and death only, never by `record`.
-    static SPARES: RefCell<Vec<Vec<BatchedAccess>>> = const { RefCell::new(Vec::new()) };
+    /// This thread's entry stack: const-initialised and destructor-free
+    /// like `FILTER`, so a push reaches it without a state check.
+    static ENTRIES: EntryStack = const { EntryStack::empty() };
+    /// Frees `ENTRIES`' array when the thread exits. Touched once, when
+    /// the array is first allocated, which registers the destructor.
+    static ENTRIES_OWNER: FreeEntriesAtExit = const { FreeEntriesAtExit };
 }
 
 /// A position epoch no batch has held before, pre-shifted past the
@@ -129,16 +152,132 @@ fn way(addr: u64) -> usize {
     ((addr >> 3).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - WAY_BITS)) as usize
 }
 
-/// A strand's access buffer and the epoch of its current dag position.
+/// The pending entries of every batch recording on one thread, as one
+/// stack (module docs): the raw parts of a `Vec<BatchedAccess>` in
+/// `Cell`s, so that the thread-local needs no destructor.
+struct EntryStack {
+    ptr: Cell<NonNull<BatchedAccess>>,
+    len: Cell<usize>,
+    cap: Cell<usize>,
+    /// The array's capacity while a flush lends entries out, else 0. `cap`
+    /// then reads `len`, so a push from inside the flush reaches
+    /// [`grow`](Self::grow), which refuses to move the lent entries.
+    lent: Cell<usize>,
+}
+
+impl EntryStack {
+    const fn empty() -> Self {
+        Self {
+            ptr: Cell::new(NonNull::dangling()),
+            len: Cell::new(0),
+            cap: Cell::new(0),
+            lent: Cell::new(0),
+        }
+    }
+
+    #[inline]
+    fn push(&self, a: BatchedAccess) {
+        let len = self.len.get();
+        if len == self.cap.get() {
+            self.grow();
+        }
+        // SAFETY: `ptr` is an array of `cap` entries and `len < cap`.
+        unsafe { self.ptr.get().as_ptr().add(len).write(a) };
+        self.len.set(len + 1);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&self) {
+        assert_eq!(
+            self.lent.get(),
+            0,
+            "an access was recorded from inside a batch flush on the same thread"
+        );
+        if self.cap.get() == 0 {
+            // Past the thread's destructors the array leaks with the thread.
+            let _ = ENTRIES_OWNER.try_with(|_| ());
+        }
+        self.with_vec(|v| v.reserve(DEFAULT_BATCH_CAP));
+    }
+
+    /// `f` on the stack as the `Vec` it is (cold paths only).
+    fn with_vec<R>(&self, f: impl FnOnce(&mut Vec<BatchedAccess>) -> R) -> R {
+        // SAFETY: the three cells hold the raw parts of a `Vec` this thread
+        // owns (or of `Vec::new()`), and `ManuallyDrop` keeps it owned by
+        // the cells, which take its parts back below.
+        let mut v = ManuallyDrop::new(unsafe {
+            Vec::from_raw_parts(self.ptr.get().as_ptr(), self.len.get(), self.cap.get())
+        });
+        let out = f(&mut v);
+        self.ptr
+            .set(NonNull::new(v.as_mut_ptr()).expect("a Vec's pointer is never null"));
+        self.len.set(v.len());
+        self.cap.set(v.capacity());
+        out
+    }
+
+    /// Lend the entries from `base` up to the top to `f`, then pop them.
+    fn lend<R>(&self, base: usize, f: impl FnOnce(&[BatchedAccess]) -> R) -> R {
+        /// Pops the lent entries and gives the capacity back, also when
+        /// `f` unwinds.
+        struct Return<'a>(&'a EntryStack, usize);
+        impl Drop for Return<'_> {
+            fn drop(&mut self) {
+                let stack = self.0;
+                stack.cap.set(stack.lent.replace(0));
+                stack.len.set(self.1);
+            }
+        }
+        let len = self.len.get();
+        assert!(base <= len && self.lent.get() == 0);
+        self.lent.set(self.cap.replace(len));
+        let _give_back = Return(self, base);
+        // SAFETY: entries below `len` are initialised, and until `Return`
+        // runs nothing writes or frees them: a push goes to `grow`, which
+        // panics, and `pop` leaves a lending stack alone.
+        f(unsafe { std::slice::from_raw_parts(self.ptr.get().as_ptr().add(base), len - base) })
+    }
+
+    /// Pop the entries from `base` up, unless they are lent.
+    fn pop(&self, base: usize) {
+        if self.lent.get() == 0 {
+            self.len.set(self.len.get().min(base));
+        }
+    }
+}
+
+/// Frees the thread's [`EntryStack`] array when the thread exits.
+struct FreeEntriesAtExit;
+
+impl Drop for FreeEntriesAtExit {
+    fn drop(&mut self) {
+        let _ = ENTRIES.try_with(|stack| drop(stack.with_vec(std::mem::take)));
+    }
+}
+
+/// A strand's pending accesses (on its thread's entry stack) and the epoch
+/// of its current dag position.
+///
+/// A batch with pending entries must stay on the thread that recorded
+/// them, and batches on one thread must nest: record, flush and drop one
+/// only while no batch above it holds entries (module docs). `Batched`
+/// keeps both rules whenever the runtime nests strands as both runtimes
+/// do.
 #[derive(Debug)]
 pub struct AccessBatch {
-    entries: Vec<BatchedAccess>,
+    /// The entry stack's height when the batch took its epoch: its
+    /// entries run from here to the top. Meaningless while it has no
+    /// epoch, when it holds none.
+    base: usize,
     /// The current position's epoch, shifted left one: the stamp this
     /// batch's filter entries carry, bit 0 free for an entry's `wrote`
-    /// flag. A strand boundary takes a fresh one instead of clearing the
-    /// filter; a size-cap flush does not (the position is unchanged, so
-    /// already-flushed accesses still cover repeats).
+    /// flag. [`NO_EPOCH`] until the first access at the position: a
+    /// boundary drops it; a size-cap flush does not (the position is
+    /// unchanged, so already-flushed accesses still cover repeats).
     epoch: u64,
+    /// Accesses admitted and combined away; under [`Batched`], those of
+    /// the spawned strands the strand's syncs joined too.
     recorded: u64,
     filtered: u64,
     /// Filtered accesses per kind since the last flush, so a batch-aware
@@ -147,19 +286,18 @@ pub struct AccessBatch {
     pending_filtered: (u64, u64),
 }
 
+impl Default for AccessBatch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl AccessBatch {
-    /// Empty batch with capacity for [`DEFAULT_BATCH_CAP`] entries, on a
-    /// recycled buffer when this thread has one, at a fresh epoch.
-    pub fn new() -> Self {
-        let mut entries = SPARES
-            .try_with(|s| s.borrow_mut().pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        entries.reserve_exact(DEFAULT_BATCH_CAP);
+    /// Empty batch: no entries, no epoch yet, no storage.
+    pub const fn new() -> Self {
         Self {
-            entries,
-            epoch: fresh_stamp(),
+            base: 0,
+            epoch: NO_EPOCH,
             recorded: 0,
             filtered: 0,
             pending_filtered: (0, 0),
@@ -172,8 +310,8 @@ impl AccessBatch {
     #[inline]
     pub fn record(&mut self, addr: u64, is_write: bool) -> bool {
         let key = addr.wrapping_add(1);
-        let epoch = self.epoch;
         let repeat = FILTER.with(|filter| {
+            let epoch = self.epoch;
             let slot = &filter[way(addr)];
             let (held_key, stamp) = slot.get();
             // Another epoch's stamp reads as an empty way.
@@ -186,7 +324,10 @@ impl AccessBatch {
             if held && (wrote || !is_write) {
                 return true;
             }
-            slot.set((key, epoch | u64::from(wrote || is_write)));
+            if epoch == NO_EPOCH {
+                self.take_epoch();
+            }
+            slot.set((key, self.epoch | u64::from(wrote || is_write)));
             false
         });
         if repeat {
@@ -199,8 +340,24 @@ impl AccessBatch {
             return false;
         }
         self.recorded += 1;
-        self.entries.push(BatchedAccess { addr, is_write });
+        ENTRIES.with(|stack| stack.push(BatchedAccess { addr, is_write }));
         true
+    }
+
+    /// The first access at a position takes the position's epoch, and
+    /// the batch's entries start at the stack's height.
+    #[cold]
+    #[inline(never)]
+    fn take_epoch(&mut self) {
+        self.epoch = fresh_stamp();
+        self.base = ENTRIES.with(|stack| stack.len.get());
+    }
+
+    /// Entries held, once the batch has its epoch: `Batched`'s cap check
+    /// after an admitted access, without [`len`](Self::len)'s epoch test.
+    #[inline]
+    fn held(&self) -> usize {
+        ENTRIES.with(|stack| stack.len.get()) - self.base
     }
 
     /// Any filtered accesses not yet delivered?
@@ -208,52 +365,52 @@ impl AccessBatch {
         self.pending_filtered != (0, 0)
     }
 
-    /// Buffered entries awaiting flush.
+    /// Entries awaiting flush.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        if self.epoch == NO_EPOCH {
+            0
+        } else {
+            self.held()
+        }
     }
 
     /// Nothing buffered?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Drop the pending entries and filtered counts, once delivered.
-    fn discard(&mut self) {
-        self.pending_filtered = (0, 0);
-        self.entries.clear();
+    /// Hand the pending entries and filtered counts to `f`, and drop them.
+    fn deliver<R>(&mut self, f: impl FnOnce(&[BatchedAccess], (u64, u64)) -> R) -> R {
+        let filtered = std::mem::take(&mut self.pending_filtered);
+        if self.epoch == NO_EPOCH {
+            return f(&[], filtered);
+        }
+        ENTRIES.with(|stack| stack.lend(self.base, |entries| f(entries, filtered)))
     }
 
-    /// Invalidate the position-scoped filter: O(1), the batch moves to a
-    /// fresh epoch and every entry it stamped goes stale.
+    /// Invalidate the position-scoped filter: O(1), the batch drops its
+    /// epoch and every entry it stamped goes stale. The next access takes
+    /// a fresh one. Only a batch with no entries pending may clear.
     pub fn clear_filter(&mut self) {
-        self.epoch = fresh_stamp();
+        debug_assert!(self.is_empty(), "filter cleared with entries pending");
+        self.epoch = NO_EPOCH;
     }
 
-    /// `(recorded, filtered)` counters of this strand.
+    /// `(recorded, filtered)`: accesses this batch admitted and combined
+    /// away (under [`Batched`], with those of the joined spawned strands).
     pub fn stats(&self) -> (u64, u64) {
         (self.recorded, self.filtered)
     }
 }
 
-impl Default for AccessBatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Drop for AccessBatch {
     fn drop(&mut self) {
-        let mut entries = std::mem::take(&mut self.entries);
-        entries.clear();
-        // `try_with`: a strand dropped while its thread exits finds the
-        // spares already gone, and `entries` is freed with the closure.
-        let _ = SPARES.try_with(move |s| {
-            let mut s = s.borrow_mut();
-            if s.len() < SPARES_PER_THREAD {
-                s.push(entries);
-            }
-        });
+        // Dropped unflushed (a panicking task's strand, or a probe): pop
+        // the entries, which are on top when batches nest.
+        if self.epoch != NO_EPOCH {
+            let _ = ENTRIES.try_with(|stack| stack.pop(self.base));
+        }
     }
 }
 
@@ -284,14 +441,15 @@ pub struct BatchStats {
 /// cap. Detectors that don't override the batch hook get the default
 /// loop and behave exactly as if unwrapped (minus filtered repeats);
 /// detectors that do (sfrd-core's unified event sink) run the whole
-/// batch through one shadow page cursor.
+/// batch through one shadow page cursor. A sink must not record into a
+/// `Batched` from inside a delivery (that panics).
 pub struct Batched<H> {
     inner: H,
     counters: BatchCounters,
 }
 
 impl<H> Batched<H> {
-    /// Wrap `inner`, flushing at [`DEFAULT_BATCH_CAP`] buffered accesses.
+    /// Wrap `inner`, flushing at [`DEFAULT_BATCH_CAP`] pending accesses.
     pub fn new(inner: H) -> Self {
         Self {
             inner,
@@ -304,13 +462,17 @@ impl<H> Batched<H> {
         &self.inner
     }
 
-    /// Unwrap the detector (after the run; pending per-strand buffers are
-    /// gone with their strands by then).
+    /// Unwrap the detector (after the run; pending entries are gone with
+    /// their strands by then).
     pub fn into_inner(self) -> H {
         self.inner
     }
 
-    /// Aggregate pipeline counters (strands fold in at task end).
+    /// Aggregate pipeline counters, exact once the run is over. The root's
+    /// and each future's strand add theirs at its task end; a spawned
+    /// strand's travel with it to the sync that joins it and are added
+    /// with its parent's. No per-task atomic: a spawned task's counts cost
+    /// its parent three additions.
     pub fn stats(&self) -> BatchStats {
         BatchStats {
             flushes: self.counters.flushes.load(Ordering::Relaxed),
@@ -320,16 +482,30 @@ impl<H> Batched<H> {
     }
 }
 
-/// Strand of a [`Batched`] detector: the inner strand plus its buffer.
+/// Strand of a [`Batched`] detector: the inner strand plus its batch.
 pub struct BatchStrand<S> {
     inner: S,
     batch: AccessBatch,
+    /// Flushes of this strand and of the spawned strands its syncs joined
+    /// (whose admitted and filtered counts its batch's counters take in).
+    flushes: u64,
+    /// The root or a future: adds its totals to the wrapper's at task end.
+    publishes: bool,
 }
 
 impl<S> BatchStrand<S> {
     /// The wrapped detector's strand.
     pub fn inner(&self) -> &S {
         &self.inner
+    }
+
+    /// Counts of this strand and the spawned strands joined into it.
+    fn totals(&self) -> BatchStats {
+        BatchStats {
+            flushes: self.flushes,
+            recorded: self.batch.recorded,
+            filtered: self.batch.filtered,
+        }
     }
 }
 
@@ -340,14 +516,20 @@ impl<H: TaskHooks> Batched<H> {
         // are (a cap flush delivered the entries but repeats kept
         // arriving) — the sink still needs those for its access counters.
         if !s.batch.is_empty() || s.batch.has_pending_filtered() {
-            if !s.batch.is_empty() {
-                self.counters.flushes.fetch_add(1, Ordering::Relaxed);
-            }
-            let b = &mut s.batch;
-            self.inner
-                .on_access_batch(&mut s.inner, &b.entries, b.pending_filtered);
-            b.discard();
+            s.flushes += u64::from(!s.batch.is_empty());
+            let inner = &mut s.inner;
+            s.batch
+                .deliver(|entries, filtered| self.inner.on_access_batch(inner, entries, filtered));
         }
+    }
+
+    /// A size-cap flush, out of line: inlined, the delivery made the
+    /// access path too large to inline into the program, and the call
+    /// cost every access about 2.5 ns.
+    #[cold]
+    #[inline(never)]
+    fn cap_flush(&self, s: &mut BatchStrand<H::Strand>) {
+        self.flush(s);
     }
 
     /// Boundary flush: deliver pending accesses, then invalidate the
@@ -357,22 +539,13 @@ impl<H: TaskHooks> Batched<H> {
         s.batch.clear_filter();
     }
 
-    fn fresh_strand(&self, inner: H::Strand) -> BatchStrand<H::Strand> {
+    fn strand(&self, inner: H::Strand, publishes: bool) -> BatchStrand<H::Strand> {
         BatchStrand {
             inner,
             batch: AccessBatch::new(),
+            flushes: 0,
+            publishes,
         }
-    }
-
-    /// Fold a finished strand's counters into the aggregate.
-    fn absorb_stats(&self, s: &BatchStrand<H::Strand>) {
-        let (recorded, filtered) = s.batch.stats();
-        self.counters
-            .recorded
-            .fetch_add(recorded, Ordering::Relaxed);
-        self.counters
-            .filtered
-            .fetch_add(filtered, Ordering::Relaxed);
     }
 }
 
@@ -380,32 +553,32 @@ impl<H: TaskHooks> TaskHooks for Batched<H> {
     type Strand = BatchStrand<H::Strand>;
 
     fn root(&self) -> Self::Strand {
-        self.fresh_strand(self.inner.root())
+        self.strand(self.inner.root(), true)
     }
 
     fn on_spawn(&self, p: &mut Self::Strand) -> Self::Strand {
         self.boundary(p);
-        self.fresh_strand(self.inner.on_spawn(&mut p.inner))
+        self.strand(self.inner.on_spawn(&mut p.inner), false)
     }
 
     fn on_create(&self, p: &mut Self::Strand) -> Self::Strand {
         self.boundary(p);
-        self.fresh_strand(self.inner.on_create(&mut p.inner))
+        self.strand(self.inner.on_create(&mut p.inner), true)
     }
 
     fn on_sync(&self, s: &mut Self::Strand, children: Vec<Self::Strand>) {
         self.boundary(s);
-        self.inner.on_sync(
-            &mut s.inner,
-            children
-                .into_iter()
-                .map(|mut c| {
-                    // Children flushed at their task end; drain defensively.
-                    self.flush(&mut c);
-                    c.inner
-                })
-                .collect(),
-        );
+        let children = children
+            .into_iter()
+            .map(|c| {
+                debug_assert!(c.batch.is_empty(), "spawned strand ended unflushed");
+                s.flushes += c.flushes;
+                s.batch.recorded += c.batch.recorded;
+                s.batch.filtered += c.batch.filtered;
+                c.inner
+            })
+            .collect();
+        self.inner.on_sync(&mut s.inner, children);
     }
 
     fn on_get(&self, s: &mut Self::Strand, done: &Self::Strand) {
@@ -416,20 +589,31 @@ impl<H: TaskHooks> TaskHooks for Batched<H> {
 
     fn on_task_end(&self, s: &mut Self::Strand) {
         self.boundary(s);
-        self.absorb_stats(s);
+        if s.publishes {
+            let t = s.totals();
+            for (counter, n) in [
+                (&self.counters.flushes, t.flushes),
+                (&self.counters.recorded, t.recorded),
+                (&self.counters.filtered, t.filtered),
+            ] {
+                if n != 0 {
+                    counter.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+        }
         self.inner.on_task_end(&mut s.inner);
     }
 
     fn on_task_return(&self, p: &mut Self::Strand, c: &mut Self::Strand) {
         self.boundary(p);
-        self.flush(c);
+        debug_assert!(c.batch.is_empty(), "returned strand ended unflushed");
         self.inner.on_task_return(&mut p.inner, &mut c.inner);
     }
 
-    #[inline]
+    #[inline(always)]
     fn on_access(&self, s: &mut Self::Strand, addr: u64, is_write: bool) {
-        if s.batch.record(addr, is_write) && s.batch.len() >= DEFAULT_BATCH_CAP {
-            self.flush(s);
+        if s.batch.record(addr, is_write) && s.batch.held() >= DEFAULT_BATCH_CAP {
+            self.cap_flush(s);
         }
     }
 }
@@ -437,7 +621,28 @@ impl<H: TaskHooks> TaskHooks for Batched<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hooks::{Cx, NullHooks};
+    use crate::parallel::Runtime;
     use parking_lot::Mutex;
+    use std::sync::Arc;
+
+    impl AccessBatch {
+        /// Drop the pending entries and filtered counts, as a flush into a
+        /// sink that keeps nothing would.
+        fn discard(&mut self) {
+            self.deliver(|_, _| ());
+        }
+    }
+
+    /// The batch's pending entries, read off this thread's entry stack.
+    fn pending(b: &AccessBatch) -> Vec<BatchedAccess> {
+        ENTRIES.with(|stack| stack.with_vec(|v| v[v.len() - b.len()..].to_vec()))
+    }
+
+    /// `(len, cap)` of this thread's entry stack.
+    fn stack() -> (usize, usize) {
+        ENTRIES.with(|stack| (stack.len.get(), stack.cap.get()))
+    }
 
     #[test]
     fn filter_write_combines() {
@@ -447,7 +652,7 @@ mod tests {
         assert!(b.record(8, true), "first write kept after read");
         assert!(!b.record(8, true), "repeat write combined");
         assert!(!b.record(8, false), "read after write covered");
-        let kinds: Vec<_> = b.entries.iter().map(|a| (a.addr, a.is_write)).collect();
+        let kinds: Vec<_> = pending(&b).iter().map(|a| (a.addr, a.is_write)).collect();
         assert_eq!(kinds, vec![(8, false), (8, true)], "program order kept");
         assert_eq!(b.pending_filtered, (2, 1));
         assert_eq!(b.stats(), (2, 3));
@@ -672,35 +877,80 @@ mod tests {
         assert!(filtered >= 5_000, "only {filtered} repeats filtered");
     }
 
-    /// Three strands' batches recording on one thread, interleaved, over
-    /// 24 addresses and with boundaries of their own: the shared filter
-    /// may admit what a private one would have dropped (another strand
-    /// evicted the entry), never drop what a private one would have
-    /// admitted.
+    /// Strands nest on one thread as the runtimes nest them: a strand
+    /// blocked in a join, its entries pending, while others run to their
+    /// end on top of it, up to four deep; each with boundaries of its own,
+    /// mostly over 24 shared addresses. The shared filter may admit what a
+    /// private one would have dropped (another strand evicted the entry),
+    /// never drop what a private one would have admitted; and each flush
+    /// delivers exactly the entries its own strand admitted since its last
+    /// one, however many strands came and went above them.
     #[test]
     fn interleaved_strands_never_filter_each_other() {
-        let mut strands: Vec<(AccessBatch, Cleared)> = (0..3)
-            .map(|_| (AccessBatch::new(), Cleared::new()))
-            .collect();
+        struct Nested {
+            b: AccessBatch,
+            reference: Cleared,
+            admitted: Vec<BatchedAccess>,
+        }
+        fn born() -> Nested {
+            Nested {
+                b: AccessBatch::new(),
+                reference: Cleared::new(),
+                admitted: Vec::new(),
+            }
+        }
+        fn flush(s: &mut Nested, step: u32) {
+            let delivered = s.b.deliver(|entries, _| entries.to_vec());
+            assert_eq!(delivered, std::mem::take(&mut s.admitted), "step {step}");
+        }
+        let mut nest = vec![born()];
+        let (mut filtered, mut resumed_holding, mut fresh) = (0, 0, 0u64);
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for step in 0..60_000u32 {
-            let (b, reference) = &mut strands[(xorshift(&mut x) % 3) as usize];
-            if xorshift(&mut x).is_multiple_of(29) {
-                b.clear_filter();
-                reference.clear();
+            match xorshift(&mut x) % 32 {
+                0 if nest.len() < 4 => nest.push(born()),
+                1 if nest.len() > 1 => {
+                    let mut ended = nest.pop().expect("more than one");
+                    flush(&mut ended, step);
+                    filtered += ended.b.stats().1;
+                    let below = nest.last().expect("one left");
+                    resumed_holding += u64::from(!below.b.is_empty());
+                }
+                2 => {
+                    let top = nest.last_mut().expect("never empty");
+                    flush(top, step);
+                    top.b.clear_filter();
+                    top.reference.clear();
+                }
+                _ => {
+                    let top = nest.last_mut().expect("never empty");
+                    let addr = if xorshift(&mut x).is_multiple_of(16) {
+                        fresh += 1;
+                        0x10_0000 + 8 * fresh
+                    } else {
+                        x % 24 * 8
+                    };
+                    let is_write = x & 1 == 0;
+                    let admitted = top.b.record(addr, is_write);
+                    let private = top.reference.record(addr, is_write);
+                    assert!(
+                        admitted || !private,
+                        "step {step}: another strand's entry filtered {addr} (write: {is_write})"
+                    );
+                    if admitted {
+                        top.admitted.push(BatchedAccess { addr, is_write });
+                        if top.b.len() >= DEFAULT_BATCH_CAP {
+                            flush(top, step);
+                        }
+                    }
+                }
             }
-            let (addr, is_write) = (xorshift(&mut x) % 24 * 8, x & 1 == 0);
-            let (admitted, private) = (b.record(addr, is_write), reference.record(addr, is_write));
-            assert!(
-                admitted || !private,
-                "step {step}: another strand's entry filtered {addr} (write: {is_write})"
-            );
-            b.discard();
         }
-        for (b, _) in &strands {
-            let (_, filtered) = b.stats();
-            assert!(filtered > 1000, "the filter hardly ever held: {filtered}");
-        }
+        assert!(filtered > 1000, "the filter hardly ever held: {filtered}");
+        assert!(
+            resumed_holding > 100,
+            "a strand resumed with entries pending only {resumed_holding} times"
+        );
     }
 
     /// Hooks that log every delivered event.
@@ -756,72 +1006,76 @@ mod tests {
         assert!(b.stats().flushes >= 2);
     }
 
-    /// Empty this thread's spares, keeping them alive for the caller.
-    fn take_spares() -> Vec<Vec<BatchedAccess>> {
-        SPARES.with(|s| std::mem::take(&mut *s.borrow_mut()))
-    }
-
-    fn spares() -> usize {
-        SPARES.with(|s| s.borrow().len())
-    }
-
+    /// A batch dropped with an entry pending gives its stack slot back,
+    /// and a batch born after it on that slot decides like a fresh one.
     #[test]
     fn recycled_batch_decides_like_a_fresh_one() {
-        drop(take_spares());
+        let (base, _) = stack();
         let mut b = AccessBatch::new();
         assert!(b.record(8, true));
         assert!(!b.record(8, false), "covered by the write");
         assert_eq!(b.stats(), (1, 1));
         let first_life = b.epoch;
         drop(b); // entries and filtered counts still pending
-        assert_eq!(spares(), 1);
+        assert_eq!(stack().0, base, "the dropped batch's entry is popped");
 
         let mut b = AccessBatch::new();
-        assert_eq!(spares(), 0, "new() took the spare");
-        assert_ne!(b.epoch, first_life);
+        assert_eq!(b.epoch, NO_EPOCH, "no epoch before the first access");
         assert!(b.is_empty() && !b.has_pending_filtered());
-        assert_eq!(b.stats(), (0, 0));
         assert!(b.record(8, false), "a stale stamp never filters a read");
+        assert_ne!(b.epoch, first_life);
         assert!(b.record(8, true), "nor lends its `wrote` to a write");
         assert_eq!(b.stats(), (2, 0));
+        assert_eq!(stack().0, base + 2, "on the slots the dropped batch held");
+        assert_eq!(
+            pending(&b),
+            [false, true].map(|is_write| BatchedAccess { addr: 8, is_write })
+        );
     }
 
-    /// A spare with room past the cap still flushes at the cap.
+    /// A stack grown past the cap still flushes a strand at the cap.
     #[test]
     fn recycled_capacity_does_not_move_the_flush_threshold() {
-        drop(take_spares());
         let mut grown = AccessBatch::new();
-        grown.entries.reserve_exact(2 * DEFAULT_BATCH_CAP);
+        for a in 0..2 * DEFAULT_BATCH_CAP as u64 {
+            grown.record(0x10_0000 + 8 * a, true);
+        }
         drop(grown);
+        assert!(stack().1 >= 2 * DEFAULT_BATCH_CAP);
         let b = Batched::new(Log(Mutex::new(Vec::new())));
         let mut s = b.root();
-        assert_eq!(spares(), 0, "root strand runs on the grown spare");
-        assert!(s.batch.entries.capacity() >= 2 * DEFAULT_BATCH_CAP);
         for a in 0..2 * DEFAULT_BATCH_CAP as u64 + 3 {
             b.on_access(&mut s, 8 * a, true);
         }
         assert_eq!(b.inner().0.lock().len(), 2 * DEFAULT_BATCH_CAP);
-        assert_eq!(b.stats().flushes, 2, "two cap flushes");
+        assert_eq!(s.batch.len(), 3);
+        b.on_task_end(&mut s);
+        assert_eq!(b.stats().flushes, 3, "two cap flushes and the end's");
     }
 
+    /// 10 000 strands, 1 000 live at a time, each recording one access:
+    /// a strand that ended holds no entries, so the stack never holds
+    /// more than the running strand's and never grows past one cap.
     #[test]
-    fn spares_stay_bounded() {
-        drop(take_spares());
-        let b = Batched::new(crate::hooks::NullHooks);
+    fn the_entry_stack_stays_bounded() {
+        let (_, cap) = stack();
+        let b = Batched::new(NullHooks);
         let mut root = b.root();
-        // 10 000 strands, 1 000 live at a time.
         for _ in 0..10 {
             let children = (0..1000u64)
                 .map(|a| {
                     let mut c = b.on_spawn(&mut root);
                     b.on_access(&mut c, a * 8, true);
+                    assert_eq!(stack().0, 1);
                     b.on_task_end(&mut c);
                     c
                 })
                 .collect();
+            assert_eq!(stack().0, 0);
             b.on_sync(&mut root, children);
-            assert_eq!(spares(), SPARES_PER_THREAD);
         }
+        assert_eq!(stack().1, cap.max(DEFAULT_BATCH_CAP));
+        b.on_task_end(&mut root);
         assert_eq!(b.stats().recorded, 10_000);
     }
 
@@ -889,42 +1143,42 @@ mod tests {
         }
     }
 
-    /// Same program twice: strands dying (and their buffers coming back)
-    /// as the program goes, against every dead buffer held to the end so
-    /// each strand is born on fresh storage.
+    /// Same program twice: on an empty entry stack, and above a batch
+    /// that holds 1.5 caps of entries it never flushes (a strand blocked
+    /// beneath the run, as in a join's wait). The strands' entries sit at
+    /// other slots of a grown stack, and nothing the detector sees moves.
     #[test]
     fn recycling_is_invisible_to_the_detector() {
-        fn run(seed: u64, between: &mut dyn FnMut()) -> (Vec<String>, BatchStats) {
+        fn run(seed: u64, beneath: u64) -> (Vec<String>, BatchStats) {
+            let mut held = AccessBatch::new();
+            for a in 0..beneath {
+                held.record(0x7000_0000 + 8 * a, true);
+            }
             let b = Batched::new(Log(Mutex::new(Vec::new())));
             let mut root = b.root();
             RandomProgram {
                 b: &b,
                 x: seed,
                 steps_left: 6000,
-                between,
+                between: &mut || assert!(stack().0 >= beneath as usize),
             }
             .task(&mut root, 0);
             drop(root);
+            assert_eq!(stack().0, beneath as usize, "every strand popped its own");
+            assert_eq!(pending(&held).len(), beneath as usize);
             let stats = b.stats();
             (b.into_inner().0.into_inner(), stats)
         }
         for seed in 1..=6u64 {
             let seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            drop(take_spares());
-            let mut reused = 0;
-            let recycled = run(seed, &mut || reused = reused.max(spares()));
-            assert!(reused > 0, "seed {seed}: no buffer came back");
+            let alone = run(seed, 0);
+            let above = run(seed, 3 * DEFAULT_BATCH_CAP as u64 / 2);
 
-            drop(take_spares());
-            let mut held = Vec::new();
-            let fresh = run(seed, &mut || held.append(&mut take_spares()));
-            assert!(held.len() > SPARES_PER_THREAD, "seed {seed}");
-
-            assert!(fresh.0.len() > 3000, "seed {seed}: {}", fresh.0.len());
-            let counts_only = fresh.0.iter().any(|e| e.starts_with("filtered only"));
-            assert!(counts_only && fresh.1.filtered > 0, "seed {seed}");
-            assert_eq!(recycled.0, fresh.0, "seed {seed}: delivered events");
-            assert_eq!(recycled.1, fresh.1, "seed {seed}: Batched::stats()");
+            assert!(alone.0.len() > 3000, "seed {seed}: {}", alone.0.len());
+            let counts_only = alone.0.iter().any(|e| e.starts_with("filtered only"));
+            assert!(counts_only && alone.1.filtered > 0, "seed {seed}");
+            assert_eq!(above.0, alone.0, "seed {seed}: delivered events");
+            assert_eq!(above.1, alone.1, "seed {seed}: Batched::stats()");
         }
     }
 
@@ -944,5 +1198,146 @@ mod tests {
             n + 1,
             "the writes, then the end"
         );
+    }
+
+    /// Spawns and creates with no access between them take no epoch; an
+    /// access takes one for its position, and the boundary after it still
+    /// re-admits a repeat, as `clear_filter_readmits` checks of the batch.
+    #[test]
+    fn a_strand_that_records_nothing_takes_no_epoch() {
+        let b = Batched::new(NullHooks);
+        let mut root = b.root();
+        let before = fresh_stamp();
+        let children = (0..1000)
+            .map(|_| {
+                let mut c = b.on_spawn(&mut root);
+                let mut f = b.on_create(&mut c);
+                b.on_task_end(&mut f);
+                b.on_get(&mut c, &f);
+                b.on_task_end(&mut c);
+                c
+            })
+            .collect();
+        b.on_sync(&mut root, children);
+        assert_eq!(
+            fresh_stamp(),
+            before + 2,
+            "a strand that never accessed took an epoch"
+        );
+
+        let b = Batched::new(Log(Mutex::new(Vec::new())));
+        let mut root = b.root();
+        b.on_access(&mut root, 8, true);
+        b.on_access(&mut root, 8, true); // combined
+        let mut c = b.on_spawn(&mut root);
+        b.on_task_end(&mut c);
+        b.on_access(&mut root, 8, true); // a new position: admitted
+        b.on_sync(&mut root, vec![c]);
+        b.on_task_end(&mut root);
+        let log = b.inner().0.lock().clone();
+        assert_eq!(log, ["w8", "spawn", "end", "w8", "sync", "end"]);
+        assert_eq!(
+            b.stats(),
+            BatchStats {
+                flushes: 2,
+                recorded: 2,
+                filtered: 1
+            }
+        );
+        assert_eq!(
+            fresh_stamp(),
+            before + 8,
+            "one epoch per position that accessed"
+        );
+    }
+
+    /// What reaches a sink: raw accesses when it is unwrapped; entries,
+    /// filtered counts and non-empty batches when `Batched` wraps it.
+    #[derive(Default)]
+    struct Count {
+        accesses: AtomicU64,
+        entries: AtomicU64,
+        filtered: AtomicU64,
+        batches: AtomicU64,
+    }
+
+    impl TaskHooks for Count {
+        type Strand = ();
+        fn root(&self) {}
+        fn on_spawn(&self, _: &mut ()) {}
+        fn on_create(&self, _: &mut ()) {}
+        fn on_sync(&self, _: &mut (), _: Vec<()>) {}
+        fn on_get(&self, _: &mut (), _: &()) {}
+        fn on_task_end(&self, _: &mut ()) {}
+        fn on_access(&self, _: &mut (), _: u64, _: bool) {
+            self.accesses.fetch_add(1, Ordering::Relaxed);
+        }
+        fn on_access_batch(&self, _: &mut (), entries: &[BatchedAccess], filtered: (u64, u64)) {
+            let n = entries.len() as u64;
+            self.entries.fetch_add(n, Ordering::Relaxed);
+            self.filtered
+                .fetch_add(filtered.0 + filtered.1, Ordering::Relaxed);
+            self.batches.fetch_add(u64::from(n > 0), Ordering::Relaxed);
+        }
+    }
+
+    /// A binary tree of spawns and creates, a third of the futures never
+    /// gotten, each task re-reading and re-writing a few words of its own
+    /// and now and then writing more fresh words than one cap holds.
+    fn tree<'s, C: Cx<'s>>(ctx: &mut C, depth: u32, id: u64) {
+        let touch = |ctx: &mut C, n: u64| {
+            for i in 0..n {
+                ctx.record_read((id << 16) + 8 * (i % 50));
+                ctx.record_write((id << 16) + 8 * (i % 13));
+            }
+            if id.is_multiple_of(5) {
+                for i in 0..DEFAULT_BATCH_CAP as u64 + 7 {
+                    ctx.record_write((id << 16) + 0x1000 + 8 * i);
+                }
+            }
+        };
+        touch(ctx, id % 7 * 20);
+        if depth == 0 {
+            return;
+        }
+        ctx.spawn(move |c| tree(c, depth - 1, 2 * id));
+        let h = ctx.create(move |c| tree(c, depth - 1, 2 * id + 1));
+        touch(ctx, 3);
+        if !id.is_multiple_of(3) {
+            ctx.get(h);
+        }
+        ctx.sync();
+        touch(ctx, 2);
+    }
+
+    /// `Batched::stats()` counts exactly what reached the sink, and
+    /// admitted plus filtered is every access of the program counted
+    /// unwrapped, at one to eight workers.
+    #[test]
+    fn stats_stay_exact_at_any_worker_count() {
+        for workers in 1..=8 {
+            let rt = Runtime::new(workers);
+            let bare = Arc::new(Count::default());
+            rt.run(Arc::clone(&bare), |ctx| tree(ctx, 7, 1));
+            drop(rt);
+            let rt = Runtime::new(workers);
+            let batched = Arc::new(Batched::new(Count::default()));
+            rt.run(Arc::clone(&batched), |ctx| tree(ctx, 7, 1));
+            drop(rt);
+            let (stats, sink) = (batched.stats(), batched.inner());
+            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            let want = BatchStats {
+                flushes: load(&sink.batches),
+                recorded: load(&sink.entries),
+                filtered: load(&sink.filtered),
+            };
+            assert_eq!(stats, want, "workers={workers}");
+            assert_eq!(
+                stats.recorded + stats.filtered,
+                load(&bare.accesses),
+                "workers={workers}"
+            );
+            assert!(stats.filtered > 0 && stats.flushes > 255, "{stats:?}");
+        }
     }
 }

@@ -62,6 +62,11 @@ pub enum JournalError {
     /// `Sync` of a child that a `Spawn` did not — a join no
     /// structured-future program makes.
     WrongJoin(u32),
+    /// Replay: an event acted as a strand after that strand's `TaskEnd`
+    /// — an access, a spawn, create, sync or get by it, a task return to
+    /// it, or a second end. Joining an ended strand is what `Sync`, `Get`
+    /// and `TaskReturn` do to their child, and stays legal.
+    EndedStrand(u32),
 }
 
 impl fmt::Display for JournalError {
@@ -90,6 +95,9 @@ impl fmt::Display for JournalError {
                 f,
                 "strand {id} joined by the wrong construct: a get takes a created future, a sync its spawned children"
             ),
+            JournalError::EndedStrand(id) => {
+                write!(f, "strand {id} acts after its task end")
+            }
         }
     }
 }

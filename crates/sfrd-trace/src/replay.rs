@@ -40,7 +40,10 @@ enum Kind {
 /// [`JournalError::WrongJoin`] — a live run cannot build either (`get`
 /// consumes the handle `create` returned, `sync` joins the spawned
 /// children), and the detectors' verdicts assume a structured-future
-/// program.
+/// program. An event that acts as a strand after its `TaskEnd` (an
+/// access, a spawn, create, sync or get by it, a task return to it, or a
+/// second end) is [`JournalError::EndedStrand`]: a task's last event is
+/// its end.
 ///
 /// The sink sees exactly the hook sequence the recording run's detector
 /// saw: boundary ordering is baked into the journal (the recording
@@ -52,8 +55,9 @@ enum Kind {
 /// construction; the journal's linearization makes that a legal schedule
 /// of the recorded dag.
 ///
-/// Per journal strand the replay holds the sink's own strand and nothing
-/// else, so a frame of `Spawn` events costs what the sink's strands cost.
+/// Per journal strand the replay holds the sink's own strand, its kind
+/// and whether it ended, so a frame of `Spawn` events costs what the
+/// sink's strands cost.
 pub fn replay_journal<R: Read, H: TaskHooks>(
     reader: &mut JournalReader<R>,
     sink: &H,
@@ -81,14 +85,24 @@ pub fn replay_journal<R: Read, H: TaskHooks>(
         }
     }
 
+    /// `id` must not have ended to act.
+    fn acting(ended: &[bool], id: u32) -> Result<(), JournalError> {
+        match ended.get(id as usize) {
+            Some(true) => Err(JournalError::EndedStrand(id)),
+            _ => Ok(()),
+        }
+    }
+
     let mut strands = vec![Some(sink.root())];
     let mut kinds = vec![Kind::Root];
+    let mut ended = vec![false];
     let mut stats = ReplayStats::default();
     while let Some(ev) = reader.next_event()? {
         stats.events += 1;
         match ev {
             JEvent::Spawn { parent, child } | JEvent::Create { parent, child } => {
                 let is_create = matches!(ev, JEvent::Create { .. });
+                acting(&ended, parent)?;
                 let p = live(&mut strands, parent)?;
                 let strand = if is_create {
                     sink.on_create(p)
@@ -99,6 +113,7 @@ pub fn replay_journal<R: Read, H: TaskHooks>(
                     return Err(JournalError::UnknownStrand(child));
                 }
                 strands.push(Some(strand));
+                ended.push(false);
                 kinds.push(if is_create {
                     Kind::Created
                 } else {
@@ -106,6 +121,7 @@ pub fn replay_journal<R: Read, H: TaskHooks>(
                 });
             }
             JEvent::Sync { strand, children } => {
+                acting(&ended, strand)?;
                 let joined = children
                     .iter()
                     .map(|&c| {
@@ -116,17 +132,21 @@ pub fn replay_journal<R: Read, H: TaskHooks>(
                 sink.on_sync(live(&mut strands, strand)?, joined);
             }
             JEvent::Get { strand, done } => {
+                acting(&ended, strand)?;
                 joinable(&kinds, done, Kind::Created)?;
                 let done = take(&mut strands, done)?;
                 sink.on_get(live(&mut strands, strand)?, &done);
             }
             JEvent::TaskEnd { strand } => {
+                acting(&ended, strand)?;
                 sink.on_task_end(live(&mut strands, strand)?);
+                ended[strand as usize] = true;
             }
             JEvent::TaskReturn { parent, child } => {
                 // Both strands stay live (the child is consumed later by
                 // its sync); borrow them disjointly by taking the child
                 // out around the call.
+                acting(&ended, parent)?;
                 let mut c = take(&mut strands, child)?;
                 sink.on_task_return(live(&mut strands, parent)?, &mut c);
                 strands[child as usize] = Some(c);
@@ -137,6 +157,7 @@ pub fn replay_journal<R: Read, H: TaskHooks>(
                 filtered_writes,
                 entries,
             } => {
+                acting(&ended, strand)?;
                 stats.flushes += u64::from(!entries.is_empty());
                 stats.accesses += entries.len() as u64;
                 stats.filtered += filtered_reads + filtered_writes;

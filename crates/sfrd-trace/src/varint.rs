@@ -1,18 +1,53 @@
 //! LEB128 varints and zigzag'd address deltas.
 
+use std::mem::MaybeUninit;
+
 use crate::format::JournalError;
 
-/// Append `v` as an LEB128 varint.
-pub(crate) fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
+/// Most bytes one LEB128 varint of a `u64` takes.
+pub(crate) const MAX_VARINT: usize = 10;
+
+/// A write position in reserved bytes not yet initialised: an event is
+/// encoded through one in a single pass ([`append`]).
+pub(crate) struct Cursor<'a> {
+    buf: &'a mut [MaybeUninit<u8>],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    /// Append one byte.
+    #[inline]
+    pub(crate) fn byte(&mut self, b: u8) {
+        self.buf[self.at].write(b);
+        self.at += 1;
     }
+
+    /// Append `v` as an LEB128 varint.
+    #[inline]
+    pub(crate) fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
+    }
+}
+
+/// Append at most `max` bytes to `buf`: `encode` writes them through a
+/// cursor over `buf`'s spare capacity, and the length is set once, after.
+#[inline]
+pub(crate) fn append(buf: &mut Vec<u8>, max: usize, encode: impl FnOnce(&mut Cursor<'_>)) {
+    buf.reserve(max);
+    let len = buf.len();
+    let mut cursor = Cursor {
+        buf: &mut buf.spare_capacity_mut()[..max],
+        at: 0,
+    };
+    encode(&mut cursor);
+    let written = cursor.at;
+    // SAFETY: the cursor writes its bytes in order from the first, so the
+    // `written` bytes after `len` are initialised.
+    unsafe { buf.set_len(len + written) };
 }
 
 /// Decode an LEB128 varint at `*pos`, advancing it. Errors on truncation
@@ -62,7 +97,7 @@ mod tests {
         let mut buf = Vec::new();
         let values = [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX];
         for &v in &values {
-            write_u64(&mut buf, v);
+            append(&mut buf, MAX_VARINT, |c| c.varint(v));
         }
         let mut pos = 0;
         for &v in &values {

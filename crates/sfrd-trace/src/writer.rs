@@ -1,9 +1,11 @@
 //! Streaming journal encoder and the recording hooks.
 
+use std::cell::UnsafeCell;
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use sfrd_runtime::batch::DEFAULT_BATCH_CAP;
 use sfrd_runtime::{BatchedAccess, TaskHooks};
 
 use crate::format::{
@@ -11,13 +13,19 @@ use crate::format::{
     OP_SPAWN, OP_SYNC, OP_TASK_END, OP_TASK_RETURN,
 };
 use crate::reader::JEvent;
-use crate::varint::{write_u64, zigzag};
+use crate::varint::{self, zigzag, Cursor, MAX_VARINT};
 
 /// Writer-side frame flush threshold. Deterministic in the event stream
 /// (a frame closes as soon as it reaches this size), so re-encoding a
 /// decoded journal reproduces the original frame boundaries — the
 /// byte-identity property the round-trip suite pins down.
 pub(crate) const FRAME_CAP: usize = 32 * 1024;
+
+/// Most bytes an `Accesses` event of `n` entries takes: opcode, four
+/// varints, the bitmap and one varint per address.
+fn accesses_max(n: usize) -> usize {
+    1 + 4 * MAX_VARINT + n.div_ceil(8) + n * MAX_VARINT
+}
 
 /// Streaming encoder: header up front, then events packed into
 /// length-prefixed frames. Child strand ids are assigned implicitly, in
@@ -47,7 +55,8 @@ impl<W: Write> JournalWriter<W> {
         sink.write_all(metadata.as_bytes())?;
         Ok(Self {
             sink,
-            frame: Vec::with_capacity(FRAME_CAP + 1024),
+            // Room for a cap-sized batch past a nearly full frame.
+            frame: Vec::with_capacity(FRAME_CAP + accesses_max(DEFAULT_BATCH_CAP)),
             next_id: 1,
             error: None,
         })
@@ -70,7 +79,11 @@ impl<W: Write> JournalWriter<W> {
         self.frame.clear();
     }
 
-    fn end_event(&mut self) {
+    /// Encode one event of at most `max` bytes into the open frame in one
+    /// pass, then close the frame if it reached [`FRAME_CAP`].
+    #[inline]
+    fn event(&mut self, max: usize, encode: impl FnOnce(&mut Cursor<'_>)) {
+        varint::append(&mut self.frame, max, encode);
         if self.frame.len() >= FRAME_CAP {
             self.flush_frame();
         }
@@ -78,9 +91,10 @@ impl<W: Write> JournalWriter<W> {
 
     /// Encode a `Spawn` and return the child's implicit id.
     pub fn spawn(&mut self, parent: u32) -> u32 {
-        self.frame.push(OP_SPAWN);
-        write_u64(&mut self.frame, u64::from(parent));
-        self.end_event();
+        self.event(1 + MAX_VARINT, |c| {
+            c.byte(OP_SPAWN);
+            c.varint(u64::from(parent));
+        });
         let id = self.next_id;
         self.next_id += 1;
         id
@@ -88,9 +102,10 @@ impl<W: Write> JournalWriter<W> {
 
     /// Encode a `Create` and return the future strand's implicit id.
     pub fn create(&mut self, parent: u32) -> u32 {
-        self.frame.push(OP_CREATE);
-        write_u64(&mut self.frame, u64::from(parent));
-        self.end_event();
+        self.event(1 + MAX_VARINT, |c| {
+            c.byte(OP_CREATE);
+            c.varint(u64::from(parent));
+        });
         let id = self.next_id;
         self.next_id += 1;
         id
@@ -98,36 +113,40 @@ impl<W: Write> JournalWriter<W> {
 
     /// Encode a `Sync` of `strand` with its completed spawned children.
     pub fn sync(&mut self, strand: u32, children: &[u32]) {
-        self.frame.push(OP_SYNC);
-        write_u64(&mut self.frame, u64::from(strand));
-        write_u64(&mut self.frame, children.len() as u64);
-        for &c in children {
-            write_u64(&mut self.frame, u64::from(c));
-        }
-        self.end_event();
+        self.event(1 + (2 + children.len()) * MAX_VARINT, |c| {
+            c.byte(OP_SYNC);
+            c.varint(u64::from(strand));
+            c.varint(children.len() as u64);
+            for &child in children {
+                c.varint(u64::from(child));
+            }
+        });
     }
 
     /// Encode a `Get` of the future whose final strand is `done`.
     pub fn get(&mut self, strand: u32, done: u32) {
-        self.frame.push(OP_GET);
-        write_u64(&mut self.frame, u64::from(strand));
-        write_u64(&mut self.frame, u64::from(done));
-        self.end_event();
+        self.event(1 + 2 * MAX_VARINT, |c| {
+            c.byte(OP_GET);
+            c.varint(u64::from(strand));
+            c.varint(u64::from(done));
+        });
     }
 
     /// Encode a task end.
     pub fn task_end(&mut self, strand: u32) {
-        self.frame.push(OP_TASK_END);
-        write_u64(&mut self.frame, u64::from(strand));
-        self.end_event();
+        self.event(1 + MAX_VARINT, |c| {
+            c.byte(OP_TASK_END);
+            c.varint(u64::from(strand));
+        });
     }
 
     /// Encode a sequential-runtime task return.
     pub fn task_return(&mut self, parent: u32, child: u32) {
-        self.frame.push(OP_TASK_RETURN);
-        write_u64(&mut self.frame, u64::from(parent));
-        write_u64(&mut self.frame, u64::from(child));
-        self.end_event();
+        self.event(1 + 2 * MAX_VARINT, |c| {
+            c.byte(OP_TASK_RETURN);
+            c.varint(u64::from(parent));
+            c.varint(u64::from(child));
+        });
     }
 
     /// Encode one flushed access batch: the filter-admitted entries (an
@@ -135,28 +154,22 @@ impl<W: Write> JournalWriter<W> {
     /// `(reads, writes)` the recording filter combined away at this
     /// position, so replay keeps the Fig. 3 counters exact.
     pub fn accesses(&mut self, strand: u32, filtered: (u64, u64), entries: &[BatchedAccess]) {
-        self.frame.push(OP_ACCESSES);
-        write_u64(&mut self.frame, u64::from(strand));
-        write_u64(&mut self.frame, filtered.0);
-        write_u64(&mut self.frame, filtered.1);
-        write_u64(&mut self.frame, entries.len() as u64);
-        let mut bitmap = 0u8;
-        for (i, a) in entries.iter().enumerate() {
-            bitmap |= u8::from(a.is_write) << (i % 8);
-            if i % 8 == 7 {
-                self.frame.push(bitmap);
-                bitmap = 0;
+        self.event(accesses_max(entries.len()), |c| {
+            c.byte(OP_ACCESSES);
+            c.varint(u64::from(strand));
+            c.varint(filtered.0);
+            c.varint(filtered.1);
+            c.varint(entries.len() as u64);
+            for eight in entries.chunks(8) {
+                let bits = eight.iter().enumerate();
+                c.byte(bits.fold(0, |m, (i, a)| m | u8::from(a.is_write) << i));
             }
-        }
-        if !entries.len().is_multiple_of(8) {
-            self.frame.push(bitmap);
-        }
-        let mut prev = 0u64;
-        for a in entries {
-            write_u64(&mut self.frame, zigzag(a.addr.wrapping_sub(prev) as i64));
-            prev = a.addr;
-        }
-        self.end_event();
+            let mut prev = 0u64;
+            for a in entries {
+                c.varint(zigzag(a.addr.wrapping_sub(prev) as i64));
+                prev = a.addr;
+            }
+        });
     }
 
     /// Re-encode a decoded event — the other half of the byte-identity
@@ -200,9 +213,50 @@ impl<W: Write> JournalWriter<W> {
     }
 }
 
+/// The journal writer behind the lock every recorded event takes. A
+/// release is one plain store: a `std::sync::Mutex` release is a second
+/// locked instruction per event (it must learn whether a sleeper waits),
+/// and on `futures` that pair of instructions was a quarter of recording's
+/// cost. A contended taker yields its time slice until the lock reads
+/// free; a holder encodes one event, tens of nanoseconds, and never takes
+/// the lock again inside.
+struct Locked<W: Write> {
+    held: AtomicBool,
+    writer: UnsafeCell<JournalWriter<W>>,
+}
+
+// SAFETY: `writer` is reached only through `with`, under `held`: taken with
+// `Acquire` and released with `Release`, so one thread at a time, each
+// seeing the previous holder's writes.
+unsafe impl<W: Write + Send> Sync for Locked<W> {}
+
+impl<W: Write> Locked<W> {
+    fn with<R>(&self, f: impl FnOnce(&mut JournalWriter<W>) -> R) -> R {
+        /// Releases `held`, also when `f` unwinds.
+        struct Release<'a>(&'a AtomicBool);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::Release);
+            }
+        }
+        while self
+            .held
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            while self.held.load(Ordering::Relaxed) {
+                std::thread::yield_now();
+            }
+        }
+        let _release = Release(&self.held);
+        // SAFETY: `held` is this thread's until `_release` drops.
+        f(unsafe { &mut *self.writer.get() })
+    }
+}
+
 /// Recording [`TaskHooks`]: every runtime event appends to the journal.
 ///
-/// Strands are bare `u32` ids. Events serialize under one mutex, and the
+/// Strands are bare `u32` ids. Events serialize under one lock, and the
 /// implicit child-id assignment happens under that same lock — so the
 /// journal is a valid linearization of the dag even when recorded from a
 /// parallel execution. Wrap in [`Batched`](sfrd_runtime::Batched) to
@@ -210,14 +264,17 @@ impl<W: Write> JournalWriter<W> {
 /// see (the normal setup); unbatched, each access records as a one-entry
 /// batch.
 pub struct JournalHooks<W: Write + Send + 'static> {
-    writer: Mutex<JournalWriter<W>>,
+    writer: Locked<W>,
 }
 
 impl<W: Write + Send + 'static> JournalHooks<W> {
     /// Record through `writer`.
     pub fn new(writer: JournalWriter<W>) -> Self {
         Self {
-            writer: Mutex::new(writer),
+            writer: Locked {
+                held: AtomicBool::new(false),
+                writer: UnsafeCell::new(writer),
+            },
         }
     }
 
@@ -232,7 +289,7 @@ impl<W: Write + Send + 'static> JournalHooks<W> {
     /// Finish an owned hooks value (the sequential-record path, where the
     /// hooks never needed an `Arc`).
     pub fn finish_owned(self) -> io::Result<W> {
-        self.writer.into_inner().finish()
+        self.writer.writer.into_inner().finish()
     }
 }
 
@@ -244,27 +301,27 @@ impl<W: Write + Send + 'static> TaskHooks for JournalHooks<W> {
     }
 
     fn on_spawn(&self, parent: &mut u32) -> u32 {
-        self.writer.lock().spawn(*parent)
+        self.writer.with(|w| w.spawn(*parent))
     }
 
     fn on_create(&self, parent: &mut u32) -> u32 {
-        self.writer.lock().create(*parent)
+        self.writer.with(|w| w.create(*parent))
     }
 
     fn on_sync(&self, s: &mut u32, children: Vec<u32>) {
-        self.writer.lock().sync(*s, &children);
+        self.writer.with(|w| w.sync(*s, &children));
     }
 
     fn on_get(&self, s: &mut u32, done: &u32) {
-        self.writer.lock().get(*s, *done);
+        self.writer.with(|w| w.get(*s, *done));
     }
 
     fn on_task_end(&self, s: &mut u32) {
-        self.writer.lock().task_end(*s);
+        self.writer.with(|w| w.task_end(*s));
     }
 
     fn on_task_return(&self, parent: &mut u32, child: &mut u32) {
-        self.writer.lock().task_return(*parent, *child);
+        self.writer.with(|w| w.task_return(*parent, *child));
     }
 
     fn on_access(&self, s: &mut u32, addr: u64, is_write: bool) {
@@ -272,6 +329,6 @@ impl<W: Write + Send + 'static> TaskHooks for JournalHooks<W> {
     }
 
     fn on_access_batch(&self, s: &mut u32, entries: &[BatchedAccess], filtered: (u64, u64)) {
-        self.writer.lock().accesses(*s, filtered, entries);
+        self.writer.with(|w| w.accesses(*s, filtered, entries));
     }
 }

@@ -4,6 +4,7 @@
 //! live run it captured — while every malformed input is an `Err`, never
 //! a panic.
 
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -16,7 +17,9 @@ use sfrd_core::{
 use sfrd_dag::generator::{GenParams, GenProgram};
 use sfrd_runtime::batch::DEFAULT_BATCH_CAP;
 use sfrd_runtime::hooks::PairHooks;
-use sfrd_runtime::{run_sequential, BatchStats, Batched, NullHooks, Runtime, TaskHooks};
+use sfrd_runtime::{
+    run_sequential, BatchStats, BatchStrand, Batched, Cx, NullHooks, Runtime, TaskHooks,
+};
 use sfrd_trace::{
     replay_journal, JEvent, JournalError, JournalHooks, JournalReader, JournalWriter, ReplayStats,
     MAX_FRAME_LEN,
@@ -260,11 +263,12 @@ fn parallel_recording_replays_to_live_verdicts() {
     }
 }
 
-/// Two parallel siblings whose accesses alternate call by call, driven
-/// hook by hook on one thread so the live counts are exact. Each sibling
-/// buffers two accesses a round, so its accesses at its one position leave
-/// as a run of 16 cap-sized `Accesses` events interleaved with the
-/// other's.
+/// Two parallel siblings whose accesses alternate call by call. Each runs
+/// on a thread of its own, as a strand runs on the thread that claimed it,
+/// and the two hand one turn back and forth, so the hooks see one fixed
+/// order and the live counts are exact. Each sibling buffers two accesses
+/// a round, so its accesses at its one position leave as a run of 16
+/// cap-sized `Accesses` events interleaved with the other's.
 fn interleaved_siblings<H: TaskHooks>(h: &Batched<H>) {
     const ROUNDS: u64 = 16 * DEFAULT_BATCH_CAP as u64 / 2;
     const SHARED: u64 = 0x1_0000;
@@ -273,19 +277,32 @@ fn interleaved_siblings<H: TaskHooks>(h: &Batched<H>) {
     for i in 0..ROUNDS {
         h.on_access(&mut root, SHARED + 8 * i, true);
     }
-    let mut a = h.on_spawn(&mut root);
-    let mut b = h.on_spawn(&mut root);
-    for i in 0..ROUNDS {
-        // Both read what the root wrote (ordered: one query each) ...
-        h.on_access(&mut a, SHARED + 8 * i, false);
-        h.on_access(&mut b, SHARED + 8 * i, false);
-        // ... `a` writes its own cells, and `b` writes every other one
-        // of them too — the races.
-        h.on_access(&mut a, OWN + 8 * i, true);
-        h.on_access(&mut b, OWN + 16 * i, true);
-    }
-    h.on_task_end(&mut a);
-    h.on_task_end(&mut b);
+    let a = h.on_spawn(&mut root);
+    let b = h.on_spawn(&mut root);
+    let (to_a, a_turn) = mpsc::channel();
+    let (to_b, b_turn) = mpsc::channel();
+    // Both read what the root wrote (ordered: one query each); `a` writes
+    // its own cells, and `b` writes every other one of them too — the
+    // races. Then `a` ends, then `b`.
+    let sibling = |mut s: BatchStrand<H::Strand>, turn: Receiver<()>, pass: Sender<()>, stride| {
+        for i in 0..ROUNDS {
+            for (addr, is_write) in [(SHARED + 8 * i, false), (OWN + stride * i, true)] {
+                turn.recv().expect("the other sibling passes the turn");
+                h.on_access(&mut s, addr, is_write);
+                let _ = pass.send(());
+            }
+        }
+        turn.recv().expect("the other sibling passes the turn");
+        h.on_task_end(&mut s);
+        let _ = pass.send(());
+        s
+    };
+    to_a.send(()).expect("a waits");
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| sibling(a, a_turn, to_b, 8));
+        let b = scope.spawn(|| sibling(b, b_turn, to_a, 16));
+        (a.join().unwrap(), b.join().unwrap())
+    });
     h.on_sync(&mut root, vec![a, b]);
     for i in 0..ROUNDS {
         h.on_access(&mut root, OWN + 8 * i, false);
@@ -596,4 +613,308 @@ fn multi_frame_journals_roundtrip() {
         w2.append(ev);
     }
     assert_eq!(w2.finish().unwrap(), bytes);
+}
+
+/// A task's last event is its end: a journal in which a strand acts after
+/// its `TaskEnd` — one journal per way to act — is refused by every
+/// detector (and the null sink) with `EndedStrand` naming it, while the
+/// joins that name an ended strand as their child replay.
+#[test]
+fn replay_refuses_events_on_an_ended_strand() {
+    let x = [sfrd_runtime::BatchedAccess {
+        addr: 0x40,
+        is_write: true,
+    }];
+    type Act = fn(&mut JournalWriter<Vec<u8>>, u32);
+    let acts: [(&str, Act); 7] = [
+        ("accesses", |w, s| {
+            let x = sfrd_runtime::BatchedAccess {
+                addr: 0x40,
+                is_write: true,
+            };
+            w.accesses(s, (0, 0), &[x]);
+        }),
+        ("spawn", |w, s| {
+            w.spawn(s);
+        }),
+        ("create", |w, s| {
+            w.create(s);
+        }),
+        ("sync", |w, s| w.sync(s, &[])),
+        ("get", |w, s| {
+            let f = w.create(0);
+            w.task_end(f);
+            w.get(s, f);
+        }),
+        ("second end", |w, s| w.task_end(s)),
+        ("task return", |w, s| {
+            let c = w.spawn(0);
+            w.task_end(c);
+            w.task_return(s, c);
+        }),
+    ];
+    fn replay<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<ReplayStats, JournalError> {
+        replay_journal(&mut JournalReader::new(bytes).unwrap(), sink)
+    }
+    for (what, act) in acts {
+        // A spawned strand and a future, each ended, then acting.
+        for spawned in [true, false] {
+            let mut w = JournalWriter::new(Vec::new(), what).unwrap();
+            let s = if spawned { w.spawn(0) } else { w.create(0) };
+            w.task_end(s);
+            act(&mut w, s);
+            let bytes = w.finish().unwrap();
+            let cfg = EngineConfig::default();
+            for result in [
+                replay(&bytes, &SfDetector::from_config(&cfg)),
+                replay(&bytes, &FoDetector::from_config(&cfg)),
+                replay(&bytes, &MbDetector::from_config(&cfg)),
+                replay(&bytes, &NullHooks),
+            ] {
+                assert!(
+                    matches!(result, Err(JournalError::EndedStrand(id)) if id == s),
+                    "{what} (spawned: {spawned}): {result:?}"
+                );
+            }
+        }
+    }
+
+    // What does name an ended strand: a task return and a sync of a
+    // spawned child, and a get of a future, each after its end.
+    let mut w = JournalWriter::new(Vec::new(), "joins of ended strands").unwrap();
+    let c = w.spawn(0);
+    w.accesses(c, (0, 0), &x);
+    w.task_end(c);
+    w.task_return(0, c);
+    let f = w.create(0);
+    w.task_end(f);
+    w.task_return(0, f);
+    w.sync(0, &[c]);
+    w.get(0, f);
+    w.accesses(0, (0, 0), &x);
+    w.task_end(0);
+    let bytes = w.finish().unwrap();
+    let cfg = EngineConfig::default();
+    replay(&bytes, &SfDetector::from_config(&cfg)).expect("joins of ended strands replay");
+    replay(&bytes, &FoDetector::from_config(&cfg)).expect("joins of ended strands replay");
+    replay(&bytes, &MbDetector::from_config(&cfg)).expect("joins of ended strands replay");
+}
+
+/// Hand-computed bytes of every opcode, from the format's rules (DESIGN.md
+/// §12): LEB128 varints, 7 bits a byte, low group first; addresses as
+/// zigzag'd deltas from the previous entry's (the first from 0); an
+/// is-write bitmap, entry `i` at bit `i % 8` of byte `i / 8`, before the
+/// addresses; frames of `[u32 LE length][kind 1][events]`, closed by the
+/// first event that brings them to 32 KiB; the end frame `[1, 0, 0, 0,
+/// 2]`. Re-encoding a decoded journal pins the writer only against
+/// itself; these bytes pin it against the format.
+#[test]
+fn each_event_encodes_to_its_documented_bytes() {
+    /// The writer's `FRAME_CAP`.
+    const FRAME_CAP: usize = 32 * 1024;
+    let access = |addr, is_write| sfrd_runtime::BatchedAccess { addr, is_write };
+    let mut w = JournalWriter::new(Vec::new(), "golden").unwrap();
+    let mut frame: Vec<Vec<u8>> = Vec::new();
+
+    assert_eq!(w.spawn(0), 1);
+    frame.push(vec![0x01, 0x00]);
+    assert_eq!(w.create(1), 2);
+    frame.push(vec![0x02, 0x01]);
+    w.sync(0, &[1, 300]);
+    frame.push(vec![0x03, 0x00, 0x02, 0x01, 0xac, 0x02]);
+    w.get(0, 2);
+    frame.push(vec![0x04, 0x00, 0x02]);
+    w.task_end(2);
+    frame.push(vec![0x05, 0x02]);
+    w.task_return(0, 1);
+    frame.push(vec![0x06, 0x00, 0x01]);
+
+    // Filtered counts only, no entries; the varints' edge values.
+    w.accesses(3, (0, 127), &[]);
+    frame.push(vec![0x07, 0x03, 0x00, 0x7f, 0x00]);
+    w.accesses(0, (128, (1 << 56) - 1), &[]);
+    let mut ev = vec![0x07, 0x00, 0x80, 0x01];
+    ev.extend([0xff; 7]);
+    ev.extend([0x7f, 0x00]);
+    frame.push(ev);
+    w.accesses(0, (1 << 56, u64::MAX), &[]);
+    let mut ev = vec![0x07, 0x00];
+    ev.extend([0x80; 8]);
+    ev.push(0x01);
+    ev.extend([0xff; 9]);
+    ev.extend([0x01, 0x00]);
+    frame.push(ev);
+
+    // Eight entries, one bitmap byte: writes at 0, 2 and 7. Deltas +0x1000
+    // (zigzag 0x2000), -8 (15), +16 (32), 0, -0x1008 (0x200f), -1 to
+    // u64::MAX (1), +1 wrapping back to 0 (2), +64 (128).
+    let eight = [
+        access(0x1000, true),
+        access(0xff8, false),
+        access(0x1008, true),
+        access(0x1008, false),
+        access(0, false),
+        access(u64::MAX, false),
+        access(0, false),
+        access(0x40, true),
+    ];
+    w.accesses(5, (0, 0), &eight);
+    frame.push(vec![
+        0x07, 0x05, 0x00, 0x00, 0x08, 0x85, 0x80, 0x40, 0x0f, 0x20, 0x00, 0x8f, 0x40, 0x01, 0x02,
+        0x80, 0x01,
+    ]);
+    // Nine entries, two bitmap bytes: only the ninth writes.
+    let nine: Vec<_> = (0..9).map(|k| access(8 * k, k == 8)).collect();
+    w.accesses(0, (0, 0), &nine);
+    let mut ev = vec![0x07, 0x00, 0x00, 0x00, 0x09, 0x00, 0x01, 0x00];
+    ev.extend([0x10; 8]);
+    frame.push(ev);
+
+    // Reads of address 0 that bring the frame to exactly FRAME_CAP (after
+    // a three-byte `Get` when one more entry would overshoot): the frame
+    // closes behind them, and the next event opens another.
+    let varint_len = |n: usize| (usize::BITS - n.leading_zeros()).max(1).div_ceil(7) as usize;
+    let size = |n: usize| 4 + varint_len(n) + n.div_ceil(8) + n;
+    let held: usize = frame.iter().map(Vec::len).sum();
+    let (pad, n) = [0, 3]
+        .into_iter()
+        .find_map(|pad| {
+            let n = (1..FRAME_CAP).find(|&n| held + pad + size(n) == FRAME_CAP)?;
+            Some((pad, n))
+        })
+        .expect("one of the two pads lands on the cap");
+    if pad == 3 {
+        w.get(0, 2);
+        frame.push(vec![0x04, 0x00, 0x02]);
+    }
+    w.accesses(0, (0, 0), &vec![access(0, false); n]);
+    let mut ev = vec![0x07, 0x00, 0x00, 0x00];
+    let mut count = n;
+    while count >= 0x80 {
+        ev.push(count as u8 | 0x80);
+        count >>= 7;
+    }
+    ev.push(count as u8);
+    ev.extend(vec![0x00; n.div_ceil(8) + n]);
+    frame.push(ev);
+    w.task_end(0);
+    let next = [0x05, 0x00];
+
+    let mut want = b"SFRDJRNL".to_vec();
+    want.extend([1, 0, 0, 0, 6, 0, 0, 0]);
+    want.extend(b"golden");
+    let first: Vec<u8> = frame.concat();
+    assert_eq!(first.len(), FRAME_CAP);
+    want.extend((FRAME_CAP as u32 + 1).to_le_bytes());
+    want.push(1);
+    want.extend(first);
+    want.extend([3, 0, 0, 0, 1]);
+    want.extend(next);
+    want.extend([1, 0, 0, 0, 2]);
+    assert_eq!(w.finish().unwrap(), want);
+}
+
+/// On one worker a strand holds pending entries while it blocks: once in a
+/// `get` whose future runs inside the wait, once in a `sync` whose
+/// children run from its deque — all on the one thread. The nested strands
+/// each write more fresh words than a cap holds, so they cap-flush while
+/// the blocked strand's entries wait below theirs. Every entry of the
+/// recorded journal belongs to the strand that issued it (task `t`, strand
+/// id `t`, writes words `(t + 1) << 20 ..`; `X` and `Y` are shared), and the
+/// journal replayed into the dag recorder races on exactly `X` and `Y`, as
+/// a live SF-Order run does — it would not, were the blocked strand's
+/// write of either delivered as a nested strand's.
+#[test]
+fn nested_strands_keep_their_own_entries() {
+    const X: u64 = 0x10;
+    const Y: u64 = 0x18;
+    const CAP: u64 = DEFAULT_BATCH_CAP as u64;
+    fn burst<'s, C: Cx<'s>>(c: &mut C, task: u64, from: u64, n: u64) {
+        for i in from..from + n {
+            c.record_write(((task + 1) << 20) + 8 * i);
+        }
+    }
+    fn program<'s, C: Cx<'s>>(ctx: &mut C) {
+        let f = ctx.create(|c| {
+            burst(c, 1, 0, 2 * CAP + 5);
+            c.record_write(X);
+        });
+        burst(ctx, 0, 0, 10);
+        ctx.record_write(X);
+        ctx.get(f);
+        for task in [2, 3] {
+            ctx.spawn(move |c| {
+                burst(c, task, 0, CAP + 9);
+                c.record_write(Y);
+            });
+        }
+        burst(ctx, 0, 10, 10);
+        ctx.record_write(Y);
+        ctx.sync();
+    }
+
+    let writer = JournalWriter::new(Vec::new(), "nested").expect("Vec sink cannot fail");
+    let hooks = Arc::new(Batched::new(JournalHooks::new(writer)));
+    let rt = Runtime::new(1);
+    rt.run(Arc::clone(&hooks), program);
+    drop(rt);
+    let bytes = Arc::into_inner(hooks)
+        .expect("the runtime is gone")
+        .into_inner()
+        .finish_owned()
+        .expect("finish journal");
+
+    let events = JournalReader::new(&bytes[..])
+        .and_then(|mut r| r.read_all())
+        .expect("decode");
+    let mut shared = Vec::new();
+    let mut sizes = Vec::new();
+    for ev in &events {
+        if let JEvent::Accesses {
+            strand, entries, ..
+        } = ev
+        {
+            sizes.push((*strand, entries.len()));
+            for a in entries {
+                match a.addr {
+                    X | Y => shared.push((a.addr, *strand)),
+                    addr => assert_eq!(addr >> 20, u64::from(*strand) + 1, "{addr:#x}"),
+                }
+            }
+        }
+    }
+    shared.sort_unstable();
+    assert_eq!(shared, [(X, 0), (X, 1), (Y, 0), (Y, 2), (Y, 3)]);
+    // The future's two cap flushes, then its end's, came before the
+    // getter's pending eleven; the children's before the syncer's.
+    let cap = DEFAULT_BATCH_CAP;
+    assert_eq!(
+        sizes,
+        [
+            (1, cap),
+            (1, cap),
+            (1, 6),
+            (0, 11),
+            (3, cap),
+            (3, 10),
+            (2, cap),
+            (2, 10),
+            (0, 11)
+        ]
+    );
+
+    let oracle = RecordingHooks::new();
+    replay_into(&bytes, &oracle);
+    let recorded = RecordingHooks::finish(Arc::new(oracle));
+    let exact = sfrd_dag::racy_addrs(&recorded.dag, &recorded.log);
+    assert_eq!(exact.into_iter().collect::<Vec<_>>(), [X, Y]);
+
+    let live = Arc::new(Batched::new(SfDetector::from_config(
+        &EngineConfig::default(),
+    )));
+    let rt = Runtime::new(1);
+    rt.run(Arc::clone(&live), program);
+    drop(rt);
+    let racy = live.inner().report().racy_addrs;
+    assert_eq!(racy.into_iter().collect::<Vec<_>>(), [X, Y]);
 }

@@ -18,22 +18,22 @@
 //! `precedes` is reachability; PSP-join edges excluded), that ids and rich
 //! positions correspond one-to-one and each id resolves to its position
 //! (interning preserves equality), that its construct counts match the
-//! program (so a fork-join program reports 0 futures) and, in full mode,
-//! that the batched detector's racy address set equals the oracle's.
+//! program (so a fork-join program reports 0 futures) and that the batched
+//! detector's racy address set and access counts equal the oracle's.
 //!
 //! SF-Order under both reader policies and F-Order run on the sequential
 //! runtime and on pools of 1, 2 and 3 workers; MultiBags runs sequentially,
 //! the one way it runs. One configuration on one schedule is a *turn*
-//! ([`turn`]); there are [`TURNS`] of them. A full-mode run sets up a fresh
-//! access history, whose eager page directory once cost about 8 ms in a
-//! debug build (0.2 ms since it became three levels of 16 KiB nodes), so
-//! generated programs rotate the full-mode turn and its address
-//! layout by their seed ([`check_every_engine`]) and run every other engine
-//! in reach mode, which builds no history but answers the same queries and
-//! mints the same ids. Fixed programs take every turn in both layouts
-//! ([`check`]): addresses as generated (0–3 share one 8-byte word, so one
-//! filter way and the shadow's sub-word fallback see them) and spaced 8
-//! bytes apart (one paged slot each, the zero-store same-epoch rules).
+//! ([`turn`]); there are [`TURNS`] of them. A run takes a turn in one of
+//! two address layouts ([`check`]): addresses as generated (0–3 share one
+//! 8-byte word, so one filter way and the shadow's sub-word fallback see
+//! them) and spaced 8 bytes apart (one paged slot each, the zero-store
+//! same-epoch rules). [`check_every_engine`] runs a program on every turn
+//! in both layouts, all in full mode: a full-mode detector's fresh access
+//! history costs about 0.2 ms to set up in a debug build since its page
+//! directory became three levels of 16 KiB nodes (8 ms before, when
+//! generated programs ran one seed-picked turn in full mode and the other
+//! engines in reach mode).
 
 #![allow(dead_code)] // Each suite uses part of the probe.
 
@@ -250,15 +250,13 @@ pub fn probe<E: Observed>(
         (spawns as u64, creates as u64),
         "{what}: construct counts\n{prog:?}"
     );
-    if det.history().is_some() {
-        let got = det.collector.racy_addrs();
-        assert_eq!(got, want, "{what}: racy addresses\n{prog:?}");
-        assert_eq!(
-            (counts.reads + counts.writes) as usize,
-            seen.len(),
-            "{what}: access counts\n{prog:?}"
-        );
-    }
+    let got = det.collector.racy_addrs();
+    assert_eq!(got, want, "{what}: racy addresses\n{prog:?}");
+    assert_eq!(
+        (counts.reads + counts.writes) as usize,
+        seen.len(),
+        "{what}: access counts\n{prog:?}"
+    );
     Seen {
         accesses: seen.len(),
         positions: by_id.len(),
@@ -309,39 +307,6 @@ fn config_of(turn: usize) -> (usize, usize) {
     }
 }
 
-/// Run configuration `config` in `mode` on schedule `workers` and check
-/// it, in address layout `stride`.
-fn run(
-    prog: &GenProgram,
-    config: usize,
-    workers: usize,
-    mode: Mode,
-    stride: u64,
-    what: &str,
-) -> Seen {
-    let cfg = EngineConfig::new(mode);
-    let pool = workers.checked_sub(1);
-    match config {
-        SF_ALL | SF_LR => {
-            let policy = [ReaderPolicy::All, ReaderPolicy::PerFutureLR][config];
-            let det = SfDetector::from_config(&cfg.policy(policy));
-            let what = format!("{what}: sf-order {mode:?} {policy:?}");
-            probe(det, prog, pool.map(|w| &pools().sf[w]), stride, &what)
-        }
-        F_ORDER => {
-            let det = FoDetector::from_config(&cfg);
-            let what = format!("{what}: f-order {mode:?}");
-            probe(det, prog, pool.map(|w| &pools().fo[w]), stride, &what)
-        }
-        _ => {
-            assert_eq!(workers, 0, "MultiBags runs sequentially");
-            let det = MbDetector::from_config(&cfg);
-            let what = format!("{what}: multibags {mode:?}");
-            probe(det, prog, None, stride, &what)
-        }
-    }
-}
-
 /// Address layout `n % 2`: 1 keeps the addresses as generated, 8 spaces
 /// them a word apart.
 pub fn layout(n: u64) -> u64 {
@@ -352,7 +317,27 @@ pub fn layout(n: u64) -> u64 {
 /// `stride`.
 pub fn full(prog: &GenProgram, turn: usize, stride: u64, what: &str) -> Seen {
     let (config, workers) = config_of(turn);
-    run(prog, config, workers, Mode::Full, stride, what)
+    let cfg = EngineConfig::new(Mode::Full);
+    let pool = workers.checked_sub(1);
+    match config {
+        SF_ALL | SF_LR => {
+            let policy = [ReaderPolicy::All, ReaderPolicy::PerFutureLR][config];
+            let det = SfDetector::from_config(&cfg.policy(policy));
+            let what = format!("{what}: sf-order {policy:?}");
+            probe(det, prog, pool.map(|w| &pools().sf[w]), stride, &what)
+        }
+        F_ORDER => {
+            let det = FoDetector::from_config(&cfg);
+            let what = format!("{what}: f-order");
+            probe(det, prog, pool.map(|w| &pools().fo[w]), stride, &what)
+        }
+        _ => {
+            assert_eq!(workers, 0, "MultiBags runs sequentially");
+            let det = MbDetector::from_config(&cfg);
+            let what = format!("{what}: multibags");
+            probe(det, prog, None, stride, &what)
+        }
+    }
 }
 
 /// Turn `turn` in full mode, in both address layouts.
@@ -361,25 +346,13 @@ pub fn check(prog: &GenProgram, turn: usize, what: &str) -> Seen {
     full(prog, turn, 8, what)
 }
 
-/// Every engine on one program, the rotation keyed by `n` (a seed, so a
-/// failure replays): turn `n % TURNS` in full mode, in layout
-/// `n / TURNS % 2`, and each other engine in reach mode on the same
-/// schedule (MultiBags on the sequential runtime). Reach mode builds no
-/// access history, so it checks every query and id but no racy set; the
-/// reader policy is a property of that history, so SF-Order's two policies
-/// are one reach-mode run.
-pub fn check_every_engine(prog: &GenProgram, n: u64, what: &str) -> Seen {
-    let turn = (n % TURNS as u64) as usize;
-    let seen = full(prog, turn, layout(n / TURNS as u64), what);
-    let (config, workers) = config_of(turn);
-    let engine = if config == SF_LR { SF_ALL } else { config };
-    for other in [SF_ALL, F_ORDER, MULTIBAGS] {
-        if other != engine {
-            let workers = if other == MULTIBAGS { 0 } else { workers };
-            run(prog, other, workers, Mode::Reach, 1, what);
-        }
+/// Every engine on one program: every turn in full mode, in both address
+/// layouts.
+pub fn check_every_engine(prog: &GenProgram, what: &str) -> Seen {
+    for turn in 1..TURNS {
+        check(prog, turn, what);
     }
-    seen
+    check(prog, 0, what)
 }
 
 pub fn shapes() -> [(&'static str, GenParams); 2] {

@@ -54,14 +54,14 @@ proptest! {
 const REGRESSION_SEEDS: [u64; 1] = [5_655_299_842_322_189_019];
 
 /// A deterministic sweep, wider than the proptest cases: every engine on
-/// every program, one of them in full mode; it must meet racy and
+/// every program, every turn in full mode; it must meet racy and
 /// race-free programs both.
 #[test]
 fn all_engines_fixed_seed_sweep() {
     let (mut racy, mut clean) = (0, 0);
     for seed in (0..200u64).chain(REGRESSION_SEEDS) {
         let prog = prog_from_seed(seed);
-        let seen = check_every_engine(&prog, seed, &format!("seed={seed}"));
+        let seen = check_every_engine(&prog, &format!("seed={seed}"));
         if !seen.racy.is_empty() {
             racy += 1;
         } else {

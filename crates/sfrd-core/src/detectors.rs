@@ -50,6 +50,7 @@ pub struct ReachOnly<H>(pub H);
 
 impl<H: sfrd_runtime::TaskHooks> sfrd_runtime::TaskHooks for ReachOnly<H> {
     type Strand = H::Strand;
+    const NEEDS_SERIAL_ORDER: bool = H::NEEDS_SERIAL_ORDER;
 
     fn root(&self) -> Self::Strand {
         self.0.root()
@@ -191,6 +192,7 @@ pub type FoDetector = EventSink<FoReach>;
 /// only to satisfy the `&self` interface — it is never contended.
 impl ReachEngine for Mutex<MbReach> {
     type Strand = MbStrand;
+    const NEEDS_SERIAL_ORDER: bool = true;
 
     fn start() -> (Self, MbStrand) {
         let (reach, root) = MbReach::new();

@@ -81,6 +81,11 @@ pub trait ReachEngine: Sized + Send + Sync + 'static {
     /// under [`ReaderPolicy::All`] whatever the configuration asks.
     const HONORS_POLICY: bool = false;
 
+    /// Is the engine sound only on events in serial-elision order
+    /// (MultiBags)? Its sink then answers
+    /// [`TaskHooks::NEEDS_SERIAL_ORDER`] with it.
+    const NEEDS_SERIAL_ORDER: bool = false;
+
     /// A fresh engine and the root strand of the one execution it sees.
     fn start() -> (Self, Self::Strand);
 
@@ -336,6 +341,7 @@ impl<E: ReachEngine> EventSink<E> {
 
 impl<E: ReachEngine> TaskHooks for EventSink<E> {
     type Strand = E::Strand;
+    const NEEDS_SERIAL_ORDER: bool = E::NEEDS_SERIAL_ORDER;
 
     fn root(&self) -> E::Strand {
         self.root

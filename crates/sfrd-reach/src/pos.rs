@@ -49,6 +49,24 @@ impl Pos {
     }
 }
 
+/// The id as the access history stores it: one nonzero word.
+impl From<Pos> for u32 {
+    #[inline]
+    fn from(p: Pos) -> u32 {
+        p.0.get()
+    }
+}
+
+/// The id a stored word holds; 0 holds none.
+impl TryFrom<u32> for Pos {
+    type Error = std::num::TryFromIntError;
+
+    #[inline]
+    fn try_from(w: u32) -> Result<Pos, Self::Error> {
+        NonZeroU32::try_from(w).map(Pos)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,6 +76,9 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<Pos>>(), 4);
         for i in [0, 1, 7, u32::MAX - 1] {
             assert_eq!(Pos::from_index(i).index(), i);
+            let w = u32::from(Pos::from_index(i));
+            assert_eq!((w, Pos::try_from(w)), (i + 1, Ok(Pos::from_index(i))));
         }
+        assert!(Pos::try_from(0).is_err());
     }
 }

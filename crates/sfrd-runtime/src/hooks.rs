@@ -30,6 +30,12 @@ pub trait TaskHooks: Sync + Send + 'static {
     /// Per-task detector state.
     type Strand: Send + 'static;
 
+    /// Does this sink need its events in serial-elision (depth-first)
+    /// order? MultiBags does: its SP-bags invariant holds only there.
+    /// Journal replay checks that order for such a sink and refuses a
+    /// journal out of it; a wrapper answers for the sinks it wraps.
+    const NEEDS_SERIAL_ORDER: bool = false;
+
     /// State for the root task.
     fn root(&self) -> Self::Strand;
 
@@ -103,6 +109,7 @@ pub struct PairHooks<A, B>(pub A, pub B);
 
 impl<A: TaskHooks, B: TaskHooks> TaskHooks for PairHooks<A, B> {
     type Strand = (A::Strand, B::Strand);
+    const NEEDS_SERIAL_ORDER: bool = A::NEEDS_SERIAL_ORDER || B::NEEDS_SERIAL_ORDER;
 
     fn root(&self) -> Self::Strand {
         (self.0.root(), self.1.root())

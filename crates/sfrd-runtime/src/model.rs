@@ -12,14 +12,15 @@
 //!
 //! Scope and honesty: this explores *interleavings* under SC, like a
 //! bounded-depth TLA model check of the same transition system; it does not
-//! simulate weak-memory reordering (loom's domain) and it cannot tear the
-//! non-atomic snapshot copies themselves (a thread is never preempted between
-//! facade calls). What it does catch — lost tasks, double execution, lost
-//! updates, mutual-exclusion and validation-protocol bugs, ABA in the
-//! reclamation handshake — is exactly the invariant set of
-//! `WorkStealing.tla` (W1/W2/W3/W6) plus the seqlock protocols.
-//! Hardware-level tearing is covered separately by the release-mode stress
-//! tests on real parallel hardware.
+//! simulate weak-memory reordering (loom's domain), and a thread is never
+//! preempted between facade calls, so data a protocol reads outside the
+//! facade is never torn here. What it does catch — lost tasks, double
+//! execution, lost updates, mutual-exclusion and validation-protocol bugs,
+//! ABA in the reclamation handshake — is exactly the invariant set of
+//! `WorkStealing.tla` (W1/W2/W3/W6) plus the seqlock protocols, whose
+//! shadow-slot half is all facade words. Orderings on real hardware are
+//! covered separately by the release-mode stress tests on real parallel
+//! hardware.
 //!
 //! Schedules longer than `max_steps` switch to deterministic round-robin
 //! stepping (still counted, flagged `truncated`) so CAS livelocks and

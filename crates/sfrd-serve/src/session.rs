@@ -16,7 +16,9 @@ pub enum SessionDetector {
     /// F-Order (`f`).
     FOrder,
     /// MultiBags (`mb`; the journal must have been recorded on the
-    /// sequential runtime).
+    /// sequential runtime: replay refuses one out of serial-elision order,
+    /// such as any pool recording with a construct, and the session
+    /// answers `ERR`).
     MultiBags,
 }
 

@@ -315,6 +315,28 @@ fn eight_worker_recording_matches_live_everywhere() {
     server.shutdown();
 }
 
+/// MultiBags is sound only in serial-elision order, which no pool
+/// recording of a program with a construct has: a `DETECT mb` session on
+/// one answers `ERR` naming that order. The same journal still gets `OK`
+/// from SF-Order.
+#[test]
+fn multibags_answers_err_on_a_pool_journal() {
+    let prog = gen_prog(0xBEEF);
+    assert_ne!(prog.counts(), (0, 0), "the program must have a construct");
+    let journal = record_par(&prog, 2);
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
+    let addr = server.local_addr();
+    let resp = submit_journal(&addr, SessionDetector::MultiBags, &journal).expect("mb");
+    assert!(
+        resp.starts_with("ERR ") && resp.contains("serial-elision order"),
+        "{resp:?}"
+    );
+    let resp = submit_journal(&addr, SessionDetector::SfOrder, &journal).expect("sf");
+    assert!(resp.starts_with("OK "), "{resp:?}");
+    wait_all_closed(&server);
+    server.shutdown();
+}
+
 /// Protocol abuse gets an `ERR` line, and byte-mutated journals get an
 /// `OK` or `ERR` line — never a reset, a hang or a dead server.
 #[test]

@@ -7,11 +7,11 @@
 //! The store is [`PagedHistory`] (module [`paged`]) — a three-level
 //! direct-mapped page table of 16 KiB nodes: addresses resolve in O(1)
 //! through an atomically-published page directory with **no hashing and no
-//! locks** on the addressing path, and each location's slot is one packed
-//! atomic word (section tag, the claiming address's low bits, busy bit) and
-//! the [`LocEntry`]'s other fields — 32 bytes for the detectors' one-word
-//! position, two slots per cache line, with the first and the most recent
-//! reader inline and a spill, named by a 4-byte index, only past that. A
+//! locks** on the addressing path, and each location's slot is four atomic
+//! words — the packed word (section tag, the claiming address's low bits,
+//! busy bit) and three holding the [`LocEntry`]'s fields — 32 bytes, two
+//! slots per cache line, with the first and the most recent reader inline
+//! and a spill, named by a 4-byte index, only past that. A
 //! *same-epoch* access — a read by the location's last recorded reader or
 //! by its writer, a write by its writer with no reader retained — is
 //! answered from a packed-word-validated snapshot of those inline fields
@@ -27,7 +27,7 @@
 //! adds one counter per slot, the *section tag* in the slot's packed word:
 //! every write section that releases the slot adds one to it, whatever the
 //! section changed. It is the slot seqlock's sequence, so a reader that
-//! copied the entry's inline fields *validates* the copy with one atomic
+//! loaded the entry's data words *validates* them with one atomic
 //! re-load instead of taking the section. At 59 bits it cannot wrap
 //! within any window a reader holds open.
 //!
@@ -47,28 +47,29 @@
 //! retained ([`LocEntry::retain_reader`]): the writer, at the same
 //! position, stands for it in every later check.
 //!
-//! The entry type is generic in the position type `P` — the detectors
-//! store `sfrd_reach::Pos`, one interned word per strand position; order
-//! comparisons are injected as closures so this crate stays
-//! engine-agnostic.
+//! The entry type is generic in the position type `P`, any [`Position`]:
+//! a value that enters and leaves a slot as one nonzero 32-bit word — the
+//! detectors store `sfrd_reach::Pos`, one interned word per strand
+//! position; order comparisons are injected as closures so this crate
+//! stays engine-agnostic.
 //!
 //! ```
 //! use sfrd_shadow::{PagedHistory, ReaderPolicy};
 //!
-//! // Positions are detector-specific; here, plain (eng, heb) pairs.
-//! // No mutex is ever taken on the mapped addressing path, so lock_ops
-//! // stays 0.
-//! let h: PagedHistory<(u32, u32)> = PagedHistory::with_policy(ReaderPolicy::All);
+//! // Positions are detector-specific; here, plain integers ordered as
+//! // numbers. No mutex is ever taken on the mapped addressing path, so
+//! // lock_ops stays 0.
+//! let h: PagedHistory<u32> = PagedHistory::with_policy(ReaderPolicy::All);
 //! h.locked(0x1000, |entry| {
 //!     assert!(entry.writer.is_none());
 //!     entry.readers.record(
 //!         0,
-//!         (1, 2),
-//!         |a, b| a.0 < b.0,                    // English order
-//!         |a, b| a.1 < b.1,                    // Hebrew order
-//!         |a, b| a.0 < b.0 && a.1 < b.1,       // precedes
+//!         2,
+//!         |a, b| a < b, // English order
+//!         |a, b| a < b, // Hebrew order
+//!         |a, b| a < b, // precedes
 //!     );
-//!     entry.begin_write_epoch((3, 3));
+//!     entry.begin_write_epoch(3);
 //!     assert!(entry.readers.is_empty());
 //! });
 //! assert_eq!(h.lock_ops(), 0);
@@ -77,7 +78,6 @@
 #![warn(missing_docs)]
 
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 
 use sfrd_om::AppendArena;
 use sfrd_runtime::sync::{AtomicUsize, Ordering};
@@ -96,19 +96,40 @@ pub enum ReaderPolicy {
     PerFutureLR,
 }
 
+/// A position the access history can store: a value that enters and
+/// leaves a slot as one nonzero 32-bit word, 0 being `None`. Every `Copy`
+/// type with the two std conversions is one — `u64` from std,
+/// `sfrd_reach::Pos` through its own impls.
+pub trait Position: Copy + Send + TryInto<u32> + TryFrom<u32> {}
+
+impl<P: Copy + Send + TryInto<u32> + TryFrom<u32>> Position for P {}
+
+/// `p`'s word. A position that does not fit in a nonzero word panics; it
+/// is never truncated.
+#[inline]
+pub(crate) fn word<P: Position>(p: P) -> u32 {
+    (p.try_into().ok().filter(|&w| w != 0))
+        .expect("a shadow position must fit in a nonzero 32-bit word")
+}
+
+/// The position a word holds; `None` for 0.
+#[inline]
+pub(crate) fn position<P: Position>(w: u32) -> Option<P> {
+    (w != 0).then(|| P::try_from(w).unwrap_or_else(|_| panic!("word {w} holds no position")))
+}
+
 /// Low bit of [`Head::meta`]: set under [`ReaderPolicy::PerFutureLR`].
 const LR_BIT: u32 = 1;
 /// Inline index of the most recent reader (`All`) / rightmost
-/// (`PerFutureLR`). It comes first so that read-same-epoch's fields — the
-/// slot's packed word, then `meta` and this — are contiguous.
+/// (`PerFutureLR`). It shares a slot word with `meta`, so read-same-epoch
+/// loads one data word.
 pub(crate) const LAST: usize = 0;
 /// Inline index of the first reader (`All`) / leftmost (`PerFutureLR`).
 pub(crate) const FIRST: usize = 1;
 
-/// The inline, plain-old-data part of [`Readers`]: everything the paged
-/// store's lock-free snapshot interprets. It holds no pointer, so a copy
-/// taken outside the slot's write section is harmless whatever it
-/// contains, and is meaningful once the packed word validates it.
+/// The inline part of [`Readers`], as position words: everything the
+/// paged store's lock-free snapshot interprets, and the same for every
+/// position type.
 ///
 /// * `All`: `count` readers in record order; `inline[LAST]` is the most
 ///   recent one, `inline[FIRST]` the first once `count >= 2`, and the
@@ -116,21 +137,21 @@ pub(crate) const FIRST: usize = 1;
 /// * `PerFutureLR`: `count` `(future, leftmost, rightmost)` triples; the
 ///   first future's is `(fut, inline[FIRST], inline[LAST])`, later
 ///   futures' live in the spill.
-#[repr(C)]
-pub(crate) struct Head<P> {
+#[derive(Clone, Copy)]
+pub(crate) struct Head {
     /// `count << 1 | LR_BIT`.
     meta: u32,
     /// Future of the inline triple (`PerFutureLR` only).
     fut: u32,
-    inline: [MaybeUninit<P>; 2],
+    inline: [u32; 2],
 }
 
-impl<P: Copy> Head<P> {
+impl Head {
     pub(crate) fn new(policy: ReaderPolicy) -> Self {
         Head {
             meta: u32::from(policy == ReaderPolicy::PerFutureLR) * LR_BIT,
             fut: 0,
-            inline: [MaybeUninit::uninit(); 2],
+            inline: [0; 2],
         }
     }
 
@@ -150,18 +171,17 @@ impl<P: Copy> Head<P> {
         self.meta = (n as u32) << 1 | (self.meta & LR_BIT);
     }
 
+    /// The inline position `i`; callers index only slots their `count`
+    /// says were written.
     #[inline]
-    fn get(&self, i: usize) -> P {
-        // SAFETY: callers index only slots their `count` says were
-        // written (`LAST` when count >= 1, `FIRST` when count >= 2 or
-        // under `PerFutureLR` with count >= 1).
-        unsafe { self.inline[i].assume_init() }
+    fn get<P: Position>(&self, i: usize) -> P {
+        position(self.inline[i]).expect("a counted reader is stored")
     }
 
     /// The most recently recorded reader under [`ReaderPolicy::All`];
     /// `None` when empty or under `PerFutureLR`.
     #[inline]
-    pub(crate) fn last(&self) -> Option<P> {
+    pub(crate) fn last<P: Position>(&self) -> Option<P> {
         (!self.is_lr() && self.count() > 0).then(|| self.get(LAST))
     }
 
@@ -169,7 +189,7 @@ impl<P: Copy> Head<P> {
     /// triple; `None` when it is absent *or* spilled (the caller cannot
     /// tell which without the write section).
     #[inline]
-    pub(crate) fn inline_lr(&self, future: u32) -> Option<(P, P)> {
+    pub(crate) fn inline_lr<P: Position>(&self, future: u32) -> Option<(P, P)> {
         (self.is_lr() && self.count() > 0 && self.fut == future)
             .then(|| (self.get(FIRST), self.get(LAST)))
     }
@@ -243,7 +263,7 @@ impl<P> SpillRef<'_, P> {
 /// past that (see [`ReaderPolicy`] for what is retained). A view into the
 /// location's state, borrowed for one write section.
 pub struct Readers<'a, P> {
-    pub(crate) head: &'a mut Head<P>,
+    pub(crate) head: &'a mut Head,
     pub(crate) spill: SpillRef<'a, P>,
     /// The history's spill-capacity count, charged whenever a push grows
     /// the spill (`None` for a [`LocState`] outside any history).
@@ -279,7 +299,7 @@ fn lr_update<P: Copy>(
     }
 }
 
-impl<P: Copy> Readers<'_, P> {
+impl<P: Position> Readers<'_, P> {
     /// Readers (`All`) or triples (`PerFutureLR`) held in the spill: all
     /// but the inline two, or all but the inline triple. The spill is
     /// only looked at when this is non-zero.
@@ -402,27 +422,27 @@ impl<P: Copy> Readers<'_, P> {
                     return;
                 }
                 if n == 1 {
-                    self.head.inline[FIRST] = MaybeUninit::new(last);
+                    self.head.inline[FIRST] = self.head.inline[LAST];
                 } else {
                     let bytes = self.bytes;
                     push_counted(self.spill_all(), last, bytes);
                 }
             }
-            self.head.inline[LAST] = MaybeUninit::new(p);
+            self.head.inline[LAST] = word(p);
             self.head.set_count(n + 1);
             return;
         }
         if n == 0 {
             self.head.fut = future;
-            self.head.inline = [MaybeUninit::new(p); 2];
+            self.head.inline = [word(p); 2];
             self.head.set_count(1);
             return;
         }
         if self.head.fut == future {
             let (mut l, mut r) = (self.head.get(FIRST), self.head.get(LAST));
             lr_update(&mut l, &mut r, p, eng_less, heb_less, precedes);
-            self.head.inline[FIRST] = MaybeUninit::new(l);
-            self.head.inline[LAST] = MaybeUninit::new(r);
+            self.head.inline[FIRST] = word(l);
+            self.head.inline[LAST] = word(r);
             return;
         }
         let bytes = self.bytes;
@@ -460,7 +480,7 @@ impl<P: Copy> Readers<'_, P> {
     }
 }
 
-impl<P: Copy + std::fmt::Debug> std::fmt::Debug for Readers<'_, P> {
+impl<P: Position + std::fmt::Debug> std::fmt::Debug for Readers<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut list = f.debug_list();
         self.for_each(|p| {
@@ -481,7 +501,7 @@ pub struct LocEntry<'a, P> {
     pub writer: &'a mut Option<P>,
 }
 
-impl<P: Copy + std::fmt::Debug> std::fmt::Debug for LocEntry<'_, P> {
+impl<P: Position + std::fmt::Debug> std::fmt::Debug for LocEntry<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocEntry")
             .field("writer", &self.writer)
@@ -490,7 +510,7 @@ impl<P: Copy + std::fmt::Debug> std::fmt::Debug for LocEntry<'_, P> {
     }
 }
 
-impl<P: Copy> LocEntry<'_, P> {
+impl<P: Position> LocEntry<'_, P> {
     /// Install a new writer and drop the retained readers (sound: any race
     /// with a dropped reader is either already reported or subsumed by a
     /// race with this writer).
@@ -527,12 +547,12 @@ impl<P: Copy> LocEntry<'_, P> {
 /// fallback map keeps per address, and what reference models keep. Its
 /// [`entry`](Self::entry) is the same view a paged slot's section gets.
 pub struct LocState<P> {
-    head: Head<P>,
+    head: Head,
     spill: Spill<P>,
     writer: Option<P>,
 }
 
-impl<P: Copy> LocState<P> {
+impl<P: Position> LocState<P> {
     /// An untouched location: no writer, no readers.
     pub fn new(policy: ReaderPolicy) -> Self {
         LocState {
@@ -564,7 +584,27 @@ impl<P: Copy> LocState<P> {
 mod tests {
     use super::*;
 
-    type Pos = (u32, u32); // (eng, heb) toy positions
+    /// A toy `(eng, heb)` position in one word: `eng << 16 | heb`, plus
+    /// one so that `(0, 0)` is a position too.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub(crate) struct Pos(pub(crate) u16, pub(crate) u16);
+
+    impl TryFrom<Pos> for u32 {
+        type Error = ();
+        fn try_from(p: Pos) -> Result<u32, ()> {
+            (u32::from(p.0) << 16 | u32::from(p.1))
+                .checked_add(1)
+                .ok_or(())
+        }
+    }
+
+    impl TryFrom<u32> for Pos {
+        type Error = ();
+        fn try_from(w: u32) -> Result<Pos, ()> {
+            let v = w.checked_sub(1).ok_or(())?;
+            Ok(Pos((v >> 16) as u16, v as u16))
+        }
+    }
 
     fn eng_less(a: &Pos, b: &Pos) -> bool {
         a.0 < b.0
@@ -583,10 +623,10 @@ mod tests {
     #[test]
     fn all_policy_keeps_every_reader() {
         let h = history(ReaderPolicy::All);
-        for i in 0..5u32 {
+        for i in 0..5u16 {
             h.locked(0x100, |e| {
                 e.readers
-                    .record(0, (i, 10 - i), eng_less, heb_less, precedes)
+                    .record(0, Pos(i, 10 - i), eng_less, heb_less, precedes)
             });
         }
         h.locked(0x100, |e| {
@@ -595,10 +635,10 @@ mod tests {
             e.readers.for_each(|p| seen.push(p));
             assert_eq!(
                 seen,
-                (0..5).map(|i| (i, 10 - i)).collect::<Vec<_>>(),
+                (0..5).map(|i| Pos(i, 10 - i)).collect::<Vec<_>>(),
                 "record order: first inline, middle spilled, last inline"
             );
-            assert_eq!(e.readers.head.last(), Some((4, 6)));
+            assert_eq!(e.readers.head.last(), Some(Pos(4, 6)));
         });
     }
 
@@ -611,25 +651,25 @@ mod tests {
             })
         };
         for _ in 0..3 {
-            rec((1, 1));
+            rec(Pos(1, 1));
         }
         h.locked(0x100, |e| assert_eq!(e.readers.len(), 1));
         // Only the *last* entry is compared: an interleaved reader defeats
         // the dedup and both stay, in order.
-        rec((2, 2));
-        rec((1, 1));
-        rec((1, 1));
+        rec(Pos(2, 2));
+        rec(Pos(1, 1));
+        rec(Pos(1, 1));
         h.locked(0x100, |e| {
             let mut seen = vec![];
             e.readers.for_each(|p| seen.push(p));
-            assert_eq!(seen, vec![(1, 1), (2, 2), (1, 1)]);
+            assert_eq!(seen, vec![Pos(1, 1), Pos(2, 2), Pos(1, 1)]);
         });
         // A write clears them; the allocation-free inline pair is reused.
         h.locked(0x100, |e| {
-            e.begin_write_epoch((3, 3));
-            assert!(e.readers.is_empty() && e.readers.head.last().is_none());
+            e.begin_write_epoch(Pos(3, 3));
+            assert!(e.readers.is_empty() && e.readers.head.last::<Pos>().is_none());
         });
-        rec((1, 1));
+        rec(Pos(1, 1));
         h.locked(0x100, |e| assert_eq!(e.readers.len(), 1));
     }
 
@@ -639,20 +679,22 @@ mod tests {
         // Future 3: readers at (eng, heb) = (5,5), (2,8), (8,2).
         for (e, hb) in [(5, 5), (2, 8), (8, 2)] {
             h.locked(0x40, |ent| {
-                ent.readers.record(3, (e, hb), eng_less, heb_less, precedes)
+                ent.readers
+                    .record(3, Pos(e, hb), eng_less, heb_less, precedes)
             });
         }
         // A second future contributes separately.
         h.locked(0x40, |ent| {
-            ent.readers.record(7, (1, 1), eng_less, heb_less, precedes)
+            ent.readers
+                .record(7, Pos(1, 1), eng_less, heb_less, precedes)
         });
         h.locked(0x40, |ent| {
             assert_eq!(ent.readers.len(), 4); // 2 futures × (l, r)
             let mut seen = vec![];
             ent.readers.for_each(|p| seen.push(p));
-            assert!(seen.contains(&(2, 8)), "leftmost by eng");
-            assert!(seen.contains(&(8, 2)), "rightmost by heb");
-            assert!(seen.contains(&(1, 1)));
+            assert!(seen.contains(&Pos(2, 8)), "leftmost by eng");
+            assert!(seen.contains(&Pos(8, 2)), "rightmost by heb");
+            assert!(seen.contains(&Pos(1, 1)));
         });
     }
 
@@ -663,15 +705,15 @@ mod tests {
         let h = history(ReaderPolicy::All);
         h.locked(0x8, |e| {
             assert!(e.writer.is_none());
-            e.readers.record(0, (1, 1), eng_less, heb_less, precedes);
-            e.begin_write_epoch((2, 2));
+            e.readers.record(0, Pos(1, 1), eng_less, heb_less, precedes);
+            e.begin_write_epoch(Pos(2, 2));
             assert!(e.readers.is_empty());
-            assert_eq!(*e.writer, Some((2, 2)));
+            assert_eq!(*e.writer, Some(Pos(2, 2)));
         });
         let before = h.packed_words()[1];
-        h.locked(0x8, |e| e.begin_write_epoch((3, 3)));
+        h.locked(0x8, |e| e.begin_write_epoch(Pos(3, 3)));
         assert_ne!(h.packed_words()[1], before);
-        h.locked(0x8, |e| assert_eq!(*e.writer, Some((3, 3))));
+        h.locked(0x8, |e| assert_eq!(*e.writer, Some(Pos(3, 3))));
     }
 
     #[test]
@@ -680,7 +722,7 @@ mod tests {
         for a in 0..1000u64 {
             h.locked(a * 8, |e| {
                 e.readers
-                    .record(0, (a as u32, a as u32), eng_less, heb_less, precedes)
+                    .record(0, Pos(a as u16, a as u16), eng_less, heb_less, precedes)
             });
         }
         assert_eq!(h.locations(), 1000);
@@ -695,25 +737,25 @@ mod tests {
         // the slot, the second is diverted to the fallback map — entries
         // are never merged (one `LocEntry` per exact address).
         let h = history(ReaderPolicy::All);
-        h.locked(0x40, |e| e.begin_write_epoch((1, 1)));
-        h.locked(0x44, |e| e.begin_write_epoch((2, 2)));
-        h.locked(0x40, |e| assert_eq!(*e.writer, Some((1, 1))));
-        h.locked(0x44, |e| assert_eq!(*e.writer, Some((2, 2))));
+        h.locked(0x40, |e| e.begin_write_epoch(Pos(1, 1)));
+        h.locked(0x44, |e| e.begin_write_epoch(Pos(2, 2)));
+        h.locked(0x40, |e| assert_eq!(*e.writer, Some(Pos(1, 1))));
+        h.locked(0x44, |e| assert_eq!(*e.writer, Some(Pos(2, 2))));
         assert_eq!(h.locations(), 2);
         assert_eq!(h.lock_ops(), 2, "one fallback lock per 0x44 access");
         // The lock-free side tells them apart by the claim in the packed
         // word: 0x44 never answers from 0x40's slot.
         let mut cur = h.cursor();
-        assert_eq!(cur.snapshot(0x40).and_then(|s| s.writer()), Some((1, 1)));
+        assert_eq!(cur.snapshot(0x40).and_then(|s| s.writer()), Some(Pos(1, 1)));
         assert!(cur.snapshot(0x44).is_none());
-        assert!(cur.fast_write(0x40, (1, 1)));
-        assert!(!cur.fast_write(0x44, (1, 1)));
-        assert!(!cur.fast_read(0x44, 0, (1, 1), eng_less, heb_less, precedes, |_| true));
+        assert!(cur.fast_write(0x40, Pos(1, 1)));
+        assert!(!cur.fast_write(0x44, Pos(1, 1)));
+        assert!(!cur.fast_read(0x44, 0, Pos(1, 1), eng_less, heb_less, precedes, |_| true));
         drop(cur);
         let mut seen = vec![];
         h.for_each_entry(|addr, e| seen.push((addr, *e.writer)));
         seen.sort_unstable();
-        assert_eq!(seen, [(0x40, Some((1, 1))), (0x44, Some((2, 2)))]);
+        assert_eq!(seen, [(0x40, Some(Pos(1, 1))), (0x44, Some(Pos(2, 2)))]);
         assert_eq!(h.lock_ops(), 2, "snapshots and sweeps count no access lock");
     }
 
@@ -737,7 +779,7 @@ mod tests {
             1 << MAPPED_BITS,
         ];
         for &a in &addrs {
-            h.locked(a, |e| e.begin_write_epoch((1, 1)));
+            h.locked(a, |e| e.begin_write_epoch(Pos(1, 1)));
         }
         let mut seen = vec![];
         h.for_each_entry(|addr, _| seen.push(addr));
@@ -755,8 +797,8 @@ mod tests {
     fn out_of_range_addresses_use_fallback() {
         let h = history(ReaderPolicy::All);
         let high = 1u64 << 60;
-        h.locked(high, |e| e.begin_write_epoch((1, 1)));
-        h.locked(high, |e| assert_eq!(*e.writer, Some((1, 1))));
+        h.locked(high, |e| e.begin_write_epoch(Pos(1, 1)));
+        h.locked(high, |e| assert_eq!(*e.writer, Some(Pos(1, 1))));
         assert_eq!(h.lock_ops(), 2);
         assert_eq!(h.locations(), 1);
         let mut seen = vec![];
@@ -770,24 +812,24 @@ mod tests {
         let addr = 0x40u64;
         // First read must go through the write section (records the triple).
         let mut cur = h.cursor();
-        assert!(!cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_| true));
+        assert!(!cur.fast_read(addr, 3, Pos(5, 5), eng_less, heb_less, precedes, |_| true));
         cur.locked(addr, |e| {
-            e.readers.record(3, (5, 5), eng_less, heb_less, precedes)
+            e.readers.record(3, Pos(5, 5), eng_less, heb_less, precedes)
         });
         // Same (future, pos) again: provably a no-op — fast hit, no store.
-        assert!(cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_| true));
+        assert!(cur.fast_read(addr, 3, Pos(5, 5), eng_less, heb_less, precedes, |_| true));
         // A position that moves leftmost must miss.
-        assert!(!cur.fast_read(addr, 3, (2, 8), eng_less, heb_less, precedes, |_| true));
+        assert!(!cur.fast_read(addr, 3, Pos(2, 8), eng_less, heb_less, precedes, |_| true));
         // A serial successor (advance rule fires) must miss too.
-        assert!(!cur.fast_read(addr, 3, (6, 6), eng_less, heb_less, precedes, |_| true));
+        assert!(!cur.fast_read(addr, 3, Pos(6, 6), eng_less, heb_less, precedes, |_| true));
         // Parallel position inside the LR envelope for the same future:
         // stays a no-op only if neither slot moves — (5,5) vs (5,5) is the
         // stored pair, and (4,6)... eng_less((4,6),(5,5)) → leftmost moves.
-        assert!(!cur.fast_read(addr, 3, (4, 6), eng_less, heb_less, precedes, |_| true));
+        assert!(!cur.fast_read(addr, 3, Pos(4, 6), eng_less, heb_less, precedes, |_| true));
         // An unknown future must miss (its triple is absent).
-        assert!(!cur.fast_read(addr, 9, (5, 5), eng_less, heb_less, precedes, |_| true));
+        assert!(!cur.fast_read(addr, 9, Pos(5, 5), eng_less, heb_less, precedes, |_| true));
         // A writer veto routes to the slow path.
-        assert!(!cur.fast_read(addr, 3, (5, 5), eng_less, heb_less, precedes, |_| false));
+        assert!(!cur.fast_read(addr, 3, Pos(5, 5), eng_less, heb_less, precedes, |_| false));
         drop(cur);
         assert_eq!(h.fast_hits(), 1);
     }
@@ -804,32 +846,32 @@ mod tests {
             cur.fast_read(0x40, fut, p, never, never, never, no_writer_check)
         };
         // Nothing there yet: the page does not even exist.
-        assert!(!fast(&mut cur, 0, (1, 1)));
+        assert!(!fast(&mut cur, 0, Pos(1, 1)));
         assert_eq!(h.page_allocs(), 0, "a snapshot must not allocate");
         cur.locked(0x40, |e| {
-            e.begin_write_epoch((0, 0));
-            e.readers.record(0, (1, 1), eng_less, heb_less, precedes)
+            e.begin_write_epoch(Pos(0, 0));
+            e.readers.record(0, Pos(1, 1), eng_less, heb_less, precedes)
         });
         // The last recorded reader re-reads: a no-op, whatever its future.
-        assert!(fast(&mut cur, 0, (1, 1)));
-        assert!(fast(&mut cur, 7, (1, 1)));
+        assert!(fast(&mut cur, 0, Pos(1, 1)));
+        assert!(fast(&mut cur, 7, Pos(1, 1)));
         // Any other position must record.
-        assert!(!fast(&mut cur, 0, (2, 2)));
+        assert!(!fast(&mut cur, 0, Pos(2, 2)));
         // An interleaved reader becomes the last one and defeats (1, 1).
         cur.locked(0x40, |e| {
-            e.readers.record(1, (2, 2), eng_less, heb_less, precedes)
+            e.readers.record(1, Pos(2, 2), eng_less, heb_less, precedes)
         });
-        assert!(!fast(&mut cur, 0, (1, 1)));
-        assert!(fast(&mut cur, 1, (2, 2)));
+        assert!(!fast(&mut cur, 0, Pos(1, 1)));
+        assert!(fast(&mut cur, 1, Pos(2, 2)));
         // A write clears the readers: the next read must re-check.
-        cur.locked(0x40, |e| e.begin_write_epoch((3, 3)));
-        assert!(!fast(&mut cur, 1, (2, 2)));
+        cur.locked(0x40, |e| e.begin_write_epoch(Pos(3, 3)));
+        assert!(!fast(&mut cur, 1, Pos(2, 2)));
         // The same address's sub-word neighbour lives in the fallback map
         // and never hits on the owner's snapshot.
         cur.locked(0x44, |e| {
-            e.readers.record(0, (3, 3), eng_less, heb_less, precedes)
+            e.readers.record(0, Pos(3, 3), eng_less, heb_less, precedes)
         });
-        assert!(!cur.fast_read(0x44, 0, (3, 3), never, never, never, no_writer_check));
+        assert!(!cur.fast_read(0x44, 0, Pos(3, 3), never, never, never, no_writer_check));
         drop(cur);
         assert_eq!(h.fast_hits(), 3, "hits fold in when the cursor drops");
     }
@@ -841,19 +883,19 @@ mod tests {
         for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
             let h = history(policy);
             let mut cur = h.cursor();
-            assert!(!cur.fast_write(0x40, (1, 1)), "untouched location");
-            cur.locked(0x40, |e| e.begin_write_epoch((1, 1)));
+            assert!(!cur.fast_write(0x40, Pos(1, 1)), "untouched location");
+            cur.locked(0x40, |e| e.begin_write_epoch(Pos(1, 1)));
             let before = h.packed_words();
-            assert!(cur.fast_write(0x40, (1, 1)));
-            assert!(!cur.fast_write(0x40, (2, 2)), "another writer");
+            assert!(cur.fast_write(0x40, Pos(1, 1)));
+            assert!(!cur.fast_write(0x40, Pos(2, 2)), "another writer");
             assert_eq!(h.packed_words(), before, "a hit stored");
             let snap = cur.snapshot(0x40).expect("idle, owned slot");
-            assert_eq!(snap.writer(), Some((1, 1)));
+            assert_eq!(snap.writer(), Some(Pos(1, 1)));
             // A retained reader must be swept by the write section.
             cur.locked(0x40, |e| {
-                e.readers.record(0, (1, 1), eng_less, heb_less, precedes)
+                e.readers.record(0, Pos(1, 1), eng_less, heb_less, precedes)
             });
-            assert!(!cur.fast_write(0x40, (1, 1)));
+            assert!(!cur.fast_write(0x40, Pos(1, 1)));
             drop(cur);
             assert_eq!(h.fast_hits(), 1);
         }
@@ -869,20 +911,20 @@ mod tests {
         for policy in [ReaderPolicy::All, ReaderPolicy::PerFutureLR] {
             let h = history(policy);
             let mut cur = h.cursor();
-            cur.locked(0x40, |e| e.begin_write_epoch((1, 1)));
-            assert!(cur.fast_read(0x40, 0, (1, 1), never, never, never, no_writer_check));
-            assert!(!cur.fast_read(0x40, 0, (2, 2), eng_less, heb_less, precedes, |_| true));
+            cur.locked(0x40, |e| e.begin_write_epoch(Pos(1, 1)));
+            assert!(cur.fast_read(0x40, 0, Pos(1, 1), never, never, never, no_writer_check));
+            assert!(!cur.fast_read(0x40, 0, Pos(2, 2), eng_less, heb_less, precedes, |_| true));
             cur.locked(0x40, |e| {
-                e.retain_reader(0, (1, 1), never, never, never);
+                e.retain_reader(0, Pos(1, 1), never, never, never);
                 assert!(e.readers.is_empty());
-                e.retain_reader(0, (2, 2), eng_less, heb_less, precedes);
+                e.retain_reader(0, Pos(2, 2), eng_less, heb_less, precedes);
                 assert!(!e.readers.is_empty(), "another position is retained");
-                e.retain_reader(0, (1, 1), never, never, never);
+                e.retain_reader(0, Pos(1, 1), never, never, never);
             });
             // Past the interloper the writer's reads still hit, and its
             // next write must take the section to sweep it.
-            assert!(cur.fast_read(0x40, 0, (1, 1), never, never, never, no_writer_check));
-            assert!(!cur.fast_write(0x40, (1, 1)));
+            assert!(cur.fast_read(0x40, 0, Pos(1, 1), never, never, never, no_writer_check));
+            assert!(!cur.fast_write(0x40, Pos(1, 1)));
             drop(cur);
             assert_eq!(h.fast_hits(), 2, "{policy:?}");
         }
@@ -894,22 +936,37 @@ mod tests {
         let mut cur = h.cursor();
         for fut in 0..3u32 {
             cur.locked(0x80, |e| {
-                e.readers
-                    .record(fut, (fut, fut), eng_less, heb_less, precedes)
+                e.readers.record(
+                    fut,
+                    Pos(fut as u16, fut as u16),
+                    eng_less,
+                    heb_less,
+                    precedes,
+                )
             });
         }
         // The first future's triple is inline and still hits; later ones
         // spilled — the fast path bails even for a redundant read, and the
         // locked path still has all triples.
-        assert!(cur.fast_read(0x80, 0, (0, 0), eng_less, heb_less, precedes, |_| true));
-        assert!(!cur.fast_read(0x80, 2, (2, 2), eng_less, heb_less, precedes, |_| true));
+        assert!(cur.fast_read(0x80, 0, Pos(0, 0), eng_less, heb_less, precedes, |_| true));
+        assert!(!cur.fast_read(0x80, 2, Pos(2, 2), eng_less, heb_less, precedes, |_| true));
         cur.locked(0x80, |e| {
             assert_eq!(e.readers.len(), 6);
             // A spilled future's pair still follows the update rule.
-            e.readers.record(2, (1, 9), eng_less, heb_less, precedes);
+            e.readers.record(2, Pos(1, 9), eng_less, heb_less, precedes);
             let mut seen = vec![];
             e.readers.for_each(|p| seen.push(p));
-            assert_eq!(seen, vec![(0, 0), (0, 0), (1, 1), (1, 1), (1, 9), (2, 2)]);
+            assert_eq!(
+                seen,
+                vec![
+                    Pos(0, 0),
+                    Pos(0, 0),
+                    Pos(1, 1),
+                    Pos(1, 1),
+                    Pos(1, 9),
+                    Pos(2, 2)
+                ]
+            );
         });
     }
 
@@ -921,9 +978,9 @@ mod tests {
         for a in 0..300u64 {
             h.locked(a * 8, |e| {
                 if a % 3 == 0 {
-                    e.begin_write_epoch((1, 1));
+                    e.begin_write_epoch(Pos(1, 1));
                 }
-                e.readers.record(0, (2, 2), eng_less, heb_less, precedes)
+                e.readers.record(0, Pos(2, 2), eng_less, heb_less, precedes)
             });
         }
         let before = h.packed_words();
@@ -937,18 +994,18 @@ mod tests {
         let h = history(ReaderPolicy::PerFutureLR);
         let mut cur = h.cursor();
         cur.locked(0x40, |e| {
-            e.readers.record(1, (3, 3), eng_less, heb_less, precedes)
+            e.readers.record(1, Pos(3, 3), eng_less, heb_less, precedes)
         });
         assert!(
-            cur.fast_read(0x40, 1, (3, 3), eng_less, heb_less, precedes, |w| {
+            cur.fast_read(0x40, 1, Pos(3, 3), eng_less, heb_less, precedes, |w| {
                 assert_eq!(w, None);
                 true
             })
         );
-        cur.locked(0x40, |e| e.begin_write_epoch((4, 4)));
+        cur.locked(0x40, |e| e.begin_write_epoch(Pos(4, 4)));
         // Readers were cleared by the write epoch: the triple is gone, so
         // the fast path misses (the read must re-record under the lock).
-        assert!(!cur.fast_read(0x40, 1, (3, 3), eng_less, heb_less, precedes, |_| true));
+        assert!(!cur.fast_read(0x40, 1, Pos(3, 3), eng_less, heb_less, precedes, |_| true));
     }
 
     #[test]
@@ -964,7 +1021,7 @@ mod tests {
                     // be dropped, and this test counts retained readers.
                     h.locked((i % 64) * 16, |e| {
                         e.readers
-                            .record(t, (t, i as u32), eng_less, heb_less, precedes)
+                            .record(t, Pos(t as u16, i as u16), eng_less, heb_less, precedes)
                     });
                 }
             }));
@@ -984,7 +1041,7 @@ mod tests {
         // reader payload.
         let h = history(ReaderPolicy::All);
         for a in 0..100u64 {
-            h.locked(a * 16, |e| e.begin_write_epoch((1, 1)));
+            h.locked(a * 16, |e| e.begin_write_epoch(Pos(1, 1)));
         }
         let floor = h.page_allocs() as usize * PAGE_SLOTS * 32;
         assert!(floor > 0);

@@ -38,16 +38,16 @@
 //! and pages by their arenas' lengths, reader spills by a byte count that
 //! a write section adds to whenever it grows a spill's capacity.
 //!
-//! ## One slot, 32 bytes
+//! ## One slot, four atomic words
 //!
-//! A slot is the packed word and the location's entry fields, nothing
-//! else (`#[repr(C, align(32))]`; DESIGN.md §6 has the byte offsets). For
-//! the detectors' one-word position (`sfrd_reach::Pos`) it is 32 bytes —
-//! two slots per cache line, none straddling one, and a 2 048-slot page
-//! is exactly 64 KiB:
+//! A slot is the packed word and three data words holding the location's
+//! entry fields, nothing else (`#[repr(C, align(32))]`; DESIGN.md §6). A
+//! position is stored as its 32-bit word ([`Position`]), so the slot is
+//! 32 bytes for every position type — two slots per cache line, none
+//! straddling one, and a 2 048-slot page is exactly 64 KiB:
 //!
 //! ```text
-//! packed 8 | meta 4 | fut 4 | inline[LAST] 4 | inline[FIRST] 4 | writer 4 | spill 4
+//! packed | meta, inline[LAST] | fut, inline[FIRST] | writer, spill
 //!
 //! packed: [ 63..5: section tag | 4..2: addr & 7 | 1: claimed | 0: busy ]
 //! ```
@@ -63,26 +63,23 @@
 //! * Readers past the two inline ones spill to a history-owned arena; the
 //!   slot names its spill by a 4-byte index.
 //!
-//! Nothing is mirrored: a write section hands its closure a [`LocEntry`]
-//! view of the slot's own fields, and the lock-free snapshot copies from
-//! the same slot.
-//!
 //! State-changing accesses open a *seqlock-style write section*: CAS the
 //! busy bit (contended retries are counted in
-//! [`PagedHistory::cas_retries`]), mutate the entry, and release by
-//! publishing a new packed word — the tag incremented, the claim. Any
-//! interleaved section therefore changes the packed word, which is what
-//! makes the snapshot's validation sound.
+//! [`PagedHistory::cas_retries`]), load the three data words, hand the
+//! closure a [`LocEntry`] view of them decoded, store them back, and
+//! release by publishing a new packed word — the tag incremented, the
+//! claim. Any interleaved section therefore changes the packed word, which
+//! is what makes the snapshot's validation sound.
 //!
 //! ## The zero-store same-epoch paths
 //!
 //! One private routine, `PageCursor::validated`, checks the packed word's
-//! claim against the queried address, copies the slot's fields it needs
-//! (the readers' inline head, the writer — never the spill) and discards
-//! the copy unless a second load of the packed word agrees with the first
-//! and showed the slot idle ([`PageCursor::snapshot`] is its public face).
-//! A rule that needs a second field only when the first did not decide
-//! copies it later in the same window and re-loads the word again. On a
+//! claim against the queried address, loads the data words it needs
+//! (`Relaxed`; the spill is never followed) and discards them unless a
+//! fenced second load of the packed word agrees with the first and showed
+//! the slot idle ([`PageCursor::snapshot`] is its public face). A rule
+//! that needs a second word only when the first did not decide loads it
+//! later in the same window and re-loads the packed word again. On a
 //! validated snapshot the cursor answers *"would the write section leave
 //! this entry unchanged and report nothing?"* with **zero stores, zero
 //! CAS, no lock**:
@@ -107,20 +104,14 @@
 //! and the caller takes [`locked`](PageCursor::locked), which re-derives
 //! everything inside the section. DESIGN.md §6 gives the soundness
 //! argument.
-//!
-//! The fields are read with `read_volatile` and validated against the
-//! packed word before use, the standard seqlock idiom: a torn copy is
-//! possible but is discarded before any field is interpreted.
 
 use sfrd_runtime::sync::{fence, AtomicPtr, AtomicU64, AtomicUsize, Mutex, Ordering};
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::mem::MaybeUninit;
-use std::ptr::addr_of;
 
 use sfrd_om::AppendArena;
 
-use crate::{Head, LocEntry, LocState, ReaderPolicy, Readers, SpillArena, SpillRef};
+use crate::{position, word, Head, LocEntry, LocState, Position, ReaderPolicy, Readers};
+use crate::{SpillArena, SpillRef, FIRST, LAST};
 
 /// log2 of a slot's address span: one slot per 8-byte word, which is one
 /// instrumented `ShadowArray`/`ShadowCell` cell whatever its element type,
@@ -167,59 +158,61 @@ fn pack(tag: u64, owner: u64) -> u64 {
     ((tag << TAG_SHIFT) & TAG_MASK) | owner
 }
 
-/// Everything a slot holds besides its packed word: a [`LocEntry`]'s
-/// fields, with the readers' spill named by index.
-#[repr(C)]
-struct Body<P> {
-    head: Head<P>,
-    writer: Option<P>,
-    /// The readers' spill: index + 1 into [`PagedHistory::spills`], 0 for
-    /// none. Only ever touched inside the slot's write section.
-    spill: u32,
+/// Two 32-bit halves in one data word, `lo` in the low bits.
+#[inline(always)]
+fn join(lo: u32, hi: u32) -> u64 {
+    u64::from(lo) | u64::from(hi) << 32
 }
 
 /// One location's slot: the packed word (seqlock: busy bit, section tag,
-/// claim) and the entry's fields — the only copy of them.
+/// claim) and the entry's fields in three data words — the only copy of
+/// them. A data word is stored only inside the write section, `Relaxed`,
+/// between the busy CAS's release fence and the releasing store of
+/// `packed`; a snapshot's `Relaxed` loads sit between the acquire load of
+/// `packed` and the acquire fence before its re-load.
 #[repr(C, align(32))]
-struct Slot<P: Copy> {
+struct Slot {
     packed: AtomicU64,
-    body: UnsafeCell<Body<P>>,
+    /// `meta | inline[LAST] << 32`: all that read-same-epoch reads.
+    last: AtomicU64,
+    /// `fut | inline[FIRST] << 32`.
+    first: AtomicU64,
+    /// `writer | spill << 32`; the spill is index + 1 into
+    /// [`PagedHistory::spills`], 0 for none, and only followed inside the
+    /// write section.
+    writer: AtomicU64,
 }
 
-// SAFETY: the body is only written, and its spill index only followed,
-// inside the busy-bit write section (exclusive by CAS). Outside it the
-// body is read only by `PageCursor::validated`, which copies fields with
-// `read_volatile` and discards the copy unless the packed word proves no
-// section overlapped it. `P: Send` because a position stored by one thread
-// is read by others.
-unsafe impl<P: Copy + Send> Sync for Slot<P> {}
-// SAFETY: as above; the slot holds plain data.
-unsafe impl<P: Copy + Send> Send for Slot<P> {}
-
-impl<P: Copy> Slot<P> {
+impl Slot {
     fn new(policy: ReaderPolicy) -> Self {
         Slot {
             packed: AtomicU64::new(0),
-            body: UnsafeCell::new(Body {
-                head: Head::new(policy),
-                writer: None,
-                spill: 0,
-            }),
+            last: AtomicU64::new(u64::from(Head::new(policy).meta)),
+            first: AtomicU64::new(0),
+            writer: AtomicU64::new(0),
         }
+    }
+
+    /// The readers' inline head from its two data words.
+    #[inline(always)]
+    fn head(last: u64, first: u64) -> Head {
+        let (meta, fut, mut inline) = (last as u32, first as u32, [0; 2]);
+        (inline[LAST], inline[FIRST]) = ((last >> 32) as u32, (first >> 32) as u32);
+        Head { meta, fut, inline }
     }
 }
 
 /// A page: [`PAGE_SLOTS`] direct-mapped slots.
-type Page<P> = [Slot<P>; PAGE_SLOTS];
+type Page = [Slot; PAGE_SLOTS];
 
 /// A directory node: [`NODE_LEN`] child links, each null until its child
 /// is published. A link points straight at the child's array, so each
 /// level costs one load.
 type Node<C> = [AtomicPtr<C>; NODE_LEN];
 /// The bottom directory level: page links for 32 MiB of address space.
-type Leaf<P> = Node<Page<P>>;
+type Leaf = Node<Page>;
 /// The middle level: leaf links for 64 GiB.
-type Mid<P> = Node<Leaf<P>>;
+type Mid = Node<Leaf>;
 
 /// `N` values built by `make`, in one heap array.
 fn boxed<T, const N: usize>(make: impl FnMut() -> T) -> Box<[T; N]> {
@@ -295,12 +288,12 @@ fn descend<'a, C>(
 }
 
 /// The lock-free paged access history (see module docs).
-pub struct PagedHistory<P: Copy + Send> {
+pub struct PagedHistory<P: Position> {
     /// The eager top directory level: mid-node pointers.
-    root: Box<Node<Mid<P>>>,
-    mids: AppendArena<Box<Mid<P>>>,
-    leaves: AppendArena<Box<Leaf<P>>>,
-    pages: AppendArena<Box<Page<P>>>,
+    root: Box<Node<Mid>>,
+    mids: AppendArena<Box<Mid>>,
+    leaves: AppendArena<Box<Leaf>>,
+    pages: AppendArena<Box<Page>>,
     /// Reader spills of mapped slots, by the index a slot stores.
     spills: SpillArena<P>,
     /// Bytes of spill capacity, mapped and fallback entries alike: a
@@ -327,7 +320,7 @@ pub struct PagedHistory<P: Copy + Send> {
     node_allocs: AtomicU64,
 }
 
-impl<P: Copy + Send> PagedHistory<P> {
+impl<P: Position> PagedHistory<P> {
     /// Create an empty paged history: the root node and nothing else.
     pub fn with_policy(policy: ReaderPolicy) -> Self {
         Self {
@@ -398,7 +391,7 @@ impl<P: Copy + Send> PagedHistory<P> {
     /// Resolve (optionally allocating) the page containing `word` (an
     /// address right-shifted by [`SLOT_SHIFT`]). Caller guarantees
     /// `word < 1 << (MAPPED_BITS - SLOT_SHIFT)`.
-    fn page_for(&self, word: u64, alloc: bool) -> Option<&Page<P>> {
+    fn page_for(&self, word: u64, alloc: bool) -> Option<&Page> {
         debug_assert!(word >> (ROOT_SHIFT + NODE_BITS) == 0);
         let nodes = &self.node_allocs;
         let mid = descend(
@@ -419,7 +412,7 @@ impl<P: Copy + Send> PagedHistory<P> {
     }
 
     /// Open the slot's write section. Returns the pre-section packed word.
-    fn lock_slot(&self, slot: &Slot<P>) -> u64 {
+    fn lock_slot(&self, slot: &Slot) -> u64 {
         let mut spins = 0u32;
         loop {
             let cur = slot.packed.load(Ordering::Relaxed);
@@ -431,8 +424,9 @@ impl<P: Copy + Send> PagedHistory<P> {
             {
                 // Seqlock writer side: the busy bit must be visible before
                 // any store of the section is. Pairs with the acquire
-                // fence in `PageCursor::validated` — a copy that caught one
-                // of this section's stores re-loads a busy or newer word.
+                // fence in `PageCursor::recheck` — a window that loaded
+                // one of this section's stores re-loads a busy or newer
+                // word.
                 fence(Ordering::Release);
                 return cur;
             }
@@ -446,22 +440,30 @@ impl<P: Copy + Send> PagedHistory<P> {
         }
     }
 
-    /// Run `f` on the view of a slot's entry. Caller holds the busy bit.
+    /// Run `f` on the view of a slot's entry: its data words, decoded,
+    /// and stored back after `f`. Caller holds the busy bit and publishes
+    /// the packed word after this returns.
     #[inline(always)]
-    fn in_section<R>(&self, slot: &Slot<P>, f: impl FnOnce(&mut LocEntry<'_, P>) -> R) -> R {
-        // SAFETY: busy bit held — exclusive access to the body.
-        let body = unsafe { &mut *slot.body.get() };
-        f(&mut LocEntry {
+    fn in_section<R>(&self, slot: &Slot, f: impl FnOnce(&mut LocEntry<'_, P>) -> R) -> R {
+        let words = [&slot.last, &slot.first, &slot.writer].map(|w| w.load(Ordering::Relaxed));
+        let mut head = Slot::head(words[0], words[1]);
+        let (mut writer, mut spill) = (position(words[2] as u32), (words[2] >> 32) as u32);
+        let r = f(&mut LocEntry {
             readers: Readers {
-                head: &mut body.head,
+                head: &mut head,
                 spill: SpillRef::Indexed {
-                    index: &mut body.spill,
+                    index: &mut spill,
                     arena: &self.spills,
                 },
                 bytes: Some(&self.spill_bytes),
             },
-            writer: &mut body.writer,
-        })
+            writer: &mut writer,
+        });
+        let store = |w: &AtomicU64, lo, hi| w.store(join(lo, hi), Ordering::Relaxed);
+        store(&slot.last, head.meta, head.inline[LAST]);
+        store(&slot.first, head.fut, head.inline[FIRST]);
+        store(&slot.writer, writer.map_or(0, word), spill);
+        r
     }
 
     fn fallback_locked<R>(&self, addr: u64, f: impl FnOnce(&mut LocEntry<'_, P>) -> R) -> R {
@@ -546,7 +548,7 @@ impl<P: Copy + Send> PagedHistory<P> {
         let pages = self.pages.len();
         let map = self.fallback.lock().capacity();
         nodes * std::mem::size_of::<Node<()>>()
-            + pages * std::mem::size_of::<Page<P>>()
+            + pages * std::mem::size_of::<Page>()
             + self.mids.heap_bytes()
             + self.leaves.heap_bytes()
             + self.pages.heap_bytes()
@@ -561,10 +563,10 @@ impl<P: Copy + Send> PagedHistory<P> {
 /// open. Only a slot owned by the queried exact address yields one.
 pub struct SlotSnapshot<P> {
     writer: Option<P>,
-    head: Head<P>,
+    head: Head,
 }
 
-impl<P: Copy> SlotSnapshot<P> {
+impl<P: Position> SlotSnapshot<P> {
     /// The last writer.
     pub fn writer(&self) -> Option<P> {
         self.writer
@@ -576,24 +578,11 @@ impl<P: Copy> SlotSnapshot<P> {
     }
 }
 
-/// Volatile copy of a slot's writer, for a read window. `Option<P>` is
-/// not valid for every bit pattern, so it stays `MaybeUninit` until the
-/// window has been rechecked.
-///
-/// # Safety
-/// `b` points to the body of a live slot.
-#[inline(always)]
-unsafe fn copy_writer<P: Copy>(b: *const Body<P>) -> MaybeUninit<Option<P>> {
-    addr_of!((*b).writer)
-        .cast::<MaybeUninit<Option<P>>>()
-        .read_volatile()
-}
-
 /// The open half of the lock-free read protocol: a slot whose packed word
-/// read idle, and that word. Field copies taken afterwards are kept only
+/// read idle, and that word. Data words loaded afterwards are kept only
 /// if the word still reads `idle` ([`PageCursor::recheck`]).
-struct Window<'a, P: Copy> {
-    slot: &'a Slot<P>,
+struct Window<'a> {
+    slot: &'a Slot,
     idle: u64,
 }
 
@@ -602,17 +591,17 @@ struct Window<'a, P: Copy> {
 /// instead of re-walking the three directory levels. It also tallies its
 /// snapshot hits and discards locally and folds them into the history's
 /// counters when dropped — one atomic add per batch, not per access.
-pub struct PageCursor<'a, P: Copy + Send> {
+pub struct PageCursor<'a, P: Position> {
     hist: &'a PagedHistory<P>,
     /// `(addr >> SLOT_SHIFT) >> PAGE_SHIFT` of the cached page
     /// (`u64::MAX` = none).
     key: u64,
-    page: Option<&'a Page<P>>,
+    page: Option<&'a Page>,
     fast_hits: u64,
     discarded: u64,
 }
 
-impl<P: Copy + Send> Drop for PageCursor<'_, P> {
+impl<P: Position> Drop for PageCursor<'_, P> {
     fn drop(&mut self) {
         if self.fast_hits != 0 {
             self.hist
@@ -627,8 +616,8 @@ impl<P: Copy + Send> Drop for PageCursor<'_, P> {
     }
 }
 
-impl<'a, P: Copy + Send> PageCursor<'a, P> {
-    fn slot(&mut self, addr: u64, alloc: bool) -> Option<&'a Slot<P>> {
+impl<'a, P: Position> PageCursor<'a, P> {
+    fn slot(&mut self, addr: u64, alloc: bool) -> Option<&'a Slot> {
         let word = addr >> SLOT_SHIFT;
         let key = word >> PAGE_SHIFT;
         if self.key != key {
@@ -642,7 +631,7 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     /// there or nothing to trust: address outside the mapped range, page
     /// not allocated, or a write section open.
     #[inline(always)]
-    fn window(&mut self, addr: u64) -> Option<Window<'a, P>> {
+    fn window(&mut self, addr: u64) -> Option<Window<'a>> {
         if addr >> MAPPED_BITS != 0 {
             return None;
         }
@@ -683,22 +672,21 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
         r
     }
 
-    /// The closing half of the read protocol: run `copy` on the window's
+    /// The closing half of the read protocol: run `load` on the window's
     /// slot and keep what it returns only if the packed word still reads
     /// what it read when the window opened.
     ///
-    /// A write section may be storing to the slot while `copy` runs, so
-    /// `copy` must only `read_volatile` fields into types that are valid
-    /// for every bit pattern, and must not follow the spill index. What it
-    /// returns is meaningful exactly when this returns `Some`: every
-    /// section changes the packed word on release, so an unchanged idle
-    /// word means no section overlapped the window up to here. One window
-    /// may be rechecked more than once — a rule that reads a second field
-    /// only when the first did not decide copies it inside the same window
-    /// and rechecks again.
+    /// A write section may be storing to the slot while `load` runs, so
+    /// `load` takes `Relaxed` loads of data words and must not follow the
+    /// spill index. What it returns is meaningful exactly when this
+    /// returns `Some`: every section changes the packed word on release,
+    /// so an unchanged idle word means no section overlapped the window up
+    /// to here. One window may be rechecked more than once — a rule that
+    /// reads a second word only when the first did not decide loads it
+    /// inside the same window and rechecks again.
     #[inline(always)]
-    fn recheck<T>(&mut self, w: &Window<'_, P>, copy: impl FnOnce(&Slot<P>) -> T) -> Option<T> {
-        let copied = copy(w.slot);
+    fn recheck<T>(&mut self, w: &Window<'_>, load: impl FnOnce(&Slot) -> T) -> Option<T> {
+        let copied = load(w.slot);
         fence(Ordering::Acquire);
         if w.slot.packed.load(Ordering::Relaxed) != w.idle {
             self.discarded += 1;
@@ -711,10 +699,10 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     /// [`window`](Self::window) on `addr`'s slot, check that its packed
     /// word carries `addr`'s claim — a span claimed by a different exact
     /// address (whose entry lives in the fallback map) or by none is not
-    /// this address's entry — and run `copy` on the body, keeping what it
+    /// this address's entry — and run `load` on the slot, keeping what it
     /// returns only if the [`recheck`](Self::recheck) passes, which also
-    /// re-validates the claim. The window comes back with the copy, for a
-    /// rule that may need a second field.
+    /// re-validates the claim. The window comes back with the value, for a
+    /// rule that may need a second word.
     // `inline(always)`, on the whole protocol: with plain `inline` the
     // batch loop kept this as a call and sw's `full` at one worker
     // measured 0.18 s instead of 0.13 s.
@@ -722,29 +710,25 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     fn validated<T>(
         &mut self,
         addr: u64,
-        copy: impl FnOnce(*const Body<P>) -> T,
-    ) -> Option<(T, Window<'a, P>)> {
+        load: impl FnOnce(&Slot) -> T,
+    ) -> Option<(T, Window<'a>)> {
         let w = self.window(addr)?;
         if w.idle & OWNER_MASK != claim(addr) {
             return None;
         }
-        let copied = self.recheck(&w, |slot| copy(slot.body.get()))?;
+        let copied = self.recheck(&w, load)?;
         Some((copied, w))
     }
 
     /// Validated copy of every pointer-free field of `addr`'s entry: the
     /// writer and the readers' inline head.
     pub fn snapshot(&mut self, addr: u64) -> Option<SlotSnapshot<P>> {
-        // SAFETY: `Head` is integers and `MaybeUninit`, valid for every bit
-        // pattern; see `recheck` for the protocol.
-        let ((head, writer), _) = self.validated(addr, |b| unsafe {
-            (addr_of!((*b).head).read_volatile(), copy_writer(b))
+        let (words, _) = self.validated(addr, |slot| {
+            [&slot.last, &slot.first, &slot.writer].map(|w| w.load(Ordering::Relaxed))
         })?;
         Some(SlotSnapshot {
-            // SAFETY: validated, so these are the bytes of the `Option<P>`
-            // the last write section left behind.
-            writer: unsafe { writer.assume_init() },
-            head,
+            writer: position(words[2] as u32),
+            head: Slot::head(words[0], words[1]),
         })
     }
 
@@ -762,10 +746,9 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
     /// * either policy — **read-by-current-writer**: the writer is `pos`.
     ///   The section would find the writer serial (equal positions, no
     ///   query) and [`LocEntry::retain_reader`] would retain nothing.
-    ///   Under `All` the writer is copied only when read-same-epoch did
-    ///   not decide, inside the same window, so that rule still touches
-    ///   the slot's first 24 bytes — packed word and the readers' inline
-    ///   head — and no more.
+    ///   Under `All` the writer is loaded only when read-same-epoch did
+    ///   not decide, inside the same window, so that rule loads the packed
+    ///   word and one data word, `meta | inline[LAST]`, and no more.
     /// * [`ReaderPolicy::PerFutureLR`] — `future`'s inline (leftmost,
     ///   rightmost) pair is unchanged under the LR update rule, and
     ///   `writer_ok(writer)` accepts the snapshot's writer (typically: a
@@ -792,18 +775,12 @@ impl<'a, P: Copy + Send> PageCursor<'a, P> {
         // An absent page/empty entry means the read must record — slow path.
         let hit = match self.hist.policy {
             ReaderPolicy::All => {
-                // SAFETY: `Head` is integers and `MaybeUninit`, valid for
-                // every bit pattern; see `recheck` for the protocol.
-                let head = self.validated(addr, |b| unsafe { addr_of!((*b).head).read_volatile() });
-                head.is_some_and(|(head, w)| {
-                    head.last() == Some(pos)
+                let last = self.validated(addr, |slot| slot.last.load(Ordering::Relaxed));
+                last.is_some_and(|(last, w)| {
+                    Slot::head(last, 0).last() == Some(pos)
                         || self
-                            // SAFETY: the slot is live; the copy is
-                            // `MaybeUninit` until the recheck has passed.
-                            .recheck(&w, |slot| unsafe { copy_writer(slot.body.get()) })
-                            // SAFETY: rechecked, so these are the bytes of
-                            // the `Option<P>` a finished section left.
-                            .is_some_and(|writer| unsafe { writer.assume_init() } == Some(pos))
+                            .recheck(&w, |slot| slot.writer.load(Ordering::Relaxed))
+                            .is_some_and(|writer| position(writer as u32) == Some(pos))
                 })
             }
             ReaderPolicy::PerFutureLR => self.snapshot(addr).is_some_and(|snap| {
@@ -850,28 +827,51 @@ mod tests {
     use sfrd_reach::Pos;
     use std::mem::{align_of, offset_of, size_of};
 
-    /// The slot's budget on the detectors' one-word position: 32 bytes and
-    /// 32-aligned — two slots per cache line, none straddling one, a page
-    /// exactly 64 KiB — and the offsets DESIGN.md §6 draws.
+    /// The slot's budget: four words, 32-aligned — two slots per cache
+    /// line, none straddling one — and the word order DESIGN.md §6 draws.
+    /// The slot has no type parameter, so a page is exactly 64 KiB for
+    /// the benchmark's `u64` positions as for the detectors' `Pos`: a
+    /// history of either grows by that much for a second page.
     #[test]
     fn slot_fits_the_budget() {
-        assert_eq!(size_of::<Option<Pos>>(), 4);
-        assert_eq!(size_of::<Slot<Pos>>(), 32);
-        assert_eq!(align_of::<Slot<Pos>>(), 32);
-        assert_eq!(PAGE_SLOTS * size_of::<Slot<Pos>>(), 64 << 10);
-        // packed 8 | meta 4 | fut 4 | inline[LAST] 4 | inline[FIRST] 4 |
-        // writer 4 | spill 4. Read-same-epoch reads packed, meta and the
-        // last reader: slot bytes 0..20.
-        let body = offset_of!(Slot<Pos>, body);
-        assert_eq!((offset_of!(Slot<Pos>, packed), body), (0, 8));
-        let head = body + offset_of!(Body<Pos>, head);
-        assert_eq!(head + offset_of!(Head<Pos>, meta), 8);
-        assert_eq!(head + offset_of!(Head<Pos>, fut), 12);
-        let inline = head + offset_of!(Head<Pos>, inline);
-        assert_eq!(inline + crate::LAST * size_of::<Pos>(), 16);
-        assert_eq!(inline + crate::FIRST * size_of::<Pos>(), 20);
-        assert_eq!(body + offset_of!(Body<Pos>, writer), 24);
-        assert_eq!(body + offset_of!(Body<Pos>, spill), 28);
+        assert_eq!(size_of::<Slot>(), 32);
+        assert_eq!(align_of::<Slot>(), 32);
+        assert_eq!(size_of::<Page>(), 64 << 10);
+        // packed | meta, inline[LAST] | fut, inline[FIRST] | writer,
+        // spill: read-same-epoch loads slot bytes 0..16.
+        let offsets = [
+            offset_of!(Slot, packed),
+            offset_of!(Slot, last),
+            offset_of!(Slot, first),
+            offset_of!(Slot, writer),
+        ];
+        assert_eq!(offsets, [0, 8, 16, 24]);
+        fn page_bytes<P: Position>(p: P) -> usize {
+            let h = PagedHistory::with_policy(ReaderPolicy::All);
+            h.locked(0x40, |e| e.begin_write_epoch(p));
+            let one = h.heap_bytes();
+            h.locked(0x40 + (1 << 14), |e| e.begin_write_epoch(p));
+            assert_eq!(h.page_allocs(), 2);
+            h.heap_bytes() - one
+        }
+        assert_eq!(page_bytes(7u64), 64 << 10);
+        assert_eq!(page_bytes(Pos::from_index(6)), 64 << 10);
+    }
+
+    /// Positions enter a slot as one nonzero word and come back whole;
+    /// one that does not fit panics rather than being truncated.
+    #[test]
+    fn positions_round_trip_through_one_word() {
+        let h = PagedHistory::<u64>::with_policy(ReaderPolicy::All);
+        h.locked(0x40, |e| e.begin_write_epoch(u64::from(u32::MAX)));
+        assert_eq!(
+            h.cursor().snapshot(0x40).and_then(|s| s.writer()),
+            Some(u64::from(u32::MAX))
+        );
+        for p in [0u64, 1 << 32] {
+            let caught = std::panic::catch_unwind(|| word(p));
+            assert!(caught.is_err(), "position {p} was stored");
+        }
     }
 
     /// The claim bits hold the exact address's low bits, and the tag takes
@@ -919,10 +919,10 @@ mod tests {
     /// What `heap_bytes` summed before it kept a spill count: the same
     /// directory, page and arena terms, and every location's spill
     /// capacity found by a sweep.
-    fn swept_heap_bytes<P: Copy + Send>(h: &PagedHistory<P>) -> usize {
+    fn swept_heap_bytes<P: Position>(h: &PagedHistory<P>) -> usize {
         let nodes = 1 + h.mids.len() + h.leaves.len();
         let mut bytes = nodes * size_of::<Node<()>>()
-            + h.pages.len() * size_of::<Page<P>>()
+            + h.pages.len() * size_of::<Page>()
             + h.mids.heap_bytes()
             + h.leaves.heap_bytes()
             + h.pages.heap_bytes()
@@ -938,7 +938,7 @@ mod tests {
     /// that clear them (a cleared spill keeps its capacity).
     #[test]
     fn counted_heap_bytes_equal_the_sweep() {
-        type Pos = (u32, u32);
+        use crate::tests::Pos;
         let less = |a: &Pos, b: &Pos| a.0 < b.0;
         let precedes = |a: &Pos, b: &Pos| a.0 < b.0 && a.1 < b.1;
         let words = [0x40, 0x48, (1 << 14) + 8, (1 << 25) + 64, (1 << 36) + 8];
@@ -961,7 +961,7 @@ mod tests {
                                     .wrapping_add(1_442_695_040_888_963_407);
                                 let r = (x >> 33) as u32;
                                 let addr = addrs[r as usize % addrs.len()];
-                                let p = (r >> 8 & 0xff, r >> 16 & 0xff);
+                                let p = Pos((r >> 8 & 0xff) as u16, (r >> 16 & 0xff) as u16);
                                 h.locked(addr, |e| {
                                     if r.is_multiple_of(16) {
                                         e.begin_write_epoch(p);

@@ -17,10 +17,7 @@
 //! * the paged side reports no race the reference does not, and the racy
 //!   `(addr, kind)` **sets** are identical (a same-epoch repeat of a racy
 //!   read is observed once, not once per repeat);
-//! * the retained state (writer, reader list per address) is identical,
-//!   and the writer epoch — which the paged side keeps only in the slot's
-//!   packed word — never runs ahead of the reference's (a write-same-epoch
-//!   hit leaves it alone);
+//! * the retained state (writer, reader list per address) is identical;
 //! * `max_retained_readers` and `locations` agree.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -28,7 +25,27 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 use sfrd_shadow::{LocEntry, LocState, PagedHistory, ReaderPolicy};
 
-type Pos = (u32, u32); // (eng, heb) toy positions
+/// A toy `(eng, heb)` position in the one nonzero word the store keeps:
+/// `eng << 16 | heb`, plus one so that `(0, 0)` is a position too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Pos(u16, u16);
+
+impl TryFrom<Pos> for u32 {
+    type Error = ();
+    fn try_from(p: Pos) -> Result<u32, ()> {
+        (u32::from(p.0) << 16 | u32::from(p.1))
+            .checked_add(1)
+            .ok_or(())
+    }
+}
+
+impl TryFrom<u32> for Pos {
+    type Error = ();
+    fn try_from(w: u32) -> Result<Pos, ()> {
+        let v = w.checked_sub(1).ok_or(())?;
+        Ok(Pos((v >> 16) as u16, v as u16))
+    }
+}
 
 fn eng_less(a: &Pos, b: &Pos) -> bool {
     a.0 < b.0
@@ -59,13 +76,13 @@ fn decode(code: u64) -> Op {
     if (code >> 10) & 0xF == 0 {
         addr |= 1 << 60; // out of the mapped 2^47 range
     }
-    let eng = ((code >> 14) & 0xFF) as u32;
-    let heb = ((code >> 22) & 0xFF) as u32;
+    let eng = ((code >> 14) & 0xFF) as u16;
+    let heb = ((code >> 22) & 0xFF) as u16;
     Op {
         write,
         addr,
         fut,
-        pos: (eng, heb),
+        pos: Pos(eng, heb),
     }
 }
 
@@ -202,7 +219,7 @@ fn fast_path_engages_on_redundant_sequences() {
                     write: false,
                     addr: 0x2000 + i * 8,
                     fut: 1,
-                    pos: (7, 7),
+                    pos: Pos(7, 7),
                 };
                 let write = Op {
                     write: true,

@@ -1,8 +1,8 @@
 //! Model-checked packed-word / snapshot seqlock protocol (`--cfg sfrd_model`).
 //!
-//! The paged shadow's zero-store paths copy a slot's entry fields
-//! non-atomically and validate the copy against the packed word (BUSY
-//! check, then an acquire-fenced re-load equality check). These tests
+//! The paged shadow's zero-store paths load a slot's three data words and
+//! validate them against the packed word (BUSY check, then an
+//! acquire-fenced re-load equality check). These tests
 //! drive a writer mutating a mapped entry through `locked()` against a
 //! concurrent snapshot reader through ~1000 seeded SC interleavings each
 //! and assert:
@@ -20,14 +20,22 @@
 //!   window the head was validated in (say, after a busy bail);
 //! * the `k` a reader observes, through snapshots and through the locked
 //!   path, never goes backwards;
+//! * a snapshot taken between the data-word stores of a section's close
+//!   is never validated: with a section that yields nowhere of its own,
+//!   its close's three `Relaxed` stores and the packed word's release are
+//!   the interleaving points, and the witnesses sit in all three words;
 //! * the mapped path takes zero locks: both the history's own fallback-map
 //!   census (`lock_ops()`) and the model's facade census stay 0.
 //!
-//! Honesty: the model cannot tear the field copies themselves (threads are
-//! only preempted at facade operations), so this checks the *protocol* —
-//! BUSY claim ordering, the validate-before-interpret discipline,
-//! slot-ownership checks — not hardware-level byte tearing, which the
-//! release-mode stress tests cover on real parallel hardware.
+//! Honesty: every load and store of the slot protocol — the packed word
+//! and each data word — is a facade operation, so the model interleaves
+//! the reader with each of them: the BUSY claim, the section's loads and
+//! its close's stores one by one, the validate-before-interpret
+//! discipline and the slot-ownership checks. Its interleavings are
+//! sequentially consistent, so it does not check that the `Relaxed`
+//! data-word accesses and the fences order as the protocol needs on weak
+//! hardware; the release-mode stress tests run the protocol on real
+//! parallel hardware.
 #![cfg(sfrd_model)]
 
 use std::sync::Arc;
@@ -264,11 +272,12 @@ fn first_touches_of_one_fresh_node_publish_it_once() {
         };
         let report = model::explore(cfg, || {
             let hist = Arc::new(PagedHistory::<u64>::with_policy(ReaderPolicy::All));
-            let threads: Vec<_> = addrs
-                .iter()
-                .map(|&addr| {
+            // Thread `i` writes at position `i + 1`.
+            let threads: Vec<_> = (1..)
+                .zip(addrs)
+                .map(|(pos, addr)| {
                     let hist = Arc::clone(&hist);
-                    model::spawn(move || hist.locked(addr, |e| e.begin_write_epoch(addr)))
+                    model::spawn(move || hist.locked(addr, |e| e.begin_write_epoch(pos)))
                 })
                 .collect();
             for t in threads {
@@ -276,13 +285,109 @@ fn first_touches_of_one_fresh_node_publish_it_once() {
             }
             assert_eq!(hist.node_allocs(), nodes, "a node was published twice");
             assert_eq!(hist.page_allocs(), 2);
-            for addr in addrs {
+            for (pos, addr) in (1..).zip(addrs) {
                 let w = hist.locked(addr, |e| *e.writer);
-                assert_eq!(w, Some(addr), "a first touch was lost");
+                assert_eq!(w, Some(pos), "a first touch was lost");
             }
             assert_eq!(hist.lock_ops(), 0);
         });
         assert_eq!(report.schedules, cfg.schedules);
         assert_eq!(report.lock_ops, 0);
     }
+}
+
+/// A close interleaved store by store. Section `k` installs writer `7k`
+/// (the writer word), then FUT's reader `11k` and a reader `13k` further
+/// right: leftmost `11k` sits with the future in one data word, rightmost
+/// `13k` with the count in another. The section's closure yields nowhere,
+/// so the reader's loads land between the section's own loads and between
+/// its close's stores. Every validated snapshot must be one section's
+/// `(11k, 13k, 7k)`: the fast read at position 1, which is no witness,
+/// hands its comparators the snapshot's pair and its writer check the
+/// writer of the same snapshot.
+#[test]
+fn a_snapshot_between_the_close_stores_is_never_validated() {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let cfg = Config {
+        schedules: 1000,
+        ..Config::default()
+    };
+    let discarded = AtomicU64::new(0);
+    let report = model::explore(cfg, || {
+        let hist = Arc::new(PagedHistory::<u64>::with_policy(ReaderPolicy::PerFutureLR));
+        let section = |hist: &PagedHistory<u64>| {
+            hist.locked(ADDR, |e| {
+                let k = k_of(*e.writer) + 1;
+                e.begin_write_epoch(7 * k);
+                let never = |_: &u64, _: &u64| false;
+                e.readers.record(FUT, 11 * k, never, never, never);
+                e.readers.record(FUT, 13 * k, never, |a, b| a > b, never);
+            })
+        };
+        section(&hist);
+
+        let writer = {
+            let hist = Arc::clone(&hist);
+            model::spawn(move || {
+                for _ in 1..WRITES {
+                    section(&hist);
+                }
+            })
+        };
+        let reader = {
+            let hist = Arc::clone(&hist);
+            model::spawn(move || {
+                let mut cur = hist.cursor();
+                let mut last_k = 0u64;
+                for _ in 0..8 {
+                    let (l, r) = (Cell::new(0), Cell::new(0));
+                    cur.fast_read(
+                        ADDR,
+                        FUT,
+                        1,
+                        |_, &left| {
+                            l.set(left);
+                            false
+                        },
+                        |_, &right| {
+                            r.set(right);
+                            false
+                        },
+                        |_, _| false,
+                        |w| {
+                            let k = k_of(w);
+                            assert_eq!(
+                                (l.get(), r.get(), w),
+                                (11 * k, 13 * k, Some(7 * k)),
+                                "validated snapshot mixes two sections"
+                            );
+                            assert!(k >= last_k, "validated writer went backwards");
+                            last_k = k;
+                            true
+                        },
+                    );
+                }
+            })
+        };
+        writer.join();
+        reader.join();
+
+        let w = hist.locked(ADDR, |e| *e.writer);
+        assert_eq!(w, Some(7 * WRITES), "lost write epoch");
+        assert_eq!(
+            hist.lock_ops(),
+            0,
+            "mapped path fell back to the locked map"
+        );
+        // The reader never sets the busy bit, so every retry it counts is
+        // a window it discarded: one that overlapped a section.
+        discarded.fetch_add(hist.cas_retries(), Ordering::Relaxed);
+    });
+    assert_eq!(report.schedules, cfg.schedules);
+    assert_eq!(report.lock_ops, 0);
+    assert!(
+        discarded.into_inner() > 0,
+        "no window ever overlapped a section"
+    );
 }

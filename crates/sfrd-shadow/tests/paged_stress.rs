@@ -4,19 +4,14 @@
 //! each address has one owning thread, so the final state is
 //! deterministic), checked against a single-threaded oracle replay.
 //!
-//! Torn-read detection: every position ever stored is diagonal `(v, v)`,
-//! so any comparison closure or writer snapshot that observes `(a, b)`
-//! with `a != b` has seen a torn copy of a slot — the seqlock protocol
-//! must make that impossible.
-//!
 //! The second test is `model_paged.rs`'s `All`-policy invariant on real
 //! threads: section `k`, which reads `k - 1` off the stored writer,
-//! installs `writer = 7k` and `last reader = 11k` on 12-byte positions
-//! (after parking a poison writer no finished section holds, and dwelling
-//! on it for one spin-loop hint), against readers that take validated
-//! snapshots of the same slots the whole time. The positions are three
-//! times wider than the detectors' word, so a snapshot spans more of the
-//! slot than theirs does.
+//! installs `writer = 7k` and `last reader = 11k` (after parking a poison
+//! writer no finished section holds, and dwelling on it for one spin-loop
+//! hint), against readers that take validated snapshots of the same slots
+//! the whole time. The writer and the last reader sit in different data
+//! words of the slot, so a snapshot that mixed two sections' stores would
+//! show a pair no section installed.
 //!
 //! The third races first touches: threads released together onto one
 //! fresh mid (or leaf) node of the page directory publish it once and
@@ -27,26 +22,14 @@ use std::sync::Barrier;
 
 use sfrd_shadow::{PageCursor, PagedHistory, ReaderPolicy, PAGE_SLOTS, SLOT_SHIFT};
 
-type Pos = (u32, u32);
+/// One word, ordered as a number in both orders.
+type Pos = u32;
 
 const THREADS: u32 = 4;
 const ROUNDS: u32 = 400;
 
-fn diag(p: &Pos) -> bool {
-    p.0 == p.1
-}
-
-fn eng_less(a: &Pos, b: &Pos) -> bool {
-    assert!(diag(a) && diag(b), "torn position observed: {a:?} {b:?}");
-    a.0 < b.0
-}
-fn heb_less(a: &Pos, b: &Pos) -> bool {
-    assert!(diag(a) && diag(b), "torn position observed: {a:?} {b:?}");
-    a.1 < b.1
-}
-fn precedes(a: &Pos, b: &Pos) -> bool {
-    assert!(diag(a) && diag(b), "torn position observed: {a:?} {b:?}");
-    a != b && a.0 < b.0 && a.1 < b.1
+fn less(a: &Pos, b: &Pos) -> bool {
+    a < b
 }
 
 /// Slot addresses interleaved across threads over a two-page span, so all
@@ -74,28 +57,21 @@ fn run_thread(h: &PagedHistory<Pos>, thread: u32, probe: bool) -> Vec<(u64, u32)
             let v = round * THREADS + thread;
             if (round + k) % 3 == 0 {
                 cur.locked(a, |e| {
-                    e.begin_write_epoch((v, v));
+                    e.begin_write_epoch(v);
                     writes[k as usize].1 += 1;
                 });
             } else {
-                cur.locked(a, |e| {
-                    e.readers
-                        .record(thread, (v, v), eng_less, heb_less, precedes)
-                });
+                cur.locked(a, |e| e.readers.record(thread, v, less, less, less));
                 // Immediately re-read at the same position: provably
                 // redundant, must be eligible for the zero-store path.
-                cur.fast_read(a, thread, (v, v), eng_less, heb_less, precedes, |w| {
-                    w.as_ref().is_none_or(diag)
-                });
+                cur.fast_read(a, thread, v, less, less, less, |_| true);
             }
             if probe {
                 // Probe a neighbour's slot with our own future id: the
                 // triple is absent, so this always misses — but it must
                 // validate (or cleanly discard) a concurrent snapshot.
                 let other = addr((thread + 1) % THREADS, k);
-                cur.fast_read(other, thread, (v, v), eng_less, heb_less, precedes, |w| {
-                    w.as_ref().is_none_or(diag)
-                });
+                cur.fast_read(other, thread, v, less, less, less, |_| true);
             }
         }
     }
@@ -106,14 +82,8 @@ fn run_thread(h: &PagedHistory<Pos>, thread: u32, probe: bool) -> Vec<(u64, u32)
 fn state(h: &PagedHistory<Pos>) -> Vec<(u64, Option<Pos>, Vec<Pos>)> {
     let mut v = Vec::new();
     h.for_each_entry(|a, e| {
-        if let Some(w) = *e.writer {
-            assert!(diag(&w), "torn writer retained: {w:?}");
-        }
         let mut readers = Vec::new();
-        e.readers.for_each(|p| {
-            assert!(diag(&p), "torn reader retained: {p:?}");
-            readers.push(p);
-        });
+        e.readers.for_each(|p| readers.push(p));
         readers.sort_unstable();
         v.push((a, *e.writer, readers));
     });
@@ -157,14 +127,7 @@ fn concurrent_matches_single_threaded_oracle() {
     );
 }
 
-/// A 12-byte position, the size the detectors store: three equal words.
-type Wide = (u32, u32, u32);
-
-fn wide(v: u32) -> Wide {
-    (v, v, v)
-}
-
-fn never(_: &Wide, _: &Wide) -> bool {
+fn never(_: &Pos, _: &Pos) -> bool {
     unreachable!("the All policy consults no comparator")
 }
 
@@ -173,17 +136,17 @@ fn never(_: &Wide, _: &Wide) -> bool {
 const POISON: u32 = 3;
 
 /// The `k` of a stored writer `7k` (0 for none).
-fn k_of(writer: Option<Wide>) -> u32 {
-    writer.map_or(0, |w| w.0 / 7)
+fn k_of(writer: Option<Pos>) -> u32 {
+    writer.map_or(0, |w| w / 7)
 }
 
 /// The default policy's snapshot under real contention: one thread runs
 /// write sections over a few slots (section `k` parks a poison writer,
-/// then installs writer `7k`, then reader `11k` — two field groups, one
+/// then installs writer `7k`, then reader `11k` — two data words, one
 /// section), three threads snapshot the same slots continuously. A
-/// snapshot that validates must show one section's writer *and* reader,
-/// whole: never torn words, never the cleared reader list of a section's
-/// first half, never two sections mixed — and read-by-current-writer,
+/// snapshot that validates must show one section's writer *and* reader:
+/// never the cleared reader list of a section's first half, never two
+/// sections mixed — and read-by-current-writer,
 /// which copies the writer after the head, must never answer from the
 /// poison.
 #[test]
@@ -195,7 +158,7 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
     } else {
         400_000
     };
-    let h = PagedHistory::<Wide>::with_policy(ReaderPolicy::All);
+    let h = PagedHistory::<Pos>::with_policy(ReaderPolicy::All);
     let start = Barrier::new(READERS + 1);
     let done = AtomicBool::new(false);
     let validated = std::thread::scope(|s| {
@@ -206,14 +169,14 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
                 for slot in 0..SLOTS {
                     cur.locked(slot << SLOT_SHIFT, |e| {
                         let k = k_of(*e.writer) + 1;
-                        *e.writer = Some(wide(POISON));
+                        *e.writer = Some(POISON);
                         // Keep the store (the next line overwrites it)
                         // and dwell on it, so a reader that copies a busy
                         // slot finds the section half done.
                         std::hint::black_box(&mut *e.writer);
                         std::hint::spin_loop();
-                        e.begin_write_epoch(wide(7 * k));
-                        e.readers.record(0, wide(11 * k), never, never, never);
+                        e.begin_write_epoch(7 * k);
+                        e.readers.record(0, 11 * k, never, never, never);
                     });
                 }
             }
@@ -225,7 +188,7 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
                     let mut cur = h.cursor();
                     let mut last_k = [0u32; SLOTS as usize];
                     let (mut validated, mut hits, mut writer_hits) = (0u64, 0u64, 0u64);
-                    let fast_read = |cur: &mut PageCursor<'_, Wide>, addr, pos| {
+                    let fast_read = |cur: &mut PageCursor<'_, Pos>, addr, pos| {
                         cur.fast_read(addr, 0, pos, never, never, never, |_| {
                             unreachable!("the All policy re-checks no writer")
                         })
@@ -247,18 +210,18 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
                             last_k[slot as usize] = k;
                             assert_eq!(
                                 (snap.writer(), snap.last_reader()),
-                                (Some(wide(7 * k)), Some(wide(11 * k))),
+                                (Some(7 * k), Some(11 * k)),
                                 "validated snapshot is not one whole section (k = {k})"
                             );
                             // The same-epoch answers ride the same protocol.
-                            hits += u64::from(fast_read(&mut cur, addr, wide(11 * k)));
-                            writer_hits += u64::from(fast_read(&mut cur, addr, wide(7 * k)));
+                            hits += u64::from(fast_read(&mut cur, addr, 11 * k));
+                            writer_hits += u64::from(fast_read(&mut cur, addr, 7 * k));
                             assert!(
-                                !fast_read(&mut cur, addr, wide(POISON)),
+                                !fast_read(&mut cur, addr, POISON),
                                 "the writer was read outside a validated window"
                             );
                             assert!(
-                                !cur.fast_write(addr, wide(7 * k)),
+                                !cur.fast_write(addr, 7 * k),
                                 "write-same-epoch hit past a retained reader"
                             );
                         }
@@ -278,7 +241,7 @@ fn all_policy_snapshots_never_mix_sections_on_real_threads() {
     assert_eq!(h.lock_ops(), 0, "mapped slots must never lock");
     for slot in 0..SLOTS {
         h.locked(slot << SLOT_SHIFT, |e| {
-            assert_eq!(*e.writer, Some(wide(7 * sections)), "lost write epoch");
+            assert_eq!(*e.writer, Some(7 * sections), "lost write epoch");
         });
     }
 }
@@ -309,7 +272,7 @@ fn first_touches_of_one_fresh_node_publish_it_once() {
                 let (h, start) = (&h, &start);
                 s.spawn(move || {
                     start.wait();
-                    h.locked(a, |e| e.begin_write_epoch((t as u32, t as u32)));
+                    h.locked(a, |e| e.begin_write_epoch(t as u32 + 1));
                 });
             }
         });
@@ -320,7 +283,7 @@ fn first_touches_of_one_fresh_node_publish_it_once() {
         h.for_each_entry(|a, e| seen.push((a, *e.writer)));
         seen.sort_unstable();
         let want: Vec<_> = (0..THREADS)
-            .map(|t| (addrs[t as usize], Some((t, t))))
+            .map(|t| (addrs[t as usize], Some(t + 1)))
             .collect();
         assert_eq!(seen, want, "round {round}: a first touch was lost");
         assert_eq!(h.lock_ops(), 0);

@@ -32,7 +32,9 @@
 //! requires the serial depth-first event order (its SP-bags invariant), so
 //! journals destined for MultiBags replay must be *recorded* on the
 //! sequential runtime — which also records the `TaskReturn` events it
-//! needs.
+//! needs. Replay checks that order for MultiBags and refuses any other
+//! journal with [`JournalError::OutOfSerialOrder`]: a pool recording of a
+//! program with a construct never has it.
 //!
 //! ## Format (version 1)
 //!

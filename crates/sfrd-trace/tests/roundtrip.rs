@@ -657,11 +657,15 @@ fn replay_refuses_events_on_an_ended_strand() {
         replay_journal(&mut JournalReader::new(bytes).unwrap(), sink)
     }
     for (what, act) in acts {
-        // A spawned strand and a future, each ended, then acting.
+        // A spawned strand and a future, each ended and returned as the
+        // sequential runtime returns them — so that the journal is in
+        // serial-elision order up to the act, which MultiBags checks —
+        // then acting.
         for spawned in [true, false] {
             let mut w = JournalWriter::new(Vec::new(), what).unwrap();
             let s = if spawned { w.spawn(0) } else { w.create(0) };
             w.task_end(s);
+            w.task_return(0, s);
             act(&mut w, s);
             let bytes = w.finish().unwrap();
             let cfg = EngineConfig::default();
@@ -698,6 +702,89 @@ fn replay_refuses_events_on_an_ended_strand() {
     replay(&bytes, &SfDetector::from_config(&cfg)).expect("joins of ended strands replay");
     replay(&bytes, &FoDetector::from_config(&cfg)).expect("joins of ended strands replay");
     replay(&bytes, &MbDetector::from_config(&cfg)).expect("joins of ended strands replay");
+}
+
+/// A join waits for its child: a `Sync` of a spawned child and a `Get` of
+/// a future, each before the child's `TaskEnd`, are refused by every
+/// detector (and the null sink) with `UnendedJoin` naming the child. No
+/// live run emits either. The child is returned first, as serial elision
+/// returns it, so that MultiBags' order check passes up to the join.
+#[test]
+fn replay_refuses_a_join_of_a_strand_that_has_not_ended() {
+    let mut w = JournalWriter::new(Vec::new(), "sync before the child ends").unwrap();
+    let c = w.spawn(0);
+    w.task_return(0, c);
+    w.sync(0, &[c]);
+    w.task_end(0);
+    let early_sync = w.finish().unwrap();
+
+    let mut w = JournalWriter::new(Vec::new(), "get before the future ends").unwrap();
+    let f = w.create(0);
+    w.task_return(0, f);
+    w.get(0, f);
+    w.task_end(0);
+    let early_get = w.finish().unwrap();
+
+    fn replay<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<ReplayStats, JournalError> {
+        replay_journal(&mut JournalReader::new(bytes).unwrap(), sink)
+    }
+    for (bytes, child) in [(&early_sync, c), (&early_get, f)] {
+        let cfg = EngineConfig::default();
+        for result in [
+            replay(bytes, &SfDetector::from_config(&cfg)),
+            replay(bytes, &FoDetector::from_config(&cfg)),
+            replay(bytes, &MbDetector::from_config(&cfg)),
+            replay(bytes, &NullHooks),
+        ] {
+            assert!(
+                matches!(result, Err(JournalError::UnendedJoin(id)) if id == child),
+                "{result:?}"
+            );
+        }
+    }
+}
+
+/// MultiBags is sound only on events in serial-elision order, and replay
+/// checks that order for it. In this journal the root spawns `c`, writes
+/// `x`, and only then does `c` write `x`, end and return; the root syncs
+/// `c` and ends — the order a pool recording has, since the pool runs a
+/// continuation before its child. SF-Order and F-Order report the one
+/// race. MultiBags, whose bags answer only in serial-elision order, would
+/// miss it; it refuses the journal at the root's write, made while `c` was
+/// the strand serial elision had open.
+#[test]
+fn multibags_refuses_a_journal_out_of_serial_order() {
+    let x = [sfrd_runtime::BatchedAccess {
+        addr: 0x40,
+        is_write: true,
+    }];
+    let mut w = JournalWriter::new(Vec::new(), "continuation first").unwrap();
+    let c = w.spawn(0);
+    w.accesses(0, (0, 0), &x);
+    w.accesses(c, (0, 0), &x);
+    w.task_end(c);
+    w.task_return(0, c);
+    w.sync(0, &[c]);
+    w.task_end(0);
+    let bytes = w.finish().unwrap();
+
+    fn replay<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<ReplayStats, JournalError> {
+        replay_journal(&mut JournalReader::new(bytes).unwrap(), sink)
+    }
+    let cfg = EngineConfig::default();
+    let sf = SfDetector::from_config(&cfg);
+    replay(&bytes, &sf).expect("SF-Order replays it");
+    let fo = FoDetector::from_config(&cfg);
+    replay(&bytes, &fo).expect("F-Order replays it");
+    for report in [sf.report(), fo.report()] {
+        assert_eq!(report.total_races, 1);
+        assert_eq!(report.racy_addrs.into_iter().collect::<Vec<_>>(), [0x40]);
+    }
+    let result = replay(&bytes, &MbDetector::from_config(&cfg));
+    assert!(
+        matches!(result, Err(JournalError::OutOfSerialOrder(0))),
+        "{result:?}"
+    );
 }
 
 /// Hand-computed bytes of every opcode, from the format's rules (DESIGN.md

@@ -3,10 +3,14 @@
 
 use std::sync::Arc;
 
+use rand::prelude::*;
+
 use sfrd::core::{drive, DetectorKind, DriveConfig, Mode, RecordingHooks, Workload};
+use sfrd::core::{EngineConfig, GenWorkload, MbDetector, SfDetector};
+use sfrd::dag::generator::{GenParams, GenProgram};
 use sfrd::dag::RecordedProgram;
-use sfrd::runtime::{run_sequential, Batched, Runtime};
-use sfrd::trace::{replay_journal, JournalHooks, JournalReader, JournalWriter};
+use sfrd::runtime::{run_sequential, Batched, Runtime, TaskHooks};
+use sfrd::trace::{replay_journal, JournalError, JournalHooks, JournalReader, JournalWriter};
 use sfrd::workloads::{make_bench, Scale, BENCH_NAMES};
 
 type Recording = Batched<JournalHooks<Vec<u8>>>;
@@ -107,4 +111,70 @@ fn parallel_trace_offline_matches_online() {
         .collect();
     assert_eq!(online_idx, offline_idx);
     assert_eq!(offline_idx, vec![4, 5, 6, 7]);
+}
+
+/// `prog` recorded through the batch pipeline into a journal: on a pool of
+/// `workers`, or on the serial elision when `None`.
+fn record_program(prog: &GenProgram, workers: Option<usize>) -> Vec<u8> {
+    let w = GenWorkload(prog.clone());
+    let hooks = Arc::new(recording());
+    match workers {
+        Some(n) => {
+            let rt: Runtime<Recording> = Runtime::new(n);
+            rt.run(Arc::clone(&hooks), |ctx| w.run(ctx));
+        }
+        None => run_sequential(&*hooks, |ctx| w.run(ctx)),
+    }
+    let hooks = Arc::try_unwrap(hooks)
+        .ok()
+        .expect("runtime still holds the hooks");
+    hooks.into_inner().finish_owned().unwrap()
+}
+
+fn replay<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<(), JournalError> {
+    replay_journal(&mut JournalReader::new(bytes).unwrap(), sink).map(drop)
+}
+
+/// MultiBags on generated programs (default knobs, six addresses), each
+/// recorded three ways: on a one-worker pool, on a two-worker pool and on
+/// the serial elision. A pool recording of a program with a construct is
+/// never in serial-elision order — the pool runs a continuation before its
+/// child and emits no task return — so MultiBags refuses every one, while
+/// SF-Order replays them. Every serial recording replays into MultiBags
+/// with SF-Order's racy addresses.
+#[test]
+fn multibags_refuses_pool_journals_and_agrees_on_serial_ones() {
+    let params = GenParams {
+        addr_space: 6,
+        ..GenParams::default()
+    };
+    let cfg = EngineConfig::default();
+    let (mut refused, mut racy) = (0, 0);
+    for seed in 0..50u64 {
+        let prog = GenProgram::random(&mut StdRng::seed_from_u64(seed), &params);
+        let constructs = prog.counts() != (0, 0);
+        for workers in [1, 2] {
+            let journal = record_program(&prog, Some(workers));
+            replay(&journal, &SfDetector::from_config(&cfg))
+                .expect("SF-Order replays a pool journal");
+            match replay(&journal, &MbDetector::from_config(&cfg)) {
+                Err(JournalError::OutOfSerialOrder(_)) if constructs => refused += 1,
+                Ok(()) if !constructs => {}
+                other => panic!("seed {seed}, {workers} workers: MultiBags answered {other:?}"),
+            }
+        }
+        let journal = record_program(&prog, None);
+        let sf = SfDetector::from_config(&cfg);
+        replay(&journal, &sf).expect("SF-Order replays a serial journal");
+        let mb = MbDetector::from_config(&cfg);
+        replay(&journal, &mb).expect("MultiBags replays a serial journal");
+        let verdict = sf.report().racy_addrs;
+        assert_eq!(mb.report().racy_addrs, verdict, "seed {seed}");
+        racy += usize::from(!verdict.is_empty());
+    }
+    assert!(
+        refused >= 50,
+        "only {refused} pool journals had a construct"
+    );
+    assert!(racy > 0, "no program raced: the agreement is vacuous");
 }

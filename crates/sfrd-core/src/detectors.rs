@@ -50,7 +50,6 @@ pub struct ReachOnly<H>(pub H);
 
 impl<H: sfrd_runtime::TaskHooks> sfrd_runtime::TaskHooks for ReachOnly<H> {
     type Strand = H::Strand;
-    const NEEDS_SERIAL_ORDER: bool = H::NEEDS_SERIAL_ORDER;
 
     fn root(&self) -> Self::Strand {
         self.0.root()
@@ -187,12 +186,11 @@ pub type FoDetector = EventSink<FoReach>;
 
 // =============================================================== MultiBags
 
-/// MultiBags (SP-bags union-find) reachability. Must run under the
-/// sequential runtime (`run_sequential`); the engine is behind a mutex
-/// only to satisfy the `&self` interface — it is never contended.
+/// MultiBags (SP-bags union-find) reachability. Sound only in serial
+/// elision: `run_sequential` live, or any journal's replay. The engine is
+/// behind a mutex only to satisfy the `&self` interface — never contended.
 impl ReachEngine for Mutex<MbReach> {
     type Strand = MbStrand;
-    const NEEDS_SERIAL_ORDER: bool = true;
 
     fn start() -> (Self, MbStrand) {
         let (reach, root) = MbReach::new();

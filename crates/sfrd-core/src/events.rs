@@ -81,11 +81,6 @@ pub trait ReachEngine: Sized + Send + Sync + 'static {
     /// under [`ReaderPolicy::All`] whatever the configuration asks.
     const HONORS_POLICY: bool = false;
 
-    /// Is the engine sound only on events in serial-elision order
-    /// (MultiBags)? Its sink then answers
-    /// [`TaskHooks::NEEDS_SERIAL_ORDER`] with it.
-    const NEEDS_SERIAL_ORDER: bool = false;
-
     /// A fresh engine and the root strand of the one execution it sees.
     fn start() -> (Self, Self::Strand);
 
@@ -99,7 +94,8 @@ pub trait ReachEngine: Sized + Send + Sync + 'static {
     fn get(&self, s: &mut Self::Strand, done: &Self::Strand);
     /// The task finished.
     fn task_end(&self, s: &mut Self::Strand);
-    /// Sequential runtime only: child returned to `parent` in DFS order.
+    /// Sequential runtime and journal replay only: child returned to
+    /// `parent` in DFS order.
     fn task_return(&self, _parent: &mut Self::Strand, _child: &mut Self::Strand) {}
 
     /// The strand's current position.
@@ -341,7 +337,6 @@ impl<E: ReachEngine> EventSink<E> {
 
 impl<E: ReachEngine> TaskHooks for EventSink<E> {
     type Strand = E::Strand;
-    const NEEDS_SERIAL_ORDER: bool = E::NEEDS_SERIAL_ORDER;
 
     fn root(&self) -> E::Strand {
         self.root

@@ -551,7 +551,6 @@ impl<H: TaskHooks> Batched<H> {
 
 impl<H: TaskHooks> TaskHooks for Batched<H> {
     type Strand = BatchStrand<H::Strand>;
-    const NEEDS_SERIAL_ORDER: bool = H::NEEDS_SERIAL_ORDER;
 
     fn root(&self) -> Self::Strand {
         self.strand(self.inner.root(), true)

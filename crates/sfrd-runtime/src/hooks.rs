@@ -22,19 +22,14 @@ use crate::batch::BatchedAccess;
 ///   last sync (never created futures — those only flow through `on_get`);
 /// * `on_get` fires at most once per created future, with the future's
 ///   final strand;
-/// * the sequential runtime additionally fires `on_task_return` right after
-///   a child's `on_task_end`, in serial DFS order (SP-bags needs it);
+/// * the sequential runtime, and journal replay (which runs every journal
+///   in serial elision), additionally fire `on_task_return` right after a
+///   child's `on_task_end`, in serial DFS order (SP-bags needs it);
 /// * `on_access` and `on_access_batch` fire on the accessing task's
 ///   strand, every entry of a batch issued at its current dag position.
 pub trait TaskHooks: Sync + Send + 'static {
     /// Per-task detector state.
     type Strand: Send + 'static;
-
-    /// Does this sink need its events in serial-elision (depth-first)
-    /// order? MultiBags does: its SP-bags invariant holds only there.
-    /// Journal replay checks that order for such a sink and refuses a
-    /// journal out of it; a wrapper answers for the sinks it wraps.
-    const NEEDS_SERIAL_ORDER: bool = false;
 
     /// State for the root task.
     fn root(&self) -> Self::Strand;
@@ -54,7 +49,8 @@ pub trait TaskHooks: Sync + Send + 'static {
     /// The task finished (after its implicit sync).
     fn on_task_end(&self, s: &mut Self::Strand);
 
-    /// Sequential runtime only: child returned to `parent` in DFS order.
+    /// Sequential runtime and journal replay only: child returned to
+    /// `parent` in DFS order.
     fn on_task_return(&self, _parent: &mut Self::Strand, _child: &mut Self::Strand) {}
 
     /// A shared-memory access at `addr`: a write if `is_write`, else a
@@ -109,7 +105,6 @@ pub struct PairHooks<A, B>(pub A, pub B);
 
 impl<A: TaskHooks, B: TaskHooks> TaskHooks for PairHooks<A, B> {
     type Strand = (A::Strand, B::Strand);
-    const NEEDS_SERIAL_ORDER: bool = A::NEEDS_SERIAL_ORDER || B::NEEDS_SERIAL_ORDER;
 
     fn root(&self) -> Self::Strand {
         (self.0.root(), self.1.root())

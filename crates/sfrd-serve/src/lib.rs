@@ -15,7 +15,9 @@
 //! detector consumes events, so a slow session backpressures its own
 //! client through TCP flow control and nobody else, and holds at most one
 //! frame ([`MAX_FRAME_LEN`](sfrd_trace::MAX_FRAME_LEN)) of undecoded
-//! input.
+//! input. Events waiting for serial elision to reach their strand are held
+//! decoded, 16 B a waiting access and 48 B an event: proportional to the
+//! bytes received, and none for a sequential recording.
 //!
 //! Counters (`sessions_open`, `sessions_total`, `bytes_in`): each response
 //! embeds the session's own byte count, and [`Server::metrics`] snapshots

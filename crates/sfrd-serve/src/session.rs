@@ -15,10 +15,9 @@ pub enum SessionDetector {
     SfOrder,
     /// F-Order (`f`).
     FOrder,
-    /// MultiBags (`mb`; the journal must have been recorded on the
-    /// sequential runtime: replay refuses one out of serial-elision order,
-    /// such as any pool recording with a construct, and the session
-    /// answers `ERR`).
+    /// MultiBags (`mb`). Replay runs every journal in serial elision, the
+    /// one order MultiBags is sound in, so a pool recording gets the same
+    /// verdict as from SF-Order.
     MultiBags,
 }
 

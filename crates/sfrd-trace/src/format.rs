@@ -67,14 +67,10 @@ pub enum JournalError {
     /// it, or a second end. Joining an ended strand is what `Sync`, `Get`
     /// and `TaskReturn` do to their child, and stays legal.
     EndedStrand(u32),
-    /// Replay: a `Sync` or `Get` joined a strand whose `TaskEnd` had not
-    /// been replayed — a join no live run makes before its child ends.
+    /// Replay: a `Sync`, `Get` or `TaskReturn` of a strand before its
+    /// `TaskEnd`, in file order or in serial elision; or the journal ended
+    /// with events waiting for this open strand to end.
     UnendedJoin(u32),
-    /// Replay into a sink that needs serial-elision order (MultiBags): the
-    /// strand acted, or was returned by a `TaskReturn`, while it was not
-    /// the innermost strand serial elision has open. A run recorded on the
-    /// pool is not in that order; record on the sequential runtime.
-    OutOfSerialOrder(u32),
 }
 
 impl fmt::Display for JournalError {
@@ -107,12 +103,8 @@ impl fmt::Display for JournalError {
                 write!(f, "strand {id} acts after its task end")
             }
             JournalError::UnendedJoin(id) => {
-                write!(f, "strand {id} joined before its task end")
+                write!(f, "strand {id} joined, or left events waiting, before its task end")
             }
-            JournalError::OutOfSerialOrder(id) => write!(
-                f,
-                "strand {id} acts out of serial-elision order, which this detector needs: record the journal on the sequential runtime"
-            ),
         }
     }
 }

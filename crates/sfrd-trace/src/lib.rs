@@ -24,17 +24,12 @@
 //! hook-invocation time, so the journal is a *linearization* of the
 //! recorded dag: a child's first event appears after its `Spawn`/`Create`,
 //! a `Get` appears after the future's final strand was published, and the
-//! per-strand event order is program order. Replaying that sequence
-//! serially therefore executes the *same dag* under an adjacent legal
-//! schedule — and determinacy races are a property of the dag, not the
-//! schedule, so the racy-address verdict is identical (the same argument
-//! that justifies the batch pipeline itself). MultiBags additionally
-//! requires the serial depth-first event order (its SP-bags invariant), so
-//! journals destined for MultiBags replay must be *recorded* on the
-//! sequential runtime — which also records the `TaskReturn` events it
-//! needs. Replay checks that order for MultiBags and refuses any other
-//! journal with [`JournalError::OutOfSerialOrder`]: a pool recording of a
-//! program with a construct never has it.
+//! per-strand event order is program order. Replay checks that in file
+//! order and runs every journal, for every sink, in the dag's serial
+//! elision — a legal schedule of the *same dag*. Determinacy races are a
+//! property of the dag, not the schedule, so the racy-address verdict is
+//! the recording run's; and MultiBags, sound only in serial elision, takes
+//! pool recordings too. A sequential recording is already in that order.
 //!
 //! ## Format (version 1)
 //!

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use rand::prelude::*;
 
 use sfrd_core::{
-    EngineConfig, FoDetector, GenWorkload, MbDetector, RaceReport, RecordingHooks, SfDetector,
-    Workload,
+    EngineConfig, EventSink, FoDetector, GenWorkload, MbDetector, RaceReport, ReachEngine,
+    RecordingHooks, SfDetector, Workload,
 };
 use sfrd_dag::generator::{GenParams, GenProgram};
 use sfrd_runtime::batch::DEFAULT_BATCH_CAP;
@@ -653,14 +653,9 @@ fn replay_refuses_events_on_an_ended_strand() {
             w.task_return(s, c);
         }),
     ];
-    fn replay<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<ReplayStats, JournalError> {
-        replay_journal(&mut JournalReader::new(bytes).unwrap(), sink)
-    }
     for (what, act) in acts {
         // A spawned strand and a future, each ended and returned as the
-        // sequential runtime returns them — so that the journal is in
-        // serial-elision order up to the act, which MultiBags checks —
-        // then acting.
+        // sequential runtime returns them, then acting.
         for spawned in [true, false] {
             let mut w = JournalWriter::new(Vec::new(), what).unwrap();
             let s = if spawned { w.spawn(0) } else { w.create(0) };
@@ -707,27 +702,22 @@ fn replay_refuses_events_on_an_ended_strand() {
 /// A join waits for its child: a `Sync` of a spawned child and a `Get` of
 /// a future, each before the child's `TaskEnd`, are refused by every
 /// detector (and the null sink) with `UnendedJoin` naming the child. No
-/// live run emits either. The child is returned first, as serial elision
-/// returns it, so that MultiBags' order check passes up to the join.
+/// live run emits either. (A `TaskReturn` of the unended child is refused
+/// the same way, one event earlier; these journals have none.)
 #[test]
 fn replay_refuses_a_join_of_a_strand_that_has_not_ended() {
     let mut w = JournalWriter::new(Vec::new(), "sync before the child ends").unwrap();
     let c = w.spawn(0);
-    w.task_return(0, c);
     w.sync(0, &[c]);
     w.task_end(0);
     let early_sync = w.finish().unwrap();
 
     let mut w = JournalWriter::new(Vec::new(), "get before the future ends").unwrap();
     let f = w.create(0);
-    w.task_return(0, f);
     w.get(0, f);
     w.task_end(0);
     let early_get = w.finish().unwrap();
 
-    fn replay<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<ReplayStats, JournalError> {
-        replay_journal(&mut JournalReader::new(bytes).unwrap(), sink)
-    }
     for (bytes, child) in [(&early_sync, c), (&early_get, f)] {
         let cfg = EngineConfig::default();
         for result in [
@@ -744,16 +734,37 @@ fn replay_refuses_a_join_of_a_strand_that_has_not_ended() {
     }
 }
 
+fn replay<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<ReplayStats, JournalError> {
+    replay_journal(&mut JournalReader::new(bytes).unwrap(), sink)
+}
+
+/// `bytes` replayed into SF-Order, F-Order and MultiBags: each one's
+/// result and racy addresses.
+fn replay_all(bytes: &[u8]) -> [(Result<ReplayStats, JournalError>, Vec<u64>); 3] {
+    fn one<E: ReachEngine>(
+        det: EventSink<E>,
+        bytes: &[u8],
+    ) -> (Result<ReplayStats, JournalError>, Vec<u64>) {
+        let result = replay(bytes, &det);
+        (result, det.report().racy_addrs.into_iter().collect())
+    }
+    let cfg = EngineConfig::default();
+    [
+        one(SfDetector::from_config(&cfg), bytes),
+        one(FoDetector::from_config(&cfg), bytes),
+        one(MbDetector::from_config(&cfg), bytes),
+    ]
+}
+
 /// MultiBags is sound only on events in serial-elision order, and replay
-/// checks that order for it. In this journal the root spawns `c`, writes
-/// `x`, and only then does `c` write `x`, end and return; the root syncs
-/// `c` and ends — the order a pool recording has, since the pool runs a
-/// continuation before its child. SF-Order and F-Order report the one
-/// race. MultiBags, whose bags answer only in serial-elision order, would
-/// miss it; it refuses the journal at the root's write, made while `c` was
-/// the strand serial elision had open.
+/// runs every journal in that order. In this journal the root spawns `c`,
+/// writes `x`, and only then does `c` write `x`, end and return; the root
+/// syncs `c` and ends — the order a pool recording has, since the pool
+/// runs a continuation before its child. Replay holds the root's write
+/// until `c` has returned, so MultiBags reports the one race at `0x40`,
+/// as SF-Order and F-Order do.
 #[test]
-fn multibags_refuses_a_journal_out_of_serial_order() {
+fn multibags_agrees_on_a_journal_out_of_serial_order() {
     let x = [sfrd_runtime::BatchedAccess {
         addr: 0x40,
         is_write: true,
@@ -768,23 +779,174 @@ fn multibags_refuses_a_journal_out_of_serial_order() {
     w.task_end(0);
     let bytes = w.finish().unwrap();
 
-    fn replay<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<ReplayStats, JournalError> {
-        replay_journal(&mut JournalReader::new(bytes).unwrap(), sink)
-    }
     let cfg = EngineConfig::default();
     let sf = SfDetector::from_config(&cfg);
     replay(&bytes, &sf).expect("SF-Order replays it");
     let fo = FoDetector::from_config(&cfg);
     replay(&bytes, &fo).expect("F-Order replays it");
-    for report in [sf.report(), fo.report()] {
+    let mb = MbDetector::from_config(&cfg);
+    replay(&bytes, &mb).expect("MultiBags replays it");
+    for report in [sf.report(), fo.report(), mb.report()] {
         assert_eq!(report.total_races, 1);
         assert_eq!(report.racy_addrs.into_iter().collect::<Vec<_>>(), [0x40]);
     }
-    let result = replay(&bytes, &MbDetector::from_config(&cfg));
+}
+
+/// A `TaskReturn` names a child that has ended: the root spawns `c`, `c`
+/// spawns `d`, `d` writes `x`, ends and returns to `c`, and `c` returns
+/// to the root although `c` never ended; the root syncs nothing and ends.
+/// Nothing checked a returned child's end, and MultiBags' bags panicked
+/// in a debug build on the return of a strand with a live P-bag. Every
+/// detector, and the null sink, refuses it with `UnendedJoin(c)`.
+#[test]
+fn replay_refuses_a_return_of_a_strand_that_has_not_ended() {
+    let x = [sfrd_runtime::BatchedAccess {
+        addr: 0x40,
+        is_write: true,
+    }];
+    let mut w = JournalWriter::new(Vec::new(), "return before the end").unwrap();
+    let c = w.spawn(0);
+    let d = w.spawn(c);
+    w.accesses(d, (0, 0), &x);
+    w.task_end(d);
+    w.task_return(c, d);
+    w.task_return(0, c);
+    w.sync(0, &[]);
+    w.task_end(0);
+    let bytes = w.finish().unwrap();
+
+    for (result, _) in replay_all(&bytes) {
+        assert!(
+            matches!(result, Err(JournalError::UnendedJoin(id)) if id == c),
+            "{result:?}"
+        );
+    }
+    let result = replay(&bytes, &NullHooks);
     assert!(
-        matches!(result, Err(JournalError::OutOfSerialOrder(0))),
+        matches!(result, Err(JournalError::UnendedJoin(id)) if id == c),
         "{result:?}"
     );
+}
+
+/// An event waits while serial elision runs another strand, and a journal
+/// that leaves one waiting is refused, never replayed short. The root
+/// spawns `c` and writes `x` while `c` is open, and `c` writes `x`.
+/// Without `c`'s end the root's write can never run: every detector
+/// answers `UnendedJoin(c)`. With it (and the root's sync and end), the
+/// write runs once `c` has returned, and every detector reports the race.
+#[test]
+fn replay_refuses_a_journal_that_leaves_events_waiting() {
+    let x = [sfrd_runtime::BatchedAccess {
+        addr: 0x40,
+        is_write: true,
+    }];
+    let journal = |ended: bool| {
+        let mut w = JournalWriter::new(Vec::new(), "open child").unwrap();
+        let c = w.spawn(0);
+        w.accesses(0, (0, 0), &x);
+        w.accesses(c, (0, 0), &x);
+        if ended {
+            w.task_end(c);
+            w.sync(0, &[c]);
+            w.task_end(0);
+        }
+        (c, w.finish().unwrap())
+    };
+    let (c, open) = journal(false);
+    for (result, _) in replay_all(&open) {
+        assert!(
+            matches!(result, Err(JournalError::UnendedJoin(id)) if id == c),
+            "{result:?}"
+        );
+    }
+    let (_, closed) = journal(true);
+    for (result, racy) in replay_all(&closed) {
+        assert_eq!(result.expect("the closed journal replays").accesses, 2);
+        assert_eq!(racy, [0x40]);
+    }
+}
+
+/// A handle passed outside the dag: the root spawns `a` and then `b`; `b`
+/// creates `f`, which ends, and `a` gets `f`. In file order `f` has ended
+/// before the get, but serial elision runs `a` — and the get — before `b`
+/// has created `f`. Every detector refuses the get with `UnendedJoin(f)`.
+#[test]
+fn replay_refuses_a_get_before_serial_elision_creates_the_future() {
+    let mut w = JournalWriter::new(Vec::new(), "get before create").unwrap();
+    let a = w.spawn(0);
+    let b = w.spawn(0);
+    let f = w.create(b);
+    w.task_end(f);
+    w.get(a, f);
+    w.task_end(a);
+    w.task_end(b);
+    w.sync(0, &[a, b]);
+    w.task_end(0);
+    let bytes = w.finish().unwrap();
+    for (result, _) in replay_all(&bytes) {
+        assert!(
+            matches!(result, Err(JournalError::UnendedJoin(id)) if id == f),
+            "{result:?}"
+        );
+    }
+}
+
+/// A join of a strand serial elision still has open: the root spawns `c`,
+/// `c` spawns `d`, `c` ends, and `d` syncs `c`. In file order `c` has
+/// ended, but serial elision runs `d` inside `c`, so `c` is still open
+/// beneath it: every detector refuses the sync with `UnendedJoin(c)`,
+/// rather than hand `d` the strand of an open task.
+#[test]
+fn replay_refuses_a_join_of_a_strand_serial_elision_has_open() {
+    let mut w = JournalWriter::new(Vec::new(), "sync of an ancestor").unwrap();
+    let c = w.spawn(0);
+    let d = w.spawn(c);
+    w.task_end(c);
+    w.sync(d, &[c]);
+    w.task_end(d);
+    w.task_end(0);
+    let bytes = w.finish().unwrap();
+    for (result, _) in replay_all(&bytes) {
+        assert!(
+            matches!(result, Err(JournalError::UnendedJoin(id)) if id == c),
+            "{result:?}"
+        );
+    }
+}
+
+/// Nesting depth costs replay heap, not call stack: a chain of 100 000
+/// nested spawns, each parent writing `x` while its child is open (so
+/// every write waits until the child below has returned), replays into
+/// every detector, which report `x`.
+#[test]
+fn replay_runs_a_hundred_thousand_nested_spawns() {
+    const DEPTH: usize = 100_000;
+    let x = [sfrd_runtime::BatchedAccess {
+        addr: 0x40,
+        is_write: true,
+    }];
+    let mut w = JournalWriter::new(Vec::new(), "deep").unwrap();
+    let mut chain = vec![0u32];
+    for _ in 0..DEPTH {
+        let parent = *chain.last().unwrap();
+        chain.push(w.spawn(parent));
+        w.accesses(parent, (0, 0), &x);
+    }
+    let mut child = chain.pop().unwrap();
+    w.task_end(child);
+    while let Some(parent) = chain.pop() {
+        w.sync(parent, &[child]);
+        w.task_end(parent);
+        child = parent;
+    }
+    let bytes = w.finish().unwrap();
+    for (result, racy) in replay_all(&bytes) {
+        assert_eq!(
+            result.expect("a deep journal replays").accesses,
+            DEPTH as u64
+        );
+        assert_eq!(racy, [0x40]);
+    }
 }
 
 /// Hand-computed bytes of every opcode, from the format's rules (DESIGN.md

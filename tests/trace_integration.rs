@@ -1,12 +1,13 @@
 //! Record → journal → replay into the recorder → offline analysis, end to
 //! end, on real workloads and on parallel executions.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::prelude::*;
 
 use sfrd::core::{drive, DetectorKind, DriveConfig, Mode, RecordingHooks, Workload};
-use sfrd::core::{EngineConfig, GenWorkload, MbDetector, SfDetector};
+use sfrd::core::{EngineConfig, FoDetector, GenWorkload, MbDetector, SfDetector};
 use sfrd::dag::generator::{GenParams, GenProgram};
 use sfrd::dag::RecordedProgram;
 use sfrd::runtime::{run_sequential, Batched, Runtime, TaskHooks};
@@ -100,8 +101,7 @@ fn parallel_trace_offline_matches_online() {
         .ok()
         .expect("runtime still holds the hooks");
     let back = replay_recorded(hooks);
-    let offline_addrs: std::collections::BTreeSet<u64> =
-        back.races().iter().map(|r| r.addr).collect();
+    let offline_addrs: BTreeSet<u64> = back.races().iter().map(|r| r.addr).collect();
     // Addresses differ between the two instances; compare *indices*.
     let online_idx: Vec<usize> = (0..8)
         .filter(|&i| online_addrs.contains(&w.data.addr(i)))
@@ -135,46 +135,52 @@ fn replay<H: TaskHooks>(bytes: &[u8], sink: &H) -> Result<(), JournalError> {
     replay_journal(&mut JournalReader::new(bytes).unwrap(), sink).map(drop)
 }
 
-/// MultiBags on generated programs (default knobs, six addresses), each
-/// recorded three ways: on a one-worker pool, on a two-worker pool and on
-/// the serial elision. A pool recording of a program with a construct is
-/// never in serial-elision order — the pool runs a continuation before its
-/// child and emits no task return — so MultiBags refuses every one, while
-/// SF-Order replays them. Every serial recording replays into MultiBags
-/// with SF-Order's racy addresses.
+/// Generated programs (default knobs, six addresses), each recorded three
+/// ways: on a one-worker pool, on a two-worker pool and on the serial
+/// elision. Replay runs every journal in serial elision, so MultiBags,
+/// F-Order and SF-Order report the same racy addresses as the exact
+/// oracle (the journal replayed into the dag recorder) on every one —
+/// pool recordings, whose continuations run before their children,
+/// included.
 #[test]
-fn multibags_refuses_pool_journals_and_agrees_on_serial_ones() {
+fn detectors_agree_with_the_oracle_on_pool_and_serial_journals() {
+    const SEEDS: u64 = 50;
     let params = GenParams {
         addr_space: 6,
         ..GenParams::default()
     };
     let cfg = EngineConfig::default();
-    let (mut refused, mut racy) = (0, 0);
-    for seed in 0..50u64 {
+    let (mut pool_constructs, mut racy) = (0, 0);
+    for seed in 0..SEEDS {
         let prog = GenProgram::random(&mut StdRng::seed_from_u64(seed), &params);
-        let constructs = prog.counts() != (0, 0);
-        for workers in [1, 2] {
-            let journal = record_program(&prog, Some(workers));
-            replay(&journal, &SfDetector::from_config(&cfg))
-                .expect("SF-Order replays a pool journal");
-            match replay(&journal, &MbDetector::from_config(&cfg)) {
-                Err(JournalError::OutOfSerialOrder(_)) if constructs => refused += 1,
-                Ok(()) if !constructs => {}
-                other => panic!("seed {seed}, {workers} workers: MultiBags answered {other:?}"),
+        for workers in [Some(1), Some(2), None] {
+            let journal = record_program(&prog, workers);
+            let recorder = RecordingHooks::new();
+            replay(&journal, &recorder).expect("the recorder replays it");
+            let oracle: BTreeSet<u64> = RecordingHooks::finish(Arc::new(recorder))
+                .races()
+                .iter()
+                .map(|r| r.addr)
+                .collect();
+            let sf = SfDetector::from_config(&cfg);
+            replay(&journal, &sf).expect("SF-Order replays it");
+            let fo = FoDetector::from_config(&cfg);
+            replay(&journal, &fo).expect("F-Order replays it");
+            let mb = MbDetector::from_config(&cfg);
+            replay(&journal, &mb).expect("MultiBags replays it");
+            for (name, report) in [("sf", sf.report()), ("f", fo.report()), ("mb", mb.report())] {
+                assert_eq!(
+                    report.racy_addrs, oracle,
+                    "seed {seed}, {workers:?}: {name}"
+                );
             }
+            pool_constructs += usize::from(workers.is_some() && prog.counts() != (0, 0));
+            racy += usize::from(!oracle.is_empty());
         }
-        let journal = record_program(&prog, None);
-        let sf = SfDetector::from_config(&cfg);
-        replay(&journal, &sf).expect("SF-Order replays a serial journal");
-        let mb = MbDetector::from_config(&cfg);
-        replay(&journal, &mb).expect("MultiBags replays a serial journal");
-        let verdict = sf.report().racy_addrs;
-        assert_eq!(mb.report().racy_addrs, verdict, "seed {seed}");
-        racy += usize::from(!verdict.is_empty());
     }
     assert!(
-        refused >= 50,
-        "only {refused} pool journals had a construct"
+        pool_constructs >= 50,
+        "only {pool_constructs} pool journals had a construct"
     );
     assert!(racy > 0, "no program raced: the agreement is vacuous");
 }
